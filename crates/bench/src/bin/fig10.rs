@@ -27,7 +27,7 @@
 //! Chrome `trace_event` twin).
 
 use sde_bench::{
-    paper_scenario, report_json, run_checkpointed_dedup, run_with_limits_dedup,
+    or_usage, paper_scenario, report_json, run_checkpointed_dedup, run_with_limits_dedup,
     run_with_limits_traced_dedup, trace_file_for, with_fault_axes, write_bench_json,
     write_series_csv, write_trace, Args, Checkpointing, FaultAxis, ParMode, RunLimits,
     SolverLayers,
@@ -69,7 +69,7 @@ fn main() {
     // spec|shard` picks the parallel engine (speculative warming vs
     // sharded frontier exploration, DESIGN.md §13).
     let workers: Option<usize> = args.get("workers");
-    let mode = ParMode::from_args(&args);
+    let mode = or_usage(ParMode::from_args(&args));
     // `--dedup`: online duplicate-dispatch pruning (DESIGN.md §10); the
     // curves keep their shape (state *creation* is unchanged), execution
     // work drops.
@@ -88,7 +88,7 @@ fn main() {
     // extended fault model (DESIGN.md §11) on top of the workload.
     let faults: Vec<FaultAxis> = args
         .get::<String>("faults")
-        .map(|s| FaultAxis::parse_list(&s))
+        .map(|s| or_usage(FaultAxis::parse_list(&s)))
         .unwrap_or_default();
 
     let mut json = Vec::new();

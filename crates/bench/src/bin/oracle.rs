@@ -41,7 +41,7 @@
 //! verdict and must never look like a full one.
 
 use sde_bench::{
-    conformance_json, oracle_scenario, with_fault_axes, write_bench_json, Args, FaultAxis,
+    conformance_json, or_usage, oracle_scenario, with_fault_axes, write_bench_json, Args, FaultAxis,
 };
 use sde_core::oracle::{conformance_against, ground_truth, OracleConfig};
 use sde_core::Algorithm;
@@ -86,7 +86,10 @@ fn main() {
     // `None` marks the faultless base pass run when the flag is absent.
     let passes: Vec<Option<FaultAxis>> = match args.get::<String>("faults") {
         None => vec![None],
-        Some(s) => FaultAxis::parse_list(&s).into_iter().map(Some).collect(),
+        Some(s) => or_usage(FaultAxis::parse_list(&s))
+            .into_iter()
+            .map(Some)
+            .collect(),
     };
 
     let mut json = Vec::new();

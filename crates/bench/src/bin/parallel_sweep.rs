@@ -34,8 +34,8 @@
 //! counters excluded — so CI can `cmp` the files across the sweep.
 
 use sde_bench::{
-    run_checkpointed_dedup, symbolic_grid, trace_file_for, write_equivalence_report, write_trace,
-    Args, Checkpointing, ParMode, RunLimits, SolverLayers,
+    or_usage, run_checkpointed_dedup, symbolic_grid, trace_file_for, write_equivalence_report,
+    write_trace, Args, Checkpointing, ParMode, RunLimits, SolverLayers,
 };
 use sde_core::{Algorithm, Engine, RunReport};
 use std::fmt::Write as _;
@@ -68,7 +68,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mode = ParMode::from_args(&args);
+    let mode = or_usage(ParMode::from_args(&args));
     // `--dedup`: online duplicate-dispatch pruning on the authoritative
     // merge path (DESIGN.md §10). The seq-vs-parallel bit-identity
     // assertions below hold with it on: pruning decisions are made only

@@ -33,7 +33,9 @@
 //! phase only — minimization replays are serial, so artifacts are
 //! byte-identical for any worker count.
 
-use sde_bench::{demo_checker, demo_scenario, render_artifact, with_fault_axes, Args, FaultAxis};
+use sde_bench::{
+    demo_checker, demo_scenario, or_usage, render_artifact, with_fault_axes, Args, FaultAxis,
+};
 use sde_core::check;
 use sde_core::minimize::Minimizer;
 use sde_core::oracle::Assignment;
@@ -69,11 +71,11 @@ fn checkrun(args: &Args) -> ExitCode {
     let fixed = args.flag("fixed");
     let algorithm_name: String = args.get("algorithm").unwrap_or_else(|| "sds".to_string());
     let algorithm = algorithm_of(&algorithm_name);
-    let axes = FaultAxis::parse_list(
+    let axes = or_usage(FaultAxis::parse_list(
         &args
             .get::<String>("faults")
             .unwrap_or_else(|| "all".to_string()),
-    );
+    ));
     let workers: Option<usize> = args.get("workers");
     let emit: Option<String> = args.get("emit");
 
@@ -254,7 +256,10 @@ fn replay(path: &Path) -> ExitCode {
     let axes = if faults.is_empty() {
         Vec::new()
     } else {
-        FaultAxis::parse_list(faults)
+        match FaultAxis::parse_list(faults) {
+            Ok(axes) => axes,
+            Err(e) => return fail(&e),
+        }
     };
     let scenario: Scenario = with_fault_axes(
         demo_scenario(demo, fixed).with_duration_ms(base_duration_ms),

@@ -43,7 +43,7 @@
 //! `<out>/BENCH_table1[_<tag>].json`.
 
 use sde_bench::{
-    paper_scenario, report_json, run_checkpointed_dedup, run_with_limits_dedup,
+    or_usage, paper_scenario, report_json, run_checkpointed_dedup, run_with_limits_dedup,
     run_with_limits_traced_dedup, symbolic_grid, table_header, testgen_json, trace_file_for,
     with_fault_axes, write_bench_json, write_trace, Args, Checkpointing, FaultAxis, ParMode,
     RunLimits, SolverLayers,
@@ -59,7 +59,7 @@ fn main() {
     let tiny = match args.get::<String>("preset").as_deref() {
         None => false,
         Some("tiny") => true,
-        Some(other) => panic!("unknown --preset {other:?} (expected: tiny)"),
+        Some(other) => or_usage(Err(format!("unknown --preset {other:?} (expected: tiny)"))),
     };
     let side: u16 = args.get("side").unwrap_or(if tiny { 3 } else { 10 });
     // COB explodes exponentially — the cap stands in for the paper's
@@ -79,18 +79,18 @@ fn main() {
     // `--mode spec|shard` picks which parallel engine: speculative
     // cache-warming (default) or sharded frontier exploration (§13).
     let workers: Option<usize> = args.get("workers");
-    let mode = ParMode::from_args(&args);
+    let mode = or_usage(ParMode::from_args(&args));
     // `--dedup`: online duplicate-dispatch pruning (DESIGN.md §10) —
     // same states, bugs and test cases, fewer states *executed*.
     let dedup = args.flag("dedup");
     // `--layers full|exact|off`: the incremental-solver-stack ablation
     // axis (DESIGN.md §6); `--tag` suffixes the JSON filename so sweeps
     // with different layer settings land in distinct files.
-    let layers = SolverLayers::parse(
+    let layers = or_usage(SolverLayers::parse(
         &args
             .get::<String>("layers")
             .unwrap_or_else(|| "full".to_string()),
-    );
+    ));
     let out_dir = PathBuf::from(
         args.get::<String>("out")
             .unwrap_or_else(|| "bench_out".to_string()),
@@ -122,12 +122,14 @@ fn main() {
     // extended fault model (DESIGN.md §11) on top of the workload.
     let faults: Vec<FaultAxis> = args
         .get::<String>("faults")
-        .map(|s| FaultAxis::parse_list(&s))
+        .map(|s| or_usage(FaultAxis::parse_list(&s)))
         .unwrap_or_default();
     let scenario = match workload.as_str() {
         "collect" => paper_scenario(side),
         "sense" => symbolic_grid(side),
-        other => panic!("unknown --scenario {other:?} (expected collect or sense)"),
+        other => or_usage(Err(format!(
+            "unknown --scenario {other:?} (expected collect or sense)"
+        ))),
     };
     let scenario = with_fault_axes(scenario, &faults);
     println!(

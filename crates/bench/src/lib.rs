@@ -250,24 +250,24 @@ impl FaultAxis {
     /// Parses a `--faults` value: `all`, or a comma-separated subset of
     /// `partition,latency,corrupt,crashrec`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unknown axis name — a typo'd axis must not silently
-    /// run a faultless experiment.
-    pub fn parse_list(s: &str) -> Vec<FaultAxis> {
+    /// An unknown axis name is an error naming the accepted values — a
+    /// typo'd axis must not silently run a faultless experiment.
+    pub fn parse_list(s: &str) -> Result<Vec<FaultAxis>, String> {
         if s == "all" {
-            return FaultAxis::ALL.to_vec();
+            return Ok(FaultAxis::ALL.to_vec());
         }
         s.split(',')
             .map(|axis| match axis.trim() {
-                "partition" => FaultAxis::Partition,
-                "latency" => FaultAxis::Latency,
-                "corrupt" => FaultAxis::Corrupt,
-                "crashrec" => FaultAxis::CrashRec,
-                other => panic!(
+                "partition" => Ok(FaultAxis::Partition),
+                "latency" => Ok(FaultAxis::Latency),
+                "corrupt" => Ok(FaultAxis::Corrupt),
+                "crashrec" => Ok(FaultAxis::CrashRec),
+                other => Err(format!(
                     "unknown fault axis {other:?} \
                      (expected partition|latency|corrupt|crashrec|all)"
-                ),
+                )),
             })
             .collect()
     }
@@ -375,22 +375,25 @@ pub enum ParMode {
 impl ParMode {
     /// Parses a `--mode` value.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on anything but `spec` or `shard`.
-    pub fn parse(s: &str) -> ParMode {
+    /// Anything but `spec` or `shard` is an error naming the two.
+    pub fn parse(s: &str) -> Result<ParMode, String> {
         match s {
-            "spec" => ParMode::Spec,
-            "shard" => ParMode::Shard,
-            other => panic!("invalid --mode {other:?} (expected spec or shard)"),
+            "spec" => Ok(ParMode::Spec),
+            "shard" => Ok(ParMode::Shard),
+            other => Err(format!("invalid --mode {other:?} (expected spec or shard)")),
         }
     }
 
     /// Reads `--mode` from the parsed arguments; defaults to `spec`.
-    pub fn from_args(args: &Args) -> ParMode {
+    ///
+    /// # Errors
+    ///
+    /// See [`ParMode::parse`].
+    pub fn from_args(args: &Args) -> Result<ParMode, String> {
         args.get::<String>("mode")
-            .map(|s| ParMode::parse(&s))
-            .unwrap_or_default()
+            .map_or(Ok(ParMode::default()), |s| ParMode::parse(&s))
     }
 
     /// Stable name for filenames and labels.
@@ -489,15 +492,17 @@ pub enum SolverLayers {
 impl SolverLayers {
     /// Parses a `--layers` value.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on anything but `full`, `exact`, or `off`.
-    pub fn parse(s: &str) -> SolverLayers {
+    /// Anything but `full`, `exact`, or `off` is an error naming the three.
+    pub fn parse(s: &str) -> Result<SolverLayers, String> {
         match s {
-            "full" => SolverLayers::Full,
-            "exact" => SolverLayers::ExactOnly,
-            "off" => SolverLayers::Off,
-            other => panic!("invalid --layers {other:?} (expected full, exact, or off)"),
+            "full" => Ok(SolverLayers::Full),
+            "exact" => Ok(SolverLayers::ExactOnly),
+            "off" => Ok(SolverLayers::Off),
+            other => Err(format!(
+                "invalid --layers {other:?} (expected full, exact, or off)"
+            )),
         }
     }
 
@@ -1132,6 +1137,16 @@ impl Args {
     }
 }
 
+/// Unwraps a parsed flag value; on `Err` prints the message (which names
+/// the accepted values) and exits **2**, the bins' "could not run" code —
+/// a panic's 101 is for bugs, not typos.
+pub fn or_usage<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1225,10 +1240,10 @@ mod tests {
 
     #[test]
     fn fault_axes_parse_and_apply() {
-        assert_eq!(FaultAxis::parse_list("all"), FaultAxis::ALL.to_vec());
+        assert_eq!(FaultAxis::parse_list("all"), Ok(FaultAxis::ALL.to_vec()));
         assert_eq!(
             FaultAxis::parse_list("partition,crashrec"),
-            vec![FaultAxis::Partition, FaultAxis::CrashRec]
+            Ok(vec![FaultAxis::Partition, FaultAxis::CrashRec])
         );
         assert_eq!(
             FaultAxis::join(&FaultAxis::ALL),
@@ -1246,9 +1261,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown fault axis")]
     fn fault_axis_typo_is_loud() {
-        FaultAxis::parse_list("partition,latncy");
+        let err = FaultAxis::parse_list("partition,latncy").unwrap_err();
+        assert!(err.contains("unknown fault axis \"latncy\""), "{err}");
+        assert!(
+            err.contains("partition|latency|corrupt|crashrec|all"),
+            "{err}"
+        );
     }
 
     #[test]

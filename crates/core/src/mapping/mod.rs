@@ -80,10 +80,11 @@ pub type CowGroupSnapshot = (u64, Vec<(u16, Vec<u64>)>);
 pub type VStateSnapshot = (u64, u64, u16, u64);
 
 /// A mapper's complete bookkeeping, flattened for the snapshot codec
-/// (see [`crate::EngineSnapshot`]). Derived indexes (state → group,
-/// state → owned virtual states) are rebuilt on import, so only the
-/// primary tables are stored. Exports are deterministic: every list is
-/// sorted by its leading id.
+/// (see [`crate::EngineSnapshot`]). Derived indexes (state → group; for
+/// SDS the owner slots — state → slot → owned virtual states — which a
+/// virtual state's `owner` column is resolved through) are rebuilt on
+/// import, so only the primary tables are stored. Exports are
+/// deterministic: every list is sorted by its leading id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MapperSnapshot {
     /// Copy-On-Branch bookkeeping: one complete dscenario per group.
@@ -106,7 +107,11 @@ pub enum MapperSnapshot {
     },
     /// Super-DState bookkeeping: the virtual-state table plus the dstate
     /// id set (ids alone suffice — membership is derived from the
-    /// virtual states).
+    /// virtual states). Both id spaces are dense and never freed, so the
+    /// lists are exactly `0..next_v` and `0..next_group`; an import
+    /// rejects anything else, and ends with
+    /// [`StateMapper::check_invariants`], so a table the mapper could not
+    /// have written is an `Err`, never a later panic in `map_send`.
     Sds {
         /// Every virtual state, sorted by vid.
         vstates: Vec<VStateSnapshot>,

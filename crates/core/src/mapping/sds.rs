@@ -35,6 +35,18 @@
 //!   nothing forks.
 //! * **case C** (no sending vstate): the virtual target merely moves to
 //!   the non-receiving sibling; its dstate is untouched.
+//!
+//! # Ownership and the cost of a send
+//!
+//! A virtual state names its owner through an *owner slot*: one slot per
+//! execution state, holding the state's id and its virtual states. A
+//! target that was a bystander of many earlier conflicts owns a vstate in
+//! every one of those dstates, almost all of them outside the sending
+//! dstates (case C). When it forks, the non-receiving sibling *takes over
+//! the slot* — one write — and the receiving original gets a fresh slot
+//! with only its case-B vstates and the case-A copies. A send therefore
+//! reads and writes members of the sending dstates only; its cost does not
+//! depend on the size of any target's super-dstate.
 
 use crate::mapping::{
     CartesianScenarios, Delivery, MapperSnapshot, MapperStats, StateMapper, StateStore,
@@ -43,31 +55,69 @@ use crate::state::StateId;
 use sde_net::NodeId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Identifier of one dstate.
+/// Identifier of one dstate: its index in [`Sds::dstates`] (dense, never
+/// freed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct GroupId(u64);
 
-/// Identifier of one virtual state.
+/// Identifier of one virtual state: its index in [`Sds::vstates`] (dense,
+/// never freed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct VId(u64);
 
+impl GroupId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl VId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Index into [`Sds::slots`].
+type SlotId = usize;
+
 #[derive(Debug, Clone, Copy)]
 struct VState {
-    owner: StateId,
+    slot: SlotId,
     node: NodeId,
     dstate: GroupId,
+}
+
+/// An owner slot: the virtual states of one execution state (its
+/// super-dstate). Virtual states point at the slot, not at the execution
+/// state, so handing a whole super-dstate to another execution state is
+/// one write to `owner`.
+#[derive(Debug)]
+struct Slot {
+    owner: StateId,
+    owned: BTreeSet<VId>,
+}
+
+/// What the phase-1 scan of the sending dstates learns about one target.
+struct Target {
+    slot: SlotId,
+    /// Its virtual states inside sending dstates…
+    near: usize,
+    /// …whether one of them shares its dstate with a direct rival (case A)…
+    rival: bool,
+    /// …and the ones in rival-free sending dstates (case B): all a forked
+    /// target keeps of its old super-dstate.
+    keeps: Vec<VId>,
 }
 
 /// The Super-DState mapper. See the module documentation.
 #[derive(Debug, Default)]
 pub struct Sds {
-    vstates: HashMap<VId, VState>,
-    /// Per dstate, per node: member virtual states.
-    dstates: HashMap<GroupId, BTreeMap<NodeId, BTreeSet<VId>>>,
-    /// All virtual states owned by an execution state (its super-dstate).
-    owned: HashMap<StateId, BTreeSet<VId>>,
-    next_group: u64,
-    next_v: u64,
+    /// Indexed by [`VId`].
+    vstates: Vec<VState>,
+    /// Indexed by [`GroupId`]; per node, the member virtual states.
+    dstates: Vec<BTreeMap<NodeId, BTreeSet<VId>>>,
+    slots: Vec<Slot>,
+    slot_of: HashMap<StateId, SlotId>,
     stats: MapperStats,
 }
 
@@ -79,64 +129,55 @@ impl Sds {
     }
 
     fn fresh_group(&mut self) -> GroupId {
-        let g = GroupId(self.next_group);
-        self.next_group += 1;
-        self.dstates.insert(g, BTreeMap::new());
-        g
+        self.dstates.push(BTreeMap::new());
+        GroupId(self.dstates.len() as u64 - 1)
     }
 
-    /// Creates a virtual state for `owner` (on `node`) inside `dstate`.
-    fn add_vstate(&mut self, owner: StateId, node: NodeId, dstate: GroupId) -> VId {
-        let v = VId(self.next_v);
-        self.next_v += 1;
-        self.vstates.insert(
-            v,
-            VState {
-                owner,
-                node,
-                dstate,
-            },
-        );
-        self.dstates
-            .get_mut(&dstate)
-            .expect("dstate exists")
+    /// Gives `owner` a fresh, empty slot (replacing any it had).
+    fn fresh_slot(&mut self, owner: StateId) -> SlotId {
+        self.slots.push(Slot {
+            owner,
+            owned: BTreeSet::new(),
+        });
+        self.slot_of.insert(owner, self.slots.len() - 1);
+        self.slots.len() - 1
+    }
+
+    /// Creates a virtual state for `slot`'s owner (on `node`) inside `dstate`.
+    fn add_vstate(&mut self, slot: SlotId, node: NodeId, dstate: GroupId) -> VId {
+        let v = VId(self.vstates.len() as u64);
+        self.vstates.push(VState { slot, node, dstate });
+        self.dstates[dstate.index()]
             .entry(node)
             .or_default()
             .insert(v);
-        self.owned.entry(owner).or_default().insert(v);
+        self.slots[slot].owned.insert(v);
         v
-    }
-
-    /// Reassigns virtual state `v` to a new owner on the same node.
-    fn reassign(&mut self, v: VId, new_owner: StateId) {
-        let vs = self.vstates.get_mut(&v).expect("vstate exists");
-        let old = vs.owner;
-        vs.owner = new_owner;
-        if let Some(set) = self.owned.get_mut(&old) {
-            set.remove(&v);
-        }
-        self.owned.entry(new_owner).or_default().insert(v);
     }
 
     /// Moves virtual state `v` into `new_dstate`.
     fn migrate(&mut self, v: VId, new_dstate: GroupId) {
-        let (node, old) = {
-            let vs = self.vstates.get_mut(&v).expect("vstate exists");
-            let old = vs.dstate;
-            vs.dstate = new_dstate;
-            (vs.node, old)
-        };
-        if let Some(members) = self.dstates.get_mut(&old) {
-            if let Some(set) = members.get_mut(&node) {
-                set.remove(&v);
-            }
+        let vs = &mut self.vstates[v.index()];
+        let (node, old) = (vs.node, vs.dstate);
+        vs.dstate = new_dstate;
+        if let Some(set) = self.dstates[old.index()].get_mut(&node) {
+            set.remove(&v);
         }
-        self.dstates
-            .get_mut(&new_dstate)
-            .expect("dstate exists")
+        self.dstates[new_dstate.index()]
             .entry(node)
             .or_default()
             .insert(v);
+    }
+
+    fn owner(&self, v: VId) -> StateId {
+        self.slots[self.vstates[v.index()].slot].owner
+    }
+
+    /// The virtual states `state` owns (its super-dstate), ascending.
+    fn owned(&self, state: StateId) -> impl Iterator<Item = VId> + '_ {
+        let slot = self.slot_of.get(&state);
+        slot.into_iter()
+            .flat_map(|s| self.slots[*s].owned.iter().copied())
     }
 }
 
@@ -148,7 +189,8 @@ impl StateMapper for Sds {
     fn on_boot(&mut self, states: &[(StateId, NodeId)]) {
         let g = self.fresh_group();
         for (s, n) in states {
-            self.add_vstate(*s, *n, g);
+            let slot = self.fresh_slot(*s);
+            self.add_vstate(slot, *n, g);
         }
     }
 
@@ -163,12 +205,12 @@ impl StateMapper for Sds {
         // Mirror the parent's virtual states: the child enters every
         // dstate of the parent's super-dstate (identical history).
         let parents: Vec<GroupId> = self
-            .owned
-            .get(&parent)
-            .map(|set| set.iter().map(|v| self.vstates[v].dstate).collect())
-            .unwrap_or_default();
+            .owned(parent)
+            .map(|v| self.vstates[v.index()].dstate)
+            .collect();
+        let slot = self.fresh_slot(child);
         for d in parents {
-            self.add_vstate(child, node, d);
+            self.add_vstate(slot, node, d);
             self.stats.virtual_forks += 1;
         }
     }
@@ -181,22 +223,46 @@ impl StateMapper for Sds {
         store: &mut dyn StateStore,
     ) -> Delivery {
         self.stats.sends_mapped += 1;
+        let Some(&sender_slot) = self.slot_of.get(&sender) else {
+            debug_assert!(false, "sender must own virtual states");
+            return Delivery {
+                receivers: Vec::new(),
+            };
+        };
 
-        // Phase 1: sending dstates and targets.
-        let sending_vs: Vec<VId> = self
+        // Phases 1 + 2, one scan of the sending dstates (ascending): which
+        // have direct rivals (case A), who the targets are, and what each
+        // target owns in here. Nothing outside the sending dstates is read.
+        let mut sending: Vec<(GroupId, VId)> = self.slots[sender_slot]
             .owned
-            .get(&sender)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default();
-        debug_assert!(!sending_vs.is_empty(), "sender must own virtual states");
-        let sending_dstates: BTreeSet<GroupId> =
-            sending_vs.iter().map(|v| self.vstates[v].dstate).collect();
-
-        let mut targets: BTreeSet<StateId> = BTreeSet::new();
-        for d in &sending_dstates {
-            if let Some(vts) = self.dstates[d].get(&dest) {
-                for vt in vts {
-                    targets.insert(self.vstates[vt].owner);
+            .iter()
+            .map(|v| (self.vstates[v.index()].dstate, *v))
+            .collect();
+        sending.sort_unstable();
+        let mut rival_dstates: Vec<(GroupId, VId)> = Vec::new();
+        let mut targets: BTreeMap<StateId, Target> = BTreeMap::new();
+        for &(d, vs) in &sending {
+            let members = &self.dstates[d.index()];
+            let rival = members.get(&sender_node).is_some_and(|set| {
+                set.iter()
+                    .any(|v| self.vstates[v.index()].slot != sender_slot)
+            });
+            if rival {
+                rival_dstates.push((d, vs));
+            }
+            for vt in members.get(&dest).into_iter().flatten() {
+                let slot = self.vstates[vt.index()].slot;
+                let t = targets.entry(self.slots[slot].owner).or_insert(Target {
+                    slot,
+                    near: 0,
+                    rival: false,
+                    keeps: Vec::new(),
+                });
+                t.near += 1;
+                if rival {
+                    t.rival = true;
+                } else {
+                    t.keeps.push(*vt);
                 }
             }
         }
@@ -205,97 +271,55 @@ impl StateMapper for Sds {
             "every dstate keeps one vstate per node"
         );
 
-        // Phase 2: classify sending dstates by direct rivals.
-        let has_direct_rivals = |sds: &Sds, d: &GroupId| -> bool {
-            sds.dstates[d]
-                .get(&sender_node)
-                .is_some_and(|set| set.iter().any(|v| sds.vstates[v].owner != sender))
-        };
-        let rival_dstates: BTreeSet<GroupId> = sending_dstates
-            .iter()
-            .filter(|d| has_direct_rivals(self, d))
-            .copied()
-            .collect();
-
-        // Phase 3: forking condition, with a pre-mutation snapshot of
-        // each target's virtual states.
-        let target_vstates: HashMap<StateId, Vec<VId>> = targets
-            .iter()
-            .map(|t| (*t, self.owned[t].iter().copied().collect()))
-            .collect();
-        let mut sibling: HashMap<StateId, StateId> = HashMap::new();
-        for t in &targets {
-            let needs_fork = target_vstates[t].iter().any(|vt| {
-                let d = self.vstates[vt].dstate;
-                if sending_dstates.contains(&d) {
-                    rival_dstates.contains(&d) // case A
-                } else {
-                    true // case C
-                }
-            });
-            if needs_fork {
-                let copy = store.fork(*t);
-                self.stats.mapper_forks += 1;
-                sibling.insert(*t, copy);
+        // Phase 3: a target forks iff it has a vstate next to a direct
+        // rival (case A) or outside the sending dstates (case C — it owns
+        // more than the scan met). The non-receiving sibling takes over
+        // the target's slot as it stands, which hands it every case-A and
+        // case-C virtual target at once (Fig. 7: their dstates are
+        // untouched); the receiving original restarts from a fresh slot
+        // holding only its case-B vstates.
+        let mut receiving: HashMap<SlotId, SlotId> = HashMap::new();
+        for (t, info) in &targets {
+            if !info.rival && info.near == self.slots[info.slot].owned.len() {
+                continue;
             }
+            let sibling = store.fork(*t);
+            self.stats.mapper_forks += 1;
+            self.slots[info.slot].owner = sibling;
+            self.slot_of.insert(sibling, info.slot);
+            let fresh = self.fresh_slot(*t);
+            for v in &info.keeps {
+                self.slots[info.slot].owned.remove(v);
+                self.slots[fresh].owned.insert(*v);
+                self.vstates[v.index()].slot = fresh;
+            }
+            receiving.insert(info.slot, fresh);
         }
 
-        // Phase 4a: virtual COW in every sending dstate with direct
-        // rivals (case A dstates).
-        for d in &rival_dstates {
+        // Phase 4: virtual COW in every sending dstate with direct rivals.
+        for (d, vs) in rival_dstates {
             let new_d = self.fresh_group();
-            // The sender's virtual state in `d` moves to the new dstate.
-            let vs = sending_vs
-                .iter()
-                .copied()
-                .find(|v| self.vstates[v].dstate == *d)
-                .expect("sending dstate contains a sending vstate");
+            // The sender's virtual state in `d` moves to the new dstate;
+            // direct rivals stay put; everyone else is copied.
             self.migrate(vs, new_d);
-            // Snapshot the remaining members.
-            let snapshot: Vec<(NodeId, Vec<VId>)> = self.dstates[d]
+            let copied: Vec<VId> = self.dstates[d.index()]
                 .iter()
-                .map(|(n, set)| (*n, set.iter().copied().collect()))
+                .filter(|(n, _)| **n != sender_node)
+                .flat_map(|(_, set)| set.iter().copied())
                 .collect();
-            for (n, vids) in snapshot {
-                if n == sender_node {
-                    continue; // direct rivals stay put
-                }
-                for vx in vids {
-                    let owner = self.vstates[&vx].owner;
-                    if n == dest {
-                        // Original virtual target → non-receiving sibling;
-                        // fresh copy in the new dstate → receiving target.
-                        let t_sibling = sibling[&owner];
-                        self.reassign(vx, t_sibling);
-                        self.add_vstate(owner, n, new_d);
-                        self.stats.virtual_forks += 1;
-                    } else {
-                        // Bystander: virtual-only fork.
-                        self.add_vstate(owner, n, new_d);
-                        self.stats.virtual_forks += 1;
-                    }
-                }
-            }
-        }
-
-        // Phase 4b: case C — virtual targets of forked targets living in
-        // non-sending dstates move to the non-receiving sibling without
-        // touching their dstate (Fig. 7).
-        for (t, t_sibling) in &sibling {
-            for vt in &target_vstates[t] {
-                // Skip vstates already handed over in phase 4a.
-                if self.vstates[vt].owner != *t {
-                    continue;
-                }
-                let d = self.vstates[vt].dstate;
-                if !sending_dstates.contains(&d) {
-                    self.reassign(*vt, *t_sibling);
-                }
+            for vx in copied {
+                let VState { slot, node, .. } = self.vstates[vx.index()];
+                // A virtual target stays behind with the sibling and its
+                // copy goes to the receiving original; a bystander's copy
+                // has the same owner (the virtual-only fork).
+                let slot = if node == dest { receiving[&slot] } else { slot };
+                self.add_vstate(slot, node, new_d);
+                self.stats.virtual_forks += 1;
             }
         }
 
         Delivery {
-            receivers: targets.into_iter().collect(),
+            receivers: targets.into_keys().collect(),
         }
     }
 
@@ -308,10 +332,10 @@ impl StateMapper for Sds {
     }
 
     fn dscenarios(&self) -> Box<dyn Iterator<Item = Vec<StateId>> + '_> {
-        Box::new(self.dstates.values().flat_map(move |members| {
+        Box::new(self.dstates.iter().flat_map(move |members| {
             let axes: Vec<Vec<StateId>> = members
                 .values()
-                .map(|set| set.iter().map(|v| self.vstates[v].owner).collect())
+                .map(|set| set.iter().map(|v| self.owner(*v)).collect())
                 .collect();
             CartesianScenarios::new(axes)
         }))
@@ -320,15 +344,15 @@ impl StateMapper for Sds {
     fn dscenarios_containing(&self, state: StateId) -> Box<dyn Iterator<Item = Vec<StateId>> + '_> {
         // One enumeration per dstate of the state's super-dstate, with
         // the state's own node axis pinned.
-        let Some(vids) = self.owned.get(&state) else {
-            return Box::new(std::iter::empty());
-        };
-        let groups: Vec<GroupId> = vids.iter().map(|v| self.vstates[v].dstate).collect();
+        let groups: Vec<GroupId> = self
+            .owned(state)
+            .map(|v| self.vstates[v.index()].dstate)
+            .collect();
         Box::new(groups.into_iter().flat_map(move |g| {
-            let axes: Vec<Vec<StateId>> = self.dstates[&g]
+            let axes: Vec<Vec<StateId>> = self.dstates[g.index()]
                 .values()
                 .map(|set| {
-                    let owners: Vec<StateId> = set.iter().map(|v| self.vstates[v].owner).collect();
+                    let owners: Vec<StateId> = set.iter().map(|v| self.owner(*v)).collect();
                     if owners.contains(&state) {
                         vec![state]
                     } else {
@@ -343,68 +367,79 @@ impl StateMapper for Sds {
     fn check_invariants(&self) -> Option<String> {
         // Node counts: every dstate covers the same node set (once booted).
         let mut node_set: Option<BTreeSet<NodeId>> = None;
-        for (g, members) in &self.dstates {
+        for (g, members) in self.dstates.iter().enumerate() {
             let nodes: BTreeSet<NodeId> = members.keys().copied().collect();
             match &node_set {
                 None => node_set = Some(nodes),
                 Some(expected) => {
                     if expected != &nodes {
-                        return Some(format!("dstate {g:?} covers different nodes"));
+                        return Some(format!("dstate {g} covers different nodes"));
                     }
                 }
             }
             for (n, set) in members {
                 if set.is_empty() {
-                    return Some(format!("dstate {g:?} has no vstate on {n}"));
+                    return Some(format!("dstate {g} has no vstate on {n}"));
                 }
                 // No two vstates of one dstate share an owner.
                 let mut owners = BTreeSet::new();
                 for v in set {
-                    let vs = match self.vstates.get(v) {
+                    let vs = match self.vstates.get(v.index()) {
                         Some(vs) => vs,
-                        None => return Some(format!("dangling vstate {v:?} in {g:?}")),
+                        None => return Some(format!("dangling vstate {v:?} in dstate {g}")),
                     };
-                    if vs.dstate != *g {
+                    if vs.dstate.index() != g {
                         return Some(format!("vstate {v:?} dstate pointer mismatch"));
                     }
                     if vs.node != *n {
                         return Some(format!("vstate {v:?} node mismatch"));
                     }
-                    if !owners.insert(vs.owner) {
+                    if !owners.insert(vs.slot) {
                         return Some(format!(
-                            "dstate {g:?} holds two vstates of state {}",
-                            vs.owner
+                            "dstate {g} holds two vstates of state {}",
+                            self.slots[vs.slot].owner
                         ));
                     }
-                    if !self.owned.get(&vs.owner).is_some_and(|s| s.contains(v)) {
+                    if !self.slots[vs.slot].owned.contains(v) {
                         return Some(format!("ownership index misses vstate {v:?}"));
                     }
                 }
             }
         }
-        // Every live execution state owns at least one vstate.
-        for (s, set) in &self.owned {
-            if set.is_empty() {
+        // Every execution state has one slot, owns at least one vstate,
+        // and all of them on one node.
+        for (i, slot) in self.slots.iter().enumerate() {
+            let s = slot.owner;
+            if self.slot_of.get(&s) != Some(&i) {
+                return Some(format!("state {s} does not map to its slot"));
+            }
+            let Some(first) = slot.owned.first() else {
                 return Some(format!("state {s} owns no virtual states"));
+            };
+            let node = self.vstates[first.index()].node;
+            for v in &slot.owned {
+                let vs = &self.vstates[v.index()];
+                if vs.slot != i {
+                    return Some(format!("vstate {v:?} slot pointer mismatch"));
+                }
+                if vs.node != node {
+                    return Some(format!("state {s} owns vstates on {node} and {}", vs.node));
+                }
             }
         }
         None
     }
 
     fn export_snapshot(&self) -> MapperSnapshot {
-        let mut vstates: Vec<(u64, u64, u16, u64)> = self
-            .vstates
-            .iter()
-            .map(|(v, vs)| (v.0, vs.owner.0, vs.node.0, vs.dstate.0))
+        let vstates = (0u64..)
+            .zip(&self.vstates)
+            .map(|(v, vs)| (v, self.slots[vs.slot].owner.0, vs.node.0, vs.dstate.0))
             .collect();
-        vstates.sort_unstable_by_key(|(v, ..)| *v);
-        let mut groups: Vec<u64> = self.dstates.keys().map(|g| g.0).collect();
-        groups.sort_unstable();
         MapperSnapshot::Sds {
             vstates,
-            groups,
-            next_group: self.next_group,
-            next_v: self.next_v,
+            groups: (0..self.dstates.len() as u64).collect(),
+            next_group: self.dstates.len() as u64,
+            next_v: self.vstates.len() as u64,
             stats: self.stats,
         }
     }
@@ -423,49 +458,36 @@ impl StateMapper for Sds {
                 snapshot.algorithm()
             ));
         };
+        // Ids are table indexes: both lists must be exactly `0..next`.
+        if !groups.iter().copied().eq(0..next_group) {
+            return Err(format!("dstate ids are not exactly 0..{next_group}"));
+        }
+        if !vstates.iter().map(|(v, ..)| *v).eq(0..next_v) {
+            return Err(format!("vstate ids are not exactly 0..{next_v}"));
+        }
         let mut restored = Sds {
-            next_group,
-            next_v,
+            dstates: vec![BTreeMap::new(); groups.len()],
             stats,
             ..Sds::default()
         };
-        for gid in groups {
-            if gid >= next_group {
-                return Err(format!("dstate id {gid} beyond allocator {next_group}"));
-            }
-            if restored
-                .dstates
-                .insert(GroupId(gid), BTreeMap::new())
-                .is_some()
-            {
-                return Err(format!("dstate id {gid} duplicated"));
-            }
-        }
         for (vid, owner, node, dstate) in vstates {
-            if vid >= next_v {
-                return Err(format!("vstate id {vid} beyond allocator {next_v}"));
+            if dstate >= next_group {
+                return Err(format!("vstate {vid} references missing dstate {dstate}"));
             }
-            let v = VId(vid);
-            let members = restored
-                .dstates
-                .get_mut(&GroupId(dstate))
-                .ok_or_else(|| format!("vstate {vid} references missing dstate {dstate}"))?;
-            members.entry(NodeId(node)).or_default().insert(v);
-            restored.owned.entry(StateId(owner)).or_default().insert(v);
-            let prior = restored.vstates.insert(
-                v,
-                VState {
-                    owner: StateId(owner),
-                    node: NodeId(node),
-                    dstate: GroupId(dstate),
-                },
-            );
-            if prior.is_some() {
-                return Err(format!("vstate id {vid} duplicated"));
+            let slot = match restored.slot_of.get(&StateId(owner)) {
+                Some(slot) => *slot,
+                None => restored.fresh_slot(StateId(owner)),
+            };
+            restored.add_vstate(slot, NodeId(node), GroupId(dstate));
+        }
+        // Everything `map_send` indexes or `expect`s on is an invariant.
+        match restored.check_invariants() {
+            Some(violation) => Err(violation),
+            None => {
+                *self = restored;
+                Ok(())
             }
         }
-        *self = restored;
-        Ok(())
     }
 }
 
@@ -473,6 +495,7 @@ impl StateMapper for Sds {
 mod tests {
     use super::*;
     use crate::mapping::testutil::{boot, MockStore};
+    use crate::mapping::VStateSnapshot;
 
     fn branch(sds: &mut Sds, store: &mut MockStore, parent: StateId, node: NodeId) -> StateId {
         let child = StateId(store.next);
@@ -491,7 +514,7 @@ mod tests {
         assert_eq!(sds.group_count(), 1);
         assert!(store.forks.is_empty(), "branching forks nothing");
         assert!(sds.check_invariants().is_none());
-        assert_eq!(sds.owned[&child].len(), 1);
+        assert_eq!(sds.owned(child).count(), 1);
         assert_eq!(sds.dscenarios().count(), 2);
     }
 
@@ -522,14 +545,14 @@ mod tests {
         assert_eq!(d.receivers, vec![StateId(1)]);
         // Two dstates; bystanders (nodes 2, 3) own a vstate in each.
         assert_eq!(sds.group_count(), 2);
-        assert_eq!(sds.owned[&StateId(2)].len(), 2);
-        assert_eq!(sds.owned[&StateId(3)].len(), 2);
+        assert_eq!(sds.owned(StateId(2)).count(), 2);
+        assert_eq!(sds.owned(StateId(3)).count(), 2);
         // Receiver owns only the new dstate's vstate; sibling the old one.
-        assert_eq!(sds.owned[&StateId(1)].len(), 1);
-        assert_eq!(sds.owned[&copy].len(), 1);
+        assert_eq!(sds.owned(StateId(1)).count(), 1);
+        assert_eq!(sds.owned(copy).count(), 1);
         assert_ne!(
-            sds.vstates[sds.owned[&StateId(1)].iter().next().unwrap()].dstate,
-            sds.vstates[sds.owned[&copy].iter().next().unwrap()].dstate,
+            sds.vstates[sds.owned(StateId(1)).next().unwrap().index()].dstate,
+            sds.vstates[sds.owned(copy).next().unwrap().index()].dstate,
         );
         assert!(sds.check_invariants().is_none());
     }
@@ -560,8 +583,8 @@ mod tests {
         );
         assert_eq!(d.receivers, vec![StateId(2)]);
         let (_, sibling) = *store.forks.last().unwrap();
-        assert_eq!(sds.owned[&StateId(2)].len(), 1);
-        assert_eq!(sds.owned[&sibling].len(), 1);
+        assert_eq!(sds.owned(StateId(2)).count(), 1);
+        assert_eq!(sds.owned(sibling).count(), 1);
         assert!(sds.check_invariants().is_none());
     }
 
@@ -604,7 +627,7 @@ mod tests {
 
         // Node 2's state is a bystander so far: it owns vstates in BOTH
         // dstates (its super-dstate has size 2).
-        assert_eq!(sds.owned[&StateId(2)].len(), 2);
+        assert_eq!(sds.owned(StateId(2)).count(), 2);
 
         let d = sds.map_send(StateId(0), NodeId(0), NodeId(2), &mut store);
         assert_eq!(d.receivers, vec![StateId(2)]);
@@ -614,8 +637,8 @@ mod tests {
         let (_, t_sibling) = *store.forks.last().unwrap();
         // The receiving original keeps the sending-dstate vstate; the
         // sibling took over the other one.
-        assert_eq!(sds.owned[&StateId(2)].len(), 1);
-        assert_eq!(sds.owned[&t_sibling].len(), 1);
+        assert_eq!(sds.owned(StateId(2)).count(), 1);
+        assert_eq!(sds.owned(t_sibling).count(), 1);
         assert!(sds.check_invariants().is_none());
     }
 
@@ -630,7 +653,7 @@ mod tests {
         branch(&mut sds, &mut store, StateId(1), NodeId(1));
         sds.map_send(StateId(1), NodeId(1), NodeId(2), &mut store);
         assert_eq!(
-            sds.owned[&StateId(0)].len(),
+            sds.owned(StateId(0)).count(),
             2,
             "node 0 is a shared bystander"
         );
@@ -672,5 +695,109 @@ mod tests {
         // Virtual forks: the branch mirror (1) + target copy (1) +
         // bystander copies (2).
         assert_eq!(stats.virtual_forks, 4);
+    }
+
+    /// A hand-built snapshot: `vstates` as `(owner, node, dstate)` in vid
+    /// order, `groups` dstates, allocators matching.
+    fn snapshot_of(vstates: &[(u64, u16, u64)], groups: u64) -> MapperSnapshot {
+        MapperSnapshot::Sds {
+            vstates: (0u64..)
+                .zip(vstates)
+                .map(|(v, (owner, node, dstate))| (v, *owner, *node, *dstate))
+                .collect(),
+            groups: (0..groups).collect(),
+            next_group: groups,
+            next_v: vstates.len() as u64,
+            stats: MapperStats::default(),
+        }
+    }
+
+    fn import(snapshot: MapperSnapshot) -> Result<Sds, String> {
+        let mut sds = Sds::new();
+        sds.import_snapshot(snapshot).map(|()| sds)
+    }
+
+    #[test]
+    fn import_accepts_a_consistent_hand_built_snapshot() {
+        // Two dstates over nodes {0, 1}; state 1 is a bystander of both.
+        let snap = snapshot_of(&[(0, 0, 0), (1, 1, 0), (2, 0, 1), (1, 1, 1)], 2);
+        let mut sds = import(snap.clone()).expect("consistent");
+        assert_eq!(sds.export_snapshot(), snap);
+        let mut store = MockStore::with_states(&[
+            (StateId(0), NodeId(0)),
+            (StateId(1), NodeId(1)),
+            (StateId(2), NodeId(0)),
+        ]);
+        // State 1 has a far vstate (next to state 2): it forks.
+        let d = sds.map_send(StateId(0), NodeId(0), NodeId(1), &mut store);
+        assert_eq!(d.receivers, vec![StateId(1)]);
+        assert_eq!(store.forks(), [(StateId(1), StateId(3))]);
+        assert!(sds.check_invariants().is_none());
+    }
+
+    #[test]
+    fn import_rejects_what_check_invariants_rejects() {
+        let cases: [(&str, MapperSnapshot); 5] = [
+            (
+                "two vstates of state",
+                snapshot_of(&[(0, 0, 0), (1, 1, 0), (1, 1, 0)], 1),
+            ),
+            (
+                "covers different nodes",
+                snapshot_of(&[(0, 0, 0), (1, 1, 0), (2, 0, 1)], 2),
+            ),
+            (
+                "owns vstates on",
+                snapshot_of(&[(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)], 2),
+            ),
+            (
+                "covers different nodes",
+                snapshot_of(&[(0, 0, 0), (1, 1, 0)], 2), // an empty dstate
+            ),
+            ("missing dstate", snapshot_of(&[(0, 0, 7)], 1)),
+        ];
+        for (needle, snap) in cases {
+            let err = import(snap).expect_err(needle);
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
+    }
+
+    #[test]
+    fn import_rejects_gaps_and_disorder_in_the_dense_ids() {
+        // Each case edits the four id-bearing parts of a good snapshot.
+        type Tamper = fn(&mut Vec<VStateSnapshot>, &mut Vec<u64>, &mut u64, &mut u64);
+        let cases: [(&str, Tamper); 8] = [
+            ("vid gap", |v, _, _, _| v[3].0 = 5),
+            ("vids out of order", |v, _, _, _| v.swap(0, 1)),
+            ("vid duplicated", |v, _, _, _| v[1].0 = 0),
+            ("next_v ahead", |_, _, _, nv| *nv = 9),
+            ("next_v behind", |_, _, _, nv| *nv = 3),
+            ("gids out of order", |_, g, _, _| g.swap(0, 1)),
+            ("gid gap", |_, g, _, _| g[1] = 4),
+            ("next_group ahead", |_, _, ng, _| *ng = u64::MAX),
+        ];
+        let good = snapshot_of(&[(0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)], 2);
+        assert!(import(good.clone()).is_ok());
+        for (what, tamper) in cases {
+            let MapperSnapshot::Sds {
+                mut vstates,
+                mut groups,
+                mut next_group,
+                mut next_v,
+                stats,
+            } = good.clone()
+            else {
+                unreachable!()
+            };
+            tamper(&mut vstates, &mut groups, &mut next_group, &mut next_v);
+            let tampered = MapperSnapshot::Sds {
+                vstates,
+                groups,
+                next_group,
+                next_v,
+                stats,
+            };
+            assert!(import(tampered).is_err(), "{what}");
+        }
     }
 }

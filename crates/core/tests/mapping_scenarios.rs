@@ -2,7 +2,9 @@
 //! no VM, no solver — pinning down the exact fork behavior of each
 //! algorithm in the situations the paper's figures illustrate.
 
-use sde_core::mapping::{Algorithm, MemoryStore, StateMapper};
+use sde_core::mapping::{
+    Algorithm, MapperSnapshot, MapperStats, MemoryStore, StateMapper, StateStore,
+};
 use sde_core::StateId;
 use sde_net::NodeId;
 
@@ -207,7 +209,6 @@ trait NodeOfChecked {
 
 impl NodeOfChecked for MemoryStore {
     fn node_of_checked(&self, s: StateId) -> NodeId {
-        use sde_core::mapping::StateStore;
         self.node_of(s)
     }
 }
@@ -249,5 +250,240 @@ fn dscenarios_containing_is_a_filter() {
                 "{alg}: every live state is in some dscenario"
             );
         }
+    }
+}
+
+// ---- SDS bit-identity in isolation --------------------------------------
+//
+// The digests below were captured at the commit *before* the owner-slot
+// rewrite of `sds.rs` (the `owned: HashMap<StateId, BTreeSet<VId>>` +
+// per-vstate `reassign` implementation). They pin everything a caller can
+// observe of the mapper: which states fork and in which order, who
+// receives each send, the work counters, and the exported bookkeeping
+// (hence `VId`/`GroupId` allocation order).
+
+/// FNV-1a over a stream of `u64`s.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn stats(&mut self, s: MapperStats) {
+        for x in [
+            s.branches_seen,
+            s.sends_mapped,
+            s.mapper_forks,
+            s.virtual_forks,
+        ] {
+            self.u64(x);
+        }
+    }
+
+    /// Folds in the fork log, the counters and the exported snapshot.
+    fn finish(mut self, sds: &dyn StateMapper, store: &MemoryStore) -> u64 {
+        self.u64(store.forks().len() as u64);
+        for (orig, copy) in store.forks() {
+            self.u64(orig.0);
+            self.u64(copy.0);
+        }
+        self.stats(sds.stats());
+        let MapperSnapshot::Sds {
+            vstates,
+            groups,
+            next_group,
+            next_v,
+            stats,
+        } = sds.export_snapshot()
+        else {
+            panic!("SDS exports an SDS snapshot");
+        };
+        self.u64(vstates.len() as u64);
+        for (v, owner, node, dstate) in vstates {
+            self.u64(v);
+            self.u64(owner);
+            self.u64(u64::from(node));
+            self.u64(dstate);
+        }
+        self.u64(groups.len() as u64);
+        for g in groups {
+            self.u64(g);
+        }
+        self.u64(next_group);
+        self.u64(next_v);
+        self.stats(stats);
+        self.0
+    }
+}
+
+/// One checked send: invariants hold afterwards, receivers enter the digest.
+fn checked_send(
+    sds: &mut dyn StateMapper,
+    store: &mut MemoryStore,
+    digest: &mut Digest,
+    sender: StateId,
+    dest: NodeId,
+) -> Vec<StateId> {
+    let d = sds.map_send(sender, store.node_of(sender), dest, store);
+    assert_eq!(sds.check_invariants(), None, "after {sender} → {dest}");
+    digest.u64(d.receivers.len() as u64);
+    for r in &d.receivers {
+        digest.u64(r.0);
+    }
+    d.receivers
+}
+
+fn checked_branch(sds: &mut dyn StateMapper, store: &mut MemoryStore, parent: StateId) -> StateId {
+    let child = store.branch(sds, parent);
+    assert_eq!(sds.check_invariants(), None, "after branching {parent}");
+    child
+}
+
+/// k conflicting sends *past* node 3 make its state a fat bystander (one
+/// vstate per dstate); a send *to* it then forks it with one `near` vstate
+/// and k `far` ones — the hand-over of a large far set. Then targets whose
+/// vstates are all `near`: without rivals (no fork) and with rivals in
+/// every sending dstate (fork, nothing `far`).
+#[test]
+fn sds_fat_bystander_script_is_pinned() {
+    assert_eq!(fat_bystander_digest(), FAT_BYSTANDER_DIGEST);
+}
+
+fn fat_bystander_digest() -> u64 {
+    const K: u64 = 12;
+    let mut sds = mapper(Algorithm::Sds);
+    let mut store = MemoryStore::booted(sds.as_mut(), 6);
+    let mut digest = Digest::new();
+    for _ in 0..K {
+        checked_branch(sds.as_mut(), &mut store, StateId(0));
+        let r = checked_send(sds.as_mut(), &mut store, &mut digest, StateId(0), NodeId(1));
+        assert_eq!(r.len(), 1);
+    }
+    assert_eq!(sds.group_count() as u64, K + 1);
+    assert_eq!(store.forks().len() as u64, K, "one target fork per send");
+
+    // State 0 owns a single vstate (in the newest dstate); state 3 owns
+    // one per dstate. near = 1, far = K: case C, no new dstate.
+    let groups = sds.group_count();
+    let forks = store.forks().len();
+    let r = checked_send(sds.as_mut(), &mut store, &mut digest, StateId(0), NodeId(3));
+    assert_eq!(r, vec![StateId(3)]);
+    assert_eq!(store.forks().len(), forks + 1);
+    assert_eq!(sds.group_count(), groups);
+    let (orig, sibling) = *store.forks().last().unwrap();
+    assert_eq!(orig, StateId(3));
+    // The receiver keeps exactly its near vstate; the sibling took the rest.
+    assert_eq!(sds.dscenarios_containing(StateId(3)).count(), 1);
+    assert!(sds.dscenarios_containing(sibling).count() as u64 >= K);
+
+    // All-near target, no rivals: state 2 and state 4 are both bystanders
+    // of every dstate, node 2 never branched — in-place delivery.
+    let forks = store.forks().len();
+    let r = checked_send(sds.as_mut(), &mut store, &mut digest, StateId(2), NodeId(4));
+    assert_eq!(r, vec![StateId(4)]);
+    assert_eq!(store.forks().len(), forks);
+
+    // All-near target, a rival in every sending dstate: one fork, every
+    // sending dstate splits, nothing is `far`.
+    checked_branch(sds.as_mut(), &mut store, StateId(2));
+    let groups = sds.group_count();
+    let r = checked_send(sds.as_mut(), &mut store, &mut digest, StateId(2), NodeId(4));
+    assert_eq!(r, vec![StateId(4)]);
+    assert_eq!(store.forks().len(), forks + 1);
+    assert_eq!(sds.group_count(), 2 * groups);
+
+    // Mixed: the rival of that send now transmits to the fat sibling's node.
+    let rival = StateId(store.len() as u64 - 2);
+    checked_send(sds.as_mut(), &mut store, &mut digest, rival, NodeId(3));
+
+    digest.finish(sds.as_ref(), &store)
+}
+
+/// Seeded random branch/send walks. Senders are drawn from the most
+/// recent states (old ones too, rarely) so forked siblings, receivers and
+/// fat bystanders all transmit; sizes stay small enough to check the
+/// invariants after every operation.
+#[test]
+fn sds_random_walks_are_pinned() {
+    for (seed, expected) in RANDOM_WALK_DIGESTS.iter().enumerate() {
+        assert_eq!(
+            random_walk_digest(seed as u64),
+            *expected,
+            "SDS walk seed {seed} diverged from the pinned parent behaviour"
+        );
+    }
+}
+
+const WALK_OPS: usize = 200;
+
+fn random_walk_digest(seed: u64) -> u64 {
+    let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5eed;
+    let mut next = move || {
+        // splitmix64
+        rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let k = 6 + (seed % 7) as u16; // 6..=12 nodes
+    let mut sds = mapper(Algorithm::Sds);
+    let mut store = MemoryStore::booted(sds.as_mut(), k);
+    let mut digest = Digest::new();
+    for _ in 0..WALK_OPS {
+        let len = store.len() as u64;
+        let actor = if next() % 4 == 0 {
+            StateId(next() % len)
+        } else {
+            StateId(len - 1 - next() % len.min(2 * u64::from(k)))
+        };
+        if next() % 3 == 0 {
+            checked_branch(sds.as_mut(), &mut store, actor);
+        } else {
+            let from = store.node_of(actor).0;
+            let dest = (from + 1 + (next() % u64::from(k - 1)) as u16) % k;
+            let r = checked_send(sds.as_mut(), &mut store, &mut digest, actor, NodeId(dest));
+            assert!(!r.is_empty());
+        }
+    }
+    digest.u64(store.len() as u64);
+    digest.finish(sds.as_ref(), &store)
+}
+
+const FAT_BYSTANDER_DIGEST: u64 = 0x5e41_7153_b3be_194d;
+const RANDOM_WALK_DIGESTS: [u64; 16] = [
+    0x0b4f_8084_7121_736d,
+    0x628b_1547_839a_d492,
+    0x8063_5a3d_3ec1_4380,
+    0x41fb_ea6a_041f_8e3d,
+    0x5153_11c9_55f6_6c2e,
+    0xb906_cfb0_0ff7_1f7b,
+    0x6b6c_adef_8c6c_7276,
+    0x5654_71b9_7b08_5c2b,
+    0x8f96_fc20_014b_6d7c,
+    0xfafc_83ff_937d_d6ab,
+    0x1e95_1c87_3ab7_099a,
+    0x8d0f_74d8_fffd_3f2c,
+    0xbd56_3955_ea3c_04c3,
+    0x08b8_68e9_d552_436c,
+    0x76bf_b195_47ba_6a7f,
+    0xf0ec_0968_a243_54b3,
+];
+
+/// Prints the digests to pin (run with `--ignored --nocapture`).
+#[test]
+#[ignore = "capture helper"]
+fn sds_print_digests() {
+    println!("fat bystander: {:#018x}", fat_bystander_digest());
+    for seed in 0..16 {
+        println!("    {:#018x},", random_walk_digest(seed));
     }
 }

@@ -20,6 +20,7 @@ mod ring;
 use grid::grid_collect;
 use line::line_collect;
 use ring::ring_hello;
+use sde::core::MapperSnapshot;
 use sde::prelude::*;
 use sde::trace::{to_jsonl, RingSink, TraceSink};
 use std::sync::Arc;
@@ -183,4 +184,65 @@ fn interrupted_traces_are_byte_identical_to_straight_traces() {
             }
         }
     }
+}
+
+const SDS_GRID4_PAUSE_EVENTS: u64 = 600;
+/// FNV-1a of the `{:?}` form of the `MapperSnapshot::Sds` exported at that
+/// pause point, captured at the commit before `sds.rs` moved to owner
+/// slots: the rewritten mapper must still *write* exactly what the parent
+/// wrote, so resuming its snapshot is resuming the parent's. (The full
+/// snapshot bytes also carry solver timings and do not repeat.)
+const SDS_GRID4_PARENT_MAPPER_DIGEST: u64 = 0xe029_ee4d_43e7_b7b6;
+
+/// Collect 4×4 under SDS, paused where bystanders already own vstates in
+/// several dstates (so the next sends fork targets with a *far* set): the
+/// snapshot equals the one the previous mapper wrote, import → export is
+/// the identity on `MapperSnapshot::Sds`, and the resumed run ends on the
+/// straight run's key.
+#[test]
+fn sds_far_set_snapshot_is_parent_format_and_resumes() {
+    let scenario = grid_collect(4, 4, 6000, false);
+    let straight = Engine::new(scenario.clone(), Algorithm::Sds).run();
+
+    let mut engine = Engine::new(scenario.clone(), Algorithm::Sds);
+    assert_ne!(
+        engine.run_until(Budget::events(SDS_GRID4_PAUSE_EVENTS)),
+        RunOutcome::Complete,
+        "pause point must be mid-run"
+    );
+    let exported = engine.mapper().export_snapshot();
+    let MapperSnapshot::Sds { vstates, .. } = &exported else {
+        panic!("SDS exports an SDS snapshot");
+    };
+    let mut per_owner = std::collections::BTreeMap::<u64, usize>::new();
+    for (_, owner, ..) in vstates {
+        *per_owner.entry(*owner).or_default() += 1;
+    }
+    assert!(
+        per_owner.values().filter(|n| **n >= 4).count() >= 4,
+        "pause point must have fat super-dstates"
+    );
+
+    let mut fresh = Algorithm::Sds.new_mapper();
+    fresh.import_snapshot(exported.clone()).expect("import");
+    assert_eq!(fresh.export_snapshot(), exported, "export ∘ import = id");
+    assert_eq!(fresh.check_invariants(), None);
+
+    let digest = format!("{exported:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        digest, SDS_GRID4_PARENT_MAPPER_DIGEST,
+        "mapper snapshot differs from the parent commit's ({digest:#018x})"
+    );
+    let bytes = engine.snapshot().to_bytes();
+    let snap = EngineSnapshot::from_bytes(&bytes).expect("decode");
+    let resumed = Engine::resume(scenario, &snap).expect("resume");
+    assert_eq!(
+        resumed.run().equivalence_key(),
+        straight.equivalence_key(),
+        "resumed SDS run diverged from the straight run"
+    );
 }
