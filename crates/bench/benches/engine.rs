@@ -3,9 +3,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sde_bench::{paper_scenario, symbolic_grid};
-use sde_core::{run, Algorithm, Engine, Scenario};
-use sde_net::Topology;
+use sde_core::store::Store;
+use sde_core::{run, Algorithm, Engine, NodeEvent, Scenario, SdeState, StateId, StateStore};
+use sde_net::{FailureConfig, FaultPlan, NodeId, Topology};
 use sde_os::apps::hello::{self, HelloConfig};
+use sde_vm::{ProgramBuilder, VmState};
 
 fn bench_paper_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/grid_collect");
@@ -77,10 +79,70 @@ fn bench_parallel_workers(c: &mut Criterion) {
     group.finish();
 }
 
+/// A store holding `states` idle boot states.
+fn populated_store(states: u64) -> Store {
+    let mut pb = ProgramBuilder::new();
+    pb.function("on_boot", 0, |f| f.ret(None));
+    let vm = VmState::fresh(&pb.build().expect("program builds"));
+    let mut store = Store::default();
+    for _ in 0..states {
+        let id = store.allocate_id();
+        store.states.insert(SdeState::boot(
+            id,
+            NodeId(0),
+            vm.clone(),
+            &FailureConfig::new(),
+            &FaultPlan::new(),
+            false,
+        ));
+    }
+    store
+}
+
+/// The two per-event store costs that used to grow with the run
+/// (DESIGN.md §3): a fork copying its own two pending events while
+/// `queued` events of other states wait, and a sample over `resident`
+/// states. `kept` reads the totals the table maintains; `rescan` is
+/// `totals_reference`, the walk `Engine::sample` did before. Flat in the
+/// parameter is the pass criterion for `fork` and `sample/kept`.
+fn bench_store(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store");
+    for queued in [1_000u64, 100_000] {
+        let mut store = populated_store(2);
+        let (parent, other) = (StateId(0), StateId(1));
+        for i in 0..queued {
+            store.events.push(1 + i % 500, (other, NodeEvent::Timer(0)));
+        }
+        store.events.push(700, (parent, NodeEvent::Timer(1)));
+        store.events.push(700, (parent, NodeEvent::Timer(2)));
+        group.bench_function(BenchmarkId::new("fork", queued), |b| {
+            b.iter(|| {
+                let child = store.fork(black_box(parent));
+                // Take the child out again so every iteration forks
+                // against the same table and the same live events.
+                store.events.clear(child);
+                store.states.remove(&child)
+            })
+        });
+    }
+    for resident in [1_000u64, 100_000] {
+        let store = populated_store(resident);
+        assert_eq!(store.states.totals(), store.states.totals_reference());
+        group.bench_function(BenchmarkId::new("sample/kept", resident), |b| {
+            b.iter(|| black_box(&store).states.totals())
+        });
+        group.bench_function(BenchmarkId::new("sample/rescan", resident), |b| {
+            b.iter(|| black_box(&store).states.totals_reference())
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_paper_grid,
     bench_failure_free,
-    bench_parallel_workers
+    bench_parallel_workers,
+    bench_store
 );
 criterion_main!(benches);

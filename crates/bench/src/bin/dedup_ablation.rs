@@ -16,7 +16,7 @@
 //! cargo run -p sde-bench --release --bin dedup_ablation -- --out bench_out --tag smoke
 //! ```
 
-use sde_bench::{oracle_scenario, paper_scenario, write_bench_json, Args, RunLimits};
+use sde_bench::{or_usage, oracle_scenario, paper_scenario, write_bench_json, Args, RunLimits};
 use sde_core::{testgen, Algorithm, Engine, RunReport, Scenario};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -46,11 +46,9 @@ fn run_cell(scenario: &Scenario, alg: Algorithm, dedup: bool) -> (RunReport, usi
 fn main() {
     let args = Args::from_env();
     let out_dir = PathBuf::from(
-        args.get::<String>("out")
-            .unwrap_or_else(|| "bench_out".to_string()),
+        or_usage(args.get::<String>("out")).unwrap_or_else(|| "bench_out".to_string()),
     );
-    let tag = args
-        .get::<String>("tag")
+    let tag = or_usage(args.get::<String>("tag"))
         .map(|t| format!("_{t}"))
         .unwrap_or_default();
 
@@ -60,7 +58,7 @@ fn main() {
         .collect();
     // `--side N` adds the paper's N×N evaluation grid, capped like the
     // table1 tiny preset so COB stays bounded.
-    if let Some(side) = args.get::<u16>("side") {
+    if let Some(side) = or_usage(args.get::<u16>("side")) {
         let limits = RunLimits {
             state_cap: 6_000,
             sample_every: 64,

@@ -50,35 +50,34 @@ fn side_for(nodes: u16) -> u16 {
 
 fn main() {
     let args = Args::from_env();
-    let sizes: Vec<u16> = if let Some(n) = args.get::<u16>("nodes") {
+    let sizes: Vec<u16> = if let Some(n) = or_usage(args.get::<u16>("nodes")) {
         vec![n]
     } else if args.flag("all") {
         vec![25, 49, 100]
     } else {
         vec![25, 49]
     };
-    let cap_cob: usize = args.get("cap-cob").unwrap_or(120_000);
-    let cap: usize = args.get("cap").unwrap_or(1_000_000);
+    let cap_cob: usize = or_usage(args.get("cap-cob")).unwrap_or(120_000);
+    let cap: usize = or_usage(args.get("cap")).unwrap_or(1_000_000);
     let out_dir = PathBuf::from(
-        args.get::<String>("out")
-            .unwrap_or_else(|| "bench_out".to_string()),
+        or_usage(args.get::<String>("out")).unwrap_or_else(|| "bench_out".to_string()),
     );
     // `--workers N`: run through the parallel engine. The CSV series are
     // bit-identical per RunReport::equivalence_key (wall_ms excepted);
     // the extra summary line shows what the workers did. `--mode
     // spec|shard` picks the parallel engine (speculative warming vs
     // sharded frontier exploration, DESIGN.md §13).
-    let workers: Option<usize> = args.get("workers");
+    let workers: Option<usize> = or_usage(args.get("workers"));
     let mode = or_usage(ParMode::from_args(&args));
     // `--dedup`: online duplicate-dispatch pruning (DESIGN.md §10); the
     // curves keep their shape (state *creation* is unchanged), execution
     // work drops.
     let dedup = args.flag("dedup");
     // `--trace <base>`: record a structured trace per run.
-    let trace_base: Option<PathBuf> = args.get::<String>("trace").map(PathBuf::from);
+    let trace_base: Option<PathBuf> = or_usage(args.get::<String>("trace")).map(PathBuf::from);
     // Checkpoint/resume flags (DESIGN.md §8); snapshots land at
     // `<snapshot-dir>/fig10_<nodes>nodes_<alg>.snap`.
-    let ckpt = Checkpointing::from_args(&args);
+    let ckpt = or_usage(Checkpointing::from_args(&args));
     assert!(
         ckpt.is_none() || trace_base.is_none(),
         "--trace cannot be combined with checkpointing in this bin"
@@ -86,8 +85,7 @@ fn main() {
 
     // `--faults partition,latency,corrupt,crashrec|all`: layer the
     // extended fault model (DESIGN.md §11) on top of the workload.
-    let faults: Vec<FaultAxis> = args
-        .get::<String>("faults")
+    let faults: Vec<FaultAxis> = or_usage(args.get::<String>("faults"))
         .map(|s| or_usage(FaultAxis::parse_list(&s)))
         .unwrap_or_default();
 

@@ -21,7 +21,8 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args = sde_bench::Args::from_env();
-    let Some(path) = args.get::<String>("trace").map(PathBuf::from) else {
+    let state = sde_bench::or_usage(args.get::<u64>("state"));
+    let Some(path) = sde_bench::or_usage(args.get::<String>("trace")).map(PathBuf::from) else {
         eprintln!("usage: lineage --trace FILE [--state N] [--check]");
         return ExitCode::FAILURE;
     };
@@ -78,7 +79,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(state) = args.get::<u64>("state") {
+    if let Some(state) = state {
         match lineage.ancestry(state) {
             None => {
                 eprintln!("state {state} does not appear in the trace");

@@ -41,7 +41,8 @@
 //! verdict and must never look like a full one.
 
 use sde_bench::{
-    conformance_json, or_usage, oracle_scenario, with_fault_axes, write_bench_json, Args, FaultAxis,
+    conformance_json, or_usage, oracle_scenario, parse_algorithm, with_fault_axes,
+    write_bench_json, Args, FaultAxis,
 };
 use sde_core::oracle::{conformance_against, ground_truth, OracleConfig};
 use sde_core::Algorithm;
@@ -49,23 +50,19 @@ use std::path::PathBuf;
 
 fn main() {
     let args = Args::from_env();
-    let preset = args
-        .get::<String>("preset")
-        .unwrap_or_else(|| "tiny".to_string());
-    let algorithms: Vec<Algorithm> = match args
-        .get::<String>("algorithm")
+    let preset = or_usage(args.get::<String>("preset")).unwrap_or_else(|| "tiny".to_string());
+    let algorithms: Vec<Algorithm> = match or_usage(args.get::<String>("algorithm"))
         .unwrap_or_else(|| "all".to_string())
         .as_str()
     {
         "all" => Algorithm::ALL.to_vec(),
-        "cob" => vec![Algorithm::Cob],
-        "cow" => vec![Algorithm::Cow],
-        "sds" => vec![Algorithm::Sds],
-        other => panic!("unknown --algorithm {other:?} (expected cob|cow|sds|all)"),
+        one => vec![or_usage(
+            parse_algorithm(one).map_err(|usage| usage.replace("sds)", "sds|all)")),
+        )],
     };
     let cfg = OracleConfig {
-        max_assignments: args.get("max-assignments").unwrap_or(50_000),
-        max_cases: args.get("max-cases").unwrap_or(4096),
+        max_assignments: or_usage(args.get("max-assignments")).unwrap_or(50_000),
+        max_cases: or_usage(args.get("max-cases")).unwrap_or(4096),
         // `--dedup` prunes duplicate dispatches in the symbolic runs
         // only; the strict concrete replays stay memoization-free (a
         // preset forces dedup off), so the ground truth is unaffected.
@@ -73,18 +70,16 @@ fn main() {
         ..OracleConfig::default()
     };
     let out_dir = PathBuf::from(
-        args.get::<String>("out")
-            .unwrap_or_else(|| "bench_out".to_string()),
+        or_usage(args.get::<String>("out")).unwrap_or_else(|| "bench_out".to_string()),
     );
-    let tag = args
-        .get::<String>("tag")
+    let tag = or_usage(args.get::<String>("tag"))
         .map(|t| format!("_{t}"))
         .unwrap_or_default();
 
     // `--faults partition,latency,corrupt,crashrec|all`: one full
     // ground-truth + conformance pass per axis (axis applied alone).
     // `None` marks the faultless base pass run when the flag is absent.
-    let passes: Vec<Option<FaultAxis>> = match args.get::<String>("faults") {
+    let passes: Vec<Option<FaultAxis>> = match or_usage(args.get::<String>("faults")) {
         None => vec![None],
         Some(s) => or_usage(FaultAxis::parse_list(&s))
             .into_iter()

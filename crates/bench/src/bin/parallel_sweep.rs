@@ -60,10 +60,9 @@ fn run_recorded(
 
 fn main() {
     let args = Args::from_env();
-    let side: u16 = args.get("side").unwrap_or(3);
+    let side: u16 = or_usage(args.get("side")).unwrap_or(3);
     let out_dir = PathBuf::from(
-        args.get::<String>("out")
-            .unwrap_or_else(|| "bench_out".to_string()),
+        or_usage(args.get::<String>("out")).unwrap_or_else(|| "bench_out".to_string()),
     );
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -74,12 +73,12 @@ fn main() {
     // assertions below hold with it on: pruning decisions are made only
     // at commit time, identically in every mode.
     let dedup = args.flag("dedup");
-    let trace_base: Option<PathBuf> = args.get::<String>("trace").map(PathBuf::from);
+    let trace_base: Option<PathBuf> = or_usage(args.get::<String>("trace")).map(PathBuf::from);
     // Checkpoint/resume flags (DESIGN.md §8); snapshots land at
     // `<snapshot-dir>/sweep_<mode>_<alg>_w<workers>.snap`. Both parallel
     // engines pause only at the serial-merge barrier between batches, so
     // their snapshots are valid sequential pause points too.
-    let ckpt = Checkpointing::from_args(&args);
+    let ckpt = or_usage(Checkpointing::from_args(&args));
     assert!(
         ckpt.is_none() || trace_base.is_none(),
         "--trace cannot be combined with checkpointing in this bin"

@@ -34,29 +34,21 @@
 //! byte-identical for any worker count.
 
 use sde_bench::{
-    demo_checker, demo_scenario, or_usage, render_artifact, with_fault_axes, Args, FaultAxis,
+    demo_checker, demo_scenario, or_usage, parse_algorithm, render_artifact, with_fault_axes, Args,
+    FaultAxis,
 };
 use sde_core::check;
 use sde_core::minimize::Minimizer;
 use sde_core::oracle::Assignment;
-use sde_core::{Algorithm, Engine, Scenario};
+use sde_core::{Engine, Scenario};
 use sde_trace::{parse_flat_object, JsonValue};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
-fn algorithm_of(name: &str) -> Algorithm {
-    match name {
-        "cob" => Algorithm::Cob,
-        "cow" => Algorithm::Cow,
-        "sds" => Algorithm::Sds,
-        other => panic!("unknown algorithm {other:?} (expected cob|cow|sds)"),
-    }
-}
-
 fn main() -> ExitCode {
     let args = Args::from_env();
-    if let Some(path) = args.get::<String>("replay") {
+    if let Some(path) = or_usage(args.get::<String>("replay")) {
         return replay(Path::new(&path));
     }
     checkrun(&args)
@@ -67,17 +59,16 @@ fn main() -> ExitCode {
 // ---------------------------------------------------------------------------
 
 fn checkrun(args: &Args) -> ExitCode {
-    let demo: String = args.get("demo").unwrap_or_else(|| "token".to_string());
+    let demo: String = or_usage(args.get("demo")).unwrap_or_else(|| "token".to_string());
     let fixed = args.flag("fixed");
-    let algorithm_name: String = args.get("algorithm").unwrap_or_else(|| "sds".to_string());
-    let algorithm = algorithm_of(&algorithm_name);
+    let algorithm_name: String =
+        or_usage(args.get("algorithm")).unwrap_or_else(|| "sds".to_string());
+    let algorithm = or_usage(parse_algorithm(&algorithm_name));
     let axes = or_usage(FaultAxis::parse_list(
-        &args
-            .get::<String>("faults")
-            .unwrap_or_else(|| "all".to_string()),
+        &or_usage(args.get::<String>("faults")).unwrap_or_else(|| "all".to_string()),
     ));
-    let workers: Option<usize> = args.get("workers");
-    let emit: Option<String> = args.get("emit");
+    let workers: Option<usize> = or_usage(args.get("workers"));
+    let emit: Option<String> = or_usage(args.get("emit"));
 
     let base = demo_scenario(&demo, fixed);
     let base_duration_ms = base.duration_ms;
@@ -291,7 +282,10 @@ fn replay(path: &Path) -> ExitCode {
     }
 
     let checker = demo_checker(demo);
-    let algorithm = algorithm_of(algorithm_name);
+    let algorithm = match parse_algorithm(algorithm_name) {
+        Ok(algorithm) => algorithm,
+        Err(why) => return fail(&format!("artifact header: {why}")),
+    };
     match check::replay_violates(&scenario, algorithm, &checker, invariant, &assignment) {
         Some(violation) => {
             let digest = violation.digest();

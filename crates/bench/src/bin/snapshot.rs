@@ -16,16 +16,16 @@
 //!   deterministic digests of two snapshots, printing one line per
 //!   differing field.
 
-use sde_bench::{load_snapshot, Args};
+use sde_bench::{load_snapshot, or_usage, Args};
 use sde_core::EngineSnapshot;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args = Args::from_env();
-    let inspect: Option<PathBuf> = args.get::<String>("inspect").map(PathBuf::from);
-    let validate: Option<PathBuf> = args.get::<String>("validate").map(PathBuf::from);
-    let diff: Option<PathBuf> = args.get::<String>("diff").map(PathBuf::from);
+    let inspect: Option<PathBuf> = or_usage(args.get::<String>("inspect")).map(PathBuf::from);
+    let validate: Option<PathBuf> = or_usage(args.get::<String>("validate")).map(PathBuf::from);
+    let diff: Option<PathBuf> = or_usage(args.get::<String>("diff")).map(PathBuf::from);
 
     match (inspect, validate, diff) {
         (Some(path), None, None) => match load_snapshot(&path) {
@@ -81,7 +81,7 @@ fn main() -> ExitCode {
             }
         }
         (None, None, Some(a)) => {
-            let Some(b) = args.get::<String>("with").map(PathBuf::from) else {
+            let Some(b) = or_usage(args.get::<String>("with")).map(PathBuf::from) else {
                 eprintln!("error: --diff needs --with <FILE>");
                 return ExitCode::FAILURE;
             };

@@ -56,29 +56,25 @@ fn main() {
     let args = Args::from_env();
     // `--preset tiny`: a seconds-scale 3×3 run for CI smoke tests — same
     // code path, same JSON schema, much smaller caps.
-    let tiny = match args.get::<String>("preset").as_deref() {
+    let tiny = match or_usage(args.get::<String>("preset")).as_deref() {
         None => false,
         Some("tiny") => true,
         Some(other) => or_usage(Err(format!("unknown --preset {other:?} (expected: tiny)"))),
     };
-    let side: u16 = args.get("side").unwrap_or(if tiny { 3 } else { 10 });
+    let side: u16 = or_usage(args.get("side")).unwrap_or(if tiny { 3 } else { 10 });
     // COB explodes exponentially — the cap stands in for the paper's
     // 40 GB abort. COW/SDS get more head-room so they can finish, as
     // they did in the paper (only COB was ever aborted).
-    let cap_cob: usize = args
-        .get("cap-cob")
-        .unwrap_or(if tiny { 6_000 } else { 120_000 });
-    let cap: usize = args
-        .get("cap")
-        .unwrap_or(if tiny { 60_000 } else { 1_000_000 });
-    let sample_every: u64 = args
-        .get("sample-every")
-        .unwrap_or(if tiny { 64 } else { 512 });
+    let cap_cob: usize =
+        or_usage(args.get("cap-cob")).unwrap_or(if tiny { 6_000 } else { 120_000 });
+    let cap: usize = or_usage(args.get("cap")).unwrap_or(if tiny { 60_000 } else { 1_000_000 });
+    let sample_every: u64 =
+        or_usage(args.get("sample-every")).unwrap_or(if tiny { 64 } else { 512 });
     // `--workers N`: run through the parallel engine (reports stay
     // bit-identical; speculative workers warm the solver cache).
     // `--mode spec|shard` picks which parallel engine: speculative
     // cache-warming (default) or sharded frontier exploration (§13).
-    let workers: Option<usize> = args.get("workers");
+    let workers: Option<usize> = or_usage(args.get("workers"));
     let mode = or_usage(ParMode::from_args(&args));
     // `--dedup`: online duplicate-dispatch pruning (DESIGN.md §10) —
     // same states, bugs and test cases, fewer states *executed*.
@@ -87,16 +83,12 @@ fn main() {
     // axis (DESIGN.md §6); `--tag` suffixes the JSON filename so sweeps
     // with different layer settings land in distinct files.
     let layers = or_usage(SolverLayers::parse(
-        &args
-            .get::<String>("layers")
-            .unwrap_or_else(|| "full".to_string()),
+        &or_usage(args.get::<String>("layers")).unwrap_or_else(|| "full".to_string()),
     ));
     let out_dir = PathBuf::from(
-        args.get::<String>("out")
-            .unwrap_or_else(|| "bench_out".to_string()),
+        or_usage(args.get::<String>("out")).unwrap_or_else(|| "bench_out".to_string()),
     );
-    let tag = args
-        .get::<String>("tag")
+    let tag = or_usage(args.get::<String>("tag"))
         .map(|t| format!("_{t}"))
         .unwrap_or_default();
     // `--scenario collect|sense`: Table I proper runs the paper's collect
@@ -104,24 +96,22 @@ fn main() {
     // in the solver-bound companion workload so the `--layers` sweep has
     // real queries to ablate.
     // `--trace <base>`: record a structured trace per algorithm.
-    let trace_base: Option<PathBuf> = args.get::<String>("trace").map(PathBuf::from);
+    let trace_base: Option<PathBuf> = or_usage(args.get::<String>("trace")).map(PathBuf::from);
     // `--checkpoint-every N --snapshot-dir D --resume PATH --stop-after S`:
     // checkpoint/resume (DESIGN.md §8). Snapshots land at
     // `<snapshot-dir>/table1_<alg>.snap`; the resumed run's JSON is
     // equivalence-key-identical to an uninterrupted one.
-    let ckpt = Checkpointing::from_args(&args);
+    let ckpt = or_usage(Checkpointing::from_args(&args));
     assert!(
         ckpt.is_none() || trace_base.is_none(),
         "--trace cannot be combined with checkpointing in this bin \
          (use tests/checkpoint_equivalence.rs for traced interrupt/resume)"
     );
-    let workload = args
-        .get::<String>("scenario")
-        .unwrap_or_else(|| "collect".to_string());
+    let workload =
+        or_usage(args.get::<String>("scenario")).unwrap_or_else(|| "collect".to_string());
     // `--faults partition,latency,corrupt,crashrec|all`: layer the
     // extended fault model (DESIGN.md §11) on top of the workload.
-    let faults: Vec<FaultAxis> = args
-        .get::<String>("faults")
+    let faults: Vec<FaultAxis> = or_usage(args.get::<String>("faults"))
         .map(|s| or_usage(FaultAxis::parse_list(&s)))
         .unwrap_or_default();
     let scenario = match workload.as_str() {
@@ -236,7 +226,7 @@ fn main() {
     // per algorithm (fresh engine on the same scenario) and record the
     // yield — with the truncation flag spelled out in both renderings,
     // so a capped generation pass can never pass for a complete one.
-    if let Some(limit) = args.get::<usize>("testgen") {
+    if let Some(limit) = or_usage(args.get::<usize>("testgen")) {
         println!("\ntest-case generation (--testgen {limit}):");
         for alg in Algorithm::ALL {
             let state_cap = if alg == Algorithm::Cob { cap_cob } else { cap };

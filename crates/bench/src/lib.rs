@@ -392,7 +392,7 @@ impl ParMode {
     ///
     /// See [`ParMode::parse`].
     pub fn from_args(args: &Args) -> Result<ParMode, String> {
-        args.get::<String>("mode")
+        args.get::<String>("mode")?
             .map_or(Ok(ParMode::default()), |s| ParMode::parse(&s))
     }
 
@@ -601,21 +601,25 @@ pub struct Checkpointing {
 impl Checkpointing {
     /// Parses the checkpoint flags; `None` when neither
     /// `--checkpoint-every` nor `--resume` was passed.
-    pub fn from_args(args: &Args) -> Option<Checkpointing> {
-        let every: Option<u64> = args.get("checkpoint-every");
-        let resume: Option<String> = args.get("resume");
+    ///
+    /// # Errors
+    ///
+    /// See [`Args::get`].
+    pub fn from_args(args: &Args) -> Result<Option<Checkpointing>, String> {
+        let every: Option<u64> = args.get("checkpoint-every")?;
+        let resume: Option<String> = args.get("resume")?;
         if every.is_none() && resume.is_none() {
-            return None;
+            return Ok(None);
         }
-        Some(Checkpointing {
+        Ok(Some(Checkpointing {
             every: every.unwrap_or(0),
             dir: PathBuf::from(
-                args.get::<String>("snapshot-dir")
+                args.get::<String>("snapshot-dir")?
                     .unwrap_or_else(|| "bench_out/snapshots".to_string()),
             ),
             resume: resume.map(PathBuf::from),
-            stop_after: args.get("stop-after"),
-        })
+            stop_after: args.get("stop-after")?,
+        }))
     }
 
     /// Where this run's snapshot lands: `<dir>/<label>.snap`.
@@ -1112,28 +1116,45 @@ impl Args {
         args
     }
 
-    /// The value of `--key`, parsed. `None` when the flag is absent.
+    /// The value of `--key`, parsed. `Ok(None)` when the flag is absent.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a clear message when the flag is present but its value
-    /// does not parse — a typo'd `--side banana` must not silently fall
-    /// back to a default and launch the wrong (possibly much heavier)
-    /// experiment.
-    pub fn get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+    /// The flag is present but its value does not parse — a typo'd
+    /// `--side banana` must not silently fall back to a default and
+    /// launch the wrong (possibly much heavier) experiment. Bins pass the
+    /// result through [`or_usage`].
+    pub fn get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         self.pairs
             .iter()
             .rev()
             .find(|(k, _)| k == key)
             .map(|(_, v)| {
                 v.parse()
-                    .unwrap_or_else(|_| panic!("invalid value {v:?} for --{key}"))
+                    .map_err(|_| format!("invalid value {v:?} for --{key}"))
             })
+            .transpose()
     }
 
     /// Whether the bare flag `--key` was passed.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
+    }
+}
+
+/// Parses an `--algorithm` value.
+///
+/// # Errors
+///
+/// The message names the accepted values.
+pub fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
+    match name {
+        "cob" => Ok(Algorithm::Cob),
+        "cow" => Ok(Algorithm::Cow),
+        "sds" => Ok(Algorithm::Sds),
+        other => Err(format!(
+            "unknown --algorithm {other:?} (expected cob|cow|sds)"
+        )),
     }
 }
 

@@ -4,23 +4,18 @@
 
 use std::process::Command;
 
-/// Runs `table1 <args>` and returns `(exit code, stderr)`.
-fn table1(args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
-        .args(args)
-        .output()
-        .expect("table1 runs");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+/// Runs the bin at `exe` with `args` and asserts a usage error: exit 2,
+/// a message containing `says`, no panic.
+fn assert_bin_usage(exe: &str, args: &[&str], says: &str) {
+    let out = Command::new(exe).args(args).output().expect("bin runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
+    assert!(stderr.contains(says), "{exe} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{exe} {args:?}: {stderr}");
 }
 
 fn assert_usage(args: &[&str], names_the_choices: &str) {
-    let (code, stderr) = table1(args);
-    assert_eq!(code, Some(2), "{args:?}: {stderr}");
-    assert!(stderr.contains(names_the_choices), "{args:?}: {stderr}");
-    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert_bin_usage(env!("CARGO_BIN_EXE_table1"), args, names_the_choices);
 }
 
 #[test]
@@ -58,4 +53,66 @@ fn junk_layers_is_a_usage_error() {
         &["--preset", "tiny", "--layers", "exat"],
         "expected full, exact, or off",
     );
+}
+
+/// An unparsable numeric value (or, for `oracle` / `repro`, an unknown
+/// `--algorithm`) is a usage error in every bin that takes one.
+/// `snapshot` takes only paths, which always parse.
+#[test]
+fn junk_numbers_and_algorithms_are_usage_errors_in_every_bin() {
+    let side = "invalid value \"banana\" for --side";
+    for (exe, args, says) in [
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--side", "banana"][..],
+            side,
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--preset", "tiny", "--checkpoint-every", "often"][..],
+            "for --checkpoint-every",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig10"),
+            &["--nodes", "many"][..],
+            "invalid value \"many\" for --nodes",
+        ),
+        (
+            env!("CARGO_BIN_EXE_parallel_sweep"),
+            &["--side", "banana"][..],
+            side,
+        ),
+        (
+            env!("CARGO_BIN_EXE_dedup_ablation"),
+            &["--side", "banana"][..],
+            side,
+        ),
+        (
+            env!("CARGO_BIN_EXE_oracle"),
+            &["--max-cases", "lots"][..],
+            "for --max-cases",
+        ),
+        (
+            env!("CARGO_BIN_EXE_oracle"),
+            &["--algorithm", "cobb"][..],
+            "expected cob|cow|sds|all",
+        ),
+        (
+            env!("CARGO_BIN_EXE_repro"),
+            &["--algorithm", "sdz"][..],
+            "expected cob|cow|sds",
+        ),
+        (
+            env!("CARGO_BIN_EXE_repro"),
+            &["--workers", "two"][..],
+            "for --workers",
+        ),
+        (
+            env!("CARGO_BIN_EXE_lineage"),
+            &["--trace", "/dev/null", "--state", "banana"][..],
+            "for --state",
+        ),
+    ] {
+        assert_bin_usage(exe, args, says);
+    }
 }

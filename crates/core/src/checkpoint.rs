@@ -351,6 +351,20 @@ impl EngineSnapshot {
 
     // ----- binary codec ---------------------------------------------------
 
+    /// Test hook: rewrites the `(time, seq, state)` key of each queued
+    /// event in place, so hostile-snapshot tests can hand-build queues no
+    /// run writes and check that [`Engine::resume`](crate::Engine::resume)
+    /// refuses them.
+    #[doc(hidden)]
+    pub fn edit_queue_keys(
+        &mut self,
+        mut edit: impl FnMut(usize, &mut u64, &mut u64, &mut StateId),
+    ) {
+        for (i, (time, seq, state, _)) in self.queue.iter_mut().enumerate() {
+            edit(i, time, seq, state);
+        }
+    }
+
     /// Serializes the snapshot into the versioned, digest-checked binary
     /// form.
     pub fn to_bytes(&self) -> Vec<u8> {

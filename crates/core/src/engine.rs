@@ -20,7 +20,8 @@ use crate::mapping::{Algorithm, StateMapper, StateStore};
 use crate::scenario::Scenario;
 use crate::state::{SdeState, StateId};
 use crate::stats::{BugFound, DedupStats, ParallelStats, RunReport, Sample, TimeSeries};
-use sde_net::{Event, EventQueue, FaultPlan, NodeId, Packet, PacketId, Topology};
+use crate::store::{IndexedQueue, Store};
+use sde_net::{FaultPlan, NodeId, Packet, PacketId, Topology};
 use sde_os::handlers;
 use sde_symbolic::{Expr, ExprRef, Solver, SymbolTable, Width};
 use sde_vm::{
@@ -43,46 +44,6 @@ pub enum NodeEvent {
     Deliver(Packet),
 }
 
-/// The engine's state table plus event queue — the [`StateStore`] the
-/// mappers fork through.
-#[derive(Debug)]
-struct Store {
-    states: HashMap<StateId, SdeState>,
-    events: EventQueue<(StateId, NodeEvent)>,
-    next_state: u64,
-    total_states: usize,
-    /// Trace sink shared with the engine ([`NoopSink`](sde_trace::NoopSink)
-    /// unless a recorder was attached); `traced` caches `enabled()`.
-    sink: Arc<dyn sde_trace::TraceSink>,
-    traced: bool,
-    /// Attribution for the next [`StateStore::fork`] call. Mapper-driven
-    /// forks are the default; the failure models set their own reason
-    /// around `fork_local`'s store fork.
-    fork_reason: sde_trace::ForkReason,
-    /// Fork counts indexed by [`sde_trace::ForkReason::ALL`] — always on,
-    /// they feed [`sde_trace::TraceSummary`].
-    forks: [u64; 10],
-    /// Children forked since the engine last cleared it; drained into
-    /// `MapBranch`/`MapSend` decision events (populated only when traced).
-    fork_scratch: Vec<u64>,
-}
-
-fn reason_index(reason: sde_trace::ForkReason) -> usize {
-    use sde_trace::ForkReason::*;
-    match reason {
-        Branch => 0,
-        Mapping => 1,
-        Drop => 2,
-        Duplicate => 3,
-        Reboot => 4,
-        Latency => 5,
-        Corrupt => 6,
-        Crash => 7,
-        Partition => 8,
-        Heal => 9,
-    }
-}
-
 /// The [`sde_trace::ForkReason`] of a failure/fault-model fork `kind`
 /// (the `record_external_branch` numbering: 1 = drop, 2 = duplicate,
 /// 3 = reboot, 4 = latency, 5 = corruption, 6 = crash, 7 = partition,
@@ -97,73 +58,6 @@ fn failure_fork_reason(kind: u32) -> sde_trace::ForkReason {
         6 => sde_trace::ForkReason::Crash,
         7 => sde_trace::ForkReason::Partition,
         _ => sde_trace::ForkReason::Heal,
-    }
-}
-
-impl Store {
-    fn allocate_id(&mut self) -> StateId {
-        let id = StateId(self.next_state);
-        self.next_state += 1;
-        self.total_states += 1;
-        id
-    }
-
-    /// Count (and, when traced, record) one fork edge.
-    fn note_fork(
-        &mut self,
-        parent: StateId,
-        child: StateId,
-        node: NodeId,
-        reason: sde_trace::ForkReason,
-    ) {
-        self.forks[reason_index(reason)] += 1;
-        if self.traced {
-            self.fork_scratch.push(child.0);
-            self.sink.record(sde_trace::TraceEvent::Fork {
-                parent: parent.0,
-                child: child.0,
-                node: node.0,
-                reason,
-            });
-        }
-    }
-
-    /// Copies every pending event of `from` for `to` (same times).
-    fn duplicate_events(&mut self, from: StateId, to: StateId) {
-        let pending: Vec<(u64, NodeEvent)> = self
-            .events
-            .iter()
-            .filter(|e| e.payload.0 == from)
-            .map(|e| (e.time, e.payload.1.clone()))
-            .collect();
-        for (time, kind) in pending {
-            self.events.push(time, (to, kind));
-        }
-    }
-
-    /// Clears every pending event of `state` (used on reboot).
-    fn clear_events(&mut self, state: StateId) {
-        self.events.retain(|e| e.payload.0 != state);
-    }
-}
-
-impl StateStore for Store {
-    fn fork(&mut self, original: StateId) -> StateId {
-        let id = self.allocate_id();
-        let copy = self
-            .states
-            .get(&original)
-            .unwrap_or_else(|| panic!("fork of non-resident state {original}"))
-            .fork_as(id);
-        let node = copy.node;
-        self.states.insert(id, copy);
-        self.duplicate_events(original, id);
-        self.note_fork(original, id, node, self.fork_reason);
-        id
-    }
-
-    fn node_of(&self, state: StateId) -> NodeId {
-        self.states[&state].node
     }
 }
 
@@ -232,17 +126,7 @@ impl Engine {
             mapper: algorithm.new_mapper(),
             solver: Arc::new(Solver::new()),
             symbols: SymbolTable::new(),
-            store: Store {
-                states: HashMap::new(),
-                events: EventQueue::new(),
-                next_state: 0,
-                total_states: 0,
-                sink: Arc::new(sde_trace::NoopSink),
-                traced: false,
-                fork_reason: sde_trace::ForkReason::Mapping,
-                forks: [0; 10],
-                fork_scratch: Vec::new(),
-            },
+            store: Store::default(),
             now: 0,
             next_packet: 0,
             events_processed: 0,
@@ -407,7 +291,7 @@ impl Engine {
             }
         }
         if let Some(n) = budget.max_live_states {
-            if self.store.states.values().filter(|s| s.is_live()).count() >= n {
+            if self.store.states.totals().0 >= n {
                 return true;
             }
         }
@@ -549,21 +433,7 @@ impl Engine {
                 let dispatch_started = Instant::now();
                 let mut jobs_sent = 0usize;
                 if self.preset.is_none() {
-                    let mut batch: Vec<(u64, StateId, NodeEvent)> = self
-                        .store
-                        .events
-                        .iter()
-                        .filter(|e| e.time == batch_time)
-                        .map(|e| (e.seq, e.payload.0, e.payload.1.clone()))
-                        .collect();
-                    batch.sort_unstable_by_key(|(seq, _, _)| *seq);
-                    let mut groups: Vec<(StateId, Vec<NodeEvent>)> = Vec::new();
-                    for (_, sid, ev) in batch {
-                        match groups.iter_mut().find(|(g, _)| *g == sid) {
-                            Some((_, evs)) => evs.push(ev),
-                            None => groups.push((sid, vec![ev])),
-                        }
-                    }
+                    let groups = self.batch_groups(batch_time);
                     if groups.len() >= 2 {
                         pstats.speculated_batches += 1;
                         for (sid, events) in groups {
@@ -578,7 +448,7 @@ impl Engine {
                                 now: batch_time,
                                 state: state.clone(),
                                 events,
-                                program: self.scenario.program(state.node).clone(),
+                                program: Arc::clone(self.scenario.program(state.node)),
                                 faults: self.scenario.faults.clone(),
                                 topology: self.scenario.topology.clone(),
                                 symbols: self.symbols.forked(),
@@ -662,6 +532,20 @@ impl Engine {
         self.merge_parallel(pstats);
         self.trace.run_wall_us += self.started.elapsed().as_micros() as u64;
         outcome
+    }
+
+    /// The events pending at `batch_time` — the earliest pending time —
+    /// grouped by state: groups in order of first appearance, events
+    /// within a group in dispatch order.
+    fn batch_groups(&mut self, batch_time: u64) -> Vec<(StateId, Vec<NodeEvent>)> {
+        let mut groups: Vec<(StateId, Vec<NodeEvent>)> = Vec::new();
+        for (sid, ev) in self.store.events.batch(batch_time) {
+            match groups.iter_mut().find(|(g, _)| *g == sid) {
+                Some((_, evs)) => evs.push(ev),
+                None => groups.push((sid, vec![ev])),
+            }
+        }
+        groups
     }
 
     /// Accumulates a segment's [`ParallelStats`] into the run's totals
@@ -822,21 +706,7 @@ impl Engine {
                 let dispatch_started = Instant::now();
                 let mut jobs_sent = 0usize;
                 if offload {
-                    let mut batch: Vec<(u64, StateId, NodeEvent)> = self
-                        .store
-                        .events
-                        .iter()
-                        .filter(|e| e.time == batch_time)
-                        .map(|e| (e.seq, e.payload.0, e.payload.1.clone()))
-                        .collect();
-                    batch.sort_unstable_by_key(|(seq, _, _)| *seq);
-                    let mut groups: Vec<(StateId, Vec<NodeEvent>)> = Vec::new();
-                    for (_, sid, ev) in batch {
-                        match groups.iter_mut().find(|(g, _)| *g == sid) {
-                            Some((_, evs)) => evs.push(ev),
-                            None => groups.push((sid, vec![ev])),
-                        }
-                    }
+                    let groups = self.batch_groups(batch_time);
                     if groups.len() >= 2 {
                         pstats.speculated_batches += 1;
                         keys.clear();
@@ -853,7 +723,7 @@ impl Engine {
                                 now: batch_time,
                                 state: state.clone(),
                                 events,
-                                program: self.scenario.program(state.node).clone(),
+                                program: Arc::clone(self.scenario.program(state.node)),
                                 faults: self.scenario.faults.clone(),
                                 topology: self.scenario.topology.clone(),
                                 symbols: self.symbols.forked(),
@@ -926,13 +796,6 @@ impl Engine {
     pub fn snapshot(&self) -> EngineSnapshot {
         let mut states: Vec<SdeState> = self.store.states.values().cloned().collect();
         states.sort_unstable_by_key(|s| s.id.0);
-        let mut queue: Vec<(u64, u64, StateId, NodeEvent)> = self
-            .store
-            .events
-            .iter()
-            .map(|e| (e.time, e.seq, e.payload.0, e.payload.1.clone()))
-            .collect();
-        queue.sort_unstable_by_key(|(_, seq, _, _)| *seq);
         let symbols = self
             .symbols
             .iter()
@@ -950,7 +813,7 @@ impl Engine {
             symbols,
             states,
             queue_next_seq: self.store.events.next_seq(),
-            queue,
+            queue: self.store.events.export(),
             mapper: self.mapper.export_snapshot(),
             solver: self.solver.export_state(),
             now: self.now,
@@ -1035,7 +898,7 @@ impl Engine {
                     "state id beyond allocator",
                 )));
             }
-            if engine.store.states.insert(s.id, s.clone()).is_some() {
+            if engine.store.states.insert(s.clone()).is_some() {
                 return Err(SnapshotError::Codec(sde_symbolic::CodecError::Malformed(
                     "duplicate state id",
                 )));
@@ -1044,17 +907,22 @@ impl Engine {
         engine.store.next_state = snapshot.next_state;
         engine.store.total_states = snapshot.total_states;
         engine.store.forks = snapshot.forks;
-        // Rebuild the queue silently (no QueuePush trace events): these
-        // pushes already happened — and were already traced — in the
-        // original run.
-        engine.store.events = EventQueue::from_parts(
-            snapshot.queue_next_seq,
-            snapshot.queue.iter().map(|(time, seq, sid, ev)| Event {
-                time: *time,
-                seq: *seq,
-                payload: (*sid, ev.clone()),
-            }),
-        );
+        // Rebuild the queue and its per-state index silently (no QueuePush
+        // trace events): these pushes already happened — and were already
+        // traced — in the original run. An event of a state that is not
+        // resident could never be dispatched; the run that wrote the
+        // snapshot cannot have queued one.
+        if snapshot
+            .queue
+            .iter()
+            .any(|(_, _, sid, _)| engine.store.states.get(sid).is_none())
+        {
+            return Err(SnapshotError::Codec(sde_symbolic::CodecError::Malformed(
+                "queued event of a non-resident state",
+            )));
+        }
+        engine.store.events = IndexedQueue::import(snapshot.queue_next_seq, &snapshot.queue)
+            .map_err(|why| SnapshotError::Codec(sde_symbolic::CodecError::Malformed(why)))?;
         engine.now = snapshot.now;
         engine.next_packet = snapshot.next_packet;
         engine.events_processed = snapshot.events_processed;
@@ -1188,7 +1056,7 @@ impl Engine {
                 &self.scenario.faults,
                 self.scenario.track_history,
             );
-            self.store.states.insert(id, state);
+            self.store.states.insert(state);
             registry.push((id, node));
             self.trace.boots += 1;
             if self.traced {
@@ -1493,8 +1361,8 @@ impl Engine {
                     let parent_id = family[*parent];
                     let sib_id = self.store.allocate_id();
                     let sibling = self.store.states[&parent_id].fork_as(sib_id);
-                    self.store.states.insert(sib_id, sibling);
-                    self.store.duplicate_events(parent_id, sib_id);
+                    self.store.states.insert(sibling);
+                    self.store.events.duplicate(parent_id, sib_id);
                     self.store
                         .note_fork(parent_id, sib_id, node, sde_trace::ForkReason::Branch);
                     self.store.fork_scratch.clear();
@@ -1544,17 +1412,12 @@ impl Engine {
                             groups: self.mapper.group_count() as u64,
                         });
                     }
-                    {
-                        let s = self
-                            .store
-                            .states
-                            .get_mut(&sender_id)
-                            .expect("replayed sender resident");
+                    self.store.states.update(sender_id, |s| {
                         s.history.record(HistoryEvent::Sent {
                             id: pid,
                             peer: *dest,
-                        });
-                    }
+                        })
+                    });
                     let packet = Packet {
                         id: pid,
                         src: node,
@@ -1573,7 +1436,7 @@ impl Engine {
                         .push(self.now + delay, (family[*state], NodeEvent::Timer(*timer)));
                 }
                 LogOp::ClearEvents { state } => {
-                    self.store.clear_events(family[*state]);
+                    self.store.events.clear(family[*state]);
                 }
                 LogOp::PacketDropped { state } => {
                     let pid =
@@ -1611,22 +1474,19 @@ impl Engine {
         }
         debug_assert_eq!(family.len(), entry.finals.len(), "op log vs finals");
         for (id, (vm, budgets)) in family.iter().zip(&entry.finals) {
-            let s = self
-                .store
-                .states
-                .get_mut(id)
-                .expect("family member resident after replay");
-            s.vm = vm.clone();
-            (
-                s.drop_budget,
-                s.dup_budget,
-                s.reboot_budget,
-                s.part_budget,
-                s.lat_budget,
-                s.cor_budget,
-                s.crash_budget,
-                s.partition_until,
-            ) = *budgets;
+            self.store.states.update(*id, |s| {
+                s.vm = vm.clone();
+                (
+                    s.drop_budget,
+                    s.dup_budget,
+                    s.reboot_budget,
+                    s.part_budget,
+                    s.lat_budget,
+                    s.cor_budget,
+                    s.crash_budget,
+                    s.partition_until,
+                ) = *budgets;
+            });
         }
         for (variant, report) in &entry.bugs {
             self.bugs.push(BugFound {
@@ -1673,11 +1533,10 @@ impl Engine {
         {
             let node = self.store.states[&state_id].node;
             let heal: Vec<u64> = self.scenario.faults.heal_choices().to_vec();
-            let occurrence = {
-                let s = self.store.states.get_mut(&state_id).expect("resident");
+            let occurrence = self.store.states.update(state_id, |s| {
                 s.part_budget -= 1;
                 s.vm.next_input_occurrence("part")
-            };
+            });
             let var = self
                 .symbols
                 .fresh_keyed("part", Width::BOOL, node.0, occurrence);
@@ -1688,10 +1547,10 @@ impl Engine {
                     Some(true) => {
                         let mut until = self.now + heal[0];
                         if heal.len() == 2 {
-                            let hocc = {
-                                let s = self.store.states.get_mut(&state_id).expect("resident");
-                                s.vm.next_input_occurrence("heal")
-                            };
+                            let hocc = self
+                                .store
+                                .states
+                                .update(state_id, |s| s.vm.next_input_occurrence("heal"));
                             let hvar = self.symbols.fresh_keyed("heal", Width::BOOL, node.0, hocc);
                             let _ = hvar;
                             match self.replay_failure_decision(state_id, "heal", 8, hocc) {
@@ -1700,8 +1559,9 @@ impl Engine {
                                 Some(false) => {}
                             }
                         }
-                        let s = self.store.states.get_mut(&state_id).expect("resident");
-                        s.partition_until = until;
+                        self.store
+                            .states
+                            .update(state_id, |s| s.partition_until = until);
                         self.note_partition_drop(state_id, node, packet.id, until);
                         return; // the delivery itself is lost to the cut
                     }
@@ -1709,33 +1569,29 @@ impl Engine {
                 }
             } else {
                 let part_id = self.fork_local(state_id, &Expr::sym(var.clone()), 7, occurrence);
-                {
-                    let s = self.store.states.get_mut(&state_id).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
+                self.store
+                    .states
+                    .update(state_id, |s| s.vm.constrain(Expr::not(Expr::sym(var))));
                 let until0 = self.now + heal[0];
-                {
-                    let p = self.store.states.get_mut(&part_id).expect("resident");
-                    p.partition_until = until0;
-                }
+                self.store
+                    .states
+                    .update(part_id, |p| p.partition_until = until0);
                 self.note_partition_drop(part_id, node, packet.id, until0);
                 if heal.len() == 2 {
                     // Nested heal-time choice on the partitioned branch.
-                    let hocc = {
-                        let p = self.store.states.get_mut(&part_id).expect("resident");
-                        p.vm.next_input_occurrence("heal")
-                    };
+                    let hocc = self
+                        .store
+                        .states
+                        .update(part_id, |p| p.vm.next_input_occurrence("heal"));
                     let hvar = self.symbols.fresh_keyed("heal", Width::BOOL, node.0, hocc);
                     let heal_id = self.fork_local(part_id, &Expr::sym(hvar.clone()), 8, hocc);
-                    {
-                        let p = self.store.states.get_mut(&part_id).expect("resident");
-                        p.vm.constrain(Expr::not(Expr::sym(hvar)));
-                    }
+                    self.store
+                        .states
+                        .update(part_id, |p| p.vm.constrain(Expr::not(Expr::sym(hvar))));
                     let until1 = self.now + heal[1];
-                    {
-                        let h = self.store.states.get_mut(&heal_id).expect("resident");
-                        h.partition_until = until1;
-                    }
+                    self.store
+                        .states
+                        .update(heal_id, |h| h.partition_until = until1);
                     self.note_partition_drop(heal_id, node, packet.id, until1);
                 }
                 // Partitioned branches never run on_recv; the connected
@@ -1752,11 +1608,10 @@ impl Engine {
         if self.store.states[&receiving].lat_budget > 0 {
             let node = self.store.states[&receiving].node;
             let extra = self.scenario.faults.latency_extra_ms();
-            let occurrence = {
-                let s = self.store.states.get_mut(&receiving).expect("resident");
+            let occurrence = self.store.states.update(receiving, |s| {
                 s.lat_budget -= 1;
                 s.vm.next_input_occurrence("lat")
-            };
+            });
             let var = self
                 .symbols
                 .fresh_keyed("lat", Width::BOOL, node.0, occurrence);
@@ -1774,10 +1629,9 @@ impl Engine {
                 }
             } else {
                 let late_id = self.fork_local(receiving, &Expr::sym(var.clone()), 4, occurrence);
-                {
-                    let s = self.store.states.get_mut(&receiving).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
+                self.store
+                    .states
+                    .update(receiving, |s| s.vm.constrain(Expr::not(Expr::sym(var))));
                 self.defer_delivery(late_id, &packet, extra);
             }
         }
@@ -1785,11 +1639,10 @@ impl Engine {
         // --- symbolic packet drop ------------------------------------------
         if self.store.states[&state_id].drop_budget > 0 {
             let node = self.store.states[&state_id].node;
-            let occurrence = {
-                let s = self.store.states.get_mut(&state_id).expect("resident");
+            let occurrence = self.store.states.update(state_id, |s| {
                 s.drop_budget -= 1;
                 s.vm.next_input_occurrence("drop")
-            };
+            });
             let var = self
                 .symbols
                 .fresh_keyed("drop", Width::BOOL, node.0, occurrence);
@@ -1809,8 +1662,9 @@ impl Engine {
                 // The original receives: constrain ¬drop. The budget was
                 // spent before forking, covering both branches (one
                 // symbolic drop = one fork opportunity).
-                let s = self.store.states.get_mut(&state_id).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
+                self.store
+                    .states
+                    .update(state_id, |s| s.vm.constrain(Expr::not(Expr::sym(var))));
                 // The dropped branch never runs on_recv.
                 self.note_drop(dropped_id, node, packet.id);
             }
@@ -1820,11 +1674,10 @@ impl Engine {
         let mut deliveries = 1u32;
         if self.store.states[&receiving].dup_budget > 0 {
             let node = self.store.states[&receiving].node;
-            let occurrence = {
-                let s = self.store.states.get_mut(&receiving).expect("resident");
+            let occurrence = self.store.states.update(receiving, |s| {
                 s.dup_budget -= 1;
                 s.vm.next_input_occurrence("dup")
-            };
+            });
             let var = self
                 .symbols
                 .fresh_keyed("dup", Width::BOOL, node.0, occurrence);
@@ -1837,10 +1690,9 @@ impl Engine {
                 }
             } else {
                 let dup_id = self.fork_local(receiving, &Expr::sym(var.clone()), 2, occurrence);
-                {
-                    let s = self.store.states.get_mut(&receiving).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
+                self.store
+                    .states
+                    .update(receiving, |s| s.vm.constrain(Expr::not(Expr::sym(var))));
                 // The duplicated branch receives the packet twice, now.
                 self.run_recv(dup_id, &packet, 2);
             }
@@ -1849,11 +1701,10 @@ impl Engine {
         // --- symbolic node reboot -------------------------------------------
         if self.store.states[&receiving].reboot_budget > 0 {
             let node = self.store.states[&receiving].node;
-            let occurrence = {
-                let s = self.store.states.get_mut(&receiving).expect("resident");
+            let occurrence = self.store.states.update(receiving, |s| {
                 s.reboot_budget -= 1;
                 s.vm.next_input_occurrence("reboot")
-            };
+            });
             let var = self
                 .symbols
                 .fresh_keyed("reboot", Width::BOOL, node.0, occurrence);
@@ -1862,9 +1713,10 @@ impl Engine {
                 match self.replay_failure_decision(receiving, "reboot", 3, occurrence) {
                     None => return, // strict-preset miss: state bugged
                     Some(true) => {
-                        let s = self.store.states.get_mut(&receiving).expect("resident");
-                        s.vm = s.vm.rebooted();
-                        self.store.clear_events(receiving);
+                        self.store
+                            .states
+                            .update(receiving, |s| s.vm = s.vm.rebooted());
+                        self.store.events.clear(receiving);
                         self.run_handler(receiving, handlers::ON_BOOT, &[]);
                         return; // the rebooting node misses the packet
                     }
@@ -1872,15 +1724,13 @@ impl Engine {
                 }
             } else {
                 let reboot_id = self.fork_local(receiving, &Expr::sym(var.clone()), 3, occurrence);
-                {
-                    let s = self.store.states.get_mut(&receiving).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
-                {
-                    let d = self.store.states.get_mut(&reboot_id).expect("resident");
-                    d.vm = d.vm.rebooted();
-                }
-                self.store.clear_events(reboot_id);
+                self.store
+                    .states
+                    .update(receiving, |s| s.vm.constrain(Expr::not(Expr::sym(var))));
+                self.store
+                    .states
+                    .update(reboot_id, |d| d.vm = d.vm.rebooted());
+                self.store.events.clear(reboot_id);
                 if let Some(rec) = self.recorder.as_mut() {
                     rec.note_clear_events(reboot_id);
                 }
@@ -1898,11 +1748,10 @@ impl Engine {
                 self.scenario.faults.persist_base(),
                 self.scenario.faults.persist_size(),
             );
-            let occurrence = {
-                let s = self.store.states.get_mut(&receiving).expect("resident");
+            let occurrence = self.store.states.update(receiving, |s| {
                 s.crash_budget -= 1;
                 s.vm.next_input_occurrence("crash")
-            };
+            });
             let var = self
                 .symbols
                 .fresh_keyed("crash", Width::BOOL, node.0, occurrence);
@@ -1911,9 +1760,10 @@ impl Engine {
                 match self.replay_failure_decision(receiving, "crash", 6, occurrence) {
                     None => return, // strict-preset miss: state bugged
                     Some(true) => {
-                        let s = self.store.states.get_mut(&receiving).expect("resident");
-                        s.vm = s.vm.crash_rebooted(pbase, psize);
-                        self.store.clear_events(receiving);
+                        self.store
+                            .states
+                            .update(receiving, |s| s.vm = s.vm.crash_rebooted(pbase, psize));
+                        self.store.events.clear(receiving);
                         self.run_handler(receiving, handlers::ON_BOOT, &[]);
                         return; // the crashing node misses the packet
                     }
@@ -1921,15 +1771,13 @@ impl Engine {
                 }
             } else {
                 let crash_id = self.fork_local(receiving, &Expr::sym(var.clone()), 6, occurrence);
-                {
-                    let s = self.store.states.get_mut(&receiving).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
-                {
-                    let d = self.store.states.get_mut(&crash_id).expect("resident");
-                    d.vm = d.vm.crash_rebooted(pbase, psize);
-                }
-                self.store.clear_events(crash_id);
+                self.store
+                    .states
+                    .update(receiving, |s| s.vm.constrain(Expr::not(Expr::sym(var))));
+                self.store
+                    .states
+                    .update(crash_id, |d| d.vm = d.vm.crash_rebooted(pbase, psize));
+                self.store.events.clear(crash_id);
                 if let Some(rec) = self.recorder.as_mut() {
                     rec.note_clear_events(crash_id);
                 }
@@ -1948,11 +1796,10 @@ impl Engine {
         {
             let node = self.store.states[&receiving].node;
             let w = packet.payload[0].width();
-            let occurrence = {
-                let s = self.store.states.get_mut(&receiving).expect("resident");
+            let occurrence = self.store.states.update(receiving, |s| {
                 s.cor_budget -= 1;
                 s.vm.next_input_occurrence("cor")
-            };
+            });
             let var = self
                 .symbols
                 .fresh_keyed("cor", Width::BOOL, node.0, occurrence);
@@ -1961,10 +1808,10 @@ impl Engine {
                 match self.replay_failure_decision(receiving, "cor", 5, occurrence) {
                     None => return, // strict-preset miss: state bugged
                     Some(true) => {
-                        let cocc = {
-                            let s = self.store.states.get_mut(&receiving).expect("resident");
-                            s.vm.next_input_occurrence("corb")
-                        };
+                        let cocc = self
+                            .store
+                            .states
+                            .update(receiving, |s| s.vm.next_input_occurrence("corb"));
                         let cvar = self.symbols.fresh_keyed("corb", Width::W8, node.0, cocc);
                         let _ = cvar;
                         let Some(byte) = self.replay_value_input(receiving, "corb", cocc) else {
@@ -1982,14 +1829,13 @@ impl Engine {
                 }
             } else {
                 let cor_id = self.fork_local(receiving, &Expr::sym(var.clone()), 5, occurrence);
-                {
-                    let s = self.store.states.get_mut(&receiving).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
-                let cocc = {
-                    let c = self.store.states.get_mut(&cor_id).expect("resident");
-                    c.vm.next_input_occurrence("corb")
-                };
+                self.store
+                    .states
+                    .update(receiving, |s| s.vm.constrain(Expr::not(Expr::sym(var))));
+                let cocc = self
+                    .store
+                    .states
+                    .update(cor_id, |c| c.vm.next_input_occurrence("corb"));
                 let cvar = self.symbols.fresh_keyed("corb", Width::W8, node.0, cocc);
                 let mut corrupted = packet.clone();
                 corrupted.payload[0] =
@@ -2045,13 +1891,15 @@ impl Engine {
                 state: state_id,
                 report: report.clone(),
             });
-            let s = self.store.states.get_mut(&state_id).expect("resident");
-            s.vm.set_bugged(report);
+            self.store
+                .states
+                .update(state_id, |s| s.vm.set_bugged(report));
             return None;
         }
         let taken = resolved.unwrap_or(0) == 1;
-        let s = self.store.states.get_mut(&state_id).expect("resident");
-        s.vm.record_external_branch(kind, occurrence, taken);
+        self.store.states.update(state_id, |s| {
+            s.vm.record_external_branch(kind, occurrence, taken)
+        });
         Some(taken)
     }
 
@@ -2097,8 +1945,9 @@ impl Engine {
                 state: state_id,
                 report: report.clone(),
             });
-            let s = self.store.states.get_mut(&state_id).expect("resident");
-            s.vm.set_bugged(report);
+            self.store
+                .states
+                .update(state_id, |s| s.vm.set_bugged(report));
             return None;
         }
         Some(resolved.unwrap_or(0))
@@ -2195,15 +2044,13 @@ impl Engine {
         if let Some(rec) = self.recorder.as_mut() {
             rec.note_failure_fork(parent, child, kind);
         }
-        {
-            let c = self.store.states.get_mut(&child).expect("resident");
+        self.store.states.update(child, |c| {
             c.vm.constrain(cond.clone());
             c.vm.record_external_branch(kind, occurrence, true);
-        }
-        {
-            let p = self.store.states.get_mut(&parent).expect("resident");
-            p.vm.record_external_branch(kind, occurrence, false);
-        }
+        });
+        self.store.states.update(parent, |p| {
+            p.vm.record_external_branch(kind, occurrence, false)
+        });
         self.store.fork_scratch.clear();
         self.mapper.on_branch(parent, child, node, &mut self.store);
         if self.traced {
@@ -2228,11 +2075,11 @@ impl Engine {
             return;
         };
         if !resident.is_idle() {
-            self.store.states.insert(state_id, resident);
+            self.store.states.insert(resident);
             return;
         }
         let node = resident.node;
-        let program = self.scenario.program(node).clone();
+        let program = Arc::clone(self.scenario.program(node));
         let Some(prepared_vm) = resident.vm.prepared(&program, handler, args) else {
             panic!(
                 "node {node} program has no handler `{handler}` with arity {}",
@@ -2259,7 +2106,7 @@ impl Engine {
                     StepResult::Forked(sibling_vm) => {
                         let sib_id = self.store.allocate_id();
                         let sibling = st.fork_with_vm(sib_id, sibling_vm);
-                        self.store.duplicate_events(st.id, sib_id);
+                        self.store.events.duplicate(st.id, sib_id);
                         self.store
                             .note_fork(st.id, sib_id, st.node, sde_trace::ForkReason::Branch);
                         if let Some(rec) = self.recorder.as_mut() {
@@ -2275,7 +2122,7 @@ impl Engine {
                                 });
                             }
                         }
-                        self.store.states.insert(sib_id, sibling);
+                        self.store.states.insert(sibling);
                         self.store.fork_scratch.clear();
                         self.mapper
                             .on_branch(st.id, sib_id, st.node, &mut self.store);
@@ -2309,7 +2156,7 @@ impl Engine {
                             .push(self.now + delay, (st.id, NodeEvent::Timer(timer)));
                     }
                     StepResult::HandlerDone(_) | StepResult::Halted | StepResult::Infeasible => {
-                        self.store.states.insert(st.id, st);
+                        self.store.states.insert(st);
                         break;
                     }
                     StepResult::Bug(report) => {
@@ -2318,7 +2165,7 @@ impl Engine {
                             state: st.id,
                             report,
                         });
-                        self.store.states.insert(st.id, st);
+                        self.store.states.insert(st);
                         break;
                     }
                 }
@@ -2390,14 +2237,11 @@ impl Engine {
     fn schedule_deliveries(&mut self, receivers: Vec<StateId>, packet: &Packet) {
         let base = self.now + self.scenario.link_latency_ms;
         for sid in receivers {
-            let r = self
-                .store
-                .states
-                .get_mut(&sid)
-                .unwrap_or_else(|| panic!("receiver {sid} not resident"));
-            r.history.record(HistoryEvent::Received {
-                id: packet.id,
-                peer: packet.src,
+            self.store.states.update(sid, |r| {
+                r.history.record(HistoryEvent::Received {
+                    id: packet.id,
+                    peer: packet.src,
+                })
             });
             self.store
                 .events
@@ -2408,8 +2252,8 @@ impl Engine {
     // ----- reporting ----------------------------------------------------------
 
     fn sample(&mut self) {
-        let bytes: usize = self.store.states.values().map(SdeState::approx_bytes).sum();
-        let live = self.store.states.values().filter(|s| s.is_live()).count();
+        let (live, bytes) = self.store.states.totals();
+        debug_assert_eq!((live, bytes), self.sample_reference());
         self.series.push(Sample {
             wall_ms: self.started.elapsed().as_millis() as u64,
             virtual_ms: self.now,
@@ -2420,10 +2264,46 @@ impl Engine {
         });
     }
 
+    /// `(live states, Σ approx_bytes)` by walking every resident state —
+    /// what [`Engine::sample`] did before the store kept the totals. Kept
+    /// as the oracle: `sample` asserts against it in debug builds, and
+    /// `tests/accounting_equivalence.rs` after every bounded segment.
+    #[doc(hidden)]
+    pub fn sample_reference(&self) -> (usize, usize) {
+        self.store.states.totals_reference()
+    }
+
+    /// Compares the store's incremental bookkeeping with its rescans: the
+    /// `(live, bytes)` totals against [`Engine::sample_reference`], the
+    /// per-state pending-event index against a scan of the queue, and the
+    /// index's owners against the resident states.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first difference found.
+    #[doc(hidden)]
+    pub fn check_accounting(&self) -> Result<(), String> {
+        let (kept, walked) = (self.store.states.totals(), self.sample_reference());
+        if kept != walked {
+            return Err(format!(
+                "(live, bytes) kept {kept:?}, rescan gives {walked:?}"
+            ));
+        }
+        self.store.events.check_reference()?;
+        match self
+            .store
+            .events
+            .owners()
+            .find(|id| self.store.states.get(id).is_none())
+        {
+            Some(id) => Err(format!("pending events of non-resident state {id}")),
+            None => Ok(()),
+        }
+    }
+
     /// Consumes the engine into its final report.
     pub fn into_report(self) -> RunReport {
-        let live = self.store.states.values().filter(|s| s.is_live()).count();
-        let final_bytes: usize = self.store.states.values().map(SdeState::approx_bytes).sum();
+        let (live, final_bytes) = self.store.states.totals();
         // Duplicate detection over resident states, scanned in state-id
         // order so "which of an equal pair counts as the duplicate" — and
         // with it the per-node attribution — is deterministic.
@@ -2523,7 +2403,7 @@ struct SpecJob {
     now: u64,
     state: SdeState,
     events: Vec<NodeEvent>,
-    program: Program,
+    program: Arc<Program>,
     /// The scenario's fault plan (partition cut, heal choices, crash
     /// persistence window) — the deliver mirror needs it to replicate
     /// the fault-model minting order.
@@ -2738,13 +2618,13 @@ fn run_shard_group(job: SpecJob, solver: &Solver, keys: &ShardedKeySet) -> Shard
 struct Speculator<'a> {
     solver: &'a Solver,
     symbols: SymbolTable,
-    program: Program,
+    program: Arc<Program>,
     faults: FaultPlan,
     topology: Topology,
     now: u64,
     states: HashMap<StateId, SdeState>,
     /// FIFO of pending same-time events; forks append their duplicated
-    /// tails here, mirroring [`Store::duplicate_events`]'s effect on the
+    /// tails here, mirroring [`IndexedQueue::duplicate`]'s effect on the
     /// time-`now` slice of the real queue.
     queue: VecDeque<(StateId, NodeEvent)>,
     /// Local ids for speculative forks, far above any real [`StateId`].
@@ -3167,7 +3047,7 @@ impl<'a> Speculator<'a> {
         id
     }
 
-    /// Mirrors [`Store::duplicate_events`] for the local same-time queue.
+    /// Mirrors [`IndexedQueue::duplicate`] for the local same-time queue.
     fn duplicate_queued(&mut self, from: StateId, to: StateId) {
         let pending: Vec<(StateId, NodeEvent)> = self
             .queue

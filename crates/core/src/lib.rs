@@ -56,6 +56,8 @@ pub mod parallel;
 mod scenario;
 mod state;
 mod stats;
+#[doc(hidden)]
+pub mod store;
 pub mod testgen;
 
 pub use bignum::BigUint;

@@ -2,6 +2,7 @@
 
 use sde_net::{FailureConfig, FaultPlan, NodeId, Topology};
 use sde_vm::Program;
+use std::sync::Arc;
 
 /// A complete test scenario: who exists, what they run, which failures
 /// are injected symbolically, and how long the virtual experiment lasts.
@@ -23,8 +24,9 @@ use sde_vm::Program;
 pub struct Scenario {
     /// The connectivity graph.
     pub topology: Topology,
-    /// One program per node, indexed by node id.
-    pub programs: Vec<Program>,
+    /// One program per node, indexed by node id. Shared: a dispatch or
+    /// a shard job takes a pointer copy, never a copy of the program.
+    pub programs: Vec<Arc<Program>>,
     /// Symbolic failure injection.
     pub failures: FailureConfig,
     /// Extended fault injection: partitions, symbolic latency, payload
@@ -60,7 +62,7 @@ impl Scenario {
         );
         Scenario {
             topology,
-            programs,
+            programs: programs.into_iter().map(Arc::new).collect(),
             failures: FailureConfig::new(),
             faults: FaultPlan::new(),
             duration_ms: 10_000,
@@ -137,7 +139,7 @@ impl Scenario {
     }
 
     /// The program of `node`.
-    pub fn program(&self, node: NodeId) -> &Program {
+    pub fn program(&self, node: NodeId) -> &Arc<Program> {
         &self.programs[node.index()]
     }
 }

@@ -111,6 +111,11 @@ impl<T: std::fmt::Debug> EventQueue<T> {
         self.heap.pop().map(|e| e.0)
     }
 
+    /// The earliest event without removing it.
+    pub fn peek(&self) -> Option<&Event<T>> {
+        self.heap.peek().map(|e| &e.0)
+    }
+
     /// The time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<u64> {
         self.heap.peek().map(|e| e.0.time)
@@ -124,16 +129,6 @@ impl<T: std::fmt::Debug> EventQueue<T> {
     /// Returns `true` when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Drops every pending event for which `keep` returns `false`.
-    pub fn retain(&mut self, mut keep: impl FnMut(&Event<T>) -> bool) {
-        let drained: Vec<HeapEntry<T>> = std::mem::take(&mut self.heap).into_vec();
-        for e in drained {
-            if keep(&e.0) {
-                self.heap.push(e);
-            }
-        }
     }
 
     /// Iterates over pending events in arbitrary order.
@@ -162,22 +157,11 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(7, ());
         assert_eq!(q.peek_time(), Some(7));
+        assert_eq!(q.peek().map(|e| e.seq), Some(0));
         assert_eq!(q.len(), 1);
         q.pop();
         assert_eq!(q.peek_time(), None);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn retain_filters() {
-        let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.push(i, i);
-        }
-        q.retain(|e| e.payload % 2 == 0);
-        assert_eq!(q.len(), 5);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec![0, 2, 4, 6, 8]);
     }
 
     #[test]

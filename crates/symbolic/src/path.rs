@@ -35,6 +35,11 @@ pub struct PathCondition {
     /// Set when some added constraint simplified to the constant `false`;
     /// such a path is infeasible without consulting the solver.
     trivially_false: bool,
+    /// Sum of the stored constraints' node counts, kept current by
+    /// [`PathCondition::with`] so memory accounting never walks the list.
+    /// Saturating `u32`, as the per-term counts are; it sits in the
+    /// padding behind `trivially_false`, so states do not grow.
+    nodes: u32,
 }
 
 impl PathCondition {
@@ -61,11 +66,12 @@ impl PathCondition {
         }
         if c.is_false() {
             return PathCondition {
-                constraints: self.constraints.clone(),
                 trivially_false: true,
+                ..self.clone()
             };
         }
         PathCondition {
+            nodes: self.nodes.saturating_add(node_count_u32(&c)),
             constraints: self.constraints.prepend(c),
             trivially_false: self.trivially_false,
         }
@@ -81,12 +87,15 @@ impl PathCondition {
     /// after a resume.
     pub fn from_parts(constraints: Vec<ExprRef>, trivially_false: bool) -> Self {
         let mut list = PList::new();
+        let mut nodes: u32 = 0;
         for c in constraints.into_iter().rev() {
+            nodes = nodes.saturating_add(node_count_u32(&c));
             list = list.prepend(c);
         }
         PathCondition {
             constraints: list,
             trivially_false,
+            nodes,
         }
     }
 
@@ -145,10 +154,11 @@ impl PathCondition {
     }
 
     /// Total number of expression nodes across all constraints (for memory
-    /// accounting). O(#constraints): per-constraint counts are memoized at
-    /// construction time.
+    /// accounting), saturating at `u32::MAX`. O(1): the sum is carried
+    /// along as constraints are added, and per-constraint counts are
+    /// memoized at construction time.
     pub fn node_count(&self) -> usize {
-        self.iter().map(|c| c.node_count()).sum()
+        self.nodes as usize
     }
 
     /// Returns `true` when the two conditions share their entire constraint
@@ -156,6 +166,11 @@ impl PathCondition {
     pub fn ptr_eq(&self, other: &Self) -> bool {
         self.trivially_false == other.trivially_false && self.constraints.ptr_eq(&other.constraints)
     }
+}
+
+/// A term's memoized node count, which already saturates at `u32::MAX`.
+fn node_count_u32(c: &ExprRef) -> u32 {
+    u32::try_from(c.node_count()).unwrap_or(u32::MAX)
 }
 
 impl fmt::Debug for PathCondition {
@@ -244,5 +259,9 @@ mod tests {
         pc.collect_vars(&mut vars);
         assert_eq!(vars.len(), 2);
         assert!(pc.node_count() >= 5);
+        let walked: usize = pc.iter().map(|c| c.node_count()).sum();
+        assert_eq!(pc.node_count(), walked);
+        let rebuilt = PathCondition::from_parts(pc.iter().cloned().collect(), false);
+        assert_eq!(rebuilt.node_count(), walked);
     }
 }

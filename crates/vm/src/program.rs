@@ -50,9 +50,10 @@ impl Function {
 
 /// An immutable program: a set of named functions sharing one id space.
 ///
-/// Programs are built with [`ProgramBuilder`] and shared (`Arc`-style, the
-/// engine clones them cheaply since functions are behind `Arc` internally
-/// via [`Program`] being wrapped in `Arc` at the engine level).
+/// Programs are built with [`ProgramBuilder`]. `clone` is a deep copy
+/// (every function body plus the name table), so a scenario holds each
+/// node's program behind an `Arc` and the engine hands that pointer to
+/// dispatches and shard workers instead of copying the program.
 #[derive(Debug, Clone)]
 pub struct Program {
     functions: Vec<Function>,

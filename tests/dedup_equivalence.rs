@@ -30,7 +30,7 @@ use line::line_collect;
 use proptest::prelude::*;
 use ring::ring_hello;
 use sde::prelude::*;
-use sde_core::{DedupStats, Engine};
+use sde_core::{DedupStats, Engine, EngineSnapshot};
 use sde_os::apps::collect::{self, CollectConfig};
 use std::collections::BTreeSet;
 
@@ -464,6 +464,28 @@ proptest! {
         // sure the sweep ran over real states.
         prop_assert!(!states.is_empty());
         let _ = digest_equal_pairs;
+    }
+
+    /// The node count a path condition carries (what `approx_bytes`
+    /// reads) against a walk over its constraints — on every state of a
+    /// run, and again after the snapshot codec rebuilt the conditions
+    /// through `PathCondition::from_parts`.
+    #[test]
+    fn path_node_counts_are_incrementally_coherent(rs in random_scenarios()) {
+        let scenario = build(&rs);
+        let mut engine = Engine::new(scenario.clone(), Algorithm::Cob);
+        engine.run_in_place();
+        let bytes = engine.snapshot().to_bytes();
+        let resumed = Engine::resume(scenario, &EngineSnapshot::from_bytes(&bytes).unwrap()).unwrap();
+        for s in engine.states().chain(resumed.states()) {
+            let pc = s.vm.path_condition();
+            let walked: usize = pc.iter().map(|c| c.node_count()).sum();
+            prop_assert_eq!(
+                pc.node_count(), walked,
+                "state {}: carried node count drifted from the walk ({:?})", s.id, rs
+            );
+        }
+        prop_assert_eq!(engine.sample_reference(), resumed.sample_reference());
     }
 
     #[test]

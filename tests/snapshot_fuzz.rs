@@ -161,3 +161,65 @@ proptest! {
         assert_robust(&bytes)?;
     }
 }
+
+/// Hand-built queues no run writes. Each decodes — the codec cannot know
+/// which states are resident or which `seq`s were handed out — so
+/// `Engine::resume`, which indexes the queue by state, must be the one
+/// to refuse them: a typed error, not a corrupt index (such an event
+/// used to be accepted and silently dropped at dispatch).
+#[test]
+fn resume_refuses_queues_it_cannot_index() {
+    use sde::core::{SnapshotError, StateId};
+    use sde::symbolic::CodecError;
+
+    let (_label, scenario) = scenario_from_seed(7);
+    let mut engine = Engine::new(scenario.clone(), Algorithm::Sds);
+    engine.run_until(Budget::events(9));
+    let good = engine.snapshot();
+    assert!(
+        good.queue_len() >= 2,
+        "the pause point has events to mutate"
+    );
+    Engine::resume(scenario.clone(), &good).expect("the unmutated snapshot resumes");
+
+    type Edit = fn(usize, &mut u64, &mut u64, &mut StateId);
+    let cases: [(&str, Edit, &str); 3] = [
+        (
+            "an event of a state that is not resident",
+            |i, _, _, state| {
+                if i == 0 {
+                    *state = StateId(u64::MAX / 2);
+                }
+            },
+            "queued event of a non-resident state",
+        ),
+        (
+            "the same seq twice",
+            |_, _, seq, _| *seq = 0,
+            "duplicate queued event seq",
+        ),
+        (
+            "a seq the queue has not handed out yet",
+            |i, _, seq, _| {
+                if i == 1 {
+                    *seq = u64::MAX / 2;
+                }
+            },
+            "queued event seq beyond allocator",
+        ),
+    ];
+    for (what, edit, expected) in cases {
+        let mut hostile = good.clone();
+        hostile.edit_queue_keys(edit);
+        // Through the wire form, as a hostile file would arrive.
+        let decoded = EngineSnapshot::from_bytes(&hostile.to_bytes())
+            .unwrap_or_else(|e| panic!("{what}: the codec has no reason to refuse it: {e}"));
+        match Engine::resume(scenario.clone(), &decoded) {
+            Err(SnapshotError::Codec(CodecError::Malformed(why))) => {
+                assert_eq!(why, expected, "{what}")
+            }
+            Err(other) => panic!("{what}: wrong error {other}"),
+            Ok(_) => panic!("{what}: resumed"),
+        }
+    }
+}
