@@ -139,11 +139,63 @@ fn bench_layer_stack(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_renamed(c: &mut Criterion) {
+    // What keying the exact cache by canonical form buys (DESIGN.md §6):
+    // one constraint shape asked under 64 symbols minted one after the
+    // other — what 64 forked copies of a sender produce — against a fresh
+    // solver per iteration. Keyed by symbol that is 64 solves; keyed
+    // modulo order-preserving renaming it is one solve and 63 hits, so
+    // solver cost stops scaling with the symbols minted.
+    let mut group = c.benchmark_group("solver/renamed");
+    let mut t = SymbolTable::new();
+    // The sense app's parity guard, negated as `must_be_true` asks it:
+    // UNSAT, and refuted only by sweeping all of W16.
+    let parity_guard: Vec<PathCondition> = (0..64)
+        .map(|_| {
+            let reading = Expr::sym(t.fresh("reading", Width::W16));
+            let one = Expr::const_(1, Width::W16);
+            let scaled = Expr::mul(reading.clone(), Expr::const_(151, Width::W16));
+            PathCondition::new().with(Expr::ne(
+                Expr::and(scaled, one.clone()),
+                Expr::and(reading, one),
+            ))
+        })
+        .collect();
+    // A two-variable group, where ranks (not just one anonymous symbol)
+    // carry the renaming: a + 3 < b ∧ b < 40.
+    let comparison: Vec<PathCondition> = (0..64)
+        .map(|_| {
+            let a = Expr::sym(t.fresh("a", Width::W8));
+            let b = Expr::sym(t.fresh("b", Width::W8));
+            PathCondition::new()
+                .with(Expr::ult(
+                    Expr::add(a, Expr::const_(3, Width::W8)),
+                    b.clone(),
+                ))
+                .with(Expr::ult(b, Expr::const_(40, Width::W8)))
+        })
+        .collect();
+    for (name, queries) in [
+        ("parity_guard_x64", parity_guard),
+        ("two_var_comparison_x64", comparison),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let solver = Solver::new();
+                let sat = queries.iter().filter(|q| solver.check(q).is_sat()).count();
+                black_box((sat, solver.stats().nodes_visited))
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_feasibility,
     bench_cache,
     bench_linked_constraints,
-    bench_layer_stack
+    bench_layer_stack,
+    bench_renamed
 );
 criterion_main!(benches);

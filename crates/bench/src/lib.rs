@@ -1242,21 +1242,38 @@ mod tests {
 
     #[test]
     fn layer_toggles_are_answer_preserving_and_observable() {
-        let s = symbolic_grid(2);
         let limits = RunLimits::default();
-        let full = run_with_limits_layers(&s, Algorithm::Sds, limits, None, SolverLayers::Full);
-        let exact =
-            run_with_limits_layers(&s, Algorithm::Sds, limits, None, SolverLayers::ExactOnly);
-        let off = run_with_limits_layers(&s, Algorithm::Sds, limits, None, SolverLayers::Off);
-        // Cache layers may only change solver counters, never the run.
-        assert_eq!(full.equivalence_key(), exact.equivalence_key());
-        assert_eq!(full.equivalence_key(), off.equivalence_key());
-        assert!(full.solver.group_cache_hits > 0, "{:?}", full.solver);
-        assert_eq!(exact.solver.group_cache_hits, 0, "{:?}", exact.solver);
-        assert_eq!(off.solver.cache_hits, 0, "{:?}", off.solver);
-        assert_eq!(off.solver.group_cache_hits, 0, "{:?}", off.solver);
-        assert_eq!(off.solver.model_reuse_hits, 0, "{:?}", off.solver);
-        assert_eq!(off.solver.ucore_hits, 0, "{:?}", off.solver);
+        let run = |s: &Scenario, algorithm, layers| {
+            run_with_limits_layers(s, algorithm, limits, None, layers)
+        };
+        // SDS on the 2×2 sense grid; COB on the 3×3 one, where every fork
+        // copies the source and each copy mints its own reading.
+        for (s, algorithm) in [
+            (symbolic_grid(2), Algorithm::Sds),
+            (symbolic_grid(3), Algorithm::Cob),
+        ] {
+            let full = run(&s, algorithm, SolverLayers::Full);
+            let exact = run(&s, algorithm, SolverLayers::ExactOnly);
+            let off = run(&s, algorithm, SolverLayers::Off);
+            // Cache layers may only change solver counters, never the run.
+            assert_eq!(full.equivalence_key(), exact.equivalence_key());
+            assert_eq!(full.equivalence_key(), off.equivalence_key());
+            assert!(full.solver.group_cache_hits > 0, "{:?}", full.solver);
+            assert_eq!(exact.solver.group_cache_hits, 0, "{:?}", exact.solver);
+            assert_eq!(off.solver.cache_hits, 0, "{:?}", off.solver);
+            assert_eq!(off.solver.group_cache_hits, 0, "{:?}", off.solver);
+            assert_eq!(off.solver.model_reuse_hits, 0, "{:?}", off.solver);
+            assert_eq!(off.solver.ucore_hits, 0, "{:?}", off.solver);
+            if algorithm == Algorithm::Cob {
+                // The exact cache keys modulo symbol renaming: one
+                // parity-guard sweep (65 537 nodes) per route hop — 262 908
+                // nodes in all — however many readings the forked sources
+                // minted. Keyed by symbol it was 68 sweeps, 4 469 300
+                // nodes; a key-scheme regression fails here on a count,
+                // not on a wall time.
+                assert!(full.solver.nodes_visited < 300_000, "{:?}", full.solver);
+            }
+        }
     }
 
     #[test]

@@ -45,8 +45,11 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"SDESNAP1";
 /// deadline, and five more fork counters); version 4 added the
 /// `bugs_found`/`shrink_steps` trace counters of the checking layer;
 /// version 5 added the shard-lineage fields (`root`/`shard_root`) per
-/// state and the engine's `sharded` mode flag.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// state and the engine's `sharded` mode flag; version 6 re-keyed the
+/// solver's exact cache by canonical form (a v5 cache would decode, never
+/// hit, and silently break resumed-vs-straight trace attribution) and
+/// dropped the per-constraint hashes of its UNSAT cores.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Size of the fixed file header (magic + version + digest + prelude
 /// length).
@@ -1336,7 +1339,7 @@ mod tests {
         let json = engine.snapshot().to_debug_json();
         for needle in [
             "\"algorithm\": \"SDS\"",
-            "\"version\": 5",
+            &format!("\"version\": {SNAPSHOT_VERSION}"),
             "state_table",
             "trace_key",
             "\"dedup\": {\"enabled\": false",

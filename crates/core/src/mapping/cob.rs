@@ -209,6 +209,11 @@ impl StateMapper for Cob {
                 return Err(format!("dscenario id {gid} duplicated"));
             }
         }
+        // Everything delivery indexes into is an invariant; a table that
+        // breaks one is refused here, not found by a panic mid-run.
+        if let Some(violation) = restored.check_invariants() {
+            return Err(violation);
+        }
         *self = restored;
         Ok(())
     }
@@ -292,5 +297,36 @@ mod tests {
             assert_eq!(cob.group_count(), 1 << (round + 1));
         }
         assert!(cob.check_invariants().is_none());
+    }
+
+    #[test]
+    fn import_rejects_hostile_tables() {
+        let table = |groups| MapperSnapshot::Cob {
+            groups,
+            next_group: 2,
+            stats: MapperStats::default(),
+        };
+        let cases = [
+            (
+                "state 1 appears in two dscenarios",
+                table(vec![(0, vec![(0, 0), (1, 1)]), (1, vec![(0, 2), (1, 1)])]),
+            ),
+            (
+                "is empty",
+                table(vec![(0, vec![(0, 0), (1, 1)]), (1, vec![])]),
+            ),
+        ];
+        for (expected, snapshot) in cases {
+            let mut cob = Cob::new();
+            boot(&mut cob, 2);
+            let before = cob.export_snapshot();
+            let err = cob.import_snapshot(snapshot).expect_err(expected);
+            assert!(err.contains(expected), "{err}");
+            assert_eq!(
+                cob.export_snapshot(),
+                before,
+                "a refused import changes nothing"
+            );
+        }
     }
 }

@@ -268,6 +268,11 @@ impl StateMapper for Cow {
                 return Err(format!("dstate id {gid} duplicated"));
             }
         }
+        // Everything delivery indexes into is an invariant; a table that
+        // breaks one is refused here, not found by a panic mid-run.
+        if let Some(violation) = restored.check_invariants() {
+            return Err(violation);
+        }
         *self = restored;
         Ok(())
     }
@@ -380,5 +385,39 @@ mod tests {
             cow.on_branch(StateId(1), child, NodeId(1), &mut store);
         }
         assert_eq!(cow.dscenarios().count(), 6);
+    }
+
+    #[test]
+    fn import_rejects_hostile_tables() {
+        let table = |dstates| MapperSnapshot::Cow {
+            dstates,
+            next_group: 2,
+            stats: MapperStats::default(),
+        };
+        let cases = [
+            (
+                "state 1 appears in two dstates",
+                table(vec![
+                    (0, vec![(0, vec![0]), (1, vec![1])]),
+                    (1, vec![(0, vec![2]), (1, vec![1])]),
+                ]),
+            ),
+            (
+                "has no state on",
+                table(vec![(0, vec![(0, vec![0]), (1, vec![])])]),
+            ),
+        ];
+        for (expected, snapshot) in cases {
+            let mut cow = Cow::new();
+            boot(&mut cow, 2);
+            let before = cow.export_snapshot();
+            let err = cow.import_snapshot(snapshot).expect_err(expected);
+            assert!(err.contains(expected), "{err}");
+            assert_eq!(
+                cow.export_snapshot(),
+                before,
+                "a refused import changes nothing"
+            );
+        }
     }
 }

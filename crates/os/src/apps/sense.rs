@@ -8,8 +8,8 @@
 //! into the paper's Fig. 1 regime, where execution forks on *data*:
 //!
 //! * The source samples an unknown sensor **reading** per packet
-//!   (`make_symbolic`) bounded to `0 ..= max_reading`, and ships it
-//!   symbolically in the payload.
+//!   (`make_symbolic`), assumes `reading <= max_reading` *on its own
+//!   path*, and ships the reading symbolically in the payload.
 //! * Every route hop (forwarders and the sink) **classifies** the reading
 //!   it accepts: `levels` threshold branches over a multiplicative hash of
 //!   the reading. The hash defeats the solver's interval refinement, so
@@ -18,8 +18,12 @@
 //! * Optionally each hop also runs a **parity guard** — an assertion that
 //!   is true for every reading (an odd multiplier preserves the low bit)
 //!   but whose refutation the solver can only establish by sweeping the
-//!   whole reading domain. That makes per-hop solver work predictable and
-//!   substantial without forking or flagging bugs.
+//!   whole domain it sees. That is all of `W16` — 65 537 search nodes —
+//!   not `max_reading + 1`: the source's bound lives in the *source's*
+//!   path condition, a hop's state never sees it, and the two are only
+//!   conjoined when a dscenario's states are solved together (test-case
+//!   generation, invariant checking). The guard makes per-hop solver work
+//!   predictable and substantial without forking or flagging bugs.
 //!
 //! The result is a workload whose wall-clock is dominated by solver
 //! queries with *cross-batch* variable references (readings are minted at
@@ -56,10 +60,13 @@ pub struct SenseConfig {
     pub interval_ms: u64,
     /// How many readings the source samples and transmits.
     pub packet_count: u16,
-    /// Upper bound assumed on each reading (`reading <= max_reading`).
-    /// This is the solver's enumeration domain per reading, i.e. the
-    /// per-query cost knob: a whole-domain UNSAT proof visits
-    /// `max_reading + 1` search nodes.
+    /// Upper bound the *source* assumes on each reading
+    /// (`reading <= max_reading`). It bounds the readings of generated test
+    /// cases — the assume joins the hops' constraints when a dscenario is
+    /// solved as a whole — but it is **not** a hop's enumeration domain:
+    /// the constraint never reaches a hop's path condition, so a hop's
+    /// whole-domain UNSAT proof sweeps all of `W16` (65 537 search nodes)
+    /// whatever this is set to.
     pub max_reading: u16,
     /// Threshold classification branches per accepting hop; each level
     /// can fork the execution state two ways.
@@ -73,8 +80,8 @@ impl SenseConfig {
     /// The default configuration for a `width × height` grid: corner to
     /// corner like [`CollectConfig::paper_grid`]
     /// (crate::apps::collect::CollectConfig::paper_grid), but with fewer
-    /// packets (classification forks multiply per hop) and a modest
-    /// reading domain.
+    /// packets (classification forks multiply per hop) and byte-sized
+    /// readings in the generated test cases.
     pub fn paper_grid(width: u16, height: u16) -> SenseConfig {
         SenseConfig {
             source: NodeId(width * height - 1),
@@ -110,8 +117,8 @@ fn classify(f: &mut FunctionBuilder, node: NodeId, cfg: &SenseConfig, reading: R
         if cfg.parity_guard {
             // (reading * prime) & 1 == reading & 1 holds for every odd
             // prime; proving the negation unsatisfiable forces the solver
-            // to sweep the whole reading domain. AlwaysTrue: no fork, no
-            // bug — just work.
+            // to sweep every 16-bit value (the hop's state carries no bound
+            // on the reading). AlwaysTrue: no fork, no bug — just work.
             let one = f.imm(1, Width::W16);
             let scaled_bit = f.reg();
             f.bin(BinOp::And, scaled_bit, scaled, one);
@@ -191,9 +198,10 @@ pub fn node_program(topology: &Topology, cfg: &SenseConfig, node: NodeId) -> Pro
             f.place(send);
             let reading = f.reg();
             f.make_symbolic(reading, "reading", Width::W16);
-            // Bound the domain: the assume is a refinable top-level
-            // comparison, so every later query enumerates at most
-            // max_reading + 1 candidates.
+            // Bound the reading on the source's own path: a refinable
+            // top-level comparison, which narrows the source's queries and
+            // the whole-dscenario solves that conjoin this path condition
+            // with the hops'. The hops' own queries never see it.
             let bound = f.imm(u64::from(cfg.max_reading), Width::W16);
             let in_domain = f.reg();
             f.bin(BinOp::Ule, in_domain, reading, bound);
@@ -345,6 +353,13 @@ mod tests {
         let stats = solver.stats();
         assert!(stats.queries > 0, "classification must query the solver");
         assert!(stats.unsat > 0, "the parity guard costs an UNSAT proof");
+        // The hop never sees the source's `reading <= max_reading` (63
+        // here): refuting the guard sweeps the reading's whole width.
+        assert!(
+            stats.nodes_visited >= 1 << 16,
+            "parity-guard refutation visited {} nodes",
+            stats.nodes_visited
+        );
     }
 
     #[test]

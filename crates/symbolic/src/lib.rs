@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod canon;
 mod expr;
 mod interval;
 mod model;

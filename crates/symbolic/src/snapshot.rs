@@ -224,14 +224,14 @@ impl SnapWriter {
     }
 }
 
-fn unop_tag(op: UnOp) -> u8 {
+pub(crate) fn unop_tag(op: UnOp) -> u8 {
     match op {
         UnOp::Not => 0,
         UnOp::Neg => 1,
     }
 }
 
-fn unop_from(tag: u8) -> Result<UnOp, CodecError> {
+pub(crate) fn unop_from(tag: u8) -> Result<UnOp, CodecError> {
     Ok(match tag {
         0 => UnOp::Not,
         1 => UnOp::Neg,
@@ -239,7 +239,7 @@ fn unop_from(tag: u8) -> Result<UnOp, CodecError> {
     })
 }
 
-fn binop_tag(op: BinOp) -> u8 {
+pub(crate) fn binop_tag(op: BinOp) -> u8 {
     match op {
         BinOp::Add => 0,
         BinOp::Sub => 1,
@@ -263,7 +263,7 @@ fn binop_tag(op: BinOp) -> u8 {
     }
 }
 
-fn binop_from(tag: u8) -> Result<BinOp, CodecError> {
+pub(crate) fn binop_from(tag: u8) -> Result<BinOp, CodecError> {
     Ok(match tag {
         0 => BinOp::Add,
         1 => BinOp::Sub,
@@ -288,7 +288,7 @@ fn binop_from(tag: u8) -> Result<BinOp, CodecError> {
     })
 }
 
-fn castop_tag(op: CastOp) -> u8 {
+pub(crate) fn castop_tag(op: CastOp) -> u8 {
     match op {
         CastOp::Zext => 0,
         CastOp::Sext => 1,
@@ -296,7 +296,7 @@ fn castop_tag(op: CastOp) -> u8 {
     }
 }
 
-fn castop_from(tag: u8) -> Result<CastOp, CodecError> {
+pub(crate) fn castop_from(tag: u8) -> Result<CastOp, CodecError> {
     Ok(match tag {
         0 => CastOp::Zext,
         1 => CastOp::Sext,

@@ -7,22 +7,28 @@
 //!    constraints are folded away before any cache is consulted.
 //! 2. **Independence partitioning** — constraints are grouped by shared
 //!    variables (union–find over the memoized [`Expr::vars`] sets, no DAG
-//!    walks); each group is solved separately and models are merged. A
-//!    branch condition usually touches one or two variables, so this is
-//!    the main cost saver — and it is what makes the caches below
-//!    effective, because group-sized keys recur far more often than whole
-//!    path conditions do.
-//! 3. **Exact caching** — an exact-match cache over each (order-normalized)
-//!    constraint group. Sibling states share every group of their common
-//!    path-condition prefix, so extending a path by one branch costs one
-//!    new group solve, not a re-solve of the whole condition. With
-//!    [`Solver::set_group_caching`]`(false)` the cache falls back to
-//!    whole-query granularity (one key per full constraint set).
+//!    walks and no hashing); each group is solved separately and models
+//!    are merged. A branch condition usually touches one or two variables,
+//!    so this is the main cost saver — and it is what makes the caches
+//!    below effective, because group-sized keys recur far more often than
+//!    whole path conditions do.
+//! 3. **Exact caching** — each group is put in *canonical form* (`canon.rs`:
+//!    variables renamed to their rank in ascending [`SymId`] order,
+//!    constraints in the order of their renamed forms) and looked up, and
+//!    later stored, under that form; a cached model is translated back
+//!    through the rank table. Sibling states share every group of
+//!    their common path-condition prefix, and forked copies of a sender
+//!    ask the same shapes under freshly minted symbols, so the solver
+//!    answers each constraint *shape* once. With
+//!    [`Solver::set_group_caching`]`(false)` the same scheme is applied at
+//!    whole-query granularity (the query as one group).
 //! 4. **Counterexample caching** — satisfying models and UNSAT cores from
 //!    earlier group solves answer *related* (not identical) groups:
 //!    a cached UNSAT core that is a subset of the query proves UNSAT; a
 //!    cached model that evaluates every query constraint to true proves
-//!    SAT. See "Determinism" below for when this layer is consulted.
+//!    SAT. This layer stays keyed by real [`SymId`]s — a core over `{x}`
+//!    must still match a later group over `{w, x}`. See "Determinism"
+//!    below for when it is consulted.
 //! 5. **Interval refinement** — per-variable unsigned bounds are tightened
 //!    from comparison constraints, shrinking enumeration domains. The
 //!    refinement tracks which constraints touched each variable's bounds,
@@ -31,6 +37,11 @@
 //!    candidate values are tried likely-first (bounds, 0, 1) and partial
 //!    evaluation prunes violated constraints early. A node budget caps the
 //!    search; exhaustion yields [`SolverResult::Unknown`].
+//!
+//! Layers 5–6 run on the canonical form too, which gives the invariant the
+//! bit-identity contract rests on: **the answer for a group is a pure
+//! function of its canonical form** — verdict, translated model and node
+//! count are the same on a cache hit, on a miss and with caching off.
 //!
 //! # Determinism
 //!
@@ -44,8 +55,8 @@
 //! reused model is whichever related model happened to be cached first)
 //! but still use UNSAT-core probing, whose observable outcome (no model)
 //! is the same as a fresh solve. The exact cache stores only
-//! solver-computed answers — never counterexample-derived ones — so its
-//! contents are reproducible regardless of query order.
+//! solver-computed answers — never counterexample-derived ones — so every
+//! entry is the pure function above of its key, whatever the query order.
 //!
 //! Each cache layer is individually switchable for ablation measurements:
 //! [`Solver::set_caching`] (exact cache master switch),
@@ -54,6 +65,7 @@
 //!
 //! [`Expr::vars`]: crate::Expr::vars
 
+use crate::canon;
 use crate::expr::{BinOp, CastOp, Expr, ExprKind, ExprRef};
 use crate::interval::Interval;
 use crate::model::Model;
@@ -62,9 +74,7 @@ use crate::snapshot::{CodecError, SnapReader, SnapWriter};
 use crate::table::SymId;
 use crate::vars::VarSet;
 use crate::width::Width;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
@@ -134,28 +144,20 @@ pub struct SolverStats {
     pub nodes_visited: u64,
 }
 
+/// A cached answer; a SAT model assigns *ranks*, not real variables.
 #[derive(Debug, Clone)]
 enum CacheEntry {
     Sat(Model),
     Unsat,
 }
 
-impl CacheEntry {
-    fn to_result(&self) -> SolverResult {
-        match self {
-            CacheEntry::Sat(m) => SolverResult::Sat(m.clone()),
-            CacheEntry::Unsat => SolverResult::Unsat,
-        }
-    }
-}
+/// One hash bucket of the exact cache: (canonical form, answer).
+type CacheBucket = Vec<(Vec<u64>, CacheEntry)>;
 
-/// One hash bucket of the exact cache: (normalized constraint set, answer).
-type CacheBucket = Vec<(Vec<ExprRef>, CacheEntry)>;
-
-/// One exported exact-cache entry: the normalized constraint set plus
-/// `Some(model)` for SAT / `None` for UNSAT (the serializable form of
+/// One exported exact-cache entry: the canonical form plus `Some(model
+/// over ranks)` for SAT / `None` for UNSAT (the serializable form of
 /// [`CacheEntry`]).
-type ExportedEntry = (Vec<ExprRef>, Option<Model>);
+type ExportedEntry = (Vec<u64>, Option<Model>);
 
 /// One exported exact-cache shard: `(key, bucket)` pairs sorted by key.
 type ExportedShard = Vec<(u64, Vec<ExportedEntry>)>;
@@ -164,6 +166,11 @@ type ExportedShard = Vec<(u64, Vec<ExportedEntry>)>;
 /// contention negligible when speculative workers and the authoritative
 /// pass query concurrently ([`Solver`] is `Sync`).
 const CACHE_SHARDS: usize = 16;
+
+/// The exact-cache shard a key lives in.
+fn shard_of(key: u64) -> usize {
+    key as usize % CACHE_SHARDS
+}
 
 /// Per-shard capacity of each counterexample side (models / cores); FIFO
 /// eviction. The caps bound probe cost: a counterexample lookup scans at
@@ -184,12 +191,22 @@ struct CexShard {
     cores: VecDeque<CoreEntry>,
 }
 
-/// An UNSAT core: a hash-sorted subset of some earlier group's constraints
-/// that is unsatisfiable on its own. Any superset is unsatisfiable too.
+/// An UNSAT core: a subset of some earlier group's (real) constraints that
+/// is unsatisfiable on its own, with the union of their var-sets. Any
+/// superset is unsatisfiable too.
 #[derive(Debug, Clone)]
 struct CoreEntry {
-    hashes: Vec<u64>,
+    vars: VarSet,
     constraints: Vec<ExprRef>,
+}
+
+impl CoreEntry {
+    fn new(constraints: Vec<ExprRef>) -> CoreEntry {
+        CoreEntry {
+            vars: canon::vars_of(&constraints),
+            constraints,
+        }
+    }
 }
 
 /// Lock-free work counters (see [`SolverStats`] for the snapshot form).
@@ -206,15 +223,28 @@ struct StatCells {
     nodes_visited: AtomicU64,
 }
 
-/// One independent constraint group: hash-sorted constraints, their
-/// individual hashes (aligned), the exact-cache key derived from them, and
-/// the union of their memoized var-sets.
+/// One independent constraint group: its (real) constraints in canonical
+/// order, the union of their memoized var-sets — which, being id-sorted,
+/// is the rank table of the canonical form — the form itself, and the
+/// exact-cache key derived from it.
 #[derive(Debug)]
 struct Group {
     constraints: Vec<ExprRef>,
-    hashes: Vec<u64>,
-    key: u64,
     vars: VarSet,
+    form: Vec<u64>,
+    key: u64,
+}
+
+impl Group {
+    fn new(mut constraints: Vec<ExprRef>, vars: VarSet) -> Group {
+        let form = canon::order(&mut constraints, &vars);
+        Group {
+            key: canon::key(&form),
+            constraints,
+            vars,
+            form,
+        }
+    }
 }
 
 /// The constraint solver. See the module documentation for the pipeline.
@@ -314,8 +344,9 @@ impl Solver {
     /// (default) or whole-query (the pre-incremental behavior, kept as an
     /// ablation point). No effect while caching is disabled entirely.
     ///
-    /// Both granularities key on order-normalized constraint sets, so the
-    /// cache stays consistent across switches and no clear is needed.
+    /// Both granularities key on canonical forms — whole-query treats the
+    /// query as one group — so the cache stays consistent across switches
+    /// and no clear is needed.
     pub fn set_group_caching(&self, enabled: bool) {
         self.group_caching.store(enabled, Relaxed);
     }
@@ -334,7 +365,7 @@ impl Solver {
     }
 
     fn shard(&self, key: u64) -> &Mutex<HashMap<u64, CacheBucket>> {
-        &self.cache[key as usize % self.cache.len()]
+        &self.cache[shard_of(key)]
     }
 
     /// Exports the solver's entire mutable state — counters, ablation
@@ -379,7 +410,7 @@ impl Solver {
                 shard
                     .cores
                     .iter()
-                    .map(|core| (core.hashes.clone(), core.constraints.clone()))
+                    .map(|core| core.constraints.clone())
                     .collect::<Vec<_>>(),
             );
         }
@@ -442,10 +473,7 @@ impl Solver {
             shard.models = snap.cex_models[i].iter().cloned().collect();
             shard.cores = snap.cex_cores[i]
                 .iter()
-                .map(|(hashes, constraints)| CoreEntry {
-                    hashes: hashes.clone(),
-                    constraints: constraints.clone(),
-                })
+                .map(|constraints| CoreEntry::new(constraints.clone()))
                 .collect();
         }
     }
@@ -582,35 +610,37 @@ impl Solver {
             return (SolverResult::Sat(Model::new()), QueryLayer::Fold, 0);
         }
 
-        // Canonical order + per-constraint hashes (shared by both cache
-        // granularities and the partitioner).
-        let (hashes, query_key) = canonicalize(&mut work);
-
         let caching = self.caching.load(Relaxed);
         let group_caching = caching && self.group_caching.load(Relaxed);
         let cex = self.cex_caching.load(Relaxed);
 
-        // Whole-query granularity (ablation fallback): one exact-cache key
-        // for the entire normalized constraint set.
-        if caching && !group_caching {
-            if let Some(entry) = self.exact_lookup(query_key, &work) {
+        // Whole-query granularity (ablation fallback): the query is looked
+        // up, and later stored, as one group.
+        let whole = (caching && !group_caching).then(|| {
+            let vars = canon::vars_of(&work);
+            Group::new(std::mem::take(&mut work), vars)
+        });
+        if let Some(whole) = &whole {
+            if let Some(result) = self.exact_lookup(whole) {
                 self.stats.cache_hits.fetch_add(1, Relaxed);
-                let result = entry.to_result();
                 self.tally(&result);
                 // Group counts must stay deterministic in traces even on
                 // this pre-partition hit path, so partition when traced.
                 let n = if trace.is_some() {
-                    partition(&work, &hashes).len() as u64
+                    partition(whole.constraints.clone()).len() as u64
                 } else {
                     0
                 };
                 return (result, QueryLayer::Exact, n);
             }
+            // Partition the canonical order, so that which group is
+            // examined first is a function of the form being stored.
+            work = whole.constraints.clone();
         }
 
         // Layer 2: partition, then solve each group through the remaining
         // layers independently.
-        let groups = partition(&work, &hashes);
+        let groups = partition(work);
         let mut combined = Model::new();
         let mut all_groups_cached = true;
         let mut outcome = None;
@@ -641,15 +671,16 @@ impl Solver {
             self.stats.cache_hits.fetch_add(1, Relaxed);
         }
 
-        if caching && !group_caching {
-            match &result {
+        if let Some(whole) = &whole {
+            let entry = match &result {
                 SolverResult::Sat(m) => {
-                    self.exact_store(query_key, &work, CacheEntry::Sat(m.clone()));
+                    Some(CacheEntry::Sat(canon::model_to_ranks(m, &whole.vars)))
                 }
-                SolverResult::Unsat => {
-                    self.exact_store(query_key, &work, CacheEntry::Unsat);
-                }
-                SolverResult::Unknown => {}
+                SolverResult::Unsat => Some(CacheEntry::Unsat),
+                SolverResult::Unknown => None,
+            };
+            if let Some(entry) = entry {
+                self.exact_store(whole, entry);
             }
         }
 
@@ -687,18 +718,19 @@ impl Solver {
             }
         };
 
-        // Layer 3: exact group cache.
+        // Layer 3: exact group cache, keyed modulo symbol renaming.
         if group_caching {
-            if let Some(entry) = self.exact_lookup(group.key, &group.constraints) {
+            if let Some(result) = self.exact_lookup(group) {
                 self.stats.group_cache_hits.fetch_add(1, Relaxed);
                 group_hit(GroupLayer::Exact);
-                return (entry.to_result(), true);
+                return (result, true);
             }
         }
 
-        // Layer 4: counterexample cache. UNSAT-core probing is sound for
-        // both query grades (a "no" answer carries no witness); model
-        // reuse is verdict-grade only (module docs: Determinism).
+        // Layer 4: counterexample cache, over the real constraints.
+        // UNSAT-core probing is sound for both query grades (a "no" answer
+        // carries no witness); model reuse is verdict-grade only (module
+        // docs: Determinism).
         if cex {
             if self.ucore_implies_unsat(group) {
                 self.stats.ucore_hits.fetch_add(1, Relaxed);
@@ -715,53 +747,64 @@ impl Solver {
         }
         group_hit(GroupLayer::Solve);
 
-        // Layers 5–6: solve for real.
-        let (result, core) = self.solve_group(&group.constraints);
+        // Layers 5–6: solve for real — on terms built from the canonical
+        // form alone, whether or not the answer will be cached, so that it
+        // is a function of the form and nothing else.
+        let (answer, core) = self.solve_group(&canon::decode(&group.form));
+        let (result, entry) = match answer {
+            SolverResult::Sat(m) => (
+                SolverResult::Sat(canon::model_from_ranks(&m, &group.vars)),
+                Some(CacheEntry::Sat(m)),
+            ),
+            SolverResult::Unsat => (SolverResult::Unsat, Some(CacheEntry::Unsat)),
+            SolverResult::Unknown => (SolverResult::Unknown, None),
+        };
 
         // The exact cache stores only solver-computed answers (never
         // counterexample-derived ones), keeping its contents independent of
         // query order.
-        if group_caching {
-            match &result {
-                SolverResult::Sat(m) => {
-                    self.exact_store(group.key, &group.constraints, CacheEntry::Sat(m.clone()));
-                }
-                SolverResult::Unsat => {
-                    self.exact_store(group.key, &group.constraints, CacheEntry::Unsat);
-                }
-                SolverResult::Unknown => {}
-            }
+        if let (true, Some(entry)) = (group_caching, entry) {
+            self.exact_store(group, entry);
         }
         if cex {
             match &result {
                 SolverResult::Sat(m) => self.cex_store_model(&group.vars, m),
-                SolverResult::Unsat => {
-                    let indices: Vec<usize> =
-                        core.unwrap_or_else(|| (0..group.constraints.len()).collect());
-                    self.cex_store_core(group, &indices);
-                }
+                // The group's constraints are kept in canonical order, so
+                // the core's indices name the same (real) constraints.
+                SolverResult::Unsat => self.cex_store_core(match core {
+                    Some(indices) => indices
+                        .into_iter()
+                        .map(|i| group.constraints[i].clone())
+                        .collect(),
+                    None => group.constraints.clone(),
+                }),
                 SolverResult::Unknown => {}
             }
         }
         (result, false)
     }
 
-    fn exact_lookup(&self, key: u64, set: &[ExprRef]) -> Option<CacheEntry> {
-        let shard = self.shard(key).lock().expect("cache shard");
-        let bucket = shard.get(&key)?;
-        bucket
+    /// The cached answer for `group`'s canonical form, its model
+    /// translated back through the rank table.
+    fn exact_lookup(&self, group: &Group) -> Option<SolverResult> {
+        let shard = self.shard(group.key).lock().expect("cache shard");
+        let (_, entry) = shard
+            .get(&group.key)?
             .iter()
-            .find(|(stored, _)| stored.as_slice() == set)
-            .map(|(_, entry)| entry.clone())
+            .find(|(form, _)| *form == group.form)?;
+        Some(match entry {
+            CacheEntry::Sat(m) => SolverResult::Sat(canon::model_from_ranks(m, &group.vars)),
+            CacheEntry::Unsat => SolverResult::Unsat,
+        })
     }
 
-    fn exact_store(&self, key: u64, set: &[ExprRef], entry: CacheEntry) {
-        let mut shard = self.shard(key).lock().expect("cache shard");
-        let bucket = shard.entry(key).or_default();
+    fn exact_store(&self, group: &Group, entry: CacheEntry) {
+        let mut shard = self.shard(group.key).lock().expect("cache shard");
+        let bucket = shard.entry(group.key).or_default();
         // A concurrent solver may have answered the same query while we
         // were solving; keep the bucket duplicate-free.
-        if !bucket.iter().any(|(stored, _)| stored.as_slice() == set) {
-            bucket.push((set.to_vec(), entry));
+        if !bucket.iter().any(|(form, _)| *form == group.form) {
+            bucket.push((group.form.clone(), entry));
         }
     }
 
@@ -816,20 +859,9 @@ impl Solver {
         }
     }
 
-    fn cex_store_core(&self, group: &Group, indices: &[usize]) {
-        // Group constraints are hash-sorted and `indices` ascend, so the
-        // core inherits the sorted order required by `core_is_subset`.
-        let entry = CoreEntry {
-            hashes: indices.iter().map(|&i| group.hashes[i]).collect(),
-            constraints: indices
-                .iter()
-                .map(|&i| group.constraints[i].clone())
-                .collect(),
-        };
-        let vars = indices.iter().fold(VarSet::empty(), |acc, &i| {
-            acc.union(group.constraints[i].vars())
-        });
-        for s in cex_shards_of(&vars) {
+    fn cex_store_core(&self, constraints: Vec<ExprRef>) {
+        let entry = CoreEntry::new(constraints);
+        for s in cex_shards_of(&entry.vars) {
             let mut shard = self.cex[s].lock().expect("cex shard");
             shard.cores.push_back(entry.clone());
             while shard.cores.len() > CEX_CAP {
@@ -989,14 +1021,14 @@ pub struct SolverSnapshot {
     group_caching: bool,
     cex_caching: bool,
     /// Per cache shard, sorted by key: the exact cache's buckets, each
-    /// entry `(normalized constraint set, Some(model) | None=UNSAT)`.
+    /// entry `(canonical form, Some(model over ranks) | None=UNSAT)`.
     exact: Vec<ExportedShard>,
     /// Per counterexample shard, FIFO front-to-back: cached models with
     /// the var-set of the group they solved.
     cex_models: Vec<Vec<(VarSet, Model)>>,
     /// Per counterexample shard, FIFO front-to-back: UNSAT cores as
-    /// `(hash list, constraint list)`, both hash-sorted and aligned.
-    cex_cores: Vec<Vec<(Vec<u64>, Vec<ExprRef>)>>,
+    /// lists of real constraints.
+    cex_cores: Vec<Vec<Vec<ExprRef>>>,
 }
 
 impl SolverSnapshot {
@@ -1055,9 +1087,12 @@ impl SolverSnapshot {
             for (key, bucket) in shard {
                 w.varint(*key);
                 w.varint(bucket.len() as u64);
-                for (set, model) in bucket {
+                for (form, model) in bucket {
+                    // On the wire a form is the terms it denotes, through
+                    // the shared expression codec.
+                    let set = canon::decode(form);
                     w.varint(set.len() as u64);
-                    for c in set {
+                    for c in &set {
                         w.expr(c);
                     }
                     match model {
@@ -1085,11 +1120,7 @@ impl SolverSnapshot {
         w.varint(self.cex_cores.len() as u64);
         for shard in &self.cex_cores {
             w.varint(shard.len() as u64);
-            for (hashes, constraints) in shard {
-                w.varint(hashes.len() as u64);
-                for h in hashes {
-                    w.varint(*h);
-                }
+            for constraints in shard {
                 w.varint(constraints.len() as u64);
                 for c in constraints {
                     w.expr(c);
@@ -1103,7 +1134,9 @@ impl SolverSnapshot {
     /// # Errors
     ///
     /// Returns [`CodecError`] on truncated or malformed input (including
-    /// a shard count that does not match this build's shard layout).
+    /// a shard count that does not match this build's shard layout, and
+    /// an exact-cache entry that is not its own canonical form or sits
+    /// under a key other than that form's).
     pub fn read_from(r: &mut SnapReader<'_>) -> Result<SolverSnapshot, CodecError> {
         let mut counters = [0u64; 9];
         for c in &mut counters {
@@ -1135,7 +1168,7 @@ impl SolverSnapshot {
             return Err(CodecError::Malformed("exact cache shard count"));
         }
         let mut exact = Vec::with_capacity(shards);
-        for _ in 0..shards {
+        for index in 0..shards {
             let keys = checked_len(r, "exact cache key count")?;
             let mut shard = Vec::with_capacity(keys);
             for _ in 0..keys {
@@ -1153,7 +1186,11 @@ impl SolverSnapshot {
                         1 => Some(r.model()?),
                         _ => return Err(CodecError::Malformed("cache entry tag")),
                     };
-                    bucket.push((set, model));
+                    let form = canon::check_entry(&set, model.as_ref())?;
+                    if canon::key(&form) != key || shard_of(key) != index {
+                        return Err(CodecError::Malformed("exact cache entry key"));
+                    }
+                    bucket.push((form, model));
                 }
                 shard.push((key, bucket));
             }
@@ -1192,17 +1229,12 @@ impl SolverSnapshot {
             let n = checked_len(r, "cex core count")?;
             let mut shard = Vec::with_capacity(n);
             for _ in 0..n {
-                let hn = checked_len(r, "cex core hash count")?;
-                let mut hashes = Vec::with_capacity(hn);
-                for _ in 0..hn {
-                    hashes.push(r.varint()?);
-                }
                 let cn = checked_len(r, "cex core constraint count")?;
                 let mut constraints = Vec::with_capacity(cn);
                 for _ in 0..cn {
                     constraints.push(r.expr()?);
                 }
-                shard.push((hashes, constraints));
+                shard.push(constraints);
             }
             cex_cores.push(shard);
         }
@@ -1363,9 +1395,6 @@ fn refine_var(
     }
 }
 
-/// Sorts `work` into the canonical (per-constraint-hash) order used for
-/// all exact-cache comparisons and returns the aligned hash list plus the
-/// whole-query key (hash of the sorted hashes).
 /// Trace hook for the trivially-false shortcut paths of `check`/`model`:
 /// they answer at the fold layer without entering `solve_query`, but must
 /// still appear as queries so traces reconcile with `SolverStats`.
@@ -1378,32 +1407,11 @@ fn record_fold_unsat() {
     });
 }
 
-fn canonicalize(work: &mut Vec<ExprRef>) -> (Vec<u64>, u64) {
-    let mut pairs: Vec<(u64, ExprRef)> = work
-        .drain(..)
-        .map(|c| {
-            let mut h = DefaultHasher::new();
-            c.hash(&mut h);
-            (h.finish(), c)
-        })
-        .collect();
-    pairs.sort_by_key(|(h, _)| *h);
-    let mut h = DefaultHasher::new();
-    let mut hashes = Vec::with_capacity(pairs.len());
-    for (hh, c) in pairs {
-        hh.hash(&mut h);
-        hashes.push(hh);
-        work.push(c);
-    }
-    (hashes, h.finish())
-}
-
-/// Groups the (canonically ordered) constraints into independent clusters
-/// by shared variables: union–find over [`SymId`]s, read straight off the
-/// memoized var-sets. Groups are ordered by first constituent constraint;
-/// constraints within a group keep the canonical order, so each group's
-/// key is itself order-normalized.
-fn partition(work: &[ExprRef], hashes: &[u64]) -> Vec<Group> {
+/// Groups the constraints into independent clusters by shared variables:
+/// union–find over [`SymId`]s, read straight off the memoized var-sets —
+/// no hashing, the canonical form is per group and needs the group's
+/// var-set first. Groups are ordered by first constituent constraint.
+fn partition(work: Vec<ExprRef>) -> Vec<Group> {
     fn find(parent: &mut HashMap<SymId, SymId>, mut x: SymId) -> SymId {
         loop {
             let p = *parent.get(&x).unwrap_or(&x);
@@ -1418,7 +1426,7 @@ fn partition(work: &[ExprRef], hashes: &[u64]) -> Vec<Group> {
     }
 
     let mut parent: HashMap<SymId, SymId> = HashMap::new();
-    for c in work {
+    for c in &work {
         let mut ids = c.vars().ids();
         let first = ids.next().expect("concrete constraints were folded out");
         for v in ids {
@@ -1430,36 +1438,25 @@ fn partition(work: &[ExprRef], hashes: &[u64]) -> Vec<Group> {
     }
 
     let mut root_index: HashMap<SymId, usize> = HashMap::new();
-    let mut groups: Vec<Group> = Vec::new();
-    for (i, c) in work.iter().enumerate() {
+    let mut members: Vec<(Vec<ExprRef>, VarSet)> = Vec::new();
+    for c in work {
         let first = c
             .vars()
             .min_var()
             .expect("concrete constraints were folded out");
         let root = find(&mut parent, first);
         let gi = *root_index.entry(root).or_insert_with(|| {
-            groups.push(Group {
-                constraints: Vec::new(),
-                hashes: Vec::new(),
-                key: 0,
-                vars: VarSet::empty(),
-            });
-            groups.len() - 1
+            members.push((Vec::new(), VarSet::empty()));
+            members.len() - 1
         });
-        let group = &mut groups[gi];
-        group.constraints.push(c.clone());
-        group.hashes.push(hashes[i]);
-        let merged = group.vars.union(c.vars());
-        group.vars = merged;
+        let (constraints, vars) = &mut members[gi];
+        *vars = vars.union(c.vars());
+        constraints.push(c);
     }
-    for group in &mut groups {
-        let mut h = DefaultHasher::new();
-        for hh in &group.hashes {
-            hh.hash(&mut h);
-        }
-        group.key = h.finish();
-    }
-    groups
+    members
+        .into_iter()
+        .map(|(constraints, vars)| Group::new(constraints, vars))
+        .collect()
 }
 
 /// The shard indices a var-set maps to in the counterexample cache
@@ -1472,28 +1469,16 @@ fn cex_shards_of(vars: &VarSet) -> impl Iterator<Item = usize> {
     (0..CACHE_SHARDS).filter(move |s| mask & (1 << s) != 0)
 }
 
-/// Subset test over hash-sorted constraint lists: every core constraint
-/// must occur in the group. Equal-hash runs are scanned for true equality,
-/// so hash collisions cannot cause a false "subset".
+/// Subset test over real constraints: every core constraint must occur in
+/// the group. The var-set test first rejects almost every unrelated core
+/// without comparing a term.
 fn core_is_subset(core: &CoreEntry, group: &Group) -> bool {
-    if core.hashes.len() > group.hashes.len() {
-        return false;
-    }
-    let mut j = 0;
-    'outer: for (i, h) in core.hashes.iter().enumerate() {
-        while j < group.hashes.len() && group.hashes[j] < *h {
-            j += 1;
-        }
-        let mut k = j;
-        while k < group.hashes.len() && group.hashes[k] == *h {
-            if group.constraints[k] == core.constraints[i] {
-                continue 'outer;
-            }
-            k += 1;
-        }
-        return false;
-    }
-    true
+    core.constraints.len() <= group.constraints.len()
+        && core.vars.is_subset_of(&group.vars)
+        && core
+            .constraints
+            .iter()
+            .all(|c| group.constraints.contains(c))
 }
 
 #[cfg(test)]

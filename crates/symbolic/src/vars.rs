@@ -125,6 +125,18 @@ impl VarSet {
         self.entries.binary_search_by_key(&id, |(v, _)| *v).is_ok()
     }
 
+    /// The variable's *rank*: its position in ascending id order (binary
+    /// search). A group's var-set is the rank table of its canonical form
+    /// (`canon.rs`).
+    pub fn rank_of(&self, id: SymId) -> Option<usize> {
+        self.entries.binary_search_by_key(&id, |(v, _)| *v).ok()
+    }
+
+    /// The variable of the given rank — the inverse of [`VarSet::rank_of`].
+    pub fn nth(&self, rank: usize) -> Option<SymId> {
+        self.entries.get(rank).map(|(v, _)| *v)
+    }
+
     /// Iterates over `(variable, width)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (SymId, Width)> + '_ {
         self.entries.iter().copied()
@@ -234,6 +246,10 @@ mod tests {
         assert_eq!(a.min_var(), Some(SymId(2)));
         assert!(a.contains(SymId(4)));
         assert!(!a.contains(SymId(3)));
+        assert_eq!(a.rank_of(SymId(4)), Some(1));
+        assert_eq!(a.rank_of(SymId(3)), None);
+        assert_eq!(a.nth(1), Some(SymId(4)));
+        assert_eq!(a.nth(2), None);
         assert_eq!(a.iter().count(), 2);
         assert!(VarSet::empty().min_var().is_none());
     }

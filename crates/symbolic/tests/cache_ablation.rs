@@ -1,11 +1,15 @@
 //! Differential tests for the incremental solver stack (DESIGN.md §6):
 //! every cache layer must be answer-preserving. A seeded sweep of random
-//! constraint sets is solved by four solvers — all layers on, each layer
+//! constraint sets is solved by five solvers — all layers on, each layer
 //! off, all layers off — and the verdicts must agree query for query,
-//! with every returned model actually satisfying its query.
+//! with every returned model actually satisfying its query. Wherever no
+//! counterexample-derived answer is involved the *models* must agree too,
+//! and re-asking a query under fresh symbols must be a pure cache hit:
+//! the exact cache keys modulo order-preserving symbol renaming, and the
+//! answer for a group is a pure function of its canonical form.
 
 use sde_symbolic::{
-    Expr, ExprRef, PathCondition, Solver, SolverResult, SymVar, SymbolTable, Width,
+    Expr, ExprRef, Model, PathCondition, Solver, SolverResult, SymVar, SymbolTable, Width,
 };
 
 /// Deterministic xorshift64 generator: the sweep is fully reproducible.
@@ -53,6 +57,36 @@ fn random_constraint(rng: &mut Rng, vars: &[SymVar]) -> ExprRef {
     }
 }
 
+/// Seed of the sweep. The constraint pool is the first thing drawn from
+/// it, so `pool_over(&mut Rng(SEED), other_vars)` rebuilds the same pool,
+/// shape for shape, over another variable family.
+const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+fn pool_over(rng: &mut Rng, vars: &[SymVar]) -> Vec<ExprRef> {
+    (0..40).map(|_| random_constraint(rng, vars)).collect()
+}
+
+fn conjunction(pool: &[ExprRef], picks: &[usize]) -> PathCondition {
+    picks
+        .iter()
+        .fold(PathCondition::new(), |pc, &i| pc.with(pool[i].clone()))
+}
+
+/// `result` with every variable of `from` renamed to its counterpart in
+/// `to`.
+fn renamed(result: &SolverResult, from: &[SymVar], to: &[SymVar]) -> SolverResult {
+    let SolverResult::Sat(m) = result else {
+        return result.clone();
+    };
+    let model: Model = from
+        .iter()
+        .zip(to)
+        .filter_map(|(f, t)| Some((t.id(), m.value_of(f.id())?)))
+        .collect();
+    assert_eq!(model.len(), m.len(), "model mentions a foreign variable");
+    SolverResult::Sat(model)
+}
+
 fn verdict(r: &SolverResult) -> &'static str {
     match r {
         SolverResult::Sat(_) => "sat",
@@ -84,34 +118,37 @@ fn cache_layers_preserve_verdicts() {
     let vars: Vec<SymVar> = (0..4)
         .map(|i| table.fresh(&format!("v{i}"), Width::W8))
         .collect();
-    let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
-    let pool: Vec<ExprRef> = (0..40)
-        .map(|_| random_constraint(&mut rng, &vars))
-        .collect();
+    let mut rng = Rng(SEED);
+    let pool = pool_over(&mut rng, &vars);
 
     let all_on = Solver::new();
     let no_group = Solver::new();
     no_group.set_group_caching(false);
     let no_cex = Solver::new();
     no_cex.set_cex_caching(false);
+    // Whole-query granularity without the counterexample layer: like
+    // `no_cex`, everything it answers is solver-computed.
+    let whole_only = Solver::new();
+    whole_only.set_group_caching(false);
+    whole_only.set_cex_caching(false);
     let all_off = Solver::new();
     all_off.set_caching(false);
     all_off.set_cex_caching(false);
-    let configs: [(&str, &Solver); 3] = [
-        ("all-layers-on", &all_on),
-        ("group-caching-off", &no_group),
-        ("cex-caching-off", &no_cex),
+    // (label, solver, whether every answer it gives is solver-computed —
+    // no counterexample-derived models in play).
+    let configs: [(&str, &Solver, bool); 4] = [
+        ("all-layers-on", &all_on, false),
+        ("group-caching-off", &no_group, false),
+        ("cex-caching-off", &no_cex, true),
+        ("whole-query-exact-only", &whole_only, true),
     ];
+    let mut multi_variable_rounds = 0;
 
     for round in 0..400 {
         let n = 1 + rng.below(5);
-        let constraints: Vec<ExprRef> = (0..n)
-            .map(|_| pool[rng.below(pool.len())].clone())
-            .collect();
-        let mut pc = PathCondition::new();
-        for c in &constraints {
-            pc = pc.with(c.clone());
-        }
+        let picks: Vec<usize> = (0..n).map(|_| rng.below(pool.len())).collect();
+        let constraints: Vec<ExprRef> = picks.iter().map(|&i| pool[i].clone()).collect();
+        let pc = conjunction(&pool, &picks);
 
         // Verdict-grade baseline and comparisons (exercises model reuse).
         let baseline = all_off.check(&pc);
@@ -121,7 +158,7 @@ fn cache_layers_preserve_verdicts() {
             "round {round}: baseline unexpectedly exhausted its budget on {pc}"
         );
         assert_model_satisfies(&pc, &baseline, "baseline", round);
-        for (label, solver) in configs {
+        for (label, solver, solver_computed) in configs {
             let got = solver.check(&pc);
             assert_eq!(
                 verdict(&got),
@@ -129,18 +166,69 @@ fn cache_layers_preserve_verdicts() {
                 "round {round}: {label} disagrees with the cache-free baseline on {pc}"
             );
             assert_model_satisfies(&pc, &got, label, round);
+            // Then hits, misses and caching off agree model for model.
+            if solver_computed {
+                assert_eq!(
+                    got, baseline,
+                    "round {round}: {label} model differs on {pc}"
+                );
+            }
         }
+
+        // Renaming is invisible: the same query over four fresh symbols,
+        // minted in the same order, is answered entirely by the exact
+        // cache — same verdict, the same model under the renaming, not one
+        // search node.
+        let fresh: Vec<SymVar> = (0..4)
+            .map(|i| table.fresh(&format!("f{round}_{i}"), Width::W8))
+            .collect();
+        let pc_fresh = conjunction(&pool_over(&mut Rng(SEED), &fresh), &picks);
+        let before = no_cex.stats();
+        let again = no_cex.check(&pc_fresh);
+        let after = no_cex.stats();
+        assert_eq!(
+            again,
+            renamed(&baseline, &vars, &fresh),
+            "round {round}: renamed re-ask of {pc} answered differently"
+        );
+        assert_eq!(
+            after.nodes_visited, before.nodes_visited,
+            "round {round}: renamed re-ask of {pc} searched"
+        );
+        if !pc.is_empty() && !pc.is_trivially_false() {
+            assert!(
+                after.group_cache_hits > before.group_cache_hits,
+                "round {round}: renamed re-ask of {pc} missed the group cache"
+            );
+        }
+
+        // An order-*reversing* renaming is a different canonical form (the
+        // search orders variables by id): the warm solver must answer it
+        // like a cold one, never from the forward form's entry.
+        let mut mirrored: Vec<SymVar> = (0..4)
+            .map(|i| table.fresh(&format!("m{round}_{i}"), Width::W8))
+            .collect();
+        mirrored.reverse();
+        let pc_mirrored = conjunction(&pool_over(&mut Rng(SEED), &mirrored), &picks);
+        assert_eq!(
+            no_cex.check(&pc_mirrored),
+            all_off.check(&pc_mirrored),
+            "round {round}: stale hit on the mirrored form of {pc}"
+        );
+        multi_variable_rounds += usize::from(constraints.iter().any(|c| c.vars().len() > 1));
 
         // Witness-grade spot checks on the raw (unsimplified) constraint
         // list: the full stack must agree with a cache-free witness solve.
         if round % 7 == 0 {
             let witness_baseline = all_off.check_constraints(&constraints);
             let witness_full = all_on.check_constraints(&constraints);
+            // Witness-grade queries skip model reuse, so even the full
+            // stack agrees with the cache-free solve model for model.
             assert_eq!(
-                verdict(&witness_full),
-                verdict(&witness_baseline),
-                "round {round}: witness-grade verdict diverged on {constraints:?}"
+                witness_full, witness_baseline,
+                "round {round}: witness-grade answer diverged on {constraints:?}"
             );
+            assert_eq!(all_on.model(&pc), all_off.model(&pc), "round {round}: {pc}");
             if let SolverResult::Sat(m) = &witness_full {
                 for c in &constraints {
                     assert_eq!(
@@ -167,6 +255,10 @@ fn cache_layers_preserve_verdicts() {
     assert!(
         legacy.cache_hits > 0 && legacy.group_cache_hits == 0,
         "whole-query fallback must hit without group entries: {legacy:?}"
+    );
+    assert!(
+        multi_variable_rounds > 100,
+        "too few multi-variable groups to tell rank order from reversal: {multi_variable_rounds}"
     );
     let uncached = all_off.stats();
     assert!(

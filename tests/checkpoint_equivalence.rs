@@ -21,6 +21,7 @@ use grid::grid_collect;
 use line::line_collect;
 use ring::ring_hello;
 use sde::core::MapperSnapshot;
+use sde::os::apps::sense;
 use sde::prelude::*;
 use sde::trace::{to_jsonl, RingSink, TraceSink};
 use std::sync::Arc;
@@ -244,5 +245,74 @@ fn sds_far_set_snapshot_is_parent_format_and_resumes() {
         resumed.run().equivalence_key(),
         straight.equivalence_key(),
         "resumed SDS run diverged from the straight run"
+    );
+}
+
+/// Sense 3×3 under COB — every fork copies the source, and each copy mints
+/// its own second reading — interrupted at the last event boundary before
+/// any second reading exists. The solver cache at that point holds what the
+/// first reading's classification solved, as canonical entries; after a
+/// trip through the wire form the second readings must hit exactly those
+/// entries, under their own symbols: a byte-identical trace (every query's
+/// answering layer included) and the straight run's search-node count.
+#[test]
+fn sense_run_interrupted_between_readings_resumes_on_canonical_entries() {
+    let topology = Topology::grid(3, 3);
+    let cfg = SenseConfig::paper_grid(3, 3);
+    let scenario = Scenario::new(topology.clone(), sense::programs(&topology, &cfg))
+        .with_duration_ms(cfg.interval_ms * 4);
+    let traced = |engine: Engine| {
+        let sink = Arc::new(RingSink::default());
+        (
+            engine.with_trace_sink(sink.clone() as Arc<dyn TraceSink>),
+            sink,
+        )
+    };
+    let jsonl = |sink: &RingSink| {
+        assert_eq!(sink.dropped(), 0, "trace ring must not evict in tests");
+        to_jsonl(&sink.take(), true)
+    };
+
+    let (straight, straight_sink) = traced(Engine::new(scenario.clone(), Algorithm::Cob));
+    let straight = straight.run();
+    let baseline = jsonl(&straight_sink);
+
+    // Where the second reading is minted, in events.
+    let mut probe = Engine::new(scenario.clone(), Algorithm::Cob);
+    let mut events = 0u64;
+    while probe.symbols().len() < 2 {
+        assert_eq!(
+            probe.run_until(Budget::events(1)),
+            RunOutcome::Paused,
+            "the run mints two readings"
+        );
+        events += 1;
+    }
+
+    let (mut engine, sink) = traced(Engine::new(scenario.clone(), Algorithm::Cob));
+    assert_eq!(
+        engine.run_until(Budget::events(events - 1)),
+        RunOutcome::Paused
+    );
+    assert_eq!(engine.symbols().len(), 1, "paused between the readings");
+    let cached = engine.solver().export_state().exact_entries();
+    assert!(cached > 0, "the first reading populated the exact cache");
+    let searched = engine.solver().stats().nodes_visited;
+    assert!(searched >= 1 << 16, "… by sweeping for it");
+
+    let snap = EngineSnapshot::from_bytes(&engine.snapshot().to_bytes()).expect("decode");
+    let resumed = Engine::resume(scenario, &snap).expect("resume");
+    assert_eq!(resumed.solver().export_state().exact_entries(), cached);
+    let report = resumed
+        .with_trace_sink(sink.clone() as Arc<dyn TraceSink>)
+        .run();
+
+    assert_eq!(jsonl(&sink), baseline, "resumed sense trace diverged");
+    assert_eq!(report.equivalence_key(), straight.equivalence_key());
+    assert_eq!(report.solver, straight.solver);
+    assert!(
+        report.solver.nodes_visited - searched < 1 << 16,
+        "the second readings hit the first one's entries, so none of them sweeps: {:?}",
+        report.solver
     );
 }

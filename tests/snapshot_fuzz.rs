@@ -223,3 +223,99 @@ fn resume_refuses_queues_it_cannot_index() {
         }
     }
 }
+
+/// Hand-built exact-cache entries no solver writes. The cache is keyed by
+/// canonical form (DESIGN.md §6): an entry that is not its own canonical
+/// form would decode, never hit, and shift the resumed run's trace
+/// attribution without a word — or, with a model outside its rank table,
+/// index past the group's variables on a hit. `SolverSnapshot::read_from`
+/// refuses each, naming what is wrong.
+#[test]
+fn solver_snapshot_refuses_exact_entries_outside_their_canonical_form() {
+    use sde::symbolic::{
+        CodecError, ExprRef, SnapReader, SnapWriter, SolverSnapshot, SymVar, SymbolTable,
+    };
+
+    /// A solver snapshot whose only content is one exact-cache entry,
+    /// under key 0 in shard 0.
+    fn snapshot_with_entry(set: &[ExprRef], model: Option<&Model>) -> Vec<u8> {
+        const SHARDS: u64 = 16;
+        let mut w = SnapWriter::new();
+        (0..9).for_each(|_| w.varint(0)); // counters
+        (0..3).for_each(|_| w.bool(true)); // toggles
+        w.varint(SHARDS);
+        w.varint(1); // shard 0: one key …
+        w.varint(0); // … key 0 …
+        w.varint(1); // … one entry
+        w.varint(set.len() as u64);
+        set.iter().for_each(|c| w.expr(c));
+        match model {
+            Some(m) => {
+                w.u8(1);
+                w.model(m);
+            }
+            None => w.u8(0),
+        }
+        (1..SHARDS).for_each(|_| w.varint(0));
+        for _ in 0..2 {
+            // counterexample models, then cores: all shards empty
+            w.varint(SHARDS);
+            (0..SHARDS).for_each(|_| w.varint(0));
+        }
+        w.finish()
+    }
+    let decode = |bytes: &[u8]| {
+        let mut r = SnapReader::new(bytes).expect("pool decodes");
+        SolverSnapshot::read_from(&mut r).map(|s| s.exact_entries())
+    };
+    let refused = |why| Err(CodecError::Malformed(why));
+
+    // The anonymous symbols of a canonical form are what a fresh table
+    // mints for the empty name: ids 0, 1, … with no replay key.
+    let mut anonymous = SymbolTable::new();
+    let ranks: Vec<SymVar> = (0..2).map(|_| anonymous.fresh("", Width::W8)).collect();
+    let [r0, r1] = [0, 1].map(|i| Expr::sym(ranks[i].clone()));
+    let c8 = |v| Expr::const_(v, Width::W8);
+
+    // Control: a solver's own export decodes, entry and all.
+    let solver = Solver::new();
+    let mut table = SymbolTable::new();
+    table.fresh("pad", Width::W8);
+    let x = Expr::sym(table.fresh_keyed("x", Width::W8, 3, 1));
+    assert!(solver.is_sat(&PathCondition::new().with(Expr::eq(x.clone(), c8(7)))));
+    let mut w = SnapWriter::new();
+    solver.export_state().write_into(&mut w);
+    assert_eq!(decode(&w.finish()), Ok(1));
+
+    // 1. Symbol ids that are not the dense ranks 0..k: a real, named
+    //    symbol (what a v5 cache held), and a gap (rank 1 without rank 0).
+    assert_eq!(
+        decode(&snapshot_with_entry(&[Expr::eq(x, c8(7))], None)),
+        refused("exact cache entry symbols")
+    );
+    assert_eq!(
+        decode(&snapshot_with_entry(&[Expr::eq(r1.clone(), c8(7))], None)),
+        refused("exact cache entry symbols")
+    );
+
+    // 2. Constraints out of canonical order: of the two orders of a pair,
+    //    exactly one is refused for its order; the other gets as far as
+    //    the key check (key 0 is not its key).
+    let (a, b) = (Expr::ult(r0.clone(), r1), Expr::ne(r0.clone(), c8(9)));
+    let orders = [
+        decode(&snapshot_with_entry(&[a.clone(), b.clone()], None)),
+        decode(&snapshot_with_entry(&[b, a], None)),
+    ];
+    assert!(
+        orders.contains(&refused("exact cache entry order"))
+            && orders.contains(&refused("exact cache entry key")),
+        "{orders:?}"
+    );
+
+    // 3. A model assigning an id ≥ k (here k = 1).
+    let stray: Model = [(ranks[1].id(), 3)].into_iter().collect();
+    assert_eq!(
+        decode(&snapshot_with_entry(&[Expr::ne(r0, c8(9))], Some(&stray))),
+        refused("exact cache entry model")
+    );
+}
