@@ -21,6 +21,21 @@ fn bench_pmap(c: &mut Criterion) {
                 black_box(m.len())
             })
         });
+        // The same inserts into a map no clone can see: every node is
+        // edited in place (the VM's store path on an unshared state).
+        group.bench_with_input(
+            BenchmarkId::new("insert_mut_unshared", size),
+            &size,
+            |b, &n| {
+                b.iter(|| {
+                    let mut m: PMap<u32, u64> = PMap::new();
+                    for i in 0..n as u32 {
+                        m.insert_mut(i, u64::from(i));
+                    }
+                    black_box(m.len())
+                })
+            },
+        );
         group.bench_with_input(BenchmarkId::new("get", size), &full, |b, m| {
             b.iter(|| {
                 let mut acc = 0u64;

@@ -2,8 +2,21 @@
 //! cost (the quantities the engine multiplies by millions of states).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sde_symbolic::{BinOp, Solver, SymbolTable, Width};
-use sde_vm::{run_to_completion, ProgramBuilder, VmCtx, VmState};
+use sde_symbolic::{BinOp, CastOp, Solver, SymbolTable, Width};
+use sde_vm::{run_to_completion, HandlerOutcome, ProgramBuilder, VmCtx, VmState};
+
+/// Runs `main` of `program` from a fresh state, with a fresh solver.
+fn run_main(program: &sde_vm::Program) -> HandlerOutcome {
+    let solver = Solver::new();
+    let mut symbols = SymbolTable::new();
+    let mut ctx = VmCtx::new(&solver, &mut symbols);
+    let state = VmState::fresh(program);
+    run_to_completion(
+        program,
+        state.prepared(program, "main", &[]).unwrap(),
+        &mut ctx,
+    )
+}
 
 /// A concrete counting loop: pure interpreter throughput.
 fn loop_program(iterations: u64) -> sde_vm::Program {
@@ -20,6 +33,40 @@ fn loop_program(iterations: u64) -> sde_vm::Program {
         let body = f.label();
         f.br(done, out, body);
         f.place(body);
+        f.bin(BinOp::Add, i, i, one);
+        f.jmp(top);
+        f.place(out);
+        f.ret(None);
+    });
+    pb.build().unwrap()
+}
+
+/// `iterations` times: store the 16-bit `i` at one of 64 fixed addresses,
+/// load it back.
+fn store_load_program(iterations: u64) -> sde_vm::Program {
+    let mut pb = ProgramBuilder::new();
+    pb.function("main", 0, move |f| {
+        let i = f.reg();
+        f.const_(i, 0, Width::W32);
+        let limit = f.imm(iterations, Width::W32);
+        let one = f.imm(1, Width::W32);
+        let mask = f.imm(63, Width::W32);
+        let base = f.imm(0x400, Width::W32);
+        let (top, body, out) = (f.label(), f.label(), f.label());
+        f.place(top);
+        let done = f.reg();
+        f.bin(BinOp::Ule, done, limit, i);
+        f.br(done, out, body);
+        f.place(body);
+        let addr = f.reg();
+        f.bin(BinOp::And, addr, i, mask);
+        f.bin(BinOp::Shl, addr, addr, one);
+        f.bin(BinOp::Add, addr, addr, base);
+        let v = f.reg();
+        f.cast(CastOp::Trunc, Width::W16, v, i);
+        f.store(addr, v);
+        let back = f.reg();
+        f.load(back, addr, Width::W16);
         f.bin(BinOp::Add, i, i, one);
         f.jmp(top);
         f.place(out);
@@ -51,32 +98,21 @@ fn bench_interpreter(c: &mut Criterion) {
     let mut group = c.benchmark_group("vm");
     let program = loop_program(1000);
     group.bench_function("concrete_loop_1k_iters", |b| {
-        b.iter(|| {
-            let solver = Solver::new();
-            let mut symbols = SymbolTable::new();
-            let mut ctx = VmCtx::new(&solver, &mut symbols);
-            let state = VmState::fresh(&program);
-            let out = run_to_completion(
-                &program,
-                state.prepared(&program, "main", &[]).unwrap(),
-                &mut ctx,
-            );
-            black_box(out.finished.len())
-        })
+        b.iter(|| black_box(run_main(&program).finished.len()))
+    });
+
+    // 1 000 concrete 16-bit store/load round trips over 64 addresses: the
+    // byte heap on an unshared state (constants inline, cells replaced in
+    // place — `tests/alloc_budget.rs` counts the allocations).
+    let memory = store_load_program(1000);
+    group.bench_function("concrete_store_load_1k", |b| {
+        b.iter(|| black_box(run_main(&memory).finished[0].0.memory_footprint()))
     });
 
     let forky = fork_program(6);
     group.bench_function("fork_64_leaves", |b| {
         b.iter(|| {
-            let solver = Solver::new();
-            let mut symbols = SymbolTable::new();
-            let mut ctx = VmCtx::new(&solver, &mut symbols);
-            let state = VmState::fresh(&forky);
-            let out = run_to_completion(
-                &forky,
-                state.prepared(&forky, "main", &[]).unwrap(),
-                &mut ctx,
-            );
+            let out = run_main(&forky);
             assert_eq!(out.finished.len(), 64);
             black_box(out.finished.len())
         })
@@ -102,16 +138,7 @@ fn heavy_state() -> VmState {
         }
         f.ret(None);
     });
-    let writer = pb.build().unwrap();
-    let solver = Solver::new();
-    let mut symbols = SymbolTable::new();
-    let mut ctx = VmCtx::new(&solver, &mut symbols);
-    let state = VmState::fresh(&writer);
-    let out = run_to_completion(
-        &writer,
-        state.prepared(&writer, "main", &[]).unwrap(),
-        &mut ctx,
-    );
+    let out = run_main(&pb.build().unwrap());
     out.finished.into_iter().next().unwrap().0
 }
 

@@ -76,14 +76,14 @@ pub struct NodeView<'a> {
 impl<'a> NodeView<'a> {
     /// One memory byte as a (possibly symbolic) 8-bit expression.
     pub fn memory_byte(&self, addr: u32) -> ExprRef {
-        self.vm.memory_byte(addr)
+        self.vm.memory_byte(addr).into()
     }
 
     /// A little-endian 16-bit load, the width the bundled apps store
     /// their counters and flags at.
     pub fn memory_u16(&self, addr: u32) -> ExprRef {
-        let lo = Expr::zext(self.vm.memory_byte(addr), Width::W16);
-        let hi = Expr::zext(self.vm.memory_byte(addr + 1), Width::W16);
+        let lo = Expr::zext(self.memory_byte(addr), Width::W16);
+        let hi = Expr::zext(self.memory_byte(addr + 1), Width::W16);
         Expr::or(lo, Expr::shl(hi, Expr::const_(8, Width::W16)))
     }
 

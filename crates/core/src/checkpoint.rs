@@ -368,6 +368,20 @@ impl EngineSnapshot {
         }
     }
 
+    /// Test hook: drops the `index`-th resident state record, leaving
+    /// queue and mapper as they were.
+    #[doc(hidden)]
+    pub fn remove_state(&mut self, index: usize) {
+        self.states.remove(index);
+    }
+
+    /// Test hook: hands the mapper bookkeeping to `edit`, so
+    /// hostile-snapshot tests can make it disagree with the state records.
+    #[doc(hidden)]
+    pub fn edit_mapper(&mut self, edit: impl FnOnce(&mut MapperSnapshot)) {
+        edit(&mut self.mapper);
+    }
+
     /// Serializes the snapshot into the versioned, digest-checked binary
     /// form.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -726,8 +740,8 @@ fn write_node_event(w: &mut SnapWriter, event: &NodeEvent) {
             w.varint(u64::from(p.src.0));
             w.varint(u64::from(p.dest.0));
             w.varint(p.payload.len() as u64);
-            for e in &p.payload {
-                w.expr(e);
+            for v in &p.payload {
+                w.value(v);
             }
         }
     }
@@ -744,7 +758,7 @@ fn read_node_event(r: &mut SnapReader<'_>) -> Result<NodeEvent, CodecError> {
             let n = checked_len(r, "packet payload length")?;
             let mut payload = Vec::with_capacity(n);
             for _ in 0..n {
-                payload.push(r.expr()?);
+                payload.push(r.value()?);
             }
             NodeEvent::Deliver(Packet {
                 id,

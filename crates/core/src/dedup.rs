@@ -25,7 +25,7 @@
 use crate::engine::NodeEvent;
 use crate::state::StateId;
 use sde_net::NodeId;
-use sde_symbolic::ExprRef;
+use sde_symbolic::Value;
 use sde_vm::{BugReport, VmState};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -67,7 +67,7 @@ pub(crate) enum LogOp {
     Send {
         sender: usize,
         dest: NodeId,
-        payload: Vec<ExprRef>,
+        payload: Vec<Value>,
     },
     /// Variant `state` armed timer `timer` to fire `delay` ms from the
     /// dispatch time.
@@ -293,7 +293,7 @@ impl DispatchRecorder {
         self.adopt(child);
     }
 
-    pub(crate) fn note_send(&mut self, sender: StateId, dest: NodeId, payload: &[ExprRef]) {
+    pub(crate) fn note_send(&mut self, sender: StateId, dest: NodeId, payload: &[Value]) {
         let sender = self.variant(sender);
         self.ops.push(LogOp::Send {
             sender,

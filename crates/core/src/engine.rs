@@ -23,7 +23,7 @@ use crate::stats::{BugFound, DedupStats, ParallelStats, RunReport, Sample, TimeS
 use crate::store::{IndexedQueue, Store};
 use sde_net::{FaultPlan, NodeId, Packet, PacketId, Topology};
 use sde_os::handlers;
-use sde_symbolic::{Expr, ExprRef, Solver, SymbolTable, Width};
+use sde_symbolic::{BinOp, CastOp, Expr, ExprRef, Solver, SymbolTable, Value, Width};
 use sde_vm::{
     step, BugKind, BugReport, FuncId, Loc, Program, Status, StepResult, Syscall, VmCtx, VmState,
 };
@@ -857,8 +857,10 @@ impl Engine {
     ///
     /// [`SnapshotError::ScenarioMismatch`] when a fingerprint field
     /// differs, [`SnapshotError::MapperState`] when the mapper
-    /// bookkeeping is inconsistent, [`SnapshotError::Codec`] when the
-    /// snapshot references impossible state ids.
+    /// bookkeeping is inconsistent in itself or names other states (or
+    /// other nodes for them) than the resident ones,
+    /// [`SnapshotError::Codec`] when the snapshot references impossible
+    /// state ids.
     pub fn resume(scenario: Scenario, snapshot: &EngineSnapshot) -> Result<Engine, SnapshotError> {
         if scenario.node_count() != snapshot.node_count {
             return Err(SnapshotError::ScenarioMismatch("node count"));
@@ -903,6 +905,33 @@ impl Engine {
                     "duplicate state id",
                 )));
             }
+        }
+        // Store and mapper must describe the same states: the mapper forks
+        // through the store (`Store::fork` panics on a state that is not
+        // resident) and the engine maps sends of resident states through
+        // the mapper. No run writes a snapshot where they disagree.
+        let mut named: HashSet<StateId> = HashSet::new();
+        for (id, node) in snapshot.mapper.members() {
+            match engine.store.states.get(&id) {
+                None => {
+                    return Err(SnapshotError::MapperState(format!(
+                        "mapper names state {id}, which is not resident"
+                    )))
+                }
+                Some(s) if s.node != node => {
+                    return Err(SnapshotError::MapperState(format!(
+                        "mapper places state {id} on {node}, it is resident on {}",
+                        s.node
+                    )))
+                }
+                Some(_) => named.insert(id),
+            };
+        }
+        if let Some(s) = snapshot.states.iter().find(|s| !named.contains(&s.id)) {
+            return Err(SnapshotError::MapperState(format!(
+                "resident state {} is unknown to the mapper",
+                s.id
+            )));
         }
         engine.store.next_state = snapshot.next_state;
         engine.store.total_states = snapshot.total_states;
@@ -1182,7 +1211,7 @@ impl Engine {
         match kind {
             NodeEvent::Boot => self.run_handler(state_id, handlers::ON_BOOT, &[]),
             NodeEvent::Timer(t) => {
-                let args = [Expr::const_(u64::from(t), Width::W16)];
+                let args = [Value::const_(u64::from(t), Width::W16)];
                 self.run_handler(state_id, handlers::ON_TIMER, &args);
             }
             NodeEvent::Deliver(packet) => self.deliver(state_id, packet),
@@ -1795,7 +1824,6 @@ impl Engine {
             && packet.payload[0].width().bits() >= 8
         {
             let node = self.store.states[&receiving].node;
-            let w = packet.payload[0].width();
             let occurrence = self.store.states.update(receiving, |s| {
                 s.cor_budget -= 1;
                 s.vm.next_input_occurrence("cor")
@@ -1818,10 +1846,8 @@ impl Engine {
                             return; // strict-preset miss: state bugged
                         };
                         let mut corrupted = packet.clone();
-                        corrupted.payload[0] = Expr::xor(
-                            packet.payload[0].clone(),
-                            Expr::zext(Expr::const_(byte, Width::W8), w),
-                        );
+                        corrupted.payload[0] =
+                            flip_byte(&packet.payload[0], Value::const_(byte, Width::W8));
                         self.run_recv(receiving, &corrupted, deliveries);
                         return;
                     }
@@ -1838,8 +1864,7 @@ impl Engine {
                     .update(cor_id, |c| c.vm.next_input_occurrence("corb"));
                 let cvar = self.symbols.fresh_keyed("corb", Width::W8, node.0, cocc);
                 let mut corrupted = packet.clone();
-                corrupted.payload[0] =
-                    Expr::xor(packet.payload[0].clone(), Expr::zext(Expr::sym(cvar), w));
+                corrupted.payload[0] = flip_byte(&packet.payload[0], Expr::sym(cvar).into());
                 self.run_recv(cor_id, &corrupted, deliveries);
             }
         }
@@ -2004,8 +2029,8 @@ impl Engine {
     /// invocation is one delivery (a duplicated packet counts twice).
     fn run_recv(&mut self, state: StateId, packet: &Packet, times: u32) {
         let node = self.store.states[&state].node;
-        let mut args: Vec<ExprRef> = Vec::with_capacity(1 + packet.payload.len());
-        args.push(Expr::const_(u64::from(packet.src.0), Width::W16));
+        let mut args: Vec<Value> = Vec::with_capacity(1 + packet.payload.len());
+        args.push(Value::const_(u64::from(packet.src.0), Width::W16));
         args.extend(packet.payload.iter().cloned());
         for _ in 0..times {
             if let Some(rec) = self.recorder.as_mut() {
@@ -2070,24 +2095,21 @@ impl Engine {
     /// Runs one handler on `state_id` to completion, including every
     /// state forked along the way; transmissions trigger state mapping
     /// mid-flight.
-    fn run_handler(&mut self, state_id: StateId, handler: &str, args: &[ExprRef]) {
-        let Some(resident) = self.store.states.remove(&state_id) else {
+    fn run_handler(&mut self, state_id: StateId, handler: &str, args: &[Value]) {
+        let Some(mut first) = self.store.states.remove(&state_id) else {
             return;
         };
-        if !resident.is_idle() {
-            self.store.states.insert(resident);
+        if !first.is_idle() {
+            self.store.states.insert(first);
             return;
         }
-        let node = resident.node;
+        let node = first.node;
         let program = Arc::clone(self.scenario.program(node));
-        let Some(prepared_vm) = resident.vm.prepared(&program, handler, args) else {
-            panic!(
-                "node {node} program has no handler `{handler}` with arity {}",
-                args.len()
-            );
-        };
-        let mut first = resident;
-        first.vm = prepared_vm;
+        assert!(
+            first.vm.prepare(&program, handler, args),
+            "node {node} program has no handler `{handler}` with arity {}",
+            args.len()
+        );
 
         let mut running: Vec<SdeState> = vec![first];
         while let Some(mut st) = running.pop() {
@@ -2175,7 +2197,7 @@ impl Engine {
 
     /// One transmission: mint a packet id, run the state mapping, update
     /// communication histories, and schedule delivery events.
-    fn transmit(&mut self, sender: &mut SdeState, dest: NodeId, payload: Vec<ExprRef>) {
+    fn transmit(&mut self, sender: &mut SdeState, dest: NodeId, payload: Vec<Value>) {
         assert!(
             self.scenario.topology.are_neighbors(sender.node, dest),
             "{} sent to non-neighbor {dest}",
@@ -2384,6 +2406,14 @@ impl Engine {
             trace,
         }
     }
+}
+
+/// The corruption fault model's payload edit: `word` XOR-flipped by an
+/// 8-bit `byte` (zero-extended to the word's width). Shared by both
+/// dispatch copies and the replay arm, so all three build one term.
+fn flip_byte(word: &Value, byte: Value) -> Value {
+    word.clone()
+        .binop(BinOp::Xor, byte.cast(CastOp::Zext, word.width()))
 }
 
 // ----- speculative execution (the run_parallel worker side) ---------------
@@ -2810,7 +2840,7 @@ impl<'a> Speculator<'a> {
         match kind {
             NodeEvent::Boot => self.run_handler(state_id, handlers::ON_BOOT, &[]),
             NodeEvent::Timer(t) => {
-                let args = [Expr::const_(u64::from(t), Width::W16)];
+                let args = [Value::const_(u64::from(t), Width::W16)];
                 self.run_handler(state_id, handlers::ON_TIMER, &args);
             }
             NodeEvent::Deliver(packet) => self.deliver(state_id, packet),
@@ -2982,7 +3012,6 @@ impl<'a> Speculator<'a> {
             && packet.payload[0].width().bits() >= 8
         {
             let node = self.states[&receiving].node;
-            let w = packet.payload[0].width();
             let occurrence = {
                 let s = self.states.get_mut(&receiving).expect("resident");
                 s.cor_budget -= 1;
@@ -3002,8 +3031,7 @@ impl<'a> Speculator<'a> {
             };
             let cvar = self.symbols.fresh_keyed("corb", Width::W8, node.0, cocc);
             let mut corrupted = packet.clone();
-            corrupted.payload[0] =
-                Expr::xor(packet.payload[0].clone(), Expr::zext(Expr::sym(cvar), w));
+            corrupted.payload[0] = flip_byte(&packet.payload[0], Expr::sym(cvar).into());
             self.run_recv(cor_id, &corrupted, deliveries);
         }
 
@@ -3012,8 +3040,8 @@ impl<'a> Speculator<'a> {
 
     /// Mirrors [`Engine::run_recv`].
     fn run_recv(&mut self, state: StateId, packet: &Packet, times: u32) {
-        let mut args: Vec<ExprRef> = Vec::with_capacity(1 + packet.payload.len());
-        args.push(Expr::const_(u64::from(packet.src.0), Width::W16));
+        let mut args: Vec<Value> = Vec::with_capacity(1 + packet.payload.len());
+        args.push(Value::const_(u64::from(packet.src.0), Width::W16));
         args.extend(packet.payload.iter().cloned());
         for _ in 0..times {
             if let Some(rec) = self.rec.as_mut() {
@@ -3062,23 +3090,21 @@ impl<'a> Speculator<'a> {
     /// stepping context. Speculative mode discards sends and timers
     /// (they mint no symbols and issue no queries) and merely parks
     /// bugs; sharded mode records all three into the active entry.
-    fn run_handler(&mut self, state_id: StateId, handler: &str, args: &[ExprRef]) {
-        let Some(resident) = self.states.remove(&state_id) else {
+    fn run_handler(&mut self, state_id: StateId, handler: &str, args: &[Value]) {
+        let Some(mut first) = self.states.remove(&state_id) else {
             return;
         };
-        if !resident.is_idle() {
-            self.states.insert(state_id, resident);
+        if !first.is_idle() {
+            self.states.insert(state_id, first);
             return;
         }
-        let Some(prepared_vm) = resident.vm.prepared(&self.program, handler, args) else {
+        if !first.vm.prepare(&self.program, handler, args) {
             // The authoritative pass panics on a missing handler; poison
             // any recording so the merge thread reaches that panic
             // itself. (Speculative mode: nothing to warm.)
             self.poisoned = true;
             return;
-        };
-        let mut first = resident;
-        first.vm = prepared_vm;
+        }
 
         let mut running: Vec<SdeState> = vec![first];
         while let Some(mut st) = running.pop() {

@@ -136,6 +136,32 @@ impl MapperSnapshot {
             MapperSnapshot::Sds { .. } => Algorithm::Sds,
         }
     }
+
+    /// Every `(state, node)` pair the bookkeeping names, with repeats (a
+    /// COW state sits in one dstate, an SDS state owns many virtual
+    /// states). [`Engine::resume`](crate::Engine::resume) checks these
+    /// against the resident states.
+    pub(crate) fn members(&self) -> Box<dyn Iterator<Item = (StateId, NodeId)> + '_> {
+        match self {
+            MapperSnapshot::Cob { groups, .. } => Box::new(
+                groups
+                    .iter()
+                    .flat_map(|(_, members)| members)
+                    .map(|(node, state)| (StateId(*state), NodeId(*node))),
+            ),
+            MapperSnapshot::Cow { dstates, .. } => Box::new(
+                dstates
+                    .iter()
+                    .flat_map(|(_, nodes)| nodes)
+                    .flat_map(|(node, states)| states.iter().map(|s| (StateId(*s), NodeId(*node)))),
+            ),
+            MapperSnapshot::Sds { vstates, .. } => Box::new(
+                vstates
+                    .iter()
+                    .map(|(_, owner, node, _)| (StateId(*owner), NodeId(*node))),
+            ),
+        }
+    }
 }
 
 /// A state mapping algorithm (object-safe so the engine can switch

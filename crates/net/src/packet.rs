@@ -1,7 +1,7 @@
 //! Packets: the unit of communication (and of communication history).
 
 use crate::topology::NodeId;
-use sde_symbolic::ExprRef;
+use sde_symbolic::Value;
 use std::fmt;
 
 /// A network-wide unique packet identity.
@@ -21,8 +21,9 @@ impl fmt::Display for PacketId {
 /// A unicast transmission. Broadcast and multicast are series of unicasts
 /// (paper footnote 1), so this is the only transmission shape.
 ///
-/// Payload words may be symbolic — a packet built from symbolic header
-/// fields carries the sender's terms to the receiver, which is how
+/// Payload words are [`Value`]s, exactly as they sat in the sender's
+/// registers: a concrete word travels inline (no allocation per hop), a
+/// symbolic one carries the sender's term to the receiver — which is how
 /// cross-node constraints arise in SDE.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
@@ -33,7 +34,7 @@ pub struct Packet {
     /// Destination node.
     pub dest: NodeId,
     /// Payload words (possibly symbolic).
-    pub payload: Vec<ExprRef>,
+    pub payload: Vec<Value>,
 }
 
 impl Packet {
@@ -57,17 +58,17 @@ impl fmt::Display for Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sde_symbolic::{Expr, SymbolTable, Width};
+    use sde_symbolic::{Expr, SymbolTable, Value, Width};
 
     #[test]
     fn display_and_concreteness() {
         let mut t = SymbolTable::new();
-        let sym = Expr::sym(t.fresh("b", Width::W8));
+        let sym = Value::from(Expr::sym(t.fresh("b", Width::W8)));
         let p = Packet {
             id: PacketId(3),
             src: NodeId(1),
             dest: NodeId(2),
-            payload: vec![Expr::const_(9, Width::W8)],
+            payload: vec![Value::const_(9, Width::W8)],
         };
         assert_eq!(p.to_string(), "p3[n1→n2]");
         assert!(p.is_concrete());

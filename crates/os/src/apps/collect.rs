@@ -198,14 +198,14 @@ pub fn programs(topology: &Topology, cfg: &CollectConfig) -> Vec<Program> {
 mod tests {
     use super::*;
     use crate::handlers::{ON_BOOT, ON_RECV, ON_TIMER};
-    use sde_symbolic::{Expr, Solver, SymbolTable};
+    use sde_symbolic::{Solver, SymbolTable, Value};
     use sde_vm::{run_to_completion, Syscall, VmCtx, VmState};
 
     fn run_handler(
         p: &Program,
         state: &VmState,
         handler: &str,
-        args: &[sde_symbolic::ExprRef],
+        args: &[sde_symbolic::Value],
     ) -> (VmState, Vec<Syscall>) {
         let solver = Solver::new();
         let mut symbols = SymbolTable::new();
@@ -237,7 +237,7 @@ mod tests {
             }]
         );
 
-        let timer_arg = [Expr::const_(
+        let timer_arg = [Value::const_(
             u64::from(timers::SEND),
             sde_symbolic::Width::W16,
         )];
@@ -279,9 +279,9 @@ mod tests {
         let w16 = sde_symbolic::Width::W16;
         // A packet from upstream (node 3) is forwarded with hops + 1.
         let args = [
-            Expr::const_(3, w16),
-            Expr::const_(7, w16),
-            Expr::const_(0, w16),
+            Value::const_(3, w16),
+            Value::const_(7, w16),
+            Value::const_(0, w16),
         ];
         let (s1, fx) = run_handler(&p, &s0, ON_RECV, &args);
         // Node 2's neighbors on the line: 1 and 3 → two unicasts.
@@ -298,9 +298,9 @@ mod tests {
         assert_eq!(s1.memory_byte(layout::FORWARDED).as_const(), Some(1));
         // A packet overheard from downstream (node 1) is only counted.
         let args = [
-            Expr::const_(1, w16),
-            Expr::const_(7, w16),
-            Expr::const_(1, w16),
+            Value::const_(1, w16),
+            Value::const_(7, w16),
+            Value::const_(1, w16),
         ];
         let (s2, fx) = run_handler(&p, &s1, ON_RECV, &args);
         assert!(fx.is_empty());
@@ -322,9 +322,9 @@ mod tests {
         let w16 = sde_symbolic::Width::W16;
         // In-order delivery of seq 0 passes the strict check.
         let args = [
-            Expr::const_(1, w16),
-            Expr::const_(0, w16),
-            Expr::const_(1, w16),
+            Value::const_(1, w16),
+            Value::const_(0, w16),
+            Value::const_(1, w16),
         ];
         let (s1, _) = run_handler(&p, &s0, ON_RECV, &args);
         assert_eq!(s1.memory_byte(layout::RECEIVED).as_const(), Some(1));
@@ -333,9 +333,9 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let mut ctx = VmCtx::new(&solver, &mut symbols);
         let args = [
-            Expr::const_(1, w16),
-            Expr::const_(2, w16),
-            Expr::const_(2, w16),
+            Value::const_(1, w16),
+            Value::const_(2, w16),
+            Value::const_(2, w16),
         ];
         let out = run_to_completion(&p, s1.prepared(&p, ON_RECV, &args).unwrap(), &mut ctx);
         assert_eq!(out.bugged.len(), 1);
@@ -358,9 +358,9 @@ mod tests {
         let s0 = VmState::fresh(&p);
         let w16 = sde_symbolic::Width::W16;
         let args = [
-            Expr::const_(8, w16),
-            Expr::const_(0, w16),
-            Expr::const_(0, w16),
+            Value::const_(8, w16),
+            Value::const_(0, w16),
+            Value::const_(0, w16),
         ];
         let (s1, fx) = run_handler(&p, &s0, ON_RECV, &args);
         assert!(fx.is_empty());

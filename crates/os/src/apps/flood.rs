@@ -111,14 +111,14 @@ pub fn programs(topology: &Topology, cfg: &FloodConfig) -> Vec<Program> {
 mod tests {
     use super::*;
     use crate::handlers::{ON_BOOT, ON_RECV, ON_TIMER};
-    use sde_symbolic::{Expr, Solver, SymbolTable, Width};
+    use sde_symbolic::{Solver, SymbolTable, Value, Width};
     use sde_vm::{run_to_completion, Syscall, VmCtx, VmState};
 
     fn run_one(
         p: &Program,
         state: &VmState,
         handler: &str,
-        args: &[sde_symbolic::ExprRef],
+        args: &[sde_symbolic::Value],
     ) -> (VmState, Vec<Syscall>) {
         let solver = Solver::new();
         let mut symbols = SymbolTable::new();
@@ -139,14 +139,14 @@ mod tests {
         };
         let p = node_program(&t, &cfg, NodeId(2));
         let s0 = VmState::fresh(&p);
-        let args = [Expr::const_(0, Width::W16), Expr::const_(0, Width::W16)];
+        let args = [Value::const_(0, Width::W16), Value::const_(0, Width::W16)];
         let (s1, fx) = run_one(&p, &s0, ON_RECV, &args);
         assert_eq!(fx.len(), 3, "relay to the three other mesh nodes");
         let (s2, fx) = run_one(&p, &s1, ON_RECV, &args);
         assert!(fx.is_empty(), "duplicate reception is suppressed");
         assert_eq!(s2.memory_byte(layout::HEARD).as_const(), Some(1));
         // A different sequence number floods again.
-        let args2 = [Expr::const_(1, Width::W16), Expr::const_(1, Width::W16)];
+        let args2 = [Value::const_(1, Width::W16), Value::const_(1, Width::W16)];
         let (_s3, fx) = run_one(&p, &s2, ON_RECV, &args2);
         assert_eq!(fx.len(), 3);
     }
@@ -163,12 +163,12 @@ mod tests {
         let s0 = VmState::fresh(&p);
         let (s1, fx) = run_one(&p, &s0, ON_BOOT, &[]);
         assert_eq!(fx.len(), 1); // timer armed
-        let timer = [Expr::const_(u64::from(timers::SEND), Width::W16)];
+        let timer = [Value::const_(u64::from(timers::SEND), Width::W16)];
         let (s2, fx) = run_one(&p, &s1, ON_TIMER, &timer);
         // Two broadcasts + re-arm timer.
         assert_eq!(fx.len(), 3);
         // Our own packet echoed back from node 1 is not re-flooded.
-        let echo = [Expr::const_(1, Width::W16), Expr::const_(0, Width::W16)];
+        let echo = [Value::const_(1, Width::W16), Value::const_(0, Width::W16)];
         let (_s3, fx) = run_one(&p, &s2, ON_RECV, &echo);
         assert!(fx.is_empty());
     }

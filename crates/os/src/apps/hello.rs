@@ -79,7 +79,7 @@ pub fn programs(topology: &Topology, cfg: &HelloConfig) -> Vec<Program> {
 mod tests {
     use super::*;
     use crate::handlers::{ON_BOOT, ON_RECV, ON_TIMER};
-    use sde_symbolic::{Expr, Solver, SymbolTable};
+    use sde_symbolic::{Solver, SymbolTable, Value};
     use sde_vm::{run_to_completion, Syscall, VmCtx, VmState};
 
     #[test]
@@ -101,7 +101,7 @@ mod tests {
             }],
             "node 1 staggers by one step"
         );
-        let timer = [Expr::const_(
+        let timer = [Value::const_(
             u64::from(timers::STARTUP),
             sde_symbolic::Width::W16,
         )];
@@ -109,8 +109,8 @@ mod tests {
         let (s2, fx) = out.finished.into_iter().next().unwrap();
         assert_eq!(fx.len(), 2, "line node 1 has two neighbors");
         let args = [
-            Expr::const_(0, sde_symbolic::Width::W16),
-            Expr::const_(HELLO_TAG, sde_symbolic::Width::W16),
+            Value::const_(0, sde_symbolic::Width::W16),
+            Value::const_(HELLO_TAG, sde_symbolic::Width::W16),
         ];
         let out = run_to_completion(&p, s2.prepared(&p, ON_RECV, &args).unwrap(), &mut ctx);
         let (s3, _) = out.finished.into_iter().next().unwrap();

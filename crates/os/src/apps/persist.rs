@@ -118,7 +118,7 @@ pub fn programs(topology: &Topology, cfg: &PersistConfig) -> Vec<Program> {
 mod tests {
     use super::*;
     use crate::handlers::{ON_BOOT, ON_RECV, ON_TIMER};
-    use sde_symbolic::{Expr, Solver, SymbolTable};
+    use sde_symbolic::{Solver, SymbolTable, Value};
     use sde_vm::{run_to_completion, Syscall, VmCtx, VmState};
 
     #[test]
@@ -161,7 +161,7 @@ mod tests {
         let s0 = VmState::fresh(&p);
         let out = run_to_completion(&p, s0.prepared(&p, ON_BOOT, &[]).unwrap(), &mut ctx);
         let (s1, _) = out.finished.into_iter().next().unwrap();
-        let timer = [Expr::const_(u64::from(timers::SEND), Width::W16)];
+        let timer = [Value::const_(u64::from(timers::SEND), Width::W16)];
         let out = run_to_completion(&p, s1.prepared(&p, ON_TIMER, &timer).unwrap(), &mut ctx);
         let (s2, fx) = out.finished.into_iter().next().unwrap();
         // seq 1 of 2: one unicast to the line neighbor plus a re-arm.
@@ -186,7 +186,7 @@ mod tests {
         let s0 = VmState::fresh(&p);
         let out = run_to_completion(&p, s0.prepared(&p, ON_BOOT, &[]).unwrap(), &mut ctx);
         let (s1, _) = out.finished.into_iter().next().unwrap();
-        let args = [Expr::const_(0, Width::W16), Expr::const_(7, Width::W16)];
+        let args = [Value::const_(0, Width::W16), Value::const_(7, Width::W16)];
         let out = run_to_completion(&p, s1.prepared(&p, ON_RECV, &args).unwrap(), &mut ctx);
         let (s2, _) = out.finished.into_iter().next().unwrap();
         assert_eq!(s2.memory_byte(layout::RECEIVED).as_const(), Some(1));

@@ -193,7 +193,7 @@ pub fn programs(topology: &Topology, cfg: &PingPongConfig) -> Vec<Program> {
 mod tests {
     use super::*;
     use crate::handlers::{ON_BOOT, ON_RECV, ON_TIMER};
-    use sde_symbolic::{Expr, Solver, SymbolTable};
+    use sde_symbolic::{Solver, SymbolTable, Value};
     use sde_vm::{run_to_completion, Syscall, VmCtx, VmState};
 
     fn cfg() -> PingPongConfig {
@@ -209,7 +209,7 @@ mod tests {
         p: &Program,
         state: &VmState,
         handler: &str,
-        args: &[sde_symbolic::ExprRef],
+        args: &[sde_symbolic::Value],
     ) -> (VmState, Vec<Syscall>) {
         let solver = Solver::new();
         let mut symbols = SymbolTable::new();
@@ -227,7 +227,7 @@ mod tests {
         let s0 = VmState::fresh(&p);
         let (s1, fx) = run_one(&p, &s0, ON_BOOT, &[]);
         assert_eq!(fx.len(), 1, "timer armed");
-        let timer = [Expr::const_(u64::from(timers::SEND), Width::W16)];
+        let timer = [Value::const_(u64::from(timers::SEND), Width::W16)];
         // First firing: fresh request seq 0.
         let (s2, fx) = run_one(&p, &s1, ON_TIMER, &timer);
         assert_eq!(fx.len(), 2, "send + re-arm");
@@ -242,9 +242,9 @@ mod tests {
         }
         // Ack for seq 0 arrives: ACKED advances.
         let ack = [
-            Expr::const_(1, Width::W16),
-            Expr::const_(TAG_ACK, Width::W16),
-            Expr::const_(0, Width::W16),
+            Value::const_(1, Width::W16),
+            Value::const_(TAG_ACK, Width::W16),
+            Value::const_(0, Width::W16),
         ];
         let (s4, _) = run_one(&p, &s3, ON_RECV, &ack);
         assert_eq!(s4.memory_byte(layout::ACKED).as_const(), Some(1));
@@ -262,9 +262,9 @@ mod tests {
         let p = node_program(&t, &cfg(), NodeId(1));
         let s0 = VmState::fresh(&p);
         let req0 = [
-            Expr::const_(0, Width::W16),
-            Expr::const_(TAG_REQ, Width::W16),
-            Expr::const_(0, Width::W16),
+            Value::const_(0, Width::W16),
+            Value::const_(TAG_REQ, Width::W16),
+            Value::const_(0, Width::W16),
         ];
         let (s1, fx) = run_one(&p, &s0, ON_RECV, &req0);
         assert_eq!(fx.len(), 1, "one ack");
@@ -283,9 +283,9 @@ mod tests {
         let p = node_program(&t, &cfg(), NodeId(0));
         let s0 = VmState::fresh(&p);
         let stale = [
-            Expr::const_(1, Width::W16),
-            Expr::const_(TAG_ACK, Width::W16),
-            Expr::const_(7, Width::W16), // not the outstanding seq
+            Value::const_(1, Width::W16),
+            Value::const_(TAG_ACK, Width::W16),
+            Value::const_(7, Width::W16), // not the outstanding seq
         ];
         let (s1, fx) = run_one(&p, &s0, ON_RECV, &stale);
         assert!(fx.is_empty());

@@ -281,7 +281,7 @@ pub fn programs(topology: &Topology, cfg: &SenseConfig) -> Vec<Program> {
 mod tests {
     use super::*;
     use crate::handlers::{ON_BOOT, ON_RECV, ON_TIMER};
-    use sde_symbolic::{Expr, Solver, SymbolTable};
+    use sde_symbolic::{Expr, Solver, SymbolTable, Value};
     use sde_vm::{run_to_completion, Syscall, VmCtx, VmState};
 
     fn line_cfg() -> SenseConfig {
@@ -307,7 +307,7 @@ mod tests {
         let s0 = VmState::fresh(&p);
         let out = run_to_completion(&p, s0.prepared(&p, ON_BOOT, &[]).unwrap(), &mut ctx);
         let (s1, _) = out.finished.into_iter().next().unwrap();
-        let timer_arg = [Expr::const_(u64::from(timers::SEND), Width::W16)];
+        let timer_arg = [Value::const_(u64::from(timers::SEND), Width::W16)];
         let out = run_to_completion(&p, s1.prepared(&p, ON_TIMER, &timer_arg).unwrap(), &mut ctx);
         assert!(out.bugged.is_empty());
         assert_eq!(out.finished.len(), 1, "the source itself must not fork");
@@ -329,10 +329,10 @@ mod tests {
         let p = node_program(&t, &cfg, NodeId(1));
         let solver = Solver::new();
         let mut symbols = SymbolTable::new();
-        let reading = Expr::sym(symbols.fresh("reading", Width::W16));
+        let reading = Value::from(Expr::sym(symbols.fresh("reading", Width::W16)));
         let mut ctx = VmCtx::new(&solver, &mut symbols);
         let w16 = Width::W16;
-        let args = [Expr::const_(2, w16), Expr::const_(0, w16), reading];
+        let args = [Value::const_(2, w16), Value::const_(0, w16), reading];
         let s0 = VmState::fresh(&p);
         let out = run_to_completion(&p, s0.prepared(&p, ON_RECV, &args).unwrap(), &mut ctx);
         assert!(
@@ -371,12 +371,12 @@ mod tests {
         let p = node_program(&t, &cfg, bystander);
         let solver = Solver::new();
         let mut symbols = SymbolTable::new();
-        let reading = Expr::sym(symbols.fresh("reading", Width::W16));
+        let reading = Value::from(Expr::sym(symbols.fresh("reading", Width::W16)));
         let mut ctx = VmCtx::new(&solver, &mut symbols);
         let w16 = Width::W16;
         let args = [
-            Expr::const_(u64::from(cfg.source.0), w16),
-            Expr::const_(0, w16),
+            Value::const_(u64::from(cfg.source.0), w16),
+            Value::const_(0, w16),
             reading,
         ];
         let s0 = VmState::fresh(&p);

@@ -214,7 +214,7 @@ pub fn programs(topology: &Topology, cfg: &TokenConfig) -> Vec<Program> {
 mod tests {
     use super::*;
     use crate::handlers::{ON_BOOT, ON_RECV, ON_TIMER};
-    use sde_symbolic::{Expr, Solver, SymbolTable};
+    use sde_symbolic::{Solver, SymbolTable, Value};
     use sde_vm::{run_to_completion, Syscall, VmCtx, VmState};
 
     fn boot(p: &Program, ctx: &mut VmCtx) -> VmState {
@@ -254,7 +254,7 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let mut ctx = VmCtx::new(&solver, &mut symbols);
         let s1 = boot(&p, &mut ctx);
-        let timer = [Expr::const_(u64::from(timers::PASS), Width::W16)];
+        let timer = [Value::const_(u64::from(timers::PASS), Width::W16)];
         let out = run_to_completion(&p, s1.prepared(&p, ON_TIMER, &timer).unwrap(), &mut ctx);
         let (s2, fx) = out.finished.into_iter().next().unwrap();
         assert!(matches!(fx[0], Syscall::Send { dest: 1, .. }));
@@ -284,7 +284,7 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let mut ctx = VmCtx::new(&solver, &mut symbols);
         let s1 = boot(&p, &mut ctx);
-        let timer = [Expr::const_(u64::from(timers::PASS), Width::W16)];
+        let timer = [Value::const_(u64::from(timers::PASS), Width::W16)];
         let out = run_to_completion(&p, s1.prepared(&p, ON_TIMER, &timer).unwrap(), &mut ctx);
         let (s2, _) = out.finished.into_iter().next().unwrap();
         assert_eq!(s2.memory_byte(layout::PERSIST_TOKEN).as_const(), Some(0));
@@ -306,7 +306,10 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let mut ctx = VmCtx::new(&solver, &mut symbols);
         let s1 = boot(&p, &mut ctx);
-        let args = [Expr::const_(0, Width::W16), Expr::const_(GRANT, Width::W16)];
+        let args = [
+            Value::const_(0, Width::W16),
+            Value::const_(GRANT, Width::W16),
+        ];
         let out = run_to_completion(&p, s1.prepared(&p, ON_RECV, &args).unwrap(), &mut ctx);
         let (s2, fx) = out.finished.into_iter().next().unwrap();
         assert_eq!(s2.memory_byte(layout::TOKEN_OWN).as_const(), Some(1));
@@ -315,7 +318,7 @@ mod tests {
         assert!(matches!(fx[0], Syscall::Send { dest: 0, .. }));
         assert!(matches!(fx[1], Syscall::SetTimer { .. }));
         // An ACK is ignored.
-        let args = [Expr::const_(2, Width::W16), Expr::const_(ACK, Width::W16)];
+        let args = [Value::const_(2, Width::W16), Value::const_(ACK, Width::W16)];
         let out = run_to_completion(&p, s2.prepared(&p, ON_RECV, &args).unwrap(), &mut ctx);
         let (_, fx) = out.finished.into_iter().next().unwrap();
         assert!(fx.is_empty());

@@ -150,102 +150,74 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
     /// previous binding).
     #[must_use]
     pub fn insert(&self, key: K, value: V) -> Self {
-        let hash = hash_of(&key);
-        let (root, added) = match &self.root {
-            None => (Arc::new(Node::Leaf { hash, key, value }), true),
-            Some(r) => Self::ins(r, 0, hash, key, value),
-        };
-        PMap {
-            root: Some(root),
-            len: self.len + usize::from(added),
-        }
+        let mut next = self.clone();
+        next.insert_mut(key, value);
+        next
     }
 
-    fn ins(
-        node: &Arc<Node<K, V>>,
-        shift: u32,
-        hash: u64,
-        key: K,
-        value: V,
-    ) -> (Arc<Node<K, V>>, bool) {
-        match node.as_ref() {
+    /// Binds `key` to `value` in this map and returns the value it
+    /// replaced, if any.
+    ///
+    /// Clones of the map taken earlier are unaffected: a node only this
+    /// map references is edited in place, a shared one is copied first
+    /// (`Arc::make_mut`) — the path copy of a persistent insert, paid
+    /// only where a clone can still see the node.
+    pub fn insert_mut(&mut self, key: K, value: V) -> Option<V> {
+        let hash = hash_of(&key);
+        let replaced = match &mut self.root {
+            None => {
+                self.root = Some(Arc::new(Node::Leaf { hash, key, value }));
+                None
+            }
+            Some(root) => Self::insert_at(root, 0, hash, key, value),
+        };
+        self.len += usize::from(replaced.is_none());
+        replaced
+    }
+
+    fn insert_at(node: &mut Arc<Node<K, V>>, shift: u32, hash: u64, key: K, value: V) -> Option<V> {
+        // A leaf or collision bucket of another hash moves one level down
+        // beside the new leaf; it is shared, never copied.
+        if let Node::Leaf { hash: h, .. } | Node::Collision { hash: h, .. } = node.as_ref() {
+            if *h != hash {
+                let leaf = Arc::new(Node::Leaf { hash, key, value });
+                *node = Self::merge(node.clone(), *h, leaf, hash, shift);
+                return None;
+            }
+        }
+        let node = Arc::make_mut(node);
+        match node {
             Node::Branch { bitmap, children } => {
                 let idx = ((hash >> shift) & MASK) as u32;
                 let bit = 1u32 << idx;
-                let pos = (bitmap & (bit - 1)).count_ones() as usize;
-                if bitmap & bit == 0 {
-                    let mut ch = Vec::with_capacity(children.len() + 1);
-                    ch.extend_from_slice(&children[..pos]);
-                    ch.push(Arc::new(Node::Leaf { hash, key, value }));
-                    ch.extend_from_slice(&children[pos..]);
-                    (
-                        Arc::new(Node::Branch {
-                            bitmap: bitmap | bit,
-                            children: ch,
-                        }),
-                        true,
-                    )
+                let pos = (*bitmap & (bit - 1)).count_ones() as usize;
+                if *bitmap & bit == 0 {
+                    // Exact growth: these vectors are most of a map's
+                    // memory and rarely grow again.
+                    children.reserve_exact(1);
+                    children.insert(pos, Arc::new(Node::Leaf { hash, key, value }));
+                    *bitmap |= bit;
+                    None
                 } else {
-                    let (child, added) = Self::ins(&children[pos], shift + BITS, hash, key, value);
-                    let mut ch = children.clone();
-                    ch[pos] = child;
-                    (
-                        Arc::new(Node::Branch {
-                            bitmap: *bitmap,
-                            children: ch,
-                        }),
-                        added,
-                    )
+                    Self::insert_at(&mut children[pos], shift + BITS, hash, key, value)
                 }
             }
             Node::Leaf {
-                hash: h,
-                key: k,
-                value: v,
+                key: k, value: v, ..
             } => {
-                if *h == hash && *k == key {
-                    (Arc::new(Node::Leaf { hash, key, value }), false)
-                } else if *h == hash {
-                    (
-                        Arc::new(Node::Collision {
-                            hash,
-                            entries: vec![(k.clone(), v.clone()), (key, value)],
-                        }),
-                        true,
-                    )
-                } else {
-                    // Split: push both leaves one level down.
-                    let existing = node.clone();
-                    let merged = Self::merge(
-                        existing,
-                        *h,
-                        Arc::new(Node::Leaf { hash, key, value }),
-                        hash,
-                        shift,
-                    );
-                    (merged, true)
+                if *k == key {
+                    return Some(std::mem::replace(v, value));
                 }
+                let entries = vec![(k.clone(), v.clone()), (key, value)];
+                *node = Node::Collision { hash, entries };
+                None
             }
-            Node::Collision { hash: h, entries } => {
-                if *h == hash {
-                    let mut entries = entries.clone();
-                    if let Some(slot) = entries.iter_mut().find(|(k, _)| *k == key) {
-                        slot.1 = value;
-                        (Arc::new(Node::Collision { hash, entries }), false)
-                    } else {
-                        entries.push((key, value));
-                        (Arc::new(Node::Collision { hash, entries }), true)
-                    }
+            Node::Collision { entries, .. } => {
+                if let Some(slot) = entries.iter_mut().find(|(k, _)| *k == key) {
+                    Some(std::mem::replace(&mut slot.1, value))
                 } else {
-                    let existing = node.clone();
-                    let merged = Self::merge(
-                        existing,
-                        *h,
-                        Arc::new(Node::Leaf { hash, key, value }),
-                        hash,
-                        shift,
-                    );
-                    (merged, true)
+                    entries.push((key, value));
+                    None
                 }
             }
         }
@@ -457,7 +429,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Extend<(K, V)> for PMap<K, V> {
     /// Inserts all items; later duplicates win (like `HashMap`).
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
         for (k, v) in iter {
-            *self = self.insert(k, v);
+            self.insert_mut(k, v);
         }
     }
 }
@@ -465,9 +437,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Extend<(K, V)> for PMap<K, V> {
 impl<K: Hash + Eq + Clone, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut m = PMap::new();
-        for (k, v) in iter {
-            m = m.insert(k, v);
-        }
+        m.extend(iter);
         m
     }
 }

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use sde_pds::{PList, PMap, PVec};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 
 #[derive(Debug, Clone)]
 enum MapOp {
@@ -130,4 +131,75 @@ proptest! {
         prop_assert!(left.tail().ptr_eq(&right.tail()));
         prop_assert_eq!(left.tail(), right.tail());
     }
+}
+
+/// A key whose hash keeps only `id / 4`: every four consecutive ids
+/// collide on all 64 bits and share a collision bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Clash(u32);
+
+impl Hash for Clash {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u32(self.0 / 4);
+    }
+}
+
+/// `insert_mut` against a `BTreeMap` model, interleaved with persistent
+/// `remove`s and with clones taken every 97 operations: the in-place
+/// write must never reach a node an earlier clone can still see.
+fn insert_mut_model<K: Hash + Ord + Copy + std::fmt::Debug>(key: impl Fn(u32) -> K) {
+    const OPS: u64 = 20_000;
+    const KEYS: u64 = 3_000;
+    let mut rng = 0x1234_5678_9abc_def0u64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let mut model: BTreeMap<K, u64> = BTreeMap::new();
+    let mut map: PMap<K, u64> = PMap::new();
+    let mut clones: Vec<(PMap<K, u64>, BTreeMap<K, u64>)> = Vec::new();
+    for op in 0..OPS {
+        let k = key((next() % KEYS) as u32);
+        if next() % 8 == 0 {
+            map = map.remove(&k);
+            model.remove(&k);
+        } else {
+            let v = next();
+            // `insert` is `insert_mut` on a clone, and leaves `map` alone.
+            let persistent = map.insert(k, v);
+            assert_eq!(map.get(&k), model.get(&k), "op {op}: insert wrote through");
+            assert_eq!(map.insert_mut(k, v), model.insert(k, v), "op {op}");
+            assert_eq!(persistent.get(&k), Some(&v), "op {op}");
+            if op % 97 == 0 {
+                assert_eq!(persistent, map, "op {op}");
+            }
+        }
+        assert_eq!(map.len(), model.len(), "op {op}");
+        if op % 97 == 0 {
+            clones.push((map.clone(), model.clone()));
+        }
+    }
+    clones.push((map, model));
+    for (i, (map, model)) in clones.iter().enumerate() {
+        assert_eq!(map.len(), model.len(), "clone {i}");
+        let mut entries: Vec<(K, u64)> = map.iter().map(|(k, v)| (*k, *v)).collect();
+        entries.sort_unstable();
+        let expected: Vec<(K, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(entries, expected, "clone {i} changed after it was taken");
+        for (k, v) in model {
+            assert_eq!(map.get(k), Some(v), "clone {i}");
+        }
+    }
+}
+
+#[test]
+fn insert_mut_matches_btreemap_and_leaves_clones_unchanged() {
+    insert_mut_model(|id| id);
+}
+
+#[test]
+fn insert_mut_with_colliding_hashes_leaves_clones_unchanged() {
+    insert_mut_model(Clash);
 }

@@ -492,7 +492,7 @@ impl Expr {
         Self::cast(CastOp::Trunc, arg, to)
     }
 
-    fn cast(op: CastOp, arg: ExprRef, to: Width) -> ExprRef {
+    pub(crate) fn cast(op: CastOp, arg: ExprRef, to: Width) -> ExprRef {
         if arg.width() == to {
             return arg;
         }
@@ -506,7 +506,7 @@ impl Expr {
         Self::mk(ExprKind::Cast { op, to, arg })
     }
 
-    fn binary(op: BinOp, lhs: ExprRef, rhs: ExprRef) -> ExprRef {
+    pub(crate) fn binary(op: BinOp, lhs: ExprRef, rhs: ExprRef) -> ExprRef {
         debug_assert_eq!(
             lhs.width(),
             rhs.width(),

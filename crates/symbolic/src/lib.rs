@@ -42,6 +42,7 @@ mod simplify;
 mod snapshot;
 mod solver;
 mod table;
+mod value;
 mod vars;
 mod width;
 
@@ -53,5 +54,6 @@ pub use simplify::simplify;
 pub use snapshot::{CodecError, SnapReader, SnapWriter};
 pub use solver::{Solver, SolverBudget, SolverResult, SolverSnapshot, SolverStats};
 pub use table::{SymId, SymVar, SymbolTable};
+pub use value::Value;
 pub use vars::VarSet;
 pub use width::Width;

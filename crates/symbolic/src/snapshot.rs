@@ -15,6 +15,11 @@
 //! stored shape — which makes
 //! decode ∘ encode the identity on bytes and preserves sharing exactly.
 //!
+//! A [`Value`] travels as the term it stands for ([`SnapWriter::value`] /
+//! [`SnapReader::value`]): an inline constant has no `Arc` to share, so
+//! each one written is a pool entry of its own, and every `Const` entry
+//! read back through `value` is an inline constant again.
+//!
 //! # Robustness
 //!
 //! Every read is bounds-checked and returns [`CodecError`] instead of
@@ -24,6 +29,7 @@
 use crate::expr::{BinOp, CastOp, Expr, ExprKind, ExprRef, UnOp};
 use crate::model::Model;
 use crate::table::{SymId, SymVar};
+use crate::value::Value;
 use crate::width::Width;
 use std::collections::HashMap;
 use std::fmt;
@@ -113,6 +119,13 @@ impl SnapWriter {
     pub fn expr(&mut self, e: &ExprRef) {
         let idx = self.intern(e);
         self.varint(u64::from(idx));
+    }
+
+    /// Writes a [`Value`] as the term it stands for — the wire format has
+    /// no notion of an inline constant. A constant interns a pool entry
+    /// of its own per write, as a freshly built `Const` node would.
+    pub fn value(&mut self, v: &Value) {
+        self.expr(&v.to_expr());
     }
 
     /// Writes a model as sorted `(variable index, value)` pairs.
@@ -480,6 +493,13 @@ impl<'a> SnapReader<'a> {
             .get(idx)
             .cloned()
             .ok_or(CodecError::Malformed("expression pool index"))
+    }
+
+    /// Reads a [`Value`] written by [`SnapWriter::value`] (or any term
+    /// written by [`SnapWriter::expr`]), normalised: a `Const` pool entry
+    /// decodes to an inline constant.
+    pub fn value(&mut self) -> Result<Value, CodecError> {
+        Ok(Value::from(self.expr()?))
     }
 
     /// Reads a model written by [`SnapWriter::model`].

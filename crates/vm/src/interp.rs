@@ -4,7 +4,7 @@ use crate::bug::{BugKind, BugReport};
 use crate::isa::{Inst, Loc};
 use crate::program::Program;
 use crate::state::{Frame, Status, VmState};
-use sde_symbolic::{BinOp, CastOp, Expr, ExprRef, Solver, SymbolTable, UnOp, Width};
+use sde_symbolic::{BinOp, CastOp, Expr, ExprRef, Solver, SymbolTable, Value, Width};
 use std::sync::Arc;
 
 /// Maximum call-stack depth before the interpreter reports an internal bug.
@@ -53,7 +53,7 @@ pub enum Syscall {
         /// Destination node id.
         dest: u16,
         /// Payload values (possibly symbolic).
-        payload: Vec<ExprRef>,
+        payload: Vec<Value>,
     },
     /// Arm a one-shot timer.
     SetTimer {
@@ -76,7 +76,7 @@ pub enum StepResult {
     /// The program performed an environment call; the state continues.
     Syscall(Syscall),
     /// The handler returned; the state is [`Status::Idle`] again.
-    HandlerDone(Option<ExprRef>),
+    HandlerDone(Option<Value>),
     /// The program halted for good.
     Halted,
     /// The path condition became unsatisfiable; discard the state.
@@ -90,7 +90,7 @@ pub enum StepResult {
 /// # Panics
 ///
 /// Panics when `state` is not [`Status::Running`] (drive states through
-/// [`VmState::prepared`] first), or when the program is malformed in ways
+/// [`VmState::prepare`] or [`VmState::prepared`] first), or when the program is malformed in ways
 /// the [`ProgramBuilder`](crate::ProgramBuilder) rules out (dangling
 /// function ids, out-of-range jump targets).
 pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> StepResult {
@@ -105,8 +105,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
     let inst = program
         .function(func_id)
         .inst(pc)
-        .unwrap_or_else(|| panic!("pc {loc} out of range"))
-        .clone();
+        .unwrap_or_else(|| panic!("pc {loc} out of range"));
     state.instret += 1;
 
     macro_rules! bug {
@@ -153,13 +152,13 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
         }};
     }
 
-    match inst {
+    match *inst {
         Inst::Nop => {
             advance!();
             StepResult::Continue
         }
         Inst::Const { dst, value, width } => {
-            set_reg!(dst, Expr::const_(value, width));
+            set_reg!(dst, Value::const_(value, width));
             advance!();
             StepResult::Continue
         }
@@ -171,22 +170,13 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
         }
         Inst::Un { op, dst, src } => {
             let v = reg!(src);
-            let r = match op {
-                UnOp::Not => Expr::not(v),
-                UnOp::Neg => Expr::neg(v),
-            };
-            set_reg!(dst, r);
+            set_reg!(dst, v.unop(op));
             advance!();
             StepResult::Continue
         }
         Inst::Cast { op, to, dst, src } => {
             let v = reg!(src);
-            let r = match op {
-                CastOp::Zext => Expr::zext(v, to),
-                CastOp::Sext => Expr::sext(v, to),
-                CastOp::Trunc => Expr::trunc(v, to),
-            };
-            set_reg!(dst, r);
+            set_reg!(dst, v.cast(op, to));
             advance!();
             StepResult::Continue
         }
@@ -202,7 +192,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
             if c.width() != Width::BOOL {
                 bug!(BugKind::Internal, "select condition is not width-1");
             }
-            set_reg!(dst, Expr::ite(c, t, e));
+            set_reg!(dst, Value::ite(c, t, e));
             advance!();
             StepResult::Continue
         }
@@ -217,12 +207,11 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
             }
             // Division safety: fork off the divisor-zero path as a bug.
             if matches!(op, BinOp::UDiv | BinOp::URem | BinOp::SDiv | BinOp::SRem) {
-                let zero = Expr::const_(0, b.width());
-                let is_zero = Expr::eq(b.clone(), zero);
+                let is_zero = b.clone().binop(BinOp::Eq, Value::const_(0, b.width()));
                 match decide(ctx.solver, state, &is_zero) {
                     Decision::AlwaysTrue => bug!(BugKind::DivisionByZero, format!("{op:?}")),
                     Decision::AlwaysFalse => {}
-                    Decision::Either => {
+                    Decision::Either(is_zero) => {
                         // Sibling: divisor is zero — a bug path.
                         let mut sibling = state.clone();
                         sibling.path_push(is_zero.clone());
@@ -235,15 +224,13 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                         sibling.status = Status::Bugged(report);
                         // Self: divisor is nonzero; continue with the op.
                         state.path_push(Expr::not(is_zero));
-                        let r = apply_binop(op, a, b);
-                        set_reg!(dst, r);
+                        set_reg!(dst, a.binop(op, b));
                         advance!();
                         return StepResult::Forked(sibling);
                     }
                 }
             }
-            let r = apply_binop(op, a, b);
-            set_reg!(dst, r);
+            set_reg!(dst, a.binop(op, b));
             advance!();
             StepResult::Continue
         }
@@ -281,7 +268,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                     state.frames.last_mut().expect("frame").pc = else_target;
                     StepResult::Continue
                 }
-                Decision::Either => {
+                Decision::Either(c) => {
                     let mut sibling = state.clone();
                     sibling.path_push(Expr::not(c.clone()));
                     sibling.frames.last_mut().expect("frame").pc = else_target;
@@ -293,7 +280,11 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                 }
             }
         }
-        Inst::Call { func, args, dst } => {
+        Inst::Call {
+            func,
+            ref args,
+            dst,
+        } => {
             if state.frames.len() >= MAX_CALL_DEPTH {
                 bug!(BugKind::Internal, "call-stack overflow");
             }
@@ -304,16 +295,12 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                     format!("arity mismatch calling {}", callee.name())
                 );
             }
-            let mut arg_values = Vec::with_capacity(args.len());
-            for a in &args {
-                arg_values.push(reg!(*a));
+            let mut regs: Vec<Option<Value>> = vec![None; usize::from(callee.reg_count())];
+            for (slot, a) in regs.iter_mut().zip(args) {
+                *slot = Some(reg!(*a));
             }
             // Return to the next instruction of the caller.
             advance!();
-            let mut regs: Vec<Option<ExprRef>> = vec![None; usize::from(callee.reg_count())];
-            for (i, v) in arg_values.into_iter().enumerate() {
-                regs[i] = Some(v);
-            }
             state.frames.push(Frame {
                 func,
                 pc: 0,
@@ -343,15 +330,19 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
             }
             StepResult::Continue
         }
-        Inst::MakeSymbolic { dst, name, width } => {
-            let occurrence = state.next_input_occurrence(&name);
+        Inst::MakeSymbolic {
+            dst,
+            ref name,
+            width,
+        } => {
+            let occurrence = state.next_input_occurrence(name);
             let var = ctx
                 .symbols
-                .fresh_keyed(&name, width, ctx.node_id, occurrence);
+                .fresh_keyed(name, width, ctx.node_id, occurrence);
             let value = match ctx.preset {
                 Some(preset) => {
-                    match preset.resolve(ctx.node_id, &name, occurrence, width) {
-                        Some(v) => Expr::const_(v, width),
+                    match preset.resolve(ctx.node_id, name, occurrence, width) {
+                        Some(v) => Value::const_(v, width),
                         // Strict replay: an unpinned input is an error,
                         // not a 0 — defaulting would let an incomplete
                         // solve or enumeration masquerade as a real run.
@@ -366,23 +357,23 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                         // Lenient replay: inputs absent from the preset
                         // were unconstrained — any value replays the
                         // path; use 0.
-                        None => Expr::const_(0, width),
+                        None => Value::const_(0, width),
                     }
                 }
-                None => Expr::sym(var),
+                None => Expr::sym(var).into(),
             };
             set_reg!(dst, value);
             advance!();
             StepResult::Continue
         }
-        Inst::Send { dest, payload } => {
+        Inst::Send { dest, ref payload } => {
             let d = reg!(dest);
             let dest_id = match concretize(ctx.solver, state, &d) {
                 Some(v) => v as u16,
                 None => bug!(BugKind::SymbolicPointer, "send destination is symbolic"),
             };
             let mut values = Vec::with_capacity(payload.len());
-            for p in &payload {
+            for p in payload {
                 values.push(reg!(*p));
             }
             advance!();
@@ -404,16 +395,16 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
             })
         }
         Inst::Now { dst } => {
-            set_reg!(dst, Expr::const_(ctx.now, Width::W64));
+            set_reg!(dst, Value::const_(ctx.now, Width::W64));
             advance!();
             StepResult::Continue
         }
         Inst::MyId { dst } => {
-            set_reg!(dst, Expr::const_(u64::from(ctx.node_id), Width::W16));
+            set_reg!(dst, Value::const_(u64::from(ctx.node_id), Width::W16));
             advance!();
             StepResult::Continue
         }
-        Inst::Assert { cond, msg } => {
+        Inst::Assert { cond, ref msg } => {
             let c = reg!(cond);
             if c.width() != Width::BOOL {
                 bug!(BugKind::Internal, "assert condition is not width-1");
@@ -424,7 +415,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                     StepResult::Continue
                 }
                 Decision::AlwaysFalse => bug!(BugKind::AssertFailed, msg.to_string()),
-                Decision::Either => {
+                Decision::Either(c) => {
                     let mut sibling = state.clone();
                     sibling.path_push(Expr::not(c.clone()));
                     let report = BugReport {
@@ -445,7 +436,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
             if c.width() != Width::BOOL {
                 bug!(BugKind::Internal, "assume condition is not width-1");
             }
-            state.path_push(c);
+            state.path_push(c.into());
             if state.path.is_trivially_false() || !may_hold(ctx.solver, &state.path) {
                 state.status = Status::Infeasible;
                 return StepResult::Infeasible;
@@ -453,7 +444,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
             advance!();
             StepResult::Continue
         }
-        Inst::Fail { msg } => bug!(BugKind::ExplicitFail, msg.to_string()),
+        Inst::Fail { ref msg } => bug!(BugKind::ExplicitFail, msg.to_string()),
         Inst::Halt => {
             state.status = Status::Halted;
             state.frames.clear();
@@ -472,14 +463,15 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                 bug!(BugKind::OutOfBounds { addr: base }, "load");
             }
             // Compose little-endian bytes.
-            let mut value: Option<ExprRef> = None;
+            let mut value: Option<Value> = None;
             for i in 0..nbytes {
                 let byte = state.memory_byte((base + i) as u32);
-                let wide = Expr::zext(byte, width);
-                let shifted = Expr::shl(wide, Expr::const_(8 * i, width));
+                let shifted = byte
+                    .cast(CastOp::Zext, width)
+                    .binop(BinOp::Shl, Value::const_(8 * i, width));
                 value = Some(match value {
                     None => shifted,
-                    Some(acc) => Expr::or(acc, shifted),
+                    Some(acc) => acc.binop(BinOp::Or, shifted),
                 });
             }
             set_reg!(dst, value.expect("width >= 8 bits"));
@@ -501,8 +493,10 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                 bug!(BugKind::OutOfBounds { addr: base }, "store");
             }
             for i in 0..nbytes {
-                let byte =
-                    Expr::trunc(Expr::lshr(v.clone(), Expr::const_(8 * i, width)), Width::W8);
+                let byte = v
+                    .clone()
+                    .binop(BinOp::LShr, Value::const_(8 * i, width))
+                    .cast(CastOp::Trunc, Width::W8);
                 state.heap_store((base + i) as u32, byte);
             }
             advance!();
@@ -516,20 +510,24 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
 enum Decision {
     AlwaysTrue,
     AlwaysFalse,
-    Either,
+    /// Both sides are feasible; carries the (necessarily symbolic)
+    /// condition for the two path conditions.
+    Either(ExprRef),
 }
 
-fn decide(solver: &Solver, state: &VmState, cond: &ExprRef) -> Decision {
-    if cond.is_true() {
-        return Decision::AlwaysTrue;
-    }
-    if cond.is_false() {
-        return Decision::AlwaysFalse;
-    }
+fn decide(solver: &Solver, state: &VmState, cond: &Value) -> Decision {
+    // A constant decides itself; only a term reaches the solver.
+    let Some(cond) = cond.as_term() else {
+        return if cond.as_const() == Some(1) {
+            Decision::AlwaysTrue
+        } else {
+            Decision::AlwaysFalse
+        };
+    };
     let may_true = solver.may_be_true(&state.path, cond);
     let may_false = solver.may_be_true(&state.path, &Expr::not(cond.clone()));
     match (may_true, may_false) {
-        (true, true) => Decision::Either,
+        (true, true) => Decision::Either(cond.clone()),
         (true, false) => Decision::AlwaysTrue,
         (false, true) => Decision::AlwaysFalse,
         // Path condition itself unsatisfiable; either answer is vacuous.
@@ -541,44 +539,20 @@ fn may_hold(solver: &Solver, pc: &sde_symbolic::PathCondition) -> bool {
     !solver.check(pc).is_unsat()
 }
 
-/// Resolves an expression to a unique concrete value under the path
-/// condition, or `None` when it stays multi-valued (or the solver cannot
-/// decide within budget).
-fn concretize(solver: &Solver, state: &VmState, value: &ExprRef) -> Option<u64> {
-    if let Some(v) = value.as_const() {
-        return Some(v);
-    }
+/// Resolves a value to a unique concrete value under the path condition,
+/// or `None` when it stays multi-valued (or the solver cannot decide
+/// within budget).
+fn concretize(solver: &Solver, state: &VmState, value: &Value) -> Option<u64> {
+    let Some(term) = value.as_term() else {
+        return value.as_const();
+    };
     let model = solver.model(&state.path)?;
-    let v = value.eval(&model)?;
+    let v = term.eval(&model)?;
     let unique = solver.must_be_true(
         &state.path,
-        &Expr::eq(value.clone(), Expr::const_(v, value.width())),
+        &Expr::eq(term.clone(), Expr::const_(v, term.width())),
     );
     unique.then_some(v)
-}
-
-fn apply_binop(op: BinOp, a: ExprRef, b: ExprRef) -> ExprRef {
-    match op {
-        BinOp::Add => Expr::add(a, b),
-        BinOp::Sub => Expr::sub(a, b),
-        BinOp::Mul => Expr::mul(a, b),
-        BinOp::UDiv => Expr::udiv(a, b),
-        BinOp::URem => Expr::urem(a, b),
-        BinOp::SDiv => Expr::sdiv(a, b),
-        BinOp::SRem => Expr::srem(a, b),
-        BinOp::And => Expr::and(a, b),
-        BinOp::Or => Expr::or(a, b),
-        BinOp::Xor => Expr::xor(a, b),
-        BinOp::Shl => Expr::shl(a, b),
-        BinOp::LShr => Expr::lshr(a, b),
-        BinOp::AShr => Expr::ashr(a, b),
-        BinOp::Eq => Expr::eq(a, b),
-        BinOp::Ne => Expr::ne(a, b),
-        BinOp::Ult => Expr::ult(a, b),
-        BinOp::Ule => Expr::ule(a, b),
-        BinOp::Slt => Expr::slt(a, b),
-        BinOp::Sle => Expr::sle(a, b),
-    }
 }
 
 /// Everything that came out of running one handler to completion on one
@@ -1066,7 +1040,7 @@ mod tests {
         let (solver, mut symbols) = ctx_parts();
         let mut ctx = VmCtx::new(&solver, &mut symbols);
         let state = VmState::fresh(&p);
-        let args = [Expr::const_(4, Width::W8), Expr::const_(4, Width::W8)];
+        let args = [Value::const_(4, Width::W8), Value::const_(4, Width::W8)];
         let out = run_to_completion(&p, state.prepared(&p, "on_recv", &args).unwrap(), &mut ctx);
         assert!(out.bugged.is_empty());
         // Arity mismatch is rejected.

@@ -4,7 +4,7 @@ use crate::bug::BugReport;
 use crate::isa::{FuncId, Loc, Reg};
 use crate::program::Program;
 use sde_pds::{PList, PMap};
-use sde_symbolic::{CodecError, Expr, ExprRef, PathCondition, SnapReader, SnapWriter};
+use sde_symbolic::{CodecError, ExprRef, PathCondition, SnapReader, SnapWriter, Value, Width};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -38,22 +38,26 @@ impl Status {
 pub(crate) struct Frame {
     pub func: FuncId,
     pub pc: u32,
-    pub regs: Vec<Option<ExprRef>>,
+    pub regs: Vec<Option<Value>>,
     /// Register in the *caller's* frame receiving our return value.
     pub ret_dst: Option<Reg>,
 }
 
 /// One symbolic execution state of a single node program.
 ///
-/// Cloning is cheap: global memory is a persistent map, the path condition
-/// a persistent list, and register values are shared `Arc` terms. This is
-/// the property the whole SDE construction leans on — COB forks `k − 1`
-/// states per local branch and still has to be affordable enough to serve
-/// as the correctness baseline.
+/// Cloning is cheap: global memory is a persistent map of [`Value`] bytes
+/// and the path condition a persistent list, so a clone copies two
+/// pointers and shares everything behind them; registers are [`Value`]s —
+/// constants inline, terms one `Arc` bump each — and there are none
+/// between handlers. This is the property the whole SDE construction
+/// leans on — COB forks `k − 1` states per local branch and still has to
+/// be affordable enough to serve as the correctness baseline. Writes
+/// after a clone copy only the map nodes the clone can still see
+/// ([`PMap::insert_mut`]); a state nobody shares is written in place.
 #[derive(Debug, Clone)]
 pub struct VmState {
     pub(crate) frames: Vec<Frame>,
-    pub(crate) heap: PMap<u32, ExprRef>,
+    pub(crate) heap: PMap<u32, Value>,
     pub(crate) memory_size: u32,
     pub(crate) path: PathCondition,
     pub(crate) status: Status,
@@ -99,37 +103,47 @@ impl VmState {
         }
     }
 
-    /// Returns a copy of this state set up to run the named handler with
-    /// the given arguments.
+    /// Sets this state up to run the named handler with the given
+    /// arguments.
     ///
     /// Memory, path condition and branch trace persist; the call stack is
     /// replaced by a single frame for the handler.
     ///
-    /// Returns `None` when the handler does not exist in `program`, when
-    /// the argument count does not match the handler's parameter count, or
-    /// when the state is not [`Status::Idle`].
-    pub fn prepared(&self, program: &Program, handler: &str, args: &[ExprRef]) -> Option<VmState> {
+    /// Returns `false`, leaving the state untouched, when the handler does
+    /// not exist in `program`, when the argument count does not match the
+    /// handler's parameter count, or when the state is not
+    /// [`Status::Idle`].
+    pub fn prepare(&mut self, program: &Program, handler: &str, args: &[Value]) -> bool {
         if self.status != Status::Idle {
-            return None;
+            return false;
         }
-        let func_id = program.function_id(handler)?;
+        let Some(func_id) = program.function_id(handler) else {
+            return false;
+        };
         let func = program.function(func_id);
         if usize::from(func.param_count()) != args.len() {
-            return None;
+            return false;
         }
-        let mut regs: Vec<Option<ExprRef>> = vec![None; usize::from(func.reg_count())];
-        for (i, a) in args.iter().enumerate() {
-            regs[i] = Some(a.clone());
+        let mut regs: Vec<Option<Value>> = vec![None; usize::from(func.reg_count())];
+        for (slot, a) in regs.iter_mut().zip(args) {
+            *slot = Some(a.clone());
         }
-        let mut next = self.clone();
-        next.frames = vec![Frame {
+        self.frames.clear();
+        self.frames.push(Frame {
             func: func_id,
             pc: 0,
             regs,
             ret_dst: None,
-        }];
-        next.status = Status::Running;
-        Some(next)
+        });
+        self.status = Status::Running;
+        true
+    }
+
+    /// Returns a copy of this state set up to run the named handler:
+    /// [`VmState::prepare`] on a clone, `None` where it refuses.
+    pub fn prepared(&self, program: &Program, handler: &str, args: &[Value]) -> Option<VmState> {
+        let mut next = self.clone();
+        next.prepare(program, handler, args).then_some(next)
     }
 
     /// The current lifecycle status.
@@ -142,12 +156,9 @@ impl VmState {
     /// Used by the interpreter (`MakeSymbolic`) and by environment-level
     /// failure models minting inputs on a state's behalf.
     pub fn next_input_occurrence(&mut self, name: &str) -> u32 {
-        let n = self
-            .input_counts
-            .get(&name.to_string())
-            .copied()
-            .unwrap_or(0);
-        self.input_counts = self.input_counts.insert(name.to_string(), n + 1);
+        let name = name.to_string();
+        let n = self.input_counts.get(&name).copied().unwrap_or(0);
+        self.input_counts.insert_mut(name, n + 1);
         n
     }
 
@@ -165,12 +176,11 @@ impl VmState {
     /// the per-entry hash of a replaced cell is subtracted and the new
     /// cell's added, so `heap_acc` always equals the full multiset sum
     /// without a rescan. Every heap write must go through here.
-    pub(crate) fn heap_store(&mut self, addr: u32, value: ExprRef) {
-        if let Some(old) = self.heap.get(&addr) {
-            self.heap_acc = self.heap_acc.wrapping_sub(heap_entry_hash(addr, old));
-        }
+    pub(crate) fn heap_store(&mut self, addr: u32, value: Value) {
         self.heap_acc = self.heap_acc.wrapping_add(heap_entry_hash(addr, &value));
-        self.heap = self.heap.insert(addr, value);
+        if let Some(old) = self.heap.insert_mut(addr, value) {
+            self.heap_acc = self.heap_acc.wrapping_sub(heap_entry_hash(addr, &old));
+        }
     }
 
     /// Extends the path condition through the digest accumulator. The
@@ -225,7 +235,7 @@ impl VmState {
         for (addr, value) in self.heap.iter() {
             if *addr >= persist_base && *addr < end {
                 heap_acc = heap_acc.wrapping_add(heap_entry_hash(*addr, value));
-                heap = heap.insert(*addr, value.clone());
+                heap.insert_mut(*addr, value.clone());
             }
         }
         VmState {
@@ -260,11 +270,11 @@ impl VmState {
     }
 
     /// Reads a byte of global memory (unwritten bytes read as zero).
-    pub fn memory_byte(&self, addr: u32) -> ExprRef {
+    pub fn memory_byte(&self, addr: u32) -> Value {
         self.heap
             .get(&addr)
             .cloned()
-            .unwrap_or_else(|| Expr::const_(0, sde_symbolic::Width::W8))
+            .unwrap_or_else(|| Value::const_(0, Width::W8))
     }
 
     /// Number of explicitly written memory bytes.
@@ -277,7 +287,7 @@ impl VmState {
     /// measurements; see DESIGN.md).
     pub fn approx_bytes(&self) -> usize {
         const BASE: usize = 256; // struct + bookkeeping overhead
-        const PER_HEAP_CELL: usize = 48; // map node amortized + Arc term
+        const PER_HEAP_CELL: usize = 48; // map node amortized + value
         const PER_PC_NODE: usize = 40; // expression node
         const PER_FRAME: usize = 64;
         const PER_REG: usize = 16;
@@ -423,9 +433,9 @@ impl VmState {
             w.varint(f.regs.len() as u64);
             for r in &f.regs {
                 match r {
-                    Some(e) => {
+                    Some(v) => {
                         w.bool(true);
-                        w.expr(e);
+                        w.value(v);
                     }
                     None => w.bool(false),
                 }
@@ -440,12 +450,12 @@ impl VmState {
         }
         // Heap entries sorted by address: the persistent map's iteration
         // order is not specified, the encoding must be deterministic.
-        let mut heap: Vec<(u32, &ExprRef)> = self.heap.iter().map(|(k, v)| (*k, v)).collect();
+        let mut heap: Vec<(u32, &Value)> = self.heap.iter().map(|(k, v)| (*k, v)).collect();
         heap.sort_by_key(|(k, _)| *k);
         w.varint(heap.len() as u64);
         for (addr, value) in heap {
             w.varint(u64::from(addr));
-            w.expr(value);
+            w.value(value);
         }
         w.varint(u64::from(self.memory_size));
         // Path condition, most recent constraint first (iteration order).
@@ -500,7 +510,7 @@ impl VmState {
             let nregs = checked_len(r, "register count")?;
             let mut regs = Vec::with_capacity(nregs);
             for _ in 0..nregs {
-                regs.push(if r.bool()? { Some(r.expr()?) } else { None });
+                regs.push(if r.bool()? { Some(r.value()?) } else { None });
             }
             let ret_dst = if r.bool()? {
                 Some(Reg(u16::try_from(r.varint()?)
@@ -520,7 +530,7 @@ impl VmState {
         for _ in 0..nheap {
             let addr =
                 u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("heap address"))?;
-            heap = heap.insert(addr, r.expr()?);
+            heap.insert_mut(addr, r.value()?);
         }
         let memory_size =
             u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("memory size"))?;
@@ -562,7 +572,7 @@ impl VmState {
             let name = r.str()?;
             let n = u32::try_from(r.varint()?)
                 .map_err(|_| CodecError::Malformed("input occurrence count"))?;
-            input_counts = input_counts.insert(name, n);
+            input_counts.insert_mut(name, n);
         }
         // The digest accumulators are derived data: recompute them once at
         // decode time (the snapshot format stays unchanged).
@@ -590,8 +600,10 @@ impl VmState {
     }
 }
 
-/// Hash of one heap cell for the commutative multiset fold.
-fn heap_entry_hash(addr: u32, value: &ExprRef) -> u64 {
+/// Hash of one heap cell for the commutative multiset fold. [`Value`]
+/// hashes as the term it stands for, so a constant cell contributes what
+/// its `Const` node would.
+fn heap_entry_hash(addr: u32, value: &Value) -> u64 {
     let mut eh = DefaultHasher::new();
     addr.hash(&mut eh);
     value.hash(&mut eh);
@@ -630,7 +642,7 @@ mod tests {
     use super::*;
     use crate::bug::BugKind;
     use crate::program::ProgramBuilder;
-    use sde_symbolic::Width;
+    use sde_symbolic::Expr;
     use std::sync::Arc;
 
     fn empty_program() -> Program {
@@ -666,8 +678,8 @@ mod tests {
         let mut t = sde_symbolic::SymbolTable::new();
         let xv = t.fresh_keyed("x", Width::W8, 2, 0);
         let x = Expr::sym(xv.clone());
-        s.heap_store(7, x.clone());
-        s.heap_store(3, Expr::const_(9, Width::W8));
+        s.heap_store(7, x.clone().into());
+        s.heap_store(3, Value::const_(9, Width::W8));
         s.constrain(Expr::ult(x.clone(), Expr::const_(5, Width::W8)));
         s.constrain(Expr::ne(x.clone(), Expr::const_(0, Width::W8)));
         s.branch_trace = s.branch_trace.prepend((
@@ -683,7 +695,7 @@ mod tests {
         s.frames = vec![Frame {
             func: FuncId(0),
             pc: 1,
-            regs: vec![Some(x.clone()), None],
+            regs: vec![Some(x.clone().into()), None],
             ret_dst: Some(Reg(3)),
         }];
         s.status = Status::Bugged(BugReport {
@@ -729,8 +741,8 @@ mod tests {
         let p = empty_program();
         let mut s = VmState::fresh(&p);
         let before = s.approx_bytes();
-        s.heap_store(0, Expr::const_(1, Width::W8));
-        s.heap_store(1, Expr::const_(2, Width::W8));
+        s.heap_store(0, Value::const_(1, Width::W8));
+        s.heap_store(1, Value::const_(2, Width::W8));
         assert!(s.approx_bytes() > before);
     }
 
@@ -741,10 +753,10 @@ mod tests {
         let mut t = sde_symbolic::SymbolTable::new();
         let x = Expr::sym(t.fresh("x", Width::W8));
         assert_eq!(s.config_digest(), s.config_digest_reference());
-        s.heap_store(10, x.clone());
+        s.heap_store(10, x.clone().into());
         assert_eq!(s.config_digest(), s.config_digest_reference());
         // Overwriting a cell must subtract the replaced entry.
-        s.heap_store(10, Expr::const_(5, Width::W8));
+        s.heap_store(10, Value::const_(5, Width::W8));
         assert_eq!(s.config_digest(), s.config_digest_reference());
         s.constrain(Expr::ult(x.clone(), Expr::const_(9, Width::W8)));
         assert_eq!(s.config_digest(), s.config_digest_reference());

@@ -2,7 +2,7 @@
 //! reach: casts, select, deep call chains, failure instructions,
 //! symbolic pointers and preset-driven replay.
 
-use sde_symbolic::{BinOp, CastOp, Expr, Solver, SymbolTable, Width};
+use sde_symbolic::{BinOp, CastOp, Solver, SymbolTable, Value, Width};
 use sde_vm::{run_to_completion, BugKind, Preset, Program, ProgramBuilder, Status, VmCtx, VmState};
 
 fn run(program: &Program, handler: &str) -> sde_vm::HandlerOutcome {
@@ -231,7 +231,7 @@ fn unknown_handler_and_bad_arity_are_rejected() {
     let s = VmState::fresh(&p);
     assert!(s.prepared(&p, "missing", &[]).is_none());
     assert!(s.prepared(&p, "main", &[]).is_none(), "arity mismatch");
-    let arg = [Expr::const_(1, Width::W8)];
+    let arg = [Value::const_(1, Width::W8)];
     assert!(s.prepared(&p, "main", &arg).is_some());
 }
 

@@ -1,0 +1,229 @@
+//! Allocations of the concrete interpreter path, counted.
+//!
+//! A concrete instruction computes on inline [`Value`] constants and a
+//! store into a state nobody shares edits the heap map in place, so
+//! neither may touch the allocator. These tests count calls into a
+//! wrapping `#[global_allocator]` (per thread, so the harness's other
+//! test threads do not disturb the reading).
+//!
+//! At the commit before `Value` existed every result, immediate and
+//! memory byte was a fresh `Arc<Expr>` and every byte store a path copy,
+//! so the same programs allocated linearly — measured there with this
+//! file's counter (`prepared` and `Expr::const_` arguments in place of
+//! `prepare` and `Value::const_`):
+//!
+//! * the counting loop: 2 009 allocations at 1 000 iterations, 20 008 at
+//!   10 000 — the compare and the sum of every iteration; 4 and 4 here;
+//! * the store/load round trip: 1 940 over the first pass, then 315 482
+//!   over the remaining 9 936 iterations (≈ 32 each) where this commit
+//!   makes none; the first pass after a clone 2 028, 216 here.
+
+use sde::prelude::*;
+use sde::symbolic::{BinOp, CastOp, Value};
+use sde::vm::{run_to_completion, step, Status, StepResult, VmCtx};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread. `const`
+    /// initialised and without a destructor, so reading it from inside
+    /// the allocator neither allocates nor outlives the thread's TLS.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// thread-local counter bump that cannot allocate, unwind or re-enter.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc`
+        // above with this same `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// The concrete counting loop of `crates/bench/benches/vm.rs`.
+fn loop_program(iterations: u64) -> Program {
+    let mut pb = ProgramBuilder::new();
+    pb.function("main", 0, move |f| {
+        let i = f.reg();
+        f.const_(i, 0, Width::W64);
+        let limit = f.imm(iterations, Width::W64);
+        let one = f.imm(1, Width::W64);
+        let (top, out) = (f.label(), f.label());
+        f.place(top);
+        let done = f.reg();
+        f.bin(BinOp::Ule, done, limit, i);
+        let body = f.label();
+        f.br(done, out, body);
+        f.place(body);
+        f.bin(BinOp::Add, i, i, one);
+        f.jmp(top);
+        f.place(out);
+        f.ret(None);
+    });
+    pb.build().unwrap()
+}
+
+/// Allocations of one complete run of `main`: frame, worklist and outcome
+/// vectors included, program construction excluded.
+fn allocations_of_loop(iterations: u64) -> u64 {
+    let program = loop_program(iterations);
+    let solver = Solver::new();
+    let mut symbols = SymbolTable::new();
+    let mut ctx = VmCtx::new(&solver, &mut symbols);
+    let state = VmState::fresh(&program);
+    let before = allocations();
+    let out = run_to_completion(
+        &program,
+        state.prepared(&program, "main", &[]).unwrap(),
+        &mut ctx,
+    );
+    let spent = allocations() - before;
+    assert_eq!(
+        out.finished[0].0.instructions_executed(),
+        4 * iterations + 6
+    );
+    spent
+}
+
+#[test]
+fn concrete_loop_allocations_do_not_grow_with_iterations() {
+    let short = allocations_of_loop(1_000);
+    let long = allocations_of_loop(10_000);
+    assert!(
+        short.abs_diff(long) < 16,
+        "1 000 iterations allocate {short} times, 10 000 allocate {long} times"
+    );
+}
+
+const SLOTS: u64 = 64;
+const BASE: u64 = 0x400;
+
+/// `main(salt)`: `iterations` times, store the 16-bit `i + salt` at one of
+/// 64 fixed addresses (`i mod 64`), load it back and assert it.
+fn round_trip_program(iterations: u64) -> Program {
+    let mut pb = ProgramBuilder::new();
+    pb.function("main", 1, move |f| {
+        let salt = f.param(0);
+        let i = f.reg();
+        f.const_(i, 0, Width::W32);
+        let limit = f.imm(iterations, Width::W32);
+        let one = f.imm(1, Width::W32);
+        let mask = f.imm(SLOTS - 1, Width::W32);
+        let base = f.imm(BASE, Width::W32);
+        let (top, body, out) = (f.label(), f.label(), f.label());
+        f.place(top);
+        let done = f.reg();
+        f.bin(BinOp::Ule, done, limit, i);
+        f.br(done, out, body);
+        f.place(body);
+        let addr = f.reg();
+        f.bin(BinOp::And, addr, i, mask);
+        f.bin(BinOp::Shl, addr, addr, one);
+        f.bin(BinOp::Add, addr, addr, base);
+        let v = f.reg();
+        f.cast(CastOp::Trunc, Width::W16, v, i);
+        f.bin(BinOp::Add, v, v, salt);
+        f.store(addr, v);
+        let back = f.reg();
+        f.load(back, addr, Width::W16);
+        let ok = f.reg();
+        f.bin(BinOp::Eq, ok, back, v);
+        f.assert(ok, "memory returns what was stored");
+        f.bin(BinOp::Add, i, i, one);
+        f.jmp(top);
+        f.place(out);
+        f.ret(None);
+    });
+    pb.build().unwrap()
+}
+
+/// Steps `state` until `until` holds (or the handler returns); returns the
+/// allocations that took.
+fn step_until(
+    program: &Program,
+    state: &mut VmState,
+    ctx: &mut VmCtx<'_>,
+    mut until: impl FnMut(&VmState) -> bool,
+) -> u64 {
+    let before = allocations();
+    while !until(state) {
+        match step(program, state, ctx) {
+            StepResult::Continue => {}
+            StepResult::HandlerDone(None) => break,
+            other => panic!("a concrete handler only continues or returns: {other:?}"),
+        }
+    }
+    allocations() - before
+}
+
+/// The low byte of slot `slot`'s cell.
+fn low_byte(state: &VmState, slot: u64) -> u64 {
+    state
+        .memory_byte((BASE + 2 * slot) as u32)
+        .as_const()
+        .expect("concrete memory")
+}
+
+#[test]
+fn concrete_round_trips_allocate_only_while_the_map_grows_or_is_shared() {
+    const ITERATIONS: u64 = 10_000;
+    let program = round_trip_program(ITERATIONS);
+    let solver = Solver::new();
+    let mut symbols = SymbolTable::new();
+    let mut ctx = VmCtx::new(&solver, &mut symbols);
+    let to_the_end = |_: &VmState| false;
+    let populated = |s: &VmState| s.memory_footprint() == 2 * SLOTS as usize;
+
+    // An unshared state: the first pass over the addresses grows the map,
+    // every later write replaces a cell in place.
+    let mut state = VmState::fresh(&program);
+    assert!(state.prepare(&program, "main", &[Value::const_(0, Width::W16)]));
+    let first_pass = step_until(&program, &mut state, &mut ctx, populated);
+    assert!(first_pass > 0, "new cells are new map nodes");
+    let rest = step_until(&program, &mut state, &mut ctx, to_the_end);
+    assert_eq!(*state.status(), Status::Idle, "ran to the end");
+    assert_eq!(rest, 0, "a populated, unshared heap is written in place");
+    // Slot 5 was last written at i = 9 989 (9 989 mod 64 = 5).
+    assert_eq!(low_byte(&state, 5), 9_989 & 0xff);
+
+    // A clone shares every node: the first write down each path copies
+    // it, once, and the clone keeps reading the old bytes.
+    let clone = state.clone();
+    assert!(state.prepare(&program, "main", &[Value::const_(7, Width::W16)]));
+    // Slot 63 held 9 983's low byte (0xff); the new pass reaches it last.
+    let copied = step_until(&program, &mut state, &mut ctx, |s| {
+        low_byte(s, SLOTS - 1) == (SLOTS - 1 + 7) & 0xff
+    });
+    assert!(
+        copied >= SLOTS,
+        "every leaf a clone shares is copied before it is written ({copied})"
+    );
+    let rest = step_until(&program, &mut state, &mut ctx, to_the_end);
+    assert_eq!(rest, 0, "once copied, the paths are this state's own");
+    assert_eq!(low_byte(&state, 5), (9_989 + 7) & 0xff);
+    assert_eq!(low_byte(&clone, 5), 9_989 & 0xff, "the clone is unchanged");
+    assert_eq!(clone.memory_footprint(), 2 * SLOTS as usize);
+}

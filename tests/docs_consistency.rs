@@ -96,7 +96,7 @@ fn workspace_documents_exist() {
         "README.md",
         "DESIGN.md",
         "EXPERIMENTS.md",
-        "CHANGELOG.md",
+        "CHANGES.md",
         "docs/ALGORITHMS.md",
     ] {
         assert!(repo_root().join(required).exists(), "missing {required}");

@@ -224,6 +224,48 @@ fn resume_refuses_queues_it_cannot_index() {
     }
 }
 
+/// Store and mapper that disagree about which states exist. Both halves
+/// decode and the mapper's half is consistent in itself, so only
+/// `Engine::resume` can see it — and must, or the first send after the
+/// resume reaches `Store::fork`'s "fork of non-resident state" panic.
+#[test]
+fn resume_refuses_a_store_and_mapper_that_disagree() {
+    use sde::core::{MapperSnapshot, SnapshotError};
+
+    const UNALLOCATED: u64 = u64::MAX / 2;
+    for algorithm in Algorithm::ALL {
+        let (_label, scenario) = scenario_from_seed(7);
+        let mut engine = Engine::new(scenario.clone(), algorithm);
+        engine.run_until(Budget::events(9));
+        let good = engine.snapshot();
+        assert!(good.resident_states() >= 2, "{algorithm}: states to mutate");
+        Engine::resume(scenario.clone(), &good).expect("the unmutated snapshot resumes");
+
+        let mut dropped = good.clone();
+        dropped.remove_state(good.resident_states() - 1);
+        let mut retargeted = good.clone();
+        retargeted.edit_mapper(|mapper| match mapper {
+            MapperSnapshot::Cob { groups, .. } => groups[0].1[0].1 = UNALLOCATED,
+            MapperSnapshot::Cow { dstates, .. } => dstates[0].1[0].1[0] = UNALLOCATED,
+            MapperSnapshot::Sds { vstates, .. } => vstates[0].1 = UNALLOCATED,
+        });
+        for (what, hostile) in [
+            ("a state record dropped", dropped),
+            ("a mapper entry retargeted to an unallocated id", retargeted),
+        ] {
+            // Through the wire form, as a hostile file would arrive.
+            let decoded = EngineSnapshot::from_bytes(&hostile.to_bytes()).unwrap_or_else(|e| {
+                panic!("{algorithm}, {what}: the codec has no reason to refuse it: {e}")
+            });
+            match Engine::resume(scenario.clone(), &decoded) {
+                Err(SnapshotError::MapperState(_)) => {}
+                Err(other) => panic!("{algorithm}, {what}: wrong error {other}"),
+                Ok(_) => panic!("{algorithm}, {what}: resumed"),
+            }
+        }
+    }
+}
+
 /// Hand-built exact-cache entries no solver writes. The cache is keyed by
 /// canonical form (DESIGN.md §6): an entry that is not its own canonical
 /// form would decode, never hit, and shift the resumed run's trace
