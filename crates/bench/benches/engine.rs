@@ -125,6 +125,22 @@ fn bench_store(c: &mut Criterion) {
             })
         });
     }
+    // The same fork among 100 000 resident states: the table is a vector
+    // of boxes indexed by id, so the residents are neither hashed past nor
+    // moved when it grows. Flat against `fork/1000` is the pass criterion.
+    {
+        let mut store = populated_store(100_000);
+        let parent = StateId(0);
+        store.events.push(700, (parent, NodeEvent::Timer(1)));
+        store.events.push(700, (parent, NodeEvent::Timer(2)));
+        group.bench_function(BenchmarkId::new("fork/residents", 100_000), |b| {
+            b.iter(|| {
+                let child = store.fork(black_box(parent));
+                store.events.clear(child);
+                store.states.remove(&child)
+            })
+        });
+    }
     for resident in [1_000u64, 100_000] {
         let store = populated_store(resident);
         assert_eq!(store.states.totals(), store.states.totals_reference());

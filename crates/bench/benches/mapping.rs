@@ -9,7 +9,7 @@ use sde_core::mapping::{Algorithm, MemoryStore};
 /// whole dstate (k − 1 states) while SDS forks one target.
 fn bench_conflicted_send(c: &mut Criterion) {
     let mut group = c.benchmark_group("mapping/conflicted_send");
-    for k in [10u16, 50, 100] {
+    for k in [10u16, 50, 64, 100] {
         for alg in Algorithm::ALL {
             group.bench_with_input(
                 BenchmarkId::new(alg.name(), k),

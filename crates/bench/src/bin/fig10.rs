@@ -98,8 +98,8 @@ fn main() {
             println!("fault axes: {}", FaultAxis::join(&faults));
         }
         println!(
-            "{:<4} | {:>12} | {:>10} | {:>12} | {:>8} | series file",
-            "alg", "runtime", "states", "RAM (est.)", "groups"
+            "{:<4} | {:>12} | {:>10} | {:>12} | {:>13} | {:>8} | series file",
+            "alg", "runtime", "states", "RAM (est.)", "mapper (est.)", "groups"
         );
         for alg in Algorithm::ALL {
             let state_cap = if alg == Algorithm::Cob { cap_cob } else { cap };
@@ -168,11 +168,12 @@ fn main() {
             ));
             write_series_csv(&report, &file).expect("write series");
             println!(
-                "{:<4} | {:>12} | {:>10} | {:>12} | {:>8} | {}{}",
+                "{:<4} | {:>12} | {:>10} | {:>12} | {:>13} | {:>8} | {}{}",
                 report.algorithm,
                 format!("{:.2?}", report.wall),
                 report.total_states,
                 human_bytes(report.final_bytes),
+                human_bytes(report.mapper_bytes),
                 report.groups,
                 file.display(),
                 if report.aborted {

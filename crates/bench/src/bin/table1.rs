@@ -45,8 +45,8 @@
 use sde_bench::{
     or_usage, paper_scenario, report_json, run_checkpointed_dedup, run_with_limits_dedup,
     run_with_limits_traced_dedup, symbolic_grid, table_header, testgen_json, trace_file_for,
-    with_fault_axes, write_bench_json, write_trace, Args, Checkpointing, FaultAxis, ParMode,
-    RunLimits, SolverLayers,
+    vm_hwm_bytes, with_fault_axes, write_bench_json, write_trace, Args, Checkpointing, FaultAxis,
+    ParMode, RunLimits, SolverLayers,
 };
 use sde_core::complexity::WorstCase;
 use sde_core::Algorithm;
@@ -135,7 +135,7 @@ fn main() {
         layers.name()
     );
     println!("{}", table_header());
-    println!("-----+--------------+------------+--------------+----------");
+    println!("-----+--------------+------------+--------------+---------------+----------");
 
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -184,6 +184,12 @@ fn main() {
             }
         };
         println!("{}", report.table_row());
+        if let Some(hwm) = vm_hwm_bytes() {
+            println!(
+                "     | measured: process VmHWM {} after this row",
+                sde_core::human_bytes(hwm)
+            );
+        }
         if let Some(line) = trace_line {
             println!("{line}");
         }

@@ -848,11 +848,21 @@ pub fn write_trace(
     sde_trace::write_chrome_trace(&path.with_extension("chrome.json"), events)
 }
 
+/// This process's peak resident set (`VmHWM` of `/proc/self/status`) in
+/// bytes — what the estimates in a table row are to be read against.
+/// `None` where the kernel does not say.
+pub fn vm_hwm_bytes() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    let kb: usize = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
 /// Formats the Table I header.
 pub fn table_header() -> String {
     format!(
-        "{:<4} | {:>12} | {:>10} | {:>12} |",
-        "alg", "runtime", "states", "RAM (est.)"
+        "{:<4} | {:>12} | {:>10} | {:>12} | {:>13} |",
+        "alg", "runtime", "states", "RAM (est.)", "mapper (est.)"
     )
 }
 
@@ -889,6 +899,7 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
             "    \"live_states\": {},\n",
             "    \"final_bytes\": {},\n",
             "    \"peak_bytes\": {},\n",
+            "    \"mapper_bytes\": {},\n",
             "    \"instructions\": {},\n",
             "    \"events\": {},\n",
             "    \"packets\": {},\n",
@@ -918,6 +929,7 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
         report.live_states,
         report.final_bytes,
         report.peak_bytes,
+        report.mapper_bytes,
         report.instructions,
         report.events,
         report.packets,

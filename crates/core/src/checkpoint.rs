@@ -375,6 +375,21 @@ impl EngineSnapshot {
         self.states.remove(index);
     }
 
+    /// Test hook: gives the `index`-th resident state record the id `to`
+    /// and sets the state allocator to `next_state` — a record no mapper
+    /// entry and no run accounts for.
+    #[doc(hidden)]
+    pub fn move_state(&mut self, index: usize, to: StateId, next_state: u64) {
+        self.states[index].id = to;
+        self.next_state = next_state;
+    }
+
+    /// Test hook: lists `id` among the states that entered a handler.
+    #[doc(hidden)]
+    pub fn push_executed(&mut self, id: u64) {
+        self.executed.push(id);
+    }
+
     /// Test hook: hands the mapper bookkeeping to `edit`, so
     /// hostile-snapshot tests can make it disagree with the state records.
     #[doc(hidden)]

@@ -20,7 +20,7 @@ use crate::mapping::{Algorithm, StateMapper, StateStore};
 use crate::scenario::Scenario;
 use crate::state::{SdeState, StateId};
 use crate::stats::{BugFound, DedupStats, ParallelStats, RunReport, Sample, TimeSeries};
-use crate::store::{IndexedQueue, Store};
+use crate::store::{IdSet, IndexedQueue, Store};
 use sde_net::{FaultPlan, NodeId, Packet, PacketId, Topology};
 use sde_os::handlers;
 use sde_symbolic::{BinOp, CastOp, Expr, ExprRef, Solver, SymbolTable, Value, Width};
@@ -100,7 +100,7 @@ pub struct Engine {
     /// States that entered [`Engine::run_handler`] at least once —
     /// replayed duplicates never do, so `executed.len()` is the
     /// states-actually-executed metric the dedup ablation reports.
-    executed: HashSet<StateId>,
+    executed: IdSet,
     /// Candidate / confirmed / collision / pruning counters.
     dedup_stats: DedupStats,
     /// Worker recordings for the batch the merge thread is currently
@@ -144,7 +144,7 @@ impl Engine {
             dedup: false,
             dedup_index: DigestIndex::default(),
             recorder: None,
-            executed: HashSet::new(),
+            executed: IdSet::default(),
             dedup_stats: DedupStats::default(),
             shard_entries: None,
             shard_applied: 0,
@@ -794,8 +794,7 @@ impl Engine {
     /// [`EngineSnapshot::to_bytes`]; reconstruct a continuation with
     /// [`Engine::resume`].
     pub fn snapshot(&self) -> EngineSnapshot {
-        let mut states: Vec<SdeState> = self.store.states.values().cloned().collect();
-        states.sort_unstable_by_key(|s| s.id.0);
+        let states: Vec<SdeState> = self.store.states.values().cloned().collect();
         let symbols = self
             .symbols
             .iter()
@@ -831,13 +830,7 @@ impl Engine {
             dedup: self.dedup,
             dedup_stats: self.dedup_stats,
             sharded: self.sharded,
-            executed: {
-                // Sorted so the snapshot bytes are a pure function of the
-                // engine state (HashSet order is not).
-                let mut ids: Vec<u64> = self.executed.iter().map(|s| s.0).collect();
-                ids.sort_unstable();
-                ids
-            },
+            executed: self.executed.iter().map(|s| s.0).collect(),
         }
     }
 
@@ -894,6 +887,29 @@ impl Engine {
             .import_snapshot(snapshot.mapper.clone())
             .map_err(SnapshotError::MapperState)?;
         engine.solver.import_state(&snapshot.solver);
+        // The tables below are indexed by state id, so no id may size one
+        // before it is bounded by something the snapshot pays bytes for.
+        // A run allocates ids densely and every state stays resident and
+        // mapped, so the mapper of an engine-written snapshot names
+        // exactly the states `0..next_state`; the imports above already
+        // refused a mapper whose ids are not dense.
+        let (mut entries, mut named_end) = (0u64, 0u64);
+        for (id, _) in snapshot.mapper.members() {
+            entries += 1;
+            named_end = named_end.max(id.0.saturating_add(1));
+        }
+        if named_end > entries {
+            return Err(SnapshotError::MapperState(format!(
+                "mapper names state {}, but only {entries} members",
+                StateId(named_end - 1)
+            )));
+        }
+        if snapshot.next_state > named_end {
+            return Err(SnapshotError::MapperState(format!(
+                "state allocator at {}, but the mapper names only the {named_end} states below it",
+                snapshot.next_state
+            )));
+        }
         for s in &snapshot.states {
             if s.id.0 >= snapshot.next_state {
                 return Err(SnapshotError::Codec(sde_symbolic::CodecError::Malformed(
@@ -910,7 +926,7 @@ impl Engine {
         // through the store (`Store::fork` panics on a state that is not
         // resident) and the engine maps sends of resident states through
         // the mapper. No run writes a snapshot where they disagree.
-        let mut named: HashSet<StateId> = HashSet::new();
+        let mut named = IdSet::default();
         for (id, node) in snapshot.mapper.members() {
             match engine.store.states.get(&id) {
                 None => {
@@ -927,7 +943,7 @@ impl Engine {
                 Some(_) => named.insert(id),
             };
         }
-        if let Some(s) = snapshot.states.iter().find(|s| !named.contains(&s.id)) {
+        if let Some(s) = snapshot.states.iter().find(|s| !named.contains(s.id)) {
             return Err(SnapshotError::MapperState(format!(
                 "resident state {} is unknown to the mapper",
                 s.id
@@ -966,7 +982,14 @@ impl Engine {
         engine.dedup = snapshot.dedup;
         engine.dedup_stats = snapshot.dedup_stats;
         engine.sharded = snapshot.sharded;
-        engine.executed = snapshot.executed.iter().map(|id| StateId(*id)).collect();
+        for id in &snapshot.executed {
+            if *id >= snapshot.next_state {
+                return Err(SnapshotError::Codec(sde_symbolic::CodecError::Malformed(
+                    "executed state id beyond allocator",
+                )));
+            }
+            engine.executed.insert(StateId(*id));
+        }
         // The memo index is deliberately not serialized (entries hold
         // full VM states; DESIGN.md §10): a resumed dedup run starts
         // cold and re-records, so it may execute more states than the
@@ -1004,7 +1027,7 @@ impl Engine {
         self.mapper.as_ref()
     }
 
-    /// The states currently resident, in unspecified order.
+    /// The states currently resident, ascending by id.
     pub fn states(&self) -> impl Iterator<Item = &SdeState> {
         self.store.states.values()
     }
@@ -2096,11 +2119,13 @@ impl Engine {
     /// state forked along the way; transmissions trigger state mapping
     /// mid-flight.
     fn run_handler(&mut self, state_id: StateId, handler: &str, args: &[Value]) {
+        // The state's box leaves the table for the handler's duration and
+        // the same box goes back: the state itself never moves.
         let Some(mut first) = self.store.states.remove(&state_id) else {
             return;
         };
         if !first.is_idle() {
-            self.store.states.insert(first);
+            self.store.states.put(first);
             return;
         }
         let node = first.node;
@@ -2111,7 +2136,7 @@ impl Engine {
             args.len()
         );
 
-        let mut running: Vec<SdeState> = vec![first];
+        let mut running: Vec<Box<SdeState>> = vec![first];
         while let Some(mut st) = running.pop() {
             self.executed.insert(st.id);
             loop {
@@ -2178,7 +2203,7 @@ impl Engine {
                             .push(self.now + delay, (st.id, NodeEvent::Timer(timer)));
                     }
                     StepResult::HandlerDone(_) | StepResult::Halted | StepResult::Infeasible => {
-                        self.store.states.insert(st);
+                        self.store.states.put(st);
                         break;
                     }
                     StepResult::Bug(report) => {
@@ -2187,7 +2212,7 @@ impl Engine {
                             state: st.id,
                             report,
                         });
-                        self.store.states.insert(st);
+                        self.store.states.put(st);
                         break;
                     }
                 }
@@ -2327,34 +2352,29 @@ impl Engine {
     pub fn into_report(self) -> RunReport {
         let (live, final_bytes) = self.store.states.totals();
         // Duplicate detection over resident states, scanned in state-id
-        // order so "which of an equal pair counts as the duplicate" — and
-        // with it the per-node attribution — is deterministic.
-        let mut ordered: Vec<&SdeState> = self.store.states.values().collect();
-        ordered.sort_unstable_by_key(|s| s.id.0);
+        // order (the table's own) so "which of an equal pair counts as the
+        // duplicate" — and with it the per-node attribution — is
+        // deterministic. The same pass collects every resident state's
+        // configuration digest, in that order, for the digest of the final
+        // state set.
         let mut seen: HashSet<u64> = HashSet::new();
         let mut seen_terminated: HashSet<u64> = HashSet::new();
         let mut duplicates = 0usize;
         let mut duplicate_terminated = 0usize;
         let mut by_node: std::collections::BTreeMap<u16, usize> = std::collections::BTreeMap::new();
-        for s in &ordered {
-            if !seen.insert(s.config_digest()) {
+        let mut digests: Vec<(u64, u64)> = Vec::with_capacity(self.store.states.len());
+        for s in self.store.states.values() {
+            let digest = s.config_digest();
+            if !seen.insert(digest) {
                 duplicates += 1;
                 *by_node.entry(s.node.0).or_default() += 1;
             }
-            if !s.is_live() && !seen_terminated.insert(s.config_digest()) {
+            if !s.is_live() && !seen_terminated.insert(digest) {
                 duplicate_terminated += 1;
             }
+            digests.push((s.id.0, digest));
         }
         let duplicates_by_node: Vec<(u16, usize)> = by_node.into_iter().collect();
-        // Order-independent digest of the final state set: every resident
-        // state's configuration digest, combined in state-id order.
-        let mut digests: Vec<(u64, u64)> = self
-            .store
-            .states
-            .values()
-            .map(|s| (s.id.0, s.config_digest()))
-            .collect();
-        digests.sort_unstable();
         let mut hasher = DefaultHasher::new();
         digests.hash(&mut hasher);
         let history_digest = hasher.finish();
@@ -2387,6 +2407,7 @@ impl Engine {
             live_states: live,
             final_bytes,
             peak_bytes: self.series.peak_bytes().max(final_bytes),
+            mapper_bytes: self.mapper.approx_bytes(),
             instructions: self.instructions,
             events: self.events_processed,
             packets: self.packets_sent,

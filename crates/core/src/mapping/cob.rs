@@ -12,21 +12,28 @@
 //! here because every other algorithm is validated against COB's
 //! dscenario set.
 
+use crate::mapping::members::{ByState, Members};
 use crate::mapping::{Delivery, MapperSnapshot, MapperStats, StateMapper, StateStore};
 use crate::state::StateId;
 use sde_net::NodeId;
-use std::collections::{BTreeMap, HashMap};
 
-/// Identifier of one dscenario.
+/// Identifier of one dscenario: its index in [`Cob::groups`] (dense, never
+/// freed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct GroupId(u64);
+
+impl GroupId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// The Copy-On-Branch mapper. See the module documentation.
 #[derive(Debug, Default)]
 pub struct Cob {
-    groups: HashMap<GroupId, BTreeMap<NodeId, StateId>>,
-    group_of: HashMap<StateId, GroupId>,
-    next_group: u64,
+    /// Indexed by [`GroupId`]: the dscenario's one state per node.
+    groups: Vec<Members<StateId>>,
+    group_of: ByState,
     stats: MapperStats,
 }
 
@@ -37,10 +44,8 @@ impl Cob {
         Cob::default()
     }
 
-    fn fresh_group(&mut self) -> GroupId {
-        let g = GroupId(self.next_group);
-        self.next_group += 1;
-        g
+    fn group_of(&self, state: StateId) -> Option<GroupId> {
+        self.group_of.get(state).map(GroupId)
     }
 }
 
@@ -50,16 +55,17 @@ impl StateMapper for Cob {
     }
 
     fn on_boot(&mut self, states: &[(StateId, NodeId)]) {
-        let g = self.fresh_group();
-        let mut members = BTreeMap::new();
+        let g = GroupId(self.groups.len() as u64);
+        let mut members = Members::with_capacity(states.len());
         for (s, n) in states {
             assert!(
-                members.insert(*n, *s).is_none(),
+                members.of(*n).is_empty(),
                 "boot requires exactly one state per node"
             );
-            self.group_of.insert(*s, g);
+            members.insert(*n, *s);
+            self.group_of.set(*s, g.0);
         }
-        self.groups.insert(g, members);
+        self.groups.push(members);
     }
 
     fn on_branch(
@@ -70,24 +76,26 @@ impl StateMapper for Cob {
         store: &mut dyn StateStore,
     ) {
         self.stats.branches_seen += 1;
-        let g = self.group_of[&parent];
-        let new_g = self.fresh_group();
-        let mut new_members = BTreeMap::new();
-        let members: Vec<(NodeId, StateId)> =
-            self.groups[&g].iter().map(|(n, s)| (*n, *s)).collect();
-        for (n, s) in members {
+        let g = self.group_of(parent).expect("parent is in a dscenario");
+        let new_g = GroupId(self.groups.len() as u64);
+        // One state per node, walked in node order: the new dscenario's
+        // list is sorted as appended, whatever ids the copies get.
+        let members = &self.groups[g.index()];
+        let mut new_members = Members::with_capacity(members.len());
+        for &(n, s) in members.as_slice() {
             if n == node {
                 debug_assert_eq!(s, parent, "parent must be its dscenario's member");
+                new_members.push(node, child);
+                self.group_of.set(child, new_g.0);
                 continue;
             }
             let copy = store.fork(s);
             self.stats.mapper_forks += 1;
-            new_members.insert(n, copy);
-            self.group_of.insert(copy, new_g);
+            new_members.push(n, copy);
+            self.group_of.set(copy, new_g.0);
         }
-        new_members.insert(node, child);
-        self.group_of.insert(child, new_g);
-        self.groups.insert(new_g, new_members);
+        debug_assert_eq!(new_members.len(), members.len(), "node has a member");
+        self.groups.push(new_members);
     }
 
     fn map_send(
@@ -98,8 +106,11 @@ impl StateMapper for Cob {
         _store: &mut dyn StateStore,
     ) -> Delivery {
         self.stats.sends_mapped += 1;
-        let g = self.group_of[&sender];
-        let receiver = self.groups[&g][&dest];
+        let g = self.group_of(sender).expect("sender is in a dscenario");
+        let (_, receiver) = *self.groups[g.index()]
+            .of(dest)
+            .first()
+            .expect("a dscenario has a state on every node");
         Delivery {
             receivers: vec![receiver],
         }
@@ -113,32 +124,42 @@ impl StateMapper for Cob {
         self.stats
     }
 
+    fn approx_bytes(&self) -> usize {
+        let members: usize = self.groups.iter().map(Members::len).sum();
+        members * size_of::<(NodeId, StateId)>()
+            + self.groups.len() * size_of::<Members<StateId>>()
+            + self.group_of.len() * size_of::<u64>()
+    }
+
     fn dscenarios(&self) -> Box<dyn Iterator<Item = Vec<StateId>> + '_> {
         // Each group is exactly one dscenario.
-        Box::new(
-            self.groups
-                .values()
-                .map(|members| members.values().copied().collect::<Vec<StateId>>()),
-        )
+        Box::new(self.groups.iter().map(states_of))
     }
 
     fn dscenarios_containing(&self, state: StateId) -> Box<dyn Iterator<Item = Vec<StateId>> + '_> {
         // A COB state lives in exactly one dscenario.
-        match self.group_of.get(&state) {
-            Some(g) => Box::new(std::iter::once(
-                self.groups[g].values().copied().collect::<Vec<StateId>>(),
-            )),
-            None => Box::new(std::iter::empty()),
-        }
+        Box::new(
+            self.group_of(state)
+                .into_iter()
+                .map(|g| states_of(&self.groups[g.index()])),
+        )
     }
 
     fn check_invariants(&self) -> Option<String> {
-        for (g, members) in &self.groups {
+        let mut listed = 0;
+        for (g, members) in (0u64..).zip(&self.groups) {
+            let g = GroupId(g);
             if members.is_empty() {
                 return Some(format!("dscenario {g:?} is empty"));
             }
-            for (n, s) in members {
-                match self.group_of.get(s) {
+            if !members.is_strictly_sorted() {
+                return Some(format!("dscenario {g:?} is not sorted by node"));
+            }
+            if let Some(twice) = members.per_node().find(|on_node| on_node.len() > 1) {
+                return Some(format!("dscenario {g:?} lists {} twice", twice[0].0));
+            }
+            for (n, s) in members.as_slice() {
+                match self.group_of(*s) {
                     Some(owner) if owner == g => {}
                     other => {
                         return Some(format!(
@@ -147,29 +168,31 @@ impl StateMapper for Cob {
                     }
                 }
             }
+            listed += members.len();
         }
-        // Every state belongs to exactly one group and appears there.
-        for (s, g) in &self.group_of {
-            let Some(members) = self.groups.get(g) else {
-                return Some(format!("state {s} references missing dscenario {g:?}"));
-            };
-            if !members.values().any(|m| m == s) {
-                return Some(format!("state {s} not present in its dscenario {g:?}"));
-            }
+        // Every state belongs to exactly one group and appears there: each
+        // listed state points back at its group, so it is enough that no
+        // state is listed twice or points at a group that does not list it.
+        let placed = self.group_of.placed();
+        if placed != listed {
+            return Some(format!(
+                "{placed} states are placed in a dscenario, {listed} are listed in one"
+            ));
         }
         None
     }
 
     fn export_snapshot(&self) -> MapperSnapshot {
-        let mut groups: Vec<(u64, Vec<(u16, u64)>)> = self
-            .groups
-            .iter()
-            .map(|(g, members)| (g.0, members.iter().map(|(n, s)| (n.0, s.0)).collect()))
+        let groups = (0u64..)
+            .zip(&self.groups)
+            .map(|(g, members)| {
+                let members = members.as_slice().iter().map(|(n, s)| (n.0, s.0));
+                (g, members.collect())
+            })
             .collect();
-        groups.sort_unstable_by_key(|(g, _)| *g);
         MapperSnapshot::Cob {
             groups,
-            next_group: self.next_group,
+            next_group: self.groups.len() as u64,
             stats: self.stats,
         }
     }
@@ -186,28 +209,39 @@ impl StateMapper for Cob {
                 snapshot.algorithm()
             ));
         };
+        if let Some((gid, _)) = groups.iter().find(|(_, listed)| listed.is_empty()) {
+            return Err(format!("dscenario {gid} is empty"));
+        }
+        // Ids are table indexes: the dscenarios must be exactly
+        // `0..next_group`, and — a run keeps every state it ever made in
+        // exactly one dscenario — the states exactly `0..` the number of
+        // members listed. Checked before a table is sized by either.
+        if !groups.iter().map(|(gid, _)| *gid).eq(0..next_group) {
+            return Err(format!("dscenario ids are not exactly 0..{next_group}"));
+        }
+        let states: usize = groups.iter().map(|(_, listed)| listed.len()).sum();
         let mut restored = Cob {
-            next_group,
+            groups: Vec::with_capacity(groups.len()),
+            group_of: ByState::with_len(states),
             stats,
-            ..Cob::default()
         };
-        for (gid, members) in groups {
-            if gid >= next_group {
-                return Err(format!("dscenario id {gid} beyond allocator {next_group}"));
-            }
-            let g = GroupId(gid);
-            let mut map = BTreeMap::new();
-            for (n, s) in members {
-                if map.insert(NodeId(n), StateId(s)).is_some() {
-                    return Err(format!("dscenario {gid} lists node {n} twice"));
+        for (gid, listed) in groups {
+            let mut members = Members::with_capacity(listed.len());
+            for (n, s) in listed {
+                if s >= states as u64 {
+                    return Err(format!(
+                        "state id {s} is not below the {states} states listed"
+                    ));
                 }
-                if restored.group_of.insert(StateId(s), g).is_some() {
+                if restored.group_of(StateId(s)).is_some() {
                     return Err(format!("state {s} appears in two dscenarios"));
                 }
+                if !members.try_push(NodeId(n), StateId(s)) {
+                    return Err(format!("dscenario {gid} lists node {n} out of order"));
+                }
+                restored.group_of.set(StateId(s), gid);
             }
-            if restored.groups.insert(g, map).is_some() {
-                return Err(format!("dscenario id {gid} duplicated"));
-            }
+            restored.groups.push(members);
         }
         // Everything delivery indexes into is an invariant; a table that
         // breaks one is refused here, not found by a panic mid-run.
@@ -217,6 +251,11 @@ impl StateMapper for Cob {
         *self = restored;
         Ok(())
     }
+}
+
+/// The states of one dscenario, in node order.
+fn states_of(members: &Members<StateId>) -> Vec<StateId> {
+    members.as_slice().iter().map(|(_, s)| *s).collect()
 }
 
 #[cfg(test)]

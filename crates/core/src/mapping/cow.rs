@@ -12,24 +12,30 @@
 //!
 //! The bystander copies are pure duplicates — the waste SDS eliminates.
 
+use crate::mapping::members::{ByState, Members};
 use crate::mapping::{
-    CartesianScenarios, CowGroupSnapshot, Delivery, MapperSnapshot, MapperStats, StateMapper,
-    StateStore,
+    CartesianScenarios, Delivery, MapperSnapshot, MapperStats, StateMapper, StateStore,
 };
 use crate::state::StateId;
 use sde_net::NodeId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Identifier of one dstate.
+/// Identifier of one dstate: its index in [`Cow::dstates`] (dense, never
+/// freed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct GroupId(u64);
+
+impl GroupId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// The Copy-On-Write mapper. See the module documentation.
 #[derive(Debug, Default)]
 pub struct Cow {
-    dstates: HashMap<GroupId, BTreeMap<NodeId, BTreeSet<StateId>>>,
-    group_of: HashMap<StateId, GroupId>,
-    next_group: u64,
+    /// Indexed by [`GroupId`]: per node, the member states.
+    dstates: Vec<Members<StateId>>,
+    group_of: ByState,
     stats: MapperStats,
 }
 
@@ -40,10 +46,8 @@ impl Cow {
         Cow::default()
     }
 
-    fn fresh_group(&mut self) -> GroupId {
-        let g = GroupId(self.next_group);
-        self.next_group += 1;
-        g
+    fn group_of(&self, state: StateId) -> Option<GroupId> {
+        self.group_of.get(state).map(GroupId)
     }
 }
 
@@ -53,13 +57,13 @@ impl StateMapper for Cow {
     }
 
     fn on_boot(&mut self, states: &[(StateId, NodeId)]) {
-        let g = self.fresh_group();
-        let mut members: BTreeMap<NodeId, BTreeSet<StateId>> = BTreeMap::new();
+        let g = GroupId(self.dstates.len() as u64);
+        let mut members = Members::with_capacity(states.len());
         for (s, n) in states {
-            members.entry(*n).or_default().insert(*s);
-            self.group_of.insert(*s, g);
+            members.insert(*n, *s);
+            self.group_of.set(*s, g.0);
         }
-        self.dstates.insert(g, members);
+        self.dstates.push(members);
     }
 
     fn on_branch(
@@ -72,14 +76,9 @@ impl StateMapper for Cow {
         self.stats.branches_seen += 1;
         // Branching is free: the sibling has the same communication
         // history, so it is conflict-free with everything in the dstate.
-        let g = self.group_of[&parent];
-        self.dstates
-            .get_mut(&g)
-            .expect("parent's dstate exists")
-            .entry(node)
-            .or_default()
-            .insert(child);
-        self.group_of.insert(child, g);
+        let g = self.group_of(parent).expect("parent is in a dstate");
+        self.dstates[g.index()].insert(node, child);
+        self.group_of.set(child, g.0);
     }
 
     fn map_send(
@@ -90,56 +89,44 @@ impl StateMapper for Cow {
         store: &mut dyn StateStore,
     ) -> Delivery {
         self.stats.sends_mapped += 1;
-        let g = self.group_of[&sender];
-        let has_rivals = self.dstates[&g]
-            .get(&sender_node)
-            .is_some_and(|set| set.len() > 1);
+        let g = self.group_of(sender).expect("sender is in a dstate");
+        let rivals = self.dstates[g.index()].of(sender_node).len();
 
-        if !has_rivals {
+        if rivals <= 1 {
             // No conflict: every state of the destination node in this
             // dstate receives in place.
-            let receivers: Vec<StateId> = self.dstates[&g]
-                .get(&dest)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
+            let receivers = states_of(self.dstates[g.index()].of(dest));
             debug_assert!(!receivers.is_empty(), "dstates keep one state per node");
             return Delivery { receivers };
         }
 
         // Conflict: move the sender into a fresh dstate and fork every
-        // non-rival state of the original dstate into it.
-        let snapshot: Vec<(NodeId, Vec<StateId>)> = self.dstates[&g]
-            .iter()
-            .map(|(n, set)| (*n, set.iter().copied().collect()))
-            .collect();
-        let new_g = self.fresh_group();
-
-        let mut new_members: BTreeMap<NodeId, BTreeSet<StateId>> = BTreeMap::new();
+        // non-rival state of the original dstate into it. The walk is in
+        // (node, id) order and copies get rising ids, so the new dstate's
+        // list is sorted as appended.
+        let new_g = GroupId(self.dstates.len() as u64);
+        let members = &self.dstates[g.index()];
+        let mut new_members = Members::with_capacity(members.len() - rivals + 1);
         let mut receivers = Vec::new();
-        for (n, states) in snapshot {
+        for &(n, s) in members.as_slice() {
             if n == sender_node {
-                continue; // rivals (and the sender) are handled below
-            }
-            for s in states {
-                let copy = store.fork(s);
-                self.stats.mapper_forks += 1;
-                self.group_of.insert(copy, new_g);
-                new_members.entry(n).or_default().insert(copy);
-                if n == dest {
-                    receivers.push(copy);
+                // The sender moves, alone on its node; its rivals stay.
+                if s == sender {
+                    new_members.push(sender_node, sender);
                 }
+                continue;
+            }
+            let copy = store.fork(s);
+            self.stats.mapper_forks += 1;
+            self.group_of.set(copy, new_g.0);
+            new_members.push(n, copy);
+            if n == dest {
+                receivers.push(copy);
             }
         }
-        // Move the sender.
-        self.dstates
-            .get_mut(&g)
-            .expect("dstate exists")
-            .get_mut(&sender_node)
-            .expect("sender's node populated")
-            .remove(&sender);
-        new_members.entry(sender_node).or_default().insert(sender);
-        self.group_of.insert(sender, new_g);
-        self.dstates.insert(new_g, new_members);
+        self.dstates[g.index()].remove(sender_node, sender);
+        self.group_of.set(sender, new_g.0);
+        self.dstates.push(new_members);
 
         Delivery { receivers }
     }
@@ -152,31 +139,34 @@ impl StateMapper for Cow {
         self.stats
     }
 
+    fn approx_bytes(&self) -> usize {
+        let members: usize = self.dstates.iter().map(Members::len).sum();
+        members * size_of::<(NodeId, StateId)>()
+            + self.dstates.len() * size_of::<Members<StateId>>()
+            + self.group_of.len() * size_of::<u64>()
+    }
+
     fn dscenarios(&self) -> Box<dyn Iterator<Item = Vec<StateId>> + '_> {
         // Within one dstate all same-node states are interchangeable
         // (identical histories), so its dscenarios are the cartesian
         // product of the per-node member sets.
-        Box::new(self.dstates.values().flat_map(|members| {
-            let axes: Vec<Vec<StateId>> = members
-                .values()
-                .map(|set| set.iter().copied().collect())
-                .collect();
-            CartesianScenarios::new(axes)
+        Box::new(self.dstates.iter().flat_map(|members| {
+            CartesianScenarios::new(members.per_node().map(states_of).collect())
         }))
     }
 
     fn dscenarios_containing(&self, state: StateId) -> Box<dyn Iterator<Item = Vec<StateId>> + '_> {
         // Pin the state's own node axis to `state`, cross the rest.
-        let Some(g) = self.group_of.get(&state) else {
+        let Some(g) = self.group_of(state) else {
             return Box::new(std::iter::empty());
         };
-        let axes: Vec<Vec<StateId>> = self.dstates[g]
-            .values()
-            .map(|set| {
-                if set.contains(&state) {
+        let axes: Vec<Vec<StateId>> = self.dstates[g.index()]
+            .per_node()
+            .map(|on_node| {
+                if on_node.iter().any(|(_, s)| *s == state) {
                     vec![state]
                 } else {
-                    set.iter().copied().collect()
+                    states_of(on_node)
                 }
             })
             .collect();
@@ -184,48 +174,48 @@ impl StateMapper for Cow {
     }
 
     fn check_invariants(&self) -> Option<String> {
-        for (g, members) in &self.dstates {
+        let mut listed = 0;
+        for (g, members) in (0u64..).zip(&self.dstates) {
+            let g = GroupId(g);
             if members.is_empty() {
                 return Some(format!("dstate {g:?} is empty"));
             }
-            for (n, set) in members {
-                if set.is_empty() {
-                    return Some(format!("dstate {g:?} has no state on {n}"));
-                }
-                for s in set {
-                    if self.group_of.get(s) != Some(g) {
-                        return Some(format!("state {s} ownership inconsistent for {g:?}"));
-                    }
+            if !members.is_strictly_sorted() {
+                return Some(format!("dstate {g:?} is not sorted by (node, state)"));
+            }
+            for (_, s) in members.as_slice() {
+                if self.group_of(*s) != Some(g) {
+                    return Some(format!("state {s} ownership inconsistent for {g:?}"));
                 }
             }
+            listed += members.len();
         }
-        for (s, g) in &self.group_of {
-            let Some(members) = self.dstates.get(g) else {
-                return Some(format!("state {s} references missing dstate {g:?}"));
-            };
-            if !members.values().any(|set| set.contains(s)) {
-                return Some(format!("state {s} not present in its dstate {g:?}"));
-            }
+        // Every state belongs to exactly one dstate and appears there: each
+        // listed state points back at its dstate, so it is enough that no
+        // state is listed twice or points at a dstate that does not list it.
+        let placed = self.group_of.placed();
+        if placed != listed {
+            return Some(format!(
+                "{placed} states are placed in a dstate, {listed} are listed in one"
+            ));
         }
         None
     }
 
     fn export_snapshot(&self) -> MapperSnapshot {
-        let mut dstates: Vec<CowGroupSnapshot> = self
-            .dstates
-            .iter()
+        let dstates = (0u64..)
+            .zip(&self.dstates)
             .map(|(g, members)| {
-                let per_node = members
-                    .iter()
-                    .map(|(n, set)| (n.0, set.iter().map(|s| s.0).collect()))
-                    .collect();
-                (g.0, per_node)
+                let per_node = members.per_node().map(|on_node| {
+                    let states = on_node.iter().map(|(_, s)| s.0);
+                    (on_node[0].0 .0, states.collect())
+                });
+                (g, per_node.collect())
             })
             .collect();
-        dstates.sort_unstable_by_key(|(g, _)| *g);
         MapperSnapshot::Cow {
             dstates,
-            next_group: self.next_group,
+            next_group: self.dstates.len() as u64,
             stats: self.stats,
         }
     }
@@ -242,31 +232,52 @@ impl StateMapper for Cow {
                 snapshot.algorithm()
             ));
         };
+        // What a member list cannot express is refused as listed.
+        for (gid, per_node) in &dstates {
+            if per_node.is_empty() {
+                return Err(format!("dstate {gid} is empty"));
+            }
+            if let Some((n, _)) = per_node.iter().find(|(_, listed)| listed.is_empty()) {
+                return Err(format!("dstate {gid} has no state on {}", NodeId(*n)));
+            }
+        }
+        // Ids are table indexes: the dstates must be exactly
+        // `0..next_group`, and — a run keeps every state it ever made in
+        // exactly one dstate — the states exactly `0..` the number of
+        // members listed. Checked before a table is sized by either.
+        if !dstates.iter().map(|(gid, _)| *gid).eq(0..next_group) {
+            return Err(format!("dstate ids are not exactly 0..{next_group}"));
+        }
+        let members_of = |per_node: &[(u16, Vec<u64>)]| -> usize {
+            per_node.iter().map(|(_, listed)| listed.len()).sum()
+        };
+        let states: usize = dstates.iter().map(|(_, d)| members_of(d)).sum();
         let mut restored = Cow {
-            next_group,
+            dstates: Vec::with_capacity(dstates.len()),
+            group_of: ByState::with_len(states),
             stats,
-            ..Cow::default()
         };
         for (gid, per_node) in dstates {
-            if gid >= next_group {
-                return Err(format!("dstate id {gid} beyond allocator {next_group}"));
-            }
-            let g = GroupId(gid);
-            let mut members: BTreeMap<NodeId, BTreeSet<StateId>> = BTreeMap::new();
-            for (n, states) in per_node {
-                let set = members.entry(NodeId(n)).or_default();
-                for s in states {
-                    if !set.insert(StateId(s)) {
-                        return Err(format!("dstate {gid} lists state {s} twice"));
+            let mut members = Members::with_capacity(members_of(&per_node));
+            for (n, listed) in per_node {
+                for s in listed {
+                    if s >= states as u64 {
+                        return Err(format!(
+                            "state id {s} is not below the {states} states listed"
+                        ));
                     }
-                    if restored.group_of.insert(StateId(s), g).is_some() {
+                    if restored.group_of(StateId(s)).is_some() {
                         return Err(format!("state {s} appears in two dstates"));
                     }
+                    if !members.try_push(NodeId(n), StateId(s)) {
+                        return Err(format!(
+                            "dstate {gid} lists state {s} on node {n} out of order"
+                        ));
+                    }
+                    restored.group_of.set(StateId(s), gid);
                 }
             }
-            if restored.dstates.insert(g, members).is_some() {
-                return Err(format!("dstate id {gid} duplicated"));
-            }
+            restored.dstates.push(members);
         }
         // Everything delivery indexes into is an invariant; a table that
         // breaks one is refused here, not found by a panic mid-run.
@@ -276,6 +287,11 @@ impl StateMapper for Cow {
         *self = restored;
         Ok(())
     }
+}
+
+/// The states of (part of) a member list, in list order.
+fn states_of(members: &[(NodeId, StateId)]) -> Vec<StateId> {
+    members.iter().map(|(_, s)| *s).collect()
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 
 pub mod cob;
 pub mod cow;
+mod members;
 pub mod sds;
 
 use crate::state::StateId;
@@ -200,6 +201,16 @@ pub trait StateMapper: fmt::Debug {
 
     /// Work counters.
     fn stats(&self) -> MapperStats;
+
+    /// Deterministic estimate of the bytes the mapper's own tables hold —
+    /// the companion of [`SdeState::approx_bytes`](crate::SdeState::approx_bytes)
+    /// for the bookkeeping *about* states. Computed from element counts
+    /// only (never capacities), so equal mappers report equal bytes however
+    /// they were arrived at. The default — for mappers that do not account
+    /// for themselves — is 0.
+    fn approx_bytes(&self) -> usize {
+        0
+    }
 
     /// Enumerates every represented dscenario as a set of state ids (one
     /// state per node). This is the §IV-C "explosion" used for test-case

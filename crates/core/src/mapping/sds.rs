@@ -48,12 +48,12 @@
 //! reads and writes members of the sending dstates only; its cost does not
 //! depend on the size of any target's super-dstate.
 
+use crate::mapping::members::{ByState, Members};
 use crate::mapping::{
     CartesianScenarios, Delivery, MapperSnapshot, MapperStats, StateMapper, StateStore,
 };
 use crate::state::StateId;
 use sde_net::NodeId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Identifier of one dstate: its index in [`Sds::dstates`] (dense, never
 /// freed).
@@ -88,17 +88,18 @@ struct VState {
 }
 
 /// An owner slot: the virtual states of one execution state (its
-/// super-dstate). Virtual states point at the slot, not at the execution
-/// state, so handing a whole super-dstate to another execution state is
-/// one write to `owner`.
+/// super-dstate), ascending. Virtual states point at the slot, not at the
+/// execution state, so handing a whole super-dstate to another execution
+/// state is one write to `owner`.
 #[derive(Debug)]
 struct Slot {
     owner: StateId,
-    owned: BTreeSet<VId>,
+    owned: Vec<VId>,
 }
 
 /// What the phase-1 scan of the sending dstates learns about one target.
 struct Target {
+    state: StateId,
     slot: SlotId,
     /// Its virtual states inside sending dstates…
     near: usize,
@@ -110,14 +111,20 @@ struct Target {
 }
 
 /// The Super-DState mapper. See the module documentation.
+///
+/// Every table is a vector indexed by a dense id, and a dstate's
+/// membership is one sorted list ([`Members`]): a virtual state costs its
+/// 24-byte [`VState`], a 16-byte list entry and an 8-byte entry in its
+/// owner's slot, and copying a dstate (phase 4 of a send) is one
+/// allocation however many members it has.
 #[derive(Debug, Default)]
 pub struct Sds {
     /// Indexed by [`VId`].
     vstates: Vec<VState>,
     /// Indexed by [`GroupId`]; per node, the member virtual states.
-    dstates: Vec<BTreeMap<NodeId, BTreeSet<VId>>>,
+    dstates: Vec<Members<VId>>,
     slots: Vec<Slot>,
-    slot_of: HashMap<StateId, SlotId>,
+    slot_of: ByState,
     stats: MapperStats,
 }
 
@@ -129,44 +136,37 @@ impl Sds {
     }
 
     fn fresh_group(&mut self) -> GroupId {
-        self.dstates.push(BTreeMap::new());
+        self.dstates.push(Members::new());
         GroupId(self.dstates.len() as u64 - 1)
+    }
+
+    fn slot_of(&self, state: StateId) -> Option<SlotId> {
+        self.slot_of.get(state).map(|slot| slot as SlotId)
+    }
+
+    fn set_slot(&mut self, state: StateId, slot: SlotId) {
+        self.slot_of.set(state, slot as u64);
     }
 
     /// Gives `owner` a fresh, empty slot (replacing any it had).
     fn fresh_slot(&mut self, owner: StateId) -> SlotId {
         self.slots.push(Slot {
             owner,
-            owned: BTreeSet::new(),
+            owned: Vec::new(),
         });
-        self.slot_of.insert(owner, self.slots.len() - 1);
+        self.set_slot(owner, self.slots.len() - 1);
         self.slots.len() - 1
     }
 
-    /// Creates a virtual state for `slot`'s owner (on `node`) inside `dstate`.
+    /// Creates a virtual state for `slot`'s owner (on `node`) inside
+    /// `dstate`. Its id is the largest so far: it goes to the end of the
+    /// slot's list and of its node's stretch of the dstate's.
     fn add_vstate(&mut self, slot: SlotId, node: NodeId, dstate: GroupId) -> VId {
         let v = VId(self.vstates.len() as u64);
         self.vstates.push(VState { slot, node, dstate });
-        self.dstates[dstate.index()]
-            .entry(node)
-            .or_default()
-            .insert(v);
-        self.slots[slot].owned.insert(v);
+        self.dstates[dstate.index()].insert(node, v);
+        self.slots[slot].owned.push(v);
         v
-    }
-
-    /// Moves virtual state `v` into `new_dstate`.
-    fn migrate(&mut self, v: VId, new_dstate: GroupId) {
-        let vs = &mut self.vstates[v.index()];
-        let (node, old) = (vs.node, vs.dstate);
-        vs.dstate = new_dstate;
-        if let Some(set) = self.dstates[old.index()].get_mut(&node) {
-            set.remove(&v);
-        }
-        self.dstates[new_dstate.index()]
-            .entry(node)
-            .or_default()
-            .insert(v);
     }
 
     fn owner(&self, v: VId) -> StateId {
@@ -175,10 +175,35 @@ impl Sds {
 
     /// The virtual states `state` owns (its super-dstate), ascending.
     fn owned(&self, state: StateId) -> impl Iterator<Item = VId> + '_ {
-        let slot = self.slot_of.get(&state);
+        let slot = self.slot_of(state);
         slot.into_iter()
-            .flat_map(|s| self.slots[*s].owned.iter().copied())
+            .flat_map(|s| self.slots[s].owned.iter().copied())
     }
+
+    /// The owners of (part of) a member list, in list order.
+    fn owners_of(&self, members: &[(NodeId, VId)]) -> Vec<StateId> {
+        members.iter().map(|(_, v)| self.owner(*v)).collect()
+    }
+}
+
+/// Removes the ascending `gone` from the ascending `owned`, touching
+/// nothing in front of the first one.
+fn remove_ascending(owned: &mut Vec<VId>, gone: &[VId]) {
+    let Some(first) = gone.first() else {
+        return;
+    };
+    let start = owned.partition_point(|v| v < first);
+    let mut kept = start;
+    let mut gone = gone.iter().peekable();
+    for read in start..owned.len() {
+        if gone.peek() == Some(&&owned[read]) {
+            gone.next();
+        } else {
+            owned[kept] = owned[read];
+            kept += 1;
+        }
+    }
+    owned.truncate(kept);
 }
 
 impl StateMapper for Sds {
@@ -209,6 +234,7 @@ impl StateMapper for Sds {
             .map(|v| self.vstates[v.index()].dstate)
             .collect();
         let slot = self.fresh_slot(child);
+        self.slots[slot].owned.reserve_exact(parents.len());
         for d in parents {
             self.add_vstate(slot, node, d);
             self.stats.virtual_forks += 1;
@@ -223,7 +249,7 @@ impl StateMapper for Sds {
         store: &mut dyn StateStore,
     ) -> Delivery {
         self.stats.sends_mapped += 1;
-        let Some(&sender_slot) = self.slot_of.get(&sender) else {
+        let Some(sender_slot) = self.slot_of(sender) else {
             debug_assert!(false, "sender must own virtual states");
             return Delivery {
                 receivers: Vec::new(),
@@ -240,24 +266,32 @@ impl StateMapper for Sds {
             .collect();
         sending.sort_unstable();
         let mut rival_dstates: Vec<(GroupId, VId)> = Vec::new();
-        let mut targets: BTreeMap<StateId, Target> = BTreeMap::new();
+        // Ascending by state: the order the targets fork in.
+        let mut targets: Vec<Target> = Vec::new();
         for &(d, vs) in &sending {
             let members = &self.dstates[d.index()];
-            let rival = members.get(&sender_node).is_some_and(|set| {
-                set.iter()
-                    .any(|v| self.vstates[v.index()].slot != sender_slot)
-            });
+            let rival = (members.of(sender_node).iter())
+                .any(|(_, v)| self.vstates[v.index()].slot != sender_slot);
             if rival {
                 rival_dstates.push((d, vs));
             }
-            for vt in members.get(&dest).into_iter().flatten() {
+            for (_, vt) in members.of(dest) {
                 let slot = self.vstates[vt.index()].slot;
-                let t = targets.entry(self.slots[slot].owner).or_insert(Target {
-                    slot,
-                    near: 0,
-                    rival: false,
-                    keeps: Vec::new(),
-                });
+                let state = self.slots[slot].owner;
+                let at = targets
+                    .binary_search_by_key(&state, |t| t.state)
+                    .unwrap_or_else(|at| {
+                        let unmet = Target {
+                            state,
+                            slot,
+                            near: 0,
+                            rival: false,
+                            keeps: Vec::new(),
+                        };
+                        targets.insert(at, unmet);
+                        at
+                    });
+                let t = &mut targets[at];
                 t.near += 1;
                 if rival {
                     t.rival = true;
@@ -278,48 +312,73 @@ impl StateMapper for Sds {
         // case-C virtual target at once (Fig. 7: their dstates are
         // untouched); the receiving original restarts from a fresh slot
         // holding only its case-B vstates.
-        let mut receiving: HashMap<SlotId, SlotId> = HashMap::new();
-        for (t, info) in &targets {
-            if !info.rival && info.near == self.slots[info.slot].owned.len() {
+        let mut receiving: Vec<(SlotId, SlotId)> = Vec::new();
+        for t in &mut targets {
+            if !t.rival && t.near == self.slots[t.slot].owned.len() {
                 continue;
             }
-            let sibling = store.fork(*t);
+            let sibling = store.fork(t.state);
             self.stats.mapper_forks += 1;
-            self.slots[info.slot].owner = sibling;
-            self.slot_of.insert(sibling, info.slot);
-            let fresh = self.fresh_slot(*t);
-            for v in &info.keeps {
-                self.slots[info.slot].owned.remove(v);
-                self.slots[fresh].owned.insert(*v);
+            self.slots[t.slot].owner = sibling;
+            self.set_slot(sibling, t.slot);
+            let fresh = self.fresh_slot(t.state);
+            // The scan met them dstate by dstate, not in id order.
+            t.keeps.sort_unstable();
+            remove_ascending(&mut self.slots[t.slot].owned, &t.keeps);
+            for v in &t.keeps {
                 self.vstates[v.index()].slot = fresh;
             }
-            receiving.insert(info.slot, fresh);
+            self.slots[fresh].owned = std::mem::take(&mut t.keeps);
+            receiving.push((t.slot, fresh));
         }
+        receiving.sort_unstable();
 
         // Phase 4: virtual COW in every sending dstate with direct rivals.
         for (d, vs) in rival_dstates {
-            let new_d = self.fresh_group();
             // The sender's virtual state in `d` moves to the new dstate;
-            // direct rivals stay put; everyone else is copied.
-            self.migrate(vs, new_d);
-            let copied: Vec<VId> = self.dstates[d.index()]
-                .iter()
-                .filter(|(n, _)| **n != sender_node)
-                .flat_map(|(_, set)| set.iter().copied())
-                .collect();
-            for vx in copied {
-                let VState { slot, node, .. } = self.vstates[vx.index()];
+            // direct rivals stay put; everyone else is copied. The walk is
+            // in (node, id) order and copies get rising ids, so the new
+            // dstate's list is sorted as appended.
+            let new_d = GroupId(self.dstates.len() as u64);
+            let members = &self.dstates[d.index()];
+            let staying = members.of(sender_node).len() - 1;
+            let mut new_members = Members::with_capacity(members.len() - staying);
+            for &(node, vx) in members.as_slice() {
+                if node == sender_node {
+                    if vx == vs {
+                        new_members.push(sender_node, vs);
+                    }
+                    continue;
+                }
                 // A virtual target stays behind with the sibling and its
                 // copy goes to the receiving original; a bystander's copy
                 // has the same owner (the virtual-only fork).
-                let slot = if node == dest { receiving[&slot] } else { slot };
-                self.add_vstate(slot, node, new_d);
+                let slot = self.vstates[vx.index()].slot;
+                let slot = if node == dest {
+                    let at = receiving
+                        .binary_search_by_key(&slot, |(stale, _)| *stale)
+                        .expect("a target next to a direct rival forked");
+                    receiving[at].1
+                } else {
+                    slot
+                };
+                let v = VId(self.vstates.len() as u64);
+                self.vstates.push(VState {
+                    slot,
+                    node,
+                    dstate: new_d,
+                });
+                self.slots[slot].owned.push(v);
+                new_members.push(node, v);
                 self.stats.virtual_forks += 1;
             }
+            self.dstates[d.index()].remove(sender_node, vs);
+            self.vstates[vs.index()].dstate = new_d;
+            self.dstates.push(new_members);
         }
 
         Delivery {
-            receivers: targets.into_keys().collect(),
+            receivers: targets.into_iter().map(|t| t.state).collect(),
         }
     }
 
@@ -331,13 +390,19 @@ impl StateMapper for Sds {
         self.stats
     }
 
+    fn approx_bytes(&self) -> usize {
+        // Every virtual state has one `VState`, one entry in its dstate's
+        // list and one in its owner's.
+        self.vstates.len() * (size_of::<VState>() + size_of::<(NodeId, VId)>() + size_of::<VId>())
+            + self.dstates.len() * size_of::<Members<VId>>()
+            + self.slots.len() * size_of::<Slot>()
+            + self.slot_of.len() * size_of::<u64>()
+    }
+
     fn dscenarios(&self) -> Box<dyn Iterator<Item = Vec<StateId>> + '_> {
         Box::new(self.dstates.iter().flat_map(move |members| {
-            let axes: Vec<Vec<StateId>> = members
-                .values()
-                .map(|set| set.iter().map(|v| self.owner(*v)).collect())
-                .collect();
-            CartesianScenarios::new(axes)
+            let axes = members.per_node().map(|on_node| self.owners_of(on_node));
+            CartesianScenarios::new(axes.collect())
         }))
     }
 
@@ -349,41 +414,31 @@ impl StateMapper for Sds {
             .map(|v| self.vstates[v.index()].dstate)
             .collect();
         Box::new(groups.into_iter().flat_map(move |g| {
-            let axes: Vec<Vec<StateId>> = self.dstates[g.index()]
-                .values()
-                .map(|set| {
-                    let owners: Vec<StateId> = set.iter().map(|v| self.owner(*v)).collect();
-                    if owners.contains(&state) {
-                        vec![state]
-                    } else {
-                        owners
-                    }
-                })
-                .collect();
-            CartesianScenarios::new(axes)
+            let axes = self.dstates[g.index()].per_node().map(|on_node| {
+                let owners = self.owners_of(on_node);
+                if owners.contains(&state) {
+                    vec![state]
+                } else {
+                    owners
+                }
+            });
+            CartesianScenarios::new(axes.collect())
         }))
     }
 
     fn check_invariants(&self) -> Option<String> {
         // Node counts: every dstate covers the same node set (once booted).
-        let mut node_set: Option<BTreeSet<NodeId>> = None;
+        let mut listed = 0;
         for (g, members) in self.dstates.iter().enumerate() {
-            let nodes: BTreeSet<NodeId> = members.keys().copied().collect();
-            match &node_set {
-                None => node_set = Some(nodes),
-                Some(expected) => {
-                    if expected != &nodes {
-                        return Some(format!("dstate {g} covers different nodes"));
-                    }
-                }
+            if !members.nodes().eq(self.dstates[0].nodes()) {
+                return Some(format!("dstate {g} covers different nodes"));
             }
-            for (n, set) in members {
-                if set.is_empty() {
-                    return Some(format!("dstate {g} has no vstate on {n}"));
-                }
-                // No two vstates of one dstate share an owner.
-                let mut owners = BTreeSet::new();
-                for v in set {
+            if !members.is_strictly_sorted() {
+                return Some(format!("dstate {g} is not sorted by (node, vstate)"));
+            }
+            for on_node in members.per_node() {
+                let mut owners: Vec<SlotId> = Vec::with_capacity(on_node.len());
+                for (n, v) in on_node {
                     let vs = match self.vstates.get(v.index()) {
                         Some(vs) => vs,
                         None => return Some(format!("dangling vstate {v:?} in dstate {g}")),
@@ -394,28 +449,41 @@ impl StateMapper for Sds {
                     if vs.node != *n {
                         return Some(format!("vstate {v:?} node mismatch"));
                     }
-                    if !owners.insert(vs.slot) {
-                        return Some(format!(
-                            "dstate {g} holds two vstates of state {}",
-                            self.slots[vs.slot].owner
-                        ));
-                    }
-                    if !self.slots[vs.slot].owned.contains(v) {
+                    if self.slots[vs.slot].owned.binary_search(v).is_err() {
                         return Some(format!("ownership index misses vstate {v:?}"));
                     }
+                    owners.push(vs.slot);
+                }
+                // No two vstates of one dstate share an owner.
+                owners.sort_unstable();
+                if let Some(twice) = owners.windows(2).find(|pair| pair[0] == pair[1]) {
+                    return Some(format!(
+                        "dstate {g} holds two vstates of state {}",
+                        self.slots[twice[0]].owner
+                    ));
                 }
             }
+            listed += members.len();
+        }
+        if listed != self.vstates.len() {
+            return Some(format!(
+                "{} virtual states, {listed} listed in a dstate",
+                self.vstates.len()
+            ));
         }
         // Every execution state has one slot, owns at least one vstate,
         // and all of them on one node.
         for (i, slot) in self.slots.iter().enumerate() {
             let s = slot.owner;
-            if self.slot_of.get(&s) != Some(&i) {
+            if self.slot_of(s) != Some(i) {
                 return Some(format!("state {s} does not map to its slot"));
             }
             let Some(first) = slot.owned.first() else {
                 return Some(format!("state {s} owns no virtual states"));
             };
+            if !slot.owned.windows(2).all(|pair| pair[0] < pair[1]) {
+                return Some(format!("state {s}'s virtual states are not ascending"));
+            }
             let node = self.vstates[first.index()].node;
             for v in &slot.owned {
                 let vs = &self.vstates[v.index()];
@@ -466,19 +534,35 @@ impl StateMapper for Sds {
             return Err(format!("vstate ids are not exactly 0..{next_v}"));
         }
         let mut restored = Sds {
-            dstates: vec![BTreeMap::new(); groups.len()],
+            dstates: vec![Members::new(); groups.len()],
             stats,
             ..Sds::default()
         };
+        // So are state ids, and every state of a run owns a virtual state:
+        // an owner at or past the number of virtual states listed cannot
+        // be one of `0..` the number of owners. Checked before `slot_of`
+        // grows to it.
+        let listed = vstates.len() as u64;
         for (vid, owner, node, dstate) in vstates {
             if dstate >= next_group {
                 return Err(format!("vstate {vid} references missing dstate {dstate}"));
             }
-            let slot = match restored.slot_of.get(&StateId(owner)) {
-                Some(slot) => *slot,
+            if owner >= listed {
+                return Err(format!(
+                    "state id {owner} is not below the {listed} virtual states listed"
+                ));
+            }
+            let slot = match restored.slot_of(StateId(owner)) {
+                Some(slot) => slot,
                 None => restored.fresh_slot(StateId(owner)),
             };
             restored.add_vstate(slot, NodeId(node), GroupId(dstate));
+        }
+        if restored.slot_of.len() != restored.slots.len() {
+            return Err(format!(
+                "state ids are not exactly 0..{}",
+                restored.slots.len()
+            ));
         }
         // Everything `map_send` indexes or `expect`s on is an invariant.
         match restored.check_invariants() {

@@ -9,6 +9,15 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(pub u64);
 
+impl StateId {
+    /// The id as an index into the tables keyed by state id (ids are
+    /// minted densely, so those tables are flat vectors). An id read from
+    /// a snapshot is bounded by the importer before it is used as one.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 impl fmt::Display for StateId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "s{}", self.0)

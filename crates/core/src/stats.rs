@@ -245,6 +245,13 @@ pub struct RunReport {
     pub final_bytes: usize,
     /// Peak memory estimate in bytes.
     pub peak_bytes: usize,
+    /// The mapper's own tables at the end of the run
+    /// ([`StateMapper::approx_bytes`](crate::mapping::StateMapper::approx_bytes)):
+    /// bookkeeping *about* states, reported beside — never inside —
+    /// [`RunReport::final_bytes`] / [`RunReport::peak_bytes`], which keep
+    /// meaning the paper's RAM column. 0 for a mapper that does not
+    /// account for itself.
+    pub mapper_bytes: usize,
     /// Total VM instructions executed.
     pub instructions: u64,
     /// Events processed.
@@ -298,14 +305,16 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Formats the Table I row: algorithm, wall time, states, memory.
+    /// Formats the Table I row: algorithm, wall time, states, memory of
+    /// the states and of the mapper's tables.
     pub fn table_row(&self) -> String {
         format!(
-            "{:<4} | {:>12} | {:>10} | {:>12} | {}",
+            "{:<4} | {:>12} | {:>10} | {:>12} | {:>13} | {}",
             self.algorithm,
             format!("{:.2?}", self.wall),
             self.total_states,
             human_bytes(self.final_bytes),
+            human_bytes(self.mapper_bytes),
             if self.aborted { "(aborted)" } else { "" }
         )
     }
@@ -316,7 +325,9 @@ impl RunReport {
     /// Excluded on purpose: wall-clock times (machine-dependent), solver
     /// counters (a parallel run's speculative queries are merged into the
     /// shared solver's totals), [`RunReport::parallel`] (absent from
-    /// sequential runs), and [`RunReport::states_executed`] /
+    /// sequential runs), [`RunReport::mapper_bytes`] (an estimate of the
+    /// mapper's representation, not of what it represents — covered by the
+    /// group and counter fields), and [`RunReport::states_executed`] /
     /// [`RunReport::dedup`] (a dedup run resumed from a snapshot starts
     /// with a cold memo index, so it legitimately executes more states
     /// than the uninterrupted run while producing the same results).

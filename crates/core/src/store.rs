@@ -6,12 +6,23 @@
 //! so a dispatch costs what it touches: nothing here walks every resident
 //! state or every queued event on a per-event path. The walks survive as
 //! `*_reference` oracles that tests and debug assertions compare against.
+//!
+//! **Ids are indexes.** [`Store::allocate_id`] mints state ids densely
+//! and never reuses one, and no state ever leaves the table for good, so
+//! everything keyed by a state id here is a flat vector indexed by it:
+//! the table holds one `Box<SdeState>` per id (a state is boxed once and
+//! never moved again; growth moves 8-byte pointers), the pending-event
+//! index one `VecDeque` per id (an empty one owns no buffer) and
+//! [`IdSet`] one bit per id. A lookup is an index, never a hash. Ids may
+//! have gaps in memory (tests insert `StateId(100)`); a snapshot may not
+//! claim one — [`Engine::resume`](crate::Engine::resume) bounds every id
+//! by what the snapshot itself holds before any of these vectors grows.
 
 use crate::engine::NodeEvent;
 use crate::mapping::StateStore;
 use crate::state::{SdeState, StateId};
 use sde_net::{Event, EventQueue, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// What one resident state adds to the table's totals.
@@ -22,15 +33,23 @@ fn contribution(state: &SdeState) -> (usize, usize) {
 /// The resident states, with the number of live ones and the sum of
 /// their [`SdeState::approx_bytes`] kept current.
 ///
+/// Slot `i` holds the state with id `i`, boxed: `insert` boxes a state
+/// once, `remove` hands that box out and `put` takes it back, so a state
+/// never moves after it was inserted and growing the table moves only
+/// pointers. A slot is `None` for an id that was never inserted or is
+/// currently taken out (a handler runs on states it owns).
+///
 /// Invariant: `(live, bytes)` equals [`StateTable::totals_reference`] —
 /// the full rescan — whenever no [`StateTable::update`] closure is
 /// running. It holds because a state enters and leaves the totals at the
-/// three places it can change: `insert` adds its contribution, `remove`
-/// subtracts it, and `update` — the only mutable access — applies the
-/// difference between the contribution before and after the closure.
+/// three places it can change: `insert` / `put` add its contribution,
+/// `remove` subtracts it, and `update` — the only mutable access —
+/// applies the difference between the contribution before and after the
+/// closure.
 #[derive(Debug, Default)]
 pub struct StateTable {
-    states: HashMap<StateId, SdeState>,
+    states: Vec<Option<Box<SdeState>>>,
+    resident: usize,
     live: usize,
     bytes: usize,
 }
@@ -38,20 +57,32 @@ pub struct StateTable {
 impl StateTable {
     fn count(&mut self, state: &SdeState) {
         let (live, bytes) = contribution(state);
+        self.resident += 1;
         self.live += live;
         self.bytes += bytes;
     }
 
     fn uncount(&mut self, state: &SdeState) {
         let (live, bytes) = contribution(state);
+        self.resident -= 1;
         self.live -= live;
         self.bytes -= bytes;
     }
 
     /// Makes `state` resident, returning the state it replaced, if any.
-    pub fn insert(&mut self, state: SdeState) -> Option<SdeState> {
+    pub fn insert(&mut self, state: SdeState) -> Option<Box<SdeState>> {
+        self.put(Box::new(state))
+    }
+
+    /// [`StateTable::insert`] for a state that is already boxed — the one
+    /// [`StateTable::remove`] handed out goes back without being copied.
+    pub fn put(&mut self, state: Box<SdeState>) -> Option<Box<SdeState>> {
         self.count(&state);
-        let replaced = self.states.insert(state.id, state);
+        let index = state.id.index();
+        if index >= self.states.len() {
+            self.states.resize_with(index + 1, || None);
+        }
+        let replaced = self.states[index].replace(state);
         if let Some(old) = &replaced {
             self.uncount(old);
         }
@@ -59,8 +90,8 @@ impl StateTable {
     }
 
     /// Takes `id` out of the table (a handler runs on states it owns).
-    pub fn remove(&mut self, id: &StateId) -> Option<SdeState> {
-        let state = self.states.remove(id)?;
+    pub fn remove(&mut self, id: &StateId) -> Option<Box<SdeState>> {
+        let state = self.states.get_mut(id.index())?.take()?;
         self.uncount(&state);
         Some(state)
     }
@@ -74,7 +105,8 @@ impl StateTable {
     pub fn update<R>(&mut self, id: StateId, change: impl FnOnce(&mut SdeState) -> R) -> R {
         let state = self
             .states
-            .get_mut(&id)
+            .get_mut(id.index())
+            .and_then(Option::as_deref_mut)
             .unwrap_or_else(|| panic!("state {id} not resident"));
         let before = contribution(state);
         let result = change(state);
@@ -86,17 +118,22 @@ impl StateTable {
 
     /// The resident state `id`.
     pub fn get(&self, id: &StateId) -> Option<&SdeState> {
-        self.states.get(id)
+        self.states.get(id.index())?.as_deref()
     }
 
-    /// The resident states, in unspecified order.
+    /// The resident states, ascending by id.
     pub fn values(&self) -> impl Iterator<Item = &SdeState> {
-        self.states.values()
+        self.states.iter().filter_map(Option::as_deref)
+    }
+
+    /// Number of resident states.
+    pub fn len(&self) -> usize {
+        self.resident
     }
 
     /// `true` before anything booted.
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.resident == 0
     }
 
     /// `(live states, Σ approx_bytes)` over the resident states. O(1).
@@ -108,7 +145,7 @@ impl StateTable {
     /// (and, inside `approx_bytes`, nothing shorter than before): the
     /// oracle the incremental totals are tested against.
     pub fn totals_reference(&self) -> (usize, usize) {
-        self.states.values().fold((0, 0), |(live, bytes), s| {
+        self.values().fold((0, 0), |(live, bytes), s| {
             let c = contribution(s);
             (live + c.0, bytes + c.1)
         })
@@ -119,9 +156,47 @@ impl std::ops::Index<&StateId> for StateTable {
     type Output = SdeState;
 
     fn index(&self, id: &StateId) -> &SdeState {
-        self.states
-            .get(id)
+        self.get(id)
             .unwrap_or_else(|| panic!("state {id} not resident"))
+    }
+}
+
+/// A set of state ids, one bit per id, with its size kept.
+#[derive(Debug, Default)]
+pub(crate) struct IdSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl IdSet {
+    /// Adds `id`; `true` when it was not in the set.
+    pub(crate) fn insert(&mut self, id: StateId) -> bool {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.0 % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    pub(crate) fn contains(&self, id: StateId) -> bool {
+        let word = self.words.get(id.index() / 64);
+        word.is_some_and(|word| word >> (id.0 % 64) & 1 == 1)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The members, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
+        (0u64..).zip(&self.words).flat_map(|(w, word)| {
+            (0..64)
+                .filter(move |bit| word >> bit & 1 == 1)
+                .map(move |bit| StateId(w * 64 + bit))
+        })
     }
 }
 
@@ -141,6 +216,10 @@ struct Pending {
 /// Forking a state copies its list and clearing a state drops its list,
 /// both in O(that state's pending events) — never a scan of the queue.
 ///
+/// `pending` is indexed by state id; a state with nothing pending has an
+/// empty list there (or none, past the end), and an empty list owns no
+/// buffer: the last pop and `clear` give it back.
+///
 /// Invariants (checked by [`IndexedQueue::check_reference`]): every
 /// listed event has exactly one key in `front` or `heap`; a key with no
 /// listed event has its `seq` in `cancelled`; since a popped key is the
@@ -153,20 +232,34 @@ pub struct IndexedQueue {
     /// push carries a larger `seq` and no earlier time, so the order is
     /// the heap's own.
     front: VecDeque<Event<StateId>>,
-    pending: HashMap<StateId, VecDeque<Pending>>,
+    pending: Vec<VecDeque<Pending>>,
     /// `seq`s of cleared events whose keys are still queued; skipped (and
     /// forgotten) when they surface.
     cancelled: HashSet<u64>,
 }
 
 impl IndexedQueue {
+    /// `state`'s list, created empty (and every slot below it) on demand.
+    fn list_mut(&mut self, state: StateId) -> &mut VecDeque<Pending> {
+        let index = state.index();
+        if index >= self.pending.len() {
+            self.pending.resize_with(index + 1, VecDeque::new);
+        }
+        &mut self.pending[index]
+    }
+
+    /// `state`'s pending events in dispatch order (empty when it has none).
+    fn list(&self, state: StateId) -> impl Iterator<Item = &Pending> {
+        self.pending.get(state.index()).into_iter().flatten()
+    }
+
     /// Schedules `event` for `state` at virtual time `time`.
     pub fn push(&mut self, time: u64, (state, event): (StateId, NodeEvent)) -> u64 {
         let seq = self.heap.push(time, state);
-        let list = self
-            .pending
-            .entry(state)
-            .or_insert_with(|| VecDeque::with_capacity(1));
+        let list = self.list_mut(state);
+        if list.is_empty() {
+            list.reserve_exact(1);
+        }
         // `seq` exceeds every listed one, so the event goes behind
         // everything scheduled no later than `time`.
         let at = list.partition_point(|p| p.time <= time);
@@ -198,13 +291,13 @@ impl IndexedQueue {
         let state = key.payload;
         let list = self
             .pending
-            .get_mut(&state)
+            .get_mut(state.index())
             .expect("a live key has a pending list");
         // The popped key is the global minimum, hence its state's head.
-        let head = list.pop_front().expect("pending lists are never empty");
+        let head = list.pop_front().expect("a live key has a listed event");
         debug_assert_eq!((head.time, head.seq), (key.time, key.seq));
         if list.is_empty() {
-            self.pending.remove(&state);
+            *list = VecDeque::new();
         }
         Some(Event {
             time: key.time,
@@ -234,8 +327,8 @@ impl IndexedQueue {
         self.front
             .iter()
             .map(|key| {
-                let event = self.pending[&key.payload]
-                    .iter()
+                let event = self
+                    .list(key.payload)
                     .find(|p| p.seq == key.seq)
                     .expect("a live key has a listed event");
                 (key.payload, event.event.clone())
@@ -264,7 +357,7 @@ impl IndexedQueue {
     ///
     /// `to` is a state just forked off `from`: it has no events yet.
     pub fn duplicate(&mut self, from: StateId, to: StateId) {
-        let Some(list) = self.pending.get(&from) else {
+        let Some(list) = self.pending.get(from.index()).filter(|l| !l.is_empty()) else {
             return;
         };
         // Fresh `seq`s rise along the list, so the copy is sorted as is.
@@ -276,15 +369,16 @@ impl IndexedQueue {
                 event: p.event.clone(),
             })
             .collect();
-        let replaced = self.pending.insert(to, copy);
-        debug_assert!(replaced.is_none(), "{to} already had pending events");
+        let replaced = std::mem::replace(self.list_mut(to), copy);
+        debug_assert!(replaced.is_empty(), "{to} already had pending events");
     }
 
     /// Drops every pending event of `state` (a reboot forgets its timers
     /// and in-flight deliveries).
     pub fn clear(&mut self, state: StateId) {
-        if let Some(list) = self.pending.remove(&state) {
-            self.cancelled.extend(list.iter().map(|p| p.seq));
+        if let Some(list) = self.pending.get_mut(state.index()) {
+            self.cancelled
+                .extend(std::mem::take(list).iter().map(|p| p.seq));
         }
     }
 
@@ -292,11 +386,10 @@ impl IndexedQueue {
     /// — the snapshot wire form.
     pub fn export(&self) -> Vec<(u64, u64, StateId, NodeEvent)> {
         let mut queue: Vec<_> = self
-            .pending
-            .iter()
-            .flat_map(|(state, list)| {
-                list.iter()
-                    .map(|p| (p.time, p.seq, *state, p.event.clone()))
+            .owners()
+            .flat_map(|state| {
+                self.list(state)
+                    .map(move |p| (p.time, p.seq, state, p.event.clone()))
             })
             .collect();
         queue.sort_unstable_by_key(|(_, seq, _, _)| *seq);
@@ -305,6 +398,10 @@ impl IndexedQueue {
 
     /// Rebuilds a queue from [`IndexedQueue::export`]ed events without
     /// tracing the pushes (the original run already did).
+    ///
+    /// The index grows to the largest state id named, so the caller
+    /// bounds those first ([`Engine::resume`](crate::Engine::resume)
+    /// requires every one to be resident).
     ///
     /// # Errors
     ///
@@ -315,7 +412,7 @@ impl IndexedQueue {
         queue: &[(u64, u64, StateId, NodeEvent)],
     ) -> Result<IndexedQueue, &'static str> {
         let mut seen = HashSet::with_capacity(queue.len());
-        let mut pending: HashMap<StateId, VecDeque<Pending>> = HashMap::new();
+        let mut restored = IndexedQueue::default();
         for (time, seq, state, event) in queue {
             if *seq >= next_seq {
                 return Err("queued event seq beyond allocator");
@@ -323,13 +420,13 @@ impl IndexedQueue {
             if !seen.insert(*seq) {
                 return Err("duplicate queued event seq");
             }
-            pending.entry(*state).or_default().push_back(Pending {
+            restored.list_mut(*state).push_back(Pending {
                 time: *time,
                 seq: *seq,
                 event: event.clone(),
             });
         }
-        for list in pending.values_mut() {
+        for list in &mut restored.pending {
             list.make_contiguous()
                 .sort_unstable_by_key(|p| (p.time, p.seq));
         }
@@ -338,17 +435,16 @@ impl IndexedQueue {
             seq: *seq,
             payload: *state,
         });
-        Ok(IndexedQueue {
-            heap: EventQueue::from_parts(next_seq, keys),
-            front: VecDeque::new(),
-            pending,
-            cancelled: HashSet::new(),
-        })
+        restored.heap = EventQueue::from_parts(next_seq, keys);
+        Ok(restored)
     }
 
-    /// The states that own at least one pending event.
+    /// The states that own at least one pending event, ascending.
     pub fn owners(&self) -> impl Iterator<Item = StateId> + '_ {
-        self.pending.keys().copied()
+        (0u64..)
+            .zip(&self.pending)
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(id, _)| StateId(id))
     }
 
     /// Checks the per-state index against a scan of the queued keys: the
@@ -359,16 +455,13 @@ impl IndexedQueue {
     ///
     /// Describes the first difference found.
     pub fn check_reference(&self) -> Result<(), String> {
-        let mut scanned: HashMap<StateId, Vec<(u64, u64)>> = HashMap::new();
+        let mut scanned: Vec<(StateId, u64, u64)> = Vec::new();
         let mut stale = 0;
         for key in self.front.iter().chain(self.heap.iter()) {
             if self.cancelled.contains(&key.seq) {
                 stale += 1;
             } else {
-                scanned
-                    .entry(key.payload)
-                    .or_default()
-                    .push((key.time, key.seq));
+                scanned.push((key.payload, key.time, key.seq));
             }
         }
         if stale != self.cancelled.len() {
@@ -377,27 +470,28 @@ impl IndexedQueue {
                 self.cancelled.len()
             ));
         }
-        if scanned.len() != self.pending.len() {
+        scanned.sort_unstable();
+        let listed: Vec<(StateId, u64, u64)> = self
+            .owners()
+            .flat_map(|state| self.list(state).map(move |p| (state, p.time, p.seq)))
+            .collect();
+        if scanned.len() != listed.len() {
             return Err(format!(
-                "{} states own queued keys, {} own lists",
+                "{} live keys queued, {} events listed",
                 scanned.len(),
-                self.pending.len()
+                listed.len()
             ));
         }
-        for (state, mut keys) in scanned {
-            keys.sort_unstable();
-            let listed: Vec<(u64, u64)> = self
-                .pending
-                .get(&state)
-                .map(|list| list.iter().map(|p| (p.time, p.seq)).collect())
-                .unwrap_or_default();
-            if keys != listed {
-                return Err(format!(
-                    "{state}: queued keys {keys:?} but listed {listed:?}"
-                ));
-            }
+        match scanned
+            .iter()
+            .zip(&listed)
+            .find(|(key, event)| key != event)
+        {
+            Some((key, event)) => Err(format!(
+                "queued key (state, time, seq) {key:?} but listed {event:?}"
+            )),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -629,10 +723,176 @@ mod tests {
         let taken = store.states.remove(&b).unwrap();
         assert_eq!(store.states.totals(), store.states.totals_reference());
         assert_eq!(store.states.totals().0, 1);
-        store.states.insert(taken);
+        store.states.put(taken);
         let child = store.fork(a);
         assert!(store.states.get(&child).is_some());
         assert_eq!(store.states.totals(), store.states.totals_reference());
+    }
+
+    /// The flat table against the hash map it replaced, op for op: ids
+    /// with gaps, replacement, take-out and put-back of the same box,
+    /// updates that change a state's contribution.
+    #[test]
+    fn state_table_agrees_with_a_hash_map_model() {
+        use std::collections::HashMap;
+        let mut pb = ProgramBuilder::new();
+        pb.function("on_boot", 0, |f| f.ret(None));
+        let vm = VmState::fresh(&pb.build().unwrap());
+        let fresh = |id: u64, node: u16| {
+            SdeState::boot(
+                StateId(id),
+                NodeId(node),
+                vm.clone(),
+                &FailureConfig::new(),
+                &FaultPlan::new(),
+                false,
+            )
+        };
+        // What the model remembers of a state: enough to tell two apart.
+        let facts = |s: &SdeState| (s.id, s.node, s.history.len());
+
+        let mut rng = proptest::TestRng::for_case(0x22, 0);
+        let mut table = StateTable::default();
+        let mut model: HashMap<StateId, (StateId, NodeId, u32)> = HashMap::new();
+        let mut out: Vec<Box<SdeState>> = Vec::new();
+        for op in 0..20_000u64 {
+            // Sparse on purpose: most of 0..4096 is never inserted.
+            let id = StateId(rng.below(64) * rng.below(64));
+            match rng.below(6) {
+                0 | 1 => {
+                    let state = fresh(id.0, rng.below(9) as u16);
+                    let replaced = table.insert(state.clone()).map(|old| facts(&old));
+                    assert_eq!(replaced, model.insert(id, facts(&state)), "op {op}");
+                }
+                2 => {
+                    let taken = table.remove(&id);
+                    assert_eq!(taken.as_deref().map(facts), model.remove(&id), "op {op}");
+                    out.extend(taken);
+                }
+                3 => {
+                    // The same box goes back where it was.
+                    if let Some(state) = out.pop() {
+                        let (id, address) = (state.id, std::ptr::from_ref(&*state));
+                        let replaced = table.put(state).map(|old| facts(&old));
+                        assert!(std::ptr::eq(&table[&id], address), "op {op}");
+                        assert_eq!(replaced, model.insert(id, facts(&table[&id])), "op {op}");
+                    }
+                }
+                4 => {
+                    if model.contains_key(&id) {
+                        table.update(id, |s| {
+                            s.history.record(crate::history::HistoryEvent::Sent {
+                                id: sde_net::PacketId(op),
+                                peer: NodeId(0),
+                            })
+                        });
+                        model.insert(id, facts(&table[&id]));
+                    }
+                }
+                _ => assert_eq!(
+                    table.get(&id).map(facts),
+                    model.get(&id).copied(),
+                    "op {op}"
+                ),
+            }
+            assert_eq!(table.totals(), table.totals_reference(), "op {op}");
+            assert_eq!(table.len(), model.len(), "op {op}");
+            assert_eq!(table.is_empty(), model.is_empty());
+            if op % 97 == 0 {
+                let ids: Vec<StateId> = table.values().map(|s| s.id).collect();
+                assert!(ids.windows(2).all(|pair| pair[0] < pair[1]), "op {op}");
+                assert_eq!(ids.len(), model.len());
+                assert!(table.values().all(|s| model[&s.id] == facts(s)), "op {op}");
+            }
+        }
+    }
+
+    /// A seeded script of every queue operation, with forks and clears,
+    /// against a sorted-list model; the index is checked against the scan
+    /// of the queued keys after every single operation.
+    #[test]
+    fn indexed_queue_agrees_with_a_sorted_model_under_forks_and_clears() {
+        let timer = |e: &NodeEvent| match e {
+            NodeEvent::Timer(t) => *t,
+            other => panic!("unexpected {other:?}"),
+        };
+        let mut rng = proptest::TestRng::for_case(0x22, 1);
+        let mut queue = IndexedQueue::default();
+        // `(time, seq, state, timer)`, kept sorted: dispatch order.
+        let mut model: Vec<(u64, u64, StateId, u16)> = Vec::new();
+        let mut now = 0;
+        let mut next_state = 4u64;
+        for op in 0..20_000u64 {
+            let state = StateId(rng.below(next_state));
+            match rng.below(10) {
+                0..=3 => {
+                    let (time, tag) = (now + rng.below(40), op as u16);
+                    let seq = queue.push(time, (state, NodeEvent::Timer(tag)));
+                    model.push((time, seq, state, tag));
+                    model.sort_unstable();
+                }
+                4..=6 => {
+                    assert_eq!(queue.peek_time(), model.first().map(|e| e.0), "op {op}");
+                    let popped = queue
+                        .pop()
+                        .map(|e| (e.time, e.seq, e.payload.0, timer(&e.payload.1)));
+                    assert_eq!(popped.as_ref(), model.first(), "op {op}");
+                    if let Some((time, ..)) = popped {
+                        model.remove(0);
+                        now = time;
+                    }
+                }
+                7 => {
+                    // A fork: the child gets the parent's events, in the
+                    // parent's order, under fresh seqs.
+                    let child = StateId(next_state);
+                    next_state += 1;
+                    let first_seq = queue.next_seq();
+                    queue.duplicate(state, child);
+                    let copies: Vec<_> = (model.iter().filter(|e| e.2 == state))
+                        .zip(first_seq..)
+                        .map(|(e, seq)| (e.0, seq, child, e.3))
+                        .collect();
+                    assert_eq!(queue.next_seq(), first_seq + copies.len() as u64);
+                    model.extend(copies);
+                    model.sort_unstable();
+                }
+                8 => {
+                    queue.clear(state);
+                    model.retain(|e| e.2 != state);
+                }
+                _ => {
+                    if let Some(time) = queue.peek_time() {
+                        let batch: Vec<(StateId, u16)> = (queue.batch(time).iter())
+                            .map(|(s, e)| (*s, timer(e)))
+                            .collect();
+                        let expected: Vec<(StateId, u16)> = (model.iter())
+                            .take_while(|e| e.0 == time)
+                            .map(|e| (e.2, e.3))
+                            .collect();
+                        assert_eq!(batch, expected, "op {op}");
+                        // The sharded loop commits a batch before the next.
+                        for e in model.drain(..expected.len()) {
+                            assert_eq!(queue.pop().map(|p| p.seq), Some(e.1), "op {op}");
+                        }
+                        now = time;
+                    }
+                }
+            }
+            queue
+                .check_reference()
+                .unwrap_or_else(|e| panic!("op {op}: {e}"));
+            assert_eq!(queue.len(), model.len(), "op {op}");
+            let mut owners: Vec<StateId> = model.iter().map(|e| e.2).collect();
+            owners.sort_unstable();
+            owners.dedup();
+            assert!(queue.owners().eq(owners), "op {op}");
+        }
+        let exported: Vec<_> = (queue.export().into_iter())
+            .map(|(time, seq, state, e)| (time, seq, state, timer(&e)))
+            .collect();
+        model.sort_unstable_by_key(|e| e.1);
+        assert_eq!(exported, model);
     }
 
     #[test]

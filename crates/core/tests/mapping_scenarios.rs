@@ -487,3 +487,103 @@ fn sds_print_digests() {
         println!("    {:#018x},", random_walk_digest(seed));
     }
 }
+
+// ---- all three mappers, pinned against the tree-backed tables -----------
+//
+// The digests below were captured at the commit *before* the mappers'
+// membership became flat sorted lists (COB / COW keyed `groups` /
+// `group_of` by `HashMap` with a `BTreeMap` per group, SDS held a
+// `BTreeMap<NodeId, BTreeSet<VId>>` per dstate). One seeded script per
+// algorithm: fork order, receiver order and every id the mapper assigns
+// are proven equal to that commit's without reading the diff.
+
+const PARENT_SCRIPT_STEPS: usize = 2_000;
+const PARENT_SCRIPT_NODES: u16 = 9;
+
+/// FNV-1a of the concatenated receivers of every send of a seeded
+/// branch / send script, followed by the `Debug` rendering of the
+/// exported snapshot (which carries every group, member and counter).
+fn parent_script_digest(alg: Algorithm) -> u64 {
+    let mut rng: u64 = 0x9e37_79b9_7f4a_7c15 ^ 0x0022;
+    let mut next = move || {
+        // splitmix64
+        rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let k = PARENT_SCRIPT_NODES;
+    let mut m = mapper(alg);
+    let mut store = MemoryStore::booted(m.as_mut(), k);
+    let mut digest = Digest::new();
+    for step in 0..PARENT_SCRIPT_STEPS {
+        let len = store.len() as u64;
+        // Mostly recent states (forked siblings, fresh receivers), now
+        // and then an old one (fat bystanders, long-idle rivals).
+        let actor = if next() % 4 == 0 {
+            StateId(next() % len)
+        } else {
+            StateId(len - 1 - next() % len.min(3 * u64::from(k)))
+        };
+        if next() % 5 == 0 {
+            store.branch(m.as_mut(), actor);
+        } else {
+            let from = store.node_of(actor).0;
+            let dest = (from + 1 + (next() % u64::from(k - 1)) as u16) % k;
+            let d = m.map_send(actor, NodeId(from), NodeId(dest), &mut store);
+            assert!(!d.receivers.is_empty(), "{alg} step {step}");
+            digest.u64(d.receivers.len() as u64);
+            for r in &d.receivers {
+                digest.u64(r.0);
+            }
+        }
+        if step % 100 == 99 {
+            assert_eq!(m.check_invariants(), None, "{alg} after step {step}");
+        }
+    }
+    digest.u64(store.len() as u64);
+    for (orig, copy) in store.forks() {
+        digest.u64(orig.0);
+        digest.u64(copy.0);
+    }
+    for b in format!("{:?}", m.export_snapshot()).bytes() {
+        digest.0 ^= u64::from(b);
+        digest.0 = digest.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    digest.0
+}
+
+#[test]
+fn parent_script_is_pinned_for_every_algorithm() {
+    for (alg, expected) in [
+        (Algorithm::Cob, COB_PARENT_SCRIPT_DIGEST),
+        (Algorithm::Cow, COW_PARENT_SCRIPT_DIGEST),
+        (Algorithm::Sds, SDS_PARENT_SCRIPT_DIGEST),
+    ] {
+        assert_eq!(
+            parent_script_digest(alg),
+            expected,
+            "{alg}: the seeded script diverged from the pinned parent behaviour"
+        );
+    }
+}
+
+const COB_PARENT_SCRIPT_DIGEST: u64 = 0x152c_4fc9_baae_a532;
+const COW_PARENT_SCRIPT_DIGEST: u64 = 0xf0f4_001d_9d55_aa53;
+const SDS_PARENT_SCRIPT_DIGEST: u64 = 0xa71b_43f2_b0f2_ee67;
+
+/// Prints the digests to pin (run with `--ignored --nocapture`).
+#[test]
+#[ignore = "capture helper"]
+fn parent_script_print_digests() {
+    for alg in Algorithm::ALL {
+        let started = std::time::Instant::now();
+        let digest = parent_script_digest(alg);
+        println!(
+            "const {}_PARENT_SCRIPT_DIGEST: u64 = {digest:#018x}; // {:?}",
+            alg.name(),
+            started.elapsed()
+        );
+    }
+}

@@ -227,3 +227,164 @@ fn concrete_round_trips_allocate_only_while_the_map_grows_or_is_shared() {
     assert_eq!(low_byte(&clone, 5), 9_989 & 0xff, "the clone is unchanged");
     assert_eq!(clone.memory_footprint(), 2 * SLOTS as usize);
 }
+
+// ---- forks: the store's and the mappers' -----------------------------------
+//
+// A state is boxed once when it becomes resident; a group's membership is
+// one sorted list. So what a fork allocates does not depend on how many
+// members the groups around it have. Measured with this file's counter at
+// the commit before (state table a `HashMap<StateId, SdeState>`, every
+// dstate a `BTreeMap<NodeId, BTreeSet<VId>>`, COB / COW groups a
+// `BTreeMap` per group inside `HashMap`s):
+//
+// * the SDS case-A send below: 28 allocations at k = 16, 85 at k = 64 —
+//   more than one per member (a B-tree leaf for its node's set, the
+//   dstate's map growing node by node); 6 and 6 here;
+// * the COB branch below at k = 16: 5 allocations for the new group's
+//   `BTreeMap` and none per `store.fork` — the copy went inline into the
+//   hash table, which paid for it in rehashes of 312-byte buckets instead
+//   (not counted there: the test lets the tables grow first). Here a fork
+//   is exactly one allocation, the state's box, and the branch adds one
+//   list plus the mapper's state → group vector growing: 18 = 15 + 3.
+
+use sde::core::mapping::{Algorithm, StateStore};
+use sde::core::store::Store;
+use sde::core::{SdeState, StateId};
+
+/// A store that only hands out ids: what a mapper allocates, isolated.
+struct IdsOnly {
+    next: u64,
+    forked: u64,
+}
+
+impl StateStore for IdsOnly {
+    fn fork(&mut self, _original: StateId) -> StateId {
+        self.next += 1;
+        self.forked += 1;
+        StateId(self.next - 1)
+    }
+
+    fn node_of(&self, state: StateId) -> NodeId {
+        panic!("no mapper asks for the node of {state}")
+    }
+}
+
+/// One dstate of `k` single-state nodes plus one rival of node 0's state;
+/// returns the allocations of node 0's state sending to node 1 (case A:
+/// the target forks, the other `k − 2` states are copied virtually).
+fn allocations_of_sds_case_a_send(k: u16) -> u64 {
+    let mut sds = Algorithm::Sds.new_mapper();
+    let boot: Vec<(StateId, NodeId)> = (0..k).map(|i| (StateId(u64::from(i)), NodeId(i))).collect();
+    sds.on_boot(&boot);
+    let mut store = IdsOnly {
+        next: u64::from(k) + 1,
+        forked: 0,
+    };
+    sds.on_branch(StateId(0), StateId(u64::from(k)), NodeId(0), &mut store);
+    let before = allocations();
+    let delivery = sds.map_send(StateId(0), NodeId(0), NodeId(1), &mut store);
+    let spent = allocations() - before;
+    assert_eq!(delivery.receivers, [StateId(1)]);
+    assert_eq!(store.forked, 1, "only the target forks");
+    assert_eq!(sds.group_count(), 2);
+    assert_eq!(sds.stats().virtual_forks, 1 + u64::from(k) - 1);
+    assert_eq!(sds.check_invariants(), None);
+    spent
+}
+
+#[test]
+fn an_sds_dstate_copy_allocates_the_same_whatever_its_size() {
+    let small = allocations_of_sds_case_a_send(16);
+    let large = allocations_of_sds_case_a_send(64);
+    println!("SDS case-A send: {small} allocations at k = 16, {large} at k = 64");
+    assert!(
+        small.abs_diff(large) < 8,
+        "k = 16 allocates {small} times, k = 64 allocates {large} times"
+    );
+}
+
+/// A store of `k` idle boot states, one per node, nothing queued.
+fn idle_store(k: u16) -> Store {
+    let mut pb = ProgramBuilder::new();
+    pb.function("on_boot", 0, |f| f.ret(None));
+    let vm = VmState::fresh(&pb.build().unwrap());
+    let mut store = Store::default();
+    for node in 0..k {
+        let id = store.allocate_id();
+        store.states.insert(SdeState::boot(
+            id,
+            NodeId(node),
+            vm.clone(),
+            &FailureConfig::new(),
+            &FaultPlan::new(),
+            false,
+        ));
+    }
+    store
+}
+
+#[test]
+fn a_store_fork_of_an_idle_state_is_one_allocation() {
+    let mut store = idle_store(2);
+    // Let every id-indexed vector do its growing first.
+    for _ in 0..64 {
+        store.fork(StateId(0));
+    }
+    let before = allocations();
+    let child = store.fork(StateId(0));
+    assert_eq!(allocations() - before, 1, "the child's box, nothing else");
+    assert_eq!(store.states[&child].node, NodeId(0));
+}
+
+#[test]
+fn a_cob_branch_allocates_its_forks_and_one_list() {
+    const K: u16 = 16;
+    let mut store = idle_store(K);
+    let mut cob = Algorithm::Cob.new_mapper();
+    let boot: Vec<(StateId, NodeId)> = (0..K).map(|i| (StateId(u64::from(i)), NodeId(i))).collect();
+    cob.on_boot(&boot);
+    // Let the store's id-indexed vectors do their growing first.
+    for _ in 0..64 {
+        store.fork(StateId(1));
+    }
+    // The branching state's sibling, resident as the engine has it.
+    let child = store.allocate_id();
+    let sibling = store.states[&StateId(0)].fork_as(child);
+    store.states.insert(sibling);
+
+    // `c`: what one fork through this store costs by itself.
+    let before = allocations();
+    store.fork(StateId(1));
+    let per_fork = allocations() - before;
+
+    let before = allocations();
+    cob.on_branch(StateId(0), child, NodeId(0), &mut store);
+    let spent = allocations() - before;
+    println!("COB branch at k = {K}: {spent} allocations, {per_fork} per store.fork");
+    assert_eq!(cob.stats().mapper_forks, u64::from(K) - 1);
+    assert_eq!(cob.check_invariants(), None);
+    assert!(
+        spent <= (u64::from(K) - 1) * per_fork + 4,
+        "{spent} allocations for {} forks of {per_fork} each",
+        K - 1
+    );
+}
+
+#[test]
+fn growing_the_state_table_never_moves_a_resident() {
+    let mut store = idle_store(1);
+    while store.states.len() < 1_000 {
+        store.fork(StateId(0));
+    }
+    let address = |store: &Store, id: u64| std::ptr::from_ref(&store.states[&StateId(id)]);
+    let before: Vec<*const SdeState> = (0..1_000).map(|id| address(&store, id)).collect();
+    while store.states.len() < 100_000 {
+        store.fork(StateId(0));
+    }
+    let after: Vec<*const SdeState> = (0..1_000).map(|id| address(&store, id)).collect();
+    assert!(
+        before.iter().zip(&after).all(|(a, b)| std::ptr::eq(*a, *b)),
+        "a resident state stays where it was boxed"
+    );
+    assert_eq!(store.states.totals(), store.states.totals_reference());
+}

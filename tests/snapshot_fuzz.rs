@@ -266,6 +266,95 @@ fn resume_refuses_a_store_and_mapper_that_disagree() {
     }
 }
 
+/// Ids a snapshot merely claims. State, group and virtual-state ids index
+/// flat tables (DESIGN.md §2), so an import that sized a table from one
+/// would turn `u64::MAX / 2` into a capacity-overflow panic and a smaller
+/// lie into an allocation the file never paid for. Every such id is
+/// bounded first by something the snapshot spends bytes on — the mapper's
+/// member entries, the state records — and each case here runs twice:
+/// with the absurd id and with the *smallest* id nothing backs, which a
+/// "huge ids only" check would let through.
+///
+/// That no table grows before its bound is established by reading
+/// `Engine::resume` and the three `import_snapshot`s (the bounds are
+/// listed by name in DESIGN.md §8), not by instrumenting the allocator:
+/// the paths contain no `try_reserve`, so a sizing that slipped through
+/// would panic or abort here rather than return `Err`.
+#[test]
+fn resume_refuses_ids_nothing_in_the_snapshot_backs() {
+    use sde::core::{MapperSnapshot, SnapshotError, StateId};
+    use sde::symbolic::CodecError;
+
+    for algorithm in Algorithm::ALL {
+        let (_label, scenario) = scenario_from_seed(7);
+        let mut engine = Engine::new(scenario.clone(), algorithm);
+        engine.run_until(Budget::events(9));
+        let good = engine.snapshot();
+        Engine::resume(scenario.clone(), &good).expect("the unmutated snapshot resumes");
+        // A run allocates densely and keeps every state resident.
+        let states = good.resident_states() as u64;
+
+        for absurd in [true, false] {
+            let unbacked = |smallest: u64| if absurd { u64::MAX / 2 } else { smallest };
+
+            let mut moved = good.clone();
+            moved.move_state(
+                good.resident_states() - 1,
+                StateId(unbacked(states)),
+                unbacked(states) + 1,
+            );
+            let mut regrouped = good.clone();
+            regrouped.edit_mapper(|mapper| match mapper {
+                MapperSnapshot::Cob {
+                    groups, next_group, ..
+                } => {
+                    groups.last_mut().unwrap().0 = unbacked(*next_group);
+                    *next_group = unbacked(*next_group) + 1;
+                }
+                MapperSnapshot::Cow {
+                    dstates,
+                    next_group,
+                    ..
+                } => {
+                    dstates.last_mut().unwrap().0 = unbacked(*next_group);
+                    *next_group = unbacked(*next_group) + 1;
+                }
+                MapperSnapshot::Sds {
+                    groups, next_group, ..
+                } => {
+                    *groups.last_mut().unwrap() = unbacked(*next_group);
+                    *next_group = unbacked(*next_group) + 1;
+                }
+            });
+            let mut executed = good.clone();
+            executed.push_executed(unbacked(states));
+
+            type Refusal = fn(&SnapshotError) -> bool;
+            let mapper_state: Refusal = |e| matches!(e, SnapshotError::MapperState(_));
+            let malformed: Refusal = |e| {
+                let expected = CodecError::Malformed("executed state id beyond allocator");
+                matches!(e, SnapshotError::Codec(why) if *why == expected)
+            };
+            let cases: [(&str, EngineSnapshot, Refusal); 3] = [
+                ("a state record past the allocator", moved, mapper_state),
+                ("a group id past its allocator", regrouped, mapper_state),
+                ("an executed mark of no state", executed, malformed),
+            ];
+            for (what, hostile, expected) in cases {
+                // Through the wire form, as a hostile file would arrive.
+                let decoded = EngineSnapshot::from_bytes(&hostile.to_bytes()).unwrap_or_else(|e| {
+                    panic!("{algorithm}, {what}: the codec has no reason to refuse it: {e}")
+                });
+                match Engine::resume(scenario.clone(), &decoded) {
+                    Err(e) if expected(&e) => {}
+                    Err(other) => panic!("{algorithm}, {what} ({absurd}): wrong error {other}"),
+                    Ok(_) => panic!("{algorithm}, {what} ({absurd}): resumed"),
+                }
+            }
+        }
+    }
+}
+
 /// Hand-built exact-cache entries no solver writes. The cache is keyed by
 /// canonical form (DESIGN.md §6): an entry that is not its own canonical
 /// form would decode, never hit, and shift the resumed run's trace
