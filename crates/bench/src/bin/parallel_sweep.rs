@@ -227,6 +227,26 @@ fn main() {
                 par.solver.ucore_hits,
                 p.summary(),
             );
+            if mode == ParMode::Shard {
+                // Where the merge thread's wall went, and what a batch
+                // hands off: the sweep's own reading of its counters.
+                let share = |d: std::time::Duration| {
+                    100.0 * d.as_secs_f64() / p.run_wall.as_secs_f64().max(f64::MIN_POSITIVE)
+                };
+                let per_batch = |n: u64| n as f64 / p.speculated_batches.max(1) as f64;
+                let _ = writeln!(
+                    report,
+                    "    of wall: dispatch={:.0}% barrier={:.0}% serial={:.0}% | \
+                     per offloaded batch: jobs={:.1} skips={:.1} recorded={:.1} applied={:.1}",
+                    share(p.dispatch_wall),
+                    share(p.barrier_wall),
+                    share(p.serial_wall),
+                    per_batch(p.spec_groups),
+                    per_batch(p.shard_skips),
+                    per_batch(p.shard_recorded),
+                    per_batch(p.shard_applied),
+                );
+            }
         }
         if trace_base.is_some() {
             let _ = writeln!(

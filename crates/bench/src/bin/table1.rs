@@ -52,8 +52,46 @@ use sde_core::complexity::WorstCase;
 use sde_core::Algorithm;
 use std::path::PathBuf;
 
+/// What `--help` prints: every flag `main` reads, with its default.
+const USAGE: &str = "\
+table1 — Table I rows (wall, states, RAM) for COB, COW and SDS
+
+  --side N             grid side (default 10; 3 under --preset tiny)
+  --preset tiny        seconds-scale 3×3 smoke run, small caps
+  --scenario collect|sense
+                       the paper's collect workload (default) or the
+                       solver-bound sense companion
+  --cap N, --cap-cob N state caps: COW/SDS (default 1000000), COB (120000)
+  --sample-every N     statistics sample period in events (default 512)
+  --workers N          run through a parallel engine (reports unchanged)
+  --mode spec|shard    which one: speculative cache warming (default) or
+                       sharded frontier exploration (DESIGN.md §13)
+  --dedup              online duplicate-dispatch pruning (DESIGN.md §10)
+  --layers full|exact|off
+                       solver stack (DESIGN.md §6). `full` is the engine.
+                       `exact` (whole-query matching only) and `off` (no
+                       caching) are ablation points: every solve runs on
+                       terms rebuilt from the query's canonical form, hit
+                       or miss, which costs 1.4–1.7× a query against the
+                       plain solve they stood for before (criterion
+                       `solver/layers`, EXPERIMENTS.md) — for measuring
+                       the layers, not for running experiments
+  --faults LIST        partition,latency,corrupt,crashrec or all (§11)
+  --trace PATH         JSONL + Chrome trace per algorithm
+  --testgen N          generate up to N test cases per algorithm
+  --check              evaluate the invariant set (DESIGN.md §12)
+  --complexity         print the worst-case state-count model
+  --checkpoint-every N --snapshot-dir D [--stop-after S] [--resume PATH]
+                       checkpoint / resume (DESIGN.md §8)
+  --out DIR, --tag T   BENCH_table1[_T].json lands in DIR (default bench_out)
+";
+
 fn main() {
     let args = Args::from_env();
+    if args.flag("help") {
+        print!("{USAGE}");
+        return;
+    }
     // `--preset tiny`: a seconds-scale 3×3 run for CI smoke tests — same
     // code path, same JSON schema, much smaller caps.
     let tiny = match or_usage(args.get::<String>("preset")).as_deref() {

@@ -18,6 +18,25 @@ fn assert_usage(args: &[&str], names_the_choices: &str) {
     assert_bin_usage(env!("CARGO_BIN_EXE_table1"), args, names_the_choices);
 }
 
+/// `--help` is an answer, not an experiment: it prints the flags — the
+/// cost of the `--layers` ablation points among them — and exits 0
+/// without running anything.
+#[test]
+fn table1_help_names_the_flags_and_what_the_ablation_layers_cost() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .arg("--help")
+        .output()
+        .expect("bin runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("--layers full|exact|off"), "{stdout}");
+    assert!(stdout.contains("1.4–1.7×"), "{stdout}");
+    assert!(
+        !stdout.contains("Table I —"),
+        "ran the experiment: {stdout}"
+    );
+}
+
 #[test]
 fn junk_preset_is_a_usage_error() {
     assert_usage(&["--preset", "tinny"], "expected: tiny");

@@ -21,7 +21,7 @@ use crate::scenario::Scenario;
 use crate::state::{SdeState, StateId};
 use crate::stats::{BugFound, DedupStats, ParallelStats, RunReport, Sample, TimeSeries};
 use crate::store::{IdSet, IndexedQueue, Store};
-use sde_net::{FaultPlan, NodeId, Packet, PacketId, Topology};
+use sde_net::{NodeId, Packet, PacketId};
 use sde_os::handlers;
 use sde_symbolic::{BinOp, CastOp, Expr, ExprRef, Solver, SymbolTable, Value, Width};
 use sde_vm::{
@@ -66,7 +66,9 @@ fn failure_fork_reason(kind: u32) -> sde_trace::ForkReason {
 /// convenience function.
 #[derive(Debug)]
 pub struct Engine {
-    scenario: Scenario,
+    /// Shared, never cloned: the parallel loops' workers read the
+    /// topology, fault plan and programs through this one allocation.
+    scenario: Arc<Scenario>,
     algorithm: Algorithm,
     mapper: Box<dyn StateMapper>,
     solver: Arc<Solver>,
@@ -106,7 +108,7 @@ pub struct Engine {
     /// Worker recordings for the batch the merge thread is currently
     /// committing ([`Engine::run_until_sharded`]); `None` outside
     /// sharded commits, so the sequential paths pay one `is_some`.
-    shard_entries: Option<HashMap<u64, Vec<ShardEntry>>>,
+    shard_entries: Option<HashMap<u64, Vec<Arc<ShardRecord>>>>,
     /// Merge-side counters of the current sharded segment, drained into
     /// [`ParallelStats`] when the segment ends.
     shard_applied: u64,
@@ -121,7 +123,7 @@ impl Engine {
     /// mapping.
     pub fn new(scenario: Scenario, algorithm: Algorithm) -> Engine {
         Engine {
-            scenario,
+            scenario: Arc::new(scenario),
             algorithm,
             mapper: algorithm.new_mapper(),
             solver: Arc::new(Solver::new()),
@@ -379,12 +381,14 @@ impl Engine {
         let (job_tx, job_rx) = mpsc::channel::<SpecJob>();
         let job_rx = Arc::new(Mutex::new(job_rx));
         let (done_tx, done_rx) = mpsc::channel::<SpecOutcome>();
+        let scenario = Arc::clone(&self.scenario);
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let job_rx = Arc::clone(&job_rx);
                 let done_tx = done_tx.clone();
                 let solver = Arc::clone(&self.solver);
+                let scenario = &*scenario;
                 scope.spawn(move || loop {
                     // Holding the lock across `recv` is fine: the other
                     // workers then queue on the mutex instead of the
@@ -396,11 +400,11 @@ impl Engine {
                         // merge at the barrier.
                         let buffer = Arc::new(sde_trace::BufferSink::new());
                         let _g = sde_trace::install(buffer.clone());
-                        let mut outcome = speculate_group(job, &solver);
+                        let mut outcome = speculate_group(job, scenario, &solver);
                         outcome.trace = buffer.drain();
                         outcome
                     } else {
-                        speculate_group(job, &solver)
+                        speculate_group(job, scenario, &solver)
                     };
                     if done_tx.send(outcome).is_err() {
                         break;
@@ -433,30 +437,11 @@ impl Engine {
                 let dispatch_started = Instant::now();
                 let mut jobs_sent = 0usize;
                 if self.preset.is_none() {
-                    let groups = self.batch_groups(batch_time);
-                    if groups.len() >= 2 {
-                        pstats.speculated_batches += 1;
-                        for (sid, events) in groups {
-                            let Some(state) = self.store.states.get(&sid) else {
-                                continue;
-                            };
-                            if !state.is_idle() {
-                                continue;
-                            }
-                            let job = SpecJob {
-                                index: jobs_sent,
-                                now: batch_time,
-                                state: state.clone(),
-                                events,
-                                program: Arc::clone(self.scenario.program(state.node)),
-                                faults: self.scenario.faults.clone(),
-                                topology: self.scenario.topology.clone(),
-                                symbols: self.symbols.forked(),
-                            };
-                            if job_tx.send(job).is_ok() {
-                                jobs_sent += 1;
-                                pstats.spec_groups += 1;
-                            }
+                    // Every group speculates, duplicates included: the
+                    // traced barrier merges one `SpecQuery` run per job.
+                    for job in self.batch_jobs(batch_time, &mut pstats, None) {
+                        if job_tx.send(job).is_ok() {
+                            jobs_sent += 1;
                         }
                     }
                 }
@@ -534,18 +519,57 @@ impl Engine {
         outcome
     }
 
-    /// The events pending at `batch_time` — the earliest pending time —
-    /// grouped by state: groups in order of first appearance, events
-    /// within a group in dispatch order.
-    fn batch_groups(&mut self, batch_time: u64) -> Vec<(StateId, Vec<NodeEvent>)> {
-        let mut groups: Vec<(StateId, Vec<NodeEvent>)> = Vec::new();
-        for (sid, ev) in self.store.events.batch(batch_time) {
-            match groups.iter_mut().find(|(g, _)| *g == sid) {
-                Some((_, evs)) => evs.push(ev),
-                None => groups.push((sid, vec![ev])),
-            }
+    /// Phase 1 of both parallel loops: the hand-off. Moves the batch at
+    /// `batch_time` — the earliest pending time — to the queue's front
+    /// and returns one [`SpecJob`] per idle state with events in it, in
+    /// order of each state's first event; a batch of fewer than two
+    /// groups has nothing to overlap and yields none.
+    ///
+    /// With `claims` (the sharded loop) the batch starts a fresh
+    /// [`ClaimedKeys`] and a group is sent only if it can claim its first
+    /// dispatch: the merge applies one recording to every congruent
+    /// state, so a second execution could only be thrown away. The key
+    /// decides what is *offered*; what is *applied* is confirmed
+    /// structurally, so a collision costs a serial fallback.
+    fn batch_jobs(
+        &mut self,
+        batch_time: u64,
+        pstats: &mut ParallelStats,
+        claims: Option<&ClaimedKeys>,
+    ) -> Vec<SpecJob> {
+        let groups = self.store.events.batch(batch_time);
+        if groups.len() < 2 {
+            return Vec::new();
         }
-        groups
+        pstats.speculated_batches += 1;
+        let mut claimed = claims.map(|c| c.lock().expect("claimed keys"));
+        if let Some(claimed) = claimed.as_deref_mut() {
+            claimed.clear();
+        }
+        let mut jobs = Vec::new();
+        for sid in groups {
+            let Some(state) = self.store.states.get(&sid).filter(|s| s.is_idle()) else {
+                continue;
+            };
+            let mut events = self.store.events.pending_at(sid, batch_time).peekable();
+            if let Some(claimed) = claimed.as_deref_mut() {
+                let first = events.peek().expect("a group has an event");
+                let digest = state.vm.config_digest();
+                let key = memo_key(state.node, digest, state.budgets(), batch_time, first);
+                if !claimed.insert(key) {
+                    continue;
+                }
+            }
+            jobs.push(SpecJob {
+                index: jobs.len(),
+                now: batch_time,
+                state: state.clone(),
+                events: events.cloned().collect(),
+                symbols: self.symbols.forked(),
+            });
+        }
+        pstats.spec_groups += jobs.len() as u64;
+        jobs
     }
 
     /// Accumulates a segment's [`ParallelStats`] into the run's totals
@@ -610,12 +634,13 @@ impl Engine {
     /// - **Sends.** Packet ids (and with them the sender's comm-history
     ///   digest) are minted at merge time, so a recorded send completes
     ///   its entry but stops the worker's chain.
-    /// - **Cross-worker duplicates.** Workers publish dispatch keys into
-    ///   a sharded read-mostly table and skip chains another worker
-    ///   already recorded (`shard_skips`); congruence is always
-    ///   re-confirmed on the merge thread before an entry is applied, so
-    ///   a key collision degrades to serial execution, never to a wrong
-    ///   merge.
+    /// - **Duplicates.** One job per distinct dispatch: a group whose
+    ///   first dispatch has the key of an earlier group's is not sent,
+    ///   and a worker cuts its chain at a dispatch somebody else has
+    ///   claimed (`shard_skips`). The one recording is applied to every
+    ///   congruent state; congruence is always re-confirmed structurally
+    ///   on the merge thread first, so a key collision degrades to
+    ///   serial execution, never to a wrong merge.
     ///
     /// Traced and preset runs skip offloading entirely and degenerate to
     /// the serial algorithm on the merge thread (trivially byte-identical
@@ -655,14 +680,16 @@ impl Engine {
         // sink serializes everything anyway — so traced/preset segments
         // run the plain serial algorithm below with an idle pool.
         let offload = !self.traced && self.preset.is_none();
-        let keys = ShardedKeySet::new(workers * 4);
+        let keys = ClaimedKeys::default();
         let pool = ShardPool::new(workers);
         let (done_tx, done_rx) = mpsc::channel::<ShardOutcome>();
+        let scenario = Arc::clone(&self.scenario);
 
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let pool = &pool;
                 let keys = &keys;
+                let scenario = &*scenario;
                 let done_tx = done_tx.clone();
                 scope.spawn(move || {
                     // Worker-local solver cache: authoritative execution
@@ -671,7 +698,7 @@ impl Engine {
                     // solver derives them from the query alone.
                     let solver = Solver::new();
                     while let Some(job) = pool.take(w) {
-                        let outcome = run_shard_group(job, &solver, keys);
+                        let outcome = run_shard_group(job, scenario, &solver, keys);
                         if done_tx.send(outcome).is_err() {
                             break;
                         }
@@ -700,46 +727,23 @@ impl Engine {
                 }
                 pstats.batches += 1;
 
-                // --- phase 1: snapshot the batch, fan groups out to
-                // their subtree owners (`shard_root % workers`, with
-                // work-stealing smoothing the imbalance) ---
+                // --- phase 1: snapshot the batch, fan one job per
+                // distinct first dispatch out to the subtree owners
+                // (`shard_root % workers`, with work-stealing smoothing
+                // the imbalance) ---
                 let dispatch_started = Instant::now();
                 let mut jobs_sent = 0usize;
                 if offload {
-                    let groups = self.batch_groups(batch_time);
-                    if groups.len() >= 2 {
-                        pstats.speculated_batches += 1;
-                        keys.clear();
-                        for (sid, events) in groups {
-                            let Some(state) = self.store.states.get(&sid) else {
-                                continue;
-                            };
-                            if !state.is_idle() {
-                                continue;
-                            }
-                            let home = (state.shard_root % workers as u64) as usize;
-                            let job = SpecJob {
-                                index: jobs_sent,
-                                now: batch_time,
-                                state: state.clone(),
-                                events,
-                                program: Arc::clone(self.scenario.program(state.node)),
-                                faults: self.scenario.faults.clone(),
-                                topology: self.scenario.topology.clone(),
-                                symbols: self.symbols.forked(),
-                            };
-                            pool.submit(home, job);
-                            jobs_sent += 1;
-                            pstats.spec_groups += 1;
-                        }
-                    }
+                    let jobs = self.batch_jobs(batch_time, &mut pstats, Some(&keys));
+                    jobs_sent = jobs.len();
+                    pool.submit(jobs);
                 }
                 pstats.dispatch_wall += dispatch_started.elapsed();
 
                 // --- phase 2: full barrier — collect every recording of
                 // the batch before any of it is committed ---
                 let barrier_started = Instant::now();
-                let mut entries: HashMap<u64, Vec<ShardEntry>> = HashMap::new();
+                let mut entries: HashMap<u64, Vec<Arc<ShardRecord>>> = HashMap::new();
                 for _ in 0..jobs_sent {
                     let Ok(o) = done_rx.recv() else { break };
                     pstats.spec_events += o.events;
@@ -751,10 +755,7 @@ impl Engine {
                     pstats.shard_tainted += o.tainted;
                     pstats.shard_recorded += o.records.len() as u64;
                     for r in o.records {
-                        entries.entry(r.key).or_default().push(ShardEntry {
-                            entry: Arc::new(r.entry),
-                            executed: r.executed,
-                        });
+                        entries.entry(r.key).or_default().push(Arc::new(r));
                     }
                 }
                 pstats.barrier_wall += barrier_started.elapsed();
@@ -2446,6 +2447,10 @@ const SPEC_INSTRUCTION_CAP: u64 = 4_000_000;
 
 /// One speculative work unit: all events of one state at one timestamp,
 /// plus the private clones the worker executes them against.
+///
+/// A job carries only what is this group's own. Everything the whole run
+/// shares — programs, fault plan, topology — the worker reads from the
+/// engine's [`Scenario`], which its thread borrows for the run.
 #[derive(Debug)]
 struct SpecJob {
     /// Submission index within the batch — the deterministic merge order
@@ -2454,14 +2459,6 @@ struct SpecJob {
     now: u64,
     state: SdeState,
     events: Vec<NodeEvent>,
-    program: Arc<Program>,
-    /// The scenario's fault plan (partition cut, heal choices, crash
-    /// persistence window) — the deliver mirror needs it to replicate
-    /// the fault-model minting order.
-    faults: FaultPlan,
-    /// The network topology — shard workers enforce the same
-    /// neighbor-send assertion the authoritative pass would.
-    topology: Topology,
     /// Allocator window continuing the engine's symbol-id sequence
     /// ([`SymbolTable::forked`]), so minted [`sde_symbolic::SymId`]s match
     /// the authoritative pass's and queries share cache entries.
@@ -2491,10 +2488,10 @@ struct SpecOutcome {
 /// the solver queries it issues are the ones the authoritative pass is
 /// about to make. Every other effect is discarded: only the warmed
 /// entries in the shared solver cache escape this function.
-fn speculate_group(job: SpecJob, solver: &Solver) -> SpecOutcome {
+fn speculate_group(job: SpecJob, scenario: &Scenario, solver: &Solver) -> SpecOutcome {
     let started = Instant::now();
     let index = job.index;
-    let mut spec = Speculator::new(job, solver, None);
+    let mut spec = Speculator::new(job, scenario, solver, None);
     spec.run();
     SpecOutcome {
         index,
@@ -2509,24 +2506,18 @@ fn speculate_group(job: SpecJob, solver: &Solver) -> SpecOutcome {
 // ----- sharded execution (the run_sharded worker side) --------------------
 
 /// One worker-recorded dispatch handed to the merge thread at the batch
-/// barrier.
+/// barrier. The merge thread shares it (`Arc`): applying it to one more
+/// congruent state copies a pointer, not the lists.
 #[derive(Debug)]
 struct ShardRecord {
     /// The worker-computed memo key; the merge thread computes the same
     /// key at pop time along sendless chains, so a plain map lookup
     /// finds the entry.
     key: u64,
-    entry: MemoEntry,
+    /// Shared once more when dedup adopts it into its index.
+    entry: Arc<MemoEntry>,
     /// Family variants that entered handler execution (the worker-side
     /// image of [`Engine::run_handler`]'s `executed` marks).
-    executed: Vec<u32>,
-}
-
-/// [`ShardRecord`] as the merge thread holds it — the entry shared so a
-/// dedup-index adoption is a pointer copy.
-#[derive(Debug, Clone)]
-struct ShardEntry {
-    entry: Arc<MemoEntry>,
     executed: Vec<u32>,
 }
 
@@ -2542,44 +2533,14 @@ struct ShardOutcome {
     aborts: u64,
 }
 
-/// The cross-worker duplicate filter: dispatch keys already recorded in
-/// this batch, striped over several mutexes so publishes rarely contend.
-/// Strictly advisory — a hit only tells a worker not to record a chain
-/// some other worker already covered; the merge thread always re-confirms
-/// congruence structurally before applying anything, so a key collision
-/// costs a serial fallback, never correctness.
-#[derive(Debug)]
-struct ShardedKeySet {
-    shards: Vec<Mutex<HashSet<u64>>>,
-}
-
-impl ShardedKeySet {
-    fn new(shards: usize) -> ShardedKeySet {
-        ShardedKeySet {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashSet::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<HashSet<u64>> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.shard(key).lock().expect("key shard").contains(&key)
-    }
-
-    fn publish(&self, key: u64) {
-        self.shard(key).lock().expect("key shard").insert(key);
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            s.lock().expect("key shard").clear();
-        }
-    }
-}
+/// The dispatch keys somebody has taken on in the current batch, so that
+/// nobody executes one twice: the merge thread claims each job's first
+/// dispatch as it offers the job, a worker claims every later dispatch of
+/// its chain and cuts the chain at one already claimed (`shard_skips`).
+/// Strictly advisory — the merge thread always re-confirms congruence
+/// structurally before applying anything, so a key collision costs a
+/// serial fallback, never correctness.
+type ClaimedKeys = Mutex<HashSet<u64>>;
 
 /// The shard scheduler: one deque per worker, jobs routed to the owner
 /// of their subtree (`shard_root % workers`), idle workers stealing
@@ -2608,8 +2569,19 @@ impl ShardPool {
         }
     }
 
-    fn submit(&self, home: usize, job: SpecJob) {
-        self.state.lock().expect("pool").queues[home].push_back(job);
+    /// Queues a whole batch — each job with the owner of its subtree —
+    /// under one lock, then wakes the workers once.
+    fn submit(&self, jobs: Vec<SpecJob>) {
+        if jobs.is_empty() {
+            return;
+        }
+        let mut st = self.state.lock().expect("pool");
+        let workers = st.queues.len() as u64;
+        for job in jobs {
+            let home = (job.state.shard_root % workers) as usize;
+            st.queues[home].push_back(job);
+        }
+        drop(st);
         self.ready.notify_all();
     }
 
@@ -2642,9 +2614,14 @@ impl ShardPool {
 /// worker, recording each symbol-free dispatch as a [`MemoEntry`] the
 /// merge thread applies in serial order (see
 /// [`Engine::run_sharded_in_place`] for the fallback rules).
-fn run_shard_group(job: SpecJob, solver: &Solver, keys: &ShardedKeySet) -> ShardOutcome {
+fn run_shard_group(
+    job: SpecJob,
+    scenario: &Scenario,
+    solver: &Solver,
+    keys: &ClaimedKeys,
+) -> ShardOutcome {
     let started = Instant::now();
-    let mut worker = Speculator::new(job, solver, Some(keys));
+    let mut worker = Speculator::new(job, scenario, solver, Some(keys));
     worker.run_shard();
     ShardOutcome {
         events: worker.events,
@@ -2669,9 +2646,9 @@ fn run_shard_group(job: SpecJob, solver: &Solver, keys: &ShardedKeySet) -> Shard
 struct Speculator<'a> {
     solver: &'a Solver,
     symbols: SymbolTable,
-    program: Arc<Program>,
-    faults: FaultPlan,
-    topology: Topology,
+    /// The run's scenario; `program` is the job's node's.
+    scenario: &'a Scenario,
+    program: &'a Program,
     now: u64,
     states: HashMap<StateId, SdeState>,
     /// FIFO of pending same-time events; forks append their duplicated
@@ -2690,8 +2667,8 @@ struct Speculator<'a> {
     rec_executed: Vec<u32>,
     /// Completed recordings awaiting the batch barrier.
     records: Vec<ShardRecord>,
-    /// The batch's cross-worker duplicate filter (sharded mode only).
-    keys: Option<&'a ShardedKeySet>,
+    /// The batch's claimed dispatch keys (sharded mode only).
+    keys: Option<&'a ClaimedKeys>,
     /// The in-flight dispatch transmitted a packet: its recording stays
     /// valid, but the chain must stop (packet ids — and with them the
     /// sender's history digest — are minted at merge time).
@@ -2707,14 +2684,18 @@ struct Speculator<'a> {
 }
 
 impl<'a> Speculator<'a> {
-    fn new(job: SpecJob, solver: &'a Solver, keys: Option<&'a ShardedKeySet>) -> Speculator<'a> {
+    fn new(
+        job: SpecJob,
+        scenario: &'a Scenario,
+        solver: &'a Solver,
+        keys: Option<&'a ClaimedKeys>,
+    ) -> Speculator<'a> {
         let root = job.state.id;
         Speculator {
             solver,
             symbols: job.symbols,
-            program: job.program,
-            faults: job.faults,
-            topology: job.topology,
+            scenario,
+            program: scenario.program(job.state.node),
             now: job.now,
             states: HashMap::from([(root, job.state)]),
             queue: job.events.into_iter().map(|ev| (root, ev)).collect(),
@@ -2771,9 +2752,10 @@ impl<'a> Speculator<'a> {
             let s = &self.states[&state_id];
             memo_key(s.node, s.vm.config_digest(), s.budgets(), self.now, &kind)
         };
-        if keys.contains(key) {
-            // Another worker already recorded a congruent chain; the
-            // merge thread will confirm and apply its entries.
+        // The job's first dispatch was claimed for it when it was offered.
+        if self.events > 1 && !keys.lock().expect("claimed keys").insert(key) {
+            // Somebody else records this dispatch and what follows from
+            // it; the merge thread will confirm and apply their entries.
             self.skips += 1;
             self.queue.clear();
             return;
@@ -2825,10 +2807,9 @@ impl<'a> Speculator<'a> {
         let instructions = self.instructions - rec.instr_start;
         // Only read on traced replays; sharded merges are never traced.
         let survivor = rec.family[0];
-        keys.publish(key);
         self.records.push(ShardRecord {
             key,
-            entry: MemoEntry {
+            entry: Arc::new(MemoEntry {
                 node: rec.node,
                 now: rec.now,
                 budgets: rec.budgets,
@@ -2839,7 +2820,7 @@ impl<'a> Speculator<'a> {
                 bugs: std::mem::take(&mut self.rec_bugs),
                 instructions,
                 survivor,
-            },
+            }),
             executed: std::mem::take(&mut self.rec_executed),
         });
         if self.sent {
@@ -2879,7 +2860,7 @@ impl<'a> Speculator<'a> {
         {
             let s = &self.states[&state_id];
             let until = s.partition_until;
-            if self.now < until && self.faults.cut_contains(packet.src, s.node) {
+            if self.now < until && self.scenario.faults.cut_contains(packet.src, s.node) {
                 // Active partition: silent loss, no symbols. Recorded in
                 // sharded mode — the merge replay re-emits the drop.
                 if let Some(rec) = self.rec.as_mut() {
@@ -2891,11 +2872,12 @@ impl<'a> Speculator<'a> {
 
         if self.states[&state_id].part_budget > 0
             && self
+                .scenario
                 .faults
                 .cut_contains(packet.src, self.states[&state_id].node)
         {
             let node = self.states[&state_id].node;
-            let heal: Vec<u64> = self.faults.heal_choices().to_vec();
+            let heal: Vec<u64> = self.scenario.faults.heal_choices().to_vec();
             let occurrence = {
                 let s = self.states.get_mut(&state_id).expect("resident");
                 s.part_budget -= 1;
@@ -3006,7 +2988,10 @@ impl<'a> Speculator<'a> {
 
         if self.states[&receiving].crash_budget > 0 {
             let node = self.states[&receiving].node;
-            let (pbase, psize) = (self.faults.persist_base(), self.faults.persist_size());
+            let (pbase, psize) = (
+                self.scenario.faults.persist_base(),
+                self.scenario.faults.persist_size(),
+            );
             let occurrence = {
                 let s = self.states.get_mut(&receiving).expect("resident");
                 s.crash_budget -= 1;
@@ -3119,7 +3104,7 @@ impl<'a> Speculator<'a> {
             self.states.insert(state_id, first);
             return;
         }
-        if !first.vm.prepare(&self.program, handler, args) {
+        if !first.vm.prepare(self.program, handler, args) {
             // The authoritative pass panics on a missing handler; poison
             // any recording so the merge thread reaches that panic
             // itself. (Speculative mode: nothing to warm.)
@@ -3143,7 +3128,7 @@ impl<'a> Speculator<'a> {
                     let mut ctx = VmCtx::new(self.solver, &mut self.symbols);
                     ctx.now = self.now;
                     ctx.node_id = st.node.0;
-                    step(&self.program, &mut st.vm, &mut ctx)
+                    step(self.program, &mut st.vm, &mut ctx)
                 };
                 match result {
                     StepResult::Continue => {}
@@ -3174,7 +3159,7 @@ impl<'a> Speculator<'a> {
                         if let Some(rec) = self.rec.as_mut() {
                             let dest = NodeId(dest);
                             assert!(
-                                self.topology.are_neighbors(st.node, dest),
+                                self.scenario.topology.are_neighbors(st.node, dest),
                                 "{} sent to non-neighbor {dest}",
                                 st.node
                             );

@@ -87,7 +87,10 @@ pub struct ParallelStats {
     /// Batches that were fanned out to workers (≥ 2 same-time state
     /// groups and no replay preset).
     pub speculated_batches: u64,
-    /// Per-state event groups handed to workers.
+    /// Jobs handed to workers: one per state with events in the batch
+    /// (speculative mode), one per *distinct first dispatch* among them
+    /// (sharded mode — groups congruent to an earlier one are served by
+    /// its recording and never sent).
     pub spec_groups: u64,
     /// Events executed speculatively (some may duplicate authoritative
     /// work — that is the design, the cache dedups the solving).
@@ -111,8 +114,9 @@ pub struct ParallelStats {
     /// to execute serially (no congruent recording — minted symbols,
     /// cross-group traffic, or an aborted worker chain).
     pub shard_fallback: u64,
-    /// Sharded mode: worker dispatches skipped because another worker had
-    /// already published the same memo key to the shared digest table
+    /// Sharded mode: worker chains cut at a dispatch whose memo key
+    /// somebody else had already claimed in the batch — another job's
+    /// first dispatch, or a later one some worker reached first
     /// (hash-level advisory; the merge thread still confirms congruence
     /// before applying anything).
     pub shard_skips: u64,

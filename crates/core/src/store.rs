@@ -312,11 +312,16 @@ impl IndexedQueue {
         self.front.front().or(self.heap.peek()).map(|key| key.time)
     }
 
-    /// Every pending event scheduled at `time` — which must be
-    /// [`IndexedQueue::peek_time`] — in dispatch order. The events stay
-    /// queued; only their keys move from the heap to `front`, which the
-    /// previous batch's commit has emptied.
-    pub fn batch(&mut self, time: u64) -> Vec<(StateId, NodeEvent)> {
+    /// The states with an event pending at `time` — which must be
+    /// [`IndexedQueue::peek_time`] — each once, in the order their first
+    /// such events will be dispatched; [`IndexedQueue::pending_at`] lists
+    /// a state's. The events stay queued; only their keys move from the
+    /// heap to `front`, which the previous batch's commit has emptied.
+    ///
+    /// One pass over the batch's keys, no search: `time` is the earliest
+    /// pending time, so a state's events at `time` head its list, and the
+    /// key that names the list's head is the state's first in the batch.
+    pub fn batch(&mut self, time: u64) -> Vec<StateId> {
         debug_assert!(self.front.is_empty(), "the previous batch was committed");
         while self.heap.peek().is_some_and(|key| key.time == time) {
             let key = self.heap.pop().expect("peeked key");
@@ -324,16 +329,18 @@ impl IndexedQueue {
                 self.front.push_back(key);
             }
         }
-        self.front
-            .iter()
-            .map(|key| {
-                let event = self
-                    .list(key.payload)
-                    .find(|p| p.seq == key.seq)
-                    .expect("a live key has a listed event");
-                (key.payload, event.event.clone())
-            })
+        (self.front.iter())
+            .filter(|key| (self.list(key.payload).next()).is_some_and(|p| p.seq == key.seq))
+            .map(|key| key.payload)
             .collect()
+    }
+
+    /// `state`'s events pending at `time` — the earliest pending time —
+    /// in dispatch order.
+    pub fn pending_at(&self, state: StateId, time: u64) -> impl Iterator<Item = &NodeEvent> {
+        self.list(state)
+            .take_while(move |p| p.time == time)
+            .map(|p| &p.event)
     }
 
     /// Number of pending events (cancelled keys do not count).
@@ -623,6 +630,34 @@ mod tests {
         id
     }
 
+    fn timer(e: &NodeEvent) -> u16 {
+        match e {
+            NodeEvent::Timer(t) => *t,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The grouping `IndexedQueue::batch` replaced: the batch's events in
+    /// dispatch order, each appended to its state's group, found by a
+    /// scan of the groups so far (first appearance makes a new one).
+    fn first_appearance_groups(dispatch_order: &[(StateId, u16)]) -> Vec<(StateId, Vec<u16>)> {
+        let mut groups: Vec<(StateId, Vec<u16>)> = Vec::new();
+        for (sid, t) in dispatch_order {
+            match groups.iter_mut().find(|(g, _)| g == sid) {
+                Some((_, timers)) => timers.push(*t),
+                None => groups.push((*sid, vec![*t])),
+            }
+        }
+        groups
+    }
+
+    /// The batch at `time` as `batch` + `pending_at` group it.
+    fn batch_groups(queue: &mut IndexedQueue, time: u64) -> Vec<(StateId, Vec<u16>)> {
+        (queue.batch(time).into_iter())
+            .map(|sid| (sid, queue.pending_at(sid, time).map(timer).collect()))
+            .collect()
+    }
+
     fn timers_of(store: &mut Store, state: StateId) -> Vec<u16> {
         let mut seen = Vec::new();
         while let Some(e) = store.events.pop() {
@@ -688,22 +723,65 @@ mod tests {
         store.events.push(9, (a, NodeEvent::Timer(9)));
         store.events.push(7, (b, NodeEvent::Timer(2)));
         store.events.push(7, (a, NodeEvent::Timer(3)));
-        let batch: Vec<(StateId, u16)> = store
-            .events
-            .batch(7)
-            .into_iter()
-            .map(|(s, e)| match e {
-                NodeEvent::Timer(t) => (s, t),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(batch, vec![(a, 1), (b, 2), (a, 3)]);
+        let batch = batch_groups(&mut store.events, 7);
+        assert_eq!(batch, vec![(a, vec![1, 3]), (b, vec![2])]);
+        assert_eq!(batch, first_appearance_groups(&[(a, 1), (b, 2), (a, 3)]));
         assert_eq!(store.events.len(), 4);
         store.events.check_reference().unwrap();
         // A same-time push during the batch runs after it; pops keep order.
         store.events.push(7, (b, NodeEvent::Timer(4)));
         let order: Vec<u64> = std::iter::from_fn(|| store.events.pop().map(|e| e.seq)).collect();
         assert_eq!(order, vec![0, 2, 3, 4, 1]);
+    }
+
+    /// 2 000 groups, most states with several events in the batch, some
+    /// cleared and re-armed, events of later times in between: the one
+    /// pass groups exactly as the quadratic scan did.
+    #[test]
+    fn batch_groups_as_the_first_appearance_scan_did() {
+        const STATES: u64 = 2_000;
+        let mut rng = proptest::TestRng::for_case(0x23, 0);
+        let mut queue = IndexedQueue::default();
+        // `(seq, state, timer)` of the events pending at time 5.
+        let mut at_five: Vec<(u64, StateId, u16)> = Vec::new();
+        for state in 0..STATES {
+            // Every state is in the batch at least once.
+            let seq = queue.push(5, (StateId(state), NodeEvent::Timer(state as u16)));
+            at_five.push((seq, StateId(state), state as u16));
+        }
+        for op in 0..6_000u64 {
+            let state = StateId(rng.below(STATES));
+            let tag = (STATES + op) as u16;
+            match rng.below(8) {
+                0 => {
+                    queue.clear(state);
+                    at_five.retain(|e| e.1 != state);
+                    let seq = queue.push(5, (state, NodeEvent::Timer(tag)));
+                    at_five.push((seq, state, tag));
+                }
+                1 | 2 => {
+                    queue.push(5 + rng.below(9) + 1, (state, NodeEvent::Timer(tag)));
+                }
+                _ => {
+                    let seq = queue.push(5, (state, NodeEvent::Timer(tag)));
+                    at_five.push((seq, state, tag));
+                }
+            }
+        }
+        at_five.sort_unstable();
+        let dispatch_order: Vec<(StateId, u16)> = at_five.iter().map(|e| (e.1, e.2)).collect();
+        let expected = first_appearance_groups(&dispatch_order);
+        assert_eq!(expected.len(), STATES as usize);
+        assert!(expected.iter().any(|(_, timers)| timers.len() > 3));
+        assert_eq!(queue.peek_time(), Some(5));
+        assert_eq!(batch_groups(&mut queue, 5), expected);
+        queue.check_reference().unwrap();
+        // Grouping moved nothing: the batch pops in dispatch order.
+        for (sid, t) in dispatch_order {
+            let e = queue.pop().unwrap();
+            assert_eq!((e.time, e.payload.0, timer(&e.payload.1)), (5, sid, t));
+        }
+        assert_ne!(queue.peek_time(), Some(5));
     }
 
     #[test]
@@ -812,10 +890,6 @@ mod tests {
     /// of the queued keys after every single operation.
     #[test]
     fn indexed_queue_agrees_with_a_sorted_model_under_forks_and_clears() {
-        let timer = |e: &NodeEvent| match e {
-            NodeEvent::Timer(t) => *t,
-            other => panic!("unexpected {other:?}"),
-        };
         let mut rng = proptest::TestRng::for_case(0x22, 1);
         let mut queue = IndexedQueue::default();
         // `(time, seq, state, timer)`, kept sorted: dispatch order.
@@ -863,14 +937,15 @@ mod tests {
                 }
                 _ => {
                     if let Some(time) = queue.peek_time() {
-                        let batch: Vec<(StateId, u16)> = (queue.batch(time).iter())
-                            .map(|(s, e)| (*s, timer(e)))
-                            .collect();
                         let expected: Vec<(StateId, u16)> = (model.iter())
                             .take_while(|e| e.0 == time)
                             .map(|e| (e.2, e.3))
                             .collect();
-                        assert_eq!(batch, expected, "op {op}");
+                        assert_eq!(
+                            batch_groups(&mut queue, time),
+                            first_appearance_groups(&expected),
+                            "op {op}"
+                        );
                         // The sharded loop commits a batch before the next.
                         for e in model.drain(..expected.len()) {
                             assert_eq!(queue.pop().map(|p| p.seq), Some(e.1), "op {op}");

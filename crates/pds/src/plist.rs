@@ -141,8 +141,24 @@ impl<T: fmt::Debug> fmt::Debug for PList<T> {
 }
 
 impl<T: PartialEq> PartialEq for PList<T> {
+    /// Element-wise, stopping at the first cell both lists share: equal
+    /// lengths walked in step reach a shared suffix at the same time, and
+    /// a shared suffix is equal without being read.
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().zip(other.iter()).all(|(a, b)| a == b)
+        if self.len != other.len {
+            return false;
+        }
+        let (mut a, mut b) = (self.node.as_ref(), other.node.as_ref());
+        while let (Some(x), Some(y)) = (a, b) {
+            if Arc::ptr_eq(x, y) {
+                return true;
+            }
+            if x.head != y.head {
+                return false;
+            }
+            (a, b) = (x.tail.as_ref(), y.tail.as_ref());
+        }
+        true
     }
 }
 

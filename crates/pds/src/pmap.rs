@@ -448,9 +448,62 @@ impl<K: Hash + Eq + Clone + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for PM
     }
 }
 
+impl<K: Hash + Eq + Clone, V: Clone + PartialEq> PMap<K, V> {
+    /// Whether every entry under `a` is bound to an equal value in
+    /// `whole`, where `b` is `whole`'s node at `a`'s trie position.
+    ///
+    /// Storage the two maps share is equal without being read — a clone
+    /// that was written a few times differs from its origin in a few
+    /// spines only. Where both sides have the same shape the walk goes
+    /// down both at once, comparing leaves in place (no hashing); any
+    /// other pairing — removals can leave equal maps in different shapes
+    /// — is settled by looking `a`'s entries up in `whole`.
+    fn bound_in(a: &Arc<Node<K, V>>, b: &Arc<Node<K, V>>, whole: &Self) -> bool {
+        if Arc::ptr_eq(a, b) {
+            return true;
+        }
+        match (a.as_ref(), b.as_ref()) {
+            (
+                Node::Branch { bitmap, children },
+                Node::Branch {
+                    bitmap: other_bitmap,
+                    children: other_children,
+                },
+            ) if bitmap == other_bitmap => children
+                .iter()
+                .zip(other_children)
+                .all(|(x, y)| Self::bound_in(x, y, whole)),
+            (
+                Node::Leaf { key, value, .. },
+                Node::Leaf {
+                    key: other_key,
+                    value: other_value,
+                    ..
+                },
+            ) if key == other_key => value == other_value,
+            (a, _) => {
+                let mut under_a = Iter {
+                    stack: vec![Frame::Node(a)],
+                };
+                under_a.all(|(k, v)| whole.get(k) == Some(v))
+            }
+        }
+    }
+}
+
 impl<K: Hash + Eq + Clone, V: Clone + PartialEq> PartialEq for PMap<K, V> {
+    /// Equal sizes and every entry of `self` bound alike in `other`;
+    /// O(1) for a map and its unmodified clone, no hashing while the two
+    /// tries have the same shape.
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().all(|(k, v)| other.get(k) == Some(v))
+        if self.len != other.len {
+            return false;
+        }
+        match (&self.root, &other.root) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Self::bound_in(a, b, other),
+            _ => false,
+        }
     }
 }
 

@@ -203,3 +203,81 @@ fn insert_mut_matches_btreemap_and_leaves_clones_unchanged() {
 fn insert_mut_with_colliding_hashes_leaves_clones_unchanged() {
     insert_mut_model(Clash);
 }
+
+/// `==` against the model's `==` on pairs that share storage (a clone
+/// written a few more times), pairs with equal contents reached along
+/// different histories (inserts in another order, detours through keys
+/// that are removed again — equal maps in different trie shapes) and
+/// pairs that differ in one value.
+fn equality_model<K: Hash + Ord + Copy + std::fmt::Debug>(key: impl Fn(u32) -> K) {
+    let mut rng = 0x0dd_ba11_5eed_cafeu64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    for round in 0..200 {
+        let keys: Vec<(K, u64)> = (0..next() % 120)
+            .map(|_| (key((next() % 400) as u32), next() % 4))
+            .collect();
+        let model: BTreeMap<K, u64> = keys.iter().copied().collect();
+        let map: PMap<K, u64> = keys.iter().copied().collect();
+
+        // The same bindings, last-write-wins resolved, inserted backwards
+        // with a detour through keys outside the set.
+        let mut detour: PMap<K, u64> = PMap::new();
+        for i in 0..8 {
+            detour.insert_mut(key(1_000 + i), 0);
+        }
+        for (k, v) in model.iter().rev() {
+            detour.insert_mut(*k, *v);
+        }
+        for i in 0..8 {
+            detour = detour.remove(&key(1_000 + i));
+        }
+        assert_eq!(map, detour, "round {round}: equal contents");
+        assert_eq!(detour, map, "round {round}: equal contents, flipped");
+
+        // A clone written a few more times.
+        let (mut later, mut later_model) = (map.clone(), model.clone());
+        for _ in 0..next() % 4 {
+            let (k, v) = (key((next() % 400) as u32), next() % 4);
+            later.insert_mut(k, v);
+            later_model.insert(k, v);
+        }
+        assert_eq!(map == later, model == later_model, "round {round}: clone");
+        assert_eq!(later == map, model == later_model, "round {round}: clone");
+        assert_eq!(detour == later, model == later_model, "round {round}");
+
+        // Same keys, one value off.
+        if let Some((k, v)) = model.iter().next() {
+            assert_ne!(map, detour.insert(*k, v + 1), "round {round}: one value");
+            assert_ne!(map, map.remove(k), "round {round}: one key short");
+        }
+    }
+}
+
+#[test]
+fn equality_matches_the_model_across_shapes_and_sharing() {
+    equality_model(|id| id);
+}
+
+#[test]
+fn equality_with_colliding_hashes_matches_the_model() {
+    equality_model(Clash);
+}
+
+#[test]
+fn plist_equality_stops_at_a_shared_suffix_and_reads_unshared_cells() {
+    let base: PList<u32> = (0..50).collect();
+    let (a, b) = (base.prepend(7).prepend(8), base.prepend(7).prepend(8));
+    assert_eq!(a, b);
+    assert_ne!(a, base.prepend(7).prepend(9));
+    assert_ne!(a, base.prepend(6).prepend(8));
+    assert_ne!(a, base.prepend(8));
+    let rebuilt: PList<u32> = a.iter().copied().collect();
+    assert!(!rebuilt.ptr_eq(&a));
+    assert_eq!(a, rebuilt);
+    assert_eq!(PList::<u32>::new(), PList::new());
+}

@@ -161,6 +161,27 @@ impl PathCondition {
         self.nodes as usize
     }
 
+    /// Whether the two conditions store the same constraints, each as
+    /// often, in any order (the trivially-false marker is not a stored
+    /// constraint). Terms compare by structure — no rendering.
+    ///
+    /// Conditions that met the same branches in the same order are
+    /// decided by the in-order walk, which stops at the first list cell
+    /// the two share; only orders that differ pay for the matching.
+    pub fn same_constraints(&self, other: &Self) -> bool {
+        if self.constraints == other.constraints {
+            return true;
+        }
+        if self.len() != other.len() {
+            return false;
+        }
+        let mut unmatched: Vec<&ExprRef> = other.iter().collect();
+        self.iter().all(|c| {
+            let at = unmatched.iter().position(|d| *d == c);
+            at.map(|at| unmatched.swap_remove(at)).is_some()
+        })
+    }
+
     /// Returns `true` when the two conditions share their entire constraint
     /// storage (cheap identity test for sibling states).
     pub fn ptr_eq(&self, other: &Self) -> bool {
@@ -245,6 +266,32 @@ mod tests {
         assert_eq!(left.len(), 2);
         assert_eq!(right.len(), 2);
         assert!(!left.ptr_eq(&right));
+    }
+
+    #[test]
+    fn same_constraints_is_multiset_equality() {
+        let mut t = SymbolTable::new();
+        let x = Expr::sym(t.fresh("x", Width::W8));
+        let c = |n| Expr::ult(x.clone(), Expr::const_(n, Width::W8));
+        let base = PathCondition::new().with(c(90));
+        let ab = base.with(c(10)).with(c(20));
+        let ba = base.with(c(20)).with(c(10));
+        assert!(ab.same_constraints(&ab.clone()), "shared storage");
+        assert!(
+            ab.same_constraints(&base.with(c(10)).with(c(20))),
+            "shared tail"
+        );
+        assert!(
+            ab.same_constraints(&ba) && ba.same_constraints(&ab),
+            "permuted"
+        );
+        assert!(!ab.same_constraints(&base.with(c(10)).with(c(30))));
+        assert!(!ab.same_constraints(&base.with(c(10))), "shorter");
+        // Multiplicity counts: {10, 10, 20} is not {10, 20, 20}.
+        assert!(!ab.with(c(10)).same_constraints(&ab.with(c(20))));
+        assert!(ab.with(c(10)).same_constraints(&ba.with(c(10))));
+        // The marker is not a stored constraint.
+        assert!(ab.same_constraints(&ab.with(Expr::false_())));
     }
 
     #[test]

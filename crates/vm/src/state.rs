@@ -129,6 +129,9 @@ impl VmState {
             *slot = Some(a.clone());
         }
         self.frames.clear();
+        // Most handlers never call: one frame, not `Vec`'s first-push
+        // four, is what an executed state keeps until its next event.
+        self.frames.reserve_exact(1);
         self.frames.push(Frame {
             func: func_id,
             pc: 0,
@@ -369,9 +372,38 @@ impl VmState {
     }
 
     /// Exact configuration equality (the ground truth behind
-    /// [`VmState::config_digest`]). Quadratic in memory size; intended for
-    /// tests and assertions.
+    /// [`VmState::config_digest`]): status, call frames, memory and the
+    /// path constraints as a multiset.
+    ///
+    /// This is the confirmation the engine runs on every digest hit — the
+    /// duplicate-dispatch index and the sharded merge — so it reads only
+    /// what the two states do not share: a heap or path condition cloned
+    /// from the other compares by pointer ([`PMap`] root, [`PList`]
+    /// cell), unshared memory cell by cell down both tries at once, and
+    /// constraints as [`ExprRef`] values, in order first and as a
+    /// permutation only when the orders differ. No string is built.
+    ///
+    /// Terms compare by structure, symbol ids included, so equal states
+    /// have equal digests. The rendering-based
+    /// [`VmState::config_eq_reference`] is coarser in one case only: two
+    /// replay-keyed variables of one name, node and occurrence print
+    /// alike whatever their ids.
     pub fn config_eq(&self, other: &VmState) -> bool {
+        self.status == other.status
+            && self.path_digest == other.path_digest
+            && self.frames.len() == other.frames.len()
+            && self.frames.iter().zip(&other.frames).all(|(a, b)| {
+                a.func == b.func && a.pc == b.pc && a.ret_dst == b.ret_dst && a.regs == b.regs
+            })
+            && self.heap == other.heap
+            && self.path.same_constraints(&other.path)
+    }
+
+    /// [`VmState::config_eq`] as it was first written — one hashed lookup
+    /// per memory cell, path conditions compared as sorted renderings.
+    /// Kept as the oracle the structural comparison is property-tested
+    /// against.
+    pub fn config_eq_reference(&self, other: &VmState) -> bool {
         if self.status != other.status
             || self.path_digest != other.path_digest
             || self.frames.len() != other.frames.len()
@@ -404,7 +436,16 @@ impl VmState {
     /// collision must never let two states that could diverge later be
     /// treated as congruent.
     pub fn dedup_eq(&self, other: &VmState) -> bool {
-        if !self.config_eq(other) || self.memory_size != other.memory_size {
+        self.memory_size == other.memory_size
+            && self.config_eq(other)
+            && self.branch_trace == other.branch_trace
+            && self.input_counts == other.input_counts
+    }
+
+    /// [`VmState::dedup_eq`] over [`VmState::config_eq_reference`], the
+    /// occurrence counters compared as sorted lists: the test oracle.
+    pub fn dedup_eq_reference(&self, other: &VmState) -> bool {
+        if !self.config_eq_reference(other) || self.memory_size != other.memory_size {
             return false;
         }
         if self.branch_trace.len() != other.branch_trace.len()
@@ -734,6 +775,31 @@ mod tests {
                 let _ = VmState::read_snapshot(&mut r);
             }
         }
+    }
+
+    /// A digest collision as the confirmation path would meet one: equal
+    /// `config_digest`, different memory. Both comparisons must refuse.
+    #[test]
+    fn equal_digests_with_different_heaps_are_not_equal() {
+        let p = empty_program();
+        let mut s = VmState::fresh(&p);
+        for addr in 0..40 {
+            s.heap_store(addr, Value::const_(u64::from(addr), Width::W8));
+        }
+        let mut t = s.clone();
+        t.heap_store(17, Value::const_(99, Width::W8));
+        assert_ne!(s.config_digest(), t.config_digest());
+        t.heap_acc = s.heap_acc;
+        assert_eq!(s.config_digest(), t.config_digest(), "collision forged");
+        for (a, b) in [(&s, &t), (&t, &s)] {
+            assert!(!a.config_eq(b) && !a.config_eq_reference(b));
+            assert!(!a.dedup_eq(b) && !a.dedup_eq_reference(b));
+        }
+        // Writing the old byte back makes them equal again, on a heap
+        // that now shares all but one spine with the original's.
+        t.heap_store(17, Value::const_(17, Width::W8));
+        t.heap_acc = s.heap_acc;
+        assert!(s.config_eq(&t) && s.config_eq_reference(&t) && s.dedup_eq(&t));
     }
 
     #[test]

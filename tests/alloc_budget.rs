@@ -29,13 +29,17 @@ thread_local! {
     /// initialised and without a destructor, so reading it from inside
     /// the allocator neither allocates nor outlives the thread's TLS.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has handed back (a reallocation hands back the
+    /// old block).
+    static FREED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local counter bump that cannot allocate, unwind or re-enter.
+// thread-local counter bump (two on the freeing paths) that cannot
+// allocate, unwind or re-enter.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
@@ -44,6 +48,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREED_BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc`
         // above with this same `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -51,6 +56,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        FREED_BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -61,6 +67,10 @@ static ALLOCATOR: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn freed_bytes() -> u64 {
+    FREED_BYTES.with(Cell::get)
 }
 
 /// The concrete counting loop of `crates/bench/benches/vm.rs`.
@@ -226,6 +236,33 @@ fn concrete_round_trips_allocate_only_while_the_map_grows_or_is_shared() {
     assert_eq!(low_byte(&state, 5), (9_989 + 7) & 0xff);
     assert_eq!(low_byte(&clone, 5), 9_989 & 0xff, "the clone is unchanged");
     assert_eq!(clone.memory_footprint(), 2 * SLOTS as usize);
+}
+
+/// A state that ran a handler keeps its frame buffer until its next
+/// event — one per executed state, for the rest of the run. `prepare`
+/// sizes it for the one frame a handler that never calls needs (40 bytes
+/// here); `Vec`'s first push would reserve four (160 bytes: 6 MB of the
+/// 57 MB live at `collect7_cow`'s peak, one buffer per executed state).
+#[test]
+fn an_idle_state_keeps_a_frame_buffer_of_one() {
+    let mut pb = ProgramBuilder::new();
+    pb.function("on_boot", 0, |f| f.ret(None));
+    let program = pb.build().unwrap();
+    let solver = Solver::new();
+    let mut symbols = SymbolTable::new();
+    let mut ctx = VmCtx::new(&solver, &mut symbols);
+    let mut state = VmState::fresh(&program);
+    assert!(state.prepare(&program, "on_boot", &[]));
+    step_until(&program, &mut state, &mut ctx, |_| false);
+    assert_eq!(*state.status(), Status::Idle);
+    // Empty memory, path and traces: the buffer is all the state owns.
+    let before = freed_bytes();
+    drop(state);
+    let held = freed_bytes() - before;
+    assert!(
+        (1..=40).contains(&held),
+        "an idle state held {held} bytes of frame buffer"
+    );
 }
 
 // ---- forks: the store's and the mappers' -----------------------------------

@@ -370,9 +370,9 @@ fn parallel_dedup_matches_serial_dedup() {
 
 // ---------------------------------------------------------------------------
 // Property: the incremental digest is a sound index for structural
-// equality. The digest is strictly *finer* than `dedup_eq` (it hashes
-// concrete symbol ids, while `dedup_eq` compares the alpha-invariant
-// rendering), so the testable direction is: equal digests imply
+// equality. `dedup_eq` compares terms with their symbol ids, as the
+// digest hashes them, plus fields the digest leaves out (branch trace,
+// occurrence counters), so the testable direction is: equal digests imply
 // structural equality — a failure would be a real hash collision,
 // exactly what `MemoEntry::congruent` exists to absorb, but worth
 // knowing about on these deterministic workloads. The incremental

@@ -186,6 +186,49 @@ fn shard_workers_do_authoritative_work() {
     );
 }
 
+/// The benchmark's `sense4_cob_shard2` shape — 4×4 grid, COB, 65 536
+/// states, batches of up to 6 144 groups that fall into a few hundred
+/// distinct dispatches — at worker counts on both sides of the
+/// benchmark's 2. Every group's dispatch is covered by a recording
+/// (nothing falls back to the merge thread), and the hand-off offers one
+/// job per distinct dispatch: workers cut almost no chain at a key
+/// somebody else holds, where one job per group had them throw away ten
+/// chains for every one they recorded.
+#[test]
+fn the_benchmark_shape_is_one_job_per_distinct_dispatch() {
+    let topology = Topology::grid(4, 4);
+    let cfg = SenseConfig::paper_grid(4, 4);
+    let duration = cfg.interval_ms * (u64::from(cfg.packet_count) + 2);
+    let scenario = Scenario::new(topology.clone(), sense::programs(&topology, &cfg))
+        .with_duration_ms(duration)
+        .with_sample_every(512);
+    let seq = Engine::new(scenario.clone(), Algorithm::Cob).run();
+    assert_eq!(seq.total_states, 65_536);
+    let mut jobs = None;
+    for workers in [1usize, 2, 3, 4, 8] {
+        let shard = Engine::new(scenario.clone(), Algorithm::Cob).run_sharded(workers);
+        assert_eq!(
+            shard.equivalence_key(),
+            seq.equivalence_key(),
+            "sense 4×4 COB diverged at {workers} workers"
+        );
+        let pstats = shard.parallel.as_ref().expect("shard stats");
+        assert_eq!(pstats.shard_fallback, 0, "{}", pstats.summary());
+        assert!(
+            pstats.shard_skips < pstats.shard_recorded,
+            "{workers} workers: {}",
+            pstats.summary()
+        );
+        assert!(
+            pstats.shard_applied > 10 * pstats.shard_recorded,
+            "one recording serves every congruent state: {}",
+            pstats.summary()
+        );
+        // What is offered is decided before any worker runs.
+        assert_eq!(*jobs.get_or_insert(pstats.spec_groups), pstats.spec_groups);
+    }
+}
+
 /// Runs `scenario` with a recorder attached and returns the
 /// deterministic JSONL rendering; `workers == None` is the serial
 /// baseline.
