@@ -141,6 +141,28 @@ fn bench_store(c: &mut Criterion) {
             })
         });
     }
+    // The run loop's queue step with `queued` keys waiting: pop the
+    // earliest event, schedule its state's next one 500 ms later (every
+    // time in 1..=500 holds keys, so that is the latest time yet). Four
+    // events per state keep the per-state lists short. A binary heap pays
+    // `log queued` per pop; the calendar queue's pop does not look at the
+    // other keys, so flat in `queued` is the pass criterion.
+    for queued in [1_000u64, 100_000, 1_000_000] {
+        let mut store = Store::default();
+        for i in 0..queued {
+            store
+                .events
+                .push(1 + i % 500, (StateId(i / 4), NodeEvent::Timer(0)));
+        }
+        group.bench_function(BenchmarkId::new("pop", queued), |b| {
+            b.iter(|| {
+                let event = store.events.pop().expect("the queue stays full");
+                store
+                    .events
+                    .push(event.time + 500, black_box(event.payload))
+            })
+        });
+    }
     for resident in [1_000u64, 100_000] {
         let store = populated_store(resident);
         assert_eq!(store.states.totals(), store.states.totals_reference());

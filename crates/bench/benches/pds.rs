@@ -36,6 +36,19 @@ fn bench_pmap(c: &mut Criterion) {
                 })
             },
         );
+        // A heap read: `u32` addresses looked up in a scattered order, so
+        // the cost is the key's hash plus one descent, not a warm path.
+        group.bench_with_input(BenchmarkId::new("get_u32", size), &full, |b, m| {
+            b.iter(|| {
+                let mut acc = 0u64;
+                let mut i = 7u32;
+                for _ in 0..m.len() {
+                    i = i.wrapping_mul(31).wrapping_add(17) % m.len() as u32;
+                    acc = acc.wrapping_add(*m.get(black_box(&i)).unwrap());
+                }
+                black_box(acc)
+            })
+        });
         group.bench_with_input(BenchmarkId::new("get", size), &full, |b, m| {
             b.iter(|| {
                 let mut acc = 0u64;

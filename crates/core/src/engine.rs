@@ -116,6 +116,14 @@ pub struct Engine {
     /// Whether any segment of this run used [`Engine::run_until_sharded`]
     /// (provenance; carried by snapshots).
     sharded: bool,
+    /// Per-event scratch that outlives the event: `on_recv`'s arguments
+    /// and the handler's stack of states still to run. Each is taken for
+    /// one use and put back empty, so a dispatch allocates neither once
+    /// they have grown. The states stay boxed: the table hands a box out
+    /// and takes the same box back, so a state never moves.
+    recv_args: Vec<Value>,
+    #[allow(clippy::vec_box)]
+    running: Vec<Box<SdeState>>,
 }
 
 impl Engine {
@@ -152,6 +160,8 @@ impl Engine {
             shard_applied: 0,
             shard_fallback: 0,
             sharded: false,
+            recv_args: Vec::new(),
+            running: Vec::new(),
         }
     }
 
@@ -2053,7 +2063,7 @@ impl Engine {
     /// invocation is one delivery (a duplicated packet counts twice).
     fn run_recv(&mut self, state: StateId, packet: &Packet, times: u32) {
         let node = self.store.states[&state].node;
-        let mut args: Vec<Value> = Vec::with_capacity(1 + packet.payload.len());
+        let mut args = std::mem::take(&mut self.recv_args);
         args.push(Value::const_(u64::from(packet.src.0), Width::W16));
         args.extend(packet.payload.iter().cloned());
         for _ in 0..times {
@@ -2071,6 +2081,8 @@ impl Engine {
             }
             self.run_handler(state, handlers::ON_RECV, &args);
         }
+        args.clear();
+        self.recv_args = args;
     }
 
     /// Forks `parent` into a sibling constrained with `cond`, records the
@@ -2137,7 +2149,8 @@ impl Engine {
             args.len()
         );
 
-        let mut running: Vec<Box<SdeState>> = vec![first];
+        let mut running = std::mem::take(&mut self.running);
+        running.push(first);
         while let Some(mut st) = running.pop() {
             self.executed.insert(st.id);
             loop {
@@ -2219,6 +2232,7 @@ impl Engine {
                 }
             }
         }
+        self.running = running;
     }
 
     /// One transmission: mint a packet id, run the state mapping, update
@@ -2681,6 +2695,9 @@ struct Speculator<'a> {
     skips: u64,
     tainted: u64,
     aborts: u64,
+    /// [`Engine`]'s per-event scratch, mirrored.
+    recv_args: Vec<Value>,
+    running: Vec<SdeState>,
 }
 
 impl<'a> Speculator<'a> {
@@ -2713,6 +2730,8 @@ impl<'a> Speculator<'a> {
             skips: 0,
             tainted: 0,
             aborts: 0,
+            recv_args: Vec::new(),
+            running: Vec::new(),
         }
     }
 
@@ -3046,7 +3065,7 @@ impl<'a> Speculator<'a> {
 
     /// Mirrors [`Engine::run_recv`].
     fn run_recv(&mut self, state: StateId, packet: &Packet, times: u32) {
-        let mut args: Vec<Value> = Vec::with_capacity(1 + packet.payload.len());
+        let mut args = std::mem::take(&mut self.recv_args);
         args.push(Value::const_(u64::from(packet.src.0), Width::W16));
         args.extend(packet.payload.iter().cloned());
         for _ in 0..times {
@@ -3055,6 +3074,8 @@ impl<'a> Speculator<'a> {
             }
             self.run_handler(state, handlers::ON_RECV, &args);
         }
+        args.clear();
+        self.recv_args = args;
     }
 
     /// Mirrors [`Engine::fork_local`] minus the mapper registration (the
@@ -3112,7 +3133,8 @@ impl<'a> Speculator<'a> {
             return;
         }
 
-        let mut running: Vec<SdeState> = vec![first];
+        let mut running = std::mem::take(&mut self.running);
+        running.push(first);
         while let Some(mut st) = running.pop() {
             if let Some(rec) = self.rec.as_ref() {
                 let v = rec.variant(st.id) as u32;
@@ -3121,6 +3143,7 @@ impl<'a> Speculator<'a> {
             loop {
                 self.instructions += 1;
                 if self.instructions > SPEC_INSTRUCTION_CAP {
+                    // The chain ends here; the stack goes with it.
                     self.capped = true;
                     return;
                 }
@@ -3193,6 +3216,7 @@ impl<'a> Speculator<'a> {
                 }
             }
         }
+        self.running = running;
     }
 }
 

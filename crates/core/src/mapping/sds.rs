@@ -98,6 +98,7 @@ struct Slot {
 }
 
 /// What the phase-1 scan of the sending dstates learns about one target.
+#[derive(Debug)]
 struct Target {
     state: StateId,
     slot: SlotId,
@@ -126,6 +127,25 @@ pub struct Sds {
     slots: Vec<Slot>,
     slot_of: ByState,
     stats: MapperStats,
+    /// `map_send`'s working lists, emptied by each send and kept for the
+    /// next, so a send allocates only what it hands out.
+    scratch: SendScratch,
+}
+
+/// The working lists of one [`Sds::map_send`]; see the phases there.
+#[derive(Debug, Default)]
+struct SendScratch {
+    /// The sender's virtual states by dstate.
+    sending: Vec<(GroupId, VId)>,
+    /// The sending dstates with a direct rival (case A).
+    rival_dstates: Vec<(GroupId, VId)>,
+    /// Ascending by state: the order the targets fork in.
+    targets: Vec<Target>,
+    /// `(stale slot, fresh slot)` of every forked target.
+    receiving: Vec<(SlotId, SlotId)>,
+    /// Emptied `keeps` buffers of past targets (a forked target's became
+    /// its fresh slot's list and left an empty one behind).
+    spare_keeps: Vec<Vec<VId>>,
 }
 
 impl Sds {
@@ -259,15 +279,17 @@ impl StateMapper for Sds {
         // Phases 1 + 2, one scan of the sending dstates (ascending): which
         // have direct rivals (case A), who the targets are, and what each
         // target owns in here. Nothing outside the sending dstates is read.
-        let mut sending: Vec<(GroupId, VId)> = self.slots[sender_slot]
-            .owned
-            .iter()
-            .map(|v| (self.vstates[v.index()].dstate, *v))
-            .collect();
+        let SendScratch {
+            mut sending,
+            mut rival_dstates,
+            mut targets,
+            mut receiving,
+            mut spare_keeps,
+        } = std::mem::take(&mut self.scratch);
+        sending.extend(
+            (self.slots[sender_slot].owned.iter()).map(|v| (self.vstates[v.index()].dstate, *v)),
+        );
         sending.sort_unstable();
-        let mut rival_dstates: Vec<(GroupId, VId)> = Vec::new();
-        // Ascending by state: the order the targets fork in.
-        let mut targets: Vec<Target> = Vec::new();
         for &(d, vs) in &sending {
             let members = &self.dstates[d.index()];
             let rival = (members.of(sender_node).iter())
@@ -286,7 +308,7 @@ impl StateMapper for Sds {
                             slot,
                             near: 0,
                             rival: false,
-                            keeps: Vec::new(),
+                            keeps: spare_keeps.pop().unwrap_or_default(),
                         };
                         targets.insert(at, unmet);
                         at
@@ -312,7 +334,6 @@ impl StateMapper for Sds {
         // case-C virtual target at once (Fig. 7: their dstates are
         // untouched); the receiving original restarts from a fresh slot
         // holding only its case-B vstates.
-        let mut receiving: Vec<(SlotId, SlotId)> = Vec::new();
         for t in &mut targets {
             if !t.rival && t.near == self.slots[t.slot].owned.len() {
                 continue;
@@ -334,7 +355,7 @@ impl StateMapper for Sds {
         receiving.sort_unstable();
 
         // Phase 4: virtual COW in every sending dstate with direct rivals.
-        for (d, vs) in rival_dstates {
+        for &(d, vs) in &rival_dstates {
             // The sender's virtual state in `d` moves to the new dstate;
             // direct rivals stay put; everyone else is copied. The walk is
             // in (node, id) order and copies get rising ids, so the new
@@ -377,9 +398,22 @@ impl StateMapper for Sds {
             self.dstates.push(new_members);
         }
 
-        Delivery {
-            receivers: targets.into_iter().map(|t| t.state).collect(),
-        }
+        let receivers = targets.iter().map(|t| t.state).collect();
+        spare_keeps.extend(targets.drain(..).map(|mut t| {
+            t.keeps.clear();
+            t.keeps
+        }));
+        sending.clear();
+        rival_dstates.clear();
+        receiving.clear();
+        self.scratch = SendScratch {
+            sending,
+            rival_dstates,
+            targets,
+            receiving,
+            spare_keeps,
+        };
+        Delivery { receivers }
     }
 
     fn group_count(&self) -> usize {

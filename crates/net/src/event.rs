@@ -1,7 +1,6 @@
 //! A deterministic virtual-time event queue.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// An event scheduled at a virtual time, carrying an arbitrary payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,34 +14,20 @@ pub struct Event<T> {
     pub payload: T,
 }
 
-/// Min-heap wrapper: earliest time first, then insertion order.
-#[derive(Debug)]
-struct HeapEntry<T>(Event<T>);
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.time == other.0.time && self.0.seq == other.0.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for a min-heap on (time, seq).
-        (other.0.time, other.0.seq).cmp(&(self.0.time, self.0.seq))
-    }
-}
-
 /// A virtual-time priority queue with deterministic ordering.
 ///
 /// The KleeNet execution model "executes an event of a node and advances
 /// the time to the next event in the queue" (§IV); determinism matters
 /// because the state-mapping comparison runs the same scenario three
 /// times and the discovered path sets must be comparable.
+///
+/// A calendar queue: one FIFO bucket per distinct pending time, the
+/// buckets ordered by time. Events leave in `(time, seq)` order. Push
+/// appends to its time's bucket, and that keeps the bucket sorted by
+/// `seq`, because every push takes a larger `seq` than any queued event.
+/// Pop takes the front of the first bucket. Neither compares events; a
+/// run has far fewer distinct pending times than pending events, and only
+/// the time lookup depends on how many there are.
 ///
 /// # Examples
 ///
@@ -60,14 +45,17 @@ impl<T> Ord for HeapEntry<T> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
+    /// Pending events by time; no bucket is empty.
+    buckets: BTreeMap<u64, VecDeque<Event<T>>>,
+    len: usize,
     next_seq: u64,
 }
 
 impl<T: std::fmt::Debug> Default for EventQueue<T> {
     fn default() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            buckets: BTreeMap::new(),
+            len: 0,
             next_seq: 0,
         }
     }
@@ -85,9 +73,20 @@ impl<T: std::fmt::Debug> EventQueue<T> {
     /// sequence of the run that was snapshotted. Unlike
     /// [`EventQueue::push`], no trace event is recorded — the pushes were
     /// already traced by the original run.
+    ///
+    /// Every event's `seq` must be below `next_seq`, as in any export.
     pub fn from_parts(next_seq: u64, events: impl IntoIterator<Item = Event<T>>) -> Self {
+        let mut events: Vec<Event<T>> = events.into_iter().collect();
+        debug_assert!(events.iter().all(|e| e.seq < next_seq));
+        events.sort_unstable_by_key(|e| (e.time, e.seq));
+        let len = events.len();
+        let mut buckets: BTreeMap<u64, VecDeque<Event<T>>> = BTreeMap::new();
+        for event in events {
+            buckets.entry(event.time).or_default().push_back(event);
+        }
         EventQueue {
-            heap: events.into_iter().map(HeapEntry).collect(),
+            buckets,
+            len,
             next_seq,
         }
     }
@@ -101,39 +100,47 @@ impl<T: std::fmt::Debug> EventQueue<T> {
     pub fn push(&mut self, time: u64, payload: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(HeapEntry(Event { time, seq, payload }));
+        let event = Event { time, seq, payload };
+        self.buckets.entry(time).or_default().push_back(event);
+        self.len += 1;
         sde_trace::record(|| sde_trace::TraceEvent::QueuePush { time, seq });
         seq
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event<T>> {
-        self.heap.pop().map(|e| e.0)
+        let mut first = self.buckets.first_entry()?;
+        let event = first.get_mut().pop_front().expect("no bucket is empty");
+        if first.get().is_empty() {
+            first.remove();
+        }
+        self.len -= 1;
+        Some(event)
     }
 
     /// The earliest event without removing it.
     pub fn peek(&self) -> Option<&Event<T>> {
-        self.heap.peek().map(|e| &e.0)
+        self.buckets.values().next().and_then(VecDeque::front)
     }
 
     /// The time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.0.time)
+        self.buckets.keys().next().copied()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Returns `true` when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Iterates over pending events in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = &Event<T>> {
-        self.heap.iter().map(|e| &e.0)
+        self.buckets.values().flatten()
     }
 }
 

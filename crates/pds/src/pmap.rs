@@ -1,6 +1,5 @@
 //! A persistent hash array mapped trie (HAMT).
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -12,10 +11,59 @@ const MASK: u64 = (WIDTH as u64) - 1;
 /// collision bucket.
 const MAX_DEPTH: u32 = 64 / BITS; // 12
 
+/// The trie position of `key`.
+///
+/// The hash decides only where an entry sits in the trie: lookups compare
+/// keys, iteration order is unspecified, and nothing outside this module
+/// reads it. So it needs to spread keys, not to resist chosen ones — a
+/// keyed SipHash with fixed keys bought no DoS resistance and cost most of
+/// a heap access. [`TrieHasher`] folds each word with one multiply and a
+/// rotate, then mixes all 64 bits into the low ones the trie reads first.
 fn hash_of<K: Hash + ?Sized>(key: &K) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = TrieHasher(0);
     key.hash(&mut h);
     h.finish()
+}
+
+/// rustc's `FxHasher` fold with a splitmix64 finish. The fold alone
+/// leaves the low bits of a hash depending on the low bits of the key
+/// only; the trie branches on the lowest five bits first.
+struct TrieHasher(u64);
+
+impl TrieHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for TrieHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    /// The heap's key: one fold, no byte loop.
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.fold(u64::from(i));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut x = self.0;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
 }
 
 enum Node<K, V> {

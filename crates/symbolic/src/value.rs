@@ -146,6 +146,16 @@ impl Value {
         }
     }
 
+    /// Whether `other` is this very value: an equal constant, or the same
+    /// shared term. Terms compare by pointer, never by structure, so the
+    /// answer costs one comparison and `false` may hide an equal term.
+    pub fn is_same(&self, other: &Value) -> bool {
+        match (&self.0, &other.0) {
+            (Repr::Term(a), Repr::Term(b)) => std::sync::Arc::ptr_eq(a, b),
+            _ => self == other,
+        }
+    }
+
     /// Number of expression nodes (see [`Expr::node_count`]); 1 for a
     /// constant.
     pub fn node_count(&self) -> usize {
@@ -332,6 +342,22 @@ mod tests {
     fn cell_is_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Value>(), 16);
         assert_eq!(std::mem::size_of::<Option<Value>>(), 16);
+    }
+
+    #[test]
+    fn is_same_is_constant_equality_or_term_identity() {
+        let c = Value::const_(7, Width::W8);
+        assert!(c.is_same(&Value::const_(7, Width::W8)));
+        assert!(!c.is_same(&Value::const_(7, Width::W16)));
+        assert!(!c.is_same(&Value::const_(8, Width::W8)));
+        let mut t = SymbolTable::new();
+        let var = t.fresh("x", Width::W8);
+        let x = Value::from(Expr::sym(var.clone()));
+        assert!(x.is_same(&x.clone()));
+        assert!(!x.is_same(&c) && !c.is_same(&x));
+        let twin = Value::from(Expr::sym(var));
+        assert_eq!(x, twin);
+        assert!(!x.is_same(&twin), "an equal term behind another pointer");
     }
 
     #[test]

@@ -179,7 +179,15 @@ impl VmState {
     /// the per-entry hash of a replaced cell is subtracted and the new
     /// cell's added, so `heap_acc` always equals the full multiset sum
     /// without a rescan. Every heap write must go through here.
+    ///
+    /// Re-storing what the cell already holds ([`Value::is_same`]) changes
+    /// nothing: the accumulator would subtract and add one hash, and the
+    /// map would copy the path to the cell wherever a clone shares it. So
+    /// it returns before either, keeping the old value and its pointer.
     pub(crate) fn heap_store(&mut self, addr: u32, value: Value) {
+        if self.heap.get(&addr).is_some_and(|old| old.is_same(&value)) {
+            return;
+        }
         self.heap_acc = self.heap_acc.wrapping_add(heap_entry_hash(addr, &value));
         if let Some(old) = self.heap.insert_mut(addr, value) {
             self.heap_acc = self.heap_acc.wrapping_sub(heap_entry_hash(addr, &old));

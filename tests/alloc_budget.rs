@@ -238,6 +238,54 @@ fn concrete_round_trips_allocate_only_while_the_map_grows_or_is_shared() {
     assert_eq!(clone.memory_footprint(), 2 * SLOTS as usize);
 }
 
+/// `main(v)`: store the 16-bit `v` at `BASE`.
+fn store_program() -> Program {
+    let mut pb = ProgramBuilder::new();
+    pb.function("main", 1, |f| {
+        let v = f.param(0);
+        let base = f.imm(BASE, Width::W32);
+        f.store(base, v);
+        f.ret(None);
+    });
+    pb.build().unwrap()
+}
+
+/// Storing the bytes two cells already hold, on a heap a clone shares,
+/// neither copies the path to them nor moves the digest, and the clone
+/// keeps sharing the heap. Before `heap_store` skipped such bytes, the
+/// handler copied both paths: 4 allocations, after which the heap was no
+/// longer shared.
+#[test]
+fn re_storing_what_a_shared_cell_holds_allocates_nothing() {
+    let program = store_program();
+    let solver = Solver::new();
+    let mut symbols = SymbolTable::new();
+    let mut ctx = VmCtx::new(&solver, &mut symbols);
+    let to_the_end = |_: &VmState| false;
+    let v = Value::const_(0x1234, Width::W16);
+
+    let mut state = VmState::fresh(&program);
+    assert!(state.prepare(&program, "main", std::slice::from_ref(&v)));
+    step_until(&program, &mut state, &mut ctx, to_the_end);
+    let digest = state.config_digest();
+    let clone = state.clone();
+
+    assert!(state.prepare(&program, "main", std::slice::from_ref(&v)));
+    let spent = step_until(&program, &mut state, &mut ctx, to_the_end);
+    assert_eq!(*state.status(), Status::Idle, "ran to the end");
+    assert_eq!(spent, 0, "a store of the held bytes copies nothing");
+    assert_eq!(state.config_digest(), digest);
+    assert_eq!(state.config_digest(), state.config_digest_reference());
+    assert!(state.config_eq(&clone));
+
+    // A different value is a real write: the shared path is copied.
+    assert!(state.prepare(&program, "main", &[Value::const_(0x1235, Width::W16)]));
+    assert!(step_until(&program, &mut state, &mut ctx, to_the_end) > 0);
+    assert_ne!(state.config_digest(), digest);
+    assert_eq!(low_byte(&state, 0), 0x35);
+    assert_eq!(low_byte(&clone, 0), 0x34, "the clone is unchanged");
+}
+
 /// A state that ran a handler keeps its frame buffer until its next
 /// event — one per executed state, for the rest of the run. `prepare`
 /// sizes it for the one frame a handler that never calls needs (40 bytes
@@ -276,7 +324,9 @@ fn an_idle_state_keeps_a_frame_buffer_of_one() {
 //
 // * the SDS case-A send below: 28 allocations at k = 16, 85 at k = 64 —
 //   more than one per member (a B-tree leaf for its node's set, the
-//   dstate's map growing node by node); 6 and 6 here;
+//   dstate's map growing node by node); 7 and 7 here. It is the mapper's
+//   first send, so its working lists are allocated for it; from then on
+//   they are reused (the case-B budget below);
 // * the COB branch below at k = 16: 5 allocations for the new group's
 //   `BTreeMap` and none per `store.fork` — the copy went inline into the
 //   hash table, which paid for it in rehashes of 312-byte buckets instead
@@ -338,6 +388,35 @@ fn an_sds_dstate_copy_allocates_the_same_whatever_its_size() {
         small.abs_diff(large) < 8,
         "k = 16 allocates {small} times, k = 64 allocates {large} times"
     );
+}
+
+/// A case-B send (no direct rival, nothing forks) on a mapper that has
+/// sent before allocates only the receiver list it hands out: the working
+/// lists of the send stay with the mapper. Built afresh on every send,
+/// they cost 3 allocations here (the sender's dstates, the target list,
+/// which became the receiver list in place, and the target's case-B
+/// vstates).
+#[test]
+fn a_warmed_sds_case_b_send_allocates_only_its_receiver_list() {
+    const K: u16 = 16;
+    let mut sds = Algorithm::Sds.new_mapper();
+    let boot: Vec<(StateId, NodeId)> = (0..K).map(|i| (StateId(u64::from(i)), NodeId(i))).collect();
+    sds.on_boot(&boot);
+    let mut store = IdsOnly {
+        next: u64::from(K),
+        forked: 0,
+    };
+    for _ in 0..4 {
+        sds.map_send(StateId(0), NodeId(0), NodeId(1), &mut store);
+    }
+    let before = allocations();
+    let delivery = sds.map_send(StateId(0), NodeId(0), NodeId(1), &mut store);
+    let spent = allocations() - before;
+    assert_eq!(delivery.receivers, [StateId(1)]);
+    assert_eq!(store.forked, 0, "case B forks nothing");
+    assert_eq!(sds.group_count(), 1);
+    assert_eq!(spent, 1, "the receiver list, nothing else");
+    assert_eq!(sds.check_invariants(), None);
 }
 
 /// A store of `k` idle boot states, one per node, nothing queued.
