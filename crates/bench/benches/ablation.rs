@@ -101,12 +101,12 @@ fn bench_sampling_period(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_speculation(c: &mut Criterion) {
-    // Speculative cache-warming on/off: `off` is the sequential engine,
-    // `w<N>` the parallel engine with N workers, on the solver-bound
-    // sense workload. The delta isolates what speculation costs (single
-    // core) or saves (spare cores).
-    let mut group = c.benchmark_group("ablation/speculation");
+fn bench_sharding(c: &mut Criterion) {
+    // Sharded execution on/off: `off` is the sequential engine, `w<N>`
+    // the sharded engine with N workers, on the solver-bound sense
+    // workload. The delta isolates what the hand-off and merge cost
+    // (single core) or save (spare cores).
+    let mut group = c.benchmark_group("ablation/sharding");
     group.sample_size(10);
     let scenario = symbolic_grid(3).with_sample_every(10_000);
     group.bench_function("off", |b| {
@@ -118,7 +118,7 @@ fn bench_speculation(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 b.iter(|| {
-                    let r = Engine::new(scenario.clone(), Algorithm::Sds).run_parallel(workers);
+                    let r = Engine::new(scenario.clone(), Algorithm::Sds).run_sharded(workers);
                     black_box(r.total_states)
                 })
             },
@@ -133,6 +133,6 @@ criterion_group!(
     bench_solver_cache,
     bench_history_tracking,
     bench_sampling_period,
-    bench_speculation
+    bench_sharding
 );
 criterion_main!(benches);

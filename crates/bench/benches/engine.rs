@@ -48,12 +48,12 @@ fn bench_failure_free(c: &mut Criterion) {
 }
 
 fn bench_parallel_workers(c: &mut Criterion) {
-    // The tentpole's workers axis, on the solver-bound sense workload
-    // (symbolic readings classified per hop) where speculative
-    // cache-warming has queries to warm. `seq` is the sequential
-    // baseline; `w<N>` runs `Engine::run_parallel(N)`. Wall-clock gains
-    // need spare cores — on a single-core host this axis measures the
-    // speculation overhead bound instead.
+    // The workers axis, on the solver-bound sense workload (symbolic
+    // readings classified per hop) where shard workers have queries to
+    // take off the merge thread. `seq` is the sequential baseline; `w<N>`
+    // runs `Engine::run_sharded(N)`. Wall-clock gains need spare cores —
+    // on a single-core host this axis measures the hand-off overhead
+    // bound instead.
     let mut group = c.benchmark_group("engine/parallel_workers");
     group.sample_size(10);
     let scenario = symbolic_grid(3).with_sample_every(10_000);
@@ -69,7 +69,7 @@ fn bench_parallel_workers(c: &mut Criterion) {
                 &(scenario.clone(), alg, workers),
                 |b, (scenario, alg, workers)| {
                     b.iter(|| {
-                        let r = Engine::new(scenario.clone(), *alg).run_parallel(*workers);
+                        let r = Engine::new(scenario.clone(), *alg).run_sharded(*workers);
                         black_box(r.total_states)
                     })
                 },

@@ -14,8 +14,7 @@
 //! cargo run -p sde-bench --release --bin fig10                   # 25 + 49 nodes
 //! cargo run -p sde-bench --release --bin fig10 -- --nodes 100    # one size
 //! cargo run -p sde-bench --release --bin fig10 -- --all          # 25 + 49 + 100
-//! cargo run -p sde-bench --release --bin fig10 -- --workers 4    # parallel engine
-//! cargo run -p sde-bench --release --bin fig10 -- --workers 4 --mode shard  # sharded (§13)
+//! cargo run -p sde-bench --release --bin fig10 -- --workers 4    # sharded engine (§13)
 //! cargo run -p sde-bench --release --bin fig10 -- --dedup        # duplicate pruning (§10)
 //! cargo run -p sde-bench --release --bin fig10 -- --nodes 25 --trace f.jsonl
 //! cargo run -p sde-bench --release --bin fig10 -- --nodes 25 --faults all
@@ -29,8 +28,7 @@
 use sde_bench::{
     or_usage, paper_scenario, report_json, run_checkpointed_dedup, run_with_limits_dedup,
     run_with_limits_traced_dedup, trace_file_for, with_fault_axes, write_bench_json,
-    write_series_csv, write_trace, Args, Checkpointing, FaultAxis, ParMode, RunLimits,
-    SolverLayers,
+    write_series_csv, write_trace, Args, Checkpointing, FaultAxis, RunLimits, SolverLayers,
 };
 use sde_core::{human_bytes, Algorithm};
 use std::path::PathBuf;
@@ -62,13 +60,10 @@ fn main() {
     let out_dir = PathBuf::from(
         or_usage(args.get::<String>("out")).unwrap_or_else(|| "bench_out".to_string()),
     );
-    // `--workers N`: run through the parallel engine. The CSV series are
-    // bit-identical per RunReport::equivalence_key (wall_ms excepted);
-    // the extra summary line shows what the workers did. `--mode
-    // spec|shard` picks the parallel engine (speculative warming vs
-    // sharded frontier exploration, DESIGN.md §13).
+    // `--workers N`: run through the sharded engine (DESIGN.md §13). The
+    // CSV series are bit-identical per RunReport::equivalence_key (wall_ms
+    // excepted); the extra summary line shows what the workers did.
     let workers: Option<usize> = or_usage(args.get("workers"));
-    let mode = or_usage(ParMode::from_args(&args));
     // `--dedup`: online duplicate-dispatch pruning (DESIGN.md §10); the
     // curves keep their shape (state *creation* is unchanged), execution
     // work drops.
@@ -117,7 +112,6 @@ fn main() {
                         workers,
                         SolverLayers::Full,
                         dedup,
-                        mode,
                         ckpt,
                         &label,
                     )
@@ -134,7 +128,6 @@ fn main() {
                     workers,
                     SolverLayers::Full,
                     dedup,
-                    mode,
                 ),
                 (None, Some(base)) => {
                     let (report, events) = run_with_limits_traced_dedup(
@@ -144,7 +137,6 @@ fn main() {
                         workers,
                         SolverLayers::Full,
                         dedup,
-                        mode,
                     );
                     let label = format!("{nodes}nodes_{}", report.algorithm.to_lowercase());
                     let trace_path = trace_file_for(base, &label);

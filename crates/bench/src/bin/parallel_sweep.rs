@@ -1,41 +1,33 @@
-//! Worker-count sweep for the parallel engine on the solver-bound
+//! Worker-count sweep for the sharded engine on the solver-bound
 //! `sense` workload (`sde_bench::symbolic_grid`): sequential baseline,
-//! then the selected parallel engine at 1/2/4/8 workers, asserting
-//! bit-identity against the baseline at every point and recording wall
-//! time, solver counters, and per-phase `ParallelStats` to `bench_out/`.
-//!
-//! `--mode spec` (default) sweeps `Engine::run_parallel` — speculative
-//! cache-warming, which converts authoritative solver time into cache
-//! hits only when spare cores exist to overlap it with. `--mode shard`
-//! sweeps `Engine::run_sharded` (DESIGN.md §13) — workers execute
-//! disjoint frontier subtrees authoritatively and the deterministic
-//! merge keeps every report bit-identical to serial. The report leads
-//! with the host's core count so single-core numbers (where both modes
-//! are pure overhead by construction) are not misread as a design
-//! regression.
+//! then `Engine::run_sharded` (DESIGN.md §13) at 1/2/4/8 workers,
+//! asserting bit-identity against the baseline at every point and
+//! recording wall time, solver counters, and per-phase `ParallelStats` to
+//! `bench_out/`. Workers execute disjoint frontier subtrees
+//! authoritatively and the deterministic merge keeps every report
+//! bit-identical to serial. The report leads with the host's core count
+//! so single-core numbers (where the workers are pure overhead by
+//! construction) are not misread as a design regression.
 //!
 //! ```sh
 //! cargo run -p sde-bench --release --bin parallel_sweep
-//! cargo run -p sde-bench --release --bin parallel_sweep -- --mode shard
 //! cargo run -p sde-bench --release --bin parallel_sweep -- --side 3 --out bench_out
 //! cargo run -p sde-bench --release --bin parallel_sweep -- --trace sweep.jsonl
 //! cargo run -p sde-bench --release --bin parallel_sweep -- --dedup
 //! ```
 //!
 //! `--trace <base>` records a deterministic JSONL trace of the
-//! sequential baseline and of every parallel point, and asserts the
-//! parallel traces are **byte-identical** across worker counts (the
-//! speculative engine merges worker events in job submission order; the
-//! sharded engine degenerates to serial execution while traced, so its
-//! traces additionally equal the sequential one byte-for-byte).
+//! sequential baseline and of every worker count, and asserts each one is
+//! **byte-identical** to the sequential trace (a traced sharded run
+//! offloads nothing, so it is the serial run).
 //!
 //! Every point also writes its canonical equivalence key to
-//! `<out>/sweep_<mode>_<alg>_{seq,wN}.key` — wall times and solver
-//! counters excluded — so CI can `cmp` the files across the sweep.
+//! `<out>/sweep_<alg>_{seq,wN}.key` — wall times and solver counters
+//! excluded — so CI can `cmp` the files across the sweep.
 
 use sde_bench::{
     or_usage, run_checkpointed_dedup, symbolic_grid, trace_file_for, write_equivalence_report,
-    write_trace, Args, Checkpointing, ParMode, RunLimits, SolverLayers,
+    write_trace, Args, Checkpointing, RunLimits, SolverLayers,
 };
 use sde_core::{Algorithm, Engine, RunReport};
 use std::fmt::Write as _;
@@ -47,13 +39,12 @@ use std::sync::Arc;
 fn run_recorded(
     engine: Engine,
     workers: Option<usize>,
-    mode: ParMode,
 ) -> (RunReport, Vec<sde_core::trace::TimedEvent>) {
     let sink = Arc::new(sde_core::RingSink::default());
     let engine = engine.with_trace_sink(sink.clone() as Arc<dyn sde_core::TraceSink>);
     let report = match workers {
         None => engine.run(),
-        Some(w) => mode.run(engine, w),
+        Some(w) => engine.run_sharded(w),
     };
     (report, sink.take())
 }
@@ -67,17 +58,16 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mode = or_usage(ParMode::from_args(&args));
-    // `--dedup`: online duplicate-dispatch pruning on the authoritative
-    // merge path (DESIGN.md §10). The seq-vs-parallel bit-identity
-    // assertions below hold with it on: pruning decisions are made only
-    // at commit time, identically in every mode.
+    // `--dedup`: online duplicate-dispatch pruning on the merge path
+    // (DESIGN.md §10). The seq-vs-sharded bit-identity assertions below
+    // hold with it on: pruning decisions are made only at commit time,
+    // identically at every worker count.
     let dedup = args.flag("dedup");
     let trace_base: Option<PathBuf> = or_usage(args.get::<String>("trace")).map(PathBuf::from);
     // Checkpoint/resume flags (DESIGN.md §8); snapshots land at
-    // `<snapshot-dir>/sweep_<mode>_<alg>_w<workers>.snap`. Both parallel
-    // engines pause only at the serial-merge barrier between batches, so
-    // their snapshots are valid sequential pause points too.
+    // `<snapshot-dir>/sweep_<alg>_w<workers>.snap`. The sharded engine
+    // pauses only at the serial-merge barrier between batches, so its
+    // snapshots are valid sequential pause points too.
     let ckpt = or_usage(Checkpointing::from_args(&args));
     assert!(
         ckpt.is_none() || trace_base.is_none(),
@@ -94,8 +84,7 @@ fn main() {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "parallel engine sweep ({} mode) — sense workload, {side}x{side} grid, host cores: {cores}",
-        mode.name()
+        "sharded engine sweep — sense workload, {side}x{side} grid, host cores: {cores}"
     );
     let _ = writeln!(
         report,
@@ -113,11 +102,8 @@ fn main() {
         let seq = match &trace_base {
             None => Engine::new(scenario.clone(), alg).with_dedup(dedup).run(),
             Some(base) => {
-                let (seq, events) = run_recorded(
-                    Engine::new(scenario.clone(), alg).with_dedup(dedup),
-                    None,
-                    mode,
-                );
+                let (seq, events) =
+                    run_recorded(Engine::new(scenario.clone(), alg).with_dedup(dedup), None);
                 let file = trace_file_for(base, &format!("{}_seq", seq.algorithm.to_lowercase()));
                 write_trace(&file, &events).expect("write seq trace");
                 let _ = writeln!(report, "{} seq trace: {}", alg.name(), file.display());
@@ -126,8 +112,7 @@ fn main() {
             }
         };
         let alg_lower = alg.name().to_lowercase();
-        let key_file =
-            |point: &str| out_dir.join(format!("sweep_{}_{alg_lower}_{point}.key", mode.name()));
+        let key_file = |point: &str| out_dir.join(format!("sweep_{alg_lower}_{point}.key"));
         write_equivalence_report(&key_file("seq"), &seq).expect("write seq key");
         let _ = writeln!(
             report,
@@ -144,11 +129,10 @@ fn main() {
             seq.solver.ucore_hits,
             seq.solver.nodes_visited,
         );
-        let mut first_parallel_jsonl: Option<String> = None;
         for workers in [1usize, 2, 4, 8] {
             let par = match (&ckpt, &trace_base) {
                 (Some(ckpt), _) => {
-                    let label = format!("sweep_{}_{alg_lower}_w{workers}", mode.name());
+                    let label = format!("sweep_{alg_lower}_w{workers}");
                     let outcome = run_checkpointed_dedup(
                         &scenario,
                         alg,
@@ -156,7 +140,6 @@ fn main() {
                         Some(workers),
                         SolverLayers::Full,
                         dedup,
-                        mode,
                         ckpt,
                         &label,
                     )
@@ -166,36 +149,22 @@ fn main() {
                         None => continue, // interrupted by --stop-after
                     }
                 }
-                (None, None) => mode.run(
-                    Engine::new(scenario.clone(), alg).with_dedup(dedup),
-                    workers,
-                ),
+                (None, None) => Engine::new(scenario.clone(), alg)
+                    .with_dedup(dedup)
+                    .run_sharded(workers),
                 (None, Some(base)) => {
                     let (par, events) = run_recorded(
                         Engine::new(scenario.clone(), alg).with_dedup(dedup),
                         Some(workers),
-                        mode,
                     );
-                    let jsonl = sde_core::trace::to_jsonl(&events, true);
-                    match &first_parallel_jsonl {
-                        None => first_parallel_jsonl = Some(jsonl.clone()),
-                        Some(reference) => assert_eq!(
-                            reference.as_str(),
-                            jsonl.as_str(),
-                            "{} trace diverged at {workers} workers",
-                            alg.name()
-                        ),
-                    }
-                    if mode == ParMode::Shard {
-                        // Traced shard runs degenerate to serial — the
-                        // trace must equal the sequential one exactly.
-                        assert_eq!(
-                            seq_jsonl.as_deref(),
-                            Some(jsonl.as_str()),
-                            "{} shard trace diverged from the serial trace at {workers} workers",
-                            alg.name()
-                        );
-                    }
+                    // Traced shard runs degenerate to serial — the trace
+                    // must equal the sequential one exactly.
+                    assert_eq!(
+                        seq_jsonl.as_deref(),
+                        Some(sde_core::trace::to_jsonl(&events, true).as_str()),
+                        "{} trace diverged from the serial trace at {workers} workers",
+                        alg.name()
+                    );
                     let file = trace_file_for(
                         base,
                         &format!("{}_w{workers}", par.algorithm.to_lowercase()),
@@ -227,31 +196,29 @@ fn main() {
                 par.solver.ucore_hits,
                 p.summary(),
             );
-            if mode == ParMode::Shard {
-                // Where the merge thread's wall went, and what a batch
-                // hands off: the sweep's own reading of its counters.
-                let share = |d: std::time::Duration| {
-                    100.0 * d.as_secs_f64() / p.run_wall.as_secs_f64().max(f64::MIN_POSITIVE)
-                };
-                let per_batch = |n: u64| n as f64 / p.speculated_batches.max(1) as f64;
-                let _ = writeln!(
-                    report,
-                    "    of wall: dispatch={:.0}% barrier={:.0}% serial={:.0}% | \
-                     per offloaded batch: jobs={:.1} skips={:.1} recorded={:.1} applied={:.1}",
-                    share(p.dispatch_wall),
-                    share(p.barrier_wall),
-                    share(p.serial_wall),
-                    per_batch(p.spec_groups),
-                    per_batch(p.shard_skips),
-                    per_batch(p.shard_recorded),
-                    per_batch(p.shard_applied),
-                );
-            }
+            // Where the merge thread's wall went, and what a batch hands
+            // off: the sweep's own reading of its counters.
+            let share = |d: std::time::Duration| {
+                100.0 * d.as_secs_f64() / p.run_wall.as_secs_f64().max(f64::MIN_POSITIVE)
+            };
+            let per_batch = |n: u64| n as f64 / p.offloaded_batches.max(1) as f64;
+            let _ = writeln!(
+                report,
+                "    of wall: dispatch={:.0}% barrier={:.0}% serial={:.0}% | \
+                 per offloaded batch: jobs={:.1} skips={:.1} recorded={:.1} applied={:.1}",
+                share(p.dispatch_wall),
+                share(p.barrier_wall),
+                share(p.serial_wall),
+                per_batch(p.jobs),
+                per_batch(p.shard_skips),
+                per_batch(p.shard_recorded),
+                per_batch(p.shard_applied),
+            );
         }
         if trace_base.is_some() {
             let _ = writeln!(
                 report,
-                "{} parallel traces byte-identical at 1/2/4/8 workers",
+                "{} traces byte-identical to serial at 1/2/4/8 workers",
                 alg.name()
             );
         }
@@ -260,7 +227,7 @@ fn main() {
 
     print!("{report}");
     std::fs::create_dir_all(&out_dir).expect("create out dir");
-    let path = out_dir.join(format!("parallel_sweep_{}_grid{side}.txt", mode.name()));
+    let path = out_dir.join(format!("parallel_sweep_grid{side}.txt"));
     std::fs::write(&path, &report).expect("write sweep report");
     println!("recorded: {}", path.display());
 }

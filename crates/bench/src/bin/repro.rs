@@ -29,8 +29,9 @@
 //!
 //! The artifact is a JSON array of flat objects: a header (scenario
 //! fingerprint, fault axes, durations, bug digest) followed by one
-//! object per witness entry. `--workers N` parallelizes the exploration
-//! phase only — minimization replays are serial, so artifacts are
+//! object per witness entry. `--workers N` runs the exploration phase
+//! through the sharded engine — traced, so it offloads nothing (DESIGN.md
+//! §13) — and minimization replays are serial, so artifacts are
 //! byte-identical for any worker count.
 
 use sde_bench::{
@@ -85,7 +86,7 @@ fn checkrun(args: &Args) -> ExitCode {
     let mut engine = Engine::new(scenario.clone(), algorithm)
         .with_trace_sink(sink.clone() as std::sync::Arc<dyn sde_trace::TraceSink>);
     match workers {
-        Some(w) if w > 1 => engine.run_parallel_in_place(w),
+        Some(w) if w > 1 => engine.run_sharded_in_place(w),
         _ => engine.run_in_place(),
     }
     let violations = checker.check(&engine);

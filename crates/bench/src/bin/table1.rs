@@ -18,8 +18,7 @@
 //! cargo run -p sde-bench --release --bin table1 -- --side 7  # smaller grid
 //! cargo run -p sde-bench --release --bin table1 -- --cap 500000
 //! cargo run -p sde-bench --release --bin table1 -- --complexity
-//! cargo run -p sde-bench --release --bin table1 -- --workers 4   # parallel engine
-//! cargo run -p sde-bench --release --bin table1 -- --workers 4 --mode shard  # sharded (§13)
+//! cargo run -p sde-bench --release --bin table1 -- --workers 4   # sharded engine (§13)
 //! cargo run -p sde-bench --release --bin table1 -- --dedup       # duplicate pruning (§10)
 //! cargo run -p sde-bench --release --bin table1 -- --preset tiny # CI smoke (3×3)
 //! cargo run -p sde-bench --release --bin table1 -- --preset tiny --faults all
@@ -46,7 +45,7 @@ use sde_bench::{
     or_usage, paper_scenario, report_json, run_checkpointed_dedup, run_with_limits_dedup,
     run_with_limits_traced_dedup, symbolic_grid, table_header, testgen_json, trace_file_for,
     vm_hwm_bytes, with_fault_axes, write_bench_json, write_trace, Args, Checkpointing, FaultAxis,
-    ParMode, RunLimits, SolverLayers,
+    RunLimits, SolverLayers,
 };
 use sde_core::complexity::WorstCase;
 use sde_core::Algorithm;
@@ -63,9 +62,8 @@ table1 — Table I rows (wall, states, RAM) for COB, COW and SDS
                        solver-bound sense companion
   --cap N, --cap-cob N state caps: COW/SDS (default 1000000), COB (120000)
   --sample-every N     statistics sample period in events (default 512)
-  --workers N          run through a parallel engine (reports unchanged)
-  --mode spec|shard    which one: speculative cache warming (default) or
-                       sharded frontier exploration (DESIGN.md §13)
+  --workers N          run through the sharded engine with N workers
+                       (DESIGN.md §13; reports unchanged)
   --dedup              online duplicate-dispatch pruning (DESIGN.md §10)
   --layers full|exact|off
                        solver stack (DESIGN.md §6). `full` is the engine.
@@ -108,12 +106,9 @@ fn main() {
     let cap: usize = or_usage(args.get("cap")).unwrap_or(if tiny { 60_000 } else { 1_000_000 });
     let sample_every: u64 =
         or_usage(args.get("sample-every")).unwrap_or(if tiny { 64 } else { 512 });
-    // `--workers N`: run through the parallel engine (reports stay
-    // bit-identical; speculative workers warm the solver cache).
-    // `--mode spec|shard` picks which parallel engine: speculative
-    // cache-warming (default) or sharded frontier exploration (§13).
+    // `--workers N`: run through the sharded engine (DESIGN.md §13);
+    // reports stay bit-identical.
     let workers: Option<usize> = or_usage(args.get("workers"));
-    let mode = or_usage(ParMode::from_args(&args));
     // `--dedup`: online duplicate-dispatch pruning (DESIGN.md §10) —
     // same states, bugs and test cases, fewer states *executed*.
     let dedup = args.flag("dedup");
@@ -188,7 +183,7 @@ fn main() {
             (Some(ckpt), _) => {
                 let label = format!("table1_{}", alg.name().to_lowercase());
                 match run_checkpointed_dedup(
-                    &scenario, alg, limits, workers, layers, dedup, mode, ckpt, &label,
+                    &scenario, alg, limits, workers, layers, dedup, ckpt, &label,
                 )
                 .expect("checkpointed run")
                 {
@@ -203,13 +198,12 @@ fn main() {
                 }
             }
             (None, None) => (
-                run_with_limits_dedup(&scenario, alg, limits, workers, layers, dedup, mode),
+                run_with_limits_dedup(&scenario, alg, limits, workers, layers, dedup),
                 None,
             ),
             (None, Some(base)) => {
-                let (report, events) = run_with_limits_traced_dedup(
-                    &scenario, alg, limits, workers, layers, dedup, mode,
-                );
+                let (report, events) =
+                    run_with_limits_traced_dedup(&scenario, alg, limits, workers, layers, dedup);
                 let file = trace_file_for(base, &report.algorithm.to_lowercase());
                 write_trace(&file, &events).expect("write trace");
                 let line = format!(

@@ -15,7 +15,7 @@ use sde_core::check::Checker;
 use sde_core::minimize::MinimizeReport;
 use sde_core::oracle::ConformanceReport;
 use sde_core::testgen::TestGenReport;
-use sde_core::{Algorithm, Budget, Engine, EngineSnapshot, RunOutcome, RunReport, Scenario};
+use sde_core::{Algorithm, Budget, Engine, EngineSnapshot, RunReport, Scenario};
 use sde_net::{FailureConfig, FaultPlan, NodeId, Topology};
 use sde_os::apps::collect::{self, CollectConfig};
 use sde_os::apps::persist::{self, PersistConfig};
@@ -42,9 +42,10 @@ pub fn paper_scenario(side: u16) -> Scenario {
 /// The solver-bound companion scenario for a `side × side` grid: the
 /// [`sense`] workload (symbolic sensor readings classified at every route
 /// hop), no failure model. Execution forks on *data* and nearly all wall
-/// time goes to constraint solving, which is the regime
-/// [`Engine::run_parallel`](sde_core::Engine::run_parallel) accelerates —
-/// the `workers` axis of the engine bench runs on this scenario.
+/// time goes to constraint solving — the regime the shard workers of
+/// [`Engine::run_sharded`](sde_core::Engine::run_sharded) take off the
+/// merge thread; the `workers` axis of the engine bench runs on this
+/// scenario.
 pub fn symbolic_grid(side: u16) -> Scenario {
     let topology = Topology::grid(side, side);
     let cfg = SenseConfig::paper_grid(side, side);
@@ -358,74 +359,10 @@ pub fn render_artifact(
     format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
-/// Which parallel engine a bench run uses when `--workers` asks for one —
-/// the `--mode` axis of the bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParMode {
-    /// Speculative cache-warming ([`Engine::run_parallel`]): workers warm
-    /// the shared solver, the authoritative pass stays serial.
-    #[default]
-    Spec,
-    /// Sharded frontier exploration ([`Engine::run_sharded`], DESIGN.md
-    /// §13): workers authoritatively execute disjoint subtrees; a
-    /// deterministic merge keeps the report bit-identical to serial.
-    Shard,
-}
-
-impl ParMode {
-    /// Parses a `--mode` value.
-    ///
-    /// # Errors
-    ///
-    /// Anything but `spec` or `shard` is an error naming the two.
-    pub fn parse(s: &str) -> Result<ParMode, String> {
-        match s {
-            "spec" => Ok(ParMode::Spec),
-            "shard" => Ok(ParMode::Shard),
-            other => Err(format!("invalid --mode {other:?} (expected spec or shard)")),
-        }
-    }
-
-    /// Reads `--mode` from the parsed arguments; defaults to `spec`.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParMode::parse`].
-    pub fn from_args(args: &Args) -> Result<ParMode, String> {
-        args.get::<String>("mode")?
-            .map_or(Ok(ParMode::default()), |s| ParMode::parse(&s))
-    }
-
-    /// Stable name for filenames and labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            ParMode::Spec => "spec",
-            ParMode::Shard => "shard",
-        }
-    }
-
-    /// Consumes `engine` through this mode's parallel entry point.
-    pub fn run(self, engine: Engine, workers: usize) -> RunReport {
-        match self {
-            ParMode::Spec => engine.run_parallel(workers),
-            ParMode::Shard => engine.run_sharded(workers),
-        }
-    }
-
-    /// Drives `engine` one budgeted segment through this mode's
-    /// resumable entry point.
-    pub fn run_until(self, engine: &mut Engine, workers: usize, budget: Budget) -> RunOutcome {
-        match self {
-            ParMode::Spec => engine.run_until_parallel(workers, budget),
-            ParMode::Shard => engine.run_until_sharded(workers, budget),
-        }
-    }
-}
-
 /// Writes a run's canonical equivalence key (wall times and solver
 /// counters excluded — exactly [`RunReport::equivalence_key`]) to
-/// `path`. The bytes are identical for any worker count and either
-/// parallel mode, so CI can `cmp` the files across a sweep.
+/// `path`. The bytes are identical for any worker count, so CI can `cmp`
+/// the files across a sweep.
 ///
 /// # Errors
 ///
@@ -463,8 +400,8 @@ pub fn run_with_limits(scenario: &Scenario, algorithm: Algorithm, limits: RunLim
 }
 
 /// Like [`run_with_limits`], but optionally through the parallel engine:
-/// `Some(w)` runs [`Engine::run_parallel`] with `w` speculative workers
-/// (the report is bit-identical, plus [`RunReport::parallel`]
+/// `Some(w)` runs [`Engine::run_sharded`] with `w` shard workers (the
+/// report is bit-identical, plus [`RunReport::parallel`]
 /// (sde_core::RunReport::parallel) counters); `None` runs sequentially.
 pub fn run_with_limits_workers(
     scenario: &Scenario,
@@ -540,15 +477,7 @@ pub fn run_with_limits_layers(
     workers: Option<usize>,
     layers: SolverLayers,
 ) -> RunReport {
-    run_with_limits_dedup(
-        scenario,
-        algorithm,
-        limits,
-        workers,
-        layers,
-        false,
-        ParMode::Spec,
-    )
+    run_with_limits_dedup(scenario, algorithm, limits, workers, layers, false)
 }
 
 /// The fully-configurable run entry point: [`run_with_limits_layers`]
@@ -557,7 +486,6 @@ pub fn run_with_limits_layers(
 /// dedup-invariant (pinned by `tests/dedup_equivalence.rs`); the payoff
 /// shows up in [`RunReport::states_executed`](sde_core::RunReport) and
 /// [`RunReport::dedup`](sde_core::RunReport).
-#[allow(clippy::too_many_arguments)]
 pub fn run_with_limits_dedup(
     scenario: &Scenario,
     algorithm: Algorithm,
@@ -565,7 +493,6 @@ pub fn run_with_limits_dedup(
     workers: Option<usize>,
     layers: SolverLayers,
     dedup: bool,
-    mode: ParMode,
 ) -> RunReport {
     let s = scenario
         .clone()
@@ -575,7 +502,7 @@ pub fn run_with_limits_dedup(
     layers.apply(engine.solver());
     match workers {
         None => engine.run(),
-        Some(w) => mode.run(engine, w),
+        Some(w) => engine.run_sharded(w),
     }
 }
 
@@ -679,15 +606,7 @@ pub fn run_checkpointed(
     label: &str,
 ) -> std::io::Result<Option<RunReport>> {
     run_checkpointed_dedup(
-        scenario,
-        algorithm,
-        limits,
-        workers,
-        layers,
-        false,
-        ParMode::Spec,
-        ckpt,
-        label,
+        scenario, algorithm, limits, workers, layers, false, ckpt, label,
     )
 }
 
@@ -704,7 +623,6 @@ pub fn run_checkpointed_dedup(
     workers: Option<usize>,
     layers: SolverLayers,
     dedup: bool,
-    mode: ParMode,
     ckpt: &Checkpointing,
     label: &str,
 ) -> std::io::Result<Option<RunReport>> {
@@ -744,7 +662,7 @@ pub fn run_checkpointed_dedup(
     loop {
         let outcome = match workers {
             None => engine.run_until(budget),
-            Some(w) => mode.run_until(&mut engine, w, budget),
+            Some(w) => engine.run_until_sharded(w, budget),
         };
         if outcome.is_complete() {
             return Ok(Some(engine.into_report()));
@@ -773,21 +691,12 @@ pub fn run_with_limits_traced(
     workers: Option<usize>,
     layers: SolverLayers,
 ) -> (RunReport, Vec<sde_trace::TimedEvent>) {
-    run_with_limits_traced_dedup(
-        scenario,
-        algorithm,
-        limits,
-        workers,
-        layers,
-        false,
-        ParMode::Spec,
-    )
+    run_with_limits_traced_dedup(scenario, algorithm, limits, workers, layers, false)
 }
 
 /// [`run_with_limits_traced`] with the `--dedup` axis; pruned dispatches
 /// appear in the trace as `StatePruned` events pointing at the memoized
 /// survivor.
-#[allow(clippy::too_many_arguments)]
 pub fn run_with_limits_traced_dedup(
     scenario: &Scenario,
     algorithm: Algorithm,
@@ -795,7 +704,6 @@ pub fn run_with_limits_traced_dedup(
     workers: Option<usize>,
     layers: SolverLayers,
     dedup: bool,
-    mode: ParMode,
 ) -> (RunReport, Vec<sde_trace::TimedEvent>) {
     let s = scenario
         .clone()
@@ -808,7 +716,7 @@ pub fn run_with_limits_traced_dedup(
     layers.apply(engine.solver());
     let report = match workers {
         None => engine.run(),
-        Some(w) => mode.run(engine, w),
+        Some(w) => engine.run_sharded(w),
     };
     if sink.dropped() > 0 {
         eprintln!(
@@ -973,11 +881,11 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
                 ",\n    \"parallel\": {{\n",
                 "      \"workers\": {},\n",
                 "      \"batches\": {},\n",
-                "      \"speculated_batches\": {},\n",
-                "      \"spec_groups\": {},\n",
-                "      \"spec_events\": {},\n",
-                "      \"spec_instructions\": {},\n",
-                "      \"spec_aborts\": {},\n",
+                "      \"offloaded_batches\": {},\n",
+                "      \"jobs\": {},\n",
+                "      \"worker_events\": {},\n",
+                "      \"worker_instructions\": {},\n",
+                "      \"worker_aborts\": {},\n",
                 "      \"shard_recorded\": {},\n",
                 "      \"shard_applied\": {},\n",
                 "      \"shard_fallback\": {},\n",
@@ -988,11 +896,11 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
             ),
             p.workers,
             p.batches,
-            p.speculated_batches,
-            p.spec_groups,
-            p.spec_events,
-            p.spec_instructions,
-            p.spec_aborts,
+            p.offloaded_batches,
+            p.jobs,
+            p.worker_events,
+            p.worker_instructions,
+            p.worker_aborts,
             p.shard_recorded,
             p.shard_applied,
             p.shard_fallback,

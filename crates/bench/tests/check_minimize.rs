@@ -27,7 +27,7 @@ fn find_violation(scenario: &Scenario, workers: usize) -> Option<Violation> {
     let mut engine = Engine::new(scenario.clone(), Algorithm::Sds)
         .with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
     if workers > 1 {
-        engine.run_parallel_in_place(workers);
+        engine.run_sharded_in_place(workers);
     } else {
         engine.run_in_place();
     }

@@ -59,14 +59,6 @@ fn junk_faults_is_a_usage_error() {
 }
 
 #[test]
-fn junk_mode_is_a_usage_error() {
-    assert_usage(
-        &["--preset", "tiny", "--mode", "shrad"],
-        "expected spec or shard",
-    );
-}
-
-#[test]
 fn junk_layers_is_a_usage_error() {
     assert_usage(
         &["--preset", "tiny", "--layers", "exat"],

@@ -66,12 +66,12 @@ fn failure_fork_reason(kind: u32) -> sde_trace::ForkReason {
 /// convenience function.
 #[derive(Debug)]
 pub struct Engine {
-    /// Shared, never cloned: the parallel loops' workers read the
-    /// topology, fault plan and programs through this one allocation.
+    /// Shared, never cloned: the shard workers read the topology, fault
+    /// plan and programs through this one allocation.
     scenario: Arc<Scenario>,
     algorithm: Algorithm,
     mapper: Box<dyn StateMapper>,
-    solver: Arc<Solver>,
+    solver: Solver,
     symbols: SymbolTable,
     store: Store,
     now: u64,
@@ -134,7 +134,7 @@ impl Engine {
             scenario: Arc::new(scenario),
             algorithm,
             mapper: algorithm.new_mapper(),
-            solver: Arc::new(Solver::new()),
+            solver: Solver::new(),
             symbols: SymbolTable::new(),
             store: Store::default(),
             now: 0,
@@ -205,10 +205,9 @@ impl Engine {
     /// for the run so the solver and the event queue — which sit below the
     /// engine in the crate graph — reach it too.
     ///
-    /// Traced parallel runs drain the speculation barrier *before* the
-    /// authoritative pass (instead of overlapping them), which makes the
-    /// solver-layer attribution in the trace a pure function of the
-    /// scenario — byte-identical traces at any worker count.
+    /// A traced sharded run offloads nothing to its workers (DESIGN.md
+    /// §13), so its trace is the serial run's, byte for byte, at any
+    /// worker count.
     #[must_use]
     pub fn with_trace_sink(mut self, sink: Arc<dyn sde_trace::TraceSink>) -> Engine {
         self.traced = sink.enabled();
@@ -310,275 +309,50 @@ impl Engine {
         false
     }
 
-    /// Runs the scenario with `workers` speculative helper threads and
-    /// reports. The report is bit-identical to [`Engine::run`]'s (see
-    /// [`RunReport::equivalence_key`]) at every worker count.
-    pub fn run_parallel(mut self, workers: usize) -> RunReport {
-        self.run_parallel_in_place(workers);
-        self.into_report()
-    }
-
-    /// Like [`Engine::run_in_place`] but parallel: at each virtual-time
-    /// step, every same-time event batch is fanned out to `workers`
-    /// speculative threads *before* the authoritative pass consumes it.
-    ///
-    /// Determinism is the paper's whole premise — the three-way mapping
-    /// comparison (§V) needs identical path sets across runs — so this
-    /// engine refuses to trade it for cores. The design:
-    ///
-    /// 1. **Snapshot.** All events sharing the earliest timestamp are
-    ///    grouped by state (within-group order = queue order).
-    /// 2. **Speculate.** Each group is executed on a worker against
-    ///    *private clones*: a cloned [`SdeState`], a [`SymbolTable`]
-    ///    allocator window continuing the real id sequence, and the
-    ///    shared `Sync` [`Solver`]. Workers replicate the authoritative
-    ///    pass's exact symbol-minting and branching order, so the solver
-    ///    queries they issue are the very queries the authoritative pass
-    ///    is about to make — and land in the shared query cache. All
-    ///    other effects (forks, sends, timers, bugs) are discarded.
-    /// 3. **Commit.** The main thread runs the unmodified sequential
-    ///    algorithm over the batch. It is the *only* mutator of engine
-    ///    state, so state ids, packet ids, the history log, and the event
-    ///    queue are identical to [`Engine::run_in_place`] by
-    ///    construction; the speculation merely turns its solver calls
-    ///    into cache hits.
-    /// 4. **Barrier.** Workers are drained before the next timestamp so
-    ///    speculation never runs ahead of (or behind) the batch it can
-    ///    help with.
-    ///
-    /// Speculation is skipped when a replay preset pins every input (no
-    /// forking, nothing to solve) and for single-group batches (nothing
-    /// to overlap). Worker utilization and per-phase wall times are
-    /// reported in [`RunReport::parallel`].
-    ///
-    /// **Tracing.** With a recording sink attached
-    /// ([`Engine::with_trace_sink`]), two things change — neither affects
-    /// the committed execution: (a) workers record into per-job buffers
-    /// that the main thread merges at the barrier *in job submission
-    /// order*, with racy per-query detail erased to `SpecQuery` events;
-    /// (b) the barrier is drained *before* the authoritative pass, so the
-    /// cache state the pass observes — and therefore the solver-layer
-    /// attribution in the trace — is identical at every worker count.
-    pub fn run_parallel_in_place(&mut self, workers: usize) {
-        self.run_until_parallel(workers, Budget::unlimited());
-    }
-
-    /// [`Engine::run_until`] on the parallel path: identical speculation
-    /// and commit machinery, but the budget is checked only at the
-    /// serial-commit barrier *between* virtual-time batches — a batch is
-    /// never split, so a pause point on the parallel path is also a valid
-    /// pause point of the sequential run (DESIGN.md §8).
-    pub fn run_until_parallel(&mut self, workers: usize, budget: Budget) -> RunOutcome {
-        let _trace_guard = self
-            .traced
-            .then(|| sde_trace::install(Arc::clone(&self.sink)));
-        let traced = self.traced;
-        let workers = workers.max(1);
-        self.started = Instant::now();
-        if self.store.next_state == 0 {
-            self.boot();
-            self.trace.boot_wall_us = self.started.elapsed().as_micros() as u64;
-            self.sample();
-        }
-        let events_start = self.events_processed;
-        let instr_start = self.instructions;
-        let mut outcome = RunOutcome::Complete;
-        let mut pstats = ParallelStats {
-            workers,
-            ..ParallelStats::default()
-        };
-
-        let (job_tx, job_rx) = mpsc::channel::<SpecJob>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (done_tx, done_rx) = mpsc::channel::<SpecOutcome>();
-        let scenario = Arc::clone(&self.scenario);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = Arc::clone(&job_rx);
-                let done_tx = done_tx.clone();
-                let solver = Arc::clone(&self.solver);
-                let scenario = &*scenario;
-                scope.spawn(move || loop {
-                    // Holding the lock across `recv` is fine: the other
-                    // workers then queue on the mutex instead of the
-                    // channel, and jobs still go to exactly one worker.
-                    let job = job_rx.lock().expect("job queue").recv();
-                    let Ok(job) = job else { break };
-                    let outcome = if traced {
-                        // Buffer this job's solver events for the ordered
-                        // merge at the barrier.
-                        let buffer = Arc::new(sde_trace::BufferSink::new());
-                        let _g = sde_trace::install(buffer.clone());
-                        let mut outcome = speculate_group(job, scenario, &solver);
-                        outcome.trace = buffer.drain();
-                        outcome
-                    } else {
-                        speculate_group(job, scenario, &solver)
-                    };
-                    if done_tx.send(outcome).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(done_tx);
-
-            'run: loop {
-                if self.budget_exhausted(budget, events_start, instr_start) {
-                    outcome = RunOutcome::Paused;
-                    break;
-                }
-                if self.store.total_states > self.scenario.state_cap {
-                    self.aborted = true;
-                    break;
-                }
-                let Some(batch_time) = self.store.events.peek_time() else {
-                    break;
-                };
-                if batch_time > self.scenario.duration_ms {
-                    // Mirror the sequential loop, which pops the
-                    // out-of-window event before breaking.
-                    self.store.events.pop();
-                    break;
-                }
-                pstats.batches += 1;
-
-                // --- phase 1+2: snapshot the batch, fan out speculation ---
-                let dispatch_started = Instant::now();
-                let mut jobs_sent = 0usize;
-                if self.preset.is_none() {
-                    // Every group speculates, duplicates included: the
-                    // traced barrier merges one `SpecQuery` run per job.
-                    for job in self.batch_jobs(batch_time, &mut pstats, None) {
-                        if job_tx.send(job).is_ok() {
-                            jobs_sent += 1;
-                        }
-                    }
-                }
-                if traced && jobs_sent > 0 {
-                    self.sink.record(sde_trace::TraceEvent::Speculate {
-                        time: batch_time,
-                        jobs: jobs_sent as u64,
-                    });
-                }
-                pstats.dispatch_wall += dispatch_started.elapsed();
-
-                let drain_barrier = |pstats: &mut ParallelStats| -> Vec<SpecOutcome> {
-                    let mut outcomes = Vec::with_capacity(jobs_sent);
-                    for _ in 0..jobs_sent {
-                        if let Ok(outcome) = done_rx.recv() {
-                            pstats.spec_events += outcome.events;
-                            pstats.spec_instructions = pstats
-                                .spec_instructions
-                                .saturating_add(outcome.instructions);
-                            pstats.spec_busy += outcome.busy;
-                            pstats.spec_aborts += outcome.aborts;
-                            outcomes.push(outcome);
-                        }
-                    }
-                    outcomes
-                };
-
-                // --- phases 3+4: authoritative pass and barrier ---
-                //
-                // Untraced: commit overlaps the speculation (the fast
-                // path). Traced: barrier first — the merged speculation
-                // events land in submission order and the commit pass
-                // observes the fully-warmed cache, making solver-layer
-                // attribution worker-count-independent.
-                if traced {
-                    let barrier_started = Instant::now();
-                    let mut outcomes = drain_barrier(&mut pstats);
-                    outcomes.sort_unstable_by_key(|o| o.index);
-                    for outcome in &outcomes {
-                        for ev in &outcome.trace {
-                            if let sde_trace::TraceEvent::Query { groups, .. } = ev {
-                                self.sink
-                                    .record(sde_trace::TraceEvent::SpecQuery { groups: *groups });
-                            }
-                        }
-                    }
-                    pstats.barrier_wall += barrier_started.elapsed();
-
-                    let serial_started = Instant::now();
-                    self.commit_batch(batch_time);
-                    pstats.serial_wall += serial_started.elapsed();
-                } else {
-                    let serial_started = Instant::now();
-                    self.commit_batch(batch_time);
-                    pstats.serial_wall += serial_started.elapsed();
-
-                    let barrier_started = Instant::now();
-                    drain_barrier(&mut pstats);
-                    pstats.barrier_wall += barrier_started.elapsed();
-                }
-
-                if self.aborted {
-                    break 'run;
-                }
-            }
-            drop(job_tx);
-        });
-
-        if outcome.is_complete() {
-            self.sample();
-        }
-        pstats.run_wall = self.started.elapsed();
-        self.merge_parallel(pstats);
-        self.trace.run_wall_us += self.started.elapsed().as_micros() as u64;
-        outcome
-    }
-
-    /// Phase 1 of both parallel loops: the hand-off. Moves the batch at
+    /// Phase 1 of the sharded loop: the hand-off. Moves the batch at
     /// `batch_time` — the earliest pending time — to the queue's front
-    /// and returns one [`SpecJob`] per idle state with events in it, in
+    /// and returns one [`ShardJob`] per idle state with events in it, in
     /// order of each state's first event; a batch of fewer than two
     /// groups has nothing to overlap and yields none.
     ///
-    /// With `claims` (the sharded loop) the batch starts a fresh
-    /// [`ClaimedKeys`] and a group is sent only if it can claim its first
-    /// dispatch: the merge applies one recording to every congruent
-    /// state, so a second execution could only be thrown away. The key
-    /// decides what is *offered*; what is *applied* is confirmed
-    /// structurally, so a collision costs a serial fallback.
+    /// The batch starts a fresh [`ClaimedKeys`] and a group is sent only
+    /// if it can claim its first dispatch: the merge applies one recording
+    /// to every congruent state, so a second execution could only be
+    /// thrown away. The key decides what is *offered*; what is *applied*
+    /// is confirmed structurally, so a collision costs a serial fallback.
     fn batch_jobs(
         &mut self,
         batch_time: u64,
         pstats: &mut ParallelStats,
-        claims: Option<&ClaimedKeys>,
-    ) -> Vec<SpecJob> {
+        claims: &ClaimedKeys,
+    ) -> Vec<ShardJob> {
         let groups = self.store.events.batch(batch_time);
         if groups.len() < 2 {
             return Vec::new();
         }
-        pstats.speculated_batches += 1;
-        let mut claimed = claims.map(|c| c.lock().expect("claimed keys"));
-        if let Some(claimed) = claimed.as_deref_mut() {
-            claimed.clear();
-        }
+        pstats.offloaded_batches += 1;
+        let mut claimed = claims.lock().expect("claimed keys");
+        claimed.clear();
         let mut jobs = Vec::new();
         for sid in groups {
             let Some(state) = self.store.states.get(&sid).filter(|s| s.is_idle()) else {
                 continue;
             };
             let mut events = self.store.events.pending_at(sid, batch_time).peekable();
-            if let Some(claimed) = claimed.as_deref_mut() {
-                let first = events.peek().expect("a group has an event");
-                let digest = state.vm.config_digest();
-                let key = memo_key(state.node, digest, state.budgets(), batch_time, first);
-                if !claimed.insert(key) {
-                    continue;
-                }
+            let first = events.peek().expect("a group has an event");
+            let digest = state.vm.config_digest();
+            let key = memo_key(state.node, digest, state.budgets(), batch_time, first);
+            if !claimed.insert(key) {
+                continue;
             }
-            jobs.push(SpecJob {
-                index: jobs.len(),
+            jobs.push(ShardJob {
                 now: batch_time,
                 state: state.clone(),
                 events: events.cloned().collect(),
                 symbols: self.symbols.forked(),
             });
         }
-        pstats.spec_groups += jobs.len() as u64;
+        pstats.jobs += jobs.len() as u64;
         jobs
     }
 
@@ -590,14 +364,14 @@ impl Engine {
             Some(prev) => ParallelStats {
                 workers: fresh.workers,
                 batches: prev.batches + fresh.batches,
-                speculated_batches: prev.speculated_batches + fresh.speculated_batches,
-                spec_groups: prev.spec_groups + fresh.spec_groups,
-                spec_events: prev.spec_events + fresh.spec_events,
-                spec_instructions: prev
-                    .spec_instructions
-                    .saturating_add(fresh.spec_instructions),
-                spec_aborts: prev.spec_aborts + fresh.spec_aborts,
-                spec_busy: prev.spec_busy + fresh.spec_busy,
+                offloaded_batches: prev.offloaded_batches + fresh.offloaded_batches,
+                jobs: prev.jobs + fresh.jobs,
+                worker_events: prev.worker_events + fresh.worker_events,
+                worker_instructions: prev
+                    .worker_instructions
+                    .saturating_add(fresh.worker_instructions),
+                worker_aborts: prev.worker_aborts + fresh.worker_aborts,
+                worker_busy: prev.worker_busy + fresh.worker_busy,
                 shard_recorded: prev.shard_recorded + fresh.shard_recorded,
                 shard_applied: prev.shard_applied + fresh.shard_applied,
                 shard_fallback: prev.shard_fallback + fresh.shard_fallback,
@@ -638,8 +412,9 @@ impl Engine {
     ///
     /// - **Symbol-minting dispatches.** Fresh symbolic variables must be
     ///   minted in serial dispatch order to keep ids and solver queries
-    ///   canonical, so a worker that observes a mint discards the
-    ///   recording and abandons that group's remaining chain
+    ///   canonical, so a worker that observes a mint — or reaches a
+    ///   delivery whose failure or fault model would mint one — discards
+    ///   the recording and abandons that group's remaining chain
     ///   (`shard_tainted`).
     /// - **Sends.** Packet ids (and with them the sender's comm-history
     ///   digest) are minted at merge time, so a recorded send completes
@@ -663,8 +438,7 @@ impl Engine {
     /// [`Engine::run_until`] on the sharded path: the budget is checked
     /// only *between* virtual-time batches (a batch is never split), so a
     /// pause point here is also a valid pause point of the sequential run
-    /// — checkpoint/resume composes with sharding exactly as with the
-    /// speculative mode (DESIGN.md §8).
+    /// — checkpoint/resume composes with sharding (DESIGN.md §8).
     pub fn run_until_sharded(&mut self, workers: usize, budget: Budget) -> RunOutcome {
         let _trace_guard = self
             .traced
@@ -701,12 +475,13 @@ impl Engine {
                 let keys = &keys;
                 let scenario = &*scenario;
                 let done_tx = done_tx.clone();
+                // Worker-local solver cache: authoritative execution is
+                // contention-free, and the merge thread still sees
+                // deterministic witness models because the exact solver
+                // derives them from the query alone. The budget and the
+                // ablation toggles are the engine solver's.
+                let solver = self.solver.fresh_like();
                 scope.spawn(move || {
-                    // Worker-local solver cache: authoritative execution
-                    // is contention-free, and the merge thread still sees
-                    // deterministic witness models because the exact
-                    // solver derives them from the query alone.
-                    let solver = Solver::new();
                     while let Some(job) = pool.take(w) {
                         let outcome = run_shard_group(job, scenario, &solver, keys);
                         if done_tx.send(outcome).is_err() {
@@ -744,7 +519,7 @@ impl Engine {
                 let dispatch_started = Instant::now();
                 let mut jobs_sent = 0usize;
                 if offload {
-                    let jobs = self.batch_jobs(batch_time, &mut pstats, Some(&keys));
+                    let jobs = self.batch_jobs(batch_time, &mut pstats, &keys);
                     jobs_sent = jobs.len();
                     pool.submit(jobs);
                 }
@@ -756,11 +531,11 @@ impl Engine {
                 let mut entries: HashMap<u64, Vec<Arc<ShardRecord>>> = HashMap::new();
                 for _ in 0..jobs_sent {
                     let Ok(o) = done_rx.recv() else { break };
-                    pstats.spec_events += o.events;
-                    pstats.spec_instructions =
-                        pstats.spec_instructions.saturating_add(o.instructions);
-                    pstats.spec_busy += o.busy;
-                    pstats.spec_aborts += o.aborts;
+                    pstats.worker_events += o.events;
+                    pstats.worker_instructions =
+                        pstats.worker_instructions.saturating_add(o.instructions);
+                    pstats.worker_busy += o.busy;
+                    pstats.worker_aborts += o.aborts;
                     pstats.shard_skips += o.skips;
                     pstats.shard_tainted += o.tainted;
                     pstats.shard_recorded += o.records.len() as u64;
@@ -846,7 +621,7 @@ impl Engine {
     }
 
     /// Reconstructs a paused engine from `snapshot` so that driving it
-    /// (`run_until`, `run`, `run_until_parallel`) continues exactly where
+    /// (`run_until`, `run`, `run_until_sharded`) continues exactly where
     /// the snapshotted run stopped: same state ids, same event order,
     /// same [`RunReport::equivalence_key`] and — with a sink re-attached
     /// via [`Engine::with_trace_sink`] — the same trace events as the
@@ -1008,8 +783,8 @@ impl Engine {
         Ok(engine)
     }
 
-    /// Phase 3 of [`Engine::run_parallel_in_place`]: the authoritative
-    /// pass — literally the sequential loop, bounded to `batch_time`.
+    /// Phase 3 of [`Engine::run_until_sharded`]: the merge — literally
+    /// the sequential loop, bounded to `batch_time`.
     fn commit_batch(&mut self, batch_time: u64) {
         loop {
             if self.store.total_states > self.scenario.state_cap {
@@ -1566,7 +1341,7 @@ impl Engine {
     /// every branch that keeps the packet. Decision order is fixed —
     /// active partition, partition onset, latency, drop, duplicate,
     /// reboot, crash, corruption — so symbol minting (and with it dedup
-    /// replay and parallel speculation) is deterministic.
+    /// replay and the sharded merge) is deterministic.
     fn deliver(&mut self, state_id: StateId, packet: Packet) {
         let receiving = state_id;
 
@@ -2445,79 +2220,37 @@ impl Engine {
 }
 
 /// The corruption fault model's payload edit: `word` XOR-flipped by an
-/// 8-bit `byte` (zero-extended to the word's width). Shared by both
-/// dispatch copies and the replay arm, so all three build one term.
+/// 8-bit `byte` (zero-extended to the word's width). Shared by the
+/// symbolic and the preset-replay arm, so both build one term.
 fn flip_byte(word: &Value, byte: Value) -> Value {
     word.clone()
         .binop(BinOp::Xor, byte.cast(CastOp::Zext, word.width()))
 }
 
-// ----- speculative execution (the run_parallel worker side) ---------------
+// ----- sharded execution (the run_sharded worker side) --------------------
 
-/// Safety valve: a speculative group self-aborts past this many VM steps.
-/// Divergence from the authoritative pass costs cache misses, never
-/// correctness, so capping runaway speculation is always safe.
-const SPEC_INSTRUCTION_CAP: u64 = 4_000_000;
+/// Safety valve: a worker abandons its chain past this many VM steps and
+/// the merge thread executes the rest itself. Falling back costs speed,
+/// never correctness, so capping a runaway chain is always safe.
+const WORKER_INSTRUCTION_CAP: u64 = 4_000_000;
 
-/// One speculative work unit: all events of one state at one timestamp,
-/// plus the private clones the worker executes them against.
+/// One shard work unit: all events of one state at one timestamp, plus
+/// the private clones the worker executes them against.
 ///
 /// A job carries only what is this group's own. Everything the whole run
 /// shares — programs, fault plan, topology — the worker reads from the
 /// engine's [`Scenario`], which its thread borrows for the run.
 #[derive(Debug)]
-struct SpecJob {
-    /// Submission index within the batch — the deterministic merge order
-    /// for buffered trace events at the barrier.
-    index: usize,
+struct ShardJob {
     now: u64,
     state: SdeState,
     events: Vec<NodeEvent>,
     /// Allocator window continuing the engine's symbol-id sequence
-    /// ([`SymbolTable::forked`]), so minted [`sde_symbolic::SymId`]s match
-    /// the authoritative pass's and queries share cache entries.
+    /// ([`SymbolTable::forked`]): a handler that mints an input queries
+    /// the solver under the id the merge thread will mint, although the
+    /// worker then discards the recording.
     symbols: SymbolTable,
 }
-
-/// What a worker reports back at the batch barrier.
-#[derive(Debug)]
-struct SpecOutcome {
-    /// Copied from [`SpecJob::index`].
-    index: usize,
-    events: u64,
-    instructions: u64,
-    busy: Duration,
-    /// 1 when the group self-aborted past [`SPEC_INSTRUCTION_CAP`]
-    /// (bugfix: these used to vanish silently; now they surface as
-    /// [`ParallelStats::spec_aborts`]).
-    aborts: u64,
-    /// The job's buffered trace events (traced runs only); merged into
-    /// the main sink in submission order, erased to `SpecQuery`.
-    trace: Vec<sde_trace::TraceEvent>,
-}
-
-/// Executes one state's same-time events against private clones,
-/// replicating [`Engine`]'s dispatch/deliver/handler logic — in
-/// particular its exact symbol-minting and branch-exploration order — so
-/// the solver queries it issues are the ones the authoritative pass is
-/// about to make. Every other effect is discarded: only the warmed
-/// entries in the shared solver cache escape this function.
-fn speculate_group(job: SpecJob, scenario: &Scenario, solver: &Solver) -> SpecOutcome {
-    let started = Instant::now();
-    let index = job.index;
-    let mut spec = Speculator::new(job, scenario, solver, None);
-    spec.run();
-    SpecOutcome {
-        index,
-        events: spec.events,
-        instructions: spec.instructions,
-        busy: started.elapsed(),
-        aborts: spec.aborts,
-        trace: Vec::new(),
-    }
-}
-
-// ----- sharded execution (the run_sharded worker side) --------------------
 
 /// One worker-recorded dispatch handed to the merge thread at the batch
 /// barrier. The merge thread shares it (`Arc`): applying it to one more
@@ -2568,7 +2301,7 @@ struct ShardPool {
 
 #[derive(Debug)]
 struct PoolState {
-    queues: Vec<VecDeque<SpecJob>>,
+    queues: Vec<VecDeque<ShardJob>>,
     shutdown: bool,
 }
 
@@ -2585,7 +2318,7 @@ impl ShardPool {
 
     /// Queues a whole batch — each job with the owner of its subtree —
     /// under one lock, then wakes the workers once.
-    fn submit(&self, jobs: Vec<SpecJob>) {
+    fn submit(&self, jobs: Vec<ShardJob>) {
         if jobs.is_empty() {
             return;
         }
@@ -2601,7 +2334,7 @@ impl ShardPool {
 
     /// Blocks until a job is available (own queue first, then stealing)
     /// or the pool shuts down.
-    fn take(&self, worker: usize) -> Option<SpecJob> {
+    fn take(&self, worker: usize) -> Option<ShardJob> {
         let mut st = self.state.lock().expect("pool");
         loop {
             let n = st.queues.len();
@@ -2627,16 +2360,20 @@ impl ShardPool {
 /// Authoritatively executes one state's same-time events on a shard
 /// worker, recording each symbol-free dispatch as a [`MemoEntry`] the
 /// merge thread applies in serial order (see
-/// [`Engine::run_sharded_in_place`] for the fallback rules).
+/// [`Engine::run_sharded_in_place`] for the fallback rules). A taint,
+/// skip or send clears the queue, ending the chain.
 fn run_shard_group(
-    job: SpecJob,
+    job: ShardJob,
     scenario: &Scenario,
     solver: &Solver,
     keys: &ClaimedKeys,
 ) -> ShardOutcome {
     let started = Instant::now();
-    let mut worker = Speculator::new(job, scenario, solver, Some(keys));
-    worker.run_shard();
+    let mut worker = ShardWorker::new(job, scenario, solver, keys);
+    while let Some((sid, ev)) = worker.queue.pop_front() {
+        worker.events += 1;
+        worker.dispatch(sid, ev);
+    }
     ShardOutcome {
         events: worker.events,
         instructions: worker.instructions,
@@ -2648,16 +2385,11 @@ fn run_shard_group(
     }
 }
 
-/// The worker-side mirror of the engine: same event dispatch, same
-/// failure-model forking, same handler stepping — against local clones.
-///
-/// Two modes share this mirror. *Speculative* ([`Speculator::run`],
-/// `keys == None`): effects are discarded, only warmed solver-cache
-/// entries escape. *Sharded* ([`Speculator::run_shard`],
-/// `keys == Some`): each symbol-free dispatch is executed
-/// authoritatively and recorded as a [`MemoEntry`] for the merge thread.
+/// The worker-side mirror of the engine's dispatch: same event dispatch,
+/// same handler stepping — against local clones — with every effect
+/// recorded into a [`MemoEntry`] for the merge thread to apply.
 #[derive(Debug)]
-struct Speculator<'a> {
+struct ShardWorker<'a> {
     solver: &'a Solver,
     symbols: SymbolTable,
     /// The run's scenario; `program` is the job's node's.
@@ -2669,28 +2401,27 @@ struct Speculator<'a> {
     /// tails here, mirroring [`IndexedQueue::duplicate`]'s effect on the
     /// time-`now` slice of the real queue.
     queue: VecDeque<(StateId, NodeEvent)>,
-    /// Local ids for speculative forks, far above any real [`StateId`].
+    /// Local ids for forks, far above any real [`StateId`].
     next_local: u64,
     instructions: u64,
     events: u64,
-    /// Sharded mode only: the recorder of the in-flight dispatch, plus
-    /// its bug and executed-state side channels (the worker has no
-    /// engine-level `bugs`/`executed` collections to diff against).
-    rec: Option<DispatchRecorder>,
+    /// The in-flight dispatch's bugs and executed-state marks (the worker
+    /// has no engine-level `bugs`/`executed` collections to diff against).
     rec_bugs: Vec<(usize, BugReport)>,
     rec_executed: Vec<u32>,
     /// Completed recordings awaiting the batch barrier.
     records: Vec<ShardRecord>,
-    /// The batch's claimed dispatch keys (sharded mode only).
-    keys: Option<&'a ClaimedKeys>,
+    /// The batch's claimed dispatch keys.
+    keys: &'a ClaimedKeys,
     /// The in-flight dispatch transmitted a packet: its recording stays
     /// valid, but the chain must stop (packet ids — and with them the
     /// sender's history digest — are minted at merge time).
     sent: bool,
-    /// The in-flight dispatch blew [`SPEC_INSTRUCTION_CAP`].
+    /// The in-flight dispatch blew [`WORKER_INSTRUCTION_CAP`].
     capped: bool,
-    /// The in-flight recording is unusable (e.g. a missing handler the
-    /// authoritative pass will panic on).
+    /// The in-flight dispatch must run on the merge thread: a fault
+    /// decision would mint a symbolic input, or the handler is missing
+    /// (the merge thread then panics itself).
     poisoned: bool,
     skips: u64,
     tainted: u64,
@@ -2700,15 +2431,15 @@ struct Speculator<'a> {
     running: Vec<SdeState>,
 }
 
-impl<'a> Speculator<'a> {
+impl<'a> ShardWorker<'a> {
     fn new(
-        job: SpecJob,
+        job: ShardJob,
         scenario: &'a Scenario,
         solver: &'a Solver,
-        keys: Option<&'a ClaimedKeys>,
-    ) -> Speculator<'a> {
+        keys: &'a ClaimedKeys,
+    ) -> ShardWorker<'a> {
         let root = job.state.id;
-        Speculator {
+        ShardWorker {
             solver,
             symbols: job.symbols,
             scenario,
@@ -2719,7 +2450,6 @@ impl<'a> Speculator<'a> {
             next_local: 1 << 63,
             instructions: 0,
             events: 0,
-            rec: None,
             rec_bugs: Vec::new(),
             rec_executed: Vec::new(),
             records: Vec::new(),
@@ -2735,44 +2465,20 @@ impl<'a> Speculator<'a> {
         }
     }
 
-    fn run(&mut self) {
-        while let Some((sid, ev)) = self.queue.pop_front() {
-            if self.capped || self.instructions > SPEC_INSTRUCTION_CAP {
-                // Bugfix: count the self-abort instead of discarding it
-                // silently (one per group — the rest of the chain dies
-                // with it).
-                self.aborts = 1;
-                break;
-            }
-            self.events += 1;
-            self.dispatch(sid, ev);
-        }
-    }
-
-    /// Sharded-mode driver: dispatches record instead of discard, and a
-    /// taint/skip/send clears the queue, ending the chain.
-    fn run_shard(&mut self) {
-        while let Some((sid, ev)) = self.queue.pop_front() {
-            self.events += 1;
-            self.dispatch_shard(sid, ev);
-        }
-    }
-
     /// Mirrors [`Engine::dispatch`] while recording, with the sharded
     /// fallback rules: skip chains another worker covers, discard
     /// recordings that mint symbols or blow the cap, stop the chain
     /// after a send.
-    fn dispatch_shard(&mut self, state_id: StateId, kind: NodeEvent) {
+    fn dispatch(&mut self, state_id: StateId, kind: NodeEvent) {
         if !self.states.get(&state_id).is_some_and(SdeState::is_idle) {
             return;
         }
-        let keys = self.keys.expect("run_shard requires a key set");
         let key = {
             let s = &self.states[&state_id];
             memo_key(s.node, s.vm.config_digest(), s.budgets(), self.now, &kind)
         };
         // The job's first dispatch was claimed for it when it was offered.
-        if self.events > 1 && !keys.lock().expect("claimed keys").insert(key) {
+        if self.events > 1 && !self.keys.lock().expect("claimed keys").insert(key) {
             // Somebody else records this dispatch and what follows from
             // it; the merge thread will confirm and apply their entries.
             self.skips += 1;
@@ -2780,9 +2486,9 @@ impl<'a> Speculator<'a> {
             return;
         }
         let sym_start = self.symbols.len();
-        {
+        let mut rec = {
             let s = &self.states[&state_id];
-            self.rec = Some(DispatchRecorder::new(
+            DispatchRecorder::new(
                 key,
                 s.node,
                 self.now,
@@ -2792,25 +2498,31 @@ impl<'a> Speculator<'a> {
                 state_id,
                 0,
                 self.instructions,
-            ));
-        }
+            )
+        };
         self.rec_bugs.clear();
         self.rec_executed.clear();
         self.sent = false;
         self.poisoned = false;
-        self.dispatch(state_id, kind);
-        let rec = self.rec.take().expect("recorder active across dispatch");
+        match kind {
+            NodeEvent::Boot => self.run_handler(&mut rec, state_id, handlers::ON_BOOT, &[]),
+            NodeEvent::Timer(t) => {
+                let args = [Value::const_(u64::from(t), Width::W16)];
+                self.run_handler(&mut rec, state_id, handlers::ON_TIMER, &args);
+            }
+            NodeEvent::Deliver(packet) => self.deliver(&mut rec, state_id, &packet),
+        }
         if self.capped {
-            // Bugfix: a self-aborted group is counted, never silent.
+            // A self-aborted chain is counted, never silent.
             self.aborts = 1;
             self.tainted += 1;
             self.queue.clear();
             return;
         }
         if self.symbols.len() != sym_start || self.poisoned {
-            // The dispatch minted fresh symbolic inputs (or is otherwise
-            // unreplayable): ids must be assigned in serial dispatch
-            // order, so the merge thread executes this chain itself.
+            // The dispatch minted fresh symbolic inputs (or would have):
+            // ids must be assigned in serial dispatch order, so the merge
+            // thread executes this chain itself.
             self.tainted += 1;
             self.queue.clear();
             return;
@@ -2853,253 +2565,42 @@ impl<'a> Speculator<'a> {
         id
     }
 
-    /// Mirrors [`Engine::dispatch`].
-    fn dispatch(&mut self, state_id: StateId, kind: NodeEvent) {
-        if !self.states.get(&state_id).is_some_and(SdeState::is_idle) {
+    /// Mirrors [`Engine::deliver`] up to its first fault decision. Every
+    /// failure and fault model mints a symbolic decision variable, and a
+    /// dispatch that mints is left to the merge thread, so the worker
+    /// stops as soon as one model would fire. What it does execute — the
+    /// silent loss to an active partition, or the plain `on_recv` — mints
+    /// nothing.
+    fn deliver(&mut self, rec: &mut DispatchRecorder, state_id: StateId, packet: &Packet) {
+        let s = &self.states[&state_id];
+        let crosses_cut = self.scenario.faults.cut_contains(packet.src, s.node);
+        if self.now < s.partition_until && crosses_cut {
+            // The merge replay re-emits the drop.
+            rec.note_partition_drop(state_id, s.partition_until);
             return;
         }
-        match kind {
-            NodeEvent::Boot => self.run_handler(state_id, handlers::ON_BOOT, &[]),
-            NodeEvent::Timer(t) => {
-                let args = [Value::const_(u64::from(t), Width::W16)];
-                self.run_handler(state_id, handlers::ON_TIMER, &args);
-            }
-            NodeEvent::Deliver(packet) => self.deliver(state_id, packet),
-        }
-    }
-
-    /// Mirrors [`Engine::deliver`] (the non-preset path — speculation is
-    /// skipped entirely under a replay preset). The fault/failure
-    /// variables are minted in the exact engine order —
-    /// partition/heal, drop, dup, reboot, crash, cor/corb — with the
-    /// same replay keys, so the window hands out the ids the engine is
-    /// about to mint.
-    fn deliver(&mut self, state_id: StateId, packet: Packet) {
-        let receiving = state_id;
+        let corruptible = packet
+            .payload
+            .first()
+            .is_some_and(|word| word.width().bits() >= 8);
+        if (s.part_budget > 0 && crosses_cut)
+            || s.lat_budget > 0
+            || s.drop_budget > 0
+            || s.dup_budget > 0
+            || s.reboot_budget > 0
+            || s.crash_budget > 0
+            || (s.cor_budget > 0 && corruptible)
         {
-            let s = &self.states[&state_id];
-            let until = s.partition_until;
-            if self.now < until && self.scenario.faults.cut_contains(packet.src, s.node) {
-                // Active partition: silent loss, no symbols. Recorded in
-                // sharded mode — the merge replay re-emits the drop.
-                if let Some(rec) = self.rec.as_mut() {
-                    rec.note_partition_drop(state_id, until);
-                }
-                return;
-            }
+            self.poisoned = true;
+            return;
         }
-
-        if self.states[&state_id].part_budget > 0
-            && self
-                .scenario
-                .faults
-                .cut_contains(packet.src, self.states[&state_id].node)
-        {
-            let node = self.states[&state_id].node;
-            let heal: Vec<u64> = self.scenario.faults.heal_choices().to_vec();
-            let occurrence = {
-                let s = self.states.get_mut(&state_id).expect("resident");
-                s.part_budget -= 1;
-                s.vm.next_input_occurrence("part")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("part", Width::BOOL, node.0, occurrence);
-            let part_id = self.fork_local(state_id, &Expr::sym(var.clone()), 7, occurrence);
-            {
-                let s = self.states.get_mut(&state_id).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-            }
-            {
-                let p = self.states.get_mut(&part_id).expect("resident");
-                p.partition_until = self.now + heal[0];
-            }
-            if heal.len() == 2 {
-                let hocc = {
-                    let p = self.states.get_mut(&part_id).expect("resident");
-                    p.vm.next_input_occurrence("heal")
-                };
-                let hvar = self.symbols.fresh_keyed("heal", Width::BOOL, node.0, hocc);
-                let heal_id = self.fork_local(part_id, &Expr::sym(hvar.clone()), 8, hocc);
-                {
-                    let p = self.states.get_mut(&part_id).expect("resident");
-                    p.vm.constrain(Expr::not(Expr::sym(hvar)));
-                }
-                let h = self.states.get_mut(&heal_id).expect("resident");
-                h.partition_until = self.now + heal[1];
-            }
-        }
-
-        if self.states[&state_id].lat_budget > 0 {
-            let node = self.states[&state_id].node;
-            let occurrence = {
-                let s = self.states.get_mut(&state_id).expect("resident");
-                s.lat_budget -= 1;
-                s.vm.next_input_occurrence("lat")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("lat", Width::BOOL, node.0, occurrence);
-            let _late = self.fork_local(state_id, &Expr::sym(var.clone()), 4, occurrence);
-            let s = self.states.get_mut(&state_id).expect("resident");
-            s.vm.constrain(Expr::not(Expr::sym(var)));
-            // The delayed branch's redelivery lands outside this
-            // speculation window (extra_ms in the future) — discarded
-            // like sends; the symbol minting is what must match.
-        }
-
-        if self.states[&state_id].drop_budget > 0 {
-            let node = self.states[&state_id].node;
-            let occurrence = {
-                let s = self.states.get_mut(&state_id).expect("resident");
-                s.drop_budget -= 1;
-                s.vm.next_input_occurrence("drop")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("drop", Width::BOOL, node.0, occurrence);
-            let _dropped = self.fork_local(state_id, &Expr::sym(var.clone()), 1, occurrence);
-            let s = self.states.get_mut(&state_id).expect("resident");
-            s.vm.constrain(Expr::not(Expr::sym(var)));
-        }
-
-        let deliveries = 1u32;
-        if self.states[&receiving].dup_budget > 0 {
-            let node = self.states[&receiving].node;
-            let occurrence = {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.dup_budget -= 1;
-                s.vm.next_input_occurrence("dup")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("dup", Width::BOOL, node.0, occurrence);
-            let dup_id = self.fork_local(receiving, &Expr::sym(var.clone()), 2, occurrence);
-            {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-            }
-            self.run_recv(dup_id, &packet, 2);
-        }
-
-        if self.states[&receiving].reboot_budget > 0 {
-            let node = self.states[&receiving].node;
-            let occurrence = {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.reboot_budget -= 1;
-                s.vm.next_input_occurrence("reboot")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("reboot", Width::BOOL, node.0, occurrence);
-            let reboot_id = self.fork_local(receiving, &Expr::sym(var.clone()), 3, occurrence);
-            {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-            }
-            {
-                let d = self.states.get_mut(&reboot_id).expect("resident");
-                d.vm = d.vm.rebooted();
-            }
-            self.queue.retain(|(sid, _)| *sid != reboot_id);
-            self.run_handler(reboot_id, handlers::ON_BOOT, &[]);
-        }
-
-        if self.states[&receiving].crash_budget > 0 {
-            let node = self.states[&receiving].node;
-            let (pbase, psize) = (
-                self.scenario.faults.persist_base(),
-                self.scenario.faults.persist_size(),
-            );
-            let occurrence = {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.crash_budget -= 1;
-                s.vm.next_input_occurrence("crash")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("crash", Width::BOOL, node.0, occurrence);
-            let crash_id = self.fork_local(receiving, &Expr::sym(var.clone()), 6, occurrence);
-            {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-            }
-            {
-                let d = self.states.get_mut(&crash_id).expect("resident");
-                d.vm = d.vm.crash_rebooted(pbase, psize);
-            }
-            self.queue.retain(|(sid, _)| *sid != crash_id);
-            self.run_handler(crash_id, handlers::ON_BOOT, &[]);
-        }
-
-        if self.states[&receiving].cor_budget > 0
-            && !packet.payload.is_empty()
-            && packet.payload[0].width().bits() >= 8
-        {
-            let node = self.states[&receiving].node;
-            let occurrence = {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.cor_budget -= 1;
-                s.vm.next_input_occurrence("cor")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("cor", Width::BOOL, node.0, occurrence);
-            let cor_id = self.fork_local(receiving, &Expr::sym(var.clone()), 5, occurrence);
-            {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-            }
-            let cocc = {
-                let c = self.states.get_mut(&cor_id).expect("resident");
-                c.vm.next_input_occurrence("corb")
-            };
-            let cvar = self.symbols.fresh_keyed("corb", Width::W8, node.0, cocc);
-            let mut corrupted = packet.clone();
-            corrupted.payload[0] = flip_byte(&packet.payload[0], Expr::sym(cvar).into());
-            self.run_recv(cor_id, &corrupted, deliveries);
-        }
-
-        self.run_recv(receiving, &packet, deliveries);
-    }
-
-    /// Mirrors [`Engine::run_recv`].
-    fn run_recv(&mut self, state: StateId, packet: &Packet, times: u32) {
         let mut args = std::mem::take(&mut self.recv_args);
         args.push(Value::const_(u64::from(packet.src.0), Width::W16));
         args.extend(packet.payload.iter().cloned());
-        for _ in 0..times {
-            if let Some(rec) = self.rec.as_mut() {
-                rec.note_packet_delivered(state, times > 1);
-            }
-            self.run_handler(state, handlers::ON_RECV, &args);
-        }
+        rec.note_packet_delivered(state_id, false);
+        self.run_handler(rec, state_id, handlers::ON_RECV, &args);
         args.clear();
         self.recv_args = args;
-    }
-
-    /// Mirrors [`Engine::fork_local`] minus the mapper registration (the
-    /// mapper belongs to the authoritative pass) — including the
-    /// duplication of the parent's pending same-time events.
-    fn fork_local(
-        &mut self,
-        parent: StateId,
-        cond: &ExprRef,
-        kind: u32,
-        occurrence: u32,
-    ) -> StateId {
-        let id = self.allocate_id();
-        let mut child = self.states[&parent].fork_as(id);
-        if let Some(rec) = self.rec.as_mut() {
-            rec.note_failure_fork(parent, id, kind);
-        }
-        child.vm.constrain(cond.clone());
-        child.vm.record_external_branch(kind, occurrence, true);
-        self.duplicate_queued(parent, id);
-        self.states.insert(id, child);
-        let p = self.states.get_mut(&parent).expect("resident");
-        p.vm.record_external_branch(kind, occurrence, false);
-        id
     }
 
     /// Mirrors [`IndexedQueue::duplicate`] for the local same-time queue.
@@ -3114,10 +2615,15 @@ impl<'a> Speculator<'a> {
     }
 
     /// Mirrors [`Engine::run_handler`]: same LIFO sibling traversal, same
-    /// stepping context. Speculative mode discards sends and timers
-    /// (they mint no symbols and issue no queries) and merely parks
-    /// bugs; sharded mode records all three into the active entry.
-    fn run_handler(&mut self, state_id: StateId, handler: &str, args: &[Value]) {
+    /// stepping context, with forks, sends, timers and bugs recorded into
+    /// `rec`.
+    fn run_handler(
+        &mut self,
+        rec: &mut DispatchRecorder,
+        state_id: StateId,
+        handler: &str,
+        args: &[Value],
+    ) {
         let Some(mut first) = self.states.remove(&state_id) else {
             return;
         };
@@ -3126,9 +2632,8 @@ impl<'a> Speculator<'a> {
             return;
         }
         if !first.vm.prepare(self.program, handler, args) {
-            // The authoritative pass panics on a missing handler; poison
-            // any recording so the merge thread reaches that panic
-            // itself. (Speculative mode: nothing to warm.)
+            // The merge thread panics on a missing handler; leave the
+            // dispatch to it so that it reaches the panic itself.
             self.poisoned = true;
             return;
         }
@@ -3136,13 +2641,10 @@ impl<'a> Speculator<'a> {
         let mut running = std::mem::take(&mut self.running);
         running.push(first);
         while let Some(mut st) = running.pop() {
-            if let Some(rec) = self.rec.as_ref() {
-                let v = rec.variant(st.id) as u32;
-                self.rec_executed.push(v);
-            }
+            self.rec_executed.push(rec.variant(st.id) as u32);
             loop {
                 self.instructions += 1;
-                if self.instructions > SPEC_INSTRUCTION_CAP {
+                if self.instructions > WORKER_INSTRUCTION_CAP {
                     // The chain ends here; the stack goes with it.
                     self.capped = true;
                     return;
@@ -3157,48 +2659,33 @@ impl<'a> Speculator<'a> {
                     StepResult::Continue => {}
                     StepResult::Forked(sibling_vm) => {
                         let sib_id = self.allocate_id();
-                        let mut sibling = st.fork_as(sib_id);
-                        sibling.vm = sibling_vm;
+                        let sibling = st.fork_with_vm(sib_id, sibling_vm);
                         self.duplicate_queued(st.id, sib_id);
-                        if let Some(rec) = self.rec.as_mut() {
-                            rec.note_branch_fork(st.id, sib_id);
-                        }
-                        if matches!(sibling.vm.status(), Status::Bugged(_)) {
-                            if let Some(rec) = self.rec.as_ref() {
-                                if let Status::Bugged(report) = sibling.vm.status().clone() {
-                                    let v = rec.variant(sib_id);
-                                    self.rec_bugs.push((v, report));
-                                }
-                            }
+                        rec.note_branch_fork(st.id, sib_id);
+                        if let Status::Bugged(report) = sibling.vm.status() {
+                            self.rec_bugs.push((rec.variant(sib_id), report.clone()));
                             self.states.insert(sib_id, sibling);
                         } else {
                             running.push(sibling);
                         }
                     }
                     StepResult::Syscall(Syscall::Send { dest, payload }) => {
-                        // Speculative mode: sends map states and schedule
-                        // future deliveries; neither affects this
-                        // handler's remaining solver queries — discard.
-                        if let Some(rec) = self.rec.as_mut() {
-                            let dest = NodeId(dest);
-                            assert!(
-                                self.scenario.topology.are_neighbors(st.node, dest),
-                                "{} sent to non-neighbor {dest}",
-                                st.node
-                            );
-                            rec.note_send(st.id, dest, &payload);
-                            self.sent = true;
-                        }
+                        let dest = NodeId(dest);
+                        assert!(
+                            self.scenario.topology.are_neighbors(st.node, dest),
+                            "{} sent to non-neighbor {dest}",
+                            st.node
+                        );
+                        rec.note_send(st.id, dest, &payload);
+                        self.sent = true;
                     }
                     StepResult::Syscall(Syscall::SetTimer { delay, timer }) => {
-                        if let Some(rec) = self.rec.as_mut() {
-                            rec.note_timer(st.id, delay, timer);
-                            if delay == 0 {
-                                // A zero-delay timer lands in this very
-                                // batch: keep the chain alive locally,
-                                // mirroring the real queue push.
-                                self.queue.push_back((st.id, NodeEvent::Timer(timer)));
-                            }
+                        rec.note_timer(st.id, delay, timer);
+                        if delay == 0 {
+                            // A zero-delay timer lands in this very batch:
+                            // keep the chain alive locally, mirroring the
+                            // real queue push.
+                            self.queue.push_back((st.id, NodeEvent::Timer(timer)));
                         }
                     }
                     StepResult::HandlerDone(_) | StepResult::Halted | StepResult::Infeasible => {
@@ -3206,10 +2693,7 @@ impl<'a> Speculator<'a> {
                         break;
                     }
                     StepResult::Bug(report) => {
-                        if let Some(rec) = self.rec.as_ref() {
-                            let v = rec.variant(st.id);
-                            self.rec_bugs.push((v, report));
-                        }
+                        self.rec_bugs.push((rec.variant(st.id), report));
                         self.states.insert(st.id, st);
                         break;
                     }

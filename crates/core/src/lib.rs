@@ -67,7 +67,6 @@ pub use engine::{run, Engine, NodeEvent};
 pub use history::{CommHistory, HistoryEvent};
 pub use mapping::{Algorithm, Delivery, MapperSnapshot, MapperStats, StateMapper, StateStore};
 pub use minimize::{MinimizeReport, Minimizer};
-pub use parallel::run_parallel;
 pub use scenario::Scenario;
 pub use state::{SdeState, StateId};
 pub use stats::{human_bytes, BugFound, DedupStats, ParallelStats, RunReport, Sample, TimeSeries};

@@ -4,12 +4,12 @@
 //! KleeNet... we have to identify the sets of states which can be safely
 //! offloaded on other cores." Three units are parallelized today:
 //!
-//! * **a single run** — [`Engine::run_parallel`] steps the event queue
-//!   batch-by-batch, fanning same-virtual-time event groups out to
-//!   speculative workers that warm the shared solver's query cache
-//!   ([`Solver`] is `Sync`) while the authoritative serial pass keeps the
-//!   exploration bit-identical to [`Engine::run`]; [`run_parallel`] is
-//!   the function-style shorthand mirroring [`run`](crate::run);
+//! * **a single run** — [`Engine::run_sharded`] partitions each
+//!   same-virtual-time batch into disjoint subtrees that workers execute
+//!   authoritatively, and a deterministic merge applies their recordings
+//!   so the report stays bit-identical to [`Engine::run`] (DESIGN.md §13);
+//!   [`run_sharded`] is the function-style shorthand mirroring
+//!   [`run`](crate::run);
 //! * **whole runs** — the Table I / Figure 10 harness executes the same
 //!   scenario under all three algorithms; [`run_all`] runs them on
 //!   separate cores;
@@ -28,41 +28,13 @@ use sde_symbolic::{ExprRef, Solver, SolverResult, SymId};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Mutex;
 
-/// Runs one scenario through the parallel engine with `workers`
-/// speculative workers — the function-style shorthand for
-/// [`Engine::run_parallel`], mirroring [`run`](crate::run).
-///
-/// The report is bit-identical to the sequential one (see
-/// [`RunReport::equivalence_key`]); [`RunReport::parallel`] carries the
-/// worker-utilization and phase-timing counters.
-///
-/// # Examples
-///
-/// ```
-/// use sde_core::{parallel, run, Algorithm, Scenario};
-/// use sde_net::Topology;
-/// use sde_os::apps::hello::{self, HelloConfig};
-///
-/// let topology = Topology::line(3);
-/// let programs = hello::programs(&topology, &HelloConfig::default());
-/// let scenario = Scenario::new(topology, programs);
-/// let par = parallel::run_parallel(&scenario, Algorithm::Sds, 2);
-/// let seq = run(&scenario, Algorithm::Sds);
-/// assert_eq!(par.equivalence_key(), seq.equivalence_key());
-/// assert_eq!(par.parallel.unwrap().workers, 2);
-/// ```
-pub fn run_parallel(scenario: &Scenario, algorithm: Algorithm, workers: usize) -> RunReport {
-    Engine::new(scenario.clone(), algorithm).run_parallel(workers)
-}
-
 /// Runs one scenario through the *sharded* parallel engine with
 /// `workers` authoritative workers — the function-style shorthand for
-/// [`Engine::run_sharded`] (DESIGN.md §13). Unlike the speculative mode,
-/// shard workers really execute their subtrees (worker-local solver
-/// caches, recorded dispatch effects) and the merge thread replays the
-/// recordings in serial order, so the report stays bit-identical to the
-/// sequential one at every worker count while the execution itself
-/// scales with cores.
+/// [`Engine::run_sharded`] (DESIGN.md §13). Shard workers execute their
+/// subtrees (worker-local solver caches, recorded dispatch effects) and
+/// the merge thread applies the recordings in serial order, so the report
+/// stays bit-identical to the sequential one at every worker count while
+/// the execution itself spreads over cores.
 ///
 /// # Examples
 ///

@@ -70,65 +70,63 @@ impl TimeSeries {
     }
 }
 
-/// Counters describing one [`Engine::run_parallel`](crate::Engine::run_parallel)
-/// execution: how much work the speculative workers did and where the
-/// main thread spent its time, phase by phase.
+/// Counters describing one [`Engine::run_sharded`](crate::Engine::run_sharded)
+/// execution (DESIGN.md §13): how much work the shard workers did, what
+/// the merge thread applied, and where the merge thread spent its time,
+/// phase by phase.
 ///
-/// Speculation is advisory — it only warms the shared solver cache — so
-/// none of these counters feed the equivalence-relevant parts of
-/// [`RunReport`]; they exist to measure the tentpole's payoff.
+/// The merge keeps the report bit-identical to the serial run's, so none
+/// of these counters feed the equivalence-relevant parts of
+/// [`RunReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// Worker threads requested (the pool size, excluding the main
-    /// thread running the authoritative pass).
+    /// Worker threads requested (the pool size, excluding the merge
+    /// thread).
     pub workers: usize,
     /// Virtual-time batches processed (distinct timestamps popped).
     pub batches: u64,
     /// Batches that were fanned out to workers (≥ 2 same-time state
-    /// groups and no replay preset).
-    pub speculated_batches: u64,
-    /// Jobs handed to workers: one per state with events in the batch
-    /// (speculative mode), one per *distinct first dispatch* among them
-    /// (sharded mode — groups congruent to an earlier one are served by
-    /// its recording and never sent).
-    pub spec_groups: u64,
-    /// Events executed speculatively (some may duplicate authoritative
-    /// work — that is the design, the cache dedups the solving).
-    pub spec_events: u64,
-    /// VM instructions executed speculatively.
-    pub spec_instructions: u64,
-    /// Worker groups that self-aborted past the speculative instruction
-    /// cap. In speculative mode the group's cache warming is simply lost;
-    /// in sharded mode the group falls back to serial execution. Either
-    /// way the abort is counted, never silent.
-    pub spec_aborts: u64,
+    /// groups, no replay preset, no trace sink).
+    pub offloaded_batches: u64,
+    /// Jobs handed to workers: one per *distinct first dispatch* among a
+    /// batch's state groups (groups congruent to an earlier one are
+    /// served by its recording and never sent).
+    pub jobs: u64,
+    /// Events the workers executed.
+    pub worker_events: u64,
+    /// VM instructions the workers executed.
+    pub worker_instructions: u64,
+    /// Worker chains abandoned past the worker instruction cap; the merge
+    /// thread executes the rest serially. Counted, never silent.
+    pub worker_aborts: u64,
     /// Summed busy time across all workers.
-    pub spec_busy: Duration,
-    /// Sharded mode: dispatch recordings workers produced and handed to
-    /// the merge thread.
+    pub worker_busy: Duration,
+    /// Dispatch recordings workers produced and handed to the merge
+    /// thread.
     pub shard_recorded: u64,
-    /// Sharded mode: dispatches the merge thread satisfied by applying a
-    /// worker recording instead of executing.
+    /// Dispatches the merge thread satisfied by applying a worker
+    /// recording instead of executing.
     pub shard_applied: u64,
-    /// Sharded mode: dispatches in offloaded batches the merge thread had
-    /// to execute serially (no congruent recording — minted symbols,
+    /// Dispatches in offloaded batches the merge thread had to execute
+    /// serially (no congruent recording — minted symbols,
     /// cross-group traffic, or an aborted worker chain).
     pub shard_fallback: u64,
-    /// Sharded mode: worker chains cut at a dispatch whose memo key
+    /// Worker chains cut at a dispatch whose memo key
     /// somebody else had already claimed in the batch — another job's
     /// first dispatch, or a later one some worker reached first
     /// (hash-level advisory; the merge thread still confirms congruence
     /// before applying anything).
     pub shard_skips: u64,
-    /// Sharded mode: worker dispatch chains cut short because a dispatch
-    /// minted fresh symbolic variables (its ids would not match the
-    /// serial mint order) or overran the instruction cap.
+    /// Worker dispatch chains cut short because a dispatch minted (or
+    /// would mint) fresh symbolic variables — their ids would not match
+    /// the serial mint order — or overran the instruction cap.
     pub shard_tainted: u64,
-    /// Main-thread time in the authoritative serial pass.
+    /// Merge-thread time in the serial commit (applying recordings and
+    /// executing fallbacks).
     pub serial_wall: Duration,
-    /// Main-thread time snapshotting batches and enqueueing jobs.
+    /// Merge-thread time snapshotting batches and enqueueing jobs.
     pub dispatch_wall: Duration,
-    /// Main-thread time blocked on the end-of-batch barrier.
+    /// Merge-thread time blocked on the end-of-batch barrier.
     pub barrier_wall: Duration,
     /// Total wall time of the parallel run (denominator for
     /// [`ParallelStats::utilization`]).
@@ -137,42 +135,37 @@ pub struct ParallelStats {
 
 impl ParallelStats {
     /// Fraction of the worker pool's capacity that was busy, in `0.0..=1.0`:
-    /// `spec_busy / (workers × run_wall)`.
+    /// `worker_busy / (workers × run_wall)`.
     pub fn utilization(&self) -> f64 {
         let capacity = self.run_wall.as_secs_f64() * self.workers as f64;
         if capacity <= 0.0 {
             return 0.0;
         }
-        (self.spec_busy.as_secs_f64() / capacity).min(1.0)
+        (self.worker_busy.as_secs_f64() / capacity).min(1.0)
     }
 
     /// One-line human summary for bench output.
     pub fn summary(&self) -> String {
-        let mut line = format!(
-            "workers={} batches={} speculated={} groups={} spec_events={} \
-             aborts={} util={:.0}% serial={:.1?} dispatch={:.1?} barrier={:.1?}",
+        format!(
+            "workers={} batches={} offloaded={} jobs={} worker_events={} aborts={} \
+             recorded={} applied={} fallback={} skips={} tainted={} \
+             util={:.0}% serial={:.1?} dispatch={:.1?} barrier={:.1?}",
             self.workers,
             self.batches,
-            self.speculated_batches,
-            self.spec_groups,
-            self.spec_events,
-            self.spec_aborts,
+            self.offloaded_batches,
+            self.jobs,
+            self.worker_events,
+            self.worker_aborts,
+            self.shard_recorded,
+            self.shard_applied,
+            self.shard_fallback,
+            self.shard_skips,
+            self.shard_tainted,
             self.utilization() * 100.0,
             self.serial_wall,
             self.dispatch_wall,
             self.barrier_wall,
-        );
-        if self.shard_recorded + self.shard_applied + self.shard_fallback + self.shard_skips > 0 {
-            line.push_str(&format!(
-                " shard: recorded={} applied={} fallback={} skips={} tainted={}",
-                self.shard_recorded,
-                self.shard_applied,
-                self.shard_fallback,
-                self.shard_skips,
-                self.shard_tainted,
-            ));
-        }
-        line
+        )
     }
 }
 
@@ -299,8 +292,8 @@ pub struct RunReport {
     pub history_digest: u64,
     /// The Fig. 10 curves.
     pub series: TimeSeries,
-    /// Present when the run used [`Engine::run_parallel`]
-    /// (crate::Engine::run_parallel); `None` for sequential runs.
+    /// Present when the run used [`Engine::run_sharded`]
+    /// (crate::Engine::run_sharded); `None` for sequential runs.
     pub parallel: Option<ParallelStats>,
     /// Always-on trace counters: forks by reason, dispatches by kind,
     /// packet fates and a snapshot of the solver layer hits. Collected
@@ -327,8 +320,8 @@ impl RunReport {
     /// reproduce exactly, serialized to one comparable string.
     ///
     /// Excluded on purpose: wall-clock times (machine-dependent), solver
-    /// counters (a parallel run's speculative queries are merged into the
-    /// shared solver's totals), [`RunReport::parallel`] (absent from
+    /// counters (a sharded run's workers answer part of the queries on
+    /// solvers of their own), [`RunReport::parallel`] (absent from
     /// sequential runs), [`RunReport::mapper_bytes`] (an estimate of the
     /// mapper's representation, not of what it represents — covered by the
     /// group and counter fields), and [`RunReport::states_executed`] /
@@ -338,8 +331,8 @@ impl RunReport {
     /// Everything else — state counts, events, packets, instruction
     /// counts, per-sample series rows, bug provenance, the final-state
     /// digest — must be bit-identical between [`run`]
-    /// (crate::run) and [`Engine::run_parallel`]
-    /// (crate::Engine::run_parallel) at any worker count.
+    /// (crate::run) and [`Engine::run_sharded`]
+    /// (crate::Engine::run_sharded) at any worker count.
     pub fn equivalence_key(&self) -> String {
         use std::fmt::Write as _;
         let mut key = String::new();

@@ -27,9 +27,9 @@
 //!
 //! The result is a workload whose wall-clock is dominated by solver
 //! queries with *cross-batch* variable references (readings are minted at
-//! send time, branched on at delivery time), which is exactly what the
-//! parallel engine's speculative cache-warming accelerates — and what the
-//! `workers` axis of the benches measures.
+//! send time, branched on at delivery time): receive-side dispatches mint
+//! nothing, so the sharded engine's workers can execute them for the
+//! merge thread — and the `workers` axis of the benches measures that.
 //!
 //! Payload layout: `[seq: i16, reading: i16]`; `on_recv` arity is 3.
 

@@ -163,8 +163,8 @@ type ExportedEntry = (Vec<u64>, Option<Model>);
 type ExportedShard = Vec<(u64, Vec<ExportedEntry>)>;
 
 /// Number of independently-locked cache shards. Sharding keeps lock
-/// contention negligible when speculative workers and the authoritative
-/// pass query concurrently ([`Solver`] is `Sync`).
+/// contention negligible when several threads query one solver
+/// concurrently ([`Solver`] is `Sync`).
 const CACHE_SHARDS: usize = 16;
 
 /// The exact-cache shard a key lives in.
@@ -298,6 +298,20 @@ impl Solver {
     pub fn with_budget(budget: SolverBudget) -> Self {
         Solver {
             budget,
+            ..Self::default()
+        }
+    }
+
+    /// A solver configured like this one — same budget, same three
+    /// ablation toggles — with empty caches and zeroed counters. A sharded
+    /// run gives one to each worker, so an ablation set on the engine's
+    /// solver holds on every thread.
+    pub fn fresh_like(&self) -> Self {
+        Solver {
+            budget: self.budget,
+            caching: AtomicBool::new(self.caching.load(Relaxed)),
+            group_caching: AtomicBool::new(self.group_caching.load(Relaxed)),
+            cex_caching: AtomicBool::new(self.cex_caching.load(Relaxed)),
             ..Self::default()
         }
     }
@@ -1785,6 +1799,41 @@ mod tests {
         assert_eq!(stats.ucore_hits, 0);
         assert_eq!(stats.queries, 3);
         assert_eq!(stats.sat, 3);
+    }
+
+    #[test]
+    fn fresh_like_copies_configuration_but_no_cache_entry() {
+        let mut t = SymbolTable::new();
+        let x = Expr::sym(t.fresh("x", Width::W8));
+        let pc = PathCondition::new()
+            .with(Expr::ugt(x.clone(), c8(3)))
+            .with(Expr::ult(x, c8(10)));
+        let budget = SolverBudget { max_nodes: 77_777 };
+        // The three ablation settings the bench bins' `--layers` applies:
+        // full, exact-only and off.
+        for toggles in [
+            (true, true, true),
+            (true, false, false),
+            (false, true, false),
+        ] {
+            let (caching, group_caching, cex_caching) = toggles;
+            let s = Solver::with_budget(budget);
+            s.set_caching(caching);
+            s.set_group_caching(group_caching);
+            s.set_cex_caching(cex_caching);
+            assert!(s.is_sat(&pc));
+            let warmed = s.export_state();
+            assert_eq!(warmed.exact_entries() > 0, caching, "{toggles:?}");
+            assert_eq!(warmed.cex_entries().0 > 0, cex_caching, "{toggles:?}");
+
+            let copy = s.fresh_like();
+            assert_eq!(copy.budget, budget);
+            let snap = copy.export_state();
+            assert_eq!(snap.toggles(), toggles);
+            assert_eq!(snap.exact_entries(), 0, "{toggles:?}");
+            assert_eq!(snap.cex_entries(), (0, 0), "{toggles:?}");
+            assert_eq!(copy.stats(), SolverStats::default());
+        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl fmt::Display for SymVar {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
-    /// First id this table allocates; non-zero only for speculative
+    /// First id this table allocates; non-zero only for
     /// [`SymbolTable::forked`] windows.
     base: u32,
     vars: Vec<SymVar>,
@@ -185,10 +185,11 @@ impl SymbolTable {
     /// An empty *allocator window* that continues this table's id
     /// sequence: its first `fresh` mints exactly [`SymbolTable::next_id`].
     ///
-    /// This is O(1) — no variables are copied — and is what speculative
-    /// executors use to mint the same [`SymId`]s the authoritative
-    /// sequential pass will mint, so their solver queries land in the
-    /// shared cache. A window can only resolve ids it minted itself.
+    /// This is O(1) — no variables are copied. A shard worker executes
+    /// against a window, so an input its handler mints gets the [`SymId`]
+    /// the serial merge will mint, never one that collides with an id its
+    /// state already holds. A window can only resolve ids it minted
+    /// itself.
     pub fn forked(&self) -> SymbolTable {
         SymbolTable {
             base: self.next_id().0,

@@ -356,21 +356,6 @@ pub enum TraceEvent {
         /// Which layer answered the group.
         layer: GroupLayer,
     },
-    /// The parallel engine submitted a speculation batch to the worker
-    /// pool (authoritative pass events follow after the merge barrier).
-    Speculate {
-        /// Virtual time of the speculated batch (ms).
-        time: u64,
-        /// Number of per-state jobs submitted.
-        jobs: u64,
-    },
-    /// A speculative worker issued a solver query (layer/verdict erased:
-    /// they race between workers; the group count is a pure function of
-    /// the constraints and stays deterministic).
-    SpecQuery {
-        /// Number of independence groups the query split into.
-        groups: u64,
-    },
     /// Duplicate-state detection pruned a redundant execution: `state`'s
     /// configuration (and incoming event) structurally duplicated a
     /// dispatch already executed on `survivor`, so the engine replayed
@@ -433,8 +418,6 @@ impl TraceEvent {
             TraceEvent::PartitionDrop { .. } => "PartitionDrop",
             TraceEvent::Query { .. } => "Query",
             TraceEvent::QueryGroup { .. } => "QueryGroup",
-            TraceEvent::Speculate { .. } => "Speculate",
-            TraceEvent::SpecQuery { .. } => "SpecQuery",
             TraceEvent::StatePruned { .. } => "StatePruned",
             TraceEvent::BugFound { .. } => "BugFound",
             TraceEvent::ShrinkStep { .. } => "ShrinkStep",
@@ -443,7 +426,7 @@ impl TraceEvent {
 
     /// Every variant name, in declaration order (used by the DESIGN.md
     /// sync lint and the schema validator).
-    pub const VARIANTS: [&'static str; 17] = [
+    pub const VARIANTS: [&'static str; 15] = [
         "Boot",
         "QueuePush",
         "Dispatch",
@@ -456,8 +439,6 @@ impl TraceEvent {
         "PartitionDrop",
         "Query",
         "QueryGroup",
-        "Speculate",
-        "SpecQuery",
         "StatePruned",
         "BugFound",
         "ShrinkStep",

@@ -140,12 +140,6 @@ pub fn event_to_json(ev: &TraceEvent, ts_us: Option<u64>, deterministic: bool) -
         TraceEvent::QueryGroup { layer } => {
             o.str("layer", layer.as_str());
         }
-        TraceEvent::Speculate { time, jobs } => {
-            o.int("time", *time).int("jobs", *jobs);
-        }
-        TraceEvent::SpecQuery { groups } => {
-            o.int("groups", *groups);
-        }
         TraceEvent::StatePruned {
             state,
             node,
@@ -314,13 +308,6 @@ pub fn event_from_json(line: &str) -> Result<TimedEvent, String> {
         "QueryGroup" => TraceEvent::QueryGroup {
             layer: GroupLayer::parse(get_str(&map, "layer")?)
                 .ok_or_else(|| format!("bad group layer in {line:?}"))?,
-        },
-        "Speculate" => TraceEvent::Speculate {
-            time: get_int(&map, "time")?,
-            jobs: get_int(&map, "jobs")?,
-        },
-        "SpecQuery" => TraceEvent::SpecQuery {
-            groups: get_int(&map, "groups")?,
         },
         "StatePruned" => TraceEvent::StatePruned {
             state: get_int(&map, "state")?,

@@ -11,11 +11,10 @@
 //!   untraced run pays one branch per instrumentation site (<2% on the
 //!   tiny bench preset).
 //! * **Deterministic traces.** Engine events are emitted only by the
-//!   authoritative (serial-commit) thread; speculative worker events are
-//!   buffered per job and merged at the barrier in submission order with
-//!   racy detail erased. The deterministic JSONL export omits wall-clock
-//!   fields, so the same scenario produces byte-identical traces at any
-//!   worker count.
+//!   serial (merge) thread — a traced sharded run offloads nothing to its
+//!   workers. The deterministic JSONL export omits wall-clock fields, so
+//!   the same scenario produces byte-identical traces at any worker
+//!   count.
 //! * **Thread-local sink.** The solver and the event queue sit below the
 //!   engine in the crate graph and take no sink parameter; they reach the
 //!   active sink through [`thread_sink`]/[`record`], installed per thread
@@ -180,8 +179,6 @@ mod tests {
             TraceEvent::QueryGroup {
                 layer: GroupLayer::Exact,
             },
-            TraceEvent::Speculate { time: 5, jobs: 2 },
-            TraceEvent::SpecQuery { groups: 1 },
             TraceEvent::BugFound {
                 state: 4,
                 node: 1,
@@ -318,13 +315,13 @@ mod tests {
         {
             let _guard = install(ring.clone());
             assert!(thread_sink_enabled());
-            record(|| TraceEvent::SpecQuery { groups: 7 });
+            record(|| TraceEvent::QueuePush { time: 7, seq: 7 });
         }
         assert!(!thread_sink_enabled());
         record(|| unreachable!("no sink installed"));
         let events = ring.events();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].ev, TraceEvent::SpecQuery { groups: 7 });
+        assert_eq!(events[0].ev, TraceEvent::QueuePush { time: 7, seq: 7 });
     }
 
     #[test]

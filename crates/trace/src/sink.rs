@@ -4,8 +4,9 @@
 //! layer talk to. The default [`NoopSink`] reports itself disabled so every
 //! instrumentation site reduces to one predictable branch (<2% overhead on
 //! the tiny bench preset). [`RingSink`] is the bounded in-memory recorder
-//! behind `--trace`; [`BufferSink`] collects a speculative worker's events
-//! for deterministic merging at the parallel engine's barrier.
+//! behind `--trace`; [`BufferSink`] keeps every event of one run, unbounded,
+//! for callers that read the whole stream back (repro artifacts, lineage
+//! checks).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -112,9 +113,8 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Unbounded event buffer used by speculative workers: each job records
-/// into a private buffer that the main thread drains and merges in job
-/// submission order, keeping parallel traces deterministic.
+/// Unbounded event buffer without timestamps: records everything, drops
+/// nothing, and hands the stream back with [`BufferSink::drain`].
 #[derive(Debug, Default)]
 pub struct BufferSink {
     inner: Mutex<Vec<TraceEvent>>,

@@ -45,8 +45,8 @@ pub struct TraceSummary {
     pub packets_delivered: u64,
     /// Packet drops observed (failure-model drop branches).
     pub packets_dropped: u64,
-    /// Solver queries issued (speculative warming included in parallel
-    /// runs).
+    /// Solver queries issued by the engine's own solver (a sharded run's
+    /// worker-local solvers are not counted).
     pub solver_queries: u64,
     /// Whole queries answered by the exact cache.
     pub solver_exact_hits: u64,
@@ -85,8 +85,8 @@ impl TraceSummary {
 
     /// The deterministic slice of the summary, for equivalence keys:
     /// fork counts by reason plus packet counters. Wall-clock and solver
-    /// layer hits are excluded (they differ between serial and
-    /// speculative-parallel runs).
+    /// layer hits are excluded (they differ between serial and sharded
+    /// runs, whose workers answer part of the queries).
     pub fn deterministic_key(&self) -> String {
         format!(
             "forks branch={} mapping={} drop={} duplicate={} reboot={} \

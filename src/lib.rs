@@ -58,9 +58,9 @@ pub use sde_vm as vm;
 /// The names almost every user needs.
 pub mod prelude {
     pub use sde_core::{
-        run, run_parallel, Algorithm, Budget, Checker, Engine, EngineSnapshot, MinimizeReport,
-        Minimizer, NodeView, ParallelStats, RunOutcome, RunReport, Scenario, SdeState,
-        SnapshotError, StateId, TimeSeries, Violation,
+        run, Algorithm, Budget, Checker, Engine, EngineSnapshot, MinimizeReport, Minimizer,
+        NodeView, ParallelStats, RunOutcome, RunReport, Scenario, SdeState, SnapshotError, StateId,
+        TimeSeries, Violation,
     };
     pub use sde_net::{FailureConfig, FaultPlan, NodeId, Topology};
     pub use sde_os::apps::collect::CollectConfig;

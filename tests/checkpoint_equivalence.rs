@@ -6,7 +6,7 @@
 //! deterministic trace JSONL is byte-identical, for every algorithm,
 //! worker count, and pause cadence.
 //!
-//! The parallel engine only pauses at the serial-commit barrier between
+//! The sharded engine only pauses at the serial-merge barrier between
 //! virtual-timestamp batches, so `K = 1` there means "pause after every
 //! batch", not after every event.
 
@@ -61,7 +61,7 @@ fn run_interrupted(
     loop {
         let outcome = match workers {
             None => engine.run_until(Budget::events(every)),
-            Some(w) => engine.run_until_parallel(w, Budget::events(every)),
+            Some(w) => engine.run_until_sharded(w, Budget::events(every)),
         };
         if outcome == RunOutcome::Complete {
             return (pauses, engine);
@@ -105,9 +105,9 @@ fn interrupted_parallel_matrix_matches_straight_runs() {
     for (name, scenario) in topologies() {
         for algorithm in Algorithm::ALL {
             // The sequential, uninterrupted run is the baseline for the
-            // whole worker matrix: parallel equivalence is already pinned
-            // by `parallel_equivalence.rs`, so comparing against the
-            // serial key makes this a strictly stronger statement.
+            // whole worker matrix: sharded equivalence is already pinned
+            // by `shard_equivalence.rs`, so comparing against the serial
+            // key makes this a strictly stronger statement.
             let straight = Engine::new(scenario.clone(), algorithm).run();
             for workers in [1usize, 2, 4] {
                 for every in CADENCES {
@@ -130,18 +130,14 @@ fn interrupted_parallel_matrix_matches_straight_runs() {
     }
 }
 
-/// Straight-run trace baseline, no interruption. Serial and parallel
-/// baselines differ (the parallel engine additionally emits `Speculate`
-/// events), so each path is compared against its own kind; worker count
-/// does not matter (pinned by `trace_determinism.rs`).
-fn straight_jsonl(scenario: &Scenario, algorithm: Algorithm, workers: Option<usize>) -> String {
+/// Straight serial-run trace baseline, no interruption. A traced sharded
+/// run is the serial run, so it is the baseline at every worker count too
+/// (pinned by `trace_determinism.rs`).
+fn straight_jsonl(scenario: &Scenario, algorithm: Algorithm) -> String {
     let sink = Arc::new(RingSink::default());
-    let engine = Engine::new(scenario.clone(), algorithm)
-        .with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
-    match workers {
-        None => engine.run(),
-        Some(w) => engine.run_parallel(w),
-    };
+    Engine::new(scenario.clone(), algorithm)
+        .with_trace_sink(sink.clone() as Arc<dyn TraceSink>)
+        .run();
     assert_eq!(sink.dropped(), 0, "trace ring must not evict in tests");
     to_jsonl(&sink.take(), true)
 }
@@ -150,7 +146,7 @@ fn straight_jsonl(scenario: &Scenario, algorithm: Algorithm, workers: Option<usi
 fn interrupted_traces_are_byte_identical_to_straight_traces() {
     for (name, scenario) in topologies() {
         for algorithm in Algorithm::ALL {
-            let baseline = straight_jsonl(&scenario, algorithm, None);
+            let baseline = straight_jsonl(&scenario, algorithm);
             assert!(
                 !baseline.is_empty(),
                 "[{name}] {algorithm} produced an empty trace"
@@ -171,15 +167,14 @@ fn interrupted_traces_are_byte_identical_to_straight_traces() {
                 );
             }
 
-            // Parallel at every worker count, paused at batch barriers.
-            let parallel_baseline = straight_jsonl(&scenario, algorithm, Some(1));
+            // Sharded at every worker count, paused at batch barriers.
             for workers in [1usize, 2, 4] {
                 let sink = Arc::new(RingSink::default());
                 run_interrupted(&scenario, algorithm, Some(workers), 7, Some(&sink));
                 assert_eq!(sink.dropped(), 0, "trace ring must not evict in tests");
                 assert_eq!(
                     to_jsonl(&sink.take(), true),
-                    parallel_baseline,
+                    baseline,
                     "[{name}] {algorithm} w={workers} trace diverged across interruption"
                 );
             }

@@ -326,12 +326,9 @@ fn preset_replay_keeps_dedup_inert() {
 
 #[test]
 fn parallel_dedup_matches_serial_dedup() {
-    // The speculative engine only consults the memo index on the
-    // authoritative serial-commit path, so a parallel dedup run is the
-    // same sequence of executes-and-replays as the serial dedup run.
     // The sharded engine adopts worker recordings *into* the memo index
     // under the merge-computed key, so its commit-path dedup stats (and
-    // executed-state marks) must also match the serial run exactly.
+    // executed-state marks) must match the serial run exactly.
     for (label, scenario) in [
         ("line4-drop2", line_collect(4, &[1, 2], 2, false)),
         ("grid3x3", grid_collect(3, 3, 3000, false)),
@@ -339,30 +336,23 @@ fn parallel_dedup_matches_serial_dedup() {
         for alg in Algorithm::ALL {
             let (serial, serial_report) = run_one(&scenario, alg, true);
             for workers in [2usize, 4] {
-                for sharded in [false, true] {
-                    let mode = if sharded { "shard" } else { "spec" };
-                    let mut engine = Engine::new(scenario.clone(), alg).with_dedup(true);
-                    if sharded {
-                        engine.run_until_sharded(workers, Budget::unlimited());
-                    } else {
-                        engine.run_until_parallel(workers, Budget::unlimited());
-                    }
-                    let (parallel, parallel_report) = finish(engine);
-                    assert_eq!(
-                        parallel, serial,
-                        "[{label}] {alg} w={workers}/{mode}: parallel dedup diverged"
-                    );
-                    assert_eq!(
-                        parallel_report.dedup, serial_report.dedup,
-                        "[{label}] {alg} w={workers}/{mode}: commit-path dedup \
-                         stats must match the serial run"
-                    );
-                    assert_eq!(
-                        parallel_report.states_executed, serial_report.states_executed,
-                        "[{label}] {alg} w={workers}/{mode}: authoritative \
-                         execution set must match the serial run"
-                    );
-                }
+                let mut engine = Engine::new(scenario.clone(), alg).with_dedup(true);
+                engine.run_until_sharded(workers, Budget::unlimited());
+                let (sharded, sharded_report) = finish(engine);
+                assert_eq!(
+                    sharded, serial,
+                    "[{label}] {alg} w={workers}: sharded dedup diverged"
+                );
+                assert_eq!(
+                    sharded_report.dedup, serial_report.dedup,
+                    "[{label}] {alg} w={workers}: commit-path dedup stats must \
+                     match the serial run"
+                );
+                assert_eq!(
+                    sharded_report.states_executed, serial_report.states_executed,
+                    "[{label}] {alg} w={workers}: authoritative execution set \
+                     must match the serial run"
+                );
             }
         }
     }

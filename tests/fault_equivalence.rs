@@ -4,7 +4,7 @@
 //!
 //! Three layers of evidence:
 //!
-//! * **Determinism** — for every fault axis, `run_parallel` at any
+//! * **Determinism** — for every fault axis, `run_sharded` at any
 //!   worker count is bit-identical to the sequential run
 //!   ([`RunReport::equivalence_key`]), dedup is canonically invisible,
 //!   and a checkpoint taken *mid-partition* resumes to the same run.
@@ -73,7 +73,7 @@ fn fault_axes_are_bit_identical_across_worker_counts() {
             let seq = Engine::new(scenario.clone(), alg).run();
             let seq_key = seq.equivalence_key();
             for workers in [1usize, 2, 4] {
-                let par = Engine::new(scenario.clone(), alg).run_parallel(workers);
+                let par = Engine::new(scenario.clone(), alg).run_sharded(workers);
                 assert_eq!(
                     par.equivalence_key(),
                     seq_key,
@@ -175,8 +175,7 @@ fn checkpoint_resume_mid_partition_matches_straight_run() {
 }
 
 /// Combined stress: a fault plan *and* dedup *and* checkpoint/resume
-/// *and* a parallel engine — both the speculative and the sharded mode —
-/// all at once. Resumed runs restart with a cold memo index, so the
+/// *and* the sharded engine, all at once. Resumed runs restart with a cold memo index, so the
 /// comparison is canonical (what was explored), mirroring
 /// `dedup_equivalence.rs`.
 #[test]
@@ -186,40 +185,29 @@ fn interrupted_parallel_dedup_fault_runs_match_straight_runs() {
         let scenario = base.clone().with_faults(plan);
         for alg in Algorithm::ALL {
             let (straight, _) = canonical_run(&scenario, alg, true);
-            for sharded in [false, true] {
-                let mode = if sharded { "shard" } else { "spec" };
-                let mut engine = Engine::new(scenario.clone(), alg).with_dedup(true);
-                let mut pauses = 0usize;
-                loop {
-                    let outcome = if sharded {
-                        engine.run_until_sharded(2, Budget::events(7))
-                    } else {
-                        engine.run_until_parallel(2, Budget::events(7))
-                    };
-                    if outcome == RunOutcome::Complete {
-                        break;
-                    }
-                    let snap = if pauses < 2 {
-                        let bytes = engine.snapshot().to_bytes();
-                        EngineSnapshot::from_bytes(&bytes).expect("snapshot bytes must decode")
-                    } else {
-                        engine.snapshot()
-                    };
-                    engine = Engine::resume(scenario.clone(), &snap).expect("snapshot must resume");
-                    assert!(
-                        engine.dedup_enabled(),
-                        "[{axis}] {alg}/{mode}: resume dropped the dedup flag"
-                    );
-                    pauses += 1;
-                }
-                assert!(pauses > 0, "[{axis}] {alg}/{mode}: run too small to pause");
-                let (interrupted, _) = canonical_finish(engine);
-                assert_eq!(
-                    interrupted, straight,
-                    "[{axis}] {alg}/{mode}: interrupted parallel dedup fault \
-                     run diverged after {pauses} pauses"
+            let mut engine = Engine::new(scenario.clone(), alg).with_dedup(true);
+            let mut pauses = 0usize;
+            while engine.run_until_sharded(2, Budget::events(7)) != RunOutcome::Complete {
+                let snap = if pauses < 2 {
+                    let bytes = engine.snapshot().to_bytes();
+                    EngineSnapshot::from_bytes(&bytes).expect("snapshot bytes must decode")
+                } else {
+                    engine.snapshot()
+                };
+                engine = Engine::resume(scenario.clone(), &snap).expect("snapshot must resume");
+                assert!(
+                    engine.dedup_enabled(),
+                    "[{axis}] {alg}: resume dropped the dedup flag"
                 );
+                pauses += 1;
             }
+            assert!(pauses > 0, "[{axis}] {alg}: run too small to pause");
+            let (interrupted, _) = canonical_finish(engine);
+            assert_eq!(
+                interrupted, straight,
+                "[{axis}] {alg}: interrupted sharded dedup fault run diverged \
+                 after {pauses} pauses"
+            );
         }
     }
 }
@@ -478,7 +466,7 @@ fn persistent_window_survives_crash_while_volatile_resets() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random topology × axis: parallel runs stay bit-identical and the
+    /// Random topology × axis: sharded runs stay bit-identical and the
     /// mapper invariants hold with the fault subsystem active.
     #[test]
     fn random_fault_scenarios_stay_deterministic(
@@ -499,7 +487,7 @@ proptest! {
                 "{axis}/{alg}: {:?}", engine.mapper().check_invariants()
             );
             let seq_key = engine.into_report().equivalence_key();
-            let par = Engine::new(scenario.clone(), alg).run_parallel(workers);
+            let par = Engine::new(scenario.clone(), alg).run_sharded(workers);
             prop_assert_eq!(
                 par.equivalence_key(), seq_key,
                 "{}/{} diverged at {} workers", axis, alg, workers

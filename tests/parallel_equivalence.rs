@@ -1,10 +1,16 @@
-//! Differential tests for the parallel engine: `Engine::run_parallel`
-//! must be *bit-identical* to the sequential `Engine::run` — same state
-//! ids, packet ids, instruction counts, series rows, and final-state
-//! digest — at every worker count, for every algorithm, topology, and
-//! symbolic failure model. Speculation may only change wall-clock times
-//! and solver counters (speculative queries are merged into the shared
-//! solver's totals), both of which `RunReport::equivalence_key`
+//! Differential tests for the parallel engine under cut-down solvers:
+//! with the bench bins' `--layers exact` and `--layers off` applied to
+//! the engine's solver, `Engine::run_sharded_in_place` must still be
+//! *bit-identical* to the sequential `Engine::run` with the full solver
+//! stack — same state ids, packet ids, instruction counts, series rows,
+//! and final-state digest — at every worker count, for every algorithm,
+//! topology, and symbolic failure model.
+//!
+//! Each shard worker gets a solver configured like the engine's
+//! (`Solver::fresh_like`), so these runs exercise the uncached solving
+//! paths on every thread. `shard_equivalence` covers the same matrix
+//! with the default solver through `Engine::run_sharded`. Solver layers
+//! may only change solver counters, which `RunReport::equivalence_key`
 //! deliberately excludes.
 
 #[path = "common/faults.rs"]
@@ -14,8 +20,41 @@ use sde::prelude::*;
 use sde_core::Engine;
 use sde_os::apps::collect::{self, CollectConfig};
 use sde_os::apps::sense::{self, SenseConfig};
+use sde_symbolic::{Solver, SolverStats};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// A `--layers` configuration, applied to a solver's ablation toggles.
+type Layers = fn(&Solver);
+
+/// The bench bins' two cut-down `--layers` configurations.
+const LAYERS: [(&str, Layers); 2] = [("exact", exact_only), ("off", layers_off)];
+
+/// `--layers exact`: whole-query exact matching only.
+fn exact_only(solver: &Solver) {
+    solver.set_group_caching(false);
+    solver.set_cex_caching(false);
+}
+
+/// `--layers off`: every cache layer disabled.
+fn layers_off(solver: &Solver) {
+    solver.set_caching(false);
+    solver.set_cex_caching(false);
+}
+
+/// Answers that came from a cache layer rather than a fresh solve.
+fn cache_answers(s: &SolverStats) -> u64 {
+    s.cache_hits + s.group_cache_hits + s.model_reuse_hits + s.ucore_hits
+}
+
+/// Runs `scenario` sharded over `workers` threads with `layers` applied
+/// to the engine's solver before the run starts.
+fn run_layered(scenario: &Scenario, alg: Algorithm, layers: Layers, workers: usize) -> RunReport {
+    let mut engine = Engine::new(scenario.clone(), alg);
+    layers(engine.solver());
+    engine.run_sharded_in_place(workers);
+    engine.into_report()
+}
 
 /// The three topologies of the matrix: line(4), grid(3×3), ring(5).
 fn topologies() -> Vec<(&'static str, Topology)> {
@@ -46,37 +85,36 @@ fn scenario(topology: &Topology, failure: &str) -> Scenario {
         .with_state_cap(60_000)
 }
 
-/// Runs the full worker-count sweep for one failure model and compares
-/// every parallel report against the sequential baseline.
+/// Runs the full worker-count sweep for one failure model under both
+/// cut-down solver configurations and compares every report against the
+/// full-stack sequential baseline.
 fn check_failure_model(failure: &str) {
     for (topo_name, topology) in topologies() {
         let scenario = scenario(&topology, failure);
         for alg in Algorithm::ALL {
-            let seq = Engine::new(scenario.clone(), alg).run();
-            let seq_key = seq.equivalence_key();
-            assert!(
-                seq.parallel.is_none(),
-                "sequential runs carry no ParallelStats"
-            );
-            for workers in WORKER_COUNTS {
-                let par = Engine::new(scenario.clone(), alg).run_parallel(workers);
-                assert_eq!(
-                    par.equivalence_key(),
-                    seq_key,
-                    "{alg} on {topo_name} with {failure} diverged at {workers} workers"
-                );
-                let pstats = par
-                    .parallel
-                    .as_ref()
-                    .expect("parallel runs report ParallelStats");
-                assert_eq!(pstats.workers, workers);
-                assert!(
-                    pstats.batches >= 1 && pstats.batches <= par.events,
-                    "batches ({}) must count distinct timestamps, bounded by \
-                     processed events ({})",
-                    pstats.batches,
-                    par.events
-                );
+            let seq_key = Engine::new(scenario.clone(), alg).run().equivalence_key();
+            for (layer_name, layers) in LAYERS {
+                for workers in WORKER_COUNTS {
+                    let par = run_layered(&scenario, alg, layers, workers);
+                    assert_eq!(
+                        par.equivalence_key(),
+                        seq_key,
+                        "{alg} on {topo_name} with {failure}, --layers {layer_name}, \
+                         diverged at {workers} workers"
+                    );
+                    let pstats = par
+                        .parallel
+                        .as_ref()
+                        .expect("parallel runs report ParallelStats");
+                    assert_eq!(pstats.workers, workers);
+                    assert!(
+                        pstats.batches >= 1 && pstats.batches <= par.events,
+                        "batches ({}) must count distinct timestamps, bounded by \
+                         processed events ({})",
+                        pstats.batches,
+                        par.events
+                    );
+                }
             }
         }
     }
@@ -98,8 +136,8 @@ fn reboots_are_bit_identical_across_worker_counts() {
 }
 
 /// Solver-bound workload: symbolic sensor readings classified at every
-/// route hop (see `sde_os::apps::sense`). This is the scenario where
-/// speculative cache-warming has real queries to warm.
+/// route hop (see `sde_os::apps::sense`). This is the scenario where the
+/// solver layers have real queries to answer or miss.
 fn sense_scenario(topology: &Topology) -> Scenario {
     let k = topology.len() as u16;
     let cfg = SenseConfig {
@@ -119,8 +157,8 @@ fn sense_scenario(topology: &Topology) -> Scenario {
 }
 
 /// The data-forking sense workload must also be bit-identical — its
-/// branch outcomes, fork order, and state ids all flow through the solver
-/// that speculation shares.
+/// branch outcomes, fork order, and state ids all flow through solvers
+/// that, with `--layers off`, answer nothing from a cache.
 #[test]
 fn sense_workload_is_bit_identical_across_worker_counts() {
     let topology = Topology::line(4);
@@ -129,80 +167,30 @@ fn sense_workload_is_bit_identical_across_worker_counts() {
         let seq = Engine::new(scenario.clone(), alg).run();
         let seq_key = seq.equivalence_key();
         assert!(seq.solver.queries > 0, "sense must exercise the solver");
-        for workers in WORKER_COUNTS {
-            let par = Engine::new(scenario.clone(), alg).run_parallel(workers);
-            assert_eq!(
-                par.equivalence_key(),
-                seq_key,
-                "{alg} sense diverged at {workers} workers"
-            );
+        for (layer_name, layers) in LAYERS {
+            for workers in WORKER_COUNTS {
+                let par = run_layered(&scenario, alg, layers, workers);
+                assert_eq!(
+                    par.equivalence_key(),
+                    seq_key,
+                    "{alg} sense with --layers {layer_name} diverged at {workers} workers"
+                );
+                if layer_name == "off" {
+                    assert_eq!(
+                        cache_answers(&par.solver),
+                        0,
+                        "{alg} at {workers} workers: --layers off must keep the \
+                         merge thread's solver uncached"
+                    );
+                }
+            }
         }
     }
 }
 
-/// Satellite: the shared solver merges speculative and authoritative
-/// query counts, so a parallel run reports at least as many queries as
-/// the sequential run — and speculative warming produces a nonzero cache
-/// hit rate on a solver-bound workload.
-#[test]
-fn parallel_solver_stats_are_merged_totals() {
-    let topology = Topology::line(4);
-    let scenario = sense_scenario(&topology);
-    let seq = Engine::new(scenario.clone(), Algorithm::Sds).run();
-    let par = Engine::new(scenario.clone(), Algorithm::Sds).run_parallel(4);
-
-    assert_eq!(par.equivalence_key(), seq.equivalence_key());
-    let pstats = par.parallel.as_ref().expect("parallel stats");
-    assert!(
-        pstats.spec_groups > 0,
-        "a 4-node batch must fan out at least one speculative group"
-    );
-    assert!(pstats.spec_events > 0);
-    assert!(pstats.spec_instructions > 0);
-    // Satellite (silent-abort bugfix): groups that blow the speculative
-    // instruction cap are *counted*, never silently discarded — and this
-    // workload is far below the cap, so the count must be zero.
-    assert_eq!(
-        pstats.spec_aborts, 0,
-        "no sense group approaches SPEC_INSTRUCTION_CAP"
-    );
-    assert!(
-        par.solver.queries > seq.solver.queries,
-        "speculative queries are merged into the shared totals: {} <= {}",
-        par.solver.queries,
-        seq.solver.queries
-    );
-    assert!(
-        par.solver.cache_hits > seq.solver.cache_hits,
-        "warmed cache must produce hits"
-    );
-    // Speculative warming fills the per-group exact cache, so the parallel
-    // run must record strictly more group hits — while the equivalence key
-    // (asserted above) proves the extra cache traffic changed no answer.
-    assert!(
-        par.solver.group_cache_hits > seq.solver.group_cache_hits,
-        "speculation must warm the group cache: {} <= {}",
-        par.solver.group_cache_hits,
-        seq.solver.group_cache_hits
-    );
-    // Every query the authoritative pass repeats after a speculative
-    // worker is answered by some cache layer, so the total volume of
-    // cache-layer answers (exact group hits plus counterexample reuse)
-    // must grow with the speculative traffic. (The per-query *rate* is
-    // saturated in both runs — nearly every group is a layer hit — so
-    // absolute growth is the meaningful signal.)
-    let layered =
-        |s: &sde_symbolic::SolverStats| s.group_cache_hits + s.model_reuse_hits + s.ucore_hits;
-    assert!(
-        layered(&par.solver) > layered(&seq.solver),
-        "speculation must add cache-layer answers: {} <= {}",
-        layered(&par.solver),
-        layered(&seq.solver)
-    );
-}
-
-/// Replay presets skip speculation but still go through the parallel
-/// loop: reports must match the sequential replay exactly.
+/// Replay presets skip offloading but still go through the sharded loop,
+/// here in budgeted slices with every cache layer off: reports must match
+/// the sequential replay exactly, and no batch may be offloaded.
 #[test]
 fn preset_replays_match_under_parallel_execution() {
     let topology = Topology::line(4);
@@ -216,19 +204,25 @@ fn preset_replays_match_under_parallel_execution() {
         let seq = Engine::new(scenario.clone(), Algorithm::Sds)
             .with_preset(preset.clone())
             .run();
-        let par = Engine::new(scenario.clone(), Algorithm::Sds)
-            .with_preset(preset)
-            .run_parallel(4);
+        let mut par = Engine::new(scenario.clone(), Algorithm::Sds).with_preset(preset);
+        layers_off(par.solver());
+        let mut slices = 0usize;
+        while par.run_until_sharded(4, Budget::events(5)) != RunOutcome::Complete {
+            slices += 1;
+        }
+        assert!(slices > 0, "case {}: replay too small to pause", case.id);
+        let par = par.into_report();
         assert_eq!(
             par.equivalence_key(),
             seq.equivalence_key(),
-            "case {}",
+            "case {} across {slices} slices",
             case.id
         );
         let pstats = par.parallel.as_ref().expect("parallel stats");
+        assert_eq!(pstats.workers, 4);
         assert_eq!(
-            pstats.speculated_batches, 0,
-            "preset runs must not speculate"
+            pstats.offloaded_batches, 0,
+            "preset runs must not offload batches"
         );
     }
 }

@@ -93,7 +93,7 @@ use seeded::scenario_from_seed;
 
 const FUZZ_SEEDS: u64 = 32;
 
-/// For ≥ 32 seeds: every algorithm's parallel run is bit-identical to its
+/// For ≥ 32 seeds: every algorithm's sharded run is bit-identical to its
 /// sequential run (worker count also seed-derived), the three algorithms
 /// represent the same dscenario sets, and mapper invariants hold. On
 /// failure the message leads with the seed.
@@ -128,11 +128,11 @@ fn seeded_scenarios_are_parallel_and_algorithm_equivalent() {
         }
 
         for (alg, seq_key) in &keys {
-            let par = Engine::new(scenario.clone(), *alg).run_parallel(workers);
+            let par = Engine::new(scenario.clone(), *alg).run_sharded(workers);
             assert_eq!(
                 &par.equivalence_key(),
                 seq_key,
-                "[{label}] {alg} parallel({workers}) diverged from sequential"
+                "[{label}] {alg} sharded({workers}) diverged from sequential"
             );
         }
     }

@@ -34,9 +34,7 @@ fn topologies() -> Vec<(&'static str, Topology)> {
 }
 
 /// Collect workload with one symbolic failure model injected on two
-/// middle nodes (budget 1 each) — same matrix as
-/// `parallel_equivalence.rs`, so the two parallel modes are pinned
-/// against the identical baseline.
+/// middle nodes (budget 1 each).
 fn scenario(topology: &Topology, failure: &str) -> Scenario {
     let k = topology.len() as u16;
     let cfg = CollectConfig {
@@ -63,6 +61,10 @@ fn check_failure_model(failure: &str) {
         for alg in Algorithm::ALL {
             let seq = Engine::new(scenario.clone(), alg).run();
             let seq_key = seq.equivalence_key();
+            assert!(
+                seq.parallel.is_none(),
+                "sequential runs carry no ParallelStats"
+            );
             for workers in WORKER_COUNTS {
                 let shard = Engine::new(scenario.clone(), alg).run_sharded(workers);
                 assert_eq!(
@@ -132,6 +134,13 @@ fn sense_scenario(topology: &Topology) -> Scenario {
         .with_state_cap(60_000)
 }
 
+/// The bench bins' `--layers off`: every solver cache layer disabled.
+fn layers_off(engine: Engine) -> Engine {
+    engine.solver().set_caching(false);
+    engine.solver().set_cex_caching(false);
+    engine
+}
+
 #[test]
 fn sense_workload_is_bit_identical_across_worker_counts() {
     let topology = Topology::line(4);
@@ -148,6 +157,14 @@ fn sense_workload_is_bit_identical_across_worker_counts() {
                 "{alg} sense diverged at {workers} workers"
             );
         }
+        // The workers' solvers take the engine solver's toggles; with
+        // every cache layer off the key is still the serial run's.
+        let off = layers_off(Engine::new(scenario.clone(), alg)).run_sharded(2);
+        assert_eq!(
+            off.equivalence_key(),
+            seq_key,
+            "{alg} sense with --layers off diverged at 2 workers"
+        );
     }
 }
 
@@ -163,7 +180,7 @@ fn shard_workers_do_authoritative_work() {
     assert_eq!(shard.equivalence_key(), seq.equivalence_key());
     let pstats = shard.parallel.as_ref().expect("shard stats");
     assert!(
-        pstats.spec_groups > 0,
+        pstats.jobs > 0,
         "a 4-node batch must fan out at least one shard group"
     );
     assert!(
@@ -177,11 +194,11 @@ fn shard_workers_do_authoritative_work() {
         pstats.summary()
     );
     assert_eq!(
-        pstats.spec_aborts, 0,
-        "no sense group approaches SPEC_INSTRUCTION_CAP"
+        pstats.worker_aborts, 0,
+        "no sense group approaches WORKER_INSTRUCTION_CAP"
     );
     assert!(
-        pstats.spec_instructions > 0,
+        pstats.worker_instructions > 0,
         "worker-side execution must bank instructions"
     );
 }
@@ -225,7 +242,7 @@ fn the_benchmark_shape_is_one_job_per_distinct_dispatch() {
             pstats.summary()
         );
         // What is offered is decided before any worker runs.
-        assert_eq!(*jobs.get_or_insert(pstats.spec_groups), pstats.spec_groups);
+        assert_eq!(*jobs.get_or_insert(pstats.jobs), pstats.jobs);
     }
 }
 
@@ -295,7 +312,7 @@ fn preset_replays_match_under_sharded_execution() {
         );
         let pstats = shard.parallel.as_ref().expect("shard stats");
         assert_eq!(
-            pstats.speculated_batches, 0,
+            pstats.offloaded_batches, 0,
             "preset runs must not offload batches"
         );
     }
