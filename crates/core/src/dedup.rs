@@ -22,8 +22,9 @@
 //! event congruence) before anything is pruned, so hash collisions can
 //! never silently merge distinct states.
 
-use crate::engine::NodeEvent;
-use crate::state::StateId;
+use crate::engine::{Fault, NodeEvent};
+use crate::state::{SdeState, StateId};
+use crate::stats::BugFound;
 use sde_net::NodeId;
 use sde_symbolic::Value;
 use sde_vm::{BugReport, VmState};
@@ -54,11 +55,9 @@ pub(crate) type Budgets = (u32, u32, u32, u32, u32, u32, u32, u64);
 /// sequence is what congruence guarantees).
 #[derive(Debug, Clone)]
 pub(crate) enum LogOp {
-    /// A failure-model fork (`kind`: 1 = drop, 2 = duplicate,
-    /// 3 = reboot, 4 = latency, 5 = corruption, 6 = crash,
-    /// 7 = partition, 8 = heal-choice) of family variant `parent`;
-    /// appends a new variant.
-    FailureFork { parent: usize, kind: u32 },
+    /// A fork of family variant `parent` on a `fault` decision; appends
+    /// a new variant.
+    FailureFork { parent: usize, fault: Fault },
     /// A VM branch fork of family variant `parent`; appends a new
     /// variant.
     BranchFork { parent: usize },
@@ -154,19 +153,14 @@ pub(crate) fn events_congruent(a: &NodeEvent, b: &NodeEvent) -> bool {
     }
 }
 
-/// The memo key: node, incremental configuration digest, budgets,
-/// virtual time, and the event's content shape (packet id excluded).
-pub(crate) fn memo_key(
-    node: NodeId,
-    config_digest: u64,
-    budgets: Budgets,
-    now: u64,
-    event: &NodeEvent,
-) -> u64 {
+/// The memo key of dispatching `event` to `state` at `now`: node,
+/// incremental configuration digest, budgets, virtual time, and the
+/// event's content shape (packet id excluded).
+pub(crate) fn memo_key(state: &SdeState, now: u64, event: &NodeEvent) -> u64 {
     let mut h = DefaultHasher::new();
-    node.0.hash(&mut h);
-    config_digest.hash(&mut h);
-    budgets.hash(&mut h);
+    state.node.0.hash(&mut h);
+    state.vm.config_digest().hash(&mut h);
+    state.budgets().hash(&mut h);
     now.hash(&mut h);
     match event {
         NodeEvent::Boot => 0u8.hash(&mut h),
@@ -215,52 +209,86 @@ impl DigestIndex {
 }
 
 /// The in-flight recording of one dispatch being executed for the first
-/// time. Held by the engine between `begin_record` and `finish_record`;
-/// the execution hooks (`fork_local`, `run_handler`, `transmit`, …)
-/// append ops while it is active.
+/// time. Held by the host executing the dispatch — the engine under
+/// dedup, a shard worker always — from [`DispatchRecorder::begin`] to
+/// [`DispatchRecorder::seal`]; the dispatch core appends an op for every
+/// effect while it is open.
 #[derive(Debug)]
 pub(crate) struct DispatchRecorder {
     pub(crate) key: u64,
-    pub(crate) node: NodeId,
-    pub(crate) now: u64,
-    pub(crate) budgets: Budgets,
-    pub(crate) pre_vm: VmState,
-    pub(crate) event: NodeEvent,
-    pub(crate) ops: Vec<LogOp>,
+    node: NodeId,
+    now: u64,
+    budgets: Budgets,
+    pre_vm: VmState,
+    event: NodeEvent,
+    ops: Vec<LogOp>,
     /// Family members in variant order (`family[0]` = dispatched state).
-    pub(crate) family: Vec<StateId>,
+    family: Vec<StateId>,
     variant_of: HashMap<StateId, usize>,
-    /// `self.bugs.len()` at dispatch entry — the diff base.
-    pub(crate) bugs_start: usize,
-    /// `self.instructions` at dispatch entry.
-    pub(crate) instr_start: u64,
+    /// The host's bug-list length at dispatch entry — the diff base.
+    bugs_start: usize,
+    /// The host's instruction count at dispatch entry.
+    instr_start: u64,
 }
 
 impl DispatchRecorder {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
+    /// Opens the recording of dispatching `event` to the idle `state`
+    /// under memo key `key`; `bugs_start` and `instr_start` are the
+    /// host's bug-list length and instruction count at this point.
+    pub(crate) fn begin(
         key: u64,
-        node: NodeId,
+        state: &SdeState,
         now: u64,
-        budgets: Budgets,
-        pre_vm: VmState,
         event: NodeEvent,
-        dispatched: StateId,
         bugs_start: usize,
         instr_start: u64,
     ) -> DispatchRecorder {
         DispatchRecorder {
             key,
-            node,
+            node: state.node,
             now,
-            budgets,
-            pre_vm,
+            budgets: state.budgets(),
+            pre_vm: state.vm.clone(),
             event,
             ops: Vec::new(),
-            family: vec![dispatched],
-            variant_of: HashMap::from([(dispatched, 0)]),
+            family: vec![state.id],
+            variant_of: HashMap::from([(state.id, 0)]),
             bugs_start,
             instr_start,
+        }
+    }
+
+    /// Seals the recording into a [`MemoEntry`] once the dispatch is over:
+    /// the final `(vm, budgets)` of every family member (looked up through
+    /// `state`), the bugs the host's list gained since
+    /// [`DispatchRecorder::begin`], and the instructions its count gained.
+    pub(crate) fn seal<'s>(
+        self,
+        state: impl Fn(StateId) -> &'s SdeState,
+        bugs: &[BugFound],
+        instructions: u64,
+    ) -> MemoEntry {
+        let finals = (self.family.iter())
+            .map(|id| {
+                let s = state(*id);
+                (s.vm.clone(), s.budgets())
+            })
+            .collect();
+        let bugs = bugs[self.bugs_start..]
+            .iter()
+            .map(|b| (self.variant(b.state), b.report.clone()))
+            .collect();
+        MemoEntry {
+            node: self.node,
+            now: self.now,
+            budgets: self.budgets,
+            pre_vm: self.pre_vm,
+            event: self.event,
+            ops: self.ops,
+            finals,
+            bugs,
+            instructions: instructions - self.instr_start,
+            survivor: self.family[0],
         }
     }
 
@@ -281,9 +309,9 @@ impl DispatchRecorder {
         self.variant_of.insert(child, v);
     }
 
-    pub(crate) fn note_failure_fork(&mut self, parent: StateId, child: StateId, kind: u32) {
+    pub(crate) fn note_failure_fork(&mut self, parent: StateId, child: StateId, fault: Fault) {
         let parent = self.variant(parent);
-        self.ops.push(LogOp::FailureFork { parent, kind });
+        self.ops.push(LogOp::FailureFork { parent, fault });
         self.adopt(child);
     }
 

@@ -516,8 +516,8 @@ pub struct Store {
     pub(crate) sink: Arc<dyn sde_trace::TraceSink>,
     pub(crate) traced: bool,
     /// Attribution for the next [`StateStore::fork`] call. Mapper-driven
-    /// forks are the default; the failure models set their own reason
-    /// around `fork_local`'s store fork.
+    /// forks are the default; a fault decision sets its own reason around
+    /// the engine's `fork_fault` store fork.
     pub(crate) fork_reason: sde_trace::ForkReason,
     /// Fork counts indexed by [`sde_trace::ForkReason::ALL`] — always on,
     /// they feed [`sde_trace::TraceSummary`].

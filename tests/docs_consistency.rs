@@ -229,3 +229,31 @@ fn design_section_8_documents_every_snapshot_field() {
         );
     }
 }
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot list {dir:?}: {e}")) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// No source file of the core crate grows past 1 500 lines: a file that
+/// size holds more than one concern (DESIGN.md §2 lists the engine's).
+#[test]
+fn no_core_source_file_is_over_1500_lines() {
+    let mut files = Vec::new();
+    rust_files(&repo_root().join("crates/core/src"), &mut files);
+    assert!(files.len() > 10, "suspiciously few files: {files:?}");
+    for file in files {
+        let lines = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("cannot read {file:?}: {e}"))
+            .lines()
+            .count();
+        assert!(lines <= 1500, "{} has {lines} lines", file.display());
+    }
+}

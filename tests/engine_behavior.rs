@@ -242,3 +242,93 @@ fn drop_budget_spent_before_checkpoint_stays_spent_after_resume() {
         "a drop budget spent before a checkpoint must not fork again after resume"
     );
 }
+
+/// The earliest time an event is pending at, read through a snapshot.
+fn earliest_pending(engine: &Engine) -> Option<u64> {
+    let mut earliest: Option<u64> = None;
+    engine.snapshot().edit_queue_keys(|_, time, _, _| {
+        earliest = Some(earliest.map_or(*time, |e| e.min(*time)));
+    });
+    earliest
+}
+
+/// Pause granularity (DESIGN.md §8): the serial loop checks its budget
+/// between any two events, the sharded loop only between virtual-time
+/// batches — so a sharded pause never leaves an event pending at the
+/// time it paused at, and a serial one does inside a batch.
+#[test]
+fn serial_pauses_per_event_and_sharded_per_batch() {
+    let scenario = line_collect(4, &[1, 2], 2, false);
+    for alg in Algorithm::ALL {
+        let mut serial = Engine::new(scenario.clone(), alg);
+        let (mut events, mut inside_a_batch) = (0, 0);
+        while serial.run_until(Budget::events(1)) == RunOutcome::Paused {
+            let now = serial.snapshot().events_processed();
+            assert_eq!(now, events + 1, "{alg}: a serial segment is one event");
+            events = now;
+            inside_a_batch += usize::from(earliest_pending(&serial) == Some(serial.now()));
+        }
+        assert!(
+            inside_a_batch > 0,
+            "{alg}: a serial run pauses inside a batch"
+        );
+
+        let mut sharded = Engine::new(scenario.clone(), alg);
+        let mut pauses = 0;
+        while sharded.run_until_sharded(2, Budget::events(1)) == RunOutcome::Paused {
+            pauses += 1;
+            let pending = earliest_pending(&sharded);
+            assert!(
+                pending.is_none_or(|t| t > sharded.now()),
+                "{alg}: a sharded run paused at {} with an event pending then",
+                sharded.now()
+            );
+        }
+        assert!(
+            (1..events).contains(&pauses),
+            "{alg}: {pauses} sharded pauses for {events} events"
+        );
+    }
+}
+
+/// DESIGN.md §11: a delivery decides its fault models in one fixed order,
+/// and symbols are minted in it. Every model is armed on the relay of a
+/// line, every delivery to it crosses a cut with two heal candidates, so
+/// its first delivery mints one decision per model — the nested heal
+/// choice on the partitioned branch, the corruption byte on the corrupted
+/// one — in that order.
+#[test]
+fn a_delivery_decides_its_faults_in_the_documented_order() {
+    let relay = NodeId(1);
+    let scenario = line_collect(3, &[1], 2, false);
+    let d = scenario.duration_ms;
+    let faults = FaultPlan::new()
+        .with_partition(vec![(relay, NodeId(0)), (relay, NodeId(2))], [d / 4, d / 2])
+        .with_latency([relay], 30, 1)
+        .with_crash_recovery(
+            [relay],
+            1,
+            sde::os::layout::PERSIST_BASE,
+            sde::os::layout::PERSIST_SIZE,
+        )
+        .with_corruption([relay], 1);
+    let failures = FailureConfig::new()
+        .with_drops([relay], 1)
+        .with_duplicates([relay], 1)
+        .with_reboots([relay], 1);
+    let scenario = scenario.with_failures(failures).with_faults(faults);
+    for alg in Algorithm::ALL {
+        let mut engine = Engine::new(scenario.clone(), alg);
+        engine.run_in_place();
+        let minted: Vec<&str> = (engine.symbols().iter())
+            .filter(|v| v.node() == relay.0)
+            .map(|v| v.name())
+            .take(9)
+            .collect();
+        assert_eq!(
+            minted,
+            ["part", "heal", "lat", "drop", "dup", "reboot", "crash", "cor", "corb"],
+            "{alg}"
+        );
+    }
+}

@@ -12,8 +12,8 @@ mod line;
 
 use line::line_collect;
 use sde::prelude::*;
-use sde_core::{testgen, Engine};
-use sde_vm::Preset;
+use sde_core::{testgen, Engine, HistoryEvent};
+use sde_vm::{Preset, Status};
 
 #[test]
 fn every_test_case_replays_without_forking() {
@@ -240,4 +240,82 @@ fn strict_replay_flags_unkeyed_program_inputs() {
         "the lenient empty preset still replays as reading = 0: {:?}",
         lenient.bugs
     );
+}
+
+/// A history's shape, oldest first: direction and peer of every entry.
+/// Packet ids are left out: they are minted in global order, so they
+/// differ between a run and a faithful replay of one of its paths.
+fn history_shape(state: &SdeState) -> Vec<(&'static str, u16)> {
+    let mut shape: Vec<_> = (state.history.log().expect("histories are tracked"))
+        .map(|event| match event {
+            HistoryEvent::Sent { peer, .. } => ("sent", peer.0),
+            HistoryEvent::Received { peer, .. } => ("received", peer.0),
+        })
+        .collect();
+    shape.reverse();
+    shape
+}
+
+/// The terminal status, with a bug compared by its kind.
+fn status_class(state: &SdeState) -> String {
+    match state.vm.status() {
+        Status::Bugged(report) => format!("bugged: {:?}", report.kind),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Line-3 collect of two packets with a duplication decision on the
+/// forwarder, alone and beside a reboot or a crash decision on it.
+fn duplication_scenarios() -> Vec<(&'static str, Scenario)> {
+    let base = line_collect(3, &[], 2, false);
+    let relay = [NodeId(1)];
+    let dup = FailureConfig::new().with_duplicates(relay, 1);
+    let crash = FaultPlan::new().with_crash_recovery(
+        relay,
+        1,
+        sde::os::layout::PERSIST_BASE,
+        sde::os::layout::PERSIST_SIZE,
+    );
+    vec![
+        ("duplicate", base.clone().with_failures(dup.clone())),
+        (
+            "duplicate+reboot",
+            base.clone()
+                .with_failures(dup.clone().with_reboots(relay, 1)),
+        ),
+        (
+            "duplicate+crashrec",
+            base.with_failures(dup).with_faults(crash),
+        ),
+    ]
+}
+
+/// A preset replays the path the symbolic run explored. The duplicated
+/// branch of a symbolic run receives the packet twice and makes no later
+/// decision about it; a replay that duplicated and then went on to
+/// reboot on the same packet ends on a history no explored state has.
+#[test]
+fn every_state_replays_to_the_path_it_was_explored_on_under_duplication() {
+    for (label, scenario) in duplication_scenarios() {
+        for alg in Algorithm::ALL {
+            let mut engine = Engine::new(scenario.clone(), alg);
+            engine.run_in_place();
+            for explored in engine.states() {
+                let preset = testgen::preset_for(&engine, explored.id)
+                    .unwrap_or_else(|| panic!("{label} {alg}: {} has no witness", explored.id));
+                let mut replay = Engine::new(scenario.clone(), alg).with_preset(preset);
+                replay.run_in_place();
+                let replayed = (replay.states())
+                    .find(|s| s.node == explored.node)
+                    .expect("a replay keeps one state per node");
+                assert_eq!(
+                    (status_class(replayed), history_shape(replayed)),
+                    (status_class(explored), history_shape(explored)),
+                    "{label} {alg}: the replay of {} on {} left its path",
+                    explored.id,
+                    explored.node
+                );
+            }
+        }
+    }
 }
