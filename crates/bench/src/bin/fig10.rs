@@ -18,7 +18,6 @@
 //! cargo run -p sde-bench --release --bin fig10 -- --dedup        # duplicate pruning (§10)
 //! cargo run -p sde-bench --release --bin fig10 -- --nodes 25 --trace f.jsonl
 //! cargo run -p sde-bench --release --bin fig10 -- --nodes 25 --faults all
-
 //! ```
 //!
 //! `--trace <path>` additionally records a structured event trace per
@@ -26,23 +25,20 @@
 //! Chrome `trace_event` twin).
 
 use sde_bench::{
-    or_usage, paper_scenario, report_json, run_checkpointed_dedup, run_with_limits_dedup,
-    run_with_limits_traced_dedup, trace_file_for, with_fault_axes, write_bench_json,
-    write_series_csv, write_trace, Args, Checkpointing, FaultAxis, RunLimits, SolverLayers,
+    or_usage, paper_scenario, report_json, trace_file_for, with_fault_axes, write_bench_json,
+    write_file, Args, Checkpointing, FaultAxis, RunConfig, RunLimits,
 };
 use sde_core::{human_bytes, Algorithm};
-use std::path::PathBuf;
 
-fn side_for(nodes: u16) -> u16 {
-    match nodes {
-        25 => 5,
-        49 => 7,
-        100 => 10,
-        other => {
-            let side = (f64::from(other)).sqrt() as u16;
-            assert_eq!(side * side, other, "--nodes must be a square number");
-            side
-        }
+/// The grid side of an `n`-node square scenario.
+fn side_for(nodes: u16) -> Result<u16, String> {
+    let side = f64::from(nodes).sqrt() as u16;
+    if side > 0 && side * side == nodes {
+        Ok(side)
+    } else {
+        Err(format!(
+            "invalid --nodes {nodes} (expected a square number, e.g. 25, 49 or 100)"
+        ))
     }
 }
 
@@ -55,38 +51,38 @@ fn main() {
     } else {
         vec![25, 49]
     };
+    let sides: Vec<u16> = sizes.iter().map(|&n| or_usage(side_for(n))).collect();
     let cap_cob: usize = or_usage(args.get("cap-cob")).unwrap_or(120_000);
     let cap: usize = or_usage(args.get("cap")).unwrap_or(1_000_000);
-    let out_dir = PathBuf::from(
-        or_usage(args.get::<String>("out")).unwrap_or_else(|| "bench_out".to_string()),
-    );
-    // `--workers N`: run through the sharded engine (DESIGN.md §13). The
-    // CSV series are bit-identical per RunReport::equivalence_key (wall_ms
-    // excepted); the extra summary line shows what the workers did.
-    let workers: Option<usize> = or_usage(args.get("workers"));
-    // `--dedup`: online duplicate-dispatch pruning (DESIGN.md §10); the
-    // curves keep their shape (state *creation* is unchanged), execution
-    // work drops.
-    let dedup = args.flag("dedup");
-    // `--trace <base>`: record a structured trace per run.
-    let trace_base: Option<PathBuf> = or_usage(args.get::<String>("trace")).map(PathBuf::from);
-    // Checkpoint/resume flags (DESIGN.md §8); snapshots land at
-    // `<snapshot-dir>/fig10_<nodes>nodes_<alg>.snap`.
-    let ckpt = or_usage(Checkpointing::from_args(&args));
-    assert!(
-        ckpt.is_none() || trace_base.is_none(),
-        "--trace cannot be combined with checkpointing in this bin"
-    );
-
+    let out_dir = or_usage(args.out_dir());
+    let mut run = RunConfig {
+        // `--workers N`: run through the sharded engine (DESIGN.md §13).
+        // The CSV series are bit-identical per RunReport::equivalence_key
+        // (wall_ms excepted); the extra summary line shows what the
+        // workers did.
+        workers: or_usage(args.get("workers")),
+        // `--dedup`: online duplicate-dispatch pruning (DESIGN.md §10); the
+        // curves keep their shape (state *creation* is unchanged),
+        // execution work drops.
+        dedup: args.flag("dedup"),
+        // `--trace <base>`: record a structured trace per run.
+        trace: or_usage(args.trace()),
+        // Checkpoint/resume flags (DESIGN.md §8); snapshots land at
+        // `<snapshot-dir>/fig10_<nodes>nodes_<alg>.snap`.
+        checkpoint: or_usage(Checkpointing::from_args(&args, "fig10")),
+        ..RunConfig::default()
+    };
     // `--faults partition,latency,corrupt,crashrec|all`: layer the
     // extended fault model (DESIGN.md §11) on top of the workload.
-    let faults: Vec<FaultAxis> = or_usage(args.get::<String>("faults"))
-        .map(|s| or_usage(FaultAxis::parse_list(&s)))
-        .unwrap_or_default();
+    let faults = or_usage(args.faults()).unwrap_or_default();
+    let fault_tag = if faults.is_empty() {
+        String::new()
+    } else {
+        format!("_faults_{}", FaultAxis::join(&faults))
+    };
 
     let mut json = Vec::new();
-    for nodes in sizes {
-        let side = side_for(nodes);
+    for (nodes, side) in sizes.into_iter().zip(sides) {
         let scenario = with_fault_axes(paper_scenario(side), &faults);
         println!("== Figure 10, {nodes}-node scenario ({side}x{side}) ==");
         if !faults.is_empty() {
@@ -97,68 +93,23 @@ fn main() {
             "alg", "runtime", "states", "RAM (est.)", "mapper (est.)", "groups"
         );
         for alg in Algorithm::ALL {
-            let state_cap = if alg == Algorithm::Cob { cap_cob } else { cap };
-            let limits = RunLimits {
-                state_cap,
+            run.limits = RunLimits {
+                state_cap: if alg == Algorithm::Cob { cap_cob } else { cap },
                 sample_every: 256,
             };
-            let report = match (&ckpt, &trace_base) {
-                (Some(ckpt), _) => {
-                    let label = format!("fig10_{nodes}nodes_{}", alg.name().to_lowercase());
-                    let outcome = run_checkpointed_dedup(
-                        &scenario,
-                        alg,
-                        limits,
-                        workers,
-                        SolverLayers::Full,
-                        dedup,
-                        ckpt,
-                        &label,
-                    )
-                    .expect("checkpointed run");
-                    match outcome {
-                        Some(report) => report,
-                        None => continue, // interrupted by --stop-after
-                    }
-                }
-                (None, None) => run_with_limits_dedup(
-                    &scenario,
-                    alg,
-                    limits,
-                    workers,
-                    SolverLayers::Full,
-                    dedup,
-                ),
-                (None, Some(base)) => {
-                    let (report, events) = run_with_limits_traced_dedup(
-                        &scenario,
-                        alg,
-                        limits,
-                        workers,
-                        SolverLayers::Full,
-                        dedup,
-                    );
-                    let label = format!("{nodes}nodes_{}", report.algorithm.to_lowercase());
-                    let trace_path = trace_file_for(base, &label);
-                    write_trace(&trace_path, &events).expect("write trace");
-                    println!(
-                        "     | trace: {} ({} events)",
-                        trace_path.display(),
-                        events.len()
-                    );
-                    report
-                }
+            let label = format!("{nodes}nodes_{}", alg.name().to_lowercase());
+            let Some((report, events)) = or_usage(run.run(&scenario, alg, &label)) else {
+                continue; // interrupted by --stop-after
             };
-            let fault_tag = if faults.is_empty() {
-                String::new()
-            } else {
-                format!("_faults_{}", FaultAxis::join(&faults))
-            };
-            let file = out_dir.join(format!(
-                "fig10_{nodes}nodes_{}{fault_tag}.csv",
-                report.algorithm.to_lowercase()
-            ));
-            write_series_csv(&report, &file).expect("write series");
+            if let Some(base) = &run.trace {
+                println!(
+                    "     | trace: {} ({} events)",
+                    trace_file_for(base, &label).display(),
+                    events.len()
+                );
+            }
+            let file = out_dir.join(format!("fig10_{label}{fault_tag}.csv"));
+            write_file(&file, report.series.to_csv()).expect("write series");
             println!(
                 "{:<4} | {:>12} | {:>10} | {:>12} | {:>13} | {:>8} | {}{}",
                 report.algorithm,
@@ -177,7 +128,7 @@ fn main() {
             if let Some(p) = &report.parallel {
                 println!("     | {}", p.summary());
             }
-            if dedup {
+            if run.dedup {
                 println!(
                     "     | dedup: {} (executed {} of {} states)",
                     report.dedup.summary(),
@@ -185,13 +136,7 @@ fn main() {
                     report.total_states
                 );
             }
-            json.push(report_json(
-                &format!(
-                    "fig10_{nodes}nodes_{}{fault_tag}",
-                    report.algorithm.to_lowercase()
-                ),
-                &report,
-            ));
+            json.push(report_json(&format!("fig10_{label}{fault_tag}"), &report));
         }
         println!();
     }

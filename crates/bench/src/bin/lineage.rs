@@ -16,13 +16,12 @@
 //! non-empty (at least one root and one fork).
 
 use sde_trace::{read_jsonl, ForkReason, Lineage, TraceEvent};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args = sde_bench::Args::from_env();
     let state = sde_bench::or_usage(args.get::<u64>("state"));
-    let Some(path) = sde_bench::or_usage(args.get::<String>("trace")).map(PathBuf::from) else {
+    let Some(path) = sde_bench::or_usage(args.trace()) else {
         eprintln!("usage: lineage --trace FILE [--state N] [--check]");
         return ExitCode::FAILURE;
     };

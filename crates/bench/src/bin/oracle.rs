@@ -46,15 +46,12 @@ use sde_bench::{
 };
 use sde_core::oracle::{conformance_against, ground_truth, OracleConfig};
 use sde_core::Algorithm;
-use std::path::PathBuf;
 
 fn main() {
     let args = Args::from_env();
-    let preset = or_usage(args.get::<String>("preset")).unwrap_or_else(|| "tiny".to_string());
-    let algorithms: Vec<Algorithm> = match or_usage(args.get::<String>("algorithm"))
-        .unwrap_or_else(|| "all".to_string())
-        .as_str()
-    {
+    let preset = or_usage(args.get_or("preset", "tiny"));
+    let base = or_usage(oracle_scenario(&preset));
+    let algorithms: Vec<Algorithm> = match or_usage(args.get_or("algorithm", "all")).as_str() {
         "all" => Algorithm::ALL.to_vec(),
         one => vec![or_usage(
             parse_algorithm(one).map_err(|usage| usage.replace("sds)", "sds|all)")),
@@ -69,31 +66,21 @@ fn main() {
         dedup: args.flag("dedup"),
         ..OracleConfig::default()
     };
-    let out_dir = PathBuf::from(
-        or_usage(args.get::<String>("out")).unwrap_or_else(|| "bench_out".to_string()),
-    );
-    let tag = or_usage(args.get::<String>("tag"))
-        .map(|t| format!("_{t}"))
-        .unwrap_or_default();
+    let out_dir = or_usage(args.out_dir());
+    let tag = or_usage(args.tag());
 
     // `--faults partition,latency,corrupt,crashrec|all`: one full
     // ground-truth + conformance pass per axis (axis applied alone).
     // `None` marks the faultless base pass run when the flag is absent.
-    let passes: Vec<Option<FaultAxis>> = match or_usage(args.get::<String>("faults")) {
+    let passes: Vec<Option<FaultAxis>> = match or_usage(args.faults()) {
         None => vec![None],
-        Some(s) => or_usage(FaultAxis::parse_list(&s))
-            .into_iter()
-            .map(Some)
-            .collect(),
+        Some(axes) => axes.into_iter().map(Some).collect(),
     };
 
     let mut json = Vec::new();
     let mut dirty = 0usize;
     for axis in passes {
-        let scenario = match axis {
-            None => oracle_scenario(&preset),
-            Some(a) => with_fault_axes(oracle_scenario(&preset), &[a]),
-        };
+        let scenario = with_fault_axes(base.clone(), axis.as_slice());
         let axis_name = axis.map_or("none", FaultAxis::name);
         println!(
             "\nconformance oracle — preset {preset:?} ({} nodes), fault axis {axis_name}, \

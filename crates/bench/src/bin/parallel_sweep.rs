@@ -26,61 +26,39 @@
 //! excluded — so CI can `cmp` the files across the sweep.
 
 use sde_bench::{
-    or_usage, run_checkpointed_dedup, symbolic_grid, trace_file_for, write_equivalence_report,
-    write_trace, Args, Checkpointing, RunLimits, SolverLayers,
+    grid_side, or_usage, symbolic_grid, trace_file_for, write_file, Args, Checkpointing, RunConfig,
+    RunLimits,
 };
-use sde_core::{Algorithm, Engine, RunReport};
+use sde_core::Algorithm;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::Arc;
-
-/// Runs `engine` with a recorder attached; returns the report plus the
-/// captured events. `workers == None` runs sequentially.
-fn run_recorded(
-    engine: Engine,
-    workers: Option<usize>,
-) -> (RunReport, Vec<sde_core::trace::TimedEvent>) {
-    let sink = Arc::new(sde_core::RingSink::default());
-    let engine = engine.with_trace_sink(sink.clone() as Arc<dyn sde_core::TraceSink>);
-    let report = match workers {
-        None => engine.run(),
-        Some(w) => engine.run_sharded(w),
-    };
-    (report, sink.take())
-}
 
 fn main() {
     let args = Args::from_env();
-    let side: u16 = or_usage(args.get("side")).unwrap_or(3);
-    let out_dir = PathBuf::from(
-        or_usage(args.get::<String>("out")).unwrap_or_else(|| "bench_out".to_string()),
-    );
+    let side = or_usage(grid_side(or_usage(args.get("side")).unwrap_or(3)));
+    let out_dir = or_usage(args.out_dir());
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    // `--dedup`: online duplicate-dispatch pruning on the merge path
-    // (DESIGN.md §10). The seq-vs-sharded bit-identity assertions below
-    // hold with it on: pruning decisions are made only at commit time,
-    // identically at every worker count.
-    let dedup = args.flag("dedup");
-    let trace_base: Option<PathBuf> = or_usage(args.get::<String>("trace")).map(PathBuf::from);
-    // Checkpoint/resume flags (DESIGN.md §8); snapshots land at
-    // `<snapshot-dir>/sweep_<alg>_w<workers>.snap`. The sharded engine
-    // pauses only at the serial-merge barrier between batches, so its
-    // snapshots are valid sequential pause points too.
-    let ckpt = or_usage(Checkpointing::from_args(&args));
-    assert!(
-        ckpt.is_none() || trace_base.is_none(),
-        "--trace cannot be combined with checkpointing in this bin"
-    );
-
-    let scenario = symbolic_grid(side).with_state_cap(200_000);
-    // Identical limits for plain and checkpointed paths, so the
-    // equivalence assertions below compare like with like.
-    let limits = RunLimits {
-        state_cap: scenario.state_cap,
-        sample_every: scenario.sample_every,
+    let scenario = symbolic_grid(side);
+    let serial = RunConfig {
+        limits: RunLimits {
+            state_cap: 200_000,
+            sample_every: scenario.sample_every,
+        },
+        // `--dedup`: online duplicate-dispatch pruning on the merge path
+        // (DESIGN.md §10). The seq-vs-sharded bit-identity assertions below
+        // hold with it on: pruning decisions are made only at commit time,
+        // identically at every worker count.
+        dedup: args.flag("dedup"),
+        trace: or_usage(args.trace()),
+        ..RunConfig::default()
     };
+    // Checkpoint/resume flags (DESIGN.md §8) apply to the sharded points;
+    // snapshots land at `<snapshot-dir>/sweep_<alg>_w<workers>.snap`. The
+    // sharded engine pauses only at the serial-merge barrier between
+    // batches, so its snapshots are valid sequential pause points too.
+    let checkpoint = or_usage(Checkpointing::from_args(&args, "sweep"));
+
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -98,22 +76,16 @@ fn main() {
     );
 
     for alg in [Algorithm::Cow, Algorithm::Sds] {
-        let mut seq_jsonl: Option<String> = None;
-        let seq = match &trace_base {
-            None => Engine::new(scenario.clone(), alg).with_dedup(dedup).run(),
-            Some(base) => {
-                let (seq, events) =
-                    run_recorded(Engine::new(scenario.clone(), alg).with_dedup(dedup), None);
-                let file = trace_file_for(base, &format!("{}_seq", seq.algorithm.to_lowercase()));
-                write_trace(&file, &events).expect("write seq trace");
-                let _ = writeln!(report, "{} seq trace: {}", alg.name(), file.display());
-                seq_jsonl = Some(sde_core::trace::to_jsonl(&events, true));
-                seq
-            }
-        };
         let alg_lower = alg.name().to_lowercase();
+        let (seq, seq_events) = or_usage(serial.run(&scenario, alg, &format!("{alg_lower}_seq")))
+            .expect("only a checkpointed run stops early");
+        let seq_jsonl = sde_core::trace::to_jsonl(&seq_events, true);
+        if let Some(base) = &serial.trace {
+            let file = trace_file_for(base, &format!("{alg_lower}_seq"));
+            let _ = writeln!(report, "{} seq trace: {}", alg.name(), file.display());
+        }
         let key_file = |point: &str| out_dir.join(format!("sweep_{alg_lower}_{point}.key"));
-        write_equivalence_report(&key_file("seq"), &seq).expect("write seq key");
+        write_file(&key_file("seq"), seq.equivalence_key()).expect("write seq key");
         let _ = writeln!(
             report,
             "{} seq: wall={:.1?} states={} events={} queries={} hits={} \
@@ -130,56 +102,30 @@ fn main() {
             seq.solver.nodes_visited,
         );
         for workers in [1usize, 2, 4, 8] {
-            let par = match (&ckpt, &trace_base) {
-                (Some(ckpt), _) => {
-                    let label = format!("sweep_{alg_lower}_w{workers}");
-                    let outcome = run_checkpointed_dedup(
-                        &scenario,
-                        alg,
-                        limits,
-                        Some(workers),
-                        SolverLayers::Full,
-                        dedup,
-                        ckpt,
-                        &label,
-                    )
-                    .expect("checkpointed run");
-                    match outcome {
-                        Some(par) => par,
-                        None => continue, // interrupted by --stop-after
-                    }
-                }
-                (None, None) => Engine::new(scenario.clone(), alg)
-                    .with_dedup(dedup)
-                    .run_sharded(workers),
-                (None, Some(base)) => {
-                    let (par, events) = run_recorded(
-                        Engine::new(scenario.clone(), alg).with_dedup(dedup),
-                        Some(workers),
-                    );
-                    // Traced shard runs degenerate to serial — the trace
-                    // must equal the sequential one exactly.
-                    assert_eq!(
-                        seq_jsonl.as_deref(),
-                        Some(sde_core::trace::to_jsonl(&events, true).as_str()),
-                        "{} trace diverged from the serial trace at {workers} workers",
-                        alg.name()
-                    );
-                    let file = trace_file_for(
-                        base,
-                        &format!("{}_w{workers}", par.algorithm.to_lowercase()),
-                    );
-                    write_trace(&file, &events).expect("write parallel trace");
-                    par
-                }
+            let point = RunConfig {
+                workers: Some(workers),
+                checkpoint: checkpoint.clone(),
+                ..serial.clone()
             };
+            let label = format!("{alg_lower}_w{workers}");
+            let Some((par, events)) = or_usage(point.run(&scenario, alg, &label)) else {
+                continue; // interrupted by --stop-after
+            };
+            // Traced shard runs degenerate to serial — the trace must
+            // equal the sequential one exactly (both are empty untraced).
+            assert_eq!(
+                sde_core::trace::to_jsonl(&events, true),
+                seq_jsonl,
+                "{} trace diverged from the serial trace at {workers} workers",
+                alg.name()
+            );
             assert_eq!(
                 par.equivalence_key(),
                 seq.equivalence_key(),
                 "{} diverged at {workers} workers",
                 alg.name()
             );
-            write_equivalence_report(&key_file(&format!("w{workers}")), &par)
+            write_file(&key_file(&format!("w{workers}")), par.equivalence_key())
                 .expect("write parallel key");
             let p = par.parallel.as_ref().expect("parallel stats");
             let speedup = seq.wall.as_secs_f64() / par.wall.as_secs_f64();
@@ -215,7 +161,7 @@ fn main() {
                 per_batch(p.shard_applied),
             );
         }
-        if trace_base.is_some() {
+        if serial.trace.is_some() {
             let _ = writeln!(
                 report,
                 "{} traces byte-identical to serial at 1/2/4/8 workers",
@@ -226,8 +172,7 @@ fn main() {
     }
 
     print!("{report}");
-    std::fs::create_dir_all(&out_dir).expect("create out dir");
     let path = out_dir.join(format!("parallel_sweep_grid{side}.txt"));
-    std::fs::write(&path, &report).expect("write sweep report");
+    write_file(&path, &report).expect("write sweep report");
     println!("recorded: {}", path.display());
 }

@@ -35,8 +35,7 @@
 //! byte-identical for any worker count.
 
 use sde_bench::{
-    demo_checker, demo_scenario, or_usage, parse_algorithm, render_artifact, with_fault_axes, Args,
-    FaultAxis,
+    demo, or_usage, parse_algorithm, render_artifact, with_fault_axes, write_file, Args, FaultAxis,
 };
 use sde_core::check;
 use sde_core::minimize::Minimizer;
@@ -60,24 +59,20 @@ fn main() -> ExitCode {
 // ---------------------------------------------------------------------------
 
 fn checkrun(args: &Args) -> ExitCode {
-    let demo: String = or_usage(args.get("demo")).unwrap_or_else(|| "token".to_string());
+    let demo_name = or_usage(args.get_or("demo", "token"));
     let fixed = args.flag("fixed");
-    let algorithm_name: String =
-        or_usage(args.get("algorithm")).unwrap_or_else(|| "sds".to_string());
+    let algorithm_name = or_usage(args.get_or("algorithm", "sds"));
     let algorithm = or_usage(parse_algorithm(&algorithm_name));
-    let axes = or_usage(FaultAxis::parse_list(
-        &or_usage(args.get::<String>("faults")).unwrap_or_else(|| "all".to_string()),
-    ));
+    let axes = or_usage(args.faults()).unwrap_or_else(|| FaultAxis::ALL.to_vec());
     let workers: Option<usize> = or_usage(args.get("workers"));
     let emit: Option<String> = or_usage(args.get("emit"));
 
-    let base = demo_scenario(&demo, fixed);
+    let (base, checker) = or_usage(demo(&demo_name, fixed));
     let base_duration_ms = base.duration_ms;
     let scenario = with_fault_axes(base, &axes);
-    let checker = demo_checker(&demo);
 
     println!(
-        "repro: demo={demo} algorithm={algorithm_name} faults={} fixed={fixed} workers={}",
+        "repro: demo={demo_name} algorithm={algorithm_name} faults={} fixed={fixed} workers={}",
         FaultAxis::join(&axes),
         workers.unwrap_or(1),
     );
@@ -107,7 +102,7 @@ fn checkrun(args: &Args) -> ExitCode {
     let Some(found) = violations.into_iter().next() else {
         println!("repro: all invariants hold");
         if let Some(path) = emit {
-            if let Err(e) = write_artifact(Path::new(&path), "[]\n") {
+            if let Err(e) = write_file(Path::new(&path), "[]\n") {
                 eprintln!("repro: cannot write artifact {path}: {e}");
                 return ExitCode::from(2);
             }
@@ -156,33 +151,20 @@ fn checkrun(args: &Args) -> ExitCode {
 
     if let Some(path) = emit {
         let artifact = render_artifact(
-            &demo,
+            &demo_name,
             fixed,
             &algorithm_name,
             base_duration_ms,
             &report,
             digest,
         );
-        if let Err(e) = write_artifact(Path::new(&path), &artifact) {
+        if let Err(e) = write_file(Path::new(&path), &artifact) {
             eprintln!("repro: cannot write artifact {path}: {e}");
             return ExitCode::from(2);
         }
         println!("repro: artifact written to {path}");
     }
     ExitCode::FAILURE
-}
-
-/// Writes the artifact, creating parent directories as needed. IO
-/// errors flow back to the caller so they can land on exit code 2
-/// (`expect` here would abort with the panic runtime's 101, outside
-/// the documented 0/1/2 contract).
-fn write_artifact(path: &Path, content: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, content)
 }
 
 // ---------------------------------------------------------------------------
@@ -221,7 +203,7 @@ fn replay(path: &Path) -> ExitCode {
     };
     let field = |key: &str| header.get(key).and_then(JsonValue::as_str);
     let int = |key: &str| header.get(key).and_then(JsonValue::as_int);
-    let (Some(demo), Some(algorithm_name), Some(invariant)) =
+    let (Some(demo_name), Some(algorithm_name), Some(invariant)) =
         (field("demo"), field("algorithm"), field("invariant"))
     else {
         return fail("artifact header is missing demo/algorithm/invariant");
@@ -253,11 +235,12 @@ fn replay(path: &Path) -> ExitCode {
             Err(e) => return fail(&e),
         }
     };
-    let scenario: Scenario = with_fault_axes(
-        demo_scenario(demo, fixed).with_duration_ms(base_duration_ms),
-        &axes,
-    )
-    .with_duration_ms(duration_ms);
+    let (base, checker) = match demo(demo_name, fixed) {
+        Ok(found) => found,
+        Err(e) => return fail(&format!("artifact header: {e}")),
+    };
+    let scenario: Scenario = with_fault_axes(base.with_duration_ms(base_duration_ms), &axes)
+        .with_duration_ms(duration_ms);
     if scenario.faults.fingerprint() != expected_fingerprint {
         return fail(&format!(
             "fault-plan fingerprint mismatch: artifact {expected_fingerprint:#018x}, \
@@ -282,7 +265,6 @@ fn replay(path: &Path) -> ExitCode {
         return fail("witness entry count does not match the header");
     }
 
-    let checker = demo_checker(demo);
     let algorithm = match parse_algorithm(algorithm_name) {
         Ok(algorithm) => algorithm,
         Err(why) => return fail(&format!("artifact header: {why}")),
@@ -304,38 +286,5 @@ fn replay(path: &Path) -> ExitCode {
         None => fail(&format!(
             "strict replay did not violate {invariant:?} (witness incomplete or stale artifact)"
         )),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::write_artifact;
-    use std::path::PathBuf;
-
-    fn scratch(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("sde-repro-test-{}-{name}", std::process::id()))
-    }
-
-    #[test]
-    fn write_artifact_creates_parents_and_writes() {
-        let dir = scratch("ok");
-        let path = dir.join("nested").join("artifact.json");
-        write_artifact(&path, "[]\n").expect("fresh temp path must be writable");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "[]\n");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn write_artifact_surfaces_io_errors() {
-        // A regular file where the parent directory should be: both the
-        // create_dir_all and the write must fail as an Err, never panic.
-        let blocker = scratch("blocked");
-        std::fs::write(&blocker, "not a directory").unwrap();
-        let path = blocker.join("artifact.json");
-        assert!(
-            write_artifact(&path, "[]\n").is_err(),
-            "writing under a regular file must report the IO error"
-        );
-        std::fs::remove_file(&blocker).unwrap();
     }
 }

@@ -23,9 +23,9 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args = Args::from_env();
-    let inspect: Option<PathBuf> = or_usage(args.get::<String>("inspect")).map(PathBuf::from);
-    let validate: Option<PathBuf> = or_usage(args.get::<String>("validate")).map(PathBuf::from);
-    let diff: Option<PathBuf> = or_usage(args.get::<String>("diff")).map(PathBuf::from);
+    let inspect: Option<PathBuf> = or_usage(args.get("inspect"));
+    let validate: Option<PathBuf> = or_usage(args.get("validate"));
+    let diff: Option<PathBuf> = or_usage(args.get("diff"));
 
     match (inspect, validate, diff) {
         (Some(path), None, None) => match load_snapshot(&path) {
@@ -81,7 +81,7 @@ fn main() -> ExitCode {
             }
         }
         (None, None, Some(a)) => {
-            let Some(b) = or_usage(args.get::<String>("with")).map(PathBuf::from) else {
+            let Some(b) = or_usage(args.get::<PathBuf>("with")) else {
                 eprintln!("error: --diff needs --with <FILE>");
                 return ExitCode::FAILURE;
             };

@@ -42,14 +42,12 @@
 //! `<out>/BENCH_table1[_<tag>].json`.
 
 use sde_bench::{
-    or_usage, paper_scenario, report_json, run_checkpointed_dedup, run_with_limits_dedup,
-    run_with_limits_traced_dedup, symbolic_grid, table_header, testgen_json, trace_file_for,
-    vm_hwm_bytes, with_fault_axes, write_bench_json, write_trace, Args, Checkpointing, FaultAxis,
-    RunLimits, SolverLayers,
+    grid_side, or_usage, paper_scenario, report_json, symbolic_grid, table_header, testgen_json,
+    trace_file_for, vm_hwm_bytes, with_fault_axes, write_bench_json, Args, Checkpointing,
+    FaultAxis, RunConfig, RunLimits, SolverLayers,
 };
 use sde_core::complexity::WorstCase;
-use sde_core::Algorithm;
-use std::path::PathBuf;
+use sde_core::{Algorithm, Engine};
 
 /// What `--help` prints: every flag `main` reads, with its default.
 const USAGE: &str = "\
@@ -97,56 +95,52 @@ fn main() {
         Some("tiny") => true,
         Some(other) => or_usage(Err(format!("unknown --preset {other:?} (expected: tiny)"))),
     };
-    let side: u16 = or_usage(args.get("side")).unwrap_or(if tiny { 3 } else { 10 });
+    let side = or_usage(args.get("side")).unwrap_or(if tiny { 3 } else { 10 });
+    let side = or_usage(grid_side(side));
     // COB explodes exponentially — the cap stands in for the paper's
     // 40 GB abort. COW/SDS get more head-room so they can finish, as
     // they did in the paper (only COB was ever aborted).
     let cap_cob: usize =
         or_usage(args.get("cap-cob")).unwrap_or(if tiny { 6_000 } else { 120_000 });
     let cap: usize = or_usage(args.get("cap")).unwrap_or(if tiny { 60_000 } else { 1_000_000 });
+    let cap_for = |alg: Algorithm| if alg == Algorithm::Cob { cap_cob } else { cap };
     let sample_every: u64 =
         or_usage(args.get("sample-every")).unwrap_or(if tiny { 64 } else { 512 });
-    // `--workers N`: run through the sharded engine (DESIGN.md §13);
-    // reports stay bit-identical.
-    let workers: Option<usize> = or_usage(args.get("workers"));
     // `--dedup`: online duplicate-dispatch pruning (DESIGN.md §10) —
     // same states, bugs and test cases, fewer states *executed*.
     let dedup = args.flag("dedup");
     // `--layers full|exact|off`: the incremental-solver-stack ablation
     // axis (DESIGN.md §6); `--tag` suffixes the JSON filename so sweeps
     // with different layer settings land in distinct files.
-    let layers = or_usage(SolverLayers::parse(
-        &or_usage(args.get::<String>("layers")).unwrap_or_else(|| "full".to_string()),
-    ));
-    let out_dir = PathBuf::from(
-        or_usage(args.get::<String>("out")).unwrap_or_else(|| "bench_out".to_string()),
+    let layers = or_usage(
+        args.get_or("layers", "full")
+            .and_then(|l| SolverLayers::parse(&l)),
     );
-    let tag = or_usage(args.get::<String>("tag"))
-        .map(|t| format!("_{t}"))
-        .unwrap_or_default();
+    let mut run = RunConfig {
+        // `--workers N`: run through the sharded engine (DESIGN.md §13);
+        // reports stay bit-identical.
+        workers: or_usage(args.get("workers")),
+        layers,
+        dedup,
+        // `--trace <base>`: record a structured trace per algorithm.
+        trace: or_usage(args.trace()),
+        // `--checkpoint-every N --snapshot-dir D --resume PATH --stop-after
+        // S`: checkpoint/resume (DESIGN.md §8). Snapshots land at
+        // `<snapshot-dir>/table1_<alg>.snap`; the resumed run's JSON is
+        // equivalence-key-identical to an uninterrupted one.
+        checkpoint: or_usage(Checkpointing::from_args(&args, "table1")),
+        ..RunConfig::default()
+    };
+    let out_dir = or_usage(args.out_dir());
+    let tag = or_usage(args.tag());
     // `--scenario collect|sense`: Table I proper runs the paper's collect
     // workload (whose drop forks never consult the solver); `sense` swaps
     // in the solver-bound companion workload so the `--layers` sweep has
     // real queries to ablate.
-    // `--trace <base>`: record a structured trace per algorithm.
-    let trace_base: Option<PathBuf> = or_usage(args.get::<String>("trace")).map(PathBuf::from);
-    // `--checkpoint-every N --snapshot-dir D --resume PATH --stop-after S`:
-    // checkpoint/resume (DESIGN.md §8). Snapshots land at
-    // `<snapshot-dir>/table1_<alg>.snap`; the resumed run's JSON is
-    // equivalence-key-identical to an uninterrupted one.
-    let ckpt = or_usage(Checkpointing::from_args(&args));
-    assert!(
-        ckpt.is_none() || trace_base.is_none(),
-        "--trace cannot be combined with checkpointing in this bin \
-         (use tests/checkpoint_equivalence.rs for traced interrupt/resume)"
-    );
-    let workload =
-        or_usage(args.get::<String>("scenario")).unwrap_or_else(|| "collect".to_string());
+    let workload = or_usage(args.get_or("scenario", "collect"));
     // `--faults partition,latency,corrupt,crashrec|all`: layer the
     // extended fault model (DESIGN.md §11) on top of the workload.
-    let faults: Vec<FaultAxis> = or_usage(args.get::<String>("faults"))
-        .map(|s| or_usage(FaultAxis::parse_list(&s)))
-        .unwrap_or_default();
+    let faults = or_usage(args.faults()).unwrap_or_default();
     let scenario = match workload.as_str() {
         "collect" => paper_scenario(side),
         "sense" => symbolic_grid(side),
@@ -174,46 +168,16 @@ fn main() {
     let mut json = Vec::new();
     let mut interrupted = 0usize;
     for alg in Algorithm::ALL {
-        let state_cap = if alg == Algorithm::Cob { cap_cob } else { cap };
-        let limits = RunLimits {
-            state_cap,
+        run.limits = RunLimits {
+            state_cap: cap_for(alg),
             sample_every,
         };
-        let (report, trace_line) = match (&ckpt, &trace_base) {
-            (Some(ckpt), _) => {
-                let label = format!("table1_{}", alg.name().to_lowercase());
-                match run_checkpointed_dedup(
-                    &scenario, alg, limits, workers, layers, dedup, ckpt, &label,
-                )
-                .expect("checkpointed run")
-                {
-                    Some(report) => (report, None),
-                    None => {
-                        // Interrupted by --stop-after: the snapshot on
-                        // disk carries the progress; resume with
-                        // `--resume <snapshot-dir>`.
-                        interrupted += 1;
-                        continue;
-                    }
-                }
-            }
-            (None, None) => (
-                run_with_limits_dedup(&scenario, alg, limits, workers, layers, dedup),
-                None,
-            ),
-            (None, Some(base)) => {
-                let (report, events) =
-                    run_with_limits_traced_dedup(&scenario, alg, limits, workers, layers, dedup);
-                let file = trace_file_for(base, &report.algorithm.to_lowercase());
-                write_trace(&file, &events).expect("write trace");
-                let line = format!(
-                    "     | trace: {} ({} events, {} forks)",
-                    file.display(),
-                    events.len(),
-                    report.trace.forks_total()
-                );
-                (report, Some(line))
-            }
+        let alg_label = alg.name().to_lowercase();
+        let Some((report, events)) = or_usage(run.run(&scenario, alg, &alg_label)) else {
+            // Interrupted by --stop-after: the snapshot on disk carries
+            // the progress; resume with `--resume <snapshot-dir>`.
+            interrupted += 1;
+            continue;
         };
         println!("{}", report.table_row());
         if let Some(hwm) = vm_hwm_bytes() {
@@ -222,8 +186,13 @@ fn main() {
                 sde_core::human_bytes(hwm)
             );
         }
-        if let Some(line) = trace_line {
-            println!("{line}");
+        if let Some(base) = &run.trace {
+            println!(
+                "     | trace: {} ({} events, {} forks)",
+                trace_file_for(base, &alg_label).display(),
+                events.len(),
+                report.trace.forks_total()
+            );
         }
         let s = &report.solver;
         println!(
@@ -260,6 +229,15 @@ fn main() {
         json.push(report_json(&label, &report));
         rows.push(report);
     }
+    // `--testgen` and `--check` inspect a run's final states, which a
+    // report no longer holds: each explores the scenario again and keeps
+    // the engine.
+    let explored = |alg: Algorithm| {
+        let mut engine =
+            Engine::new(scenario.clone().with_state_cap(cap_for(alg)), alg).with_dedup(dedup);
+        engine.run_in_place();
+        engine
+    };
     // `--testgen N`: after the table rows, run §II-A test-case generation
     // per algorithm (fresh engine on the same scenario) and record the
     // yield — with the truncation flag spelled out in both renderings,
@@ -267,11 +245,7 @@ fn main() {
     if let Some(limit) = or_usage(args.get::<usize>("testgen")) {
         println!("\ntest-case generation (--testgen {limit}):");
         for alg in Algorithm::ALL {
-            let state_cap = if alg == Algorithm::Cob { cap_cob } else { cap };
-            let mut engine = sde_core::Engine::new(scenario.clone().with_state_cap(state_cap), alg)
-                .with_dedup(dedup);
-            engine.run_in_place();
-            let tg = sde_core::testgen::generate(&engine, limit);
+            let tg = sde_core::testgen::generate(&explored(alg), limit);
             println!(
                 "  {:4} | {} cases from {} dscenarios ({} unsolvable){}",
                 alg.name(),
@@ -302,10 +276,7 @@ fn main() {
         let sink = sde_net::NodeId(0);
         println!("\ninvariant check (--check, sink-within-source):");
         for alg in Algorithm::ALL {
-            let state_cap = if alg == Algorithm::Cob { cap_cob } else { cap };
-            let mut engine = sde_core::Engine::new(scenario.clone().with_state_cap(state_cap), alg)
-                .with_dedup(dedup);
-            engine.run_in_place();
+            let engine = explored(alg);
             let checker = sde_bench::workload_checker(source, sink);
             let violations = checker.check(&engine);
             println!(

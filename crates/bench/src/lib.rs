@@ -4,12 +4,18 @@
 //!
 //! * **Table I** — `cargo run -p sde-bench --release --bin table1`
 //! * **Figure 10 (a–f)** — `cargo run -p sde-bench --release --bin fig10`
+//! * sharded-engine worker sweep — `--bin parallel_sweep`
+//! * conformance oracle and invariant repros — `--bin oracle`, `--bin repro`
+//! * snapshot and trace tools — `--bin snapshot`, `--bin lineage`
 //! * microbenchmarks & ablations — `cargo bench -p sde-bench`
 //!
-//! The harness reproduces the *shape* of the paper's results (who wins,
-//! by what rough factor, where COB must be aborted), not the absolute
-//! numbers of the authors' 2011 Xeon testbed; see DESIGN.md for the
-//! substitutions.
+//! `table1`, `fig10` and `parallel_sweep` run every scenario through one
+//! function, [`RunConfig::run`]; the flags the bins share are [`Args`]
+//! helpers. The harness reproduces the *shape* of the paper's results (who
+//! wins, by what rough factor, where COB must be aborted), not the
+//! absolute numbers of the authors' 2011 Xeon testbed; see DESIGN.md for
+//! the substitutions. The acceptance benchmark is the standalone package
+//! under `benchmark/`, which does not link this crate.
 
 use sde_core::check::Checker;
 use sde_core::minimize::MinimizeReport;
@@ -23,7 +29,9 @@ use sde_os::apps::sense::{self, SenseConfig};
 use sde_os::apps::token::{self, TokenConfig};
 use sde_os::layout;
 use sde_symbolic::{Expr, ExprRef, Solver, Width};
+use sde_trace::{RingSink, TimedEvent, TraceSink};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The paper's §IV-A scenario for a `side × side` grid: corner-to-corner
 /// static route, one packet per second for ten seconds, symbolic drop of
@@ -54,15 +62,29 @@ pub fn symbolic_grid(side: u16) -> Scenario {
     Scenario::new(topology, programs).with_duration_ms(duration)
 }
 
+/// Checks a `--side` value for [`paper_scenario`] / [`symbolic_grid`]:
+/// a grid needs at least one node per side, and its node ids are `u16`.
+///
+/// # Errors
+///
+/// A side of 0 or above 255, named in the message.
+pub fn grid_side(side: u16) -> Result<u16, String> {
+    if (1..=255).contains(&side) {
+        Ok(side)
+    } else {
+        Err(format!("invalid --side {side} (expected 1..=255)"))
+    }
+}
+
 /// Named scenarios for the `oracle` conformance bin — deliberately tiny,
 /// so the exhaustive ground-truth enumeration finishes in (at most)
 /// thousands of concrete replays.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown preset name — a typo must not silently run the
-/// wrong experiment.
-pub fn oracle_scenario(preset: &str) -> Scenario {
+/// An unknown preset name, naming the three — a typo must not silently
+/// run the wrong experiment.
+pub fn oracle_scenario(preset: &str) -> Result<Scenario, String> {
     let line = |k: u16, drop_nodes: &[u16], packets: u16| {
         let topology = Topology::line(k);
         let cfg = CollectConfig {
@@ -82,8 +104,8 @@ pub fn oracle_scenario(preset: &str) -> Scenario {
     // Drop budgets sit on *receiving* nodes (the failure decision is made
     // at delivery time), so the source node never spends one.
     match preset {
-        "tiny" => line(2, &[0], 1),
-        "line3" => line(3, &[0, 1], 2),
+        "tiny" => Ok(line(2, &[0], 1)),
+        "line3" => Ok(line(3, &[0, 1], 2)),
         "grid" => {
             let topology = Topology::grid(2, 2);
             let cfg = CollectConfig {
@@ -96,30 +118,32 @@ pub fn oracle_scenario(preset: &str) -> Scenario {
             let failures = FailureConfig::new()
                 .drops_on_route_and_neighbors(&topology, cfg.source, cfg.sink, 1);
             let programs = collect::programs(&topology, &cfg);
-            Scenario::new(topology, programs)
+            Ok(Scenario::new(topology, programs)
                 .with_failures(failures)
                 .with_duration_ms(4000)
-                .with_history_tracking(true)
+                .with_history_tracking(true))
         }
-        other => panic!("unknown oracle preset {other:?} (expected tiny|line3|grid)"),
+        other => Err(format!(
+            "unknown oracle preset {other:?} (expected tiny|line3|grid)"
+        )),
     }
 }
 
-/// Named demo workloads for the `repro` bin and `table1 --check`
-/// (DESIGN.md §12):
+/// Named demo workloads for the `repro` bin (DESIGN.md §12), each with
+/// the invariants checked against it:
 ///
-/// * `token` — the token-passing app on a 2×2 grid, route `0→1→3→2`.
-///   With the seeded bug (`fixed == false`) a hand-off leaks the
-///   persistent ownership flag, so a crash-recovery of node 0 under
-///   `--faults crashrec` (or `all`) resurrects stale ownership and
-///   violates `unique-token-owner`.
+/// * `token` — the token-passing app on a 2×2 grid, route `0→1→3→2`,
+///   checked for `unique-token-owner`. With the seeded bug
+///   (`fixed == false`) a hand-off leaks the persistent ownership flag,
+///   so a crash-recovery of node 0 under `--faults crashrec` (or `all`)
+///   resurrects stale ownership and violates the invariant.
 /// * `persist` — the crash-persistence app on a 3-node line. Its
 ///   invariants *hold*: this is the negative control that must exit 0.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown demo name.
-pub fn demo_scenario(name: &str, fixed: bool) -> Scenario {
+/// An unknown demo name, naming the two.
+pub fn demo(name: &str, fixed: bool) -> Result<(Scenario, Checker), String> {
     match name {
         "token" => {
             let topology = Topology::grid(2, 2);
@@ -129,70 +153,60 @@ pub fn demo_scenario(name: &str, fixed: bool) -> Scenario {
                 ..TokenConfig::default()
             };
             let programs = token::programs(&topology, &cfg);
-            Scenario::new(topology, programs).with_duration_ms(2000)
+            let scenario = Scenario::new(topology, programs).with_duration_ms(2000);
+            let checker = Checker::new().cross_node("unique-token-owner", |views| {
+                // Violated when any two nodes of one consistent global
+                // snapshot both believe they hold the token.
+                let owns: Vec<ExprRef> = views
+                    .iter()
+                    .map(|v| Expr::ne(v.memory_u16(layout::TOKEN_OWN), Expr::const_(0, Width::W16)))
+                    .collect();
+                let mut violated: Option<ExprRef> = None;
+                for i in 0..owns.len() {
+                    for j in i + 1..owns.len() {
+                        let both = Expr::and_bool(owns[i].clone(), owns[j].clone());
+                        violated = Some(match violated {
+                            Some(v) => Expr::or_bool(v, both),
+                            None => both,
+                        });
+                    }
+                }
+                violated
+            });
+            Ok((scenario, checker))
         }
         "persist" => {
             let topology = Topology::line(3);
-            let cfg = PersistConfig::default();
-            let programs = persist::programs(&topology, &cfg);
-            Scenario::new(topology, programs).with_duration_ms(1000)
+            let programs = persist::programs(&topology, &PersistConfig::default());
+            let scenario = Scenario::new(topology, programs).with_duration_ms(1000);
+            let checker = Checker::new()
+                .node_local("boot-count-positive", |view| {
+                    // Every booted node has incremented its persistent boot
+                    // counter at least once — zero means the persistent
+                    // window was lost.
+                    Some(Expr::eq(
+                        view.memory_u16(layout::BOOT_COUNT),
+                        Expr::const_(0, Width::W16),
+                    ))
+                })
+                .cross_node("seq-high-water-bounded", |views| {
+                    // No receiver's persisted high-water mark may exceed
+                    // what the source actually transmitted.
+                    let source = views.iter().find(|v| v.node == NodeId(0))?;
+                    let sent = source.memory_u16(layout::PERSIST_SEQ);
+                    let mut violated: Option<ExprRef> = None;
+                    for v in views.iter().filter(|v| v.node != NodeId(0)) {
+                        let above = Expr::ugt(v.memory_u16(layout::PERSIST_SEQ), sent.clone());
+                        violated = Some(match violated {
+                            Some(prev) => Expr::or_bool(prev, above),
+                            None => above,
+                        });
+                    }
+                    violated
+                });
+            Ok((scenario, checker))
         }
-        other => panic!("unknown demo {other:?} (expected token|persist)"),
-    }
-}
-
-/// The invariants checked against [`demo_scenario`]'s workloads.
-///
-/// # Panics
-///
-/// Panics on an unknown demo name.
-pub fn demo_checker(name: &str) -> Checker {
-    match name {
-        "token" => Checker::new().cross_node("unique-token-owner", |views| {
-            // Violated when any two nodes of one consistent global
-            // snapshot both believe they hold the token.
-            let owns: Vec<ExprRef> = views
-                .iter()
-                .map(|v| Expr::ne(v.memory_u16(layout::TOKEN_OWN), Expr::const_(0, Width::W16)))
-                .collect();
-            let mut violated: Option<ExprRef> = None;
-            for i in 0..owns.len() {
-                for j in i + 1..owns.len() {
-                    let both = Expr::and_bool(owns[i].clone(), owns[j].clone());
-                    violated = Some(match violated {
-                        Some(v) => Expr::or_bool(v, both),
-                        None => both,
-                    });
-                }
-            }
-            violated
-        }),
-        "persist" => Checker::new()
-            .node_local("boot-count-positive", |view| {
-                // Every booted node has incremented its persistent boot
-                // counter at least once — zero means the persistent
-                // window was lost.
-                Some(Expr::eq(
-                    view.memory_u16(layout::BOOT_COUNT),
-                    Expr::const_(0, Width::W16),
-                ))
-            })
-            .cross_node("seq-high-water-bounded", |views| {
-                // No receiver's persisted high-water mark may exceed
-                // what the source actually transmitted.
-                let source = views.iter().find(|v| v.node == NodeId(0))?;
-                let sent = source.memory_u16(layout::PERSIST_SEQ);
-                let mut violated: Option<ExprRef> = None;
-                for v in views.iter().filter(|v| v.node != NodeId(0)) {
-                    let above = Expr::ugt(v.memory_u16(layout::PERSIST_SEQ), sent.clone());
-                    violated = Some(match violated {
-                        Some(prev) => Expr::or_bool(prev, above),
-                        None => above,
-                    });
-                }
-                violated
-            }),
-        other => panic!("unknown demo {other:?} (expected token|persist)"),
+        other => Err(format!("unknown demo {other:?} (expected token|persist)")),
     }
 }
 
@@ -214,7 +228,8 @@ pub fn workload_checker(source: NodeId, sink: NodeId) -> Checker {
 }
 
 /// One axis of the extended fault model (DESIGN.md §11) — the unit the
-/// bench bins' `--faults` flag and the oracle's per-axis sweep work in.
+/// bench bins' `--faults` flag, the oracle's per-axis sweep and the fault
+/// suites work in. Declared in [`FaultPlan::AXES`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAxis {
     /// Symbolic partition of every link into the sink (node 0), healing
@@ -238,14 +253,10 @@ impl FaultAxis {
         FaultAxis::CrashRec,
     ];
 
-    /// Stable name for CLI values, labels and filenames.
+    /// Stable name for CLI values, labels and filenames: the plan's own
+    /// [`FaultPlan::AXES`] name.
     pub fn name(self) -> &'static str {
-        match self {
-            FaultAxis::Partition => "partition",
-            FaultAxis::Latency => "latency",
-            FaultAxis::Corrupt => "corrupt",
-            FaultAxis::CrashRec => "crashrec",
-        }
+        FaultPlan::AXES[self as usize]
     }
 
     /// Parses a `--faults` value: `all`, or a comma-separated subset of
@@ -260,15 +271,17 @@ impl FaultAxis {
             return Ok(FaultAxis::ALL.to_vec());
         }
         s.split(',')
-            .map(|axis| match axis.trim() {
-                "partition" => Ok(FaultAxis::Partition),
-                "latency" => Ok(FaultAxis::Latency),
-                "corrupt" => Ok(FaultAxis::Corrupt),
-                "crashrec" => Ok(FaultAxis::CrashRec),
-                other => Err(format!(
-                    "unknown fault axis {other:?} \
-                     (expected partition|latency|corrupt|crashrec|all)"
-                )),
+            .map(|name| {
+                let name = name.trim();
+                FaultAxis::ALL
+                    .into_iter()
+                    .find(|axis| axis.name() == name)
+                    .ok_or_else(|| {
+                        format!(
+                            "unknown fault axis {name:?} \
+                             (expected partition|latency|corrupt|crashrec|all)"
+                        )
+                    })
             })
             .collect()
     }
@@ -279,8 +292,15 @@ impl FaultAxis {
     }
 }
 
+impl std::fmt::Display for FaultAxis {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// Applies `axes` of the extended fault model to `scenario`, composing
-/// one [`FaultPlan`] sized from the scenario itself:
+/// one [`FaultPlan`] sized from the scenario itself — the one builder of
+/// the sink-targeted fault presets, for the bins and the test suites:
 ///
 /// * **partition** cuts every link into node 0 (the sink of every bench
 ///   workload — all traffic terminates there, so the cut is guaranteed
@@ -359,21 +379,21 @@ pub fn render_artifact(
     format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
-/// Writes a run's canonical equivalence key (wall times and solver
-/// counters excluded — exactly [`RunReport::equivalence_key`]) to
-/// `path`. The bytes are identical for any worker count, so CI can `cmp`
-/// the files across a sweep.
+/// Writes `contents` to `path`, creating its parent directories first.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from writing the file.
-pub fn write_equivalence_report(path: &Path, report: &RunReport) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
+/// Propagates I/O errors from creating the directories or the file.
+pub fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
+    create_parent(path)?;
+    std::fs::write(path, contents)
+}
+
+fn create_parent(path: &Path) -> std::io::Result<()> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
     }
-    std::fs::write(path, report.equivalence_key())
 }
 
 /// Per-algorithm run parameters for one experiment.
@@ -394,29 +414,12 @@ impl Default for RunLimits {
     }
 }
 
-/// Runs `scenario` under `algorithm` with the given limits.
-pub fn run_with_limits(scenario: &Scenario, algorithm: Algorithm, limits: RunLimits) -> RunReport {
-    run_with_limits_workers(scenario, algorithm, limits, None)
-}
-
-/// Like [`run_with_limits`], but optionally through the parallel engine:
-/// `Some(w)` runs [`Engine::run_sharded`] with `w` shard workers (the
-/// report is bit-identical, plus [`RunReport::parallel`]
-/// (sde_core::RunReport::parallel) counters); `None` runs sequentially.
-pub fn run_with_limits_workers(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-) -> RunReport {
-    run_with_limits_layers(scenario, algorithm, limits, workers, SolverLayers::Full)
-}
-
 /// Which layers of the incremental solver stack (DESIGN.md §6) a bench run
 /// enables — the on/off axis of the cache-ablation sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverLayers {
     /// Per-group exact caching plus the counterexample cache (default).
+    #[default]
     Full,
     /// Whole-query exact matching only: independence-partitioned group
     /// caching and counterexample reuse both disabled. This is the
@@ -468,47 +471,9 @@ impl SolverLayers {
     }
 }
 
-/// Like [`run_with_limits_workers`], with an explicit solver-layer
-/// configuration applied before the run starts.
-pub fn run_with_limits_layers(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-    layers: SolverLayers,
-) -> RunReport {
-    run_with_limits_dedup(scenario, algorithm, limits, workers, layers, false)
-}
-
-/// The fully-configurable run entry point: [`run_with_limits_layers`]
-/// plus the `--dedup` axis — online duplicate-dispatch pruning
-/// ([`Engine::set_dedup`], DESIGN.md §10). Canonical outputs are
-/// dedup-invariant (pinned by `tests/dedup_equivalence.rs`); the payoff
-/// shows up in [`RunReport::states_executed`](sde_core::RunReport) and
-/// [`RunReport::dedup`](sde_core::RunReport).
-pub fn run_with_limits_dedup(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-    layers: SolverLayers,
-    dedup: bool,
-) -> RunReport {
-    let s = scenario
-        .clone()
-        .with_state_cap(limits.state_cap)
-        .with_sample_every(limits.sample_every);
-    let engine = Engine::new(s, algorithm).with_dedup(dedup);
-    layers.apply(engine.solver());
-    match workers {
-        None => engine.run(),
-        Some(w) => engine.run_sharded(w),
-    }
-}
-
 /// Checkpoint/resume options shared by the bench bins (DESIGN.md §8):
 /// `--checkpoint-every N` (snapshot every N dispatched events),
-/// `--snapshot-dir D` (where `<label>.snap` files land),
+/// `--snapshot-dir D` (where `<bin>_<label>.snap` files land),
 /// `--resume PATH` (a snapshot file, or a directory holding per-label
 /// snapshots), `--stop-after S` (exit after S snapshots — the CI
 /// "interrupted run" stand-in for a kill).
@@ -518,40 +483,52 @@ pub struct Checkpointing {
     pub every: u64,
     /// Directory snapshot files are written to.
     pub dir: PathBuf,
-    /// Snapshot file — or directory of `<label>.snap` files — to resume
-    /// from.
+    /// Snapshot file — or directory of `<bin>_<label>.snap` files — to
+    /// resume from.
     pub resume: Option<PathBuf>,
     /// Stop the run after writing this many snapshots.
     pub stop_after: Option<u64>,
+    /// The bin's name, the first part of every snapshot file name.
+    pub bin: &'static str,
 }
 
 impl Checkpointing {
-    /// Parses the checkpoint flags; `None` when neither
+    /// Parses the checkpoint flags of bin `bin`; `None` when neither
     /// `--checkpoint-every` nor `--resume` was passed.
     ///
     /// # Errors
     ///
-    /// See [`Args::get`].
-    pub fn from_args(args: &Args) -> Result<Option<Checkpointing>, String> {
+    /// See [`Args::get`]; and `--trace` alongside checkpointing, which the
+    /// bins do not combine (`tests/checkpoint_equivalence.rs` covers
+    /// traced interrupt/resume).
+    pub fn from_args(args: &Args, bin: &'static str) -> Result<Option<Checkpointing>, String> {
         let every: Option<u64> = args.get("checkpoint-every")?;
-        let resume: Option<String> = args.get("resume")?;
+        let resume: Option<PathBuf> = args.get("resume")?;
         if every.is_none() && resume.is_none() {
             return Ok(None);
         }
+        if args.trace()?.is_some() {
+            return Err("--trace cannot be combined with checkpointing \
+                        (--checkpoint-every / --resume) in the bench bins; \
+                        tests/checkpoint_equivalence.rs covers traced interrupt/resume"
+                .to_string());
+        }
         Ok(Some(Checkpointing {
             every: every.unwrap_or(0),
-            dir: PathBuf::from(
-                args.get::<String>("snapshot-dir")?
-                    .unwrap_or_else(|| "bench_out/snapshots".to_string()),
-            ),
-            resume: resume.map(PathBuf::from),
+            dir: args.get_or("snapshot-dir", "bench_out/snapshots")?.into(),
+            resume,
             stop_after: args.get("stop-after")?,
+            bin,
         }))
     }
 
-    /// Where this run's snapshot lands: `<dir>/<label>.snap`.
+    fn file_in(&self, dir: &Path, label: &str) -> PathBuf {
+        dir.join(format!("{}_{label}.snap", self.bin))
+    }
+
+    /// Where run `label`'s snapshot lands: `<dir>/<bin>_<label>.snap`.
     pub fn snapshot_path(&self, label: &str) -> PathBuf {
-        self.dir.join(format!("{label}.snap"))
+        self.file_in(&self.dir, label)
     }
 
     /// The snapshot to resume `label` from, when one applies: `--resume`
@@ -560,7 +537,7 @@ impl Checkpointing {
     pub fn resume_path(&self, label: &str) -> Option<PathBuf> {
         let p = self.resume.as_ref()?;
         if p.is_dir() {
-            let candidate = p.join(format!("{label}.snap"));
+            let candidate = self.file_in(p, label);
             candidate.is_file().then_some(candidate)
         } else {
             Some(p.clone())
@@ -568,169 +545,149 @@ impl Checkpointing {
     }
 }
 
-fn io_invalid(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-}
-
-/// Loads and decodes a snapshot file with bin-friendly error messages.
+/// Loads and decodes a snapshot file.
 ///
 /// # Errors
 ///
-/// I/O errors reading the file; [`std::io::ErrorKind::InvalidData`] when
-/// the bytes are not a valid snapshot (corruption, wrong version).
-pub fn load_snapshot(path: &Path) -> std::io::Result<EngineSnapshot> {
-    let bytes = std::fs::read(path)?;
-    EngineSnapshot::from_bytes(&bytes).map_err(|e| io_invalid(format!("{}: {e}", path.display())))
+/// The file cannot be read, or its bytes are not a valid snapshot
+/// (corruption, wrong version) — the message names the path.
+pub fn load_snapshot(path: &Path) -> Result<EngineSnapshot, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    EngineSnapshot::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// [`run_with_limits_layers`] with checkpoint/resume: optionally resumes
-/// from `ckpt.resume`, then drives the run in `ckpt.every`-event
-/// segments, writing a snapshot to `<dir>/<label>.snap` at every pause.
-/// Returns `Ok(None)` when `--stop-after` ended the run early (the
-/// snapshot on disk carries the progress); `Ok(Some(report))` on
-/// completion. The completed report is equivalence-key-identical to an
-/// uninterrupted [`run_with_limits_layers`] run.
-///
-/// # Errors
-///
-/// I/O errors reading/writing snapshot files; `InvalidData` when the
-/// resume snapshot is malformed, is for a different algorithm, or does
-/// not match the scenario.
-pub fn run_checkpointed(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-    layers: SolverLayers,
-    ckpt: &Checkpointing,
-    label: &str,
-) -> std::io::Result<Option<RunReport>> {
-    run_checkpointed_dedup(
-        scenario, algorithm, limits, workers, layers, false, ckpt, label,
-    )
+/// How a bench bin runs a scenario: the values its flags set.
+#[derive(Debug, Clone, Default)]
+pub struct RunConfig {
+    /// State cap and sampling period applied to the scenario.
+    pub limits: RunLimits,
+    /// `Some(w)` drives the sharded engine with `w` workers (DESIGN.md
+    /// §13; the report is bit-identical, plus
+    /// [`RunReport::parallel`](sde_core::RunReport::parallel) counters);
+    /// `None` runs serially.
+    pub workers: Option<usize>,
+    /// Solver layers enabled before the run starts.
+    pub layers: SolverLayers,
+    /// Online duplicate-dispatch pruning (DESIGN.md §10). Canonical
+    /// outputs are dedup-invariant (`tests/dedup_equivalence.rs`); the
+    /// payoff shows in `states_executed` and `RunReport::dedup`. A
+    /// resumed run keeps the flag its snapshot carries.
+    pub dedup: bool,
+    /// The `--trace` base path: record the run into a
+    /// [`RingSink`] and write it to [`trace_file_for`]`(base, label)`.
+    pub trace: Option<PathBuf>,
+    /// Checkpoint / resume (DESIGN.md §8).
+    pub checkpoint: Option<Checkpointing>,
 }
 
-/// [`run_checkpointed`] with the `--dedup` axis. The dedup flag travels
-/// inside the snapshot, so a *resumed* run keeps pruning regardless of
-/// the `dedup` argument here (which only configures fresh runs); the
-/// memo index itself restarts cold after every resume — same canonical
-/// results, possibly more states executed (DESIGN.md §10).
-#[allow(clippy::too_many_arguments)]
-pub fn run_checkpointed_dedup(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-    layers: SolverLayers,
-    dedup: bool,
-    ckpt: &Checkpointing,
-    label: &str,
-) -> std::io::Result<Option<RunReport>> {
-    let s = scenario
-        .clone()
-        .with_state_cap(limits.state_cap)
-        .with_sample_every(limits.sample_every);
-    let mut engine = match ckpt.resume_path(label) {
-        Some(path) => {
-            let snap = load_snapshot(&path)?;
-            if snap.algorithm() != algorithm {
-                return Err(io_invalid(format!(
-                    "{}: snapshot is a {} run, expected {algorithm}",
-                    path.display(),
-                    snap.algorithm()
-                )));
-            }
-            let engine = Engine::resume(s, &snap)
-                .map_err(|e| io_invalid(format!("{}: {e}", path.display())))?;
-            println!(
-                "     | resumed from {} ({} events, {} states in)",
-                path.display(),
-                snap.events_processed(),
-                snap.total_states()
-            );
-            engine
-        }
-        None => Engine::new(s, algorithm).with_dedup(dedup),
-    };
-    layers.apply(engine.solver());
-    let budget = if ckpt.every > 0 {
-        Budget::events(ckpt.every)
-    } else {
-        Budget::unlimited()
-    };
-    let mut written = 0u64;
-    loop {
-        let outcome = match workers {
-            None => engine.run_until(budget),
-            Some(w) => engine.run_until_sharded(w, budget),
+impl RunConfig {
+    /// Runs `scenario` under `algorithm` — the one place the harness
+    /// builds and drives an [`Engine`] for a report. `label` names the
+    /// run's files: its trace and its `<bin>_<label>.snap` snapshot.
+    ///
+    /// With checkpointing, the run resumes from the snapshot
+    /// [`Checkpointing::resume_path`] finds, then runs in `every`-event
+    /// segments and writes a snapshot at every pause. `Ok(None)` means
+    /// `--stop-after` ended the run early (the snapshot on disk carries
+    /// the progress). Otherwise the result is the report — key-identical
+    /// to an uninterrupted run's — and the trace events, empty when the
+    /// run was not traced.
+    ///
+    /// # Errors
+    ///
+    /// A snapshot that cannot be read, decoded or resumed (another
+    /// algorithm's, or another scenario's), or a snapshot or trace file
+    /// that cannot be written; each message names the path.
+    pub fn run(
+        &self,
+        scenario: &Scenario,
+        algorithm: Algorithm,
+        label: &str,
+    ) -> Result<Option<(RunReport, Vec<TimedEvent>)>, String> {
+        let scenario = scenario
+            .clone()
+            .with_state_cap(self.limits.state_cap)
+            .with_sample_every(self.limits.sample_every);
+        let checkpoint = self.checkpoint.as_ref();
+        let mut engine = match checkpoint.and_then(|c| c.resume_path(label)) {
+            Some(path) => resume(scenario, algorithm, &path)?,
+            None => Engine::new(scenario, algorithm).with_dedup(self.dedup),
         };
-        if outcome.is_complete() {
-            return Ok(Some(engine.into_report()));
+        let trace = self
+            .trace
+            .as_ref()
+            .map(|base| (base, Arc::new(RingSink::default())));
+        if let Some((_, sink)) = &trace {
+            engine = engine.with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
         }
-        let path = ckpt.snapshot_path(label);
-        std::fs::create_dir_all(&ckpt.dir)?;
-        std::fs::write(&path, engine.snapshot().to_bytes())?;
-        written += 1;
-        if ckpt.stop_after.is_some_and(|n| written >= n) {
-            println!(
-                "     | stopped after {written} snapshot(s): {}",
-                path.display()
+        self.layers.apply(engine.solver());
+        let budget = match checkpoint {
+            Some(c) if c.every > 0 => Budget::events(c.every),
+            _ => Budget::unlimited(),
+        };
+        let mut written = 0u64;
+        loop {
+            let outcome = match self.workers {
+                None => engine.run_until(budget),
+                Some(w) => engine.run_until_sharded(w, budget),
+            };
+            if outcome.is_complete() {
+                break;
+            }
+            let checkpoint = checkpoint.expect("only a checkpoint budget pauses a run");
+            let path = checkpoint.snapshot_path(label);
+            write_file(&path, engine.snapshot().to_bytes())
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            written += 1;
+            if checkpoint.stop_after.is_some_and(|n| written >= n) {
+                println!(
+                    "     | stopped after {written} snapshot(s): {}",
+                    path.display()
+                );
+                return Ok(None);
+            }
+        }
+        let report = engine.into_report();
+        let Some((base, sink)) = trace else {
+            return Ok(Some((report, Vec::new())));
+        };
+        if sink.dropped() > 0 {
+            eprintln!(
+                "warning: trace ring evicted {} events (capacity {}); the file is truncated",
+                sink.dropped(),
+                sde_trace::DEFAULT_RING_CAPACITY
             );
-            return Ok(None);
         }
+        let events = sink.take();
+        let file = trace_file_for(base, label);
+        write_trace(&file, &events).map_err(|e| format!("{}: {e}", file.display()))?;
+        Ok(Some((report, events)))
     }
 }
 
-/// Like [`run_with_limits_layers`], with a [`sde_trace::RingSink`]
-/// recorder attached: returns the report plus every captured trace event.
-/// Eviction is never silent — a warning is printed if the ring filled up.
-pub fn run_with_limits_traced(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-    layers: SolverLayers,
-) -> (RunReport, Vec<sde_trace::TimedEvent>) {
-    run_with_limits_traced_dedup(scenario, algorithm, limits, workers, layers, false)
-}
-
-/// [`run_with_limits_traced`] with the `--dedup` axis; pruned dispatches
-/// appear in the trace as `StatePruned` events pointing at the memoized
-/// survivor.
-pub fn run_with_limits_traced_dedup(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-    layers: SolverLayers,
-    dedup: bool,
-) -> (RunReport, Vec<sde_trace::TimedEvent>) {
-    let s = scenario
-        .clone()
-        .with_state_cap(limits.state_cap)
-        .with_sample_every(limits.sample_every);
-    let sink = std::sync::Arc::new(sde_trace::RingSink::default());
-    let engine = Engine::new(s, algorithm)
-        .with_dedup(dedup)
-        .with_trace_sink(sink.clone() as std::sync::Arc<dyn sde_trace::TraceSink>);
-    layers.apply(engine.solver());
-    let report = match workers {
-        None => engine.run(),
-        Some(w) => engine.run_sharded(w),
-    };
-    if sink.dropped() > 0 {
-        eprintln!(
-            "warning: trace ring evicted {} events (capacity {}); the file is truncated",
-            sink.dropped(),
-            sde_trace::DEFAULT_RING_CAPACITY
-        );
+/// Resumes a run of `algorithm` from the snapshot at `path`.
+fn resume(scenario: Scenario, algorithm: Algorithm, path: &Path) -> Result<Engine, String> {
+    let snap = load_snapshot(path)?;
+    if snap.algorithm() != algorithm {
+        return Err(format!(
+            "{}: snapshot is a {} run, expected {algorithm}",
+            path.display(),
+            snap.algorithm()
+        ));
     }
-    (report, sink.take())
+    let engine = Engine::resume(scenario, &snap).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!(
+        "     | resumed from {} ({} events, {} states in)",
+        path.display(),
+        snap.events_processed(),
+        snap.total_states()
+    );
+    Ok(engine)
 }
 
 /// Derives a per-run trace filename from the `--trace` base path:
 /// `out.jsonl` + `cob` → `out_cob.jsonl`.
-pub fn trace_file_for(base: &std::path::Path, label: &str) -> std::path::PathBuf {
+pub fn trace_file_for(base: &Path, label: &str) -> PathBuf {
     let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
     let ext = base.extension().and_then(|s| s.to_str()).unwrap_or("jsonl");
     base.with_file_name(format!("{stem}_{label}.{ext}"))
@@ -743,15 +700,8 @@ pub fn trace_file_for(base: &std::path::Path, label: &str) -> std::path::PathBuf
 /// # Errors
 ///
 /// Propagates I/O errors from writing either file.
-pub fn write_trace(
-    path: &std::path::Path,
-    events: &[sde_trace::TimedEvent],
-) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
+pub fn write_trace(path: &Path, events: &[TimedEvent]) -> std::io::Result<()> {
+    create_parent(path)?;
     sde_trace::write_jsonl(path, events, true)?;
     sde_trace::write_chrome_trace(&path.with_extension("chrome.json"), events)
 }
@@ -774,16 +724,8 @@ pub fn table_header() -> String {
     )
 }
 
-/// Writes a report's Fig. 10 series as CSV to `path`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from writing the file.
-pub fn write_series_csv(report: &RunReport, path: &std::path::Path) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, report.series.to_csv())
+fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Serializes one run report as a JSON object — the machine-readable
@@ -794,7 +736,6 @@ pub fn write_series_csv(report: &RunReport, path: &std::path::Path) -> std::io::
 /// `history_digest` is emitted as a hex *string*: u64 digests routinely
 /// exceed JSON's 2^53 exact-integer range.
 pub fn report_json(label: &str, report: &RunReport) -> String {
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let s = &report.solver;
     let mut out = format!(
         concat!(
@@ -829,8 +770,8 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
             "      \"nodes_visited\": {}\n",
             "    }}",
         ),
-        escape(label),
-        escape(report.algorithm),
+        json_escape(label),
+        json_escape(report.algorithm),
         report.wall.as_secs_f64() * 1000.0,
         report.virtual_ms,
         report.total_states,
@@ -914,8 +855,10 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
 }
 
 fn json_string_array(items: &[String]) -> String {
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let rendered: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
+    let rendered: Vec<String> = items
+        .iter()
+        .map(|s| format!("\"{}\"", json_escape(s)))
+        .collect();
     format!("[{}]", rendered.join(", "))
 }
 
@@ -924,7 +867,6 @@ fn json_string_array(items: &[String]) -> String {
 /// first-class field — a truncated verdict must be machine-detectable,
 /// not buried in a prose summary.
 pub fn conformance_json(label: &str, report: &ConformanceReport) -> String {
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     format!(
         concat!(
             "  {{\n",
@@ -951,8 +893,8 @@ pub fn conformance_json(label: &str, report: &ConformanceReport) -> String {
             "    \"phantom\": {}\n",
             "  }}",
         ),
-        escape(label),
-        escape(report.algorithm),
+        json_escape(label),
+        json_escape(report.algorithm),
         report.is_clean(),
         report.exhaustive(),
         report.truth_outcomes,
@@ -979,7 +921,6 @@ pub fn conformance_json(label: &str, report: &ConformanceReport) -> String {
 /// companion record in `BENCH_table1.json`. `truncated` is the point:
 /// a capped generation pass must say so in the machine-readable output.
 pub fn testgen_json(label: &str, report: &TestGenReport) -> String {
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     format!(
         concat!(
             "  {{\n",
@@ -990,7 +931,7 @@ pub fn testgen_json(label: &str, report: &TestGenReport) -> String {
             "    \"truncated\": {}\n",
             "  }}",
         ),
-        escape(label),
+        json_escape(label),
         report.cases.len(),
         report.dscenarios_seen,
         report.unsolvable,
@@ -1003,11 +944,8 @@ pub fn testgen_json(label: &str, report: &TestGenReport) -> String {
 /// # Errors
 ///
 /// Propagates I/O errors from writing the file.
-pub fn write_bench_json(path: &std::path::Path, objects: &[String]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, format!("[\n{}\n]\n", objects.join(",\n")))
+pub fn write_bench_json(path: &Path, objects: &[String]) -> std::io::Result<()> {
+    write_file(path, format!("[\n{}\n]\n", objects.join(",\n")))
 }
 
 /// Parses `--key value`-style arguments (tiny, dependency-free).
@@ -1056,9 +994,62 @@ impl Args {
             .transpose()
     }
 
+    /// The value of `--key`, or `default` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// See [`Args::get`].
+    pub fn get_or(&self, key: &str, default: &str) -> Result<String, String> {
+        Ok(self.get(key)?.unwrap_or_else(|| default.to_string()))
+    }
+
     /// Whether the bare flag `--key` was passed.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// `--out DIR`: where a bin's records land (default `bench_out`).
+    ///
+    /// # Errors
+    ///
+    /// See [`Args::get`].
+    pub fn out_dir(&self) -> Result<PathBuf, String> {
+        self.get_or("out", "bench_out").map(PathBuf::from)
+    }
+
+    /// `--tag T` as the `_T` suffix of a record's file name; empty when
+    /// absent.
+    ///
+    /// # Errors
+    ///
+    /// See [`Args::get`].
+    pub fn tag(&self) -> Result<String, String> {
+        Ok(self
+            .get::<String>("tag")?
+            .map(|t| format!("_{t}"))
+            .unwrap_or_default())
+    }
+
+    /// `--faults LIST`, parsed by [`FaultAxis::parse_list`]; `None` when
+    /// absent.
+    ///
+    /// # Errors
+    ///
+    /// An unknown axis name.
+    pub fn faults(&self) -> Result<Option<Vec<FaultAxis>>, String> {
+        self.get::<String>("faults")?
+            .map(|list| FaultAxis::parse_list(&list))
+            .transpose()
+    }
+
+    /// `--trace PATH`: the base path of a bin's trace files (the trace
+    /// file itself for `lineage`).
+    ///
+    /// # Errors
+    ///
+    /// See [`Args::get`].
+    pub fn trace(&self) -> Result<Option<PathBuf>, String> {
+        self.get("trace")
     }
 }
 
@@ -1092,6 +1083,24 @@ pub fn or_usage<T>(parsed: Result<T, String>) -> T {
 mod tests {
     use super::*;
 
+    fn run(scenario: &Scenario, algorithm: Algorithm, config: &RunConfig) -> RunReport {
+        let (report, _) = config
+            .run(scenario, algorithm, "test")
+            .expect("an untraced, uncheckpointed run cannot fail")
+            .expect("only --stop-after ends a run early");
+        report
+    }
+
+    fn limited(state_cap: usize, sample_every: u64) -> RunConfig {
+        RunConfig {
+            limits: RunLimits {
+                state_cap,
+                sample_every,
+            },
+            ..RunConfig::default()
+        }
+    }
+
     #[test]
     fn paper_scenario_shape() {
         let s = paper_scenario(5);
@@ -1102,30 +1111,14 @@ mod tests {
 
     #[test]
     fn limits_apply() {
-        let s = paper_scenario(3);
-        let r = run_with_limits(
-            &s,
-            Algorithm::Cob,
-            RunLimits {
-                state_cap: 50,
-                sample_every: 8,
-            },
-        );
+        let r = run(&paper_scenario(3), Algorithm::Cob, &limited(50, 8));
         assert!(r.aborted, "a 50-state cap must abort COB");
         assert!(r.total_states >= 50);
     }
 
     #[test]
     fn bench_json_is_well_formed() {
-        let s = paper_scenario(3);
-        let r = run_with_limits(
-            &s,
-            Algorithm::Sds,
-            RunLimits {
-                state_cap: 10_000,
-                sample_every: 64,
-            },
-        );
+        let r = run(&paper_scenario(3), Algorithm::Sds, &limited(10_000, 64));
         let obj = report_json("sds_full", &r);
         for key in [
             "\"label\"",
@@ -1162,19 +1155,22 @@ mod tests {
 
     #[test]
     fn layer_toggles_are_answer_preserving_and_observable() {
-        let limits = RunLimits::default();
-        let run = |s: &Scenario, algorithm, layers| {
-            run_with_limits_layers(s, algorithm, limits, None, layers)
-        };
         // SDS on the 2×2 sense grid; COB on the 3×3 one, where every fork
         // copies the source and each copy mints its own reading.
         for (s, algorithm) in [
             (symbolic_grid(2), Algorithm::Sds),
             (symbolic_grid(3), Algorithm::Cob),
         ] {
-            let full = run(&s, algorithm, SolverLayers::Full);
-            let exact = run(&s, algorithm, SolverLayers::ExactOnly);
-            let off = run(&s, algorithm, SolverLayers::Off);
+            let with_layers = |layers| {
+                let config = RunConfig {
+                    layers,
+                    ..RunConfig::default()
+                };
+                run(&s, algorithm, &config)
+            };
+            let full = with_layers(SolverLayers::Full);
+            let exact = with_layers(SolverLayers::ExactOnly);
+            let off = with_layers(SolverLayers::Off);
             // Cache layers may only change solver counters, never the run.
             assert_eq!(full.equivalence_key(), exact.equivalence_key());
             assert_eq!(full.equivalence_key(), off.equivalence_key());
@@ -1207,15 +1203,20 @@ mod tests {
             FaultAxis::join(&FaultAxis::ALL),
             "partition+latency+corrupt+crashrec"
         );
-        let base = oracle_scenario("tiny");
+        let base = oracle_scenario("tiny").unwrap();
         assert!(with_fault_axes(base.clone(), &[]).faults.is_empty());
-        let all = with_fault_axes(base, &FaultAxis::ALL);
+        let all = with_fault_axes(base.clone(), &FaultAxis::ALL);
         assert!(all.faults.cut_contains(NodeId(0), NodeId(1)));
         assert_eq!(all.faults.heal_choices().len(), 2, "heal time is symbolic");
         assert_eq!(all.faults.latency_budget(NodeId(0)), 1);
         assert_eq!(all.faults.corrupt_budget(NodeId(0)), 1);
         assert_eq!(all.faults.crash_budget(NodeId(0)), 1);
         assert_eq!(all.faults.persist_base(), sde_os::layout::PERSIST_BASE);
+        // One axis alone is exactly that axis, under the plan's own name.
+        for axis in FaultAxis::ALL {
+            let one = with_fault_axes(base.clone(), &[axis]);
+            assert_eq!(one.faults.active_axes(), vec![axis.name()]);
+        }
     }
 
     #[test]
@@ -1230,21 +1231,22 @@ mod tests {
 
     #[test]
     fn oracle_presets_resolve() {
-        assert_eq!(oracle_scenario("tiny").node_count(), 2);
-        assert_eq!(oracle_scenario("line3").node_count(), 3);
-        assert_eq!(oracle_scenario("grid").node_count(), 4);
+        assert_eq!(oracle_scenario("tiny").unwrap().node_count(), 2);
+        assert_eq!(oracle_scenario("line3").unwrap().node_count(), 3);
+        assert_eq!(oracle_scenario("grid").unwrap().node_count(), 4);
     }
 
     #[test]
-    #[should_panic(expected = "unknown oracle preset")]
     fn oracle_preset_typo_is_loud() {
-        oracle_scenario("tinny");
+        let err = oracle_scenario("tinny").unwrap_err();
+        assert!(err.contains("unknown oracle preset \"tinny\""), "{err}");
+        assert!(err.contains("tiny|line3|grid"), "{err}");
     }
 
     #[test]
     fn conformance_json_surfaces_truncation() {
         use sde_core::oracle::{conformance_against, ground_truth, OracleConfig};
-        let scenario = oracle_scenario("tiny");
+        let scenario = oracle_scenario("tiny").unwrap();
         let cfg = OracleConfig::default();
         let truth = ground_truth(&scenario, &cfg);
         let clean = conformance_against(&truth, &scenario, Algorithm::Sds, None, &cfg);
@@ -1273,7 +1275,7 @@ mod tests {
     #[test]
     fn testgen_json_surfaces_truncation() {
         use sde_core::testgen;
-        let scenario = oracle_scenario("line3");
+        let scenario = oracle_scenario("line3").unwrap();
         let mut engine = Engine::new(scenario, Algorithm::Sds);
         engine.run_in_place();
         let full = testgen::generate(&engine, 4096);
@@ -1289,14 +1291,40 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let s = paper_scenario(3);
-        let r = run_with_limits(&s, Algorithm::Sds, RunLimits::default());
+        let r = run(&paper_scenario(3), Algorithm::Sds, &RunConfig::default());
         let dir = std::env::temp_dir().join("sde-bench-test");
         let path = dir.join("series.csv");
-        write_series_csv(&r, &path).unwrap();
+        write_file(&path, r.series.to_csv()).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("wall_ms,"));
         assert!(content.lines().count() > 1);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("sde-bench-test-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn write_file_creates_parents_and_writes() {
+        let dir = scratch("ok");
+        let path = dir.join("nested").join("artifact.json");
+        write_file(&path, "[]\n").expect("fresh temp path must be writable");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "[]\n");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_file_surfaces_io_errors() {
+        // A regular file where the parent directory should be: both the
+        // create_dir_all and the write must fail as an Err, never panic.
+        let blocker = scratch("blocked");
+        std::fs::write(&blocker, "not a directory").unwrap();
+        let path = blocker.join("artifact.json");
+        assert!(
+            write_file(&path, "[]\n").is_err(),
+            "writing under a regular file must report the IO error"
+        );
+        std::fs::remove_file(&blocker).unwrap();
     }
 }

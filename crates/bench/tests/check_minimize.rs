@@ -9,15 +9,25 @@
 //! * the repaired protocol (`--fixed`) and the `persist` demo are
 //!   violation-free negative controls.
 
-use sde_bench::{demo_checker, demo_scenario, render_artifact, with_fault_axes, FaultAxis};
-use sde_core::check::Violation;
+use sde_bench::{demo, render_artifact, with_fault_axes, FaultAxis};
+use sde_core::check::{Checker, Violation};
 use sde_core::oracle::Assignment;
 use sde_core::{Algorithm, Engine, MinimizeReport, Minimizer, Scenario};
 use sde_trace::{BufferSink, Lineage, TraceSink};
 use std::sync::Arc;
 
+/// A demo's scenario under every fault axis, and its invariants.
+fn faulted_demo(name: &str, fixed: bool) -> (Scenario, Checker) {
+    let (scenario, checker) = demo(name, fixed).expect("a known demo");
+    (with_fault_axes(scenario, &FaultAxis::ALL), checker)
+}
+
 fn token_scenario(fixed: bool) -> Scenario {
-    with_fault_axes(demo_scenario("token", fixed), &FaultAxis::ALL)
+    faulted_demo("token", fixed).0
+}
+
+fn token_checker() -> Checker {
+    faulted_demo("token", false).1
 }
 
 /// Explores the token demo with `workers` and returns the first
@@ -31,7 +41,7 @@ fn find_violation(scenario: &Scenario, workers: usize) -> Option<Violation> {
     } else {
         engine.run_in_place();
     }
-    let mut violation = demo_checker("token").check(&engine).into_iter().next()?;
+    let mut violation = token_checker().check(&engine).into_iter().next()?;
     let lineage = Lineage::from_events(sink.drain().iter()).expect("trace must be well-formed");
     violation.fill_lineage(&lineage);
     Some(violation)
@@ -49,7 +59,7 @@ fn minimize(scenario: &Scenario, violation: &Violation) -> MinimizeReport {
     Minimizer::new(
         scenario.clone(),
         Algorithm::Sds,
-        demo_checker("token"),
+        token_checker(),
         &violation.invariant,
     )
     .minimize(&seed_of(violation))
@@ -102,7 +112,7 @@ fn minimizing_a_minimal_repro_is_a_noop() {
     let again = Minimizer::new(
         first.scenario.clone(),
         Algorithm::Sds,
-        demo_checker("token"),
+        token_checker(),
         &first.violation.invariant,
     )
     .minimize(&first.assignment)
@@ -129,7 +139,7 @@ fn minimizing_a_minimal_repro_is_a_noop() {
 #[test]
 fn artifacts_are_byte_identical_across_worker_counts() {
     let scenario = token_scenario(false);
-    let base_duration_ms = demo_scenario("token", false).duration_ms;
+    let base_duration_ms = demo("token", false).expect("a known demo").0.duration_ms;
     let mut artifacts = Vec::new();
     for workers in [1usize, 2, 4] {
         let violation =
@@ -163,10 +173,10 @@ fn fixed_token_protocol_and_persist_demo_hold() {
         "the repaired hand-off must clear the persistent flag"
     );
 
-    let persist = with_fault_axes(demo_scenario("persist", false), &FaultAxis::ALL);
+    let (persist, checker) = faulted_demo("persist", false);
     let mut engine = Engine::new(persist, Algorithm::Sds);
     engine.run_in_place();
-    let violations = demo_checker("persist").check(&engine);
+    let violations = checker.check(&engine);
     assert!(
         violations.is_empty(),
         "persist demo is the negative control, got {violations:?}"

@@ -67,11 +67,21 @@ fn junk_layers_is_a_usage_error() {
 }
 
 /// An unparsable numeric value (or, for `oracle` / `repro`, an unknown
-/// `--algorithm`) is a usage error in every bin that takes one.
-/// `snapshot` takes only paths, which always parse.
+/// `--algorithm`) is a usage error in every bin that takes one, and so is
+/// every other value a bin cannot run: a grid side or node count no grid
+/// has, a trace asked of a checkpointed run, a snapshot that does not
+/// decode, an unknown preset or demo. `snapshot` takes only paths, which
+/// always parse.
 #[test]
 fn junk_numbers_and_algorithms_are_usage_errors_in_every_bin() {
     let side = "invalid value \"banana\" for --side";
+    let trace_and_checkpoint = "--trace cannot be combined with checkpointing";
+    let truncated = std::env::temp_dir().join(format!(
+        "sde-cli-usage-{}-truncated.snap",
+        std::process::id()
+    ));
+    std::fs::write(&truncated, b"SDESNAP").expect("temp dir is writable");
+    let truncated = truncated.to_str().expect("utf-8 temp path");
     for (exe, args, says) in [
         (
             env!("CARGO_BIN_EXE_table1"),
@@ -84,9 +94,48 @@ fn junk_numbers_and_algorithms_are_usage_errors_in_every_bin() {
             "for --checkpoint-every",
         ),
         (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--side", "0"][..],
+            "invalid --side 0",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &[
+                "--preset",
+                "tiny",
+                "--trace",
+                "t.jsonl",
+                "--checkpoint-every",
+                "5",
+            ][..],
+            trace_and_checkpoint,
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--preset", "tiny", "--resume", truncated][..],
+            truncated,
+        ),
+        (
             env!("CARGO_BIN_EXE_fig10"),
             &["--nodes", "many"][..],
             "invalid value \"many\" for --nodes",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig10"),
+            &["--nodes", "30"][..],
+            "expected a square number",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig10"),
+            &[
+                "--nodes",
+                "25",
+                "--trace",
+                "t.jsonl",
+                "--checkpoint-every",
+                "5",
+            ][..],
+            trace_and_checkpoint,
         ),
         (
             env!("CARGO_BIN_EXE_parallel_sweep"),
@@ -94,9 +143,14 @@ fn junk_numbers_and_algorithms_are_usage_errors_in_every_bin() {
             side,
         ),
         (
-            env!("CARGO_BIN_EXE_dedup_ablation"),
-            &["--side", "banana"][..],
-            side,
+            env!("CARGO_BIN_EXE_parallel_sweep"),
+            &["--trace", "t.jsonl", "--checkpoint-every", "5"][..],
+            trace_and_checkpoint,
+        ),
+        (
+            env!("CARGO_BIN_EXE_oracle"),
+            &["--preset", "tinny"][..],
+            "unknown oracle preset \"tinny\"",
         ),
         (
             env!("CARGO_BIN_EXE_oracle"),
@@ -119,6 +173,11 @@ fn junk_numbers_and_algorithms_are_usage_errors_in_every_bin() {
             "for --workers",
         ),
         (
+            env!("CARGO_BIN_EXE_repro"),
+            &["--demo", "tokn"][..],
+            "unknown demo \"tokn\"",
+        ),
+        (
             env!("CARGO_BIN_EXE_lineage"),
             &["--trace", "/dev/null", "--state", "banana"][..],
             "for --state",
@@ -126,4 +185,5 @@ fn junk_numbers_and_algorithms_are_usage_errors_in_every_bin() {
     ] {
         assert_bin_usage(exe, args, says);
     }
+    let _ = std::fs::remove_file(truncated);
 }

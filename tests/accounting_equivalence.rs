@@ -26,6 +26,7 @@ mod mesh;
 mod ring;
 
 use sde::prelude::*;
+use sde_bench::{with_fault_axes, FaultAxis};
 use sde_core::{Budget, Engine, EngineSnapshot};
 
 /// Events per slice: small enough that slices end mid-burst (between a
@@ -51,28 +52,6 @@ fn topologies() -> Vec<(&'static str, Scenario)> {
     ]
 }
 
-/// All four fault axes at once, each aimed at the sink (node 0) as
-/// `faults::fault_preset` aims them one at a time.
-fn all_axes(scenario: &Scenario) -> FaultPlan {
-    let sink = NodeId(0);
-    let cut: Vec<(NodeId, NodeId)> = scenario
-        .topology
-        .neighbors(sink)
-        .map(|n| (sink, n))
-        .collect();
-    let d = scenario.duration_ms;
-    FaultPlan::new()
-        .with_partition(cut, [d / 4, d / 2])
-        .with_latency([sink], scenario.link_latency_ms * 3, 1)
-        .with_corruption([sink], 1)
-        .with_crash_recovery(
-            [sink],
-            1,
-            sde::os::layout::PERSIST_BASE,
-            sde::os::layout::PERSIST_SIZE,
-        )
-}
-
 /// The failure axis of the matrix applied to one base scenario.
 fn variants(base: &Scenario) -> Vec<(String, Scenario)> {
     let k = base.node_count() as u16;
@@ -84,9 +63,10 @@ fn variants(base: &Scenario) -> Vec<(String, Scenario)> {
             (model.to_string(), base.clone().with_failures(failures))
         })
         .collect();
+    // All four fault axes at once, each aimed at the sink (node 0).
     out.push((
         "all-axes".to_string(),
-        base.clone().with_faults(all_axes(base)),
+        with_fault_axes(base.clone(), &FaultAxis::ALL),
     ));
     out
 }

@@ -1,26 +1,17 @@
-//! Shared helper: canonical failure models and fault-axis presets.
+//! Shared helper: canonical failure models.
 //!
-//! Two layers of symbolic misbehavior (DESIGN.md §6 and §11):
-//!
-//! * [`failure_model`] builds one of the paper's original three failure
-//!   models (drop / duplicate / reboot) with budget 1 on a victim set —
-//!   the `match failure { "drop" => ... }` blocks every suite used to
-//!   duplicate.
-//! * [`fault_preset`] / [`fault_presets`] build the extended fault axes
-//!   (partition / latency / corrupt / crashrec) for a given scenario,
-//!   mirroring `sde_bench::with_fault_axes`: each axis targets the sink
-//!   node 0, where every workload's traffic terminates, so the axis is
-//!   guaranteed to be exercised.
+//! [`failure_model`] builds one of the paper's original three failure
+//! models (drop / duplicate / reboot) with budget 1 on a victim set — the
+//! `match failure { "drop" => ... }` blocks every suite used to duplicate.
+//! The extended fault axes (partition / latency / corrupt / crashrec,
+//! DESIGN.md §11) come from `sde_bench::with_fault_axes`, the one builder
+//! the bins use too.
 
 use sde::prelude::*;
 
 /// The paper's original three failure models, in canonical order.
 #[allow(dead_code)]
 pub const FAILURE_MODELS: [&str; 3] = ["drop", "duplicate", "reboot"];
-
-/// The four extended fault axes, in canonical order.
-#[allow(dead_code)]
-pub const FAULT_AXES: [&str; 4] = ["partition", "latency", "corrupt", "crashrec"];
 
 /// Builds the named classic failure model with budget 1 on `victims`.
 ///
@@ -37,54 +28,4 @@ pub fn failure_model(name: &str, victims: &[NodeId]) -> FailureConfig {
         "reboot" => FailureConfig::new().with_reboots(victims, 1),
         other => panic!("unknown failure model {other:?} (expected drop|duplicate|reboot)"),
     }
-}
-
-/// Builds the named fault axis as a [`FaultPlan`] sized for `scenario`:
-///
-/// * `partition` — cut every edge into node 0, healing at one of two
-///   candidate times (`duration/4` or `duration/2`), so the heal time is
-///   itself symbolic;
-/// * `latency` — deliveries to node 0 may arrive 3 link-latencies late,
-///   one decision;
-/// * `corrupt` — one symbolic byte flip on a delivery to node 0;
-/// * `crashrec` — node 0 may crash once, keeping the persistent window.
-///
-/// # Panics
-///
-/// Panics on an unknown axis name.
-#[allow(dead_code)]
-pub fn fault_preset(axis: &str, scenario: &Scenario) -> FaultPlan {
-    let sink = NodeId(0);
-    match axis {
-        "partition" => {
-            let cut: Vec<(NodeId, NodeId)> = scenario
-                .topology
-                .neighbors(sink)
-                .map(|n| (sink, n))
-                .collect();
-            let d = scenario.duration_ms;
-            FaultPlan::new().with_partition(cut, [d / 4, d / 2])
-        }
-        "latency" => FaultPlan::new().with_latency([sink], scenario.link_latency_ms * 3, 1),
-        "corrupt" => FaultPlan::new().with_corruption([sink], 1),
-        "crashrec" => FaultPlan::new().with_crash_recovery(
-            [sink],
-            1,
-            sde::os::layout::PERSIST_BASE,
-            sde::os::layout::PERSIST_SIZE,
-        ),
-        other => {
-            panic!("unknown fault axis {other:?} (expected partition|latency|corrupt|crashrec)")
-        }
-    }
-}
-
-/// All four fault-axis presets for `scenario`, labeled, in canonical
-/// order — the standard sweep input for the fault differential suites.
-#[allow(dead_code)]
-pub fn fault_presets(scenario: &Scenario) -> Vec<(&'static str, FaultPlan)> {
-    FAULT_AXES
-        .iter()
-        .map(|axis| (*axis, fault_preset(axis, scenario)))
-        .collect()
 }

@@ -30,6 +30,7 @@ use line::line_collect;
 use proptest::prelude::*;
 use ring::ring_hello;
 use sde::prelude::*;
+use sde_bench::oracle_scenario;
 use sde_core::{DedupStats, Engine, EngineSnapshot};
 use sde_os::apps::collect::{self, CollectConfig};
 use std::collections::BTreeSet;
@@ -54,8 +55,10 @@ fn failure_scenario(topology: &Topology, failure: &str) -> Scenario {
         .with_state_cap(60_000)
 }
 
-/// The scenario matrix shared by the differential tests.
+/// The scenario matrix shared by the differential tests, the `oracle`
+/// bin's three presets among them.
 fn scenarios() -> Vec<(&'static str, Scenario)> {
+    let oracle = |preset| oracle_scenario(preset).expect("a known oracle preset");
     vec![
         ("line4-drop2", line_collect(4, &[2], 2, false)),
         ("line3-strict", line_collect(3, &[1], 2, true)),
@@ -73,6 +76,9 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
             "grid2x2-drop",
             failure_scenario(&Topology::grid(2, 2), "drop"),
         ),
+        ("oracle-tiny", oracle("tiny")),
+        ("oracle-line3", oracle("line3")),
+        ("oracle-grid", oracle("grid")),
     ]
 }
 
@@ -145,13 +151,20 @@ fn dedup_preserves_canonical_outputs_across_algorithms() {
                 on_canon, off_canon,
                 "[{label}] {alg}: dedup changed what the run explored"
             );
-            // The pruning payoff: dedup never executes *more* states, and
-            // every confirmed replay pruned at least its dispatched state.
+            // The pruning payoff: dedup never executes *more* states or
+            // instructions, and every confirmed replay pruned at least its
+            // dispatched state.
             assert!(
                 on_report.states_executed <= off_report.states_executed,
                 "[{label}] {alg}: dedup executed {} states, plain run {}",
                 on_report.states_executed,
                 off_report.states_executed
+            );
+            assert!(
+                on_report.instructions <= off_report.instructions,
+                "[{label}] {alg}: dedup executed {} instructions, plain run {}",
+                on_report.instructions,
+                off_report.instructions
             );
             assert!(
                 on_report.dedup.pruned_states >= on_report.dedup.confirmed,

@@ -1,8 +1,9 @@
 //! Documentation lint: the markdown documents reference real artifacts.
 //!
 //! Keeps README/DESIGN/EXPERIMENTS/docs honest as the workspace evolves:
-//! every `cargo run --example`/`--bin` they mention must exist, and every
-//! repo-relative path in backticks must resolve.
+//! every `cargo run --example`/`--bin` they mention must exist, every test
+//! file they name must exist, and every recorded `bench_out/` file they
+//! cite must be in the tree.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -88,6 +89,40 @@ fn every_documented_test_file_exists() {
             }
         }
     }
+}
+
+/// Every concrete `bench_out/...` path a document cites in backticks is in
+/// the tree: a recorded run a doc points at must be committed. A
+/// placeholder (`<side>`), alternation (`{seq,wN}`) or optional part
+/// (`[_<tag>]`) names the files a command writes, not one recorded file,
+/// and is skipped.
+#[test]
+fn every_cited_bench_out_file_exists() {
+    let mut cited = 0;
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "docs/ALGORITHMS.md",
+    ] {
+        let text = read(doc);
+        let mut rest = text.as_str();
+        while let Some(pos) = rest.find("`bench_out/") {
+            let tail = &rest[pos + 1..];
+            let end = tail.find('`').unwrap_or(tail.len());
+            let path = &tail[..end];
+            rest = &tail[(end + 1).min(tail.len())..];
+            if path.contains(['<', '{', '[']) {
+                continue;
+            }
+            cited += 1;
+            assert!(
+                repo_root().join(path).exists(),
+                "{doc} cites `{path}`, which is not in the tree"
+            );
+        }
+    }
+    assert!(cited >= 3, "suspiciously few bench_out citations: {cited}");
 }
 
 #[test]

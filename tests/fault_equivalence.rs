@@ -16,14 +16,13 @@
 //! * **Randomization** — proptest sweeps the same invariants over
 //!   random topology sizes and axis choices.
 
-#[path = "common/faults.rs"]
-mod faults;
 #[path = "common/fingerprints.rs"]
 mod fingerprints;
 
 use fingerprints::{dscenario_fingerprints, path_sets};
 use proptest::prelude::*;
 use sde::prelude::*;
+use sde_bench::{with_fault_axes, FaultAxis};
 use sde_core::Engine;
 use sde_os::apps::collect::{self, CollectConfig};
 use std::collections::{BTreeSet, HashMap};
@@ -54,10 +53,10 @@ fn fault_matrix() -> Vec<(String, Scenario)> {
         ("grid2x2", Topology::grid(2, 2)),
     ] {
         let base = collect_base(topology, 1);
-        for (axis, plan) in faults::fault_presets(&base) {
+        for axis in FaultAxis::ALL {
             out.push((
                 format!("{topo_name}-{axis}"),
-                base.clone().with_faults(plan),
+                with_fault_axes(base.clone(), &[axis]),
             ));
         }
     }
@@ -181,8 +180,8 @@ fn checkpoint_resume_mid_partition_matches_straight_run() {
 #[test]
 fn interrupted_parallel_dedup_fault_runs_match_straight_runs() {
     let base = collect_base(Topology::line(4), 1);
-    for (axis, plan) in faults::fault_presets(&base) {
-        let scenario = base.clone().with_faults(plan);
+    for axis in FaultAxis::ALL {
+        let scenario = with_fault_axes(base.clone(), &[axis]);
         for alg in Algorithm::ALL {
             let (straight, _) = canonical_run(&scenario, alg, true);
             let mut engine = Engine::new(scenario.clone(), alg).with_dedup(true);
@@ -215,9 +214,7 @@ fn interrupted_parallel_dedup_fault_runs_match_straight_runs() {
 #[test]
 fn resume_under_a_different_fault_plan_is_refused() {
     let base = collect_base(Topology::line(3), 1);
-    let scenario = base
-        .clone()
-        .with_faults(faults::fault_preset("partition", &base));
+    let scenario = with_fault_axes(base.clone(), &[FaultAxis::Partition]);
     let mut engine = Engine::new(scenario.clone(), Algorithm::Sds);
     let outcome = engine.run_until(Budget::events(3));
     assert_eq!(outcome, RunOutcome::Paused, "run too small to pause");
@@ -225,9 +222,7 @@ fn resume_under_a_different_fault_plan_is_refused() {
 
     // Same workload, different fault plan: the stored budgets and
     // partition deadlines would silently change meaning.
-    let other = base
-        .clone()
-        .with_faults(faults::fault_preset("latency", &base));
+    let other = with_fault_axes(base.clone(), &[FaultAxis::Latency]);
     match Engine::resume(other, &snap) {
         Err(SnapshotError::ScenarioMismatch(what)) => assert_eq!(what, "fault_plan"),
         other => panic!("expected a fault_plan mismatch, got {other:?}"),
@@ -315,9 +310,7 @@ fn partition_heals_and_never_leaks_deliveries() {
     // and 3rd delivery, so partitioned lineages observe both the active
     // cut (drops) and the healed network (a late delivery).
     let base = collect_base(Topology::line(3), 3);
-    let scenario = base
-        .clone()
-        .with_faults(faults::fault_preset("partition", &base));
+    let scenario = with_fault_axes(base, &[FaultAxis::Partition]);
     for alg in Algorithm::ALL {
         let events = traced_run(&scenario, alg);
         check_partition_trace(&format!("line3-partition/{alg}"), &events, true);
@@ -372,9 +365,7 @@ fn check_latency_trace(label: &str, events: &[TraceEvent], base_ms: u64, extra_m
 #[test]
 fn deferred_deliveries_respect_the_latency_bound() {
     let base = collect_base(Topology::line(3), 2);
-    let scenario = base
-        .clone()
-        .with_faults(faults::fault_preset("latency", &base));
+    let scenario = with_fault_axes(base, &[FaultAxis::Latency]);
     for alg in Algorithm::ALL {
         let events = traced_run(&scenario, alg);
         check_latency_trace(
@@ -409,9 +400,7 @@ fn persistent_window_survives_crash_while_volatile_resets() {
     let base = Scenario::new(topology, programs)
         .with_duration_ms(1000)
         .with_history_tracking(true);
-    let scenario = base
-        .clone()
-        .with_faults(faults::fault_preset("crashrec", &base));
+    let scenario = with_fault_axes(base, &[FaultAxis::CrashRec]);
 
     for alg in Algorithm::ALL {
         let mut engine = Engine::new(scenario.clone(), alg);
@@ -477,8 +466,8 @@ proptest! {
     ) {
         let topology = if ring { Topology::ring(k) } else { Topology::line(k) };
         let base = collect_base(topology, 1);
-        let axis = faults::FAULT_AXES[axis_idx];
-        let scenario = base.clone().with_faults(faults::fault_preset(axis, &base));
+        let axis = FaultAxis::ALL[axis_idx];
+        let scenario = with_fault_axes(base, &[axis]);
         for alg in Algorithm::ALL {
             let mut engine = Engine::new(scenario.clone(), alg);
             engine.run_in_place();
@@ -500,7 +489,7 @@ proptest! {
     #[test]
     fn latency_bound_holds_on_random_lines(k in 3u16..5, packets in 1u16..3) {
         let base = collect_base(Topology::line(k), packets);
-        let scenario = base.clone().with_faults(faults::fault_preset("latency", &base));
+        let scenario = with_fault_axes(base, &[FaultAxis::Latency]);
         let events = traced_run(&scenario, Algorithm::Sds);
         check_latency_trace(
             &format!("line{k}-{packets}pkt"),
@@ -516,7 +505,7 @@ proptest! {
     #[test]
     fn no_delivery_crosses_an_active_cut_on_random_lines(k in 3u16..5, packets in 1u16..4) {
         let base = collect_base(Topology::line(k), packets);
-        let scenario = base.clone().with_faults(faults::fault_preset("partition", &base));
+        let scenario = with_fault_axes(base, &[FaultAxis::Partition]);
         let events = traced_run(&scenario, Algorithm::Sds);
         check_partition_trace(&format!("line{k}-{packets}pkt"), &events, false);
     }

@@ -33,6 +33,7 @@ use mesh::mesh_flood;
 use ring::ring_hello;
 use sde::core::oracle::{conformance_against, ground_truth, GroundTruth, OracleConfig};
 use sde::prelude::*;
+use sde_bench::{with_fault_axes, FaultAxis};
 
 /// Shared check: compute the ground truth once, then demand every
 /// algorithm's dscenario set matches it exactly and exhaustively.
@@ -197,12 +198,12 @@ fn grid_base() -> Scenario {
 /// One fault axis, layered alone on two topologies, under all three
 /// algorithms: a divergence here is attributable to a single fault
 /// mechanism on a single topology.
-fn check_fault_axis(axis: &'static str) {
+fn check_fault_axis(axis: FaultAxis) {
     for (name, base) in [
         ("line3", line_with_failures(3, 1, FailureConfig::new())),
         ("grid2x2", grid_base()),
     ] {
-        let scenario = base.clone().with_faults(faults::fault_preset(axis, &base));
+        let scenario = with_fault_axes(base, &[axis]);
         let label = format!("{name}-{axis}");
         let truth = assert_all_algorithms_conform(&label, &scenario, &OracleConfig::default());
         assert!(
@@ -215,22 +216,22 @@ fn check_fault_axis(axis: &'static str) {
 
 #[test]
 fn partition_axis_conforms() {
-    check_fault_axis("partition");
+    check_fault_axis(FaultAxis::Partition);
 }
 
 #[test]
 fn latency_axis_conforms() {
-    check_fault_axis("latency");
+    check_fault_axis(FaultAxis::Latency);
 }
 
 #[test]
 fn corruption_axis_conforms() {
-    check_fault_axis("corrupt");
+    check_fault_axis(FaultAxis::Corrupt);
 }
 
 #[test]
 fn crash_recovery_axis_conforms() {
-    check_fault_axis("crashrec");
+    check_fault_axis(FaultAxis::CrashRec);
 }
 
 #[test]
@@ -249,9 +250,7 @@ fn crash_recovery_persist_workload_conforms() {
     let base = Scenario::new(topology, programs)
         .with_duration_ms(1000)
         .with_history_tracking(true);
-    let scenario = base
-        .clone()
-        .with_faults(faults::fault_preset("crashrec", &base));
+    let scenario = with_fault_axes(base, &[FaultAxis::CrashRec]);
     let truth = assert_all_algorithms_conform(
         "line2-persist-crashrec",
         &scenario,
@@ -270,10 +269,10 @@ fn truncated_fault_sweeps_are_flagged_not_silent() {
     // per-axis domain below that must surface as an explicit truncation
     // flag on the ground truth *and* the conformance report — a capped
     // verdict must never look like a full one.
-    let base = line_with_failures(2, 1, FailureConfig::new());
-    let scenario = base
-        .clone()
-        .with_faults(faults::fault_preset("corrupt", &base));
+    let scenario = with_fault_axes(
+        line_with_failures(2, 1, FailureConfig::new()),
+        &[FaultAxis::Corrupt],
+    );
     let cfg = OracleConfig {
         domains: sde::core::oracle::Domains::new().with_max_domain(16),
         ..OracleConfig::default()

@@ -13,17 +13,15 @@
 //!   transmission — the exploration itself diverges from the ground
 //!   truth, so the verdict must be dirty.
 
-#[path = "common/faults.rs"]
-mod faults;
 #[path = "common/line.rs"]
 mod line;
 
-use faults::{fault_preset, FAULT_AXES};
 use line::line_collect;
 use sde::core::oracle::{
     conformance_against, ground_truth, Domains, GroundTruth, Mutation, OracleConfig,
 };
 use sde::prelude::*;
+use sde_bench::{with_fault_axes, FaultAxis};
 use std::collections::BTreeSet;
 
 fn scenario() -> Scenario {
@@ -134,8 +132,8 @@ fn every_fault_axis_changes_the_canonical_outcome_set() {
     let baseline = outcome_set(&ground_truth(&base, &cfg));
     assert!(!baseline.is_empty());
     let mut per_axis = Vec::new();
-    for axis in FAULT_AXES {
-        let faulted = base.clone().with_faults(fault_preset(axis, &base));
+    for axis in FaultAxis::ALL {
+        let faulted = with_fault_axes(base.clone(), &[axis]);
         let truth = ground_truth(&faulted, &cfg);
         let outcomes = outcome_set(&truth);
         assert_ne!(
@@ -173,8 +171,8 @@ fn mutants_stay_killed_under_every_fault_axis() {
     // each axis active, suppressing a dscenario is still caught.
     let base = scenario();
     let cfg = axis_cfg();
-    for axis in FAULT_AXES {
-        let faulted = base.clone().with_faults(fault_preset(axis, &base));
+    for axis in FaultAxis::ALL {
+        let faulted = with_fault_axes(base.clone(), &[axis]);
         let truth = ground_truth(&faulted, &cfg);
         let clean = conformance_against(&truth, &faulted, Algorithm::Sds, None, &cfg);
         assert!(

@@ -9,8 +9,6 @@
 //! a change that moves one of them has changed behaviour or the wire
 //! format, and must say so (and bump `SNAPSHOT_VERSION` for the latter).
 
-#[path = "common/faults.rs"]
-mod faults;
 #[path = "common/grid.rs"]
 mod grid;
 #[path = "common/line.rs"]
@@ -21,6 +19,7 @@ mod mesh;
 use sde::os::apps::sense;
 use sde::prelude::*;
 use sde::symbolic::SnapWriter;
+use sde_bench::{with_fault_axes, FaultAxis};
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
@@ -70,10 +69,7 @@ fn sense_3x3_cob_key() {
 /// into a concrete payload word.
 #[test]
 fn line3_cow_corrupt_key() {
-    let scenario = line::line_collect(3, &[1], 2, false);
-    let scenario = scenario
-        .clone()
-        .with_faults(faults::fault_preset("corrupt", &scenario));
+    let scenario = with_fault_axes(line::line_collect(3, &[1], 2, false), &[FaultAxis::Corrupt]);
     let report = Engine::new(scenario, Algorithm::Cow).run();
     assert!(report.trace.forks_corrupt > 0, "the axis was exercised");
     assert_key("line-3 COW corrupt", &report, 0x3675_244a_8aae_86df);
