@@ -52,7 +52,6 @@ mod history;
 pub mod mapping;
 pub mod minimize;
 pub mod oracle;
-pub mod parallel;
 mod scenario;
 mod state;
 mod stats;

@@ -9,62 +9,18 @@
 //! (2) the exploded dscenario sets coincide, and (3) the same bugs are
 //! found.
 
-#[path = "common/fingerprints.rs"]
-mod fingerprints;
-#[path = "common/grid.rs"]
-mod grid;
-#[path = "common/line.rs"]
-mod line;
-#[path = "common/mesh.rs"]
-mod mesh;
-#[path = "common/ring.rs"]
-mod ring;
+mod common;
 
-use fingerprints::{dscenario_fingerprints, path_sets};
-use grid::grid_collect;
-use line::line_collect;
-use mesh::mesh_flood;
-use ring::ring_hello;
+use common::matrix::{assert_algorithms_agree, baseline, Row};
+use common::{grid_collect, line_collect, mesh_flood, ring_hello};
 use sde::prelude::*;
-use sde_core::Engine;
-
-fn engines_for(scenario: &Scenario) -> Vec<Engine> {
-    Algorithm::ALL
-        .iter()
-        .map(|alg| {
-            let mut e = Engine::new(scenario.clone(), *alg);
-            e.run_in_place();
-            e
-        })
-        .collect()
-}
 
 fn assert_equivalent(scenario: &Scenario, label: &str) {
-    let engines = engines_for(scenario);
-    let baseline_paths = path_sets(&engines[0]);
-    let baseline_scenarios = dscenario_fingerprints(&engines[0]);
+    let row = Row::new(label, scenario.clone());
     assert!(
-        !baseline_scenarios.is_empty(),
-        "{label}: baseline explored nothing"
+        assert_algorithms_agree(&row),
+        "{label}: a run hit the state cap"
     );
-    for engine in &engines[1..] {
-        let name = engine.mapper().name();
-        assert_eq!(
-            path_sets(engine),
-            baseline_paths,
-            "{label}: {name} explored different per-node paths than COB"
-        );
-        assert_eq!(
-            dscenario_fingerprints(engine),
-            baseline_scenarios,
-            "{label}: {name} represents different dscenarios than COB"
-        );
-        assert!(
-            engine.mapper().check_invariants().is_none(),
-            "{label}: {name} invariants: {:?}",
-            engine.mapper().check_invariants()
-        );
-    }
 }
 
 #[test]
@@ -92,50 +48,29 @@ fn ring_hello_no_failures() {
     // Without symbolic input there is exactly one dscenario and one path
     // per node, whatever the algorithm.
     let scenario = ring_hello(5);
-    let engines = engines_for(&scenario);
-    for engine in &engines {
+    for alg in Algorithm::ALL {
+        let report = run(&scenario, alg);
         assert_eq!(
-            engine.states().count(),
-            5,
-            "{}: no symbolic input → no forking",
-            engine.mapper().name()
+            report.total_states, 5,
+            "{alg}: no symbolic input → no forking"
         );
-        assert_eq!(engine.mapper().group_count(), 1);
+        assert_eq!(report.groups, 1);
     }
     assert_equivalent(&scenario, "ring5/hello");
 }
 
 #[test]
 fn same_bugs_found_by_every_algorithm() {
-    let scenario = line_collect(3, &[1], 3, true);
-    let mut bug_sets = Vec::new();
-    for alg in Algorithm::ALL {
-        let report = run(&scenario, alg);
-        let mut bugs: Vec<(String, String)> = report
-            .bugs
-            .iter()
-            .map(|b| {
-                (
-                    b.node.to_string(),
-                    format!("{}@{}", b.report.kind, b.report.loc),
-                )
-            })
-            .collect();
-        bugs.sort();
-        bugs.dedup();
-        assert!(
-            !bugs.is_empty(),
-            "{alg}: the strict sink must catch the drop-induced gap"
-        );
-        bug_sets.push((alg, bugs));
-    }
-    for window in bug_sets.windows(2) {
-        assert_eq!(
-            window[0].1, window[1].1,
-            "{} and {} disagree on bugs",
-            window[0].0, window[1].0
-        );
-    }
+    let row = Row::new("line3-strict-3pkt", line_collect(3, &[1], 3, true));
+    let bugs = Algorithm::ALL.map(|alg| baseline(&row, alg).canonical().bugs.clone());
+    assert!(
+        !bugs[0].is_empty(),
+        "the strict sink must catch the drop-induced gap"
+    );
+    assert!(
+        bugs.iter().all(|b| *b == bugs[0]),
+        "the algorithms disagree on bugs: {bugs:?}"
+    );
 }
 
 #[test]

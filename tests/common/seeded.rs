@@ -1,17 +1,20 @@
-//! Shared helper: seed-derived random scenarios for property tests.
+//! Seed-derived random scenarios for property tests.
 
-#[path = "faults.rs"]
-mod faults;
-
+use super::{failure_model, FAILURE_MODELS};
 use sde::prelude::*;
 
 /// splitmix64: tiny, high-quality, dependency-free seed expander.
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// `n` seeds spread from `base`, as every seeded sweep draws them.
+pub fn seeds(base: u64, n: u64) -> impl Iterator<Item = u64> {
+    (0..n).map(move |i| base ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Derives a full scenario from one seed: topology (line/ring/grid/mesh),
@@ -72,8 +75,8 @@ pub fn scenario_from_seed(seed: u64) -> (String, Scenario) {
     let (failure_name, failures) = match next() % 4 {
         0 => ("none", FailureConfig::new()),
         n => {
-            let name = faults::FAILURE_MODELS[(n - 1) as usize];
-            (name, faults::failure_model(name, &victims))
+            let name = FAILURE_MODELS[(n - 1) as usize];
+            (name, failure_model(name, &victims))
         }
     };
 

@@ -1,93 +1,49 @@
 //! Determinism: two runs of the same scenario under the same algorithm
-//! must explore identical state sets. Replay correctness (and the whole
-//! "concrete test case" story, §II-A) depends on it.
+//! explore identical state sets — the repeat column of the strategy
+//! matrix (`tests/common/matrix.rs`), whose key covers every state's id
+//! and configuration digest. Replay correctness (and the whole "concrete
+//! test case" story, §II-A) depends on it.
 
-#[path = "common/grid.rs"]
-mod grid;
-#[path = "common/line.rs"]
-mod line;
+mod common;
 
-use grid::grid_collect;
-use line::line_collect;
+use common::matrix::{check, Row, SERIAL};
+use common::{grid_collect, line_collect};
 use sde::prelude::*;
-use sde_core::Engine;
-use std::collections::BTreeSet;
-
-fn state_fingerprint(engine: &Engine) -> BTreeSet<(u16, u64, u64)> {
-    engine
-        .states()
-        .map(|s| (s.node.0, s.vm.path_digest(), s.history.digest()))
-        .collect()
-}
 
 #[test]
 fn repeated_runs_are_identical() {
-    for alg in Algorithm::ALL {
-        let scenario = grid_collect(3, 3, 5000, false);
-        let mut a = Engine::new(scenario.clone(), alg);
-        let mut b = Engine::new(scenario, alg);
-        a.run_in_place();
-        b.run_in_place();
-        assert_eq!(
-            state_fingerprint(&a),
-            state_fingerprint(&b),
-            "{alg}: non-deterministic exploration"
-        );
-        assert_eq!(a.states().count(), b.states().count());
-        assert_eq!(a.mapper().group_count(), b.mapper().group_count());
-    }
+    let row = Row::new("grid3x3-route-5s", grid_collect(3, 3, 5000, false));
+    check(&[row], &Algorithm::ALL, &[SERIAL]);
 }
 
 #[test]
 fn reports_are_reproducible_modulo_wall_clock() {
-    let scenario = line_collect(4, &[1, 2], 2, false);
-    let r1 = sde_core::run(&scenario, Algorithm::Sds);
-    let r2 = sde_core::run(&scenario, Algorithm::Sds);
-    assert_eq!(r1.total_states, r2.total_states);
-    assert_eq!(r1.packets, r2.packets);
-    assert_eq!(r1.events, r2.events);
-    assert_eq!(r1.instructions, r2.instructions);
-    assert_eq!(r1.groups, r2.groups);
-    assert_eq!(r1.final_bytes, r2.final_bytes);
+    let row = Row::new("line4-drop1+2", line_collect(4, &[1, 2], 2, false));
+    check(&[row], &[Algorithm::Sds], &[SERIAL]);
 }
 
 #[test]
 fn testgen_is_reproducible() {
     let scenario = line_collect(4, &[1, 2], 2, false);
-    let mut a = Engine::new(scenario.clone(), Algorithm::Sds);
-    let mut b = Engine::new(scenario, Algorithm::Sds);
-    a.run_in_place();
-    b.run_in_place();
-    let cases_a = sde_core::testgen::generate(&a, 100);
-    let cases_b = sde_core::testgen::generate(&b, 100);
-    assert_eq!(cases_a.cases.len(), cases_b.cases.len());
-    let key = |c: &sde_core::testgen::TestCase| {
-        let mut v: Vec<String> = c
-            .nodes
+    let cases = || {
+        let mut engine = Engine::new(scenario.clone(), Algorithm::Sds);
+        engine.run_in_place();
+        let mut keys: Vec<String> = sde_core::testgen::generate(&engine, 100)
+            .cases
             .iter()
-            .flat_map(|n| {
-                n.inputs
-                    .iter()
-                    .map(|(k, val)| format!("{}:{k}={val}", n.node))
+            .map(|c| {
+                let inputs = c.nodes.iter().flat_map(|n| {
+                    n.inputs
+                        .iter()
+                        .map(move |(k, val)| format!("{}:{k}={val}", n.node))
+                });
+                let mut inputs: Vec<String> = inputs.collect();
+                inputs.sort();
+                inputs.join(",")
             })
             .collect();
-        v.sort();
-        v.join(",")
+        keys.sort();
+        keys
     };
-    let mut ka: Vec<String> = cases_a.cases.iter().map(key).collect();
-    let mut kb: Vec<String> = cases_b.cases.iter().map(key).collect();
-    ka.sort();
-    kb.sort();
-    assert_eq!(ka, kb);
-}
-
-#[test]
-fn parallel_run_all_is_deterministic_per_algorithm() {
-    let scenario = line_collect(3, &[1], 2, false);
-    let parallel = sde_core::parallel::run_all(&scenario, &Algorithm::ALL);
-    for (alg, report) in Algorithm::ALL.iter().zip(&parallel) {
-        let sequential = sde_core::run(&scenario, *alg);
-        assert_eq!(report.total_states, sequential.total_states, "{alg}");
-        assert_eq!(report.groups, sequential.groups, "{alg}");
-    }
+    assert_eq!(cases(), cases());
 }

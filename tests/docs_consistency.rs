@@ -2,8 +2,8 @@
 //!
 //! Keeps README/DESIGN/EXPERIMENTS/docs honest as the workspace evolves:
 //! every `cargo run --example`/`--bin` they mention must exist, every test
-//! file they name must exist, and every recorded `bench_out/` file they
-//! cite must be in the tree.
+//! suite they (or CI, or the verify skill) name must exist, and every
+//! recorded `bench_out/` file they cite must be in the tree.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -65,27 +65,38 @@ fn every_documented_bin_exists() {
     }
 }
 
+/// Whether `name` is an integration suite: `tests/<name>.rs` (or a
+/// directory of that name) at the workspace root or under
+/// `crates/<crate>/tests/`.
+fn suite_exists(name: &str) -> bool {
+    let root = repo_root().join("tests");
+    let in_crate_tests = std::fs::read_dir(repo_root().join("crates"))
+        .map(|dir| {
+            dir.filter_map(Result::ok)
+                .any(|e| e.path().join("tests").join(format!("{name}.rs")).exists())
+        })
+        .unwrap_or(false);
+    root.join(format!("{name}.rs")).exists() || root.join(name).exists() || in_crate_tests
+}
+
+/// Every suite a document names — as a `tests/<name>` path or as the
+/// `--test <name>` a command runs — exists, in the docs, the CI workflow
+/// and the verify skill alike: a suite that is deleted or renamed cannot
+/// leave behind a CI step that fails only where CI runs.
 #[test]
 fn every_documented_test_file_exists() {
-    for doc in ["README.md", "EXPERIMENTS.md", "docs/ALGORITHMS.md"] {
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "docs/ALGORITHMS.md",
+        ".github/workflows/ci.yml",
+        ".claude/skills/verify/SKILL.md",
+    ] {
         let text = read(doc);
-        for t in mentioned("tests/", &text) {
-            let path = repo_root().join("tests").join(format!("{t}.rs"));
-            // `tests/` may also be referenced as a directory; only check
-            // names that look like files (mentioned captures the stem).
-            // Integration tests live both at the workspace root and under
-            // `crates/<crate>/tests/`.
-            if !t.is_empty() {
-                let in_crate_tests = std::fs::read_dir(repo_root().join("crates"))
-                    .map(|dir| {
-                        dir.filter_map(Result::ok)
-                            .any(|e| e.path().join("tests").join(format!("{t}.rs")).exists())
-                    })
-                    .unwrap_or(false);
-                assert!(
-                    path.exists() || repo_root().join("tests").join(&t).exists() || in_crate_tests,
-                    "{doc} mentions missing test `{t}`"
-                );
+        for pattern in ["tests/", "--test "] {
+            for t in mentioned(pattern, &text) {
+                assert!(suite_exists(&t), "{doc} names missing test `{t}`");
             }
         }
     }

@@ -1,19 +1,9 @@
 //! Engine-level behavior: the KleeNet execution model, the three failure
 //! models, and resource-cap semantics.
 
-#[path = "common/faults.rs"]
-mod faults;
-#[path = "common/grid.rs"]
-mod grid;
-#[path = "common/line.rs"]
-mod line;
-#[path = "common/ring.rs"]
-mod ring;
+mod common;
 
-use faults::failure_model;
-use grid::grid_collect;
-use line::line_collect;
-use ring::ring_hello;
+use common::{failure_model, grid_collect, line_collect, ring_hello};
 use sde::prelude::*;
 use sde_core::Engine;
 

@@ -1,219 +1,88 @@
-//! Differential and invariant tests for the extended fault-injection
-//! subsystem (DESIGN.md §11): partitions, symbolic link latency, payload
-//! corruption, and crash-recovery persistence.
+//! The fault-injection subsystem (DESIGN.md §11) — partitions, symbolic
+//! link latency, payload corruption, crash-recovery persistence — as rows
+//! of the strategy matrix (`tests/common/matrix.rs`), and the semantics
+//! of each axis.
 //!
-//! Three layers of evidence:
-//!
-//! * **Determinism** — for every fault axis, `run_sharded` at any
-//!   worker count is bit-identical to the sequential run
-//!   ([`RunReport::equivalence_key`]), dedup is canonically invisible,
-//!   and a checkpoint taken *mid-partition* resumes to the same run.
+//! * **Determinism** — for every fault axis, `run_sharded` at any worker
+//!   count keeps the serial key, dedup is canonically invisible, and
+//!   snapshots taken *mid-partition* resume to the same run, also sharded
+//!   with dedup on.
 //! * **Semantics** — traced runs prove the mechanisms do what they
 //!   claim: no delivery crosses an active cut, healing restores
 //!   reachability, deferred deliveries arrive exactly `extra_ms` late,
 //!   and the persistent window survives a crash while volatile state
 //!   resets.
-//! * **Randomization** — proptest sweeps the same invariants over
-//!   random topology sizes and axis choices.
+//! * **Randomization** — proptest sweeps the same checks over random
+//!   topology sizes and axis choices.
 
-#[path = "common/fingerprints.rs"]
-mod fingerprints;
+mod common;
 
-use fingerprints::{dscenario_fingerprints, path_sets};
+use common::collect;
+use common::matrix::{check, trace_events, Column, Row, SERIAL};
 use proptest::prelude::*;
 use sde::prelude::*;
 use sde_bench::{with_fault_axes, FaultAxis};
-use sde_core::Engine;
-use sde_os::apps::collect::{self, CollectConfig};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::HashMap;
 
-/// Faultless collect base: `packets` packets from the far end to node 0.
-fn collect_base(topology: Topology, packets: u16) -> Scenario {
-    let k = topology.len() as u16;
-    let cfg = CollectConfig {
-        source: NodeId(k - 1),
-        sink: NodeId(0),
-        interval_ms: 1000,
-        packet_count: packets,
-        strict_sink: false,
-    };
-    let programs = collect::programs(&topology, &cfg);
-    Scenario::new(topology, programs)
-        .with_duration_ms(1000 * u64::from(packets) + 2000)
-        .with_history_tracking(true)
-        .with_state_cap(60_000)
+/// One packet under one fault axis.
+fn fault_row(name: &str, topology: Topology, axis: FaultAxis) -> Row {
+    let scenario = with_fault_axes(collect(topology, 1), &[axis]);
+    Row::new(format!("{name}-{axis}"), scenario)
 }
 
-/// The matrix: every fault axis alone, on a line and on the 2×2 grid.
-fn fault_matrix() -> Vec<(String, Scenario)> {
-    let mut out = Vec::new();
-    for (topo_name, topology) in [
-        ("line4", Topology::line(4)),
-        ("grid2x2", Topology::grid(2, 2)),
-    ] {
-        let base = collect_base(topology, 1);
-        for axis in FaultAxis::ALL {
-            out.push((
-                format!("{topo_name}-{axis}"),
-                with_fault_axes(base.clone(), &[axis]),
-            ));
-        }
-    }
-    out
+/// Every fault axis alone on `topology`.
+fn axis_rows(name: &str, topology: Topology) -> Vec<Row> {
+    let rows = FaultAxis::ALL.map(|axis| fault_row(name, topology.clone(), axis));
+    rows.to_vec()
 }
 
-// --- determinism: worker counts --------------------------------------------
+/// The axis rows of line(4) and of the 2×2 grid.
+fn fault_rows() -> Vec<Row> {
+    let grid = axis_rows("grid2x2", Topology::grid(2, 2));
+    [axis_rows("line4", Topology::line(4)), grid].concat()
+}
 
 #[test]
 fn fault_axes_are_bit_identical_across_worker_counts() {
-    for (label, scenario) in fault_matrix() {
-        for alg in Algorithm::ALL {
-            let seq = Engine::new(scenario.clone(), alg).run();
-            let seq_key = seq.equivalence_key();
-            for workers in [1usize, 2, 4] {
-                let par = Engine::new(scenario.clone(), alg).run_sharded(workers);
-                assert_eq!(
-                    par.equivalence_key(),
-                    seq_key,
-                    "[{label}] {alg} diverged at {workers} workers"
-                );
-            }
-        }
-    }
-}
-
-// --- determinism: dedup on/off ---------------------------------------------
-
-/// Canonical, symbol-id-free fingerprint (dedup replays clone survivor
-/// expressions, so raw digests legitimately differ; see
-/// `dedup_equivalence.rs`).
-#[derive(Debug, PartialEq, Eq)]
-struct Canonical {
-    paths: Vec<(NodeId, Vec<u64>)>,
-    dscenarios: BTreeSet<Vec<(u16, u64)>>,
-    total_states: usize,
-    live_states: usize,
-    events: u64,
-    packets: u64,
-    groups: usize,
-    aborted: bool,
-}
-
-fn canonical_run(scenario: &Scenario, alg: Algorithm, dedup: bool) -> (Canonical, RunReport) {
-    let mut engine = Engine::new(scenario.clone(), alg).with_dedup(dedup);
-    engine.run_in_place();
-    canonical_finish(engine)
-}
-
-/// Canonicalizes a finished engine and consumes it into its report.
-fn canonical_finish(engine: Engine) -> (Canonical, RunReport) {
-    let paths = path_sets(&engine);
-    let dscenarios = dscenario_fingerprints(&engine);
-    let report = engine.into_report();
-    let canonical = Canonical {
-        paths,
-        dscenarios,
-        total_states: report.total_states,
-        live_states: report.live_states,
-        events: report.events,
-        packets: report.packets,
-        groups: report.groups,
-        aborted: report.aborted,
-    };
-    (canonical, report)
+    check(
+        &fault_rows(),
+        &Algorithm::ALL,
+        &[1, 2, 4].map(Column::sharded),
+    );
 }
 
 #[test]
 fn fault_axes_are_canonically_invisible_to_dedup() {
-    for (label, scenario) in fault_matrix() {
-        for alg in Algorithm::ALL {
-            let (off, off_report) = canonical_run(&scenario, alg, false);
-            let (on, on_report) = canonical_run(&scenario, alg, true);
-            assert_eq!(
-                on, off,
-                "[{label}] {alg}: dedup changed what the fault run explored"
-            );
-            assert!(
-                on_report.states_executed <= off_report.states_executed,
-                "[{label}] {alg}: dedup executed {} states, plain run {}",
-                on_report.states_executed,
-                off_report.states_executed
-            );
-        }
-    }
+    check(&fault_rows(), &Algorithm::ALL, &[SERIAL.dedup()]);
 }
 
-// --- determinism: checkpoint/resume mid-partition --------------------------
-
+/// Pausing every 5 events lands several pauses where partition lineages
+/// hold a live `partition_until` deadline and unspent fault budgets, all
+/// of which the snapshot codec must carry.
 #[test]
 fn checkpoint_resume_mid_partition_matches_straight_run() {
-    // Pause every 5 events with a full serialize/deserialize round trip:
-    // several pauses land while partition lineages hold a live
-    // `partition_until` deadline and un-spent fault budgets, all of
-    // which the v3 codec must carry.
-    for (label, scenario) in fault_matrix() {
-        for alg in Algorithm::ALL {
-            let straight = Engine::new(scenario.clone(), alg).run();
-            let mut engine = Engine::new(scenario.clone(), alg);
-            let mut pauses = 0usize;
-            while engine.run_until(Budget::events(5)) != RunOutcome::Complete {
-                let bytes = engine.snapshot().to_bytes();
-                let snap = EngineSnapshot::from_bytes(&bytes).expect("snapshot bytes must decode");
-                engine = Engine::resume(scenario.clone(), &snap).expect("snapshot must resume");
-                pauses += 1;
-            }
-            assert!(pauses > 0, "[{label}] {alg}: run too small to pause");
-            assert_eq!(
-                engine.into_report().equivalence_key(),
-                straight.equivalence_key(),
-                "[{label}] {alg} diverged across {pauses} mid-fault pauses"
-            );
-        }
-    }
+    check(
+        &fault_rows(),
+        &Algorithm::ALL,
+        &[SERIAL.interrupted_via_bytes(5)],
+    );
 }
 
-/// Combined stress: a fault plan *and* dedup *and* checkpoint/resume
-/// *and* the sharded engine, all at once. Resumed runs restart with a cold memo index, so the
-/// comparison is canonical (what was explored), mirroring
-/// `dedup_equivalence.rs`.
+/// A fault plan *and* dedup *and* checkpoint/resume *and* the sharded
+/// engine, all at once.
 #[test]
 fn interrupted_parallel_dedup_fault_runs_match_straight_runs() {
-    let base = collect_base(Topology::line(4), 1);
-    for axis in FaultAxis::ALL {
-        let scenario = with_fault_axes(base.clone(), &[axis]);
-        for alg in Algorithm::ALL {
-            let (straight, _) = canonical_run(&scenario, alg, true);
-            let mut engine = Engine::new(scenario.clone(), alg).with_dedup(true);
-            let mut pauses = 0usize;
-            while engine.run_until_sharded(2, Budget::events(7)) != RunOutcome::Complete {
-                let snap = if pauses < 2 {
-                    let bytes = engine.snapshot().to_bytes();
-                    EngineSnapshot::from_bytes(&bytes).expect("snapshot bytes must decode")
-                } else {
-                    engine.snapshot()
-                };
-                engine = Engine::resume(scenario.clone(), &snap).expect("snapshot must resume");
-                assert!(
-                    engine.dedup_enabled(),
-                    "[{axis}] {alg}: resume dropped the dedup flag"
-                );
-                pauses += 1;
-            }
-            assert!(pauses > 0, "[{axis}] {alg}: run too small to pause");
-            let (interrupted, _) = canonical_finish(engine);
-            assert_eq!(
-                interrupted, straight,
-                "[{axis}] {alg}: interrupted sharded dedup fault run diverged \
-                 after {pauses} pauses"
-            );
-        }
-    }
+    let column = Column::sharded(2).dedup().interrupted(7);
+    check(
+        &axis_rows("line4", Topology::line(4)),
+        &Algorithm::ALL,
+        &[column],
+    );
 }
 
 #[test]
 fn resume_under_a_different_fault_plan_is_refused() {
-    let base = collect_base(Topology::line(3), 1);
+    let base = collect(Topology::line(3), 1);
     let scenario = with_fault_axes(base.clone(), &[FaultAxis::Partition]);
     let mut engine = Engine::new(scenario.clone(), Algorithm::Sds);
     let outcome = engine.run_until(Budget::events(3));
@@ -239,30 +108,22 @@ fn resume_under_a_different_fault_plan_is_refused() {
 
 // --- semantics: traced invariants ------------------------------------------
 
-/// Runs `scenario` serially with a trace sink and returns the events.
-fn traced_run(scenario: &Scenario, alg: Algorithm) -> Vec<TraceEvent> {
-    let sink = Arc::new(RingSink::default());
-    Engine::new(scenario.clone(), alg)
-        .with_trace_sink(sink.clone() as Arc<dyn TraceSink>)
-        .run();
-    assert_eq!(sink.dropped(), 0, "trace ring must not evict in tests");
-    sink.take().into_iter().map(|t| t.ev).collect()
-}
-
-/// Scans a serial trace and asserts the partition contract: while a
-/// lineage's cut is active every cut-crossing delivery is swallowed
-/// (`PartitionDrop`), no `Deliver` reaches the partitioned node before
-/// its heal deadline, and — when `expect_heal` — at least one lineage
-/// delivers to the partitioned node *after* its deadline (healing
-/// restores reachability).
-fn check_partition_trace(label: &str, events: &[TraceEvent], expect_heal: bool) {
+/// Scans the serial trace of `packets` packets on line(`k`) under the
+/// partition axis and asserts its contract: while a lineage's cut is
+/// active every cut-crossing delivery is swallowed (`PartitionDrop`), no
+/// `Deliver` reaches the partitioned node before its heal deadline, and —
+/// when `expect_heal` — at least one lineage delivers to the partitioned
+/// node *after* its deadline (healing restores reachability).
+fn check_partition_trace(k: u16, packets: u16, alg: Algorithm, expect_heal: bool) {
+    let label = format!("line{k}-{packets}pkt-partition/{alg}");
+    let scenario = with_fault_axes(collect(Topology::line(k), packets), &[FaultAxis::Partition]);
     // `partition_until` is inherited on fork, so propagate each state's
     // deadline to its descendants as the (serially ordered) trace grows.
     let mut until: HashMap<u64, u64> = HashMap::new();
     let mut now = 0u64;
     let mut drops = 0usize;
     let mut healed_deliveries = 0usize;
-    for ev in events {
+    for ev in &trace_events(&scenario, alg) {
         match ev {
             TraceEvent::Dispatch { time, .. } => now = *time,
             TraceEvent::Fork { parent, child, .. } => {
@@ -309,24 +170,25 @@ fn partition_heals_and_never_leaks_deliveries() {
     // 3 packets on a 3-node line: heal candidates land between the 2nd
     // and 3rd delivery, so partitioned lineages observe both the active
     // cut (drops) and the healed network (a late delivery).
-    let base = collect_base(Topology::line(3), 3);
-    let scenario = with_fault_axes(base, &[FaultAxis::Partition]);
     for alg in Algorithm::ALL {
-        let events = traced_run(&scenario, alg);
-        check_partition_trace(&format!("line3-partition/{alg}"), &events, true);
+        check_partition_trace(3, 3, alg, true);
     }
 }
 
-/// Scans a serial trace and asserts the latency contract: every
-/// `Send → Deliver` delta is exactly the base link latency, except
-/// deliveries to the latency node (node 0), which may additionally be
-/// `extra_ms` late — nothing earlier, nothing in between, nothing later.
-fn check_latency_trace(label: &str, events: &[TraceEvent], base_ms: u64, extra_ms: u64) {
+/// Scans the serial trace of `packets` packets on line(`k`) under the
+/// latency axis and asserts its contract: every `Send → Deliver` delta is
+/// exactly the base link latency, except deliveries to the latency node
+/// (node 0), which may additionally be `extra_ms` late — nothing earlier,
+/// nothing in between, nothing later.
+fn check_latency_trace(k: u16, packets: u16, alg: Algorithm) {
+    let label = format!("line{k}-{packets}pkt-latency/{alg}");
+    let scenario = with_fault_axes(collect(Topology::line(k), packets), &[FaultAxis::Latency]);
+    let (base_ms, extra_ms) = (scenario.link_latency_ms, scenario.faults.latency_extra_ms());
     let mut sent: HashMap<u64, u64> = HashMap::new();
     let mut now = 0u64;
     let mut on_time = 0usize;
     let mut deferred = 0usize;
-    for ev in events {
+    for ev in &trace_events(&scenario, alg) {
         match ev {
             TraceEvent::Dispatch { time, .. } => now = *time,
             TraceEvent::Send { packet, .. } => {
@@ -364,16 +226,8 @@ fn check_latency_trace(label: &str, events: &[TraceEvent], base_ms: u64, extra_m
 
 #[test]
 fn deferred_deliveries_respect_the_latency_bound() {
-    let base = collect_base(Topology::line(3), 2);
-    let scenario = with_fault_axes(base, &[FaultAxis::Latency]);
     for alg in Algorithm::ALL {
-        let events = traced_run(&scenario, alg);
-        check_latency_trace(
-            &format!("line3-latency/{alg}"),
-            &events,
-            scenario.link_latency_ms,
-            scenario.faults.latency_extra_ms(),
-        );
+        check_latency_trace(3, 2, alg);
     }
 }
 
@@ -455,7 +309,7 @@ fn persistent_window_survives_crash_while_volatile_resets() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random topology × axis: sharded runs stay bit-identical and the
+    /// Random topology × axis: sharded runs keep the serial key and the
     /// mapper invariants hold with the fault subsystem active.
     #[test]
     fn random_fault_scenarios_stay_deterministic(
@@ -464,39 +318,19 @@ proptest! {
         axis_idx in 0usize..4,
         workers in 2usize..5,
     ) {
-        let topology = if ring { Topology::ring(k) } else { Topology::line(k) };
-        let base = collect_base(topology, 1);
-        let axis = FaultAxis::ALL[axis_idx];
-        let scenario = with_fault_axes(base, &[axis]);
-        for alg in Algorithm::ALL {
-            let mut engine = Engine::new(scenario.clone(), alg);
-            engine.run_in_place();
-            prop_assert!(
-                engine.mapper().check_invariants().is_none(),
-                "{axis}/{alg}: {:?}", engine.mapper().check_invariants()
-            );
-            let seq_key = engine.into_report().equivalence_key();
-            let par = Engine::new(scenario.clone(), alg).run_sharded(workers);
-            prop_assert_eq!(
-                par.equivalence_key(), seq_key,
-                "{}/{} diverged at {} workers", axis, alg, workers
-            );
-        }
+        let (name, topology) = match ring {
+            true => (format!("ring{k}"), Topology::ring(k)),
+            false => (format!("line{k}"), Topology::line(k)),
+        };
+        let row = fault_row(&name, topology, FaultAxis::ALL[axis_idx]);
+        check(&[row], &Algorithm::ALL, &[Column::sharded(workers)]);
     }
 
     /// Random line lengths and packet counts: the latency bound holds on
     /// every delivery of every lineage.
     #[test]
     fn latency_bound_holds_on_random_lines(k in 3u16..5, packets in 1u16..3) {
-        let base = collect_base(Topology::line(k), packets);
-        let scenario = with_fault_axes(base, &[FaultAxis::Latency]);
-        let events = traced_run(&scenario, Algorithm::Sds);
-        check_latency_trace(
-            &format!("line{k}-{packets}pkt"),
-            &events,
-            scenario.link_latency_ms,
-            scenario.faults.latency_extra_ms(),
-        );
+        check_latency_trace(k, packets, Algorithm::Sds);
     }
 
     /// Random partition scenarios: no delivery ever crosses an active
@@ -504,9 +338,6 @@ proptest! {
     /// short random runs may legitimately end before any heal deadline).
     #[test]
     fn no_delivery_crosses_an_active_cut_on_random_lines(k in 3u16..5, packets in 1u16..4) {
-        let base = collect_base(Topology::line(k), packets);
-        let scenario = with_fault_axes(base, &[FaultAxis::Partition]);
-        let events = traced_run(&scenario, Algorithm::Sds);
-        check_partition_trace(&format!("line{k}-{packets}pkt"), &events, false);
+        check_partition_trace(k, packets, Algorithm::Sds, false);
     }
 }

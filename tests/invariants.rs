@@ -5,19 +5,9 @@
 //! * §III-D — SDS never produces duplicate states;
 //! * dstates always hold at least one state per node.
 
-#[path = "common/grid.rs"]
-mod grid;
-#[path = "common/line.rs"]
-mod line;
-#[path = "common/mesh.rs"]
-mod mesh;
-#[path = "common/ring.rs"]
-mod ring;
+mod common;
 
-use grid::grid_collect;
-use line::line_collect;
-use mesh::mesh_flood;
-use ring::ring_hello;
+use common::{grid_collect, line_collect, mesh_flood, ring_hello};
 use sde::prelude::*;
 use sde_core::Engine;
 

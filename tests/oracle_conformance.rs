@@ -16,21 +16,9 @@
 //! top. Every verdict here is *exhaustive*: the scenarios are sized so
 //! that no enumeration, domain, or testgen cap ever truncates.
 
-#[path = "common/faults.rs"]
-mod faults;
-#[path = "common/grid.rs"]
-mod grid;
-#[path = "common/line.rs"]
-mod line;
-#[path = "common/mesh.rs"]
-mod mesh;
-#[path = "common/ring.rs"]
-mod ring;
+mod common;
 
-use grid::grid_collect;
-use line::line_collect;
-use mesh::mesh_flood;
-use ring::ring_hello;
+use common::{grid_collect, line_collect, mesh_flood, ring_hello};
 use sde::core::oracle::{conformance_against, ground_truth, GroundTruth, OracleConfig};
 use sde::prelude::*;
 use sde_bench::{with_fault_axes, FaultAxis};
@@ -379,8 +367,8 @@ fn fuzz_scenario(seed: u64) -> (String, Scenario) {
     let n = topology.len() as u16;
     let packets = 1 + (next() % 2) as u16;
     let victims: Vec<NodeId> = (0..n).filter(|_| next() % 2 == 0).map(NodeId).collect();
-    let fail_name = faults::FAILURE_MODELS[(next() % 3) as usize];
-    let failures = faults::failure_model(fail_name, &victims);
+    let fail_name = common::FAILURE_MODELS[(next() % 3) as usize];
+    let failures = common::failure_model(fail_name, &victims);
     let cfg = CollectConfig {
         source: NodeId(n - 1),
         sink: NodeId(0),

@@ -13,10 +13,9 @@
 //!   transmission — the exploration itself diverges from the ground
 //!   truth, so the verdict must be dirty.
 
-#[path = "common/line.rs"]
-mod line;
+mod common;
 
-use line::line_collect;
+use common::line_collect;
 use sde::core::oracle::{
     conformance_against, ground_truth, Domains, GroundTruth, Mutation, OracleConfig,
 };

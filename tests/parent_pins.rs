@@ -9,12 +9,7 @@
 //! a change that moves one of them has changed behaviour or the wire
 //! format, and must say so (and bump `SNAPSHOT_VERSION` for the latter).
 
-#[path = "common/grid.rs"]
-mod grid;
-#[path = "common/line.rs"]
-mod line;
-#[path = "common/mesh.rs"]
-mod mesh;
+mod common;
 
 use sde::os::apps::sense;
 use sde::prelude::*;
@@ -40,7 +35,7 @@ fn assert_key(what: &str, report: &RunReport, pinned: u64) {
 /// final state, instruction and packet counts.
 #[test]
 fn collect_4x4_sds_key() {
-    let report = Engine::new(grid::grid_collect(4, 4, 6000, false), Algorithm::Sds).run();
+    let report = Engine::new(common::grid_collect(4, 4, 6000, false), Algorithm::Sds).run();
     assert_key("collect 4x4 SDS", &report, 0x59f0_672f_ae41_c3d7);
 }
 
@@ -48,7 +43,7 @@ fn collect_4x4_sds_key() {
 /// hop to hop.
 #[test]
 fn flood_mesh5_sds_key() {
-    let report = Engine::new(mesh::mesh_flood(5, 2), Algorithm::Sds).run();
+    let report = Engine::new(common::mesh_flood(5, 2), Algorithm::Sds).run();
     assert_key("flood 5-mesh SDS", &report, 0x9113_38be_0e4d_2eac);
 }
 
@@ -69,7 +64,10 @@ fn sense_3x3_cob_key() {
 /// into a concrete payload word.
 #[test]
 fn line3_cow_corrupt_key() {
-    let scenario = with_fault_axes(line::line_collect(3, &[1], 2, false), &[FaultAxis::Corrupt]);
+    let scenario = with_fault_axes(
+        common::line_collect(3, &[1], 2, false),
+        &[FaultAxis::Corrupt],
+    );
     let report = Engine::new(scenario, Algorithm::Cow).run();
     assert!(report.trace.forks_corrupt > 0, "the axis was exercised");
     assert_key("line-3 COW corrupt", &report, 0x3675_244a_8aae_86df);
@@ -80,7 +78,7 @@ fn line3_cow_corrupt_key() {
 /// in state-id order (283 states, 15 706 bytes).
 #[test]
 fn collect_4x4_sds_vm_snapshot_bytes() {
-    let mut engine = Engine::new(grid::grid_collect(4, 4, 6000, false), Algorithm::Sds);
+    let mut engine = Engine::new(common::grid_collect(4, 4, 6000, false), Algorithm::Sds);
     assert_ne!(
         engine.run_until(Budget::events(600)),
         RunOutcome::Complete,

@@ -15,10 +15,9 @@
 //!    model constrains several of them, the latest-minted one wins —
 //!    deterministically, independent of insertion order.
 
-#[path = "common/line.rs"]
-mod line;
+mod common;
 
-use line::line_collect;
+use common::line_collect;
 use proptest::prelude::*;
 use sde::prelude::*;
 use sde_core::testgen;

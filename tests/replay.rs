@@ -7,10 +7,9 @@
 //! and verify the replay is deterministic, unforked, and reproduces the
 //! original observation (including distributed assertion failures).
 
-#[path = "common/line.rs"]
-mod line;
+mod common;
 
-use line::line_collect;
+use common::line_collect;
 use sde::prelude::*;
 use sde_core::{testgen, Engine, HistoryEvent};
 use sde_vm::{Preset, Status};
@@ -138,17 +137,6 @@ fn replayed_sink_counters_match_the_model() {
             dropped
         );
     }
-}
-
-#[test]
-fn parallel_and_sequential_testgen_agree_on_scenarios() {
-    let scenario = line_collect(4, &[1, 2], 2, false);
-    let mut engine = Engine::new(scenario, Algorithm::Cow);
-    engine.run_in_place();
-    let seq = testgen::generate(&engine, 1000);
-    let par = sde::core::parallel::generate_parallel(&engine, 1000, 3);
-    assert_eq!(seq.cases.len(), par.cases.len());
-    assert_eq!(seq.dscenarios_seen, par.dscenarios_seen);
 }
 
 #[test]

@@ -13,12 +13,11 @@
 //! * any corrupted input that *does* decode is a well-formed snapshot:
 //!   re-encoding it and decoding again is a fixed point.
 
-#[path = "common/seeded.rs"]
-mod seeded;
+mod common;
 
+use common::seeded::scenario_from_seed;
 use proptest::prelude::*;
 use sde::prelude::*;
-use seeded::scenario_from_seed;
 
 fn mid_run_bytes(seed: u64, algorithm: Algorithm, pause_events: u64) -> Vec<u8> {
     let (_label, scenario) = scenario_from_seed(seed);

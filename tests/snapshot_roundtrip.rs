@@ -4,12 +4,11 @@
 //! flips, truncations, wrong magic, and unknown versions all surface as
 //! typed [`SnapshotError`]s.
 
-#[path = "common/seeded.rs"]
-mod seeded;
+mod common;
 
+use common::seeded::scenario_from_seed;
 use proptest::prelude::*;
 use sde::prelude::*;
-use seeded::scenario_from_seed;
 
 /// A mid-run snapshot of a seed-derived scenario: pausing partway keeps
 /// the queue, mapper groups, and forked states non-trivial so the codec

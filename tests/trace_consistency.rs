@@ -5,14 +5,13 @@
 //! dispatches by kind, and solver queries per answering layer. A missed
 //! or double-recorded instrumentation site breaks an equality here.
 
-#[path = "common/seeded.rs"]
-mod seeded;
+mod common;
 
+use common::seeded::scenario_from_seed;
 use sde::prelude::*;
 use sde::trace::{
     DispatchKind, ForkReason, GroupLayer, QueryLayer, RingSink, TraceEvent, TraceSink, Verdict,
 };
-use seeded::scenario_from_seed;
 use std::sync::Arc;
 
 /// Every counter reconstructible from an event stream.

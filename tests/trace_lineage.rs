@@ -3,13 +3,12 @@
 //! is reachable from exactly one root, no state has two parents, and
 //! children are always allocated after their parents.
 
-#[path = "common/seeded.rs"]
-mod seeded;
+mod common;
 
+use common::seeded::scenario_from_seed;
 use proptest::prelude::*;
 use sde::prelude::*;
 use sde::trace::{Lineage, RingSink, TraceEvent, TraceSink};
-use seeded::scenario_from_seed;
 use std::sync::Arc;
 
 proptest! {
