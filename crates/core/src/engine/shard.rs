@@ -15,7 +15,9 @@ use sde_net::NodeId;
 use sde_symbolic::{Solver, SymbolTable, Value};
 use sde_vm::VmCtx;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Safety valve: a worker abandons its chain past this many VM steps and
@@ -81,7 +83,7 @@ impl Engine {
         self.sharded = true;
         let pool = ShardPool::new(workers);
         let keys = ClaimedKeys::default();
-        let (done_tx, done) = mpsc::channel::<ShardOutcome>();
+        let (done_tx, done) = mpsc::channel::<thread::Result<ShardOutcome>>();
         let scenario = Arc::clone(&self.scenario);
         let mut segment = ShardSegment {
             pool: &pool,
@@ -101,7 +103,7 @@ impl Engine {
             committing: Instant::now(),
         };
 
-        let outcome = std::thread::scope(|scope| {
+        let outcome = thread::scope(|scope| {
             for w in 0..workers {
                 let (pool, keys, scenario) = (&pool, &keys, &*scenario);
                 let done_tx = done_tx.clone();
@@ -112,18 +114,28 @@ impl Engine {
                 // ablation toggles are the engine solver's.
                 let solver = self.solver.fresh_like();
                 scope.spawn(move || {
-                    while let Some(job) = pool.take(w) {
-                        let outcome = run_shard_group(job, scenario, &solver, keys);
-                        if done_tx.send(outcome).is_err() {
-                            break;
+                    let served = panic::catch_unwind(AssertUnwindSafe(|| {
+                        while let Some(job) = pool.take(w) {
+                            let outcome = run_shard_group(job, scenario, &solver, keys);
+                            if done_tx.send(Ok(outcome)).is_err() {
+                                break;
+                            }
                         }
+                    }));
+                    // A dead worker reports its panic, which the merge
+                    // thread resumes at the barrier, instead of leaving it
+                    // waiting for an outcome that never comes.
+                    if let Err(payload) = served {
+                        let _ = done_tx.send(Err(payload));
                     }
                 });
             }
             drop(done_tx);
-            let outcome = self.drive(budget, Some(&mut segment));
-            pool.shutdown();
-            outcome
+            // Shuts the pool however `drive` ends: a panic on the merge
+            // thread must release the parked workers, or the scope would
+            // join them forever.
+            let _shutdown = ShutdownOnDrop(&pool);
+            self.drive(budget, Some(&mut segment))
         });
 
         let mut stats = segment.stats;
@@ -185,7 +197,8 @@ impl Engine {
 pub(super) struct ShardSegment<'s> {
     pool: &'s ShardPool,
     keys: &'s ClaimedKeys,
-    done: mpsc::Receiver<ShardOutcome>,
+    /// Each job's outcome, or the panic of the worker that died on it.
+    done: mpsc::Receiver<thread::Result<ShardOutcome>>,
     offload: bool,
     stats: ParallelStats,
     /// When the batch being committed started committing.
@@ -212,7 +225,11 @@ impl ShardSegment<'_> {
         let started = Instant::now();
         let mut entries: HashMap<u64, Vec<Arc<ShardRecord>>> = HashMap::new();
         for _ in 0..sent {
-            let Ok(o) = self.done.recv() else { break };
+            let o = match self.done.recv() {
+                Ok(Ok(outcome)) => outcome,
+                Ok(Err(payload)) => panic::resume_unwind(payload),
+                Err(_) => break,
+            };
             self.stats.worker_events += o.events;
             self.stats.worker_instructions = self
                 .stats
@@ -357,9 +374,22 @@ impl ShardPool {
         }
     }
 
+    /// Wakes every worker to exit once the queues are empty. Runs while
+    /// unwinding too, so a lock a dying thread poisoned is taken anyway.
     fn shutdown(&self) {
-        self.state.lock().expect("pool").shutdown = true;
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.shutdown = true;
+        drop(st);
         self.ready.notify_all();
+    }
+}
+
+/// Shuts the pool when dropped, on return and on unwind alike.
+struct ShutdownOnDrop<'p>(&'p ShardPool);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
     }
 }
 

@@ -1,6 +1,6 @@
 //! The mappers' flat tables: the membership of one group — a COB
-//! dscenario, a COW or SDS dstate — as one sorted list, and the state →
-//! group (or slot) direction as a vector indexed by state id.
+//! dscenario or a COW dstate — as one sorted list, and the state → group
+//! (or, for SDS, owner slot) direction as a vector indexed by state id.
 
 use crate::state::StateId;
 use sde_net::NodeId;
@@ -69,10 +69,6 @@ pub(crate) struct Members<I> {
 }
 
 impl<I: Copy + Ord> Members<I> {
-    pub(crate) fn new() -> Members<I> {
-        Members { list: Vec::new() }
-    }
-
     /// An empty list with room for exactly `members` pairs.
     pub(crate) fn with_capacity(members: usize) -> Members<I> {
         Members {
@@ -139,11 +135,6 @@ impl<I: Copy + Ord> Members<I> {
         self.list.chunk_by(|a, b| a.0 == b.0)
     }
 
-    /// The nodes that have a member, ascending.
-    pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.per_node().map(|members| members[0].0)
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.list.len()
     }
@@ -184,7 +175,7 @@ mod tests {
     /// mid-list and repeat.
     fn agrees_with_the_tree_model(seed: u64, fresh: bool) {
         let mut rng = TestRng::for_case(seed, u64::from(fresh));
-        let mut list: Members<u64> = Members::new();
+        let mut list: Members<u64> = Members::default();
         let mut model = Model::new();
         let mut next_id = 0u64;
         for op in 0..OPS {
@@ -230,7 +221,6 @@ mod tests {
                         .map(|(n, set)| set.iter().map(|id| (*n, *id)).collect())
                         .collect();
                     assert_eq!(chunks, expected, "op {op}");
-                    assert!(list.nodes().eq(model.keys().copied()), "op {op}");
                 }
             }
             assert_eq!(list.len(), model.values().map(BTreeSet::len).sum::<usize>());

@@ -82,8 +82,7 @@ pub type VStateSnapshot = (u64, u64, u16, u64);
 
 /// A mapper's complete bookkeeping, flattened for the snapshot codec
 /// (see [`crate::EngineSnapshot`]). Derived indexes (state → group; for
-/// SDS the owner slots — state → slot → owned virtual states — which a
-/// virtual state's `owner` column is resolved through) are rebuilt on
+/// SDS the owner slots, and the columns its dstates share) are rebuilt on
 /// import, so only the primary tables are stored. Exports are
 /// deterministic: every list is sorted by its leading id.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,7 +113,9 @@ pub enum MapperSnapshot {
     /// [`StateMapper::check_invariants`], so a table the mapper could not
     /// have written is an `Err`, never a later panic in `map_send`.
     Sds {
-        /// Every virtual state, sorted by vid.
+        /// Every virtual state, sorted by vid. Within one dstate and node
+        /// the vid order is the members' join order; the mapper numbers
+        /// them dstate by dstate, node by node, on export.
         vstates: Vec<VStateSnapshot>,
         /// Every dstate id (kept separately so a dstate that happens to
         /// be empty still counts toward [`StateMapper::group_count`]).
@@ -205,9 +206,11 @@ pub trait StateMapper: fmt::Debug {
     /// Deterministic estimate of the bytes the mapper's own tables hold —
     /// the companion of [`SdeState::approx_bytes`](crate::SdeState::approx_bytes)
     /// for the bookkeeping *about* states. Computed from element counts
-    /// only (never capacities), so equal mappers report equal bytes however
-    /// they were arrived at. The default — for mappers that do not account
-    /// for themselves — is 0.
+    /// only (never capacities), so equal tables report equal bytes however
+    /// they were arrived at. (SDS dstates share columns: a mapper imported
+    /// from a snapshot shares every equal column, and may report fewer
+    /// bytes than the run that wrote it.) The default — for mappers that
+    /// do not account for themselves — is 0.
     fn approx_bytes(&self) -> usize {
         0
     }

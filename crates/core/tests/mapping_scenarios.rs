@@ -3,7 +3,7 @@
 //! algorithm in the situations the paper's figures illustrate.
 
 use sde_core::mapping::{
-    Algorithm, MapperSnapshot, MapperStats, MemoryStore, StateMapper, StateStore,
+    Algorithm, MapperSnapshot, MapperStats, MemoryStore, StateMapper, StateStore, VStateSnapshot,
 };
 use sde_core::StateId;
 use sde_net::NodeId;
@@ -255,12 +255,15 @@ fn dscenarios_containing_is_a_filter() {
 
 // ---- SDS bit-identity in isolation --------------------------------------
 //
-// The digests below were captured at the commit *before* the owner-slot
-// rewrite of `sds.rs` (the `owned: HashMap<StateId, BTreeSet<VId>>` +
-// per-vstate `reassign` implementation). They pin everything a caller can
-// observe of the mapper: which states fork and in which order, who
-// receives each send, the work counters, and the exported bookkeeping
-// (hence `VId`/`GroupId` allocation order).
+// The digests below pin everything a caller can observe of the mapper:
+// which states fork and in which order, who receives each send, the work
+// counters, and the exported bookkeeping — every `(owner, node, dstate)`
+// membership and the dstate ids. Virtual-state ids are left out: they only
+// number the memberships, and the mapper that shares columns between
+// dstates numbers them canonically on export. The digests were captured
+// with this code at the commit before dstates shared their columns, whose
+// own pins (captured before the owner-slot rewrite of `sds.rs`) held
+// there.
 
 /// FNV-1a over a stream of `u64`s.
 struct Digest(u64);
@@ -306,9 +309,9 @@ impl Digest {
         else {
             panic!("SDS exports an SDS snapshot");
         };
-        self.u64(vstates.len() as u64);
-        for (v, owner, node, dstate) in vstates {
-            self.u64(v);
+        let memberships = memberships(&vstates);
+        self.u64(memberships.len() as u64);
+        for (owner, node, dstate) in memberships {
             self.u64(owner);
             self.u64(u64::from(node));
             self.u64(dstate);
@@ -321,6 +324,29 @@ impl Digest {
         self.u64(next_v);
         self.stats(stats);
         self.0
+    }
+}
+
+/// The `(owner, node, dstate)` of every exported virtual state, sorted.
+fn memberships(vstates: &[VStateSnapshot]) -> Vec<(u64, u16, u64)> {
+    let mut memberships: Vec<(u64, u16, u64)> = (vstates.iter())
+        .map(|(_, owner, node, dstate)| (*owner, *node, *dstate))
+        .collect();
+    memberships.sort_unstable();
+    memberships
+}
+
+/// The `Debug` rendering of an exported snapshot; for SDS, that of its
+/// sorted memberships, dstate count and counters.
+fn rendering(snapshot: MapperSnapshot) -> String {
+    match snapshot {
+        MapperSnapshot::Sds {
+            vstates,
+            next_group,
+            stats,
+            ..
+        } => format!("{:?} {next_group} {stats:?}", memberships(&vstates)),
+        other => format!("{other:?}"),
     }
 }
 
@@ -458,24 +484,24 @@ fn random_walk_digest(seed: u64) -> u64 {
     digest.finish(sds.as_ref(), &store)
 }
 
-const FAT_BYSTANDER_DIGEST: u64 = 0x5e41_7153_b3be_194d;
+const FAT_BYSTANDER_DIGEST: u64 = 0x7220_385c_2194_9ced;
 const RANDOM_WALK_DIGESTS: [u64; 16] = [
-    0x0b4f_8084_7121_736d,
-    0x628b_1547_839a_d492,
-    0x8063_5a3d_3ec1_4380,
-    0x41fb_ea6a_041f_8e3d,
-    0x5153_11c9_55f6_6c2e,
-    0xb906_cfb0_0ff7_1f7b,
-    0x6b6c_adef_8c6c_7276,
-    0x5654_71b9_7b08_5c2b,
-    0x8f96_fc20_014b_6d7c,
-    0xfafc_83ff_937d_d6ab,
-    0x1e95_1c87_3ab7_099a,
-    0x8d0f_74d8_fffd_3f2c,
-    0xbd56_3955_ea3c_04c3,
-    0x08b8_68e9_d552_436c,
-    0x76bf_b195_47ba_6a7f,
-    0xf0ec_0968_a243_54b3,
+    0x3d65_748f_9c5d_3dee,
+    0x2663_a1f4_b00a_7dfe,
+    0xa924_377e_bf88_b814,
+    0x68bd_a7d4_2dcf_a9c5,
+    0x015b_f899_a31b_072a,
+    0x1d93_d8dc_6641_468a,
+    0xada6_617a_ff21_3c4b,
+    0xd72d_8f23_6e5c_9c3b,
+    0xad78_1aa4_9967_595b,
+    0x0d76_07eb_1354_0341,
+    0x39de_58fc_a579_316e,
+    0x2ffb_e315_fb2c_b560,
+    0x8248_6023_f869_94b2,
+    0xd787_603c_bbc1_e240,
+    0x2b2d_bc64_70ee_83a6,
+    0x6b70_4c8a_23a6_dbaa,
 ];
 
 /// Prints the digests to pin (run with `--ignored --nocapture`).
@@ -501,8 +527,10 @@ const PARENT_SCRIPT_STEPS: usize = 2_000;
 const PARENT_SCRIPT_NODES: u16 = 9;
 
 /// FNV-1a of the concatenated receivers of every send of a seeded
-/// branch / send script, followed by the `Debug` rendering of the
-/// exported snapshot (which carries every group, member and counter).
+/// branch / send script and of the fork log, followed by the
+/// [`rendering`] of the exported snapshot (which carries every group,
+/// member and counter). The SDS digest was recaptured with the
+/// vid-free rendering at the commit before dstates shared their columns.
 fn parent_script_digest(alg: Algorithm) -> u64 {
     let mut rng: u64 = 0x9e37_79b9_7f4a_7c15 ^ 0x0022;
     let mut next = move || {
@@ -547,7 +575,7 @@ fn parent_script_digest(alg: Algorithm) -> u64 {
         digest.u64(orig.0);
         digest.u64(copy.0);
     }
-    for b in format!("{:?}", m.export_snapshot()).bytes() {
+    for b in rendering(m.export_snapshot()).bytes() {
         digest.0 ^= u64::from(b);
         digest.0 = digest.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -571,7 +599,7 @@ fn parent_script_is_pinned_for_every_algorithm() {
 
 const COB_PARENT_SCRIPT_DIGEST: u64 = 0x152c_4fc9_baae_a532;
 const COW_PARENT_SCRIPT_DIGEST: u64 = 0xf0f4_001d_9d55_aa53;
-const SDS_PARENT_SCRIPT_DIGEST: u64 = 0xa71b_43f2_b0f2_ee67;
+const SDS_PARENT_SCRIPT_DIGEST: u64 = 0xe233_589f_4dc1_0206;
 
 /// Prints the digests to pin (run with `--ignored --nocapture`).
 #[test]

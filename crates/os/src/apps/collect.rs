@@ -65,9 +65,18 @@ impl CollectConfig {
 ///
 /// Panics when `cfg.sink` is unreachable from `cfg.source` in `topology`.
 pub fn node_program(topology: &Topology, cfg: &CollectConfig, node: NodeId) -> Program {
-    let route = topology
+    build(topology, cfg, &route(topology, cfg), node)
+}
+
+/// The static route from the source to the sink.
+fn route(topology: &Topology, cfg: &CollectConfig) -> Vec<NodeId> {
+    topology
         .route(cfg.source, cfg.sink)
-        .expect("sink must be reachable from source");
+        .expect("sink must be reachable from source")
+}
+
+/// [`node_program`] on a route computed once for every node.
+fn build(topology: &Topology, cfg: &CollectConfig, route: &[NodeId], node: NodeId) -> Program {
     let position = route.iter().position(|&n| n == node);
     // The hop that precedes `node` on the route (whose transmissions this
     // node accepts and, if a forwarder, re-broadcasts).
@@ -81,116 +90,106 @@ pub fn node_program(topology: &Topology, cfg: &CollectConfig, node: NodeId) -> P
     let mut pb = ProgramBuilder::new();
 
     // --- on_boot -----------------------------------------------------------
-    {
-        let cfg = cfg.clone();
-        pb.function(handlers::ON_BOOT, 0, move |f| {
-            if is_source {
-                let delay = f.imm(cfg.interval_ms, Width::W64);
-                f.set_timer(delay, timers::SEND);
-            }
-            f.ret(None);
-        });
-    }
-
-    // --- on_timer(timer_id) -------------------------------------------------
-    {
-        let cfg = cfg.clone();
-        let topology = topology.clone();
-        pb.function(handlers::ON_TIMER, 1, move |f| {
-            if !is_source {
-                // Spurious timer on a non-source node: nothing to do.
-                f.ret(None);
-                return;
-            }
-            let done = f.label();
-            let seq = rime::load16(f, layout::SEQ);
-            let limit = f.imm(u64::from(cfg.packet_count), Width::W16);
-            let finished = f.reg();
-            f.bin(BinOp::Ule, finished, limit, seq); // packet_count <= seq
-            let send = f.label();
-            f.br(finished, done, send);
-            f.place(send);
-            let hops = f.imm(0, Width::W16);
-            rime::broadcast(f, &topology, node, &[seq, hops]);
-            rime::inc16(f, layout::SEQ);
+    pb.function(handlers::ON_BOOT, 0, |f| {
+        if is_source {
             let delay = f.imm(cfg.interval_ms, Width::W64);
             f.set_timer(delay, timers::SEND);
-            f.place(done);
+        }
+        f.ret(None);
+    });
+
+    // --- on_timer(timer_id) -------------------------------------------------
+    pb.function(handlers::ON_TIMER, 1, |f| {
+        if !is_source {
+            // Spurious timer on a non-source node: nothing to do.
             f.ret(None);
-        });
-    }
+            return;
+        }
+        let done = f.label();
+        let seq = rime::load16(f, layout::SEQ);
+        let limit = f.imm(u64::from(cfg.packet_count), Width::W16);
+        let finished = f.reg();
+        f.bin(BinOp::Ule, finished, limit, seq); // packet_count <= seq
+        let send = f.label();
+        f.br(finished, done, send);
+        f.place(send);
+        let hops = f.imm(0, Width::W16);
+        rime::broadcast(f, topology, node, &[seq, hops]);
+        rime::inc16(f, layout::SEQ);
+        let delay = f.imm(cfg.interval_ms, Width::W64);
+        f.set_timer(delay, timers::SEND);
+        f.place(done);
+        f.ret(None);
+    });
 
     // --- on_recv(src, seq, hops) --------------------------------------------
-    {
-        let cfg = cfg.clone();
-        let topology = topology.clone();
-        pb.function(handlers::ON_RECV, (1 + PAYLOAD_WORDS) as u16, move |f| {
-            let src = f.param(0);
-            let seq = f.param(1);
-            let hops = f.param(2);
-            let ignore = f.label();
+    pb.function(handlers::ON_RECV, (1 + PAYLOAD_WORDS) as u16, |f| {
+        let src = f.param(0);
+        let seq = f.param(1);
+        let hops = f.param(2);
+        let ignore = f.label();
 
-            match upstream {
-                Some(up) if is_sink => {
-                    // Accept only transmissions from our route predecessor.
-                    let expected_src = f.imm(u64::from(up.0), Width::W16);
-                    let from_up = f.reg();
-                    f.bin(BinOp::Eq, from_up, src, expected_src);
-                    let accept = f.label();
-                    f.br(from_up, accept, ignore);
-                    f.place(accept);
-                    rime::inc16(f, layout::RECEIVED);
-                    if cfg.strict_sink {
-                        let expected = rime::load16(f, layout::EXPECTED);
-                        let in_order = f.reg();
-                        f.bin(BinOp::Eq, in_order, seq, expected);
-                        f.assert(in_order, "sink: data arrived out of order or with gaps");
-                        rime::inc16(f, layout::EXPECTED);
-                    }
-                    let _ = hops;
-                    f.ret(None);
+        match upstream {
+            Some(up) if is_sink => {
+                // Accept only transmissions from our route predecessor.
+                let expected_src = f.imm(u64::from(up.0), Width::W16);
+                let from_up = f.reg();
+                f.bin(BinOp::Eq, from_up, src, expected_src);
+                let accept = f.label();
+                f.br(from_up, accept, ignore);
+                f.place(accept);
+                rime::inc16(f, layout::RECEIVED);
+                if cfg.strict_sink {
+                    let expected = rime::load16(f, layout::EXPECTED);
+                    let in_order = f.reg();
+                    f.bin(BinOp::Eq, in_order, seq, expected);
+                    f.assert(in_order, "sink: data arrived out of order or with gaps");
+                    rime::inc16(f, layout::EXPECTED);
                 }
-                Some(up) => {
-                    // Forwarder: re-broadcast packets from upstream.
-                    let expected_src = f.imm(u64::from(up.0), Width::W16);
-                    let from_up = f.reg();
-                    f.bin(BinOp::Eq, from_up, src, expected_src);
-                    let forward = f.label();
-                    f.br(from_up, forward, ignore);
-                    f.place(forward);
-                    let one = f.imm(1, Width::W16);
-                    let next_hops = f.reg();
-                    f.bin(BinOp::Add, next_hops, hops, one);
-                    // Sanity: hop counts can never exceed the network size.
-                    let bound = f.imm(topology.len() as u64, Width::W16);
-                    let in_bound = f.reg();
-                    f.bin(BinOp::Ult, in_bound, next_hops, bound);
-                    f.assert(in_bound, "forwarder: hop count exceeded network size");
-                    rime::broadcast(f, &topology, node, &[seq, next_hops]);
-                    rime::inc16(f, layout::FORWARDED);
-                    f.ret(None);
-                }
-                None => {
-                    // Bystander (or the source overhearing forwards):
-                    // perceive and count.
-                    f.jmp(ignore);
-                }
+                let _ = hops;
+                f.ret(None);
             }
+            Some(up) => {
+                // Forwarder: re-broadcast packets from upstream.
+                let expected_src = f.imm(u64::from(up.0), Width::W16);
+                let from_up = f.reg();
+                f.bin(BinOp::Eq, from_up, src, expected_src);
+                let forward = f.label();
+                f.br(from_up, forward, ignore);
+                f.place(forward);
+                let one = f.imm(1, Width::W16);
+                let next_hops = f.reg();
+                f.bin(BinOp::Add, next_hops, hops, one);
+                // Sanity: hop counts can never exceed the network size.
+                let bound = f.imm(topology.len() as u64, Width::W16);
+                let in_bound = f.reg();
+                f.bin(BinOp::Ult, in_bound, next_hops, bound);
+                f.assert(in_bound, "forwarder: hop count exceeded network size");
+                rime::broadcast(f, topology, node, &[seq, next_hops]);
+                rime::inc16(f, layout::FORWARDED);
+                f.ret(None);
+            }
+            None => {
+                // Bystander (or the source overhearing forwards):
+                // perceive and count.
+                f.jmp(ignore);
+            }
+        }
 
-            f.place(ignore);
-            rime::inc16(f, layout::HEARD);
-            f.ret(None);
-        });
-    }
+        f.place(ignore);
+        rime::inc16(f, layout::HEARD);
+        f.ret(None);
+    });
 
     pb.build().expect("collect program is well-formed")
 }
 
 /// Builds the per-node programs for a whole scenario, indexed by node id.
 pub fn programs(topology: &Topology, cfg: &CollectConfig) -> Vec<Program> {
+    let route = route(topology, cfg);
     topology
         .nodes()
-        .map(|n| node_program(topology, cfg, n))
+        .map(|n| build(topology, cfg, &route, n))
         .collect()
 }
 
@@ -377,5 +376,31 @@ mod tests {
         let t = Topology::grid(10, 10);
         let ps = programs(&t, &cfg);
         assert_eq!(ps.len(), 100);
+    }
+
+    /// Every function of every program, rendered (`Program` has no
+    /// `PartialEq`, and its name table is a hash map).
+    fn rendered(programs: &[Program]) -> String {
+        let functions = programs.iter().flat_map(Program::iter);
+        functions.map(|(id, f)| format!("{id:?} {f:?}\n")).collect()
+    }
+
+    /// `programs` computes the route once for all nodes and builds what
+    /// `node_program` builds node by node — and, by the FNV-1a pin
+    /// captured at the commit before it did, what it built before.
+    #[test]
+    fn programs_route_once_and_build_what_node_program_builds() {
+        let t = Topology::grid(4, 4);
+        let cfg = CollectConfig {
+            strict_sink: true,
+            ..CollectConfig::paper_grid(4, 4)
+        };
+        let all = rendered(&programs(&t, &cfg));
+        let one_by_one: Vec<Program> = t.nodes().map(|n| node_program(&t, &cfg, n)).collect();
+        assert_eq!(all, rendered(&one_by_one));
+        let digest = all.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 0x18d8_c5f8_cf30_1bc2, "{digest:#018x}");
     }
 }

@@ -52,12 +52,15 @@ fn interrupted_traces_are_byte_identical_to_straight_traces() {
 }
 
 const SDS_GRID4_PAUSE_EVENTS: u64 = 600;
-/// FNV-1a of the `{:?}` form of the `MapperSnapshot::Sds` exported at that
-/// pause point, captured at the commit before `sds.rs` moved to owner
-/// slots: the rewritten mapper must still *write* exactly what the parent
-/// wrote, so resuming its snapshot is resuming the parent's. (The full
-/// snapshot bytes also carry solver timings and do not repeat.)
-const SDS_GRID4_PARENT_MAPPER_DIGEST: u64 = 0xe029_ee4d_43e7_b7b6;
+/// FNV-1a of the `{:?}` form of the sorted `(owner, node, dstate)`
+/// memberships of the `MapperSnapshot::Sds` exported at that pause point,
+/// then its dstate count and counters. Virtual ids are left out: they only
+/// number the memberships. Captured with this code at the commit before
+/// dstates shared their columns: the rewritten mapper must still hold
+/// exactly the memberships the parent held, so resuming its snapshot is
+/// resuming the parent's. (The full snapshot bytes also carry solver
+/// timings and do not repeat.)
+const SDS_GRID4_PARENT_MAPPER_DIGEST: u64 = 0xb6eb_5181_e5f2_c20b;
 
 /// Collect 4×4 under SDS, paused where bystanders already own vstates in
 /// several dstates (so the next sends fork targets with a *far* set): the
@@ -76,7 +79,13 @@ fn sds_far_set_snapshot_is_parent_format_and_resumes() {
         "pause point must be mid-run"
     );
     let exported = engine.mapper().export_snapshot();
-    let MapperSnapshot::Sds { vstates, .. } = &exported else {
+    let MapperSnapshot::Sds {
+        vstates,
+        next_group,
+        stats,
+        ..
+    } = &exported
+    else {
         panic!("SDS exports an SDS snapshot");
     };
     let mut per_owner = std::collections::BTreeMap::<u64, usize>::new();
@@ -93,7 +102,11 @@ fn sds_far_set_snapshot_is_parent_format_and_resumes() {
     assert_eq!(fresh.export_snapshot(), exported, "export ∘ import = id");
     assert_eq!(fresh.check_invariants(), None);
 
-    let digest = format!("{exported:?}")
+    let mut memberships: Vec<(u64, u16, u64)> = (vstates.iter())
+        .map(|(_, owner, node, dstate)| (*owner, *node, *dstate))
+        .collect();
+    memberships.sort_unstable();
+    let digest = format!("{memberships:?} {next_group} {stats:?}")
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)

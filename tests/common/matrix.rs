@@ -26,8 +26,9 @@ use sde::trace::to_jsonl;
 use sde::vm::Preset;
 use sde_core::DedupStats;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// The worker counts of the sharded columns.
@@ -568,6 +569,22 @@ fn compare(label: &str, base: &Baseline, col: &Column, cell: &Cell) {
             cell.trace.as_deref() == Some(base.trace()),
             "{label}: trace differs from the serial trace"
         );
+    }
+}
+
+/// Runs one cell on a thread of its own and demands that it panic within
+/// `limit`: a run that fails must fail loud, never hang.
+pub fn panics_within(row: &Row, alg: Algorithm, col: &Column, limit: Duration) {
+    let label = format!("[{}] {alg} {col:?}", row.label);
+    let (cell, row, col) = (label.clone(), row.clone(), *col);
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| run(&cell, &row, alg, &col, false)));
+        let _ = done.send(ran.is_err());
+    });
+    match outcome.recv_timeout(limit) {
+        Ok(panicked) => assert!(panicked, "{label}: ran to completion"),
+        Err(_) => panic!("{label}: still running after {limit:?}"),
     }
 }
 

@@ -13,9 +13,11 @@
 
 mod common;
 
-use common::matrix::{check, failure_row, failure_rows, preset_rows, sense_line4};
+use common::matrix::{check, failure_row, failure_rows, panics_within, preset_rows, sense_line4};
 use common::matrix::{Column, WORKERS};
 use sde::prelude::*;
+use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn drops_are_bit_identical_across_worker_counts() {
@@ -88,6 +90,24 @@ fn the_key_holds_under_core_contention() {
     check(&[sense_line4()], &[Algorithm::Cob], &columns);
     let grid = failure_row("grid3x3", Topology::grid(3, 3), "drop");
     check(&[grid], &[Algorithm::Cob], &columns);
+}
+
+/// A panic anywhere in a sharded run is a panic of its caller, within a
+/// watchdog timeout, however many workers are parked on the pool — and
+/// with spinner threads fighting for the cores. The sink has no receive
+/// handler, so the merge thread panics on the first packet that reaches
+/// it (a shard worker leaves such a dispatch to the merge thread).
+#[test]
+fn a_panic_in_a_sharded_run_surfaces_instead_of_hanging() {
+    let mut row = failure_row("grid3x3", Topology::grid(3, 3), "drop");
+    let mut sink = ProgramBuilder::new();
+    sink.function("on_boot", 0, |f| f.ret(None));
+    row.scenario.programs[0] = Arc::new(sink.build().unwrap());
+    row.label = "grid3x3-drop, sink without on_recv".into();
+    let columns = [1, 2, 4].map(Column::sharded);
+    for col in columns.iter().chain([&Column::sharded(2).contended(0)]) {
+        panics_within(&row, Algorithm::Sds, col, Duration::from_secs(60));
+    }
 }
 
 /// The payoff counters: on a mint-free workload the workers record real
