@@ -158,7 +158,7 @@ fn run_handler<H: Host>(h: &mut H, state: StateId, handler: &str, args: &[Value]
                     note(h, |rec| rec.note_branch_fork(st.id, id));
                     let bugged = match sibling.vm.status() {
                         Status::Bugged(report) => {
-                            let report = report.clone();
+                            let report = (**report).clone();
                             h.bug(BugFound {
                                 node,
                                 state: id,

@@ -37,9 +37,12 @@ pub enum HistoryEvent {
 #[derive(Debug, Clone)]
 pub struct CommHistory {
     digest: u64,
+    /// Number of recorded events — the log's length too, when tracked.
     len: u32,
-    /// Full log, most recent first; `None` unless tracking was requested.
-    log: Option<PList<HistoryEvent>>,
+    /// Whether the full log is kept.
+    tracked: bool,
+    /// Full log, most recent first; empty unless tracked.
+    log: PList<HistoryEvent>,
 }
 
 impl CommHistory {
@@ -48,7 +51,8 @@ impl CommHistory {
         CommHistory {
             digest: 0xcbf2_9ce4_8422_2325,
             len: 0,
-            log: track.then(PList::new),
+            tracked: track,
+            log: PList::new(),
         }
     }
 
@@ -69,8 +73,8 @@ impl CommHistory {
         }
         self.digest = h;
         self.len += 1;
-        if let Some(log) = &mut self.log {
-            *log = log.prepend(event);
+        if self.tracked {
+            self.log = self.log.prepend(event);
         }
     }
 
@@ -92,7 +96,12 @@ impl CommHistory {
 
     /// The full log (most recent first), when tracking was requested.
     pub fn log(&self) -> Option<impl Iterator<Item = &HistoryEvent>> {
-        self.log.as_ref().map(|l| l.iter())
+        self.tracked.then(|| self.log.iter())
+    }
+
+    /// The full log, when tracked.
+    fn tracked_log(&self) -> Option<&PList<HistoryEvent>> {
+        self.tracked.then_some(&self.log)
     }
 
     /// Returns `true` when the two histories share their log storage
@@ -101,11 +110,7 @@ impl CommHistory {
     /// share. Used by the fork-cost tests; never consult this for
     /// equality (see the `PartialEq` impl).
     pub fn shares_log_storage(&self, other: &CommHistory) -> bool {
-        match (&self.log, &other.log) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a.ptr_eq(b),
-            _ => false,
-        }
+        self.tracked == other.tracked && self.log.ptr_eq(&other.log)
     }
 
     /// Exports the exact stored parts for the snapshot codec: the digest,
@@ -114,7 +119,7 @@ impl CommHistory {
         (
             self.digest,
             self.len,
-            self.log.as_ref().map(|l| l.iter().copied().collect()),
+            self.log().map(|l| l.copied().collect()),
         )
     }
 
@@ -123,14 +128,17 @@ impl CommHistory {
     /// re-hashed: the digest is restored verbatim so forked siblings keep
     /// comparing equal across a snapshot/resume boundary.
     pub(crate) fn from_parts(digest: u64, len: u32, log: Option<Vec<HistoryEvent>>) -> CommHistory {
-        let log = log.map(|events| {
-            let mut list = PList::new();
-            for e in events.into_iter().rev() {
-                list = list.prepend(e);
-            }
-            list
-        });
-        CommHistory { digest, len, log }
+        let tracked = log.is_some();
+        let mut list = PList::new();
+        for e in log.into_iter().flatten().rev() {
+            list = list.prepend(e);
+        }
+        CommHistory {
+            digest,
+            len,
+            tracked,
+            log: list,
+        }
     }
 
     /// Checks whether two histories are in *direct conflict* (§II-B): one
@@ -146,8 +154,8 @@ impl CommHistory {
         other: &CommHistory,
         other_node: NodeId,
     ) -> Option<bool> {
-        let mine = self.log.as_ref()?;
-        let theirs = other.log.as_ref()?;
+        let mine = self.tracked_log()?;
+        let theirs = other.tracked_log()?;
         // Packets I sent to their node must appear in their receive log,
         // and vice versa in both directions.
         let sent_to = |log: &PList<HistoryEvent>, peer: NodeId| -> Vec<PacketId> {

@@ -187,7 +187,14 @@ impl SdeState {
         d
     }
 
-    /// Deterministic approximation of this state's memory footprint.
+    /// Deterministic approximation of this state's memory footprint: the
+    /// VM state's model plus 48 bytes of network identity and budgets and
+    /// 8 per communication event.
+    ///
+    /// Like [`VmState::approx_bytes`] this is the paper-substitute RAM
+    /// model (DESIGN.md §1), not the struct's size: the constants are
+    /// frozen because `peak_bytes` is in the equivalence key. Real bytes
+    /// are the process's peak RSS.
     pub fn approx_bytes(&self) -> usize {
         self.vm.approx_bytes() + 48 + self.history.len() as usize * 8
     }

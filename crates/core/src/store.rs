@@ -12,7 +12,8 @@
 //! everything keyed by a state id here is a flat vector indexed by it:
 //! the table holds one `Box<SdeState>` per id (a state is boxed once and
 //! never moved again; growth moves 8-byte pointers), the pending-event
-//! index one `VecDeque` per id (an empty one owns no buffer) and
+//! index a 4-byte slot per id (naming a pooled list only while the state
+//! has events pending) and
 //! [`IdSet`] one bit per id. A lookup is an index, never a hash. Ids may
 //! have gaps in memory (tests insert `StateId(100)`); a snapshot may not
 //! claim one — [`Engine::resume`](crate::Engine::resume) bounds every id
@@ -208,6 +209,67 @@ struct Pending {
     event: NodeEvent,
 }
 
+/// The per-state pending lists, pooled.
+///
+/// A state id's slot is 0 while the state has nothing pending, and
+/// otherwise names its list in `lists` (1-based). A list is opened by the
+/// first event a state gets and closed by its last pop or a clear, which
+/// gives its buffer back and its entry to `free`. So the index costs 4
+/// bytes per id ever minted, and one `VecDeque` per state that has events
+/// pending at the busiest moment of the run — far fewer: the states
+/// waiting on nothing are most of a long run.
+#[derive(Debug, Default)]
+struct PendingLists {
+    slot: Vec<u32>,
+    lists: Vec<VecDeque<Pending>>,
+    free: Vec<u32>,
+}
+
+impl PendingLists {
+    fn get(&self, state: StateId) -> Option<&VecDeque<Pending>> {
+        let at = self.slot.get(state.index())?.checked_sub(1)?;
+        Some(&self.lists[at as usize])
+    }
+
+    fn get_mut(&mut self, state: StateId) -> Option<&mut VecDeque<Pending>> {
+        let at = self.slot.get(state.index())?.checked_sub(1)?;
+        Some(&mut self.lists[at as usize])
+    }
+
+    /// `state`'s list, opened empty when it has none.
+    fn open(&mut self, state: StateId) -> &mut VecDeque<Pending> {
+        let index = state.index();
+        if index >= self.slot.len() {
+            self.slot.resize(index + 1, 0);
+        }
+        if self.slot[index] == 0 {
+            self.slot[index] = self.free.pop().unwrap_or_else(|| {
+                self.lists.push(VecDeque::new());
+                u32::try_from(self.lists.len()).expect("fewer than 2^32 lists pending at once")
+            });
+        }
+        &mut self.lists[self.slot[index] as usize - 1]
+    }
+
+    /// Closes `state`'s list, handing out what it held.
+    fn close(&mut self, state: StateId) -> VecDeque<Pending> {
+        let Some(slot) = self.slot.get_mut(state.index()).filter(|at| **at != 0) else {
+            return VecDeque::new();
+        };
+        let at = std::mem::take(slot);
+        self.free.push(at);
+        std::mem::take(&mut self.lists[at as usize - 1])
+    }
+
+    /// The states with a list, ascending.
+    fn owners(&self) -> impl Iterator<Item = StateId> + '_ {
+        (0u64..)
+            .zip(&self.slot)
+            .filter(|(_, at)| **at != 0)
+            .map(|(id, _)| StateId(id))
+    }
+}
+
 /// The virtual-time event queue with a per-state index.
 ///
 /// The heap orders `(time, seq)` keys that name only the owning state;
@@ -216,9 +278,9 @@ struct Pending {
 /// Forking a state copies its list and clearing a state drops its list,
 /// both in O(that state's pending events) — never a scan of the queue.
 ///
-/// `pending` is indexed by state id; a state with nothing pending has an
-/// empty list there (or none, past the end), and an empty list owns no
-/// buffer: the last pop and `clear` give it back.
+/// `pending` holds one list per state with something pending; a state
+/// with nothing pending has no list, and owns nothing there: the last pop
+/// and `clear` give its list back.
 ///
 /// Invariants (checked by [`IndexedQueue::check_reference`]): every
 /// listed event has exactly one key in `front` or `heap`; a key with no
@@ -232,31 +294,22 @@ pub struct IndexedQueue {
     /// push carries a larger `seq` and no earlier time, so the order is
     /// the heap's own.
     front: VecDeque<Event<StateId>>,
-    pending: Vec<VecDeque<Pending>>,
+    pending: PendingLists,
     /// `seq`s of cleared events whose keys are still queued; skipped (and
     /// forgotten) when they surface.
     cancelled: HashSet<u64>,
 }
 
 impl IndexedQueue {
-    /// `state`'s list, created empty (and every slot below it) on demand.
-    fn list_mut(&mut self, state: StateId) -> &mut VecDeque<Pending> {
-        let index = state.index();
-        if index >= self.pending.len() {
-            self.pending.resize_with(index + 1, VecDeque::new);
-        }
-        &mut self.pending[index]
-    }
-
     /// `state`'s pending events in dispatch order (empty when it has none).
     fn list(&self, state: StateId) -> impl Iterator<Item = &Pending> {
-        self.pending.get(state.index()).into_iter().flatten()
+        self.pending.get(state).into_iter().flatten()
     }
 
     /// Schedules `event` for `state` at virtual time `time`.
     pub fn push(&mut self, time: u64, (state, event): (StateId, NodeEvent)) -> u64 {
         let seq = self.heap.push(time, state);
-        let list = self.list_mut(state);
+        let list = self.pending.open(state);
         if list.is_empty() {
             list.reserve_exact(1);
         }
@@ -289,15 +342,12 @@ impl IndexedQueue {
         self.skip_cancelled();
         let key = self.front.pop_front().or_else(|| self.heap.pop())?;
         let state = key.payload;
-        let list = self
-            .pending
-            .get_mut(state.index())
-            .expect("a live key has a pending list");
+        let list = (self.pending.get_mut(state)).expect("a live key has a pending list");
         // The popped key is the global minimum, hence its state's head.
         let head = list.pop_front().expect("a live key has a listed event");
         debug_assert_eq!((head.time, head.seq), (key.time, key.seq));
         if list.is_empty() {
-            *list = VecDeque::new();
+            self.pending.close(state);
         }
         Some(Event {
             time: key.time,
@@ -364,7 +414,7 @@ impl IndexedQueue {
     ///
     /// `to` is a state just forked off `from`: it has no events yet.
     pub fn duplicate(&mut self, from: StateId, to: StateId) {
-        let Some(list) = self.pending.get(from.index()).filter(|l| !l.is_empty()) else {
+        let Some(list) = self.pending.get(from) else {
             return;
         };
         // Fresh `seq`s rise along the list, so the copy is sorted as is.
@@ -376,17 +426,15 @@ impl IndexedQueue {
                 event: p.event.clone(),
             })
             .collect();
-        let replaced = std::mem::replace(self.list_mut(to), copy);
+        let replaced = std::mem::replace(self.pending.open(to), copy);
         debug_assert!(replaced.is_empty(), "{to} already had pending events");
     }
 
     /// Drops every pending event of `state` (a reboot forgets its timers
     /// and in-flight deliveries).
     pub fn clear(&mut self, state: StateId) {
-        if let Some(list) = self.pending.get_mut(state.index()) {
-            self.cancelled
-                .extend(std::mem::take(list).iter().map(|p| p.seq));
-        }
+        let list = self.pending.close(state);
+        self.cancelled.extend(list.iter().map(|p| p.seq));
     }
 
     /// The pending events as `(time, seq, state, event)`, sorted by `seq`
@@ -427,13 +475,13 @@ impl IndexedQueue {
             if !seen.insert(*seq) {
                 return Err("duplicate queued event seq");
             }
-            restored.list_mut(*state).push_back(Pending {
+            restored.pending.open(*state).push_back(Pending {
                 time: *time,
                 seq: *seq,
                 event: event.clone(),
             });
         }
-        for list in &mut restored.pending {
+        for list in &mut restored.pending.lists {
             list.make_contiguous()
                 .sort_unstable_by_key(|p| (p.time, p.seq));
         }
@@ -448,10 +496,7 @@ impl IndexedQueue {
 
     /// The states that own at least one pending event, ascending.
     pub fn owners(&self) -> impl Iterator<Item = StateId> + '_ {
-        (0u64..)
-            .zip(&self.pending)
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(id, _)| StateId(id))
+        self.pending.owners()
     }
 
     /// Checks the per-state index against a scan of the queued keys: the

@@ -5,6 +5,10 @@ use std::sync::Arc;
 
 struct Cons<T> {
     head: T,
+    /// Length of the list this cell heads: the list is one pointer, and
+    /// the count sits in the cell's padding for the element types the VM
+    /// keeps (a constraint, a branch decision).
+    len: u32,
     tail: Option<Arc<Cons<T>>>,
 }
 
@@ -27,21 +31,19 @@ struct Cons<T> {
 /// ```
 pub struct PList<T> {
     node: Option<Arc<Cons<T>>>,
-    len: usize,
 }
 
 impl<T> Clone for PList<T> {
     fn clone(&self) -> Self {
         PList {
             node: self.node.clone(),
-            len: self.len,
         }
     }
 }
 
 impl<T> Default for PList<T> {
     fn default() -> Self {
-        PList { node: None, len: 0 }
+        PList { node: None }
     }
 }
 
@@ -53,23 +55,30 @@ impl<T> PList<T> {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.len
+        self.node.as_ref().map_or(0, |c| c.len as usize)
     }
 
     /// Returns `true` when the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.node.is_none()
     }
 
     /// Returns a new list with `value` at the front.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the list already holds `u32::MAX` elements.
     #[must_use]
     pub fn prepend(&self, value: T) -> Self {
+        let len = self.node.as_ref().map_or(0, |c| c.len);
         PList {
             node: Some(Arc::new(Cons {
                 head: value,
+                len: len
+                    .checked_add(1)
+                    .expect("a list holds fewer than 2^32 elements"),
                 tail: self.node.clone(),
             })),
-            len: self.len + 1,
         }
     }
 
@@ -84,7 +93,6 @@ impl<T> PList<T> {
             None => PList::new(),
             Some(c) => PList {
                 node: c.tail.clone(),
-                len: self.len - 1,
             },
         }
     }
@@ -145,7 +153,7 @@ impl<T: PartialEq> PartialEq for PList<T> {
     /// lengths walked in step reach a shared suffix at the same time, and
     /// a shared suffix is equal without being read.
     fn eq(&self, other: &Self) -> bool {
-        if self.len != other.len {
+        if self.len() != other.len() {
             return false;
         }
         let (mut a, mut b) = (self.node.as_ref(), other.node.as_ref());
@@ -222,6 +230,16 @@ mod tests {
         }
         assert_eq!(l.len(), 200_000);
         drop(l); // must not blow the stack
+    }
+
+    #[test]
+    fn a_list_is_one_pointer() {
+        assert_eq!(std::mem::size_of::<PList<u64>>(), 8);
+        let l: PList<u8> = (0..3).collect();
+        assert_eq!(
+            (l.len(), l.tail().len(), l.tail().tail().tail().len()),
+            (3, 2, 0)
+        );
     }
 
     #[test]

@@ -67,9 +67,12 @@ impl Hasher for TrieHasher {
 }
 
 enum Node<K, V> {
-    /// Interior node: bitmap of populated slots + dense child array.
+    /// Interior node: bitmap of populated slots + dense child array, and
+    /// the number of entries below it (the map's length, at the root). The
+    /// count sits beside the bitmap, where a node has room for it.
     Branch {
         bitmap: u32,
+        len: u32,
         children: Vec<Arc<Node<K, V>>>,
     },
     /// A single key/value pair.
@@ -81,8 +84,13 @@ enum Node<K, V> {
 impl<K: Clone, V: Clone> Clone for Node<K, V> {
     fn clone(&self) -> Self {
         match self {
-            Node::Branch { bitmap, children } => Node::Branch {
+            Node::Branch {
+                bitmap,
+                len,
+                children,
+            } => Node::Branch {
                 bitmap: *bitmap,
+                len: *len,
                 children: children.clone(),
             },
             Node::Leaf { hash, key, value } => Node::Leaf {
@@ -98,10 +106,24 @@ impl<K: Clone, V: Clone> Clone for Node<K, V> {
     }
 }
 
+impl<K, V> Node<K, V> {
+    /// Number of entries at or below this node.
+    fn len(&self) -> u32 {
+        match self {
+            Node::Branch { len, .. } => *len,
+            Node::Leaf { .. } => 1,
+            Node::Collision { entries, .. } => {
+                u32::try_from(entries.len()).expect("a map holds fewer than 2^32 entries")
+            }
+        }
+    }
+}
+
 /// A persistent hash map with `O(1)` clone and `O(log32 n)` access.
 ///
-/// Cloning a `PMap` copies a single `Arc`; mutating operations return a new
-/// map and leave the receiver untouched, sharing all unmodified structure.
+/// A `PMap` is one pointer: cloning it copies a single `Arc`, and its
+/// length is read off the root. Mutating operations return a new map and
+/// leave the receiver untouched, sharing all unmodified structure.
 ///
 /// # Examples
 ///
@@ -115,21 +137,19 @@ impl<K: Clone, V: Clone> Clone for Node<K, V> {
 /// ```
 pub struct PMap<K, V> {
     root: Option<Arc<Node<K, V>>>,
-    len: usize,
 }
 
 impl<K, V> Clone for PMap<K, V> {
     fn clone(&self) -> Self {
         PMap {
             root: self.root.clone(),
-            len: self.len,
         }
     }
 }
 
 impl<K, V> Default for PMap<K, V> {
     fn default() -> Self {
-        PMap { root: None, len: 0 }
+        PMap { root: None }
     }
 }
 
@@ -141,12 +161,12 @@ impl<K, V> PMap<K, V> {
 
     /// Number of entries in the map.
     pub fn len(&self) -> usize {
-        self.len
+        self.root.as_ref().map_or(0, |root| root.len() as usize)
     }
 
     /// Returns `true` when the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.root.is_none()
     }
 }
 
@@ -158,7 +178,9 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
         let mut shift = 0u32;
         loop {
             match node {
-                Node::Branch { bitmap, children } => {
+                Node::Branch {
+                    bitmap, children, ..
+                } => {
                     let idx = ((hash >> shift) & MASK) as u32;
                     let bit = 1u32 << idx;
                     if bitmap & bit == 0 {
@@ -210,17 +232,19 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
     /// map references is edited in place, a shared one is copied first
     /// (`Arc::make_mut`) — the path copy of a persistent insert, paid
     /// only where a clone can still see the node.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the map already holds `u32::MAX` entries.
     pub fn insert_mut(&mut self, key: K, value: V) -> Option<V> {
         let hash = hash_of(&key);
-        let replaced = match &mut self.root {
+        match &mut self.root {
             None => {
                 self.root = Some(Arc::new(Node::Leaf { hash, key, value }));
                 None
             }
             Some(root) => Self::insert_at(root, 0, hash, key, value),
-        };
-        self.len += usize::from(replaced.is_none());
-        replaced
+        }
     }
 
     fn insert_at(node: &mut Arc<Node<K, V>>, shift: u32, hash: u64, key: K, value: V) -> Option<V> {
@@ -235,11 +259,15 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
         }
         let node = Arc::make_mut(node);
         match node {
-            Node::Branch { bitmap, children } => {
+            Node::Branch {
+                bitmap,
+                len,
+                children,
+            } => {
                 let idx = ((hash >> shift) & MASK) as u32;
                 let bit = 1u32 << idx;
                 let pos = (*bitmap & (bit - 1)).count_ones() as usize;
-                if *bitmap & bit == 0 {
+                let replaced = if *bitmap & bit == 0 {
                     // Exact growth: these vectors are most of a map's
                     // memory and rarely grow again.
                     children.reserve_exact(1);
@@ -248,7 +276,13 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
                     None
                 } else {
                     Self::insert_at(&mut children[pos], shift + BITS, hash, key, value)
+                };
+                if replaced.is_none() {
+                    *len = len
+                        .checked_add(1)
+                        .expect("a map holds fewer than 2^32 entries");
                 }
+                replaced
             }
             Node::Leaf {
                 key: k, value: v, ..
@@ -288,15 +322,21 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
             let child = Self::merge(a, ha, b, hb, shift + BITS);
             Arc::new(Node::Branch {
                 bitmap: 1 << ia,
+                len: child.len(),
                 children: vec![child],
             })
         } else {
+            let len = a.len() + b.len();
             let (bitmap, children) = if ia < ib {
                 (1 << ia | 1 << ib, vec![a, b])
             } else {
                 (1 << ia | 1 << ib, vec![b, a])
             };
-            Arc::new(Node::Branch { bitmap, children })
+            Arc::new(Node::Branch {
+                bitmap,
+                len,
+                children,
+            })
         }
     }
 
@@ -309,21 +349,21 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
             None => self.clone(),
             Some(r) => match Self::del(r, 0, hash, key) {
                 Deleted::NotFound => self.clone(),
-                Deleted::Empty => PMap {
-                    root: None,
-                    len: self.len - 1,
-                },
-                Deleted::Replaced(n) => PMap {
-                    root: Some(n),
-                    len: self.len - 1,
-                },
+                Deleted::Empty => PMap { root: None },
+                Deleted::Replaced(n) => PMap { root: Some(n) },
             },
         }
     }
 
     fn del(node: &Arc<Node<K, V>>, shift: u32, hash: u64, key: &K) -> Deleted<K, V> {
         match node.as_ref() {
-            Node::Branch { bitmap, children } => {
+            Node::Branch {
+                bitmap,
+                len,
+                children,
+            } => {
+                // Every branch rebuilt below lost exactly the one entry.
+                let len = len - 1;
                 let idx = ((hash >> shift) & MASK) as u32;
                 let bit = 1u32 << idx;
                 if bitmap & bit == 0 {
@@ -346,6 +386,7 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
                                     ch.remove(pos);
                                     Deleted::Replaced(Arc::new(Node::Branch {
                                         bitmap: bitmap & !bit,
+                                        len,
                                         children: ch,
                                     }))
                                 }
@@ -356,6 +397,7 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
                             ch.remove(pos);
                             Deleted::Replaced(Arc::new(Node::Branch {
                                 bitmap: bitmap & !bit,
+                                len,
                                 children: ch,
                             }))
                         }
@@ -370,6 +412,7 @@ impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
                             ch[pos] = n;
                             Deleted::Replaced(Arc::new(Node::Branch {
                                 bitmap: *bitmap,
+                                len,
                                 children: ch,
                             }))
                         }
@@ -512,10 +555,13 @@ impl<K: Hash + Eq + Clone, V: Clone + PartialEq> PMap<K, V> {
         }
         match (a.as_ref(), b.as_ref()) {
             (
-                Node::Branch { bitmap, children },
+                Node::Branch {
+                    bitmap, children, ..
+                },
                 Node::Branch {
                     bitmap: other_bitmap,
                     children: other_children,
+                    ..
                 },
             ) if bitmap == other_bitmap => children
                 .iter()
@@ -544,7 +590,7 @@ impl<K: Hash + Eq + Clone, V: Clone + PartialEq> PartialEq for PMap<K, V> {
     /// O(1) for a map and its unmodified clone, no hashing while the two
     /// tries have the same shape.
     fn eq(&self, other: &Self) -> bool {
-        if self.len != other.len {
+        if self.len() != other.len() {
             return false;
         }
         match (&self.root, &other.root) {
@@ -630,6 +676,32 @@ mod tests {
         let mut keys: Vec<u32> = m.keys().copied().collect();
         keys.sort_unstable();
         assert_eq!(keys, (0..500).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_map_is_one_pointer_and_its_nodes_did_not_grow() {
+        assert_eq!(std::mem::size_of::<PMap<u32, u64>>(), 8);
+        // The branch count fits beside the bitmap: a node is as large as
+        // its widest variant was before it.
+        assert_eq!(std::mem::size_of::<Node<u32, [u64; 2]>>(), 40);
+        assert_eq!(std::mem::size_of::<Node<String, u32>>(), 40);
+    }
+
+    #[test]
+    fn branch_counts_follow_inserts_and_removes() {
+        let mut m = PMap::new();
+        for i in 0..300u32 {
+            m.insert_mut(i, i);
+            m.insert_mut(i, i + 1);
+            assert_eq!(m.len(), i as usize + 1);
+        }
+        let shared = m.clone();
+        for i in (0..300u32).rev() {
+            m = m.remove(&i).remove(&(i + 1000));
+            assert_eq!(m.len(), i as usize);
+        }
+        assert!(m.is_empty());
+        assert_eq!(shared.len(), 300);
     }
 
     #[test]

@@ -3,12 +3,9 @@
 use crate::bug::{BugKind, BugReport};
 use crate::isa::{Inst, Loc};
 use crate::program::Program;
-use crate::state::{Frame, Status, VmState};
+use crate::state::{Status, VmState, MAX_CALL_DEPTH};
 use sde_symbolic::{BinOp, CastOp, Expr, ExprRef, Solver, SymbolTable, Value, Width};
 use std::sync::Arc;
-
-/// Maximum call-stack depth before the interpreter reports an internal bug.
-const MAX_CALL_DEPTH: usize = 128;
 
 /// Environment for interpretation: the solver deciding branch feasibility,
 /// the symbol table minting fresh symbolic inputs, and the per-invocation
@@ -95,7 +92,7 @@ pub enum StepResult {
 /// function ids, out-of-range jump targets).
 pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> StepResult {
     assert_eq!(state.status, Status::Running, "step on a non-running state");
-    let frame = state.frames.last().expect("running state has a frame");
+    let frame = state.frames.top().expect("running state has a frame");
     let func_id = frame.func;
     let pc = frame.pc;
     let loc = Loc {
@@ -116,14 +113,14 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                 loc,
                 model: ctx.solver.model(&state.path),
             };
-            state.status = Status::Bugged(report.clone());
+            state.status = Status::Bugged(Box::new(report.clone()));
             return StepResult::Bug(report);
         }};
     }
 
     macro_rules! reg {
         ($r:expr) => {{
-            match state.frames.last().expect("frame").regs.get($r.0 as usize) {
+            match state.frames.top().expect("frame").regs.get($r.0 as usize) {
                 Some(Some(v)) => v.clone(),
                 _ => bug!(
                     BugKind::Internal,
@@ -135,7 +132,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
 
     macro_rules! set_reg {
         ($r:expr, $v:expr) => {{
-            let f = state.frames.last_mut().expect("frame");
+            let f = state.frames.top_mut().expect("frame");
             match f.regs.get_mut($r.0 as usize) {
                 Some(slot) => *slot = Some($v),
                 None => bug!(
@@ -148,7 +145,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
 
     macro_rules! advance {
         () => {{
-            state.frames.last_mut().expect("frame").pc += 1;
+            state.frames.top_mut().expect("frame").pc += 1;
         }};
     }
 
@@ -221,7 +218,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                             loc,
                             model: ctx.solver.model(&sibling.path),
                         };
-                        sibling.status = Status::Bugged(report);
+                        sibling.status = Status::Bugged(Box::new(report));
                         // Self: divisor is nonzero; continue with the op.
                         state.path_push(Expr::not(is_zero));
                         set_reg!(dst, a.binop(op, b));
@@ -235,7 +232,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
             StepResult::Continue
         }
         Inst::Jmp { target } => {
-            state.frames.last_mut().expect("frame").pc = target;
+            state.frames.top_mut().expect("frame").pc = target;
             StepResult::Continue
         }
         Inst::Br {
@@ -258,23 +255,23 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                     if ctx.preset.is_some() {
                         state.record_branch(loc, true);
                     }
-                    state.frames.last_mut().expect("frame").pc = then_target;
+                    state.frames.top_mut().expect("frame").pc = then_target;
                     StepResult::Continue
                 }
                 Decision::AlwaysFalse => {
                     if ctx.preset.is_some() {
                         state.record_branch(loc, false);
                     }
-                    state.frames.last_mut().expect("frame").pc = else_target;
+                    state.frames.top_mut().expect("frame").pc = else_target;
                     StepResult::Continue
                 }
                 Decision::Either(c) => {
                     let mut sibling = state.clone();
                     sibling.path_push(Expr::not(c.clone()));
-                    sibling.frames.last_mut().expect("frame").pc = else_target;
+                    sibling.frames.top_mut().expect("frame").pc = else_target;
                     sibling.record_branch(loc, false);
                     state.path_push(c);
-                    state.frames.last_mut().expect("frame").pc = then_target;
+                    state.frames.top_mut().expect("frame").pc = then_target;
                     state.record_branch(loc, true);
                     StepResult::Forked(sibling)
                 }
@@ -295,18 +292,13 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                     format!("arity mismatch calling {}", callee.name())
                 );
             }
-            let mut regs: Vec<Option<Value>> = vec![None; usize::from(callee.reg_count())];
+            let mut regs: Box<[Option<Value>]> = vec![None; usize::from(callee.reg_count())].into();
             for (slot, a) in regs.iter_mut().zip(args) {
                 *slot = Some(reg!(*a));
             }
             // Return to the next instruction of the caller.
             advance!();
-            state.frames.push(Frame {
-                func,
-                pc: 0,
-                regs,
-                ret_dst: dst,
-            });
+            state.frames.push(func, regs, dst);
             StepResult::Continue
         }
         Inst::Ret { val } => {
@@ -314,12 +306,12 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                 Some(r) => Some(reg!(r)),
                 None => None,
             };
-            let finished = state.frames.pop().expect("frame");
+            let ret_dst = state.frames.pop().expect("frame");
             if state.frames.is_empty() {
                 state.status = Status::Idle;
                 return StepResult::HandlerDone(ret_value);
             }
-            if let Some(dst) = finished.ret_dst {
+            if let Some(dst) = ret_dst {
                 match ret_value.clone() {
                     Some(v) => set_reg!(dst, v),
                     None => bug!(
@@ -424,7 +416,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                         loc,
                         model: ctx.solver.model(&sibling.path),
                     };
-                    sibling.status = Status::Bugged(report);
+                    sibling.status = Status::Bugged(Box::new(report));
                     state.path_push(c);
                     advance!();
                     StepResult::Forked(sibling)

@@ -11,6 +11,10 @@ use std::hash::{Hash, Hasher};
 /// Default size of a node's byte-addressed global memory.
 pub(crate) const DEFAULT_MEMORY_SIZE: u32 = 64 * 1024;
 
+/// Deepest call stack a state may hold: a `Call` beyond it is a bug, and
+/// a snapshot claiming more frames is malformed.
+pub(crate) const MAX_CALL_DEPTH: usize = 128;
+
 /// Lifecycle of an execution state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Status {
@@ -22,8 +26,9 @@ pub enum Status {
     Halted,
     /// The path condition became unsatisfiable (failed `Assume`).
     Infeasible,
-    /// A bug was detected on this path.
-    Bugged(BugReport),
+    /// A bug was detected on this path. Boxed: almost no state is bugged,
+    /// and every state carries a `Status`.
+    Bugged(Box<BugReport>),
 }
 
 impl Status {
@@ -33,14 +38,168 @@ impl Status {
     }
 }
 
-/// One call frame.
-#[derive(Debug, Clone)]
+/// One call frame, linked to its caller's.
+#[derive(Clone)]
 pub(crate) struct Frame {
     pub func: FuncId,
     pub pc: u32,
-    pub regs: Vec<Option<Value>>,
+    /// Sized once, from the function's register count.
+    pub regs: Box<[Option<Value>]>,
     /// Register in the *caller's* frame receiving our return value.
     pub ret_dst: Option<Reg>,
+    /// Live frames from this one down to the handler's (1 for the
+    /// handler's own); 0 marks the spare a finished handler leaves.
+    depth: u16,
+    caller: Option<Box<Frame>>,
+}
+
+impl Frame {
+    /// Feeds the frame's configuration to a digest.
+    fn hash_into(&self, h: &mut impl Hasher) {
+        self.func.hash(h);
+        self.pc.hash(h);
+        self.ret_dst.hash(h);
+        for r in &self.regs {
+            r.hash(h);
+        }
+    }
+
+    /// Equal configuration: the frames' links are not compared.
+    fn same(&self, other: &Frame) -> bool {
+        self.func == other.func
+            && self.pc == other.pc
+            && self.ret_dst == other.ret_dst
+            && self.regs == other.regs
+    }
+}
+
+impl std::fmt::Debug for Frame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Frame")
+            .field("func", &self.func)
+            .field("pc", &self.pc)
+            .field("regs", &self.regs)
+            .field("ret_dst", &self.ret_dst)
+            .finish()
+    }
+}
+
+/// The call stack in one pointer: the running frame, linked to its
+/// callers'.
+///
+/// A state that returned from its handler keeps the handler's frame box
+/// as a spare (depth 0, no registers), so its next [`VmState::prepare`]
+/// allocates no frame; a handler that never calls needs no other. The
+/// spare is capacity, not content: it is not cloned, compared, hashed or
+/// encoded.
+#[derive(Default)]
+pub(crate) struct Frames(Option<Box<Frame>>);
+
+impl Frames {
+    /// The running frame.
+    pub(crate) fn top(&self) -> Option<&Frame> {
+        self.0.as_deref().filter(|f| f.depth > 0)
+    }
+
+    /// The running frame, mutably.
+    pub(crate) fn top_mut(&mut self) -> Option<&mut Frame> {
+        self.0.as_deref_mut().filter(|f| f.depth > 0)
+    }
+
+    /// Number of live frames.
+    pub(crate) fn len(&self) -> usize {
+        self.top().map_or(0, |f| usize::from(f.depth))
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Calls `func` with `regs`: the new frame runs from its first
+    /// instruction, in the spare's box when there is one.
+    pub(crate) fn push(&mut self, func: FuncId, regs: Box<[Option<Value>]>, ret_dst: Option<Reg>) {
+        let mut frame = Frame {
+            func,
+            pc: 0,
+            regs,
+            ret_dst,
+            depth: 1,
+            caller: None,
+        };
+        match &mut self.0 {
+            Some(spare) if spare.depth == 0 => **spare = frame,
+            slot => {
+                frame.caller = slot.take();
+                frame.depth += frame.caller.as_ref().map_or(0, |c| c.depth);
+                *slot = Some(Box::new(frame));
+            }
+        }
+    }
+
+    /// Pops the running frame, returning the register its caller takes
+    /// the result in. The handler's frame stays behind as the spare.
+    pub(crate) fn pop(&mut self) -> Option<Option<Reg>> {
+        let top = self.0.as_deref_mut().filter(|f| f.depth > 0)?;
+        let ret_dst = top.ret_dst;
+        if top.depth == 1 {
+            top.depth = 0;
+            top.regs = Box::default();
+        } else {
+            let caller = top.caller.take();
+            self.0 = caller;
+        }
+        Some(ret_dst)
+    }
+
+    /// Pops every frame, keeping the handler's as the spare.
+    pub(crate) fn clear(&mut self) {
+        let Some(mut bottom) = self.0.take() else {
+            return;
+        };
+        while let Some(caller) = bottom.caller.take() {
+            bottom = caller;
+        }
+        bottom.depth = 0;
+        bottom.regs = Box::default();
+        self.0 = Some(bottom);
+    }
+
+    /// The live frames, running frame first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Frame> {
+        std::iter::successors(self.top(), |f| f.caller.as_deref())
+    }
+
+    /// Visits the live frames handler first — the order digests and the
+    /// snapshot use. Recursion depth is bounded by [`MAX_CALL_DEPTH`].
+    pub(crate) fn for_each_from_bottom(&self, mut visit: impl FnMut(&Frame)) {
+        fn walk(frame: &Frame, visit: &mut impl FnMut(&Frame)) {
+            if let Some(caller) = frame.caller.as_deref() {
+                walk(caller, visit);
+            }
+            visit(frame);
+        }
+        if let Some(top) = self.top() {
+            walk(top, &mut visit);
+        }
+    }
+}
+
+impl Clone for Frames {
+    /// Copies the live frames; the spare stays with its owner, so cloning
+    /// a state between handlers allocates nothing.
+    fn clone(&self) -> Frames {
+        Frames(self.top().map(|f| Box::new(f.clone())))
+    }
+}
+
+impl std::fmt::Debug for Frames {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut list = f.debug_list();
+        self.for_each_from_bottom(|frame| {
+            list.entry(frame);
+        });
+        list.finish()
+    }
 }
 
 /// One symbolic execution state of a single node program.
@@ -56,7 +215,7 @@ pub(crate) struct Frame {
 /// ([`PMap::insert_mut`]); a state nobody shares is written in place.
 #[derive(Debug, Clone)]
 pub struct VmState {
-    pub(crate) frames: Vec<Frame>,
+    pub(crate) frames: Frames,
     pub(crate) heap: PMap<u32, Value>,
     pub(crate) memory_size: u32,
     pub(crate) path: PathCondition,
@@ -81,7 +240,7 @@ impl VmState {
     /// validation today; states are program-agnostic containers.)
     pub fn fresh(_program: &Program) -> VmState {
         VmState {
-            frames: Vec::new(),
+            frames: Frames::default(),
             heap: PMap::new(),
             memory_size: DEFAULT_MEMORY_SIZE,
             path: PathCondition::new(),
@@ -124,20 +283,13 @@ impl VmState {
         if usize::from(func.param_count()) != args.len() {
             return false;
         }
-        let mut regs: Vec<Option<Value>> = vec![None; usize::from(func.reg_count())];
+        let mut regs: Box<[Option<Value>]> = vec![None; usize::from(func.reg_count())].into();
         for (slot, a) in regs.iter_mut().zip(args) {
             *slot = Some(a.clone());
         }
+        // Reuses the spare frame a finished handler left, if any.
         self.frames.clear();
-        // Most handlers never call: one frame, not `Vec`'s first-push
-        // four, is what an executed state keeps until its next event.
-        self.frames.reserve_exact(1);
-        self.frames.push(Frame {
-            func: func_id,
-            pc: 0,
-            regs,
-            ret_dst: None,
-        });
+        self.frames.push(func_id, regs, None);
         self.status = Status::Running;
         true
     }
@@ -213,7 +365,7 @@ impl VmState {
     /// themselves, and a strict-preset miss there is reported exactly
     /// like an interpreter-detected bug.
     pub fn set_bugged(&mut self, report: crate::BugReport) {
-        self.status = Status::Bugged(report);
+        self.status = Status::Bugged(Box::new(report));
     }
 
     /// Returns this state as it looks immediately after a node reboot:
@@ -223,7 +375,7 @@ impl VmState {
     #[must_use]
     pub fn rebooted(&self) -> VmState {
         VmState {
-            frames: Vec::new(),
+            frames: Frames::default(),
             heap: sde_pds::PMap::new(),
             heap_acc: 0,
             status: Status::Idle,
@@ -250,7 +402,7 @@ impl VmState {
             }
         }
         VmState {
-            frames: Vec::new(),
+            frames: Frames::default(),
             heap,
             heap_acc,
             status: Status::Idle,
@@ -295,13 +447,20 @@ impl VmState {
 
     /// Deterministic approximation of this state's memory usage in bytes,
     /// used for the paper's RAM-over-time curves (substituting for RSS
-    /// measurements; see DESIGN.md).
+    /// measurements; see DESIGN.md §1, "Substitutions").
+    ///
+    /// The constants are a *model*, not a measurement of this layout:
+    /// they were set when a state was laid out differently and are frozen
+    /// since, because the run's peak of their sum (`peak_bytes`) is part
+    /// of `RunReport::equivalence_key` — changing one would move every
+    /// recorded key. What a state really costs is read from the process
+    /// (`rss_peak_mb` in the benchmark, `VmHWM` in `table1`).
     pub fn approx_bytes(&self) -> usize {
-        const BASE: usize = 256; // struct + bookkeeping overhead
-        const PER_HEAP_CELL: usize = 48; // map node amortized + value
-        const PER_PC_NODE: usize = 40; // expression node
-        const PER_FRAME: usize = 64;
-        const PER_REG: usize = 16;
+        const BASE: usize = 256; // per state, whatever its fields hold
+        const PER_HEAP_CELL: usize = 48; // per written memory byte
+        const PER_PC_NODE: usize = 40; // per path-condition term node
+        const PER_FRAME: usize = 64; // per live call frame
+        const PER_REG: usize = 16; // per register of a live frame
         let frame_bytes: usize = self
             .frames
             .iter()
@@ -331,14 +490,7 @@ impl VmState {
         self.heap_acc.hash(&mut h);
         self.path_acc.hash(&mut h);
         // Frames: ordered.
-        for f in &self.frames {
-            f.func.hash(&mut h);
-            f.pc.hash(&mut h);
-            f.ret_dst.hash(&mut h);
-            for r in &f.regs {
-                r.hash(&mut h);
-            }
-        }
+        self.frames.for_each_from_bottom(|f| f.hash_into(&mut h));
         std::mem::discriminant(&self.status).hash(&mut h);
         self.path_digest.hash(&mut h);
         h.finish()
@@ -366,14 +518,7 @@ impl VmState {
         }
         pc_acc.hash(&mut h);
         // Frames: ordered.
-        for f in &self.frames {
-            f.func.hash(&mut h);
-            f.pc.hash(&mut h);
-            f.ret_dst.hash(&mut h);
-            for r in &f.regs {
-                r.hash(&mut h);
-            }
-        }
+        self.frames.for_each_from_bottom(|f| f.hash_into(&mut h));
         std::mem::discriminant(&self.status).hash(&mut h);
         self.path_digest.hash(&mut h);
         h.finish()
@@ -400,9 +545,11 @@ impl VmState {
         self.status == other.status
             && self.path_digest == other.path_digest
             && self.frames.len() == other.frames.len()
-            && self.frames.iter().zip(&other.frames).all(|(a, b)| {
-                a.func == b.func && a.pc == b.pc && a.ret_dst == b.ret_dst && a.regs == b.regs
-            })
+            && self
+                .frames
+                .iter()
+                .zip(other.frames.iter())
+                .all(|(a, b)| a.same(b))
             && self.heap == other.heap
             && self.path.same_constraints(&other.path)
     }
@@ -419,10 +566,13 @@ impl VmState {
         {
             return false;
         }
-        for (a, b) in self.frames.iter().zip(&other.frames) {
-            if a.func != b.func || a.pc != b.pc || a.ret_dst != b.ret_dst || a.regs != b.regs {
-                return false;
-            }
+        if !self
+            .frames
+            .iter()
+            .zip(other.frames.iter())
+            .all(|(a, b)| a.same(b))
+        {
+            return false;
         }
         for (k, v) in self.heap.iter() {
             if other.heap.get(k) != Some(v) {
@@ -476,7 +626,7 @@ impl VmState {
     /// bytes.
     pub fn write_snapshot(&self, w: &mut SnapWriter) {
         w.varint(self.frames.len() as u64);
-        for f in &self.frames {
+        self.frames.for_each_from_bottom(|f| {
             w.varint(u64::from(f.func.0));
             w.varint(u64::from(f.pc));
             w.varint(f.regs.len() as u64);
@@ -496,7 +646,7 @@ impl VmState {
                 }
                 None => w.bool(false),
             }
-        }
+        });
         // Heap entries sorted by address: the persistent map's iteration
         // order is not specified, the encoding must be deterministic.
         let mut heap: Vec<(u32, &Value)> = self.heap.iter().map(|(k, v)| (*k, v)).collect();
@@ -550,7 +700,10 @@ impl VmState {
     /// panics.
     pub fn read_snapshot(r: &mut SnapReader<'_>) -> Result<VmState, CodecError> {
         let nframes = checked_len(r, "frame count")?;
-        let mut frames = Vec::with_capacity(nframes);
+        if nframes > MAX_CALL_DEPTH {
+            return Err(CodecError::Malformed("frame count"));
+        }
+        let mut frames = Frames::default();
         for _ in 0..nframes {
             let func = FuncId(
                 u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("function id"))?,
@@ -561,18 +714,15 @@ impl VmState {
             for _ in 0..nregs {
                 regs.push(if r.bool()? { Some(r.value()?) } else { None });
             }
+            let regs = regs.into_boxed_slice();
             let ret_dst = if r.bool()? {
                 Some(Reg(u16::try_from(r.varint()?)
                     .map_err(|_| CodecError::Malformed("return register"))?))
             } else {
                 None
             };
-            frames.push(Frame {
-                func,
-                pc,
-                regs,
-                ret_dst,
-            });
+            frames.push(func, regs, ret_dst);
+            frames.top_mut().expect("frame just pushed").pc = pc;
         }
         let nheap = checked_len(r, "heap entry count")?;
         let mut heap = PMap::new();
@@ -595,7 +745,7 @@ impl VmState {
             1 => Status::Running,
             2 => Status::Halted,
             3 => Status::Infeasible,
-            4 => Status::Bugged(BugReport::read_snapshot(r)?),
+            4 => Status::Bugged(Box::new(BugReport::read_snapshot(r)?)),
             _ => return Err(CodecError::Malformed("status tag")),
         };
         let nbranches = checked_len(r, "branch trace count")?;
@@ -741,13 +891,11 @@ mod tests {
         s.path_digest = 0xdead_beef;
         s.instret = 42;
         s.input_counts = s.input_counts.insert("x".to_string(), 1);
-        s.frames = vec![Frame {
-            func: FuncId(0),
-            pc: 1,
-            regs: vec![Some(x.clone().into()), None],
-            ret_dst: Some(Reg(3)),
-        }];
-        s.status = Status::Bugged(BugReport {
+        s.frames
+            .push(FuncId(0), vec![Some(x.clone().into()), None].into(), None);
+        s.frames.push(FuncId(1), vec![None].into(), Some(Reg(3)));
+        s.frames.top_mut().unwrap().pc = 1;
+        s.status = Status::Bugged(Box::new(BugReport {
             kind: BugKind::OutOfBounds { addr: 0x1_0000 },
             message: Arc::from("store"),
             loc: Loc {
@@ -755,7 +903,7 @@ mod tests {
                 index: 2,
             },
             model: Some([(xv.id(), 3)].into_iter().collect()),
-        });
+        }));
 
         let mut w = SnapWriter::new();
         s.write_snapshot(&mut w);
@@ -783,6 +931,60 @@ mod tests {
                 let _ = VmState::read_snapshot(&mut r);
             }
         }
+    }
+
+    #[test]
+    fn the_call_stack_keeps_one_spare_frame_and_clones_only_live_ones() {
+        let mut frames = Frames::default();
+        frames.push(FuncId(0), vec![None; 2].into(), None);
+        frames.push(FuncId(1), vec![None].into(), Some(Reg(1)));
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames.top().map(|f| f.func), Some(FuncId(1)));
+        assert_eq!(frames.clone().iter().count(), 2);
+        let mut order = Vec::new();
+        frames.for_each_from_bottom(|f| order.push(f.func));
+        assert_eq!(order, [FuncId(0), FuncId(1)]);
+        assert_eq!(frames.pop(), Some(Some(Reg(1))));
+        assert_eq!(frames.pop(), Some(None));
+        assert!(frames.is_empty() && frames.top().is_none() && frames.pop().is_none());
+        assert!(frames.0.is_some(), "the handler's frame stays as the spare");
+        assert!(
+            frames.clone().0.is_none(),
+            "a clone does not copy the spare"
+        );
+        let spare: *const Frame = &**frames.0.as_ref().unwrap();
+        frames.push(FuncId(2), Box::default(), None);
+        assert!(
+            std::ptr::eq(spare, frames.top().unwrap()),
+            "the spare is reused"
+        );
+        frames.push(FuncId(3), Box::default(), None);
+        frames.clear();
+        assert!(frames.is_empty() && frames.0.is_some());
+    }
+
+    #[test]
+    fn a_snapshot_deeper_than_the_call_limit_is_malformed() {
+        let p = empty_program();
+        let mut s = VmState::fresh(&p);
+        for _ in 0..=MAX_CALL_DEPTH {
+            s.frames.push(FuncId(0), Box::default(), None);
+        }
+        let mut w = SnapWriter::new();
+        s.write_snapshot(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert!(matches!(
+            VmState::read_snapshot(&mut r),
+            Err(CodecError::Malformed("frame count"))
+        ));
+        s.frames.pop();
+        let mut w = SnapWriter::new();
+        s.write_snapshot(&mut w);
+        let bytes = w.finish();
+        let decoded = VmState::read_snapshot(&mut SnapReader::new(&bytes).unwrap()).unwrap();
+        assert_eq!(decoded.frames.len(), MAX_CALL_DEPTH);
+        assert!(decoded.config_eq(&s));
     }
 
     /// A digest collision as the confirmation path would meet one: equal

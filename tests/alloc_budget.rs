@@ -296,9 +296,9 @@ fn re_storing_what_a_shared_cell_holds_allocates_nothing() {
 }
 
 /// A state that ran a handler keeps its frame buffer until its next
-/// event — one per executed state, for the rest of the run. `prepare`
-/// sizes it for the one frame a handler that never calls needs (40 bytes
-/// here); `Vec`'s first push would reserve four (160 bytes: 6 MB of the
+/// event — one per executed state, for the rest of the run: the
+/// handler's frame box, left behind as a spare (40 bytes here). A `Vec`
+/// of frames' first push would reserve four (160 bytes: 6 MB of the
 /// 57 MB live at `collect7_cow`'s peak, one buffer per executed state).
 #[test]
 fn an_idle_state_keeps_a_frame_buffer_of_one() {
@@ -568,4 +568,54 @@ fn growing_the_state_table_never_moves_a_resident() {
         "a resident state stays where it was boxed"
     );
     assert_eq!(store.states.totals(), store.states.totals_reference());
+}
+
+// ---- the resident layout ---------------------------------------------------
+//
+// Every resident state is one boxed `SdeState`, and the queue keeps one
+// pending-event slot per id ever minted, so these sizes multiply by the
+// state count. At the commit before, `SdeState` was 304 bytes (a 320-byte
+// malloc chunk), `Status` 72 (a `BugReport` inline in every state) and
+// the slot a 32-byte `VecDeque`; boxing `fork_as` of an idle state was one
+// allocation of 304 bytes.
+
+use sde::core::store::IndexedQueue;
+use sde::core::NodeEvent;
+
+#[test]
+fn the_resident_layout_stays_in_budget() {
+    let state = std::mem::size_of::<SdeState>();
+    let status = std::mem::size_of::<Status>();
+    println!("SdeState {state} B, Status {status} B");
+    assert!(state <= 192, "SdeState is {state} bytes (304 before)");
+    assert!(status <= 16, "Status is {status} bytes (72 before)");
+}
+
+#[test]
+fn the_pending_index_costs_at_most_eight_bytes_per_id() {
+    const IDS: u64 = 100_000;
+    let mut queue = IndexedQueue::default();
+    let held = retained_bytes();
+    queue.push(5, (StateId(IDS - 1), NodeEvent::Timer(1)));
+    let index = retained_bytes() - held;
+    println!("{index} bytes retained for {IDS} ids");
+    // Beyond the slots: the one event and its list, its key and the key's
+    // time bucket.
+    assert!(
+        index <= 8 * IDS as i64 + 4096,
+        "{index} bytes for {IDS} slots (32 each before)"
+    );
+    assert_eq!(queue.len(), 1);
+}
+
+#[test]
+fn boxing_a_fork_of_an_idle_state_is_one_allocation_of_one_chunk() {
+    let store = idle_store(1);
+    let idle = &store.states[&StateId(0)];
+    let (before, held) = (allocations(), retained_bytes());
+    let child = Box::new(idle.fork_as(StateId(1)));
+    let (spent, kept) = (allocations() - before, retained_bytes() - held);
+    assert_eq!(spent, 1, "the box, nothing else");
+    assert!(kept <= 192, "the fork retains {kept} bytes (304 before)");
+    assert_eq!(child.node, NodeId(0));
 }
