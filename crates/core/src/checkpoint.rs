@@ -28,7 +28,7 @@
 use crate::engine::NodeEvent;
 use crate::history::{CommHistory, HistoryEvent};
 use crate::mapping::{Algorithm, MapperSnapshot, MapperStats};
-use crate::state::{SdeState, StateId};
+use crate::state::{SdeState, StateCore, StateId};
 use crate::stats::{BugFound, Sample};
 use sde_net::{NodeId, Packet, PacketId};
 use sde_symbolic::{CodecError, SnapReader, SnapWriter, SolverSnapshot, Width};
@@ -1091,9 +1091,7 @@ fn read_main(r: &mut SnapReader<'_>, p: Prelude) -> Result<EngineSnapshot, Codec
         let partition_until = r.varint()?;
         let root = r.bool()?;
         let shard_root = r.varint()?;
-        states.push(SdeState {
-            id,
-            node,
+        let core = StateCore {
             vm,
             history,
             drop_budget,
@@ -1104,9 +1102,8 @@ fn read_main(r: &mut SnapReader<'_>, p: Prelude) -> Result<EngineSnapshot, Codec
             cor_budget,
             crash_budget,
             partition_until,
-            root,
-            shard_root,
-        });
+        };
+        states.push(SdeState::new(id, node, root, shard_root, core));
     }
     let queue_next_seq = r.varint()?;
     let nqueue = checked_len(r, "queue length")?;

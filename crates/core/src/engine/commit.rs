@@ -31,12 +31,12 @@ impl Host for Engine {
         self.store.states.update(id, change)
     }
 
-    fn take(&mut self, id: StateId) -> Option<Box<SdeState>> {
+    fn take(&mut self, id: StateId) -> Option<SdeState> {
         self.store.states.remove(&id)
     }
 
-    fn put(&mut self, state: Box<SdeState>) {
-        self.store.states.put(state);
+    fn put(&mut self, state: SdeState) {
+        self.store.states.insert(state);
     }
 
     fn allocate_id(&mut self) -> StateId {

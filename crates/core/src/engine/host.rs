@@ -24,19 +24,17 @@ use crate::stats::BugFound;
 use sde_net::{NodeId, Packet, PacketId};
 use sde_os::handlers;
 use sde_symbolic::{Value, Width};
-use sde_vm::{step, Status, StepResult, Syscall, VmCtx, VmState};
+use sde_vm::{step, Program, Status, StepResult, Syscall, VmCtx, VmState};
 use std::sync::Arc;
 
 /// Per-event buffers that outlive the event: `on_recv`'s arguments and
 /// the handler's stack of states still to run. Each is taken for one use
 /// and put back empty, so a dispatch allocates neither once they have
-/// grown. The states stay boxed: a host hands a box out and takes the
-/// same box back, so a state never moves.
+/// grown.
 #[derive(Debug, Default)]
 pub(super) struct Buffers {
     recv_args: Vec<Value>,
-    #[allow(clippy::vec_box)]
-    running: Vec<Box<SdeState>>,
+    running: Vec<SdeState>,
 }
 
 /// Where the effects of an executing dispatch go. States are addressed
@@ -52,9 +50,9 @@ pub(super) trait Host {
     /// Mutates a state that is in the host.
     fn update<R>(&mut self, id: StateId, change: impl FnOnce(&mut SdeState) -> R) -> R;
     /// Takes `id` out to run a handler on it.
-    fn take(&mut self, id: StateId) -> Option<Box<SdeState>>;
+    fn take(&mut self, id: StateId) -> Option<SdeState>;
     /// Puts a state (back) in.
-    fn put(&mut self, state: Box<SdeState>);
+    fn put(&mut self, state: SdeState);
     /// Mints the id of a branch fork.
     fn allocate_id(&mut self) -> StateId;
     /// The open recording, if any.
@@ -143,17 +141,16 @@ fn run_handler<H: Host>(h: &mut H, state: StateId, handler: &str, args: &[Value]
     'states: while let Some(mut st) = running.pop() {
         h.executed(st.id);
         loop {
-            if !h.tick() {
+            let Some(effect) = step_to_effect(h, &program, &mut st.vm, node) else {
                 // The dispatch ends here; the stack goes with it.
                 running.clear();
                 break 'states;
-            }
-            let result = step(&program, &mut st.vm, &mut h.ctx(node));
-            match result {
-                StepResult::Continue => {}
+            };
+            match effect {
+                StepResult::Continue => unreachable!("step_to_effect returns effects only"),
                 StepResult::Forked(sibling_vm) => {
                     let id = h.allocate_id();
-                    let sibling = Box::new(st.fork_with_vm(id, sibling_vm));
+                    let sibling = st.fork_with_vm(id, sibling_vm);
                     h.forked(st.id, id, node);
                     note(h, |rec| rec.note_branch_fork(st.id, id));
                     let bugged = match sibling.vm.status() {
@@ -204,6 +201,27 @@ fn run_handler<H: Host>(h: &mut H, state: StateId, handler: &str, args: &[Value]
         }
     }
     h.buffers().running = running;
+}
+
+/// Steps `vm` until a step has an effect for the host — a fork, a
+/// syscall, the handler's end — or the host ends the dispatch (`None`).
+/// The caller reaches the state's core once for the whole run of plain
+/// steps, not once a step.
+fn step_to_effect<H: Host>(
+    h: &mut H,
+    program: &Program,
+    vm: &mut VmState,
+    node: NodeId,
+) -> Option<StepResult> {
+    loop {
+        if !h.tick() {
+            return None;
+        }
+        match step(program, vm, &mut h.ctx(node)) {
+            StepResult::Continue => {}
+            effect => return Some(effect),
+        }
+    }
 }
 
 /// Packet delivery (DESIGN.md §11). A delivery across a cut the receiving

@@ -411,7 +411,7 @@ fn run_shard_group(
         symbols: job.symbols,
         scenario,
         now: job.now,
-        states: HashMap::from([(root, Box::new(job.state))]),
+        states: HashMap::from([(root, job.state)]),
         queue: job.events.into_iter().map(|ev| (root, ev)).collect(),
         next_local: 1 << 63,
         recorder: None,
@@ -441,7 +441,7 @@ struct ShardWorker<'a> {
     symbols: SymbolTable,
     scenario: &'a Scenario,
     now: u64,
-    states: HashMap<StateId, Box<SdeState>>,
+    states: HashMap<StateId, SdeState>,
     /// FIFO of pending same-time events; forks append their duplicated
     /// tails here, as [`IndexedQueue::duplicate`](crate::store::IndexedQueue::duplicate)
     /// does to the time-`now` slice of the real queue.
@@ -544,11 +544,11 @@ impl Host for ShardWorker<'_> {
         change(self.states.get_mut(&id).expect("state in the job"))
     }
 
-    fn take(&mut self, id: StateId) -> Option<Box<SdeState>> {
+    fn take(&mut self, id: StateId) -> Option<SdeState> {
         self.states.remove(&id)
     }
 
-    fn put(&mut self, state: Box<SdeState>) {
+    fn put(&mut self, state: SdeState) {
         self.states.insert(state.id, state);
     }
 

@@ -67,7 +67,7 @@ pub use history::{CommHistory, HistoryEvent};
 pub use mapping::{Algorithm, Delivery, MapperSnapshot, MapperStats, StateMapper, StateStore};
 pub use minimize::{MinimizeReport, Minimizer};
 pub use scenario::Scenario;
-pub use state::{SdeState, StateId};
+pub use state::{SdeState, StateCore, StateId};
 pub use stats::{human_bytes, BugFound, DedupStats, ParallelStats, RunReport, Sample, TimeSeries};
 
 /// Structured tracing re-export: sinks, events and the summary type that

@@ -4,6 +4,8 @@ use crate::history::CommHistory;
 use sde_net::{FailureConfig, FailureKind, FaultPlan, NodeId};
 use sde_vm::{Status, VmState};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// Globally unique identifier of one execution state within a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -27,12 +29,36 @@ impl fmt::Display for StateId {
 /// One execution state of the distributed system: a node id (`node(s)` in
 /// the paper), the underlying VM state, the communication history, and
 /// the per-state failure budgets.
+///
+/// A state is a 32-byte handle: its identity inline, its body — a
+/// [`StateCore`] — behind an `Arc` shared copy-on-write, as KLEE shares a
+/// forked state's memory. [`SdeState::fork_as`] copies the handle and
+/// shares the parent's core; reading goes through `Deref`, and the first
+/// write through `DerefMut` to a core another state still shares clones
+/// it once (`Arc::make_mut`), so a copy the run never writes again — a
+/// COB bystander, a COW copy — costs its handle only.
 #[derive(Debug, Clone)]
 pub struct SdeState {
     /// Unique identity.
     pub id: StateId,
+    /// The subtree this state belongs to for sharded exploration: boot
+    /// states own themselves, each direct child of a boot state starts a
+    /// fresh subtree, and deeper forks inherit their parent's. Purely a
+    /// scheduling hint for [`Engine::run_sharded`]
+    /// (crate::Engine::run_sharded) — it never influences execution
+    /// results.
+    pub shard_root: u64,
     /// The node this state belongs to.
     pub node: NodeId,
+    /// `true` for boot-time states — the anchors of the shard lineage.
+    pub root: bool,
+    core: Arc<StateCore>,
+}
+
+/// What a state holds besides its identity, shared copy-on-write between
+/// the states that were forked from one another and not written since.
+#[derive(Debug, Clone)]
+pub struct StateCore {
     /// The symbolic VM state (memory, frames, path condition).
     pub vm: VmState,
     /// Packets sent/received by this state.
@@ -54,18 +80,41 @@ pub struct SdeState {
     /// Virtual time (ms) until which this lineage's partition cut is
     /// active; 0 when no partition is active.
     pub partition_until: u64,
-    /// `true` for boot-time states — the anchors of the shard lineage.
-    pub root: bool,
-    /// The subtree this state belongs to for sharded exploration: boot
-    /// states own themselves, each direct child of a boot state starts a
-    /// fresh subtree, and deeper forks inherit their parent's. Purely a
-    /// scheduling hint for [`Engine::run_sharded`]
-    /// (crate::Engine::run_sharded) — it never influences execution
-    /// results.
-    pub shard_root: u64,
+}
+
+impl Deref for SdeState {
+    type Target = StateCore;
+
+    fn deref(&self) -> &StateCore {
+        &self.core
+    }
+}
+
+impl DerefMut for SdeState {
+    /// The state's own core: cloned first if another state shares it.
+    fn deref_mut(&mut self) -> &mut StateCore {
+        Arc::make_mut(&mut self.core)
+    }
 }
 
 impl SdeState {
+    /// A state from its parts (the snapshot decoder's constructor).
+    pub(crate) fn new(
+        id: StateId,
+        node: NodeId,
+        root: bool,
+        shard_root: u64,
+        core: StateCore,
+    ) -> SdeState {
+        SdeState {
+            id,
+            shard_root,
+            node,
+            root,
+            core: Arc::new(core),
+        }
+    }
+
     /// Creates the boot-time state of `node`.
     pub fn boot(
         id: StateId,
@@ -75,9 +124,7 @@ impl SdeState {
         faults: &FaultPlan,
         track_history: bool,
     ) -> SdeState {
-        SdeState {
-            id,
-            node,
+        let core = StateCore {
             vm,
             history: CommHistory::new(track_history),
             drop_budget: failures.budget(node, FailureKind::PacketDrop),
@@ -88,9 +135,8 @@ impl SdeState {
             cor_budget: faults.corrupt_budget(node),
             crash_budget: faults.crash_budget(node),
             partition_until: 0,
-            root: true,
-            shard_root: id.0,
-        }
+        };
+        SdeState::new(id, node, true, id.0, core)
     }
 
     /// All failure/fault budgets plus the partition deadline, in the
@@ -111,10 +157,8 @@ impl SdeState {
 
     /// An exact copy under a fresh identity.
     ///
-    /// O(1) regardless of how much the state has communicated: the
-    /// history's log (when tracked) is shared structurally, and with
-    /// tracking off the history is three plain words — nothing is
-    /// deep-cloned either way (asserted by the fork-cost tests).
+    /// One reference count: the copy shares `self`'s core until one of
+    /// the two is written (asserted by the fork-cost tests).
     pub fn fork_as(&self, id: StateId) -> SdeState {
         SdeState {
             id,
@@ -140,9 +184,7 @@ impl SdeState {
     /// (produced by the interpreter), so cloning the parent's mid-handler
     /// frames just to overwrite them would be pure waste — this skips it.
     pub fn fork_with_vm(&self, id: StateId, vm: VmState) -> SdeState {
-        SdeState {
-            id,
-            node: self.node,
+        let core = StateCore {
             vm,
             history: self.history.clone(),
             drop_budget: self.drop_budget,
@@ -153,9 +195,8 @@ impl SdeState {
             cor_budget: self.cor_budget,
             crash_budget: self.crash_budget,
             partition_until: self.partition_until,
-            root: false,
-            shard_root: self.child_shard_root(id),
-        }
+        };
+        SdeState::new(id, self.node, false, self.child_shard_root(id), core)
     }
 
     /// Returns `true` while the state can still execute handlers.

@@ -10,10 +10,10 @@
 //! **Ids are indexes.** [`Store::allocate_id`] mints state ids densely
 //! and never reuses one, and no state ever leaves the table for good, so
 //! everything keyed by a state id here is a flat vector indexed by it:
-//! the table holds one `Box<SdeState>` per id (a state is boxed once and
-//! never moved again; growth moves 8-byte pointers), the pending-event
-//! index a 4-byte slot per id (naming a pooled list only while the state
-//! has events pending) and
+//! the table holds one 32-byte [`SdeState`] handle per id inline (its
+//! core sits behind an `Arc` and never moves; growth moves handles), the
+//! pending-event index a 4-byte slot per id (naming a pooled list only
+//! while the state has events pending) and
 //! [`IdSet`] one bit per id. A lookup is an index, never a hash. Ids may
 //! have gaps in memory (tests insert `StateId(100)`); a snapshot may not
 //! claim one — [`Engine::resume`](crate::Engine::resume) bounds every id
@@ -34,22 +34,24 @@ fn contribution(state: &SdeState) -> (usize, usize) {
 /// The resident states, with the number of live ones and the sum of
 /// their [`SdeState::approx_bytes`] kept current.
 ///
-/// Slot `i` holds the state with id `i`, boxed: `insert` boxes a state
-/// once, `remove` hands that box out and `put` takes it back, so a state
-/// never moves after it was inserted and growing the table moves only
-/// pointers. A slot is `None` for an id that was never inserted or is
-/// currently taken out (a handler runs on states it owns).
+/// Slot `i` holds the handle of the state with id `i`, inline: a fork's
+/// handle shares its parent's core, and the two mutable paths — an
+/// [`StateTable::update`] closure, and a state [`StateTable::remove`]
+/// hands out until it is inserted back — reach the core through
+/// `Arc::make_mut`, so the first write to a shared core clones it once.
+/// A slot is `None` for an id that was never inserted or is currently
+/// taken out (a handler runs on states it owns).
 ///
 /// Invariant: `(live, bytes)` equals [`StateTable::totals_reference`] —
 /// the full rescan — whenever no [`StateTable::update`] closure is
 /// running. It holds because a state enters and leaves the totals at the
-/// three places it can change: `insert` / `put` add its contribution,
+/// three places it can change: `insert` adds its contribution,
 /// `remove` subtracts it, and `update` — the only mutable access —
 /// applies the difference between the contribution before and after the
 /// closure.
 #[derive(Debug, Default)]
 pub struct StateTable {
-    states: Vec<Option<Box<SdeState>>>,
+    states: Vec<Option<SdeState>>,
     resident: usize,
     live: usize,
     bytes: usize,
@@ -71,13 +73,7 @@ impl StateTable {
     }
 
     /// Makes `state` resident, returning the state it replaced, if any.
-    pub fn insert(&mut self, state: SdeState) -> Option<Box<SdeState>> {
-        self.put(Box::new(state))
-    }
-
-    /// [`StateTable::insert`] for a state that is already boxed — the one
-    /// [`StateTable::remove`] handed out goes back without being copied.
-    pub fn put(&mut self, state: Box<SdeState>) -> Option<Box<SdeState>> {
+    pub fn insert(&mut self, state: SdeState) -> Option<SdeState> {
         self.count(&state);
         let index = state.id.index();
         if index >= self.states.len() {
@@ -91,7 +87,7 @@ impl StateTable {
     }
 
     /// Takes `id` out of the table (a handler runs on states it owns).
-    pub fn remove(&mut self, id: &StateId) -> Option<Box<SdeState>> {
+    pub fn remove(&mut self, id: &StateId) -> Option<SdeState> {
         let state = self.states.get_mut(id.index())?.take()?;
         self.uncount(&state);
         Some(state)
@@ -107,7 +103,7 @@ impl StateTable {
         let state = self
             .states
             .get_mut(id.index())
-            .and_then(Option::as_deref_mut)
+            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("state {id} not resident"));
         let before = contribution(state);
         let result = change(state);
@@ -119,12 +115,12 @@ impl StateTable {
 
     /// The resident state `id`.
     pub fn get(&self, id: &StateId) -> Option<&SdeState> {
-        self.states.get(id.index())?.as_deref()
+        self.states.get(id.index())?.as_ref()
     }
 
     /// The resident states, ascending by id.
     pub fn values(&self) -> impl Iterator<Item = &SdeState> {
-        self.states.iter().filter_map(Option::as_deref)
+        self.states.iter().filter_map(Option::as_ref)
     }
 
     /// Number of resident states.
@@ -657,6 +653,7 @@ impl StateStore for Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StateCore;
     use sde_net::{FailureConfig, FaultPlan};
     use sde_vm::{ProgramBuilder, VmState};
 
@@ -846,18 +843,22 @@ mod tests {
         let taken = store.states.remove(&b).unwrap();
         assert_eq!(store.states.totals(), store.states.totals_reference());
         assert_eq!(store.states.totals().0, 1);
-        store.states.put(taken);
+        store.states.insert(taken);
         let child = store.fork(a);
         assert!(store.states.get(&child).is_some());
         assert_eq!(store.states.totals(), store.states.totals_reference());
     }
 
     /// The flat table against the hash map it replaced, op for op: ids
-    /// with gaps, replacement, take-out and put-back of the same box,
-    /// updates that change a state's contribution.
+    /// with gaps, replacement, take-out and put-back of the same core,
+    /// forks that share their parent's core, and updates that change a
+    /// state's contribution — on a core it owns or one it shares. After
+    /// every op each resident state's content and the totals are checked
+    /// against the model, so a write that reached a sibling shows at once.
     #[test]
     fn state_table_agrees_with_a_hash_map_model() {
-        use std::collections::HashMap;
+        use crate::history::HistoryEvent;
+        use std::collections::BTreeMap;
         let mut pb = ProgramBuilder::new();
         pb.function("on_boot", 0, |f| f.ret(None));
         let vm = VmState::fresh(&pb.build().unwrap());
@@ -871,43 +872,65 @@ mod tests {
                 false,
             )
         };
-        // What the model remembers of a state: enough to tell two apart.
-        let facts = |s: &SdeState| (s.id, s.node, s.history.len());
+        // What the model remembers of a state: what the ops write.
+        let facts = |s: &SdeState| (s.id, s.node, s.history.digest(), s.budgets());
+        // Where a state's core lives: equal for states that share one.
+        let core = |s: &SdeState| std::ptr::from_ref::<StateCore>(s);
 
         let mut rng = proptest::TestRng::for_case(0x22, 0);
         let mut table = StateTable::default();
-        let mut model: HashMap<StateId, (StateId, NodeId, u32)> = HashMap::new();
-        let mut out: Vec<Box<SdeState>> = Vec::new();
+        let mut model = BTreeMap::new();
+        let mut out: Vec<SdeState> = Vec::new();
+        let (mut forks, mut shared_writes) = (0, 0);
         for op in 0..20_000u64 {
             // Sparse on purpose: most of 0..4096 is never inserted.
             let id = StateId(rng.below(64) * rng.below(64));
-            match rng.below(6) {
-                0 | 1 => {
+            match rng.below(8) {
+                0 => {
                     let state = fresh(id.0, rng.below(9) as u16);
                     let replaced = table.insert(state.clone()).map(|old| facts(&old));
                     assert_eq!(replaced, model.insert(id, facts(&state)), "op {op}");
                 }
-                2 => {
-                    let taken = table.remove(&id);
-                    assert_eq!(taken.as_deref().map(facts), model.remove(&id), "op {op}");
-                    out.extend(taken);
+                1 | 2 => {
+                    // A fork of a resident state into `id`: one more
+                    // handle on the parent's core.
+                    let parents: Vec<StateId> = model.keys().copied().collect();
+                    if let Some(&parent) =
+                        parents.get(rng.below(parents.len().max(1) as u64) as usize)
+                    {
+                        let child = table[&parent].fork_as(id);
+                        assert_eq!(core(&child), core(&table[&parent]), "op {op}");
+                        let replaced = table.insert(child).map(|old| facts(&old));
+                        assert_eq!(replaced, model.insert(id, facts(&table[&id])), "op {op}");
+                        forks += 1;
+                    }
                 }
                 3 => {
-                    // The same box goes back where it was.
+                    let taken = table.remove(&id);
+                    assert_eq!(taken.as_ref().map(facts), model.remove(&id), "op {op}");
+                    out.extend(taken);
+                }
+                4 => {
+                    // The same core goes back where it was.
                     if let Some(state) = out.pop() {
-                        let (id, address) = (state.id, std::ptr::from_ref(&*state));
-                        let replaced = table.put(state).map(|old| facts(&old));
-                        assert!(std::ptr::eq(&table[&id], address), "op {op}");
+                        let (id, address) = (state.id, core(&state));
+                        let replaced = table.insert(state).map(|old| facts(&old));
+                        assert_eq!(core(&table[&id]), address, "op {op}");
                         assert_eq!(replaced, model.insert(id, facts(&table[&id])), "op {op}");
                     }
                 }
-                4 => {
+                5 | 6 => {
                     if model.contains_key(&id) {
+                        let shared = table
+                            .values()
+                            .any(|s| s.id != id && core(s) == core(&table[&id]));
+                        shared_writes += u32::from(shared);
                         table.update(id, |s| {
-                            s.history.record(crate::history::HistoryEvent::Sent {
+                            s.history.record(HistoryEvent::Sent {
                                 id: sde_net::PacketId(op),
                                 peer: NodeId(0),
-                            })
+                            });
+                            s.drop_budget += 1;
                         });
                         model.insert(id, facts(&table[&id]));
                     }
@@ -921,13 +944,15 @@ mod tests {
             assert_eq!(table.totals(), table.totals_reference(), "op {op}");
             assert_eq!(table.len(), model.len(), "op {op}");
             assert_eq!(table.is_empty(), model.is_empty());
-            if op % 97 == 0 {
-                let ids: Vec<StateId> = table.values().map(|s| s.id).collect();
-                assert!(ids.windows(2).all(|pair| pair[0] < pair[1]), "op {op}");
-                assert_eq!(ids.len(), model.len());
-                assert!(table.values().all(|s| model[&s.id] == facts(s)), "op {op}");
-            }
+            assert!(
+                table.values().map(facts).eq(model.values().copied()),
+                "op {op}"
+            );
         }
+        assert!(
+            forks > 1_000 && shared_writes > 100,
+            "{forks} forks, {shared_writes} shared writes"
+        );
     }
 
     /// A seeded script of every queue operation, with forks and clears,

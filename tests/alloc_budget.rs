@@ -324,12 +324,13 @@ fn an_idle_state_keeps_a_frame_buffer_of_one() {
 
 // ---- forks: the store's and the mappers' -----------------------------------
 //
-// A state is boxed once when it becomes resident; a group's membership is
-// one sorted list. So what a fork allocates does not depend on how many
-// members the groups around it have. Measured with this file's counter at
-// the commit before (state table a `HashMap<StateId, SdeState>`, every
-// dstate a `BTreeMap<NodeId, BTreeSet<VId>>`, COB / COW groups a
-// `BTreeMap` per group inside `HashMap`s):
+// A fork shares its parent's state body until one of the two is written;
+// a group's membership is one sorted list. So what a fork allocates does
+// not depend on how many members the groups around it have. Measured
+// with this file's counter at the commit before (state table a
+// `HashMap<StateId, SdeState>`, every dstate a
+// `BTreeMap<NodeId, BTreeSet<VId>>`, COB / COW groups a `BTreeMap` per
+// group inside `HashMap`s):
 //
 // * the SDS case-A send below: 28 allocations at k = 16, 85 at k = 64 —
 //   more than one per member (a B-tree leaf for its node's set, the
@@ -339,9 +340,11 @@ fn an_idle_state_keeps_a_frame_buffer_of_one() {
 // * the COB branch below at k = 16: 5 allocations for the new group's
 //   `BTreeMap` and none per `store.fork` — the copy went inline into the
 //   hash table, which paid for it in rehashes of 312-byte buckets instead
-//   (not counted there: the test lets the tables grow first). Here a fork
-//   is exactly one allocation, the state's box, and the branch adds one
-//   list plus the mapper's state → group vector growing: 18 = 15 + 3.
+//   (not counted there: the test lets the tables grow first). With every
+//   state boxed, a fork was exactly one allocation, the state's box, and
+//   the branch 18 = 15 + 3. Here a fork allocates nothing (its handle
+//   shares the parent's core), so the branch is the one list plus the
+//   mapper's state → group vector growing.
 
 use sde::core::mapping::{Algorithm, StateStore};
 use sde::core::store::Store;
@@ -505,7 +508,7 @@ fn idle_store(k: u16) -> Store {
 }
 
 #[test]
-fn a_store_fork_of_an_idle_state_is_one_allocation() {
+fn a_store_fork_of_an_idle_state_allocates_nothing() {
     let mut store = idle_store(2);
     // Let every id-indexed vector do its growing first.
     for _ in 0..64 {
@@ -513,8 +516,14 @@ fn a_store_fork_of_an_idle_state_is_one_allocation() {
     }
     let before = allocations();
     let child = store.fork(StateId(0));
-    assert_eq!(allocations() - before, 1, "the child's box, nothing else");
+    assert_eq!(
+        allocations() - before,
+        0,
+        "one handle on the parent's core (a box before)"
+    );
     assert_eq!(store.states[&child].node, NodeId(0));
+    let core = |id: StateId| std::ptr::from_ref::<StateCore>(&store.states[&id]);
+    assert_eq!(core(child), core(StateId(0)), "the two share one core");
 }
 
 #[test]
@@ -551,43 +560,62 @@ fn a_cob_branch_allocates_its_forks_and_one_list() {
     );
 }
 
+/// The table moves 32-byte handles as it grows; a state's core, where
+/// its body lives, stays where it was allocated.
 #[test]
 fn growing_the_state_table_never_moves_a_resident() {
     let mut store = idle_store(1);
+    // Each fork is written once, so it owns a core of its own.
+    let fork_own = |store: &mut Store| {
+        let child = store.fork(StateId(0));
+        store.states.update(child, |s| s.drop_budget = 1);
+    };
     while store.states.len() < 1_000 {
-        store.fork(StateId(0));
+        fork_own(&mut store);
     }
-    let address = |store: &Store, id: u64| std::ptr::from_ref(&store.states[&StateId(id)]);
-    let before: Vec<*const SdeState> = (0..1_000).map(|id| address(&store, id)).collect();
+    let address =
+        |store: &Store, id: u64| std::ptr::from_ref::<StateCore>(&store.states[&StateId(id)]);
+    let before: Vec<*const StateCore> = (0..1_000).map(|id| address(&store, id)).collect();
     while store.states.len() < 100_000 {
-        store.fork(StateId(0));
+        fork_own(&mut store);
     }
-    let after: Vec<*const SdeState> = (0..1_000).map(|id| address(&store, id)).collect();
+    let after: Vec<*const StateCore> = (0..1_000).map(|id| address(&store, id)).collect();
     assert!(
         before.iter().zip(&after).all(|(a, b)| std::ptr::eq(*a, *b)),
-        "a resident state stays where it was boxed"
+        "a resident state's core stays where it was allocated"
     );
+    let mut distinct = before.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), 1_000, "every written fork owns its core");
     assert_eq!(store.states.totals(), store.states.totals_reference());
 }
 
 // ---- the resident layout ---------------------------------------------------
 //
-// Every resident state is one boxed `SdeState`, and the queue keeps one
-// pending-event slot per id ever minted, so these sizes multiply by the
-// state count. At the commit before, `SdeState` was 304 bytes (a 320-byte
-// malloc chunk), `Status` 72 (a `BugReport` inline in every state) and
-// the slot a 32-byte `VecDeque`; boxing `fork_as` of an idle state was one
-// allocation of 304 bytes.
+// Every resident state is one `SdeState` handle inline in the table, and
+// the queue keeps one pending-event slot per id ever minted, so these
+// sizes multiply by the state count; a state's core is paid once per
+// distinct body, by the first write to a shared one. Two commits before,
+// `SdeState` was 304 bytes (a 320-byte malloc chunk), `Status` 72 (a
+// `BugReport` inline in every state) and the slot a 32-byte `VecDeque`;
+// boxing `fork_as` of an idle state was one allocation of 304 bytes. At
+// the commit before, every state was a boxed 184-byte `SdeState` (a
+// 192-byte chunk) and every fork one such box.
 
 use sde::core::store::IndexedQueue;
-use sde::core::NodeEvent;
+use sde::core::{HistoryEvent, NodeEvent, StateCore};
+use sde::net::PacketId;
 
 #[test]
 fn the_resident_layout_stays_in_budget() {
     let state = std::mem::size_of::<SdeState>();
     let status = std::mem::size_of::<Status>();
     println!("SdeState {state} B, Status {status} B");
-    assert!(state <= 192, "SdeState is {state} bytes (304 before)");
+    assert!(
+        state <= 32,
+        "SdeState is {state} bytes (184 before, 304 two commits before)"
+    );
     assert!(status <= 16, "Status is {status} bytes (72 before)");
 }
 
@@ -609,13 +637,40 @@ fn the_pending_index_costs_at_most_eight_bytes_per_id() {
 }
 
 #[test]
-fn boxing_a_fork_of_an_idle_state_is_one_allocation_of_one_chunk() {
-    let store = idle_store(1);
-    let idle = &store.states[&StateId(0)];
+fn the_first_write_to_a_shared_state_allocates_one_core_of_one_chunk() {
+    let mut store = idle_store(1);
+    // Let every id-indexed vector do its growing first.
+    for _ in 0..64 {
+        store.fork(StateId(0));
+    }
+    let (parent, child) = (StateId(0), store.fork(StateId(0)));
+    let facts = |s: &SdeState| (s.config_digest(), s.budgets(), s.history.clone());
+    let parent_facts = facts(&store.states[&parent]);
     let (before, held) = (allocations(), retained_bytes());
-    let child = Box::new(idle.fork_as(StateId(1)));
+    store.states.update(child, |s| {
+        s.drop_budget += 1;
+        s.history.record(HistoryEvent::Sent {
+            id: PacketId(7),
+            peer: NodeId(1),
+        });
+    });
     let (spent, kept) = (allocations() - before, retained_bytes() - held);
-    assert_eq!(spent, 1, "the box, nothing else");
-    assert!(kept <= 192, "the fork retains {kept} bytes (304 before)");
-    assert_eq!(child.node, NodeId(0));
+    assert_eq!(spent, 1, "the child's own core, nothing else");
+    assert!(
+        kept <= 192,
+        "the written fork retains {kept} bytes (a 192-byte box before)"
+    );
+    let core = |id: StateId| std::ptr::from_ref::<StateCore>(&store.states[&id]);
+    assert_ne!(core(child), core(parent), "the child owns its core now");
+    assert_eq!(
+        facts(&store.states[&parent]),
+        parent_facts,
+        "the sibling is unchanged"
+    );
+    assert_ne!(facts(&store.states[&child]), parent_facts);
+    // The core is the child's own now: the next write copies nothing.
+    let before = allocations();
+    store.states.update(child, |s| s.drop_budget += 1);
+    assert_eq!(allocations() - before, 0);
+    assert_eq!(store.states.totals(), store.states.totals_reference());
 }
