@@ -7,14 +7,16 @@
 //! ```
 //!
 //! * `--inspect FILE` — decode and print the deterministic JSON debug
-//!   form (scenario fingerprint, progress counters, per-state table,
-//!   pending events, trace key).
+//!   form: every field the codec writes, keyed by its path
+//!   (`states[3].core.partition_until`); a VM state, the solver caches and
+//!   a bug report show as the size and FNV-1a of their own encoding.
 //! * `--validate FILE` — decode strictly (magic, version, digest, full
 //!   codec pass) and additionally check that re-encoding reproduces the
 //!   file byte for byte; exits non-zero with a typed error otherwise.
-//! * `--diff FILE --with FILE` — compare the progress counters and
-//!   deterministic digests of two snapshots, printing one line per
-//!   differing field.
+//! * `--diff FILE --with FILE` — print one `path: left != right` line per
+//!   field the two snapshots differ in, every field but the three
+//!   wall-clock ones (`EngineSnapshot::diff`); exits 0 only when there is
+//!   none.
 
 use sde_bench::{load_snapshot, or_usage, Args};
 use sde_core::EngineSnapshot;
@@ -92,68 +94,11 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let mut differences = 0usize;
-            let mut field = |name: &str, left: String, right: String| {
-                if left != right {
-                    differences += 1;
-                    println!("{name}: {left} != {right}");
-                }
-            };
-            field(
-                "algorithm",
-                sa.algorithm().to_string(),
-                sb.algorithm().to_string(),
-            );
-            field(
-                "nodes",
-                sa.node_count().to_string(),
-                sb.node_count().to_string(),
-            );
-            field("now", sa.now().to_string(), sb.now().to_string());
-            field(
-                "events_processed",
-                sa.events_processed().to_string(),
-                sb.events_processed().to_string(),
-            );
-            field(
-                "instructions",
-                sa.instructions().to_string(),
-                sb.instructions().to_string(),
-            );
-            field(
-                "total_states",
-                sa.total_states().to_string(),
-                sb.total_states().to_string(),
-            );
-            field(
-                "resident_states",
-                sa.resident_states().to_string(),
-                sb.resident_states().to_string(),
-            );
-            field(
-                "queue_len",
-                sa.queue_len().to_string(),
-                sb.queue_len().to_string(),
-            );
-            field(
-                "bugs",
-                sa.bug_count().to_string(),
-                sb.bug_count().to_string(),
-            );
-            field(
-                "aborted",
-                sa.aborted().to_string(),
-                sb.aborted().to_string(),
-            );
-            // The debug form covers everything deterministic (per-state
-            // digests, queue, mapper, trace key); equal JSON ⇒ the
-            // snapshots describe the same paused run.
-            field(
-                "debug_json_digest",
-                format!("{:#018x}", fnv(sa.to_debug_json().as_bytes())),
-                format!("{:#018x}", fnv(sb.to_debug_json().as_bytes())),
-            );
-            if differences == 0 {
+            let differences = sa.diff(&sb);
+            for line in &differences {
+                println!("{line}");
+            }
+            if differences.is_empty() {
                 println!(
                     "{} and {} describe the same paused run",
                     a.display(),
@@ -161,7 +106,7 @@ fn main() -> ExitCode {
                 );
                 ExitCode::SUCCESS
             } else {
-                println!("{differences} field(s) differ");
+                println!("{} field(s) differ", differences.len());
                 ExitCode::FAILURE
             }
         }
@@ -170,14 +115,4 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// FNV-1a, for a compact whole-document comparison line.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }

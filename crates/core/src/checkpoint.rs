@@ -19,36 +19,32 @@
 //! ```
 //!
 //! The digest covers everything after itself. The prelude holds the
-//! scenario fingerprint and the symbol table (cheap to decode); the main
-//! segment holds states, queue, mapper, solver and counters through the
-//! shared expression codec ([`SnapWriter`]/[`SnapReader`]), which
-//! preserves expression-DAG sharing so a decoded snapshot re-encodes to
-//! the identical bytes.
+//! scenario fingerprint and the symbol table; the main segment holds
+//! states, queue, mapper, solver and counters. Both go through the shared
+//! expression codec ([`SnapWriter`]/[`SnapReader`]), which preserves
+//! expression-DAG sharing, so a decoded snapshot re-encodes to the
+//! identical bytes. One field list per type, in wire order, drives the
+//! encoder, the decoder, the debug view and the field-by-field
+//! comparison behind [`EngineSnapshot::diff`] (the `walk!` macro).
 
 use crate::engine::NodeEvent;
 use crate::history::{CommHistory, HistoryEvent};
 use crate::mapping::{Algorithm, MapperSnapshot, MapperStats};
 use crate::state::{SdeState, StateCore, StateId};
-use crate::stats::{BugFound, Sample};
+use crate::stats::{BugFound, DedupStats, Sample};
 use sde_net::{NodeId, Packet, PacketId};
-use sde_symbolic::{CodecError, SnapReader, SnapWriter, SolverSnapshot, Width};
+use sde_symbolic::{CodecError, SnapReader, SnapWriter, SolverSnapshot, Value, Width};
+use sde_trace::TraceSummary;
 use sde_vm::{BugReport, VmState};
-use std::fmt;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// File magic of a serialized [`EngineSnapshot`].
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"SDESNAP1";
 
-/// Current snapshot format version; bumped on any codec change.
-/// Version 2 added the dedup fields (flag, counters, executed-state
-/// ids); version 3 added the fault subsystem (fault-plan fingerprint in
-/// the prelude, four per-state fault budgets plus the partition
-/// deadline, and five more fork counters); version 4 added the
-/// `bugs_found`/`shrink_steps` trace counters of the checking layer;
-/// version 5 added the shard-lineage fields (`root`/`shard_root`) per
-/// state and the engine's `sharded` mode flag; version 6 re-keyed the
-/// solver's exact cache by canonical form (a v5 cache would decode, never
-/// hit, and silently break resumed-vs-straight trace attribution) and
-/// dropped the per-constraint hashes of its UNSAT cores.
+/// Current snapshot format version; bumped on any codec change
+/// (DESIGN.md §8 lists what each version added).
 pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Size of the fixed file header (magic + version + digest + prelude
@@ -69,10 +65,11 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 4;
 /// ```
 /// use sde_core::Budget;
 ///
-/// let b = Budget::events(10).with_max_instructions(1_000_000);
-/// assert_eq!(b.max_events, Some(10));
-/// assert!(!b.is_unlimited());
-/// assert!(Budget::unlimited().is_unlimited());
+/// let b = Budget::events(10);
+/// assert_eq!((b.max_events, b.max_instructions), (Some(10), None));
+/// assert_eq!(Budget::instructions(7).max_instructions, Some(7));
+/// assert_eq!(Budget::live_states(5).max_live_states, Some(5));
+/// assert_eq!(Budget::unlimited(), Budget::default());
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
@@ -112,34 +109,6 @@ impl Budget {
             max_live_states: Some(n),
             ..Budget::default()
         }
-    }
-
-    /// Adds an event bound.
-    #[must_use]
-    pub fn with_max_events(mut self, n: u64) -> Budget {
-        self.max_events = Some(n);
-        self
-    }
-
-    /// Adds an instruction bound.
-    #[must_use]
-    pub fn with_max_instructions(mut self, n: u64) -> Budget {
-        self.max_instructions = Some(n);
-        self
-    }
-
-    /// Adds a live-state bound.
-    #[must_use]
-    pub fn with_max_live_states(mut self, n: usize) -> Budget {
-        self.max_live_states = Some(n);
-        self
-    }
-
-    /// `true` when no axis is bounded.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_events.is_none()
-            && self.max_instructions.is_none()
-            && self.max_live_states.is_none()
     }
 }
 
@@ -186,20 +155,19 @@ pub enum SnapshotError {
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use SnapshotError as E;
         match self {
-            SnapshotError::BadMagic => write!(f, "not an SDE snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported snapshot version {v} (expected {SNAPSHOT_VERSION})"
-                )
-            }
-            SnapshotError::DigestMismatch => write!(f, "snapshot digest mismatch (corrupted file)"),
-            SnapshotError::Codec(e) => write!(f, "snapshot codec error: {e}"),
-            SnapshotError::ScenarioMismatch(field) => {
+            E::BadMagic => write!(f, "not an SDE snapshot (bad magic)"),
+            E::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported snapshot version {v} (expected {SNAPSHOT_VERSION})"
+            ),
+            E::DigestMismatch => write!(f, "snapshot digest mismatch (corrupted file)"),
+            E::Codec(e) => write!(f, "snapshot codec error: {e}"),
+            E::ScenarioMismatch(field) => {
                 write!(f, "resume scenario differs from snapshot: {field}")
             }
-            SnapshotError::MapperState(msg) => write!(f, "inconsistent mapper bookkeeping: {msg}"),
+            E::MapperState(msg) => write!(f, "inconsistent mapper bookkeeping: {msg}"),
         }
     }
 }
@@ -287,13 +255,13 @@ pub struct EngineSnapshot {
     /// Bugs found so far.
     pub(crate) bugs: Vec<BugFound>,
     /// The always-on trace counter digest.
-    pub(crate) trace: sde_trace::TraceSummary,
+    pub(crate) trace: TraceSummary,
     /// Whether duplicate-dispatch pruning was enabled (DESIGN.md §10).
     /// The memo index itself is not serialized — a resumed dedup run
     /// starts cold and re-records.
     pub(crate) dedup: bool,
     /// Dedup counters accumulated before the pause.
-    pub(crate) dedup_stats: crate::stats::DedupStats,
+    pub(crate) dedup_stats: DedupStats,
     /// Whether any segment of the run used sharded parallel execution
     /// ([`crate::Engine::run_until_sharded`]); provenance only.
     pub(crate) sharded: bool,
@@ -312,19 +280,9 @@ impl EngineSnapshot {
         self.node_count
     }
 
-    /// Virtual time at the pause point.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
     /// Events dispatched before the pause.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// VM instructions executed before the pause.
-    pub fn instructions(&self) -> u64 {
-        self.instructions
     }
 
     /// Execution states ever created.
@@ -352,19 +310,17 @@ impl EngineSnapshot {
         self.aborted
     }
 
-    // ----- binary codec ---------------------------------------------------
-
-    /// Test hook: rewrites the `(time, seq, state)` key of each queued
-    /// event in place, so hostile-snapshot tests can hand-build queues no
-    /// run writes and check that [`Engine::resume`](crate::Engine::resume)
+    /// Test hook: rewrites the key and the event of each queued entry in
+    /// place, so hostile-snapshot tests can hand-build queues no run
+    /// writes and check that [`Engine::resume`](crate::Engine::resume)
     /// refuses them.
     #[doc(hidden)]
-    pub fn edit_queue_keys(
+    pub fn edit_queue(
         &mut self,
-        mut edit: impl FnMut(usize, &mut u64, &mut u64, &mut StateId),
+        mut edit: impl FnMut(usize, &mut u64, &mut u64, &mut StateId, &mut NodeEvent),
     ) {
-        for (i, (time, seq, state, _)) in self.queue.iter_mut().enumerate() {
-            edit(i, time, seq, state);
+        for (i, (time, seq, state, event)) in self.queue.iter_mut().enumerate() {
+            edit(i, time, seq, state, event);
         }
     }
 
@@ -375,13 +331,12 @@ impl EngineSnapshot {
         self.states.remove(index);
     }
 
-    /// Test hook: gives the `index`-th resident state record the id `to`
-    /// and sets the state allocator to `next_state` — a record no mapper
-    /// entry and no run accounts for.
+    /// Test hook: hands the `index`-th resident state record and the
+    /// state allocator (the next id to mint) to `edit`, leaving queue and
+    /// mapper as they were.
     #[doc(hidden)]
-    pub fn move_state(&mut self, index: usize, to: StateId, next_state: u64) {
-        self.states[index].id = to;
-        self.next_state = next_state;
+    pub fn edit_state(&mut self, index: usize, edit: impl FnOnce(&mut SdeState, &mut u64)) {
+        edit(&mut self.states[index], &mut self.next_state);
     }
 
     /// Test hook: lists `id` among the states that entered a handler.
@@ -397,30 +352,26 @@ impl EngineSnapshot {
         edit(&mut self.mapper);
     }
 
+    /// Test hook: the first [`EngineSnapshot::diff`] line, with the
+    /// wall-clock fields compared too; `None` when every field is equal.
+    /// The strategy matrix checks every resume from bytes with it.
+    #[doc(hidden)]
+    pub fn first_difference(&self, other: &EngineSnapshot) -> Option<String> {
+        self.compare(other, true).into_iter().next()
+    }
+
     /// Serializes the snapshot into the versioned, digest-checked binary
     /// form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut pw = SnapWriter::new();
-        self.write_prelude(&mut pw);
-        let prelude = pw.finish();
-        let mut mw = SnapWriter::new();
-        self.write_main(&mut mw);
-        let main = mw.finish();
-
-        let mut body = Vec::with_capacity(4 + prelude.len() + main.len());
-        body.extend_from_slice(
-            &u32::try_from(prelude.len())
-                .expect("prelude exceeds 4 GiB")
-                .to_le_bytes(),
-        );
-        body.extend_from_slice(&prelude);
-        body.extend_from_slice(&main);
-
-        let mut out = Vec::with_capacity(HEADER_LEN + body.len() - 4);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        out.extend_from_slice(&body);
+        let (mut pw, mut mw) = (SnapWriter::new(), SnapWriter::new());
+        self.walk(&mut Out::new(&mut pw, false), &mut Out::new(&mut mw, false));
+        let (prelude, main) = (pw.finish(), mw.finish());
+        let len = u32::to_le_bytes(prelude.len().try_into().expect("prelude exceeds 4 GiB"));
+        let (magic, version) = (&SNAPSHOT_MAGIC[..], SNAPSHOT_VERSION.to_le_bytes());
+        // The digest (bytes 12..20) covers everything after itself.
+        let mut out = [magic, &version, &[0; 8], &len, &prelude, &main].concat();
+        let digest = fnv1a(&out[20..]).to_le_bytes();
+        out[12..20].copy_from_slice(&digest);
         out
     }
 
@@ -432,14 +383,11 @@ impl EngineSnapshot {
     /// magic, unsupported version, digest mismatch, truncation — and
     /// never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<EngineSnapshot, SnapshotError> {
-        if bytes.len() < HEADER_LEN {
-            if bytes.len() >= 8 && bytes[..8] != SNAPSHOT_MAGIC {
-                return Err(SnapshotError::BadMagic);
-            }
-            return Err(SnapshotError::Codec(CodecError::Truncated));
-        }
-        if bytes[..8] != SNAPSHOT_MAGIC {
+        if bytes.get(..8).is_some_and(|magic| magic != SNAPSHOT_MAGIC) {
             return Err(SnapshotError::BadMagic);
+        }
+        if bytes.len() < HEADER_LEN {
+            return Err(SnapshotError::Codec(CodecError::Truncated));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
         if version != SNAPSHOT_VERSION {
@@ -451,269 +399,522 @@ impl EngineSnapshot {
             return Err(SnapshotError::DigestMismatch);
         }
         let prelude_len = u32::from_le_bytes(body[..4].try_into().expect("4 bytes")) as usize;
-        let rest = &body[4..];
-        if prelude_len > rest.len() {
-            return Err(SnapshotError::Codec(CodecError::Truncated));
-        }
-        let (prelude, main) = rest.split_at(prelude_len);
-
+        let (prelude, main) =
+            (body[4..].split_at_checked(prelude_len)).ok_or(CodecError::Truncated)?;
         let mut pr = SnapReader::new(prelude)?;
-        let fingerprint = read_prelude(&mut pr)?;
-        let mut mr = SnapReader::new(main)?;
-        let snapshot = read_main(&mut mr, fingerprint)?;
+        let snapshot = EngineSnapshot::read(&mut pr, &mut SnapReader::new(main)?)?;
+        if snapshot.mapper.algorithm() != snapshot.algorithm {
+            return Err(CodecError::Malformed("mapper/prelude algorithm mismatch").into());
+        }
         Ok(snapshot)
     }
 
-    fn write_prelude(&self, w: &mut SnapWriter) {
-        w.u8(algorithm_tag(self.algorithm));
-        w.varint(self.node_count as u64);
-        w.varint(self.duration_ms);
-        w.varint(self.link_latency_ms);
-        w.varint(self.state_cap as u64);
-        w.varint(self.sample_every);
-        w.bool(self.track_history);
-        w.varint(self.faults_fingerprint);
-        w.varint(self.symbols.len() as u64);
-        for (name, width, node, occurrence) in &self.symbols {
-            w.str(name);
-            w.width(*width);
-            w.varint(u64::from(*node));
-            w.varint(u64::from(*occurrence));
-        }
-    }
-
-    fn write_main(&self, w: &mut SnapWriter) {
-        // States (sorted by id at snapshot time).
-        w.varint(self.states.len() as u64);
-        for s in &self.states {
-            w.varint(s.id.0);
-            w.varint(u64::from(s.node.0));
-            s.vm.write_snapshot(w);
-            let (digest, len, log) = s.history.export_parts();
-            w.varint(digest);
-            w.varint(u64::from(len));
-            match log {
-                Some(events) => {
-                    w.bool(true);
-                    w.varint(events.len() as u64);
-                    for e in events {
-                        let (tag, id, peer) = match e {
-                            HistoryEvent::Sent { id, peer } => (1u8, id, peer),
-                            HistoryEvent::Received { id, peer } => (2u8, id, peer),
-                        };
-                        w.u8(tag);
-                        w.varint(id.0);
-                        w.varint(u64::from(peer.0));
-                    }
-                }
-                None => w.bool(false),
-            }
-            w.varint(u64::from(s.drop_budget));
-            w.varint(u64::from(s.dup_budget));
-            w.varint(u64::from(s.reboot_budget));
-            w.varint(u64::from(s.part_budget));
-            w.varint(u64::from(s.lat_budget));
-            w.varint(u64::from(s.cor_budget));
-            w.varint(u64::from(s.crash_budget));
-            w.varint(s.partition_until);
-            w.bool(s.root);
-            w.varint(s.shard_root);
-        }
-        // Event queue (sorted by sequence number at snapshot time).
-        w.varint(self.queue_next_seq);
-        w.varint(self.queue.len() as u64);
-        for (time, seq, sid, event) in &self.queue {
-            w.varint(*time);
-            w.varint(*seq);
-            w.varint(sid.0);
-            write_node_event(w, event);
-        }
-        write_mapper(w, &self.mapper);
-        self.solver.write_into(w);
-        w.varint(self.now);
-        w.varint(self.next_packet);
-        w.varint(self.events_processed);
-        w.varint(self.packets_sent);
-        w.varint(self.instructions);
-        w.bool(self.aborted);
-        w.varint(self.total_states as u64);
-        w.varint(self.next_state);
-        for f in self.forks {
-            w.varint(f);
-        }
-        w.varint(self.samples.len() as u64);
-        for s in &self.samples {
-            w.varint(s.wall_ms);
-            w.varint(s.virtual_ms);
-            w.varint(s.live_states as u64);
-            w.varint(s.total_states as u64);
-            w.varint(s.bytes as u64);
-            w.varint(s.groups as u64);
-        }
-        w.varint(self.bugs.len() as u64);
-        for b in &self.bugs {
-            w.varint(u64::from(b.node.0));
-            w.varint(b.state.0);
-            b.report.write_snapshot(w);
-        }
-        write_trace_summary(w, &self.trace);
-        w.bool(self.dedup);
-        w.varint(self.dedup_stats.candidates);
-        w.varint(self.dedup_stats.confirmed);
-        w.varint(self.dedup_stats.collisions);
-        w.varint(self.dedup_stats.pruned_states);
-        w.varint(self.dedup_stats.saved_instructions);
-        w.bool(self.sharded);
-        w.varint(self.executed.len() as u64);
-        for id in &self.executed {
-            w.varint(*id);
-        }
-    }
-
-    // ----- debug form -----------------------------------------------------
-
-    /// Renders the snapshot as a deterministic JSON document for
-    /// inspection and diffing (`--bin snapshot`). This is a debug view,
-    /// not a round-trippable encoding — use
-    /// [`EngineSnapshot::to_bytes`] for storage.
+    /// Renders the snapshot as a deterministic JSON object for inspection
+    /// (`snapshot --inspect`): every scalar the codec writes, keyed by its
+    /// field path (`states[3].core.partition_until`), in wire order. A
+    /// value with a codec of its own shows as the size and FNV-1a of its
+    /// encoding. A debug view: [`EngineSnapshot::to_bytes`] is the
+    /// storage form.
     pub fn to_debug_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"version\": {SNAPSHOT_VERSION},");
-        let _ = writeln!(out, "  \"algorithm\": \"{}\",", self.algorithm);
-        let _ = writeln!(
-            out,
-            "  \"scenario\": {{\"nodes\": {}, \"duration_ms\": {}, \"link_latency_ms\": {}, \
-             \"state_cap\": {}, \"sample_every\": {}, \"track_history\": {}}},",
-            self.node_count,
-            self.duration_ms,
-            self.link_latency_ms,
-            self.state_cap,
-            self.sample_every,
-            self.track_history
-        );
-        let _ = writeln!(
-            out,
-            "  \"progress\": {{\"now\": {}, \"events\": {}, \"instructions\": {}, \
-             \"packets_sent\": {}, \"next_packet\": {}, \"aborted\": {}}},",
-            self.now,
-            self.events_processed,
-            self.instructions,
-            self.packets_sent,
-            self.next_packet,
-            self.aborted
-        );
-        let _ = writeln!(
-            out,
-            "  \"states\": {{\"resident\": {}, \"total\": {}, \"next_id\": {}}},",
-            self.states.len(),
-            self.total_states,
-            self.next_state
-        );
-        let _ = writeln!(
-            out,
-            "  \"forks\": {{\"branch\": {}, \"mapping\": {}, \"drop\": {}, \"duplicate\": {}, \
-             \"reboot\": {}, \"latency\": {}, \"corrupt\": {}, \"crash\": {}, \
-             \"partition\": {}, \"heal\": {}}},",
-            self.forks[0],
-            self.forks[1],
-            self.forks[2],
-            self.forks[3],
-            self.forks[4],
-            self.forks[5],
-            self.forks[6],
-            self.forks[7],
-            self.forks[8],
-            self.forks[9]
-        );
-        let stats = mapper_stats(&self.mapper);
-        let _ = writeln!(
-            out,
-            "  \"mapper\": {{\"algorithm\": \"{}\", \"groups\": {}, \"branches_seen\": {}, \
-             \"sends_mapped\": {}, \"mapper_forks\": {}, \"virtual_forks\": {}}},",
-            self.mapper.algorithm(),
-            mapper_group_count(&self.mapper),
-            stats.branches_seen,
-            stats.sends_mapped,
-            stats.mapper_forks,
-            stats.virtual_forks
-        );
-        let (cex_models, cex_cores) = self.solver.cex_entries();
-        let _ = writeln!(
-            out,
-            "  \"solver\": {{\"queries\": {}, \"exact_entries\": {}, \"cex_models\": {}, \
-             \"cex_cores\": {}}},",
-            self.solver.stats().queries,
-            self.solver.exact_entries(),
-            cex_models,
-            cex_cores
-        );
-        let _ = writeln!(out, "  \"symbols\": {},", self.symbols.len());
-        let _ = writeln!(out, "  \"samples\": {},", self.samples.len());
-        let _ = writeln!(out, "  \"queue_next_seq\": {},", self.queue_next_seq);
-        out.push_str("  \"state_table\": [\n");
-        for (i, s) in self.states.iter().enumerate() {
-            let comma = if i + 1 == self.states.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    {{\"id\": {}, \"node\": {}, \"config_digest\": {}, \"bytes\": {}, \
-                 \"history_len\": {}, \"drop_budget\": {}, \"dup_budget\": {}, \
-                 \"reboot_budget\": {}}}{comma}",
-                s.id.0,
-                s.node.0,
-                s.config_digest(),
-                s.approx_bytes(),
-                s.history.len(),
-                s.drop_budget,
-                s.dup_budget,
-                s.reboot_budget
-            );
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"queue\": [\n");
-        for (i, (time, seq, sid, event)) in self.queue.iter().enumerate() {
-            let comma = if i + 1 == self.queue.len() { "" } else { "," };
-            let kind = match event {
-                NodeEvent::Boot => "boot".to_string(),
-                NodeEvent::Timer(t) => format!("timer:{t}"),
-                NodeEvent::Deliver(p) => format!("deliver:{}", p.id.0),
-            };
-            let _ = writeln!(
-                out,
-                "    {{\"time\": {time}, \"seq\": {seq}, \"state\": {}, \"kind\": \"{kind}\"}}{comma}",
-                sid.0
-            );
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(out, "  \"bugs\": {},", self.bugs.len());
-        let _ = writeln!(
-            out,
-            "  \"dedup\": {{\"enabled\": {}, \"candidates\": {}, \"confirmed\": {}, \
-             \"collisions\": {}, \"pruned_states\": {}, \"saved_instructions\": {}, \
-             \"states_executed\": {}}},",
-            self.dedup,
-            self.dedup_stats.candidates,
-            self.dedup_stats.confirmed,
-            self.dedup_stats.collisions,
-            self.dedup_stats.pruned_states,
-            self.dedup_stats.saved_instructions,
-            self.executed.len()
-        );
-        let _ = writeln!(out, "  \"sharded\": {},", self.sharded);
-        let _ = writeln!(
-            out,
-            "  \"trace_key\": \"{}\"",
-            self.trace.deterministic_key()
-        );
-        out.push_str("}\n");
-        out
+        let (mut pw, mut mw) = (SnapWriter::new(), SnapWriter::new());
+        let (mut pre, mut main) = (Out::new(&mut pw, true), Out::new(&mut mw, true));
+        self.walk(&mut pre, &mut main);
+        let mut json = main.leaves;
+        let head = format!("{{\n  \"version\": {SNAPSHOT_VERSION},\n{}", pre.leaves);
+        json.insert_str(0, &head);
+        json.truncate(json.len() - 2); // the last line's `,\n`
+        json + "\n}\n"
+    }
+
+    /// Every field path at which `self` and `other` differ, one `path:
+    /// left != right` line each (`states[3].core.partition_until: 0 !=
+    /// 750`) in the debug view's terms, in wire order; empty when both
+    /// describe the same paused run. The three wall-clock fields
+    /// (`Sample::wall_ms`, `TraceSummary::{boot,run}_wall_us`) are not
+    /// compared.
+    pub fn diff(&self, other: &EngineSnapshot) -> Vec<String> {
+        self.compare(other, false)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Codec helpers
-// ---------------------------------------------------------------------------
+/// A snapshotted type: `put` walks it in wire order into an [`Out`],
+/// `get` reads it back in the same order, `diff` compares two values.
+trait Snap: Sized {
+    fn put(&self, out: &mut Out<'_>);
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, CodecError>;
+
+    /// Compares `other` with `self` into `d`: a composite field by field,
+    /// by value, never through its own walk; a leaf by the bytes of its
+    /// standalone encoding (a VM state, bug report or solver cache through
+    /// its own codec).
+    fn diff(&self, other: &Self, d: &mut Diff) {
+        let bytes = |v: &Self| {
+            let mut w = SnapWriter::new();
+            v.put(&mut Out::new(&mut w, false));
+            w.finish()
+        };
+        if bytes(self) != bytes(other) {
+            d.apart(Some(self), Some(other));
+        }
+    }
+}
+
+/// A comparison in progress: the path to the values being compared, and
+/// one `path: left != right` line per scalar of the debug view in which
+/// they differ.
+struct Diff {
+    path: String,
+    lines: Vec<String>,
+    /// Whether the [`WALL_CLOCK`] fields are compared.
+    wall_clock: bool,
+}
+
+impl Diff {
+    fn field<T: Snap>(&mut self, name: &str, a: &T, b: &T) {
+        self.under(format_args!(".{name}"), |d| a.diff(b, d));
+    }
+
+    fn under(&mut self, segment: fmt::Arguments<'_>, compare: impl FnOnce(&mut Diff)) {
+        let len = self.path.len();
+        let _ = self.path.write_fmt(segment);
+        compare(self);
+        self.path.truncate(len);
+    }
+
+    /// `a` and `b` differ, in value or in shape, or one is absent: the
+    /// lines of their debug views that differ, matched by path.
+    fn apart<T: Snap>(&mut self, a: Option<&T>, b: Option<&T>) {
+        let view = |v: Option<&T>| {
+            let mut w = SnapWriter::new();
+            let mut out = Out::new(&mut w, true);
+            out.path.clone_from(&self.path);
+            v.inspect(|v| v.put(&mut out));
+            out.leaves
+        };
+        let (mine, theirs) = (view(a), view(b));
+        let left: HashMap<&str, &str> = pairs(&mine).collect();
+        let right: HashMap<&str, &str> = pairs(&theirs).collect();
+        let only_theirs = pairs(&theirs).filter(|(path, _)| !left.contains_key(path));
+        for (path, _) in pairs(&mine).chain(only_theirs) {
+            let l = left.get(path).unwrap_or(&"-");
+            let r = right.get(path).unwrap_or(&"-");
+            let clock = WALL_CLOCK.contains(&path.rsplit('.').next().unwrap_or(path));
+            if l != r && (self.wall_clock || !clock) {
+                self.lines.push(format!("{path}: {l} != {r}"));
+            }
+        }
+    }
+}
+
+/// Where a walk goes: onto the wire, and in a debug walk also into
+/// `leaves`, one `  "path": JSON,` line per scalar.
+struct Out<'w> {
+    w: &'w mut SnapWriter,
+    debug: bool,
+    leaves: String,
+    path: String,
+}
+
+impl<'w> Out<'w> {
+    fn new(w: &'w mut SnapWriter, debug: bool) -> Out<'w> {
+        let (leaves, path) = (String::new(), String::new());
+        Out {
+            w,
+            debug,
+            leaves,
+            path,
+        }
+    }
+
+    /// The JSON of the scalar just written, in a debug walk.
+    fn leaf(&mut self, json: impl FnOnce() -> String) {
+        if self.debug {
+            let path = self.path.trim_start_matches('.');
+            let _ = writeln!(self.leaves, "  \"{path}\": {},", json());
+        }
+    }
+
+    /// A scalar: `write` onto the wire, `json` in a debug walk.
+    fn scalar(&mut self, write: impl FnOnce(&mut SnapWriter), json: impl FnOnce() -> String) {
+        write(self.w);
+        self.leaf(json);
+    }
+
+    fn varint(&mut self, v: u64) {
+        self.scalar(|w| w.varint(v), || v.to_string());
+    }
+
+    /// A value with a codec of its own: its bytes; in a debug walk, the
+    /// size and FNV-1a of its standalone encoding.
+    fn codec(&mut self, write: impl Fn(&mut SnapWriter)) {
+        write(self.w);
+        self.leaf(|| {
+            let mut w = SnapWriter::new();
+            write(&mut w);
+            let bytes = w.finish();
+            let fnv = fnv1a(&bytes);
+            format!("{{\"bytes\": {}, \"fnv\": \"{fnv:#018x}\"}}", bytes.len())
+        });
+    }
+
+    /// Runs `walk` with `segment` appended to the path (in a debug walk).
+    fn under(&mut self, segment: fmt::Arguments<'_>, walk: impl FnOnce(&mut Self)) {
+        if !self.debug {
+            return walk(self);
+        }
+        let len = self.path.len();
+        let _ = self.path.write_fmt(segment);
+        walk(self);
+        self.path.truncate(len);
+    }
+
+    fn field<T: Snap>(&mut self, name: &str, value: &T) {
+        self.under(format_args!(".{name}"), |out| value.put(out));
+    }
+
+    /// The tag of an enum variant; `kind` in a debug walk.
+    fn variant(&mut self, kind: &'static str, tag: u8) {
+        self.w.u8(tag);
+        self.under(format_args!(".kind"), |out| out.leaf(|| json_str(kind)));
+    }
+
+    /// A sequence, preceded by its length (`len`) when `counted`.
+    fn items<T: Snap>(&mut self, items: &[T], counted: bool) {
+        if counted {
+            let len = items.len() as u64;
+            self.under(format_args!(".len"), |out| out.varint(len));
+        }
+        for (i, item) in items.iter().enumerate() {
+            self.under(format_args!("[{i}]"), |out| item.put(out));
+        }
+    }
+}
+
+/// Implements [`Snap`] for a leaf of the walk: `|v, out| put` writes
+/// `v` (and its JSON, in a debug walk), `|r| get` reads it back.
+macro_rules! leaf {
+    ($($t:ty: |$v:ident, $out:ident| $put:expr, |$r:ident| $get:expr $(, |$o:ident, $d:ident| $diff:expr)?;)*) => {$(
+        impl Snap for $t {
+            fn put(&self, $out: &mut Out<'_>) {
+                let $v = self;
+                $put;
+            }
+
+            fn get($r: &mut SnapReader<'_>) -> Result<$t, CodecError> {
+                $get
+            }
+
+            $(fn diff(&self, $o: &$t, $d: &mut Diff) {
+                let $v = self;
+                $diff
+            })?
+        }
+    )*};
+}
+
+leaf! {
+    u64: |v, out| out.varint(*v), |r| r.varint();
+    u32: |v, out| out.varint(u64::from(*v)), |r| r.ranged("u32 out of range");
+    u16: |v, out| out.varint(u64::from(*v)), |r| r.ranged("u16 out of range");
+    usize: |v, out| out.varint(*v as u64), |r| r.ranged("usize out of range");
+    bool: |v, out| out.scalar(|w| w.bool(*v), || v.to_string()), |r| r.bool();
+    String: |v, out| out.scalar(|w| w.str(v), || json_str(v)), |r| r.str();
+    Width: |v, out| out.scalar(|w| w.width(*v), || v.bits().to_string()), |r| r.width();
+    StateId: |v, out| v.0.put(out), |r| Ok(StateId(Snap::get(r)?));
+    NodeId: |v, out| v.0.put(out), |r| Ok(NodeId(Snap::get(r)?));
+    PacketId: |v, out| v.0.put(out), |r| Ok(PacketId(Snap::get(r)?));
+    // A term through the expression pool; a constant shows `[value, width]`.
+    Value: |v, out| match v.as_const() {
+        Some(c) => out.scalar(|w| w.value(v), || format!("[{c}, {}]", v.width().bits())),
+        None => out.codec(|w| w.value(v)),
+    }, |r| r.value();
+    VmState: |v, out| out.codec(|w| v.write_snapshot(w)), |r| VmState::read_snapshot(r);
+    BugReport: |v, out| out.codec(|w| v.write_snapshot(w)), |r| BugReport::read_snapshot(r);
+    SolverSnapshot: |v, out| out.codec(|w| v.write_into(w)), |r| SolverSnapshot::read_from(r);
+    Arc<StateCore>: |v, out| StateCore::put(v, out), |r| Ok(Arc::new(Snap::get(r)?)),
+        |o, d| StateCore::diff(v, o, d);
+}
+
+impl<T: Snap> Snap for Vec<T> {
+    fn put(&self, out: &mut Out<'_>) {
+        out.items(self, true);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Vec<T>, CodecError> {
+        let n = r.checked_len("list length")?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+
+    /// The lengths, then the items index by index.
+    fn diff(&self, other: &Vec<T>, d: &mut Diff) {
+        d.field("len", &self.len(), &other.len());
+        for i in 0..self.len().max(other.len()) {
+            let (a, b) = (self.get(i), other.get(i));
+            d.under(format_args!("[{i}]"), |d| match (a, b) {
+                (Some(a), Some(b)) => a.diff(b, d),
+                _ => d.apart(a, b),
+            });
+        }
+    }
+}
+
+/// The items only: the length is the type's.
+impl<const N: usize> Snap for [u64; N] {
+    fn put(&self, out: &mut Out<'_>) {
+        out.items(self, false);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<[u64; N], CodecError> {
+        let items: Vec<u64> = (0..N).map(|_| r.varint()).collect::<Result<_, _>>()?;
+        Ok(items.try_into().expect("N items"))
+    }
+}
+
+/// A presence flag, then the value; `null` in a debug walk.
+impl<T: Snap> Snap for Option<T> {
+    fn put(&self, out: &mut Out<'_>) {
+        out.w.bool(self.is_some());
+        match self {
+            Some(value) => value.put(out),
+            None => out.leaf(|| "null".to_string()),
+        }
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<Option<T>, CodecError> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+
+    fn diff(&self, other: &Option<T>, d: &mut Diff) {
+        match (self, other) {
+            (Some(a), Some(b)) => a.diff(b, d),
+            _ => d.apart(Some(self), Some(other)),
+        }
+    }
+}
+
+/// Tuples: their elements in order.
+macro_rules! tuple {
+    ($($t:ident $i:tt),*) => {
+        impl<$($t: Snap),*> Snap for ($($t,)*) {
+            fn put(&self, out: &mut Out<'_>) {
+                $(out.under(format_args!("[{}]", $i), |out| self.$i.put(out));)*
+            }
+
+            fn get(r: &mut SnapReader<'_>) -> Result<Self, CodecError> {
+                Ok(($(<$t>::get(r)?,)*))
+            }
+
+            fn diff(&self, other: &Self, d: &mut Diff) {
+                $(d.under(format_args!("[{}]", $i), |d| self.$i.diff(&other.$i, d));)*
+            }
+        }
+    };
+}
+tuple!(A 0, B 1);
+tuple!(A 0, B 1, C 2, D 3);
+
+/// Implements the walk of a struct or enum from its one field list, in
+/// wire order: `put` destructures the value exhaustively and walks every
+/// field by name, `get` reads them back into a struct literal, so a field
+/// missing from a list fails to compile; `diff` destructures it too. An
+/// enum variant's tag precedes its fields, and enums compare by `==`.
+/// `@segments` splits [`EngineSnapshot`] between the prelude and the main
+/// segment.
+macro_rules! walk {
+    (@segments $ty:ident { $($p:ident),* ; $($m:ident),* }) => {
+        impl $ty {
+            fn walk(&self, pre: &mut Out<'_>, main: &mut Out<'_>) {
+                let $ty { $($p,)* $($m),* } = self;
+                $(pre.field(stringify!($p), $p);)*
+                $(main.field(stringify!($m), $m);)*
+            }
+
+            fn read(pre: &mut SnapReader<'_>, main: &mut SnapReader<'_>) -> Result<$ty, CodecError> {
+                Ok($ty { $($p: Snap::get(pre)?,)* $($m: Snap::get(main)?),* })
+            }
+
+            fn compare(&self, other: &$ty, wall_clock: bool) -> Vec<String> {
+                let mut d = Diff { path: String::new(), lines: Vec::new(), wall_clock };
+                let $ty { $($p,)* $($m),* } = self;
+                $(d.field(stringify!($p), $p, &other.$p);)*
+                $(d.field(stringify!($m), $m, &other.$m);)*
+                d.lines
+            }
+        }
+    };
+    (@enum $($ty:ident { $($v:ident = $tag:literal { $($f:ident),* }),* })*) => {$(
+        impl Snap for $ty {
+            fn put(&self, out: &mut Out<'_>) {
+                match self {$(
+                    $ty::$v { $($f),* } => {
+                        out.variant(stringify!($v), $tag);
+                        $(out.field(stringify!($f), $f);)*
+                    }
+                )*}
+            }
+
+            fn get(r: &mut SnapReader<'_>) -> Result<$ty, CodecError> {
+                Ok(match r.u8()? {
+                    $($tag => $ty::$v { $($f: Snap::get(r)?),* },)*
+                    _ => return Err(CodecError::Malformed(concat!(stringify!($ty), " tag"))),
+                })
+            }
+
+            fn diff(&self, other: &$ty, d: &mut Diff) {
+                if self != other {
+                    d.apart(Some(self), Some(other));
+                }
+            }
+        }
+    )*};
+    ($($ty:ident { $($f:ident),* })*) => {$(
+        impl Snap for $ty {
+            fn put(&self, out: &mut Out<'_>) {
+                let $ty { $($f),* } = self;
+                $(out.field(stringify!($f), $f);)*
+            }
+
+            fn get(r: &mut SnapReader<'_>) -> Result<$ty, CodecError> {
+                Ok($ty { $($f: Snap::get(r)?),* })
+            }
+
+            fn diff(&self, other: &$ty, d: &mut Diff) {
+                let $ty { $($f),* } = self;
+                $(d.field(stringify!($f), $f, &other.$f);)*
+            }
+        }
+    )*};
+}
+
+walk! {
+    @segments EngineSnapshot {
+        algorithm, node_count, duration_ms, link_latency_ms, state_cap, sample_every,
+        track_history, faults_fingerprint, symbols;
+        states, queue_next_seq, queue, mapper, solver, now, next_packet, events_processed,
+        packets_sent, instructions, aborted, total_states, next_state, forks, samples, bugs,
+        trace, dedup, dedup_stats, sharded, executed
+    }
+}
+
+walk! {
+    SdeState { id, node, core, root, shard_root }
+    StateCore {
+        vm, history, drop_budget, dup_budget, reboot_budget, part_budget, lat_budget, cor_budget,
+        crash_budget, partition_until
+    }
+    Packet { id, src, dest, payload }
+    MapperStats { branches_seen, sends_mapped, mapper_forks, virtual_forks }
+    Sample { wall_ms, virtual_ms, live_states, total_states, bytes, groups }
+    BugFound { node, state, report }
+    DedupStats { candidates, confirmed, collisions, pruned_states, saved_instructions }
+    TraceSummary {
+        boots, dispatch_boot, dispatch_timer, dispatch_deliver, forks_branch, forks_mapping,
+        forks_drop, forks_duplicate, forks_reboot, forks_latency, forks_corrupt, forks_crash,
+        forks_partition, forks_heal, packets_sent, packets_delivered, packets_dropped,
+        solver_queries, solver_exact_hits, solver_group_hits, solver_reuse_hits,
+        solver_ucore_hits, bugs_found, shrink_steps, boot_wall_us, run_wall_us
+    }
+}
+
+walk! {
+    @enum Algorithm { Cob = 0 {}, Cow = 1 {}, Sds = 2 {} }
+    HistoryEvent { Sent = 1 { id, peer }, Received = 2 { id, peer } }
+    MapperSnapshot {
+        Cob = 0 { groups, next_group, stats },
+        Cow = 1 { dstates, next_group, stats },
+        Sds = 2 { vstates, groups, next_group, next_v, stats }
+    }
+}
+
+/// The digest and length, then the log when it is tracked.
+impl Snap for CommHistory {
+    fn put(&self, out: &mut Out<'_>) {
+        let (digest, len, log) = self.export_parts();
+        out.field("digest", &digest);
+        out.field("len", &len);
+        out.field("log", &log);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<CommHistory, CodecError> {
+        Ok(CommHistory::from_parts(
+            Snap::get(r)?,
+            Snap::get(r)?,
+            Snap::get(r)?,
+        ))
+    }
+
+    /// By parts: `==` on histories compares their digests only.
+    fn diff(&self, other: &CommHistory, d: &mut Diff) {
+        if self.export_parts() != other.export_parts() {
+            d.apart(Some(self), Some(other));
+        }
+    }
+}
+
+/// Boot, a timer id, or a packet.
+impl Snap for NodeEvent {
+    fn put(&self, out: &mut Out<'_>) {
+        match self {
+            NodeEvent::Boot => out.variant("Boot", 0),
+            NodeEvent::Timer(timer) => {
+                out.variant("Timer", 1);
+                out.field("timer", timer);
+            }
+            NodeEvent::Deliver(packet) => {
+                out.variant("Deliver", 2);
+                out.field("packet", packet);
+            }
+        }
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<NodeEvent, CodecError> {
+        Ok(match r.u8()? {
+            0 => NodeEvent::Boot,
+            1 => NodeEvent::Timer(Snap::get(r)?),
+            2 => NodeEvent::Deliver(Snap::get(r)?),
+            _ => return Err(CodecError::Malformed("node event tag")),
+        })
+    }
+
+    fn diff(&self, other: &NodeEvent, d: &mut Diff) {
+        match (self, other) {
+            (NodeEvent::Boot, NodeEvent::Boot) => {}
+            (NodeEvent::Timer(a), NodeEvent::Timer(b)) => d.field("timer", a, b),
+            (NodeEvent::Deliver(a), NodeEvent::Deliver(b)) => d.field("packet", a, b),
+            _ => d.apart(Some(self), Some(other)),
+        }
+    }
+}
+
+/// What [`EngineSnapshot::diff`] skips: `Sample::wall_ms` and
+/// `TraceSummary::{boot,run}_wall_us`, the only wall-clock readings.
+const WALL_CLOCK: [&str; 3] = ["wall_ms", "boot_wall_us", "run_wall_us"];
+
+/// The `(path, JSON)` pairs of a debug walk's `leaves`: a path has no
+/// `"` and a JSON literal no newline.
+fn pairs(leaves: &str) -> impl Iterator<Item = (&str, &str)> {
+    let pair = |l| str::strip_suffix(str::strip_prefix(l, "  \"")?, ',')?.split_once("\": ");
+    leaves.lines().filter_map(pair)
+}
+
+/// `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        if c.is_ascii_control() || c == '"' || c == '\\' {
+            let _ = write!(out, "\\u{:04x}", u32::from(c));
+        } else {
+            out.push(c);
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// FNV-1a over a byte slice — the snapshot content digest.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
@@ -723,520 +924,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
-}
-
-fn algorithm_tag(a: Algorithm) -> u8 {
-    match a {
-        Algorithm::Cob => 0,
-        Algorithm::Cow => 1,
-        Algorithm::Sds => 2,
-    }
-}
-
-fn algorithm_from_tag(tag: u8) -> Result<Algorithm, CodecError> {
-    match tag {
-        0 => Ok(Algorithm::Cob),
-        1 => Ok(Algorithm::Cow),
-        2 => Ok(Algorithm::Sds),
-        _ => Err(CodecError::Malformed("algorithm tag")),
-    }
-}
-
-fn write_node_event(w: &mut SnapWriter, event: &NodeEvent) {
-    match event {
-        NodeEvent::Boot => w.u8(0),
-        NodeEvent::Timer(t) => {
-            w.u8(1);
-            w.varint(u64::from(*t));
-        }
-        NodeEvent::Deliver(p) => {
-            w.u8(2);
-            w.varint(p.id.0);
-            w.varint(u64::from(p.src.0));
-            w.varint(u64::from(p.dest.0));
-            w.varint(p.payload.len() as u64);
-            for v in &p.payload {
-                w.value(v);
-            }
-        }
-    }
-}
-
-fn read_node_event(r: &mut SnapReader<'_>) -> Result<NodeEvent, CodecError> {
-    Ok(match r.u8()? {
-        0 => NodeEvent::Boot,
-        1 => NodeEvent::Timer(read_u16(r, "timer id")?),
-        2 => {
-            let id = PacketId(r.varint()?);
-            let src = NodeId(read_u16(r, "packet source")?);
-            let dest = NodeId(read_u16(r, "packet destination")?);
-            let n = checked_len(r, "packet payload length")?;
-            let mut payload = Vec::with_capacity(n);
-            for _ in 0..n {
-                payload.push(r.value()?);
-            }
-            NodeEvent::Deliver(Packet {
-                id,
-                src,
-                dest,
-                payload,
-            })
-        }
-        _ => return Err(CodecError::Malformed("node event tag")),
-    })
-}
-
-fn write_mapper_stats(w: &mut SnapWriter, s: &MapperStats) {
-    w.varint(s.branches_seen);
-    w.varint(s.sends_mapped);
-    w.varint(s.mapper_forks);
-    w.varint(s.virtual_forks);
-}
-
-fn read_mapper_stats(r: &mut SnapReader<'_>) -> Result<MapperStats, CodecError> {
-    Ok(MapperStats {
-        branches_seen: r.varint()?,
-        sends_mapped: r.varint()?,
-        mapper_forks: r.varint()?,
-        virtual_forks: r.varint()?,
-    })
-}
-
-fn write_mapper(w: &mut SnapWriter, m: &MapperSnapshot) {
-    w.u8(algorithm_tag(m.algorithm()));
-    match m {
-        MapperSnapshot::Cob {
-            groups,
-            next_group,
-            stats,
-        } => {
-            w.varint(groups.len() as u64);
-            for (g, members) in groups {
-                w.varint(*g);
-                w.varint(members.len() as u64);
-                for (n, s) in members {
-                    w.varint(u64::from(*n));
-                    w.varint(*s);
-                }
-            }
-            w.varint(*next_group);
-            write_mapper_stats(w, stats);
-        }
-        MapperSnapshot::Cow {
-            dstates,
-            next_group,
-            stats,
-        } => {
-            w.varint(dstates.len() as u64);
-            for (g, per_node) in dstates {
-                w.varint(*g);
-                w.varint(per_node.len() as u64);
-                for (n, states) in per_node {
-                    w.varint(u64::from(*n));
-                    w.varint(states.len() as u64);
-                    for s in states {
-                        w.varint(*s);
-                    }
-                }
-            }
-            w.varint(*next_group);
-            write_mapper_stats(w, stats);
-        }
-        MapperSnapshot::Sds {
-            vstates,
-            groups,
-            next_group,
-            next_v,
-            stats,
-        } => {
-            w.varint(vstates.len() as u64);
-            for (v, owner, node, dstate) in vstates {
-                w.varint(*v);
-                w.varint(*owner);
-                w.varint(u64::from(*node));
-                w.varint(*dstate);
-            }
-            w.varint(groups.len() as u64);
-            for g in groups {
-                w.varint(*g);
-            }
-            w.varint(*next_group);
-            w.varint(*next_v);
-            write_mapper_stats(w, stats);
-        }
-    }
-}
-
-fn read_mapper(r: &mut SnapReader<'_>) -> Result<MapperSnapshot, CodecError> {
-    Ok(match algorithm_from_tag(r.u8()?)? {
-        Algorithm::Cob => {
-            let ngroups = checked_len(r, "dscenario count")?;
-            let mut groups = Vec::with_capacity(ngroups);
-            for _ in 0..ngroups {
-                let g = r.varint()?;
-                let nmembers = checked_len(r, "dscenario member count")?;
-                let mut members = Vec::with_capacity(nmembers);
-                for _ in 0..nmembers {
-                    let n = read_u16(r, "member node")?;
-                    members.push((n, r.varint()?));
-                }
-                groups.push((g, members));
-            }
-            MapperSnapshot::Cob {
-                groups,
-                next_group: r.varint()?,
-                stats: read_mapper_stats(r)?,
-            }
-        }
-        Algorithm::Cow => {
-            let ndstates = checked_len(r, "dstate count")?;
-            let mut dstates = Vec::with_capacity(ndstates);
-            for _ in 0..ndstates {
-                let g = r.varint()?;
-                let nnodes = checked_len(r, "dstate node count")?;
-                let mut per_node = Vec::with_capacity(nnodes);
-                for _ in 0..nnodes {
-                    let n = read_u16(r, "dstate node")?;
-                    let nstates = checked_len(r, "dstate member count")?;
-                    let mut states = Vec::with_capacity(nstates);
-                    for _ in 0..nstates {
-                        states.push(r.varint()?);
-                    }
-                    per_node.push((n, states));
-                }
-                dstates.push((g, per_node));
-            }
-            MapperSnapshot::Cow {
-                dstates,
-                next_group: r.varint()?,
-                stats: read_mapper_stats(r)?,
-            }
-        }
-        Algorithm::Sds => {
-            let nvstates = checked_len(r, "vstate count")?;
-            let mut vstates = Vec::with_capacity(nvstates);
-            for _ in 0..nvstates {
-                let v = r.varint()?;
-                let owner = r.varint()?;
-                let node = read_u16(r, "vstate node")?;
-                vstates.push((v, owner, node, r.varint()?));
-            }
-            let ngroups = checked_len(r, "dstate id count")?;
-            let mut groups = Vec::with_capacity(ngroups);
-            for _ in 0..ngroups {
-                groups.push(r.varint()?);
-            }
-            MapperSnapshot::Sds {
-                vstates,
-                groups,
-                next_group: r.varint()?,
-                next_v: r.varint()?,
-                stats: read_mapper_stats(r)?,
-            }
-        }
-    })
-}
-
-fn write_trace_summary(w: &mut SnapWriter, t: &sde_trace::TraceSummary) {
-    for v in [
-        t.boots,
-        t.dispatch_boot,
-        t.dispatch_timer,
-        t.dispatch_deliver,
-        t.forks_branch,
-        t.forks_mapping,
-        t.forks_drop,
-        t.forks_duplicate,
-        t.forks_reboot,
-        t.forks_latency,
-        t.forks_corrupt,
-        t.forks_crash,
-        t.forks_partition,
-        t.forks_heal,
-        t.packets_sent,
-        t.packets_delivered,
-        t.packets_dropped,
-        t.solver_queries,
-        t.solver_exact_hits,
-        t.solver_group_hits,
-        t.solver_reuse_hits,
-        t.solver_ucore_hits,
-        t.bugs_found,
-        t.shrink_steps,
-        t.boot_wall_us,
-        t.run_wall_us,
-    ] {
-        w.varint(v);
-    }
-}
-
-fn read_trace_summary(r: &mut SnapReader<'_>) -> Result<sde_trace::TraceSummary, CodecError> {
-    Ok(sde_trace::TraceSummary {
-        boots: r.varint()?,
-        dispatch_boot: r.varint()?,
-        dispatch_timer: r.varint()?,
-        dispatch_deliver: r.varint()?,
-        forks_branch: r.varint()?,
-        forks_mapping: r.varint()?,
-        forks_drop: r.varint()?,
-        forks_duplicate: r.varint()?,
-        forks_reboot: r.varint()?,
-        forks_latency: r.varint()?,
-        forks_corrupt: r.varint()?,
-        forks_crash: r.varint()?,
-        forks_partition: r.varint()?,
-        forks_heal: r.varint()?,
-        packets_sent: r.varint()?,
-        packets_delivered: r.varint()?,
-        packets_dropped: r.varint()?,
-        solver_queries: r.varint()?,
-        solver_exact_hits: r.varint()?,
-        solver_group_hits: r.varint()?,
-        solver_reuse_hits: r.varint()?,
-        solver_ucore_hits: r.varint()?,
-        bugs_found: r.varint()?,
-        shrink_steps: r.varint()?,
-        boot_wall_us: r.varint()?,
-        run_wall_us: r.varint()?,
-    })
-}
-
-/// The scenario fingerprint and symbol table decoded from the prelude.
-struct Prelude {
-    algorithm: Algorithm,
-    node_count: usize,
-    duration_ms: u64,
-    link_latency_ms: u64,
-    state_cap: usize,
-    sample_every: u64,
-    track_history: bool,
-    faults_fingerprint: u64,
-    symbols: Vec<SymbolEntry>,
-}
-
-fn read_prelude(r: &mut SnapReader<'_>) -> Result<Prelude, CodecError> {
-    let algorithm = algorithm_from_tag(r.u8()?)?;
-    let node_count = read_usize(r, "node count")?;
-    let duration_ms = r.varint()?;
-    let link_latency_ms = r.varint()?;
-    let state_cap = read_usize(r, "state cap")?;
-    let sample_every = r.varint()?;
-    let track_history = r.bool()?;
-    let faults_fingerprint = r.varint()?;
-    let nsymbols = checked_len(r, "symbol count")?;
-    let mut symbols = Vec::with_capacity(nsymbols);
-    for _ in 0..nsymbols {
-        let name = r.str()?;
-        let width = r.width()?;
-        let node = read_u16(r, "symbol node")?;
-        let occurrence =
-            u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("symbol occurrence"))?;
-        symbols.push((name, width, node, occurrence));
-    }
-    Ok(Prelude {
-        algorithm,
-        node_count,
-        duration_ms,
-        link_latency_ms,
-        state_cap,
-        sample_every,
-        track_history,
-        faults_fingerprint,
-        symbols,
-    })
-}
-
-fn read_main(r: &mut SnapReader<'_>, p: Prelude) -> Result<EngineSnapshot, CodecError> {
-    let nstates = checked_len(r, "state count")?;
-    let mut states = Vec::with_capacity(nstates);
-    for _ in 0..nstates {
-        let id = StateId(r.varint()?);
-        let node = NodeId(read_u16(r, "state node")?);
-        let vm = VmState::read_snapshot(r)?;
-        let digest = r.varint()?;
-        let len =
-            u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("history length"))?;
-        let log = if r.bool()? {
-            let nevents = checked_len(r, "history log length")?;
-            let mut events = Vec::with_capacity(nevents);
-            for _ in 0..nevents {
-                let tag = r.u8()?;
-                let pid = PacketId(r.varint()?);
-                let peer = NodeId(read_u16(r, "history peer")?);
-                events.push(match tag {
-                    1 => HistoryEvent::Sent { id: pid, peer },
-                    2 => HistoryEvent::Received { id: pid, peer },
-                    _ => return Err(CodecError::Malformed("history event tag")),
-                });
-            }
-            Some(events)
-        } else {
-            None
-        };
-        let history = CommHistory::from_parts(digest, len, log);
-        let drop_budget =
-            u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("drop budget"))?;
-        let dup_budget =
-            u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("dup budget"))?;
-        let reboot_budget =
-            u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("reboot budget"))?;
-        let part_budget =
-            u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("partition budget"))?;
-        let lat_budget =
-            u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("latency budget"))?;
-        let cor_budget =
-            u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("corruption budget"))?;
-        let crash_budget =
-            u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("crash budget"))?;
-        let partition_until = r.varint()?;
-        let root = r.bool()?;
-        let shard_root = r.varint()?;
-        let core = StateCore {
-            vm,
-            history,
-            drop_budget,
-            dup_budget,
-            reboot_budget,
-            part_budget,
-            lat_budget,
-            cor_budget,
-            crash_budget,
-            partition_until,
-        };
-        states.push(SdeState::new(id, node, root, shard_root, core));
-    }
-    let queue_next_seq = r.varint()?;
-    let nqueue = checked_len(r, "queue length")?;
-    let mut queue = Vec::with_capacity(nqueue);
-    for _ in 0..nqueue {
-        let time = r.varint()?;
-        let seq = r.varint()?;
-        let sid = StateId(r.varint()?);
-        queue.push((time, seq, sid, read_node_event(r)?));
-    }
-    let mapper = read_mapper(r)?;
-    if mapper.algorithm() != p.algorithm {
-        return Err(CodecError::Malformed("mapper/prelude algorithm mismatch"));
-    }
-    let solver = SolverSnapshot::read_from(r)?;
-    let now = r.varint()?;
-    let next_packet = r.varint()?;
-    let events_processed = r.varint()?;
-    let packets_sent = r.varint()?;
-    let instructions = r.varint()?;
-    let aborted = r.bool()?;
-    let total_states = read_usize(r, "total state count")?;
-    let next_state = r.varint()?;
-    let mut forks = [0u64; 10];
-    for f in &mut forks {
-        *f = r.varint()?;
-    }
-    let nsamples = checked_len(r, "sample count")?;
-    let mut samples = Vec::with_capacity(nsamples);
-    for _ in 0..nsamples {
-        samples.push(Sample {
-            wall_ms: r.varint()?,
-            virtual_ms: r.varint()?,
-            live_states: read_usize(r, "sample live states")?,
-            total_states: read_usize(r, "sample total states")?,
-            bytes: read_usize(r, "sample bytes")?,
-            groups: read_usize(r, "sample groups")?,
-        });
-    }
-    let nbugs = checked_len(r, "bug count")?;
-    let mut bugs = Vec::with_capacity(nbugs);
-    for _ in 0..nbugs {
-        let node = NodeId(read_u16(r, "bug node")?);
-        let state = StateId(r.varint()?);
-        let report = BugReport::read_snapshot(r)?;
-        bugs.push(BugFound {
-            node,
-            state,
-            report,
-        });
-    }
-    let trace = read_trace_summary(r)?;
-    let dedup = r.bool()?;
-    let dedup_stats = crate::stats::DedupStats {
-        candidates: r.varint()?,
-        confirmed: r.varint()?,
-        collisions: r.varint()?,
-        pruned_states: r.varint()?,
-        saved_instructions: r.varint()?,
-    };
-    let sharded = r.bool()?;
-    let nexecuted = checked_len(r, "executed state count")?;
-    let mut executed = Vec::with_capacity(nexecuted);
-    for _ in 0..nexecuted {
-        executed.push(r.varint()?);
-    }
-    Ok(EngineSnapshot {
-        algorithm: p.algorithm,
-        node_count: p.node_count,
-        duration_ms: p.duration_ms,
-        link_latency_ms: p.link_latency_ms,
-        state_cap: p.state_cap,
-        sample_every: p.sample_every,
-        track_history: p.track_history,
-        faults_fingerprint: p.faults_fingerprint,
-        symbols: p.symbols,
-        states,
-        queue_next_seq,
-        queue,
-        mapper,
-        solver,
-        now,
-        next_packet,
-        events_processed,
-        packets_sent,
-        instructions,
-        aborted,
-        total_states,
-        next_state,
-        forks,
-        samples,
-        bugs,
-        trace,
-        dedup,
-        dedup_stats,
-        sharded,
-        executed,
-    })
-}
-
-fn mapper_stats(m: &MapperSnapshot) -> MapperStats {
-    match m {
-        MapperSnapshot::Cob { stats, .. }
-        | MapperSnapshot::Cow { stats, .. }
-        | MapperSnapshot::Sds { stats, .. } => *stats,
-    }
-}
-
-fn mapper_group_count(m: &MapperSnapshot) -> usize {
-    match m {
-        MapperSnapshot::Cob { groups, .. } => groups.len(),
-        MapperSnapshot::Cow { dstates, .. } => dstates.len(),
-        MapperSnapshot::Sds { groups, .. } => groups.len(),
-    }
-}
-
-/// Reads a length prefix that cannot plausibly exceed the remaining
-/// input (every element costs at least one byte), rejecting absurd
-/// counts before any allocation.
-fn checked_len(r: &mut SnapReader<'_>, what: &'static str) -> Result<usize, CodecError> {
-    let n = r.varint()?;
-    if n > r.remaining() as u64 {
-        return Err(CodecError::Malformed(what));
-    }
-    Ok(n as usize)
-}
-
-fn read_u16(r: &mut SnapReader<'_>, what: &'static str) -> Result<u16, CodecError> {
-    u16::try_from(r.varint()?).map_err(|_| CodecError::Malformed(what))
-}
-
-fn read_usize(r: &mut SnapReader<'_>, what: &'static str) -> Result<usize, CodecError> {
-    usize::try_from(r.varint()?).map_err(|_| CodecError::Malformed(what))
 }
 
 #[cfg(test)]
@@ -1262,34 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_constructors_and_axes() {
-        assert!(Budget::unlimited().is_unlimited());
-        let b = Budget::events(3)
-            .with_max_instructions(10)
-            .with_max_live_states(5);
-        assert_eq!(b.max_events, Some(3));
-        assert_eq!(b.max_instructions, Some(10));
-        assert_eq!(b.max_live_states, Some(5));
-        assert!(!b.is_unlimited());
-        assert!(!Budget::instructions(7).is_unlimited());
-        assert!(!Budget::live_states(7).is_unlimited());
-    }
-
-    #[test]
-    fn snapshot_bytes_roundtrip_is_fixed_point() {
-        let mut engine = Engine::new(scenario(), Algorithm::Sds);
-        assert_eq!(engine.run_until(Budget::events(5)), RunOutcome::Paused);
-        let snap = engine.snapshot();
-        let bytes = snap.to_bytes();
-        let decoded = EngineSnapshot::from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(decoded.to_bytes(), bytes, "decode→encode is a fixed point");
-        assert_eq!(decoded.events_processed(), snap.events_processed());
-        assert_eq!(decoded.resident_states(), snap.resident_states());
-        assert_eq!(decoded.queue_len(), snap.queue_len());
-        assert_eq!(decoded.algorithm(), snap.algorithm());
-    }
-
-    #[test]
     fn interrupted_run_matches_straight_run() {
         for algorithm in Algorithm::ALL {
             let straight = Engine::new(scenario(), algorithm).run();
@@ -1298,53 +957,16 @@ mod tests {
             let mut interruptions = 0usize;
             while engine.run_until(Budget::events(3)) == RunOutcome::Paused {
                 // Full serialize→deserialize→resume round trip at every
-                // pause point.
-                let bytes = engine.snapshot().to_bytes();
-                let snap = EngineSnapshot::from_bytes(&bytes).expect("decode");
-                engine = Engine::resume(scenario(), &snap).expect("resume");
+                // pause point, checked field by field.
+                let snap = engine.snapshot();
+                let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("decode");
+                engine = Engine::resume(scenario(), &decoded).expect("resume");
+                assert_eq!(snap.first_difference(&engine.snapshot()), None);
                 interruptions += 1;
             }
-            assert!(
-                interruptions > 0,
-                "{algorithm}: scenario too small to pause"
-            );
-            let resumed = engine.into_report();
-            assert_eq!(
-                resumed.equivalence_key(),
-                straight.equivalence_key(),
-                "{algorithm}: interrupted run diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn from_bytes_rejects_malformed_input_without_panicking() {
-        let mut engine = Engine::new(scenario(), Algorithm::Cow);
-        engine.run_until(Budget::events(4));
-        let bytes = engine.snapshot().to_bytes();
-
-        assert!(matches!(
-            EngineSnapshot::from_bytes(b"not a snapshot at all"),
-            Err(SnapshotError::BadMagic)
-        ));
-        let mut wrong_version = bytes.clone();
-        wrong_version[8] = 0xFF;
-        assert!(matches!(
-            EngineSnapshot::from_bytes(&wrong_version),
-            Err(SnapshotError::UnsupportedVersion(_))
-        ));
-        let mut corrupted = bytes.clone();
-        let last = corrupted.len() - 1;
-        corrupted[last] ^= 0x5A;
-        assert_eq!(
-            EngineSnapshot::from_bytes(&corrupted).unwrap_err(),
-            SnapshotError::DigestMismatch
-        );
-        for cut in [0, 7, 12, 19, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                EngineSnapshot::from_bytes(&bytes[..cut]).is_err(),
-                "truncation at {cut} must error"
-            );
+            assert!(interruptions > 0, "{algorithm}: too small to pause");
+            let key = engine.into_report().equivalence_key();
+            assert_eq!(key, straight.equivalence_key(), "{algorithm}: diverged");
         }
     }
 
@@ -1359,19 +981,30 @@ mod tests {
     }
 
     #[test]
-    fn debug_json_mentions_key_fields() {
+    fn debug_view_names_every_field_and_escapes_strings() {
         let mut engine = Engine::new(scenario(), Algorithm::Sds);
         engine.run_until(Budget::events(4));
-        let json = engine.snapshot().to_debug_json();
+        let snap = engine.snapshot();
+        let json = snap.to_debug_json();
         for needle in [
-            "\"algorithm\": \"SDS\"",
-            &format!("\"version\": {SNAPSHOT_VERSION}"),
-            "state_table",
-            "trace_key",
-            "\"dedup\": {\"enabled\": false",
-            "\"sharded\": false",
+            &format!("\"version\": {SNAPSHOT_VERSION},"),
+            "\"algorithm.kind\": \"Sds\",",
+            "\"states[1].core.partition_until\": 0,",
+            ".packet.payload[0]\": [2, 16],",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+        assert_eq!(json_str("a\"b\\c\nd"), r#""a\u0022b\u005cc\u000ad""#);
+
+        let mut other = snap.clone();
+        other.trace.run_wall_us += 1;
+        other.samples[0].wall_ms += 1;
+        assert!(snap.diff(&other).is_empty(), "wall clock is not compared");
+        let first = snap.first_difference(&other);
+        assert_eq!(first.as_deref(), Some("samples[0].wall_ms: 0 != 1"));
+        other.edit_state(1, |s, _| s.crash_budget += 1);
+        let named = ["states[1].core.crash_budget: 0 != 1".to_string()];
+        assert_eq!(snap.diff(&other), named);
+        assert_eq!(snap.first_difference(&other).as_deref(), Some(&*named[0]));
     }
 }

@@ -52,7 +52,7 @@ pub struct SdeState {
     pub node: NodeId,
     /// `true` for boot-time states — the anchors of the shard lineage.
     pub root: bool,
-    core: Arc<StateCore>,
+    pub(crate) core: Arc<StateCore>,
 }
 
 /// What a state holds besides its identity, shared copy-on-write between

@@ -360,14 +360,11 @@ impl<'a> SnapReader<'a> {
                     }
                 }
                 1 => {
-                    let id = u32::try_from(r.varint()?)
-                        .map_err(|_| CodecError::Malformed("symbol id"))?;
+                    let id = r.ranged("symbol id")?;
                     let name = r.str()?;
                     let width = r.width()?;
-                    let node = u16::try_from(r.varint()?)
-                        .map_err(|_| CodecError::Malformed("symbol node"))?;
-                    let occurrence = u32::try_from(r.varint()?)
-                        .map_err(|_| CodecError::Malformed("symbol occurrence"))?;
+                    let node = r.ranged("symbol node")?;
+                    let occurrence = r.ranged("symbol occurrence")?;
                     ExprKind::Sym(SymVar::from_raw(SymId(id), &name, width, node, occurrence))
                 }
                 2 => {
@@ -455,6 +452,31 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    /// Reads a varint that must fit `T` (a node id, a 32-bit counter…).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Malformed`]`(what)` when it does not fit.
+    pub fn ranged<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, CodecError> {
+        T::try_from(self.varint()?).map_err(|_| CodecError::Malformed(what))
+    }
+
+    /// Reads a length prefix that cannot plausibly exceed the remaining
+    /// input (every element costs at least one byte), rejecting absurd
+    /// counts before any allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Malformed`]`(what)` for a count larger than
+    /// the bytes left.
+    pub fn checked_len(&mut self, what: &'static str) -> Result<usize, CodecError> {
+        let n = self.varint()?;
+        if n > self.remaining() as u64 {
+            return Err(CodecError::Malformed(what));
+        }
+        Ok(n as usize)
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     ///
     /// # Errors
@@ -514,8 +536,7 @@ impl<'a> SnapReader<'a> {
         }
         let mut m = Model::new();
         for _ in 0..len {
-            let id =
-                u32::try_from(self.varint()?).map_err(|_| CodecError::Malformed("model var id"))?;
+            let id = self.ranged("model var id")?;
             let value = self.varint()?;
             m.assign(SymId(id), value);
         }

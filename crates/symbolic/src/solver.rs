@@ -1170,27 +1170,20 @@ impl SolverSnapshot {
         let caching = r.bool()?;
         let group_caching = r.bool()?;
         let cex_caching = r.bool()?;
-        let checked_len = |r: &mut SnapReader<'_>, what| {
-            let n = r.varint()?;
-            if n > r.remaining() as u64 {
-                return Err(CodecError::Malformed(what));
-            }
-            Ok(n as usize)
-        };
-        let shards = checked_len(r, "exact cache shard count")?;
+        let shards = r.checked_len("exact cache shard count")?;
         if shards != CACHE_SHARDS {
             return Err(CodecError::Malformed("exact cache shard count"));
         }
         let mut exact = Vec::with_capacity(shards);
         for index in 0..shards {
-            let keys = checked_len(r, "exact cache key count")?;
+            let keys = r.checked_len("exact cache key count")?;
             let mut shard = Vec::with_capacity(keys);
             for _ in 0..keys {
                 let key = r.varint()?;
-                let entries = checked_len(r, "exact cache bucket size")?;
+                let entries = r.checked_len("exact cache bucket size")?;
                 let mut bucket = Vec::with_capacity(entries);
                 for _ in 0..entries {
-                    let n = checked_len(r, "exact cache set size")?;
+                    let n = r.checked_len("exact cache set size")?;
                     let mut set = Vec::with_capacity(n);
                     for _ in 0..n {
                         set.push(r.expr()?);
@@ -1210,22 +1203,20 @@ impl SolverSnapshot {
             }
             exact.push(shard);
         }
-        let model_shards = checked_len(r, "cex model shard count")?;
+        let model_shards = r.checked_len("cex model shard count")?;
         if model_shards != CACHE_SHARDS {
             return Err(CodecError::Malformed("cex model shard count"));
         }
         let mut cex_models = Vec::with_capacity(model_shards);
         for _ in 0..model_shards {
-            let n = checked_len(r, "cex model count")?;
+            let n = r.checked_len("cex model count")?;
             let mut shard = Vec::with_capacity(n);
             for _ in 0..n {
-                let vars = checked_len(r, "cex var-set size")?;
+                let vars = r.checked_len("cex var-set size")?;
                 let mut entries = Vec::with_capacity(vars);
                 for _ in 0..vars {
-                    let id = u32::try_from(r.varint()?)
-                        .map_err(|_| CodecError::Malformed("cex var id"))?;
-                    let width = r.width()?;
-                    entries.push((SymId(id), width));
+                    let id = SymId(r.ranged("cex var id")?);
+                    entries.push((id, r.width()?));
                 }
                 if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
                     return Err(CodecError::Malformed("cex var-set order"));
@@ -1234,16 +1225,16 @@ impl SolverSnapshot {
             }
             cex_models.push(shard);
         }
-        let core_shards = checked_len(r, "cex core shard count")?;
+        let core_shards = r.checked_len("cex core shard count")?;
         if core_shards != CACHE_SHARDS {
             return Err(CodecError::Malformed("cex core shard count"));
         }
         let mut cex_cores = Vec::with_capacity(core_shards);
         for _ in 0..core_shards {
-            let n = checked_len(r, "cex core count")?;
+            let n = r.checked_len("cex core count")?;
             let mut shard = Vec::with_capacity(n);
             for _ in 0..n {
-                let cn = checked_len(r, "cex core constraint count")?;
+                let cn = r.checked_len("cex core constraint count")?;
                 let mut constraints = Vec::with_capacity(cn);
                 for _ in 0..cn {
                     constraints.push(r.expr()?);

@@ -115,9 +115,8 @@ impl BugReport {
             _ => return Err(CodecError::Malformed("bug kind tag")),
         };
         let message: Arc<str> = Arc::from(r.str()?.as_str());
-        let func =
-            FuncId(u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("bug function"))?);
-        let index = u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("bug index"))?;
+        let func = FuncId(r.ranged("bug function")?);
+        let index = r.ranged("bug index")?;
         let model = if r.bool()? { Some(r.model()?) } else { None };
         Ok(BugReport {
             kind,

@@ -699,41 +699,36 @@ impl VmState {
     /// Returns [`CodecError`] on truncated or malformed input; never
     /// panics.
     pub fn read_snapshot(r: &mut SnapReader<'_>) -> Result<VmState, CodecError> {
-        let nframes = checked_len(r, "frame count")?;
+        let nframes = r.checked_len("frame count")?;
         if nframes > MAX_CALL_DEPTH {
             return Err(CodecError::Malformed("frame count"));
         }
         let mut frames = Frames::default();
         for _ in 0..nframes {
-            let func = FuncId(
-                u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("function id"))?,
-            );
-            let pc = u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("frame pc"))?;
-            let nregs = checked_len(r, "register count")?;
+            let func = FuncId(r.ranged("function id")?);
+            let pc = r.ranged("frame pc")?;
+            let nregs = r.checked_len("register count")?;
             let mut regs = Vec::with_capacity(nregs);
             for _ in 0..nregs {
                 regs.push(if r.bool()? { Some(r.value()?) } else { None });
             }
             let regs = regs.into_boxed_slice();
             let ret_dst = if r.bool()? {
-                Some(Reg(u16::try_from(r.varint()?)
-                    .map_err(|_| CodecError::Malformed("return register"))?))
+                Some(Reg(r.ranged("return register")?))
             } else {
                 None
             };
             frames.push(func, regs, ret_dst);
             frames.top_mut().expect("frame just pushed").pc = pc;
         }
-        let nheap = checked_len(r, "heap entry count")?;
+        let nheap = r.checked_len("heap entry count")?;
         let mut heap = PMap::new();
         for _ in 0..nheap {
-            let addr =
-                u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("heap address"))?;
+            let addr = r.ranged("heap address")?;
             heap.insert_mut(addr, r.value()?);
         }
-        let memory_size =
-            u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("memory size"))?;
-        let npc = checked_len(r, "constraint count")?;
+        let memory_size = r.ranged("memory size")?;
+        let npc = r.checked_len("constraint count")?;
         let mut constraints = Vec::with_capacity(npc);
         for _ in 0..npc {
             constraints.push(r.expr()?);
@@ -748,14 +743,11 @@ impl VmState {
             4 => Status::Bugged(Box::new(BugReport::read_snapshot(r)?)),
             _ => return Err(CodecError::Malformed("status tag")),
         };
-        let nbranches = checked_len(r, "branch trace count")?;
+        let nbranches = r.checked_len("branch trace count")?;
         let mut branches = Vec::with_capacity(nbranches);
         for _ in 0..nbranches {
-            let func = FuncId(
-                u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("branch function"))?,
-            );
-            let index =
-                u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("branch index"))?;
+            let func = FuncId(r.ranged("branch function")?);
+            let index = r.ranged("branch index")?;
             branches.push((Loc { func, index }, r.bool()?));
         }
         // `iter` yields most recent first; rebuild by prepending oldest up.
@@ -765,12 +757,11 @@ impl VmState {
         }
         let path_digest = r.varint()?;
         let instret = r.varint()?;
-        let ncounts = checked_len(r, "input count entries")?;
+        let ncounts = r.checked_len("input count entries")?;
         let mut input_counts = PMap::new();
         for _ in 0..ncounts {
             let name = r.str()?;
-            let n = u32::try_from(r.varint()?)
-                .map_err(|_| CodecError::Malformed("input occurrence count"))?;
+            let n = r.ranged("input occurrence count")?;
             input_counts.insert_mut(name, n);
         }
         // The digest accumulators are derived data: recompute them once at
@@ -814,17 +805,6 @@ fn constraint_hash(c: &ExprRef) -> u64 {
     let mut ch = DefaultHasher::new();
     c.hash(&mut ch);
     mix64(ch.finish())
-}
-
-/// Reads a length prefix that cannot plausibly exceed the remaining
-/// input (every element costs at least one byte), rejecting absurd
-/// counts before any allocation.
-fn checked_len(r: &mut SnapReader<'_>, what: &'static str) -> Result<usize, CodecError> {
-    let n = r.varint()?;
-    if n > r.remaining() as u64 {
-        return Err(CodecError::Malformed(what));
-    }
-    Ok(n as usize)
 }
 
 /// Finalizing mixer (splitmix64 tail) applied to each entry hash before

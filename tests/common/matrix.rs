@@ -17,7 +17,10 @@
 //! Every cell also passes its column's side checks: worker stats in
 //! bounds, dedup never executing more, no cache answers under
 //! `--layers off`, bookkeeping equal to its rescans after every slice,
-//! and a pause that actually happened.
+//! a pause that actually happened, and — in every interrupted and sliced
+//! cell — an engine resumed from snapshot bytes whose own snapshot equals
+//! the one it was resumed from, field by field
+//! (`EngineSnapshot::first_difference`).
 
 use super::seeded::{scenario_from_seed, seeds, splitmix64};
 use super::{collect, failure_model, grid_collect, line_collect, ring_hello};
@@ -265,12 +268,21 @@ fn execute(label: &str, row: &Row, alg: Algorithm, col: &Column, want_canonical:
         Some(sink) => engine.with_trace_sink(Arc::clone(sink) as Arc<dyn TraceSink>),
         None => engine,
     };
-    let resume = |engine: &Engine, bytes: bool| {
-        let mut snapshot = engine.snapshot();
-        if bytes {
-            snapshot = EngineSnapshot::from_bytes(&snapshot.to_bytes()).expect("bytes decode");
+    // A resume from bytes is checked field by field: the resumed engine's
+    // snapshot must equal the one it was resumed from.
+    let resumed = |engine: &Engine, bytes: bool| {
+        let snapshot = engine.snapshot();
+        if !bytes {
+            return Engine::resume(row.scenario.clone(), &snapshot).expect("snapshot resumes");
         }
-        let resumed = Engine::resume(row.scenario.clone(), &snapshot).expect("snapshot resumes");
+        let decoded = EngineSnapshot::from_bytes(&snapshot.to_bytes()).expect("bytes decode");
+        let resumed = Engine::resume(row.scenario.clone(), &decoded).expect("snapshot resumes");
+        let field = snapshot.first_difference(&resumed.snapshot());
+        assert_eq!(field, None, "{label}: the resumed engine differs");
+        resumed
+    };
+    let resume = |engine: &Engine, bytes: bool| {
+        let resumed = resumed(engine, bytes);
         assert_eq!(
             resumed.dedup_enabled(),
             col.dedup,
@@ -321,6 +333,8 @@ fn execute(label: &str, row: &Row, alg: Algorithm, col: &Column, want_canonical:
                 engine
                     .check_accounting()
                     .unwrap_or_else(|why| panic!("{label}, just resumed: {why}"));
+            } else if resume_after.is_none() && pauses == 1 {
+                resumed(&engine, true); // the side check alone
             }
         },
     }

@@ -168,7 +168,7 @@ proptest! {
 /// used to be accepted and silently dropped at dispatch).
 #[test]
 fn resume_refuses_queues_it_cannot_index() {
-    use sde::core::{SnapshotError, StateId};
+    use sde::core::{NodeEvent, SnapshotError, StateId};
     use sde::symbolic::CodecError;
 
     let (_label, scenario) = scenario_from_seed(7);
@@ -181,11 +181,11 @@ fn resume_refuses_queues_it_cannot_index() {
     );
     Engine::resume(scenario.clone(), &good).expect("the unmutated snapshot resumes");
 
-    type Edit = fn(usize, &mut u64, &mut u64, &mut StateId);
+    type Edit = fn(usize, &mut u64, &mut u64, &mut StateId, &mut NodeEvent);
     let cases: [(&str, Edit, &str); 3] = [
         (
             "an event of a state that is not resident",
-            |i, _, _, state| {
+            |i, _, _, state, _| {
                 if i == 0 {
                     *state = StateId(u64::MAX / 2);
                 }
@@ -194,12 +194,12 @@ fn resume_refuses_queues_it_cannot_index() {
         ),
         (
             "the same seq twice",
-            |_, _, seq, _| *seq = 0,
+            |_, _, seq, _, _| *seq = 0,
             "duplicate queued event seq",
         ),
         (
             "a seq the queue has not handed out yet",
-            |i, _, seq, _| {
+            |i, _, seq, _, _| {
                 if i == 1 {
                     *seq = u64::MAX / 2;
                 }
@@ -209,7 +209,7 @@ fn resume_refuses_queues_it_cannot_index() {
     ];
     for (what, edit, expected) in cases {
         let mut hostile = good.clone();
-        hostile.edit_queue_keys(edit);
+        hostile.edit_queue(edit);
         // Through the wire form, as a hostile file would arrive.
         let decoded = EngineSnapshot::from_bytes(&hostile.to_bytes())
             .unwrap_or_else(|e| panic!("{what}: the codec has no reason to refuse it: {e}"));
@@ -296,12 +296,14 @@ fn resume_refuses_ids_nothing_in_the_snapshot_backs() {
         for absurd in [true, false] {
             let unbacked = |smallest: u64| if absurd { u64::MAX / 2 } else { smallest };
 
+            let last = good.resident_states() - 1;
             let mut moved = good.clone();
-            moved.move_state(
-                good.resident_states() - 1,
-                StateId(unbacked(states)),
-                unbacked(states) + 1,
-            );
+            moved.edit_state(last, |s, next_state| {
+                s.id = StateId(unbacked(states));
+                *next_state = unbacked(states) + 1;
+            });
+            let mut record_only = good.clone();
+            record_only.edit_state(last, |s, _| s.id = StateId(unbacked(states)));
             let mut regrouped = good.clone();
             regrouped.edit_mapper(|mapper| match mapper {
                 MapperSnapshot::Cob {
@@ -330,12 +332,18 @@ fn resume_refuses_ids_nothing_in_the_snapshot_backs() {
 
             type Refusal = fn(&SnapshotError) -> bool;
             let mapper_state: Refusal = |e| matches!(e, SnapshotError::MapperState(_));
-            let malformed: Refusal = |e| {
-                let expected = CodecError::Malformed("executed state id beyond allocator");
-                matches!(e, SnapshotError::Codec(why) if *why == expected)
-            };
-            let cases: [(&str, EngineSnapshot, Refusal); 3] = [
-                ("a state record past the allocator", moved, mapper_state),
+            fn beyond(e: &SnapshotError, what: &str) -> bool {
+                matches!(e, SnapshotError::Codec(CodecError::Malformed(why)) if *why == what)
+            }
+            let record: Refusal = |e| beyond(e, "state id beyond allocator");
+            let malformed: Refusal = |e| beyond(e, "executed state id beyond allocator");
+            let cases: [(&str, EngineSnapshot, Refusal); 4] = [
+                (
+                    "a state record and the allocator moved",
+                    moved,
+                    mapper_state,
+                ),
+                ("a state record past the allocator", record_only, record),
                 ("a group id past its allocator", regrouped, mapper_state),
                 ("an executed mark of no state", executed, malformed),
             ];

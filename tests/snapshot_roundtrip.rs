@@ -107,6 +107,19 @@ fn wrong_magic_is_a_typed_error() {
         EngineSnapshot::from_bytes(b"not a snapshot at all"),
         Err(SnapshotError::BadMagic)
     ));
+    // Fixed cuts, without digest patching: inside the magic, inside the
+    // header after a valid magic (truncated before any digest is read),
+    // and inside the body (caught by the digest).
+    use sde::symbolic::CodecError;
+    let bytes = mid_run_snapshot(42, Algorithm::Cow, 4).to_bytes();
+    for cut in [0, 7, 12, 19, bytes.len() / 2, bytes.len() - 1] {
+        let expected = match cut {
+            0..20 => SnapshotError::Codec(CodecError::Truncated),
+            _ => SnapshotError::DigestMismatch,
+        };
+        let err = EngineSnapshot::from_bytes(&bytes[..cut]).unwrap_err();
+        assert_eq!(err, expected, "cut at {cut}");
+    }
 }
 
 #[test]
@@ -130,4 +143,162 @@ fn corrupted_digest_is_a_typed_error() {
         EngineSnapshot::from_bytes(&bytes),
         Err(SnapshotError::DigestMismatch)
     ));
+}
+
+/// The fixtures' scenario: one packet collected over a 4-node line under
+/// every fault axis, dedup on.
+fn fault_line() -> Scenario {
+    let scenario = common::collect(Topology::line(4), 1);
+    sde_bench::with_fault_axes(scenario, &sde_bench::FaultAxis::ALL)
+}
+
+/// The fixtures' paused run: `fault_line` under `alg`, dedup on, paused
+/// after 16 (COB) or 9 (COW, SDS) events.
+fn paused_fault_line(alg: Algorithm) -> Engine {
+    let pause = if alg == Algorithm::Cob { 16 } else { 9 };
+    let mut engine = Engine::new(fault_line(), alg).with_dedup(true);
+    assert_eq!(engine.run_until(Budget::events(pause)), RunOutcome::Paused);
+    engine
+}
+
+/// Snapshots written by the commit before the snapshot walk became one
+/// field list per type (b22af04, `SNAPSHOT_VERSION` 6), one per
+/// algorithm: `tests/data/parent_{cob,cow,sds}.snap`, 1–3 KB each. A
+/// throwaway `tests/write_fixtures.rs` added to that tree wrote them with
+/// `std::fs::write(path, paused_fault_line(alg).snapshot().to_bytes())`,
+/// this file's `paused_fault_line` copied in
+/// (`cargo test --release --test write_fixtures`, from the repo root).
+///
+/// What they hold: partition deadlines, every fault budget, symbols,
+/// logged histories, executed marks, dedup counters (COB only), queued
+/// deliveries with payloads (COW, SDS). What stays empty: `bugs`, the
+/// `sharded` flag, every solver cache (the line never queries), and, in
+/// COB's, the deliveries (only timers are pending).
+///
+/// Each must decode and re-encode byte for byte, equal what this commit's
+/// run writes at the same pause in every field but the wall clock, and
+/// resume to the straight run's key. A resumed dedup run starts with a
+/// cold memo index (DESIGN.md §10), so it re-executes what the straight
+/// run would replay there and mints fresh symbols; each pause sits where
+/// no such replay is pending, which `states_executed` confirms.
+#[test]
+fn parent_written_snapshots_reencode_and_resume() {
+    for alg in Algorithm::ALL {
+        let path = format!("tests/data/parent_{}.snap", alg.name().to_lowercase());
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(bytes.len() < 64 << 10, "{path} is not small");
+        let snap = EngineSnapshot::from_bytes(&bytes).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(snap.to_bytes() == bytes, "{path}: not a fixed point");
+        assert_eq!(
+            snap.diff(&paused_fault_line(alg).snapshot()),
+            Vec::<String>::new()
+        );
+
+        let straight = Engine::new(fault_line(), alg).with_dedup(true).run();
+        let resumed = Engine::resume(fault_line(), &snap).expect("resumes").run();
+        assert_eq!(
+            resumed.equivalence_key(),
+            straight.equivalence_key(),
+            "{path}"
+        );
+        assert_eq!(resumed.states_executed, straight.states_executed, "{path}");
+    }
+}
+
+/// `EngineSnapshot::diff` names every field the snapshot carries. The
+/// debug-JSON fingerprint it replaced left out partition deadlines, four
+/// of the seven budgets, the shard lineage and every payload word, so
+/// `snapshot --diff` called two runs that differ there "the same paused
+/// run".
+#[test]
+fn diff_names_the_field_two_snapshots_differ_in() {
+    use sde::core::NodeEvent;
+    use sde::symbolic::Value;
+
+    for alg in Algorithm::ALL {
+        // The first pause with a delivery queued.
+        let mut engine = Engine::new(fault_line(), alg);
+        let queued = |snap: &mut EngineSnapshot| {
+            let mut delivery = None;
+            snap.edit_queue(|i, _, _, _, event| {
+                if matches!(event, NodeEvent::Deliver(_)) && delivery.is_none() {
+                    delivery = Some(i);
+                }
+            });
+            delivery
+        };
+        let (good, delivery) = loop {
+            assert_eq!(engine.run_until(Budget::events(1)), RunOutcome::Paused);
+            let mut snap = engine.snapshot();
+            if let Some(i) = queued(&mut snap) {
+                break (snap, i);
+            }
+        };
+        assert_eq!(good.diff(&good.clone()), Vec::<String>::new());
+        let last = good.resident_states() - 1;
+        type Edit = fn(&mut EngineSnapshot, usize, usize);
+        let edits: [(&str, Edit); 4] = [
+            ("partition_until", |s, last, _| {
+                s.edit_state(last, |s, _| s.partition_until += 1)
+            }),
+            ("shard_root", |s, last, _| {
+                s.edit_state(last, |s, _| s.shard_root += 1)
+            }),
+            ("crash_budget", |s, last, _| {
+                s.edit_state(last, |s, _| s.crash_budget += 1)
+            }),
+            ("payload[0]", |s, _, delivery| {
+                s.edit_queue(|i, _, _, _, event| match event {
+                    NodeEvent::Deliver(packet) if i == delivery => {
+                        let word = &mut packet.payload[0];
+                        let value = word.as_const().expect("a concrete word") ^ 1;
+                        *word = Value::const_(value, word.width());
+                    }
+                    _ => {}
+                })
+            }),
+        ];
+        for (field, edit) in edits {
+            let mut other = good.clone();
+            edit(&mut other, last, delivery);
+            let lines = good.diff(&other);
+            assert_eq!(lines.len(), 1, "{alg}, {field}: {lines:?}");
+            assert!(lines[0].contains(field), "{alg}, {field}: {lines:?}");
+            assert_eq!(good.first_difference(&other).as_ref(), Some(&lines[0]));
+        }
+    }
+}
+
+/// Values that differ in shape are matched by field path: an item only
+/// one list has shows `-` on the other side, and two mapper variants
+/// compare the fields they share and list the ones they do not.
+#[test]
+fn diff_matches_values_of_different_shape_by_path() {
+    let cob = mid_run_snapshot(3, Algorithm::Cob, 9);
+    let n = cob.resident_states();
+    assert!(n >= 2, "states to drop");
+    let mut fewer = cob.clone();
+    fewer.remove_state(n - 1);
+    for (lines, missing) in [(cob.diff(&fewer), " != -"), (fewer.diff(&cob), ": - != ")] {
+        assert!(lines[0].starts_with("states.len: "), "{lines:?}");
+        let item = format!("states[{}].", n - 1);
+        let one_sided = |l: &String| l.starts_with(&item) && l.contains(missing);
+        assert!(
+            lines.len() > 2 && lines[1..].iter().all(one_sided),
+            "{lines:?}"
+        );
+    }
+
+    let cow = mid_run_snapshot(3, Algorithm::Cow, 9);
+    let lines = cob.diff(&cow);
+    assert_eq!(lines[0], r#"algorithm.kind: "Cob" != "Cow""#, "{lines:?}");
+    assert!(lines.contains(&r#"mapper.kind: "Cob" != "Cow""#.to_string()));
+    let only = |field: &str, side: &str| {
+        (lines.iter()).any(|l| l.starts_with(&format!("mapper.{field}")) && l.contains(side))
+    };
+    assert!(
+        only("groups", " != -") && only("dstates", ": - != "),
+        "{lines:?}"
+    );
+    assert_eq!(cob.first_difference(&cow).as_ref(), Some(&lines[0]));
 }
