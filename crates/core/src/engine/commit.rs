@@ -139,6 +139,13 @@ impl Host for Engine {
         self.corruption_input(state)
     }
 
+    /// A state's memory image is fixed until its next event, so this is
+    /// where it is pooled (DESIGN.md §2, "Heap cells"). The core is the
+    /// state's own here: running the handler wrote it.
+    fn handler_ended(&mut self, state: &mut SdeState) {
+        self.heap_pool.intern(&mut state.vm);
+    }
+
     fn delivered(&mut self, state: StateId, node: NodeId, packet: PacketId, duplicate: bool) {
         self.trace.packets_delivered += 1;
         if self.traced {

@@ -84,6 +84,8 @@ pub(super) trait Host {
     /// The byte a corruption flips into the payload of `state`'s
     /// delivery; `None` ends the delivery.
     fn corruption_byte(&mut self, state: StateId) -> Option<Value>;
+    /// The handler running on `state` ended; `state` goes back in next.
+    fn handler_ended(&mut self, _state: &mut SdeState) {}
     /// `state` consumed one delivery of `packet`.
     fn delivered(&mut self, _state: StateId, _node: NodeId, _packet: PacketId, _duplicate: bool) {}
     /// `state` dropped `packet` (the drop model).
@@ -185,6 +187,7 @@ fn run_handler<H: Host>(h: &mut H, state: StateId, handler: &str, args: &[Value]
                     h.schedule(st.id, delay, NodeEvent::Timer(timer));
                 }
                 StepResult::HandlerDone(_) | StepResult::Halted | StepResult::Infeasible => {
+                    h.handler_ended(&mut st);
                     h.put(st);
                     break;
                 }
@@ -194,6 +197,7 @@ fn run_handler<H: Host>(h: &mut H, state: StateId, handler: &str, args: &[Value]
                         state: st.id,
                         report,
                     });
+                    h.handler_ended(&mut st);
                     h.put(st);
                     break;
                 }

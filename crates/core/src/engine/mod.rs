@@ -41,7 +41,7 @@ use crate::store::{IdSet, Store};
 use host::Buffers;
 use sde_net::Packet;
 use sde_symbolic::{Solver, SymbolTable};
-use sde_vm::VmState;
+use sde_vm::{HeapPool, VmState};
 use shard::{ShardRecord, ShardSegment};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -115,6 +115,10 @@ pub struct Engine {
     sharded: bool,
     /// Per-event buffers of the dispatch core.
     buffers: Buffers,
+    /// One heap storage per memory image of the resident states
+    /// (DESIGN.md §2, "Heap cells"). Never serialized: a resumed engine
+    /// pools the decoded states' heaps.
+    heap_pool: HeapPool,
 }
 
 impl Engine {
@@ -152,6 +156,7 @@ impl Engine {
             shard_fallback: 0,
             sharded: false,
             buffers: Buffers::default(),
+            heap_pool: HeapPool::new(),
         }
     }
 

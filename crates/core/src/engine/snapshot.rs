@@ -138,7 +138,14 @@ impl Engine {
                     "state id beyond allocator",
                 )));
             }
-            if engine.store.states.insert(s.clone()).is_some() {
+            // Every decoded heap is a trie of its own; equal ones end in
+            // one, as in the run that wrote the snapshot. The core stays
+            // shared with the snapshot's state unless the heap changes.
+            let mut state = s.clone();
+            if engine.heap_pool.offer(&state.vm) {
+                engine.heap_pool.intern(&mut state.vm);
+            }
+            if engine.store.states.insert(state).is_some() {
                 return Err(SnapshotError::Codec(sde_symbolic::CodecError::Malformed(
                     "duplicate state id",
                 )));

@@ -168,6 +168,25 @@ impl<K, V> PMap<K, V> {
     pub fn is_empty(&self) -> bool {
         self.root.is_none()
     }
+
+    /// Whether the two maps are one storage: the same root, or both
+    /// empty. Equal maps built apart are not.
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        match (&self.root, &other.root) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Whether nothing else holds this map's root — no other map, as its
+    /// root or as a subtree — so dropping the map frees it. An empty map
+    /// holds nothing, so it is unique.
+    pub fn is_unique(&self) -> bool {
+        self.root
+            .as_ref()
+            .is_none_or(|root| Arc::strong_count(root) == 1)
+    }
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> PMap<K, V> {
@@ -710,6 +729,21 @@ mod tests {
         let b = PMap::new().insert(2u32, 2).insert(1, 1);
         assert_eq!(a, b);
         assert_ne!(a, b.insert(3, 3));
+    }
+
+    #[test]
+    fn ptr_eq_and_is_unique_follow_the_root() {
+        let empty: PMap<u32, u32> = PMap::new();
+        assert!(empty.ptr_eq(&PMap::new()) && empty.is_unique());
+        let mut a: PMap<u32, u32> = (0..100).map(|i| (i, i)).collect();
+        let b: PMap<u32, u32> = (0..100).rev().map(|i| (i, i)).collect();
+        assert!(a == b && !a.ptr_eq(&b), "equal, built apart");
+        assert!(a.is_unique());
+        let shared = a.clone();
+        assert!(a.ptr_eq(&shared) && !a.is_unique() && !shared.is_unique());
+        a.insert_mut(200, 2);
+        assert!(!a.ptr_eq(&shared), "a write copies the shared root");
+        assert!(a.is_unique() && shared.is_unique());
     }
 
     #[test]

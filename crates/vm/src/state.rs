@@ -6,7 +6,8 @@ use crate::program::Program;
 use sde_pds::{PList, PMap};
 use sde_symbolic::{CodecError, ExprRef, PathCondition, SnapReader, SnapWriter, Value, Width};
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Default size of a node's byte-addressed global memory.
 pub(crate) const DEFAULT_MEMORY_SIZE: u32 = 64 * 1024;
@@ -502,15 +503,7 @@ impl VmState {
     /// baseline of the `digest/` criterion benchmark.
     pub fn config_digest_reference(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        // Heap: multiset sum of per-entry hashes (iteration order is
-        // unspecified, so the combine must be commutative — but unlike
-        // XOR, addition keeps repeated or pairwise-equal entries from
-        // cancelling to zero).
-        let mut heap_acc: u64 = 0;
-        for (k, v) in self.heap.iter() {
-            heap_acc = heap_acc.wrapping_add(heap_entry_hash(*k, v));
-        }
-        heap_acc.hash(&mut h);
+        heap_digest(&self.heap).hash(&mut h);
         // Path constraints: the same order-insensitive multiset combine.
         let mut pc_acc: u64 = 0;
         for c in self.path.iter() {
@@ -766,10 +759,7 @@ impl VmState {
         }
         // The digest accumulators are derived data: recompute them once at
         // decode time (the snapshot format stays unchanged).
-        let mut heap_acc: u64 = 0;
-        for (k, v) in heap.iter() {
-            heap_acc = heap_acc.wrapping_add(heap_entry_hash(*k, v));
-        }
+        let heap_acc = heap_digest(&heap);
         let mut path_acc: u64 = 0;
         for c in path.iter() {
             path_acc = path_acc.wrapping_add(constraint_hash(c));
@@ -788,6 +778,105 @@ impl VmState {
             path_acc,
         })
     }
+}
+
+/// One heap storage per distinct memory image.
+///
+/// States that run the same handler from the same pre-state — COB's and
+/// COW's duplicates, the copies a mapper forks — build equal heaps apart,
+/// each its own trie. The engine hands every state whose handler ended to
+/// [`HeapPool::intern`]: a heap equal to one the pool holds is replaced by
+/// the pooled storage, and a new image joins the pool. Pooling changes
+/// which storage a state points at, never what it holds, so no digest,
+/// comparison, snapshot field or [`VmState::approx_bytes`] figure moves.
+/// What it costs is the path copy a shared heap pays on its next store.
+///
+/// The pool is keyed by the state's heap accumulator, which every store
+/// keeps up to date and which is already mixed, so a lookup hashes
+/// nothing. A key hit is confirmed by structural [`PMap`] equality, cheap
+/// where the two tries share structure, and an image of other content
+/// under the same key is left as it is. When the pool has doubled since
+/// its last sweep it first drops the images no state holds any more
+/// ([`PMap::is_unique`]), so it holds at most about twice the images
+/// that are still live.
+#[derive(Debug, Default)]
+pub struct HeapPool {
+    images: HashMap<u64, PMap<u32, Value>, BuildHasherDefault<KeyIsHash>>,
+    /// The size at which the next new image sweeps first.
+    sweep_at: usize,
+}
+
+/// Below this many images the pool does not sweep.
+const POOL_MIN_SWEEP: usize = 1024;
+
+impl HeapPool {
+    /// An empty pool.
+    pub fn new() -> HeapPool {
+        HeapPool::default()
+    }
+
+    /// Gives `vm` the pooled storage of its memory image, or pools its
+    /// own. An empty heap has no storage to share and is left out.
+    pub fn intern(&mut self, vm: &mut VmState) {
+        if self.offer(vm) {
+            vm.heap = self.images[&vm.heap_acc].clone();
+            debug_assert_eq!(
+                heap_digest(&vm.heap),
+                vm.heap_acc,
+                "an adopted heap rescans to the state's accumulator"
+            );
+        }
+    }
+
+    /// Pools `vm`'s memory image when it is new, and returns whether the
+    /// pool holds it in storage other than `vm`'s — whether
+    /// [`HeapPool::intern`] would change `vm`. A caller that reaches `vm`
+    /// through a copy-on-write handle asks first, so that a state the
+    /// pool leaves alone is not copied.
+    pub fn offer(&mut self, vm: &VmState) -> bool {
+        if vm.heap.is_empty() {
+            return false;
+        }
+        if let Some(pooled) = self.images.get(&vm.heap_acc) {
+            return !pooled.ptr_eq(&vm.heap) && *pooled == vm.heap;
+        }
+        if self.images.len() >= self.sweep_at {
+            self.images.retain(|_, heap| !heap.is_unique());
+            self.sweep_at = POOL_MIN_SWEEP.max(2 * self.images.len());
+        }
+        self.images.insert(vm.heap_acc, vm.heap.clone());
+        false
+    }
+}
+
+/// The pool's hasher: its keys are heap accumulators, sums of mixed
+/// entry hashes, so a key is its own hash.
+#[derive(Default)]
+struct KeyIsHash(u64);
+
+impl Hasher for KeyIsHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The heap's component of [`VmState::config_digest`], rescanned: the
+/// multiset sum of per-entry hashes. Iteration order is unspecified, so
+/// the combine must be commutative — but unlike XOR, addition keeps
+/// repeated or pairwise-equal entries from cancelling to zero.
+fn heap_digest(heap: &PMap<u32, Value>) -> u64 {
+    heap.iter()
+        .fold(0, |acc, (k, v)| acc.wrapping_add(heap_entry_hash(*k, v)))
 }
 
 /// Hash of one heap cell for the commutative multiset fold. [`Value`]
@@ -990,6 +1079,110 @@ mod tests {
         t.heap_store(17, Value::const_(17, Width::W8));
         t.heap_acc = s.heap_acc;
         assert!(s.config_eq(&t) && s.config_eq_reference(&t) && s.dedup_eq(&t));
+    }
+
+    /// A state whose heap holds `cells` bytes, `byte(addr)` at each
+    /// address, stored one by one into a trie of its own.
+    fn heap_of(cells: u32, byte: impl Fn(u32) -> u64) -> VmState {
+        let mut s = VmState::fresh(&empty_program());
+        for addr in 0..cells {
+            s.heap_store(addr, Value::const_(byte(addr), Width::W8));
+        }
+        s
+    }
+
+    #[test]
+    fn equal_heaps_built_apart_end_in_one_storage() {
+        let mut pool = HeapPool::new();
+        let (mut a, mut b) = (heap_of(40, u64::from), heap_of(40, u64::from));
+        assert!(!a.heap.ptr_eq(&b.heap) && a.heap == b.heap);
+        pool.intern(&mut a);
+        pool.intern(&mut b);
+        assert!(a.heap.ptr_eq(&b.heap), "the second adopts the first's");
+        assert_eq!(pool.images.len(), 1);
+        assert!(a.config_eq(&b) && a.dedup_eq(&b));
+        // Interning a state that already holds the image changes nothing.
+        pool.intern(&mut a);
+        assert!(a.heap.ptr_eq(&b.heap) && pool.images.len() == 1);
+    }
+
+    /// The forged collision of `equal_digests_with_different_heaps_are_not_equal`:
+    /// one key, two contents. The pool never hands either the other's.
+    #[test]
+    fn a_forged_key_collision_is_never_shared() {
+        let mut pool = HeapPool::new();
+        let mut s = heap_of(40, u64::from);
+        let mut t = s.clone();
+        t.heap_store(17, Value::const_(99, Width::W8));
+        t.heap_acc = s.heap_acc;
+        pool.intern(&mut s);
+        let t_heap = t.heap.clone();
+        pool.intern(&mut t);
+        assert!(t.heap.ptr_eq(&t_heap), "t keeps its own storage");
+        assert_eq!(t.memory_byte(17).as_const(), Some(99));
+        assert_eq!(s.memory_byte(17).as_const(), Some(17));
+        assert!(!s.config_eq(&t));
+    }
+
+    #[test]
+    fn an_empty_heap_is_not_pooled() {
+        let mut pool = HeapPool::new();
+        let mut s = VmState::fresh(&empty_program());
+        pool.intern(&mut s);
+        assert!(pool.images.is_empty());
+        assert_eq!(s.config_digest(), s.config_digest_reference());
+    }
+
+    #[test]
+    fn the_sweep_bounds_the_pool_by_the_live_images() {
+        let mut pool = HeapPool::new();
+        // 100 three-byte images stay held; 10 000 four-byte ones (the
+        // bytes of `i`) are dropped once pooled.
+        let mut live: Vec<VmState> = (0..100).map(|i| heap_of(3, |a| u64::from(a) + i)).collect();
+        for s in &mut live {
+            pool.intern(s);
+        }
+        let mut most = 0;
+        for i in 0..10_000u64 {
+            let mut gone = heap_of(4, |a| (i >> (8 * a)) & 0xff);
+            pool.intern(&mut gone);
+            most = most.max(pool.images.len());
+        }
+        // With few images live, every sweep brings the pool back under
+        // the floor: it fills up to it and never past.
+        assert_eq!(most, POOL_MIN_SWEEP, "the pool reached {most} images");
+        // Every held image survives every sweep: a copy still finds it.
+        for (i, s) in live.iter().enumerate() {
+            let mut copy = heap_of(3, |a| u64::from(a) + i as u64);
+            pool.intern(&mut copy);
+            assert!(copy.heap.ptr_eq(&s.heap), "image {i} was swept while held");
+        }
+    }
+
+    #[test]
+    fn an_adopted_heap_keeps_the_digest() {
+        let mut pool = HeapPool::new();
+        let mut t = sde_symbolic::SymbolTable::new();
+        let x: Value = Expr::sym(t.fresh("x", Width::W8)).into();
+        let build = || {
+            let mut s = heap_of(20, |a| u64::from(a) * 3);
+            s.heap_store(7, x.clone());
+            s
+        };
+        let (mut a, mut b) = (build(), build());
+        let digest = b.config_digest();
+        pool.intern(&mut a);
+        pool.intern(&mut b);
+        assert!(a.heap.ptr_eq(&b.heap));
+        assert_eq!(b.config_digest(), digest);
+        assert_eq!(b.config_digest(), b.config_digest_reference());
+        // The shared storage is written copy-on-write: the sibling keeps
+        // the pooled image.
+        b.heap_store(7, Value::const_(1, Width::W8));
+        assert_eq!(b.config_digest(), b.config_digest_reference());
+        assert!(!a.heap.ptr_eq(&b.heap));
+        assert_eq!(a.config_digest(), digest);
+        assert_eq!(a.config_digest(), a.config_digest_reference());
     }
 
     #[test]

@@ -674,3 +674,59 @@ fn the_first_write_to_a_shared_state_allocates_one_core_of_one_chunk() {
     assert_eq!(allocations() - before, 0);
     assert_eq!(store.states.totals(), store.states.totals_reference());
 }
+
+// ---- resident states, end to end ----------------------------------------
+//
+// Copies of a state that run the same handler from the same pre-state
+// build equal heaps apart; the engine keeps one storage per memory image
+// (`sde::vm::HeapPool`), pooling a heap when its handler ends and every
+// decoded heap on resume.
+
+mod common;
+
+use sde::core::EngineSnapshot;
+
+/// Bytes the engine holds per resident state, and the resident count, of
+/// collect 5×5 under COW paused after 4 000 events. `resumed` measures
+/// the engine resumed from the pause's snapshot bytes instead, once the
+/// paused engine, the snapshot and its bytes are gone.
+fn retained_per_resident_state(resumed: bool) -> (i64, usize) {
+    let scenario = || common::grid_collect(5, 5, 6000, false);
+    let held = retained_bytes();
+    let mut engine = Engine::new(scenario(), Algorithm::Cow);
+    assert_eq!(engine.run_until(Budget::events(4_000)), RunOutcome::Paused);
+    if resumed {
+        let bytes = engine.snapshot().to_bytes();
+        drop(engine);
+        let snapshot = EngineSnapshot::from_bytes(&bytes).expect("own snapshot decodes");
+        drop(bytes);
+        engine = Engine::resume(scenario(), &snapshot).expect("own snapshot resumes");
+    }
+    let kept = retained_bytes() - held;
+    let resident = engine.states().count();
+    drop(engine);
+    (kept / resident as i64, resident)
+}
+
+/// Everything the paused engine holds — states, mapper, queue, solver
+/// caches, the heap pool — over its 3 083 resident states. Measured with
+/// this test at the commit before heaps were pooled: 533 bytes a state
+/// straight and 802 resumed, where every decoded state kept a trie of its
+/// own; 437 and 667 here. A resumed state still costs more than a straight
+/// one: decoded states own their cores and histories, where the straight
+/// run's copies share them.
+#[test]
+fn a_resident_state_retains_bytes_in_budget_straight_and_resumed() {
+    let (straight, resident) = retained_per_resident_state(false);
+    let (resumed, again) = retained_per_resident_state(true);
+    println!("{resident} resident states: {straight} B each straight, {resumed} B resumed");
+    assert_eq!(resident, again, "the resumed engine holds the same states");
+    assert!(
+        straight <= 470,
+        "{straight} bytes per resident state straight (533 before heaps were pooled)"
+    );
+    assert!(
+        resumed <= 700,
+        "{resumed} bytes per resident state resumed (802 before heaps were pooled)"
+    );
+}
