@@ -763,7 +763,6 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
             "      \"cache_hits\": {},\n",
             "      \"group_cache_hits\": {},\n",
             "      \"model_reuse_hits\": {},\n",
-            "      \"ucore_hits\": {},\n",
             "      \"sat\": {},\n",
             "      \"unsat\": {},\n",
             "      \"unknown\": {},\n",
@@ -792,7 +791,6 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
         s.cache_hits,
         s.group_cache_hits,
         s.model_reuse_hits,
-        s.ucore_hits,
         s.sat,
         s.unsat,
         s.unknown,
@@ -1126,7 +1124,6 @@ mod tests {
             "\"packets\"",
             "\"group_cache_hits\"",
             "\"model_reuse_hits\"",
-            "\"ucore_hits\"",
         ] {
             assert!(obj.contains(key), "missing {key} in {obj}");
         }
@@ -1175,11 +1172,11 @@ mod tests {
             assert_eq!(full.equivalence_key(), exact.equivalence_key());
             assert_eq!(full.equivalence_key(), off.equivalence_key());
             assert!(full.solver.group_cache_hits > 0, "{:?}", full.solver);
+            assert!(full.solver.model_reuse_hits > 0, "{:?}", full.solver);
             assert_eq!(exact.solver.group_cache_hits, 0, "{:?}", exact.solver);
             assert_eq!(off.solver.cache_hits, 0, "{:?}", off.solver);
             assert_eq!(off.solver.group_cache_hits, 0, "{:?}", off.solver);
             assert_eq!(off.solver.model_reuse_hits, 0, "{:?}", off.solver);
-            assert_eq!(off.solver.ucore_hits, 0, "{:?}", off.solver);
             if algorithm == Algorithm::Cob {
                 // The exact cache keys modulo symbol renaming: one
                 // parity-guard sweep (65 537 nodes) per route hop — 262 908

@@ -104,7 +104,6 @@ impl Engine {
             solver_exact_hits: solver.cache_hits,
             solver_group_hits: solver.group_cache_hits,
             solver_reuse_hits: solver.model_reuse_hits,
-            solver_ucore_hits: solver.ucore_hits,
             bugs_found: self.bugs.len() as u64,
             ..self.trace
         };

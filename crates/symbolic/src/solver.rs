@@ -22,17 +22,15 @@
 //!    answers each constraint *shape* once. With
 //!    [`Solver::set_group_caching`]`(false)` the same scheme is applied at
 //!    whole-query granularity (the query as one group).
-//! 4. **Counterexample caching** — satisfying models and UNSAT cores from
-//!    earlier group solves answer *related* (not identical) groups:
-//!    a cached UNSAT core that is a subset of the query proves UNSAT; a
-//!    cached model that evaluates every query constraint to true proves
-//!    SAT. This layer stays keyed by real [`SymId`]s — a core over `{x}`
-//!    must still match a later group over `{w, x}`. See "Determinism"
-//!    below for when it is consulted.
+//! 4. **Model reuse** (the counterexample cache) — satisfying models from
+//!    earlier group solves answer *related* (not identical) groups: a
+//!    cached model that evaluates every group constraint to true proves
+//!    SAT. This layer stays keyed by real [`SymId`]s — a model over
+//!    `{w, x}` must still answer a later group over `{x}`. See
+//!    "Determinism" below for when it is consulted.
 //! 5. **Interval refinement** — per-variable unsigned bounds are tightened
-//!    from comparison constraints, shrinking enumeration domains. The
-//!    refinement tracks which constraints touched each variable's bounds,
-//!    so an emptied interval yields an UNSAT core for layer 4.
+//!    from comparison constraints, shrinking enumeration domains; an
+//!    emptied interval proves the group UNSAT.
 //! 6. **Backtracking enumeration** — variables ordered by domain size;
 //!    candidate values are tried likely-first (bounds, 0, 1) and partial
 //!    evaluation prunes violated constraints early. A node budget caps the
@@ -51,17 +49,15 @@
 //! cache layer. *Witness-grade* queries ([`Solver::model`],
 //! [`Solver::check_constraints`]) return models that become externally
 //! visible test cases and bug witnesses, which must not depend on cache
-//! fill order; they therefore skip counterexample **model reuse** (a
-//! reused model is whichever related model happened to be cached first)
-//! but still use UNSAT-core probing, whose observable outcome (no model)
-//! is the same as a fresh solve. The exact cache stores only
-//! solver-computed answers — never counterexample-derived ones — so every
-//! entry is the pure function above of its key, whatever the query order.
+//! fill order; they therefore skip layer 4 (a reused model is whichever
+//! related model happened to be cached first). The exact cache stores
+//! only solver-computed answers — never reused models — so every entry is
+//! the pure function above of its key, whatever the query order.
 //!
 //! Each cache layer is individually switchable for ablation measurements:
 //! [`Solver::set_caching`] (exact cache master switch),
 //! [`Solver::set_group_caching`] (per-group vs whole-query granularity),
-//! and [`Solver::set_cex_caching`] (counterexample layer).
+//! and [`Solver::set_cex_caching`] (model reuse).
 //!
 //! [`Expr::vars`]: crate::Expr::vars
 
@@ -131,8 +127,9 @@ pub struct SolverStats {
     /// Groups answered SAT by re-evaluating a cached model from a related
     /// earlier query (counterexample cache, verdict-grade queries only).
     pub model_reuse_hits: u64,
-    /// Groups answered UNSAT because a cached UNSAT core is a subset of
-    /// the group (counterexample cache).
+    /// Always 0: the solver no longer reuses UNSAT cores. Kept only
+    /// because the standalone benchmark package reads it; it goes with
+    /// that benchmark's `solver.ucore_hits` metric.
     pub ucore_hits: u64,
     /// Queries decided satisfiable.
     pub sat: u64,
@@ -172,42 +169,18 @@ fn shard_of(key: u64) -> usize {
     key as usize % CACHE_SHARDS
 }
 
-/// Per-shard capacity of each counterexample side (models / cores); FIFO
-/// eviction. The caps bound probe cost: a counterexample lookup scans at
-/// most `shards(vars) × cap` entries.
+/// Per-shard capacity of the counterexample cache; FIFO eviction. The
+/// cap bounds probe cost: a lookup scans at most `shards(vars) × cap`
+/// models.
 const CEX_CAP: usize = 64;
 
-/// One shard of the counterexample cache. Entries are indexed by the
-/// variables they mention: an entry is inserted into the shard of every
-/// variable in its var-set, and a query probes the shards of its own
-/// variables — any related entry must share a variable with the query, so
-/// no probe can miss an applicable entry.
-#[derive(Debug, Default)]
-struct CexShard {
-    /// Satisfying models from earlier group solves, with the var-set of
-    /// the group they solved. Newest are probed first.
-    models: VecDeque<(VarSet, Model)>,
-    /// UNSAT cores from earlier group solves.
-    cores: VecDeque<CoreEntry>,
-}
-
-/// An UNSAT core: a subset of some earlier group's (real) constraints that
-/// is unsatisfiable on its own, with the union of their var-sets. Any
-/// superset is unsatisfiable too.
-#[derive(Debug, Clone)]
-struct CoreEntry {
-    vars: VarSet,
-    constraints: Vec<ExprRef>,
-}
-
-impl CoreEntry {
-    fn new(constraints: Vec<ExprRef>) -> CoreEntry {
-        CoreEntry {
-            vars: canon::vars_of(&constraints),
-            constraints,
-        }
-    }
-}
+/// One shard of the counterexample cache: satisfying models from earlier
+/// group solves, with the var-set of the group they solved, newest probed
+/// first. A model is inserted into the shard of every variable in its
+/// var-set, and a query probes the shards of its own variables — any
+/// related model must share a variable with the query, so no probe can
+/// miss an applicable one.
+type CexShard = VecDeque<(VarSet, Model)>;
 
 /// Lock-free work counters (see [`SolverStats`] for the snapshot form).
 #[derive(Debug, Default)]
@@ -216,7 +189,6 @@ struct StatCells {
     cache_hits: AtomicU64,
     group_cache_hits: AtomicU64,
     model_reuse_hits: AtomicU64,
-    ucore_hits: AtomicU64,
     sat: AtomicU64,
     unsat: AtomicU64,
     unknown: AtomicU64,
@@ -323,7 +295,7 @@ impl Solver {
             cache_hits: self.stats.cache_hits.load(Relaxed),
             group_cache_hits: self.stats.group_cache_hits.load(Relaxed),
             model_reuse_hits: self.stats.model_reuse_hits.load(Relaxed),
-            ucore_hits: self.stats.ucore_hits.load(Relaxed),
+            ucore_hits: 0,
             sat: self.stats.sat.load(Relaxed),
             unsat: self.stats.unsat.load(Relaxed),
             unknown: self.stats.unknown.load(Relaxed),
@@ -337,9 +309,7 @@ impl Solver {
             shard.lock().expect("cache shard").clear();
         }
         for shard in &self.cex {
-            let mut s = shard.lock().expect("cex shard");
-            s.models.clear();
-            s.cores.clear();
+            shard.lock().expect("cex shard").clear();
         }
     }
 
@@ -365,15 +335,13 @@ impl Solver {
         self.group_caching.store(enabled, Relaxed);
     }
 
-    /// Enables or disables the counterexample cache (model reuse and
-    /// UNSAT-core probing). Disabling also clears it.
+    /// Enables or disables the counterexample cache (model reuse).
+    /// Disabling also clears it.
     pub fn set_cex_caching(&self, enabled: bool) {
         self.cex_caching.store(enabled, Relaxed);
         if !enabled {
             for shard in &self.cex {
-                let mut s = shard.lock().expect("cex shard");
-                s.models.clear();
-                s.cores.clear();
+                shard.lock().expect("cex shard").clear();
             }
         }
     }
@@ -415,19 +383,9 @@ impl Solver {
                 entries
             })
             .collect();
-        let mut cex_models = Vec::with_capacity(self.cex.len());
-        let mut cex_cores = Vec::with_capacity(self.cex.len());
-        for shard in &self.cex {
-            let shard = shard.lock().expect("cex shard");
-            cex_models.push(shard.models.iter().cloned().collect::<Vec<_>>());
-            cex_cores.push(
-                shard
-                    .cores
-                    .iter()
-                    .map(|core| core.constraints.clone())
-                    .collect::<Vec<_>>(),
-            );
-        }
+        let cex_models = (self.cex.iter())
+            .map(|shard| shard.lock().expect("cex shard").iter().cloned().collect())
+            .collect();
         SolverSnapshot {
             stats: self.stats(),
             caching: self.caching.load(Relaxed),
@@ -435,7 +393,6 @@ impl Solver {
             cex_caching: self.cex_caching.load(Relaxed),
             exact,
             cex_models,
-            cex_cores,
         }
     }
 
@@ -456,7 +413,6 @@ impl Solver {
         self.stats
             .model_reuse_hits
             .store(s.model_reuse_hits, Relaxed);
-        self.stats.ucore_hits.store(s.ucore_hits, Relaxed);
         self.stats.sat.store(s.sat, Relaxed);
         self.stats.unsat.store(s.unsat, Relaxed);
         self.stats.unknown.store(s.unknown, Relaxed);
@@ -482,13 +438,8 @@ impl Solver {
                 shard.insert(*key, restored);
             }
         }
-        for (i, shard) in self.cex.iter().enumerate() {
-            let mut shard = shard.lock().expect("cex shard");
-            shard.models = snap.cex_models[i].iter().cloned().collect();
-            shard.cores = snap.cex_cores[i]
-                .iter()
-                .map(|constraints| CoreEntry::new(constraints.clone()))
-                .collect();
+        for (shard, models) in self.cex.iter().zip(&snap.cex_models) {
+            *shard.lock().expect("cex shard") = models.iter().cloned().collect();
         }
     }
 
@@ -741,22 +692,13 @@ impl Solver {
             }
         }
 
-        // Layer 4: counterexample cache, over the real constraints.
-        // UNSAT-core probing is sound for both query grades (a "no" answer
-        // carries no witness); model reuse is verdict-grade only (module
-        // docs: Determinism).
-        if cex {
-            if self.ucore_implies_unsat(group) {
-                self.stats.ucore_hits.fetch_add(1, Relaxed);
-                group_hit(GroupLayer::Ucore);
-                return (SolverResult::Unsat, false);
-            }
-            if !witness {
-                if let Some(m) = self.reuse_model(group) {
-                    self.stats.model_reuse_hits.fetch_add(1, Relaxed);
-                    group_hit(GroupLayer::Reuse);
-                    return (SolverResult::Sat(m), false);
-                }
+        // Layer 4: model reuse, over the real constraints; verdict-grade
+        // queries only (module docs: Determinism).
+        if cex && !witness {
+            if let Some(m) = self.reuse_model(group) {
+                self.stats.model_reuse_hits.fetch_add(1, Relaxed);
+                group_hit(GroupLayer::Reuse);
+                return (SolverResult::Sat(m), false);
             }
         }
         group_hit(GroupLayer::Solve);
@@ -764,8 +706,7 @@ impl Solver {
         // Layers 5–6: solve for real — on terms built from the canonical
         // form alone, whether or not the answer will be cached, so that it
         // is a function of the form and nothing else.
-        let (answer, core) = self.solve_group(&canon::decode(&group.form));
-        let (result, entry) = match answer {
+        let (result, entry) = match self.solve_group(&canon::decode(&group.form)) {
             SolverResult::Sat(m) => (
                 SolverResult::Sat(canon::model_from_ranks(&m, &group.vars)),
                 Some(CacheEntry::Sat(m)),
@@ -780,20 +721,8 @@ impl Solver {
         if let (true, Some(entry)) = (group_caching, entry) {
             self.exact_store(group, entry);
         }
-        if cex {
-            match &result {
-                SolverResult::Sat(m) => self.cex_store_model(&group.vars, m),
-                // The group's constraints are kept in canonical order, so
-                // the core's indices name the same (real) constraints.
-                SolverResult::Unsat => self.cex_store_core(match core {
-                    Some(indices) => indices
-                        .into_iter()
-                        .map(|i| group.constraints[i].clone())
-                        .collect(),
-                    None => group.constraints.clone(),
-                }),
-                SolverResult::Unknown => {}
-            }
+        if let (true, SolverResult::Sat(m)) = (cex, &result) {
+            self.cex_store_model(&group.vars, m);
         }
         (result, false)
     }
@@ -824,21 +753,6 @@ impl Solver {
 
     // ----- counterexample cache -------------------------------------------
 
-    /// Returns `true` when some cached UNSAT core is a subset of the
-    /// group's constraints (then the group is UNSAT by monotonicity of
-    /// conjunction).
-    fn ucore_implies_unsat(&self, group: &Group) -> bool {
-        for s in cex_shards_of(&group.vars) {
-            let shard = self.cex[s].lock().expect("cex shard");
-            for core in shard.cores.iter().rev() {
-                if core_is_subset(core, group) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
     /// Tries to satisfy the group by re-evaluating cached models of
     /// variable-related groups (KLEE's counterexample-cache "superset
     /// model still works" trick). Returns the model restricted to the
@@ -846,7 +760,7 @@ impl Solver {
     fn reuse_model(&self, group: &Group) -> Option<Model> {
         for s in cex_shards_of(&group.vars) {
             let shard = self.cex[s].lock().expect("cex shard");
-            for (vars, model) in shard.models.iter().rev() {
+            for (vars, model) in shard.iter().rev() {
                 if !vars.intersects(&group.vars) {
                     continue;
                 }
@@ -866,20 +780,9 @@ impl Solver {
     fn cex_store_model(&self, vars: &VarSet, model: &Model) {
         for s in cex_shards_of(vars) {
             let mut shard = self.cex[s].lock().expect("cex shard");
-            shard.models.push_back((vars.clone(), model.clone()));
-            while shard.models.len() > CEX_CAP {
-                shard.models.pop_front();
-            }
-        }
-    }
-
-    fn cex_store_core(&self, constraints: Vec<ExprRef>) {
-        let entry = CoreEntry::new(constraints);
-        for s in cex_shards_of(&entry.vars) {
-            let mut shard = self.cex[s].lock().expect("cex shard");
-            shard.cores.push_back(entry.clone());
-            while shard.cores.len() > CEX_CAP {
-                shard.cores.pop_front();
+            shard.push_back((vars.clone(), model.clone()));
+            while shard.len() > CEX_CAP {
+                shard.pop_front();
             }
         }
     }
@@ -887,10 +790,7 @@ impl Solver {
     // ----- ground solving -------------------------------------------------
 
     /// Interval refinement plus backtracking enumeration for one group.
-    /// On UNSAT additionally returns the indices of an unsatisfiable core
-    /// (when one smaller than the whole group could be derived from the
-    /// refinement's provenance tracking).
-    fn solve_group(&self, constraints: &[ExprRef]) -> (SolverResult, Option<Vec<usize>>) {
+    fn solve_group(&self, constraints: &[ExprRef]) -> SolverResult {
         // Variable inventory with widths, read off the memoized var-sets.
         let mut var_widths: BTreeMap<SymId, Width> = BTreeMap::new();
         for c in constraints {
@@ -899,35 +799,18 @@ impl Solver {
             }
         }
 
-        // Interval refinement from direct comparisons, with per-variable
-        // provenance (a bitmask of contributing constraint indices) when
-        // the group is small enough to index into a u64.
+        // Interval refinement from direct comparisons.
         let mut env: BTreeMap<SymId, Interval> = var_widths
             .iter()
             .map(|(id, w)| (*id, Interval::full(*w)))
             .collect();
-        let mut deps: Option<BTreeMap<SymId, u64>> = if constraints.len() <= 64 {
-            Some(BTreeMap::new())
-        } else {
-            None
-        };
         for _ in 0..4 {
             let mut changed = false;
-            for (i, c) in constraints.iter().enumerate() {
-                changed |= refine(i, c, &mut env, &mut deps);
+            for c in constraints {
+                changed |= refine(c, &mut env);
             }
-            let emptied = env.iter().find(|(_, iv)| iv.is_empty()).map(|(id, _)| *id);
-            if let Some(id) = emptied {
-                let core = deps
-                    .as_ref()
-                    .and_then(|d| d.get(&id).copied())
-                    .filter(|mask| *mask != 0)
-                    .map(|mask| {
-                        (0..constraints.len())
-                            .filter(|i| mask & (1u64 << i) != 0)
-                            .collect()
-                    });
-                return (SolverResult::Unsat, core);
+            if env.values().any(Interval::is_empty) {
+                return SolverResult::Unsat;
             }
             if !changed {
                 break;
@@ -943,11 +826,9 @@ impl Solver {
         let verdict = self.dfs(constraints, &order, 0, &env, &mut model, &mut nodes);
         self.stats.nodes_visited.fetch_add(nodes, Relaxed);
         match verdict {
-            Verdict::Sat => (SolverResult::Sat(model), None),
-            // An exhaustive refutation uses every constraint; the whole
-            // group is the (trivial) core.
-            Verdict::Unsat => (SolverResult::Unsat, None),
-            Verdict::Budget => (SolverResult::Unknown, None),
+            Verdict::Sat => SolverResult::Sat(model),
+            Verdict::Unsat => SolverResult::Unsat,
+            Verdict::Budget => SolverResult::Unknown,
         }
     }
 
@@ -1028,6 +909,11 @@ impl Solver {
 /// uninterrupted one would. The snapshot therefore keeps per-shard
 /// layout, bucket insertion order and counterexample FIFO order — not
 /// just the logical cache contents.
+///
+/// The wire format still carries the slots of the retired UNSAT-core
+/// cache: its hit counter, written as 0, and one core list per shard,
+/// written empty. [`SolverSnapshot::read_from`] validates both and drops
+/// them, so snapshots written while cores were cached still resume.
 #[derive(Debug, Clone)]
 pub struct SolverSnapshot {
     stats: SolverStats,
@@ -1040,9 +926,6 @@ pub struct SolverSnapshot {
     /// Per counterexample shard, FIFO front-to-back: cached models with
     /// the var-set of the group they solved.
     cex_models: Vec<Vec<(VarSet, Model)>>,
-    /// Per counterexample shard, FIFO front-to-back: UNSAT cores as
-    /// lists of real constraints.
-    cex_cores: Vec<Vec<Vec<ExprRef>>>,
 }
 
 impl SolverSnapshot {
@@ -1066,14 +949,10 @@ impl SolverSnapshot {
             .sum()
     }
 
-    /// Total counterexample entries across all shards as
-    /// `(models, cores)` — shard-level duplicates included, exactly as
-    /// stored.
-    pub fn cex_entries(&self) -> (usize, usize) {
-        (
-            self.cex_models.iter().map(Vec::len).sum(),
-            self.cex_cores.iter().map(Vec::len).sum(),
-        )
+    /// Total cached models across all counterexample shards —
+    /// shard-level duplicates included, exactly as stored.
+    pub fn cex_entries(&self) -> usize {
+        self.cex_models.iter().map(Vec::len).sum()
     }
 
     /// Serializes the snapshot into `w`.
@@ -1084,7 +963,7 @@ impl SolverSnapshot {
             s.cache_hits,
             s.group_cache_hits,
             s.model_reuse_hits,
-            s.ucore_hits,
+            0, // the retired UNSAT-core hit counter
             s.sat,
             s.unsat,
             s.unknown,
@@ -1131,15 +1010,10 @@ impl SolverSnapshot {
                 w.model(model);
             }
         }
-        w.varint(self.cex_cores.len() as u64);
-        for shard in &self.cex_cores {
-            w.varint(shard.len() as u64);
-            for constraints in shard {
-                w.varint(constraints.len() as u64);
-                for c in constraints {
-                    w.expr(c);
-                }
-            }
+        // The retired UNSAT-core cache: every shard empty.
+        w.varint(CACHE_SHARDS as u64);
+        for _ in 0..CACHE_SHARDS {
+            w.varint(0);
         }
     }
 
@@ -1150,18 +1024,20 @@ impl SolverSnapshot {
     /// Returns [`CodecError`] on truncated or malformed input (including
     /// a shard count that does not match this build's shard layout, and
     /// an exact-cache entry that is not its own canonical form or sits
-    /// under a key other than that form's).
+    /// under a key other than that form's). A retired UNSAT-core section
+    /// is checked the same way before it is dropped.
     pub fn read_from(r: &mut SnapReader<'_>) -> Result<SolverSnapshot, CodecError> {
         let mut counters = [0u64; 9];
         for c in &mut counters {
             *c = r.varint()?;
         }
+        // `counters[4]`, the retired UNSAT-core hit counter, is dropped.
         let stats = SolverStats {
             queries: counters[0],
             cache_hits: counters[1],
             group_cache_hits: counters[2],
             model_reuse_hits: counters[3],
-            ucore_hits: counters[4],
+            ucore_hits: 0,
             sat: counters[5],
             unsat: counters[6],
             unknown: counters[7],
@@ -1225,23 +1101,16 @@ impl SolverSnapshot {
             }
             cex_models.push(shard);
         }
-        let core_shards = r.checked_len("cex core shard count")?;
-        if core_shards != CACHE_SHARDS {
+        // The retired UNSAT-core cache, read and dropped.
+        if r.checked_len("cex core shard count")? != CACHE_SHARDS {
             return Err(CodecError::Malformed("cex core shard count"));
         }
-        let mut cex_cores = Vec::with_capacity(core_shards);
-        for _ in 0..core_shards {
-            let n = r.checked_len("cex core count")?;
-            let mut shard = Vec::with_capacity(n);
-            for _ in 0..n {
-                let cn = r.checked_len("cex core constraint count")?;
-                let mut constraints = Vec::with_capacity(cn);
-                for _ in 0..cn {
-                    constraints.push(r.expr()?);
+        for _ in 0..CACHE_SHARDS {
+            for _ in 0..r.checked_len("cex core count")? {
+                for _ in 0..r.checked_len("cex core constraint count")? {
+                    r.expr()?;
                 }
-                shard.push(constraints);
             }
-            cex_cores.push(shard);
         }
         Ok(SolverSnapshot {
             stats,
@@ -1250,7 +1119,6 @@ impl SolverSnapshot {
             cex_caching,
             exact,
             cex_models,
-            cex_cores,
         })
     }
 }
@@ -1283,47 +1151,21 @@ fn candidate_values(dom: Interval) -> impl Iterator<Item = u64> {
 
 /// Tightens a variable's interval from a top-level comparison of the shape
 /// `var ⋈ e` or `e ⋈ var` (through zext casts). Returns `true` when a bound
-/// changed. `idx` is the constraint's index within its group; a successful
-/// tightening records it (plus the other side's transitive contributors)
-/// in the provenance masks.
-fn refine(
-    idx: usize,
-    c: &Expr,
-    env: &mut BTreeMap<SymId, Interval>,
-    deps: &mut Option<BTreeMap<SymId, u64>>,
-) -> bool {
+/// changed.
+fn refine(c: &Expr, env: &mut BTreeMap<SymId, Interval>) -> bool {
     let ExprKind::Binary { op, lhs, rhs } = c.kind() else {
         return false;
     };
     let mut changed = false;
     if let Some(id) = as_var(lhs) {
         let other = Interval::of_expr(rhs, env);
-        if refine_var(id, *op, other, false, env) {
-            record_dep(deps, id, idx, rhs);
-            changed = true;
-        }
+        changed |= refine_var(id, *op, other, false, env);
     }
     if let Some(id) = as_var(rhs) {
         let other = Interval::of_expr(lhs, env);
-        if refine_var(id, *op, other, true, env) {
-            record_dep(deps, id, idx, lhs);
-            changed = true;
-        }
+        changed |= refine_var(id, *op, other, true, env);
     }
     changed
-}
-
-/// Marks constraint `idx` (and everything that shaped the other side's
-/// bounds) as a contributor to `id`'s interval. The mask over-approximates:
-/// replaying refinement on just the masked constraints reproduces `id`'s
-/// bounds, so an emptied interval yields a sound UNSAT core.
-fn record_dep(deps: &mut Option<BTreeMap<SymId, u64>>, id: SymId, idx: usize, other: &Expr) {
-    let Some(deps) = deps else { return };
-    let mut mask = deps.get(&id).copied().unwrap_or(0) | (1u64 << idx);
-    for v in other.vars().ids() {
-        mask |= deps.get(&v).copied().unwrap_or(0);
-    }
-    deps.insert(id, mask);
 }
 
 /// Unwraps `Sym` and `Zext(Sym)` (zero extension preserves unsigned
@@ -1472,18 +1314,6 @@ fn cex_shards_of(vars: &VarSet) -> impl Iterator<Item = usize> {
         .ids()
         .fold(0, |m, v| m | 1 << (v.index() as usize % CACHE_SHARDS));
     (0..CACHE_SHARDS).filter(move |s| mask & (1 << s) != 0)
-}
-
-/// Subset test over real constraints: every core constraint must occur in
-/// the group. The var-set test first rejects almost every unrelated core
-/// without comparing a term.
-fn core_is_subset(core: &CoreEntry, group: &Group) -> bool {
-    core.constraints.len() <= group.constraints.len()
-        && core.vars.is_subset_of(&group.vars)
-        && core
-            .constraints
-            .iter()
-            .all(|c| group.constraints.contains(c))
 }
 
 #[cfg(test)]
@@ -1693,28 +1523,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_core_answers_superset_query() {
-        let mut t = SymbolTable::new();
-        let xv = t.fresh("x", Width::W8);
-        let yv = t.fresh("y", Width::W8);
-        let (x, y) = (Expr::sym(xv), Expr::sym(yv));
-        let s = Solver::new();
-        // x < 10 ∧ x > 20 is UNSAT; the interval provenance yields its
-        // two constraints as a core.
-        let contradiction = PathCondition::new()
-            .with(Expr::ult(x.clone(), c8(10)))
-            .with(Expr::ugt(x.clone(), c8(20)));
-        assert!(s.check(&contradiction).is_unsat());
-        assert_eq!(s.stats().ucore_hits, 0);
-        // Adding y == x links y into the same group, so the exact cache
-        // misses — but the cached core is a subset, proving UNSAT.
-        assert!(s.check(&contradiction.with(Expr::eq(y, x))).is_unsat());
-        let stats = s.stats();
-        assert_eq!(stats.ucore_hits, 1);
-        assert_eq!(stats.group_cache_hits, 0);
-    }
-
-    #[test]
     fn witness_queries_bypass_model_reuse() {
         let mut t = SymbolTable::new();
         let x = Expr::sym(t.fresh("x", Width::W8));
@@ -1727,26 +1535,9 @@ mod tests {
         // A witness-grade query over the related x < 10 must solve fresh:
         // its model may become an externally visible test case and must
         // not depend on what happened to be cached.
-        let result = s.check_constraints(&[Expr::ult(x.clone(), c8(10))]);
+        let result = s.check_constraints(&[Expr::ult(x, c8(10))]);
         assert!(result.is_sat());
-        let stats = s.stats();
-        assert_eq!(stats.model_reuse_hits, 0);
-        // UNSAT-core probing is allowed for witness-grade queries: the
-        // observable answer (no model) is identical either way.
-        assert!(s
-            .check(
-                &PathCondition::new()
-                    .with(Expr::ult(x.clone(), c8(3)))
-                    .with(Expr::ugt(x.clone(), c8(20)))
-            )
-            .is_unsat());
-        let unsat_again = s.check_constraints(&[
-            Expr::ult(x.clone(), c8(3)),
-            Expr::ugt(x.clone(), c8(20)),
-            Expr::ne(x, c8(99)),
-        ]);
-        assert!(unsat_again.is_unsat());
-        assert_eq!(s.stats().ucore_hits, 1);
+        assert_eq!(s.stats().model_reuse_hits, 0);
     }
 
     #[test]
@@ -1774,7 +1565,6 @@ mod tests {
         assert!(s.is_sat(&related));
         let stats = s.stats();
         assert_eq!(stats.model_reuse_hits, 0);
-        assert_eq!(stats.ucore_hits, 0);
 
         // Everything off: no layer answers anything.
         let s = Solver::new();
@@ -1787,7 +1577,6 @@ mod tests {
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.group_cache_hits, 0);
         assert_eq!(stats.model_reuse_hits, 0);
-        assert_eq!(stats.ucore_hits, 0);
         assert_eq!(stats.queries, 3);
         assert_eq!(stats.sat, 3);
     }
@@ -1815,14 +1604,14 @@ mod tests {
             assert!(s.is_sat(&pc));
             let warmed = s.export_state();
             assert_eq!(warmed.exact_entries() > 0, caching, "{toggles:?}");
-            assert_eq!(warmed.cex_entries().0 > 0, cex_caching, "{toggles:?}");
+            assert_eq!(warmed.cex_entries() > 0, cex_caching, "{toggles:?}");
 
             let copy = s.fresh_like();
             assert_eq!(copy.budget, budget);
             let snap = copy.export_state();
             assert_eq!(snap.toggles(), toggles);
             assert_eq!(snap.exact_entries(), 0, "{toggles:?}");
-            assert_eq!(snap.cex_entries(), (0, 0), "{toggles:?}");
+            assert_eq!(snap.cex_entries(), 0, "{toggles:?}");
             assert_eq!(copy.stats(), SolverStats::default());
         }
     }

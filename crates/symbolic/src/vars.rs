@@ -167,29 +167,6 @@ impl VarSet {
         }
         false
     }
-
-    /// Returns `true` when every variable of `self` is in `other`.
-    pub fn is_subset_of(&self, other: &VarSet) -> bool {
-        if self.len() > other.len() {
-            return false;
-        }
-        let (a, b) = (&self.entries, &other.entries);
-        let mut j = 0;
-        'outer: for (v, _) in a.iter() {
-            while j < b.len() {
-                match b[j].0.cmp(v) {
-                    std::cmp::Ordering::Less => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        j += 1;
-                        continue 'outer;
-                    }
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-            return false;
-        }
-        true
-    }
 }
 
 impl fmt::Debug for VarSet {
@@ -229,15 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_intersection() {
+    fn intersection() {
         let a = vs(&[1, 3, 5]);
-        assert!(vs(&[1, 5]).is_subset_of(&a));
-        assert!(!vs(&[1, 2]).is_subset_of(&a));
-        assert!(!a.is_subset_of(&vs(&[1, 5])));
         assert!(a.intersects(&vs(&[2, 3])));
         assert!(!a.intersects(&vs(&[2, 4])));
         assert!(!a.intersects(&VarSet::empty()));
-        assert!(VarSet::empty().is_subset_of(&a));
     }
 
     #[test]

@@ -250,7 +250,6 @@ fn cache_layers_preserve_verdicts() {
         stats.model_reuse_hits > 0,
         "no counterexample model reuse: {stats:?}"
     );
-    assert!(stats.ucore_hits > 0, "no UNSAT-core hits: {stats:?}");
     let legacy = no_group.stats();
     assert!(
         legacy.cache_hits > 0 && legacy.group_cache_hits == 0,
@@ -264,8 +263,7 @@ fn cache_layers_preserve_verdicts() {
     assert!(
         uncached.cache_hits == 0
             && uncached.group_cache_hits == 0
-            && uncached.model_reuse_hits == 0
-            && uncached.ucore_hits == 0,
+            && uncached.model_reuse_hits == 0,
         "the baseline must answer everything from scratch: {uncached:?}"
     );
 }

@@ -126,7 +126,7 @@ pub enum QueryLayer {
     /// independence group hit its per-group cache line).
     Exact,
     /// At least one independence group needed layers below the exact
-    /// cache (counterexample reuse, unsat cores, or a full solve).
+    /// cache (model reuse or a full solve).
     Solve,
 }
 
@@ -158,7 +158,10 @@ pub enum GroupLayer {
     Exact,
     /// Counterexample cache: a cached model satisfied the group.
     Reuse,
-    /// Counterexample cache: a cached UNSAT core implied the group UNSAT.
+    /// Never emitted: the solver no longer reuses UNSAT cores. Kept so
+    /// that traces recorded while it did still parse, and because the
+    /// standalone benchmark package matches on it; it goes with that
+    /// benchmark's `solver.ucore_hits` metric.
     Ucore,
     /// Interval refinement + bounded DFS (a real solve).
     Solve,

@@ -54,7 +54,9 @@ pub struct TraceSummary {
     pub solver_group_hits: u64,
     /// Independence groups answered by counterexample-model reuse.
     pub solver_reuse_hits: u64,
-    /// Independence groups answered by a cached UNSAT core.
+    /// Always 0: the solver no longer reuses UNSAT cores. Kept only as a
+    /// slot of the engine snapshot's wire format; it goes with the next
+    /// `SNAPSHOT_VERSION` bump.
     pub solver_ucore_hits: u64,
     /// Bug reports recorded by the run (VM safety checks, strict-replay
     /// unkeyed inputs, invariant violations).
@@ -122,7 +124,7 @@ impl TraceSummary {
              latency={} corrupt={} crash={} partition={} heal={} (total {})\n\
              packets: sent={} delivered={} dropped={}\n\
              bugs: found={} (shrink steps {})\n\
-             solver: queries={} exact={} group={} reuse={} ucore={}",
+             solver: queries={} exact={} group={} reuse={}",
             self.boot_wall_us as f64 / 1000.0,
             self.run_wall_us as f64 / 1000.0,
             self.dispatch_boot,
@@ -148,7 +150,6 @@ impl TraceSummary {
             self.solver_exact_hits,
             self.solver_group_hits,
             self.solver_reuse_hits,
-            self.solver_ucore_hits,
         )
     }
 }

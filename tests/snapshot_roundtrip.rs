@@ -205,6 +205,60 @@ fn parent_written_snapshots_reencode_and_resume() {
     }
 }
 
+/// The solver-bound fixtures' paused run: the 3×3 sense grid under `alg`,
+/// paused after 40 events.
+fn paused_sense(alg: Algorithm) -> Engine {
+    let mut engine = Engine::new(sde_bench::symbolic_grid(3), alg);
+    assert_eq!(engine.run_until(Budget::events(40)), RunOutcome::Paused);
+    engine
+}
+
+/// Snapshots written by the last commit that cached UNSAT cores (98eed2e,
+/// `SNAPSHOT_VERSION` 6), one per algorithm:
+/// `tests/data/parent_sense_{cob,cow,sds}.snap`, 4.9–7.4 KB each, written
+/// as the fixtures above were, with this file's `paused_sense` copied in.
+/// Every one holds a non-empty core list in some counterexample shard,
+/// beside exact-cache entries and cached models.
+///
+/// Each must decode and re-encode strictly shorter, because the cores are
+/// read and dropped; then equal this commit's run at the same pause in
+/// every field but the wall clock, and resume to the straight run's key
+/// and search-node count.
+#[test]
+fn parent_sense_snapshots_drop_their_cores_and_resume() {
+    for alg in Algorithm::ALL {
+        let path = format!("tests/data/parent_sense_{}.snap", alg.name().to_lowercase());
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let snap = EngineSnapshot::from_bytes(&bytes).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let reencoded = snap.to_bytes();
+        assert!(
+            reencoded.len() < bytes.len(),
+            "{path}: {} bytes re-encode to {}, so no core was dropped",
+            bytes.len(),
+            reencoded.len()
+        );
+        assert_eq!(
+            snap.diff(&paused_sense(alg).snapshot()),
+            Vec::<String>::new(),
+            "{path}"
+        );
+
+        let straight = Engine::new(sde_bench::symbolic_grid(3), alg).run();
+        let resumed = Engine::resume(sde_bench::symbolic_grid(3), &snap)
+            .expect("resumes")
+            .run();
+        assert_eq!(
+            resumed.equivalence_key(),
+            straight.equivalence_key(),
+            "{path}"
+        );
+        assert_eq!(
+            resumed.solver.nodes_visited, straight.solver.nodes_visited,
+            "{path}"
+        );
+    }
+}
+
 /// `EngineSnapshot::diff` names every field the snapshot carries. The
 /// debug-JSON fingerprint it replaced left out partition deadlines, four
 /// of the seven budgets, the shard lineage and every payload word, so

@@ -3,7 +3,10 @@
 //! *exactly* equal what [`RunReport`], [`RunReport::trace`] and the
 //! solver's own [`SolverStats`] say — forks by reason, packet fates,
 //! dispatches by kind, and solver queries per answering layer. A missed
-//! or double-recorded instrumentation site breaks an equality here.
+//! or double-recorded instrumentation site breaks an equality here. The
+//! seeded sweep covers the failure model's drop, duplicate and reboot
+//! forks; the fault-plan rows cover latency, corruption, crash-recovery,
+//! partition and heal forks.
 
 mod common;
 
@@ -19,10 +22,11 @@ use std::sync::Arc;
 struct Recount {
     boots: u64,
     dispatch: [u64; 3], // boot, timer, deliver
-    forks: [u64; 5],    // ForkReason::ALL order
+    forks: [u64; ForkReason::ALL.len()],
     sends: u64,
     delivers: u64,
     drops: u64,
+    partition_drops: u64,
     queries: u64,
     query_layers: [u64; 3], // fold, exact, solve
     verdicts: [u64; 3],     // sat, unsat, unknown
@@ -47,6 +51,7 @@ fn recount(events: &[TraceEvent]) -> Recount {
             TraceEvent::Send { .. } => c.sends += 1,
             TraceEvent::Deliver { .. } => c.delivers += 1,
             TraceEvent::Drop { .. } => c.drops += 1,
+            TraceEvent::PartitionDrop { .. } => c.partition_drops += 1,
             TraceEvent::Query { layer, verdict, .. } => {
                 c.queries += 1;
                 c.query_layers[match layer {
@@ -74,61 +79,125 @@ fn recount(events: &[TraceEvent]) -> Recount {
     c
 }
 
+/// Runs `scenario` under `alg` with a recording sink and asserts that the
+/// recount of its events equals the report's counters; returns the
+/// recount.
+fn check(label: &str, scenario: &Scenario, alg: Algorithm) -> Recount {
+    let sink = Arc::new(RingSink::default());
+    let report = Engine::new(scenario.clone(), alg)
+        .with_trace_sink(sink.clone() as Arc<dyn TraceSink>)
+        .run();
+    assert_eq!(sink.dropped(), 0, "[{label}] {alg} trace ring evicted");
+    let events: Vec<TraceEvent> = sink.take().into_iter().map(|te| te.ev).collect();
+    let c = recount(&events);
+    let t = &report.trace;
+    let s = &report.solver;
+    let ctx = format!("[{label}] {alg}");
+
+    // Engine-side counters.
+    assert_eq!(c.boots, t.boots, "{ctx}: boots");
+    assert_eq!(c.dispatch[0], t.dispatch_boot, "{ctx}: boot dispatches");
+    assert_eq!(c.dispatch[1], t.dispatch_timer, "{ctx}: timer dispatches");
+    assert_eq!(
+        c.dispatch[2], t.dispatch_deliver,
+        "{ctx}: deliver dispatches"
+    );
+    let forks = [
+        t.forks_branch,
+        t.forks_mapping,
+        t.forks_drop,
+        t.forks_duplicate,
+        t.forks_reboot,
+        t.forks_latency,
+        t.forks_corrupt,
+        t.forks_crash,
+        t.forks_partition,
+        t.forks_heal,
+    ];
+    assert_eq!(
+        c.forks,
+        forks,
+        "{ctx}: forks by reason {:?}",
+        ForkReason::ALL
+    );
+    assert_eq!(
+        c.forks.iter().sum::<u64>(),
+        (report.total_states - c.boots as usize) as u64,
+        "{ctx}: every non-root state is exactly one fork event"
+    );
+
+    // Packet fates. A delivery an active partition swallows is a
+    // `PartitionDrop` event, not a `Drop`, and the summary counts both
+    // as dropped (DESIGN.md §11).
+    assert_eq!(c.sends, report.packets, "{ctx}: sends");
+    assert_eq!(c.delivers, t.packets_delivered, "{ctx}: deliveries");
+    assert_eq!(
+        c.drops + c.partition_drops,
+        t.packets_dropped,
+        "{ctx}: drops"
+    );
+
+    // Solver layers: one Query event per solver query, layer split
+    // matching the cache counters exactly; no group is answered by the
+    // retired UNSAT-core layer.
+    assert_eq!(c.queries, s.queries, "{ctx}: query count");
+    assert_eq!(c.queries, t.solver_queries, "{ctx}: summary query count");
+    assert_eq!(
+        c.query_layers[1], s.cache_hits,
+        "{ctx}: exact-layer queries"
+    );
+    assert_eq!(c.group_layers[0], s.group_cache_hits, "{ctx}: group hits");
+    assert_eq!(c.group_layers[1], s.model_reuse_hits, "{ctx}: reuse hits");
+    assert_eq!(c.group_layers[2], 0, "{ctx}: ucore groups");
+    assert_eq!(c.verdicts[0], s.sat, "{ctx}: sat verdicts");
+    assert_eq!(c.verdicts[1], s.unsat, "{ctx}: unsat verdicts");
+    assert_eq!(c.verdicts[2], s.unknown, "{ctx}: unknown verdicts");
+    c
+}
+
 #[test]
 fn trace_counters_equal_report_counters() {
     for i in 0..10u64 {
         let seed = 0xc0de ^ (i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let (label, scenario) = scenario_from_seed(seed);
         for alg in Algorithm::ALL {
-            let sink = Arc::new(RingSink::default());
-            let report = Engine::new(scenario.clone(), alg)
-                .with_trace_sink(sink.clone() as Arc<dyn TraceSink>)
-                .run();
-            assert_eq!(sink.dropped(), 0, "[{label}] {alg} trace ring evicted");
-            let events: Vec<TraceEvent> = sink.take().into_iter().map(|te| te.ev).collect();
-            let c = recount(&events);
-            let t = &report.trace;
-            let s = &report.solver;
-            let ctx = format!("[{label}] {alg}");
-
-            // Engine-side counters.
-            assert_eq!(c.boots, t.boots, "{ctx}: boots");
-            assert_eq!(c.dispatch[0], t.dispatch_boot, "{ctx}: boot dispatches");
-            assert_eq!(c.dispatch[1], t.dispatch_timer, "{ctx}: timer dispatches");
-            assert_eq!(
-                c.dispatch[2], t.dispatch_deliver,
-                "{ctx}: deliver dispatches"
-            );
-            assert_eq!(c.forks[0], t.forks_branch, "{ctx}: branch forks");
-            assert_eq!(c.forks[1], t.forks_mapping, "{ctx}: mapping forks");
-            assert_eq!(c.forks[2], t.forks_drop, "{ctx}: drop forks");
-            assert_eq!(c.forks[3], t.forks_duplicate, "{ctx}: duplicate forks");
-            assert_eq!(c.forks[4], t.forks_reboot, "{ctx}: reboot forks");
-            assert_eq!(
-                c.forks.iter().sum::<u64>(),
-                (report.total_states - c.boots as usize) as u64,
-                "{ctx}: every non-root state is exactly one fork event"
-            );
-
-            // Packet fates.
-            assert_eq!(c.sends, report.packets, "{ctx}: sends");
-            assert_eq!(c.delivers, t.packets_delivered, "{ctx}: deliveries");
-            assert_eq!(c.drops, t.packets_dropped, "{ctx}: drops");
-
-            // Solver layers: one Query event per solver query, layer
-            // split matching the cache counters exactly.
-            assert_eq!(c.queries, s.queries, "{ctx}: query count");
-            assert_eq!(c.queries, t.solver_queries, "{ctx}: summary query count");
-            assert_eq!(
-                c.query_layers[1], s.cache_hits,
-                "{ctx}: exact-layer queries"
-            );
-            assert_eq!(c.group_layers[0], s.group_cache_hits, "{ctx}: group hits");
-            assert_eq!(c.group_layers[1], s.model_reuse_hits, "{ctx}: reuse hits");
-            assert_eq!(c.group_layers[2], s.ucore_hits, "{ctx}: ucore hits");
-            assert_eq!(c.verdicts[0], s.sat, "{ctx}: sat verdicts");
-            assert_eq!(c.verdicts[1], s.unsat, "{ctx}: unsat verdicts");
-            assert_eq!(c.verdicts[2], s.unknown, "{ctx}: unknown verdicts");
+            check(&label, &scenario, alg);
         }
     }
+}
+
+/// Every fault axis on a collect line and on the 3×3 sense grid: the five
+/// fault-plan fork reasons reconcile with the summary, and each of them,
+/// and a partition-swallowed delivery, occurs at least once.
+#[test]
+fn fault_plan_forks_equal_report_counters() {
+    use sde_bench::{with_fault_axes, FaultAxis};
+    let rows = [
+        ("collect line4", common::collect(Topology::line(4), 2)),
+        ("sense grid3", sde_bench::symbolic_grid(3)),
+    ];
+    let mut total = Recount::default();
+    for (label, scenario) in rows {
+        let scenario = with_fault_axes(scenario, &FaultAxis::ALL);
+        for alg in Algorithm::ALL {
+            let c = check(label, &scenario, alg);
+            for (sum, n) in total.forks.iter_mut().zip(c.forks) {
+                *sum += n;
+            }
+            total.partition_drops += c.partition_drops;
+            total.queries += c.queries;
+        }
+    }
+    for reason in [
+        ForkReason::Latency,
+        ForkReason::Corrupt,
+        ForkReason::Crash,
+        ForkReason::Partition,
+        ForkReason::Heal,
+    ] {
+        let i = ForkReason::ALL.iter().position(|r| *r == reason).unwrap();
+        assert!(total.forks[i] > 0, "no {reason:?} fork: {total:?}");
+    }
+    assert!(total.partition_drops > 0, "no partition drop: {total:?}");
+    assert!(total.queries > 0, "no solver query: {total:?}");
 }
