@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use sde_bench::{paper_scenario, symbolic_grid};
 use sde_core::store::Store;
 use sde_core::{run, Algorithm, Engine, NodeEvent, Scenario, SdeState, StateId, StateStore};
-use sde_net::{FailureConfig, FaultPlan, NodeId, Topology};
+use sde_net::{FailureConfig, NodeId, Topology};
 use sde_os::apps::hello::{self, HelloConfig};
 use sde_vm::{ProgramBuilder, VmState};
 
@@ -92,7 +92,6 @@ fn populated_store(states: u64) -> Store {
             NodeId(0),
             vm.clone(),
             &FailureConfig::new(),
-            &FaultPlan::new(),
             false,
         ));
     }

@@ -118,7 +118,11 @@ fn checkrun(args: &Args) -> ExitCode {
         found.report.message,
         found.nodes.iter().map(|n| n.0).collect::<Vec<_>>(),
         found.witness_entries(),
-        found.active_axes,
+        found
+            .active_axes
+            .iter()
+            .map(|axis| axis.name())
+            .collect::<Vec<_>>(),
         found.lineage.len(),
     );
 
@@ -241,11 +245,11 @@ fn replay(path: &Path) -> ExitCode {
     };
     let scenario: Scenario = with_fault_axes(base.with_duration_ms(base_duration_ms), &axes)
         .with_duration_ms(duration_ms);
-    if scenario.faults.fingerprint() != expected_fingerprint {
+    if scenario.failures.fingerprint() != expected_fingerprint {
         return fail(&format!(
-            "fault-plan fingerprint mismatch: artifact {expected_fingerprint:#018x}, \
+            "fault fingerprint mismatch: artifact {expected_fingerprint:#018x}, \
              rebuilt {:#018x}",
-            scenario.faults.fingerprint()
+            scenario.failures.fingerprint()
         ));
     }
 

@@ -22,7 +22,7 @@ use sde_core::minimize::MinimizeReport;
 use sde_core::oracle::ConformanceReport;
 use sde_core::testgen::TestGenReport;
 use sde_core::{Algorithm, Budget, Engine, EngineSnapshot, RunReport, Scenario};
-use sde_net::{FailureConfig, FaultPlan, NodeId, Topology};
+use sde_net::{FailureConfig, FailureKind, NodeId, Topology};
 use sde_os::apps::collect::{self, CollectConfig};
 use sde_os::apps::persist::{self, PersistConfig};
 use sde_os::apps::sense::{self, SenseConfig};
@@ -229,7 +229,7 @@ pub fn workload_checker(source: NodeId, sink: NodeId) -> Checker {
 
 /// One axis of the extended fault model (DESIGN.md §11) — the unit the
 /// bench bins' `--faults` flag, the oracle's per-axis sweep and the fault
-/// suites work in. Declared in [`FaultPlan::AXES`] order.
+/// suites work in. Declared in [`FailureKind::AXES`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAxis {
     /// Symbolic partition of every link into the sink (node 0), healing
@@ -253,10 +253,15 @@ impl FaultAxis {
         FaultAxis::CrashRec,
     ];
 
-    /// Stable name for CLI values, labels and filenames: the plan's own
-    /// [`FaultPlan::AXES`] name.
+    /// The failure kind the axis arms.
+    pub fn kind(self) -> FailureKind {
+        FailureKind::AXES[self as usize]
+    }
+
+    /// Stable name for CLI values, labels and filenames: the kind's own
+    /// [`FailureKind::name`].
     pub fn name(self) -> &'static str {
-        FaultPlan::AXES[self as usize]
+        self.kind().name()
     }
 
     /// Parses a `--faults` value: `all`, or a comma-separated subset of
@@ -298,9 +303,10 @@ impl std::fmt::Display for FaultAxis {
     }
 }
 
-/// Applies `axes` of the extended fault model to `scenario`, composing
-/// one [`FaultPlan`] sized from the scenario itself — the one builder of
-/// the sink-targeted fault presets, for the bins and the test suites:
+/// Applies `axes` of the extended fault model to `scenario`, arming each
+/// on the scenario's own [`FailureConfig`], sized from the scenario
+/// itself — the one builder of the sink-targeted fault presets, for the
+/// bins and the test suites:
 ///
 /// * **partition** cuts every link into node 0 (the sink of every bench
 ///   workload — all traffic terminates there, so the cut is guaranteed
@@ -318,9 +324,9 @@ pub fn with_fault_axes(scenario: Scenario, axes: &[FaultAxis]) -> Scenario {
         return scenario;
     }
     let sink = NodeId(0);
-    let mut plan = FaultPlan::new();
+    let mut failures = scenario.failures.clone();
     for axis in axes {
-        plan = match axis {
+        failures = match axis {
             FaultAxis::Partition => {
                 let cut: Vec<(NodeId, NodeId)> = scenario
                     .topology
@@ -328,11 +334,11 @@ pub fn with_fault_axes(scenario: Scenario, axes: &[FaultAxis]) -> Scenario {
                     .map(|n| (sink, n))
                     .collect();
                 let d = scenario.duration_ms;
-                plan.with_partition(cut, [d / 4, d / 2])
+                failures.with_partition(cut, [d / 4, d / 2])
             }
-            FaultAxis::Latency => plan.with_latency([sink], scenario.link_latency_ms * 3, 1),
-            FaultAxis::Corrupt => plan.with_corruption([sink], 1),
-            FaultAxis::CrashRec => plan.with_crash_recovery(
+            FaultAxis::Latency => failures.with_latency([sink], scenario.link_latency_ms * 3, 1),
+            FaultAxis::Corrupt => failures.with_corruption([sink], 1),
+            FaultAxis::CrashRec => failures.with_crash_recovery(
                 [sink],
                 1,
                 sde_os::layout::PERSIST_BASE,
@@ -340,13 +346,13 @@ pub fn with_fault_axes(scenario: Scenario, axes: &[FaultAxis]) -> Scenario {
             ),
         };
     }
-    scenario.with_faults(plan)
+    scenario.with_failures(failures)
 }
 
 /// Renders a self-contained repro artifact for a minimized violation
 /// (DESIGN.md §12): a JSON array of flat objects — a header carrying
 /// enough to rebuild the scenario (demo name, fault axes, both durations,
-/// fault-plan fingerprint) and diff the outcome (`bug_digest`), then one
+/// fault fingerprint) and diff the outcome (`bug_digest`), then one
 /// object per witness entry. Rendering is a pure function of the
 /// [`MinimizeReport`], and minimization replays are serial, so the bytes
 /// are identical no matter how many workers found the violation.
@@ -358,7 +364,10 @@ pub fn render_artifact(
     report: &MinimizeReport,
     digest: u64,
 ) -> String {
-    let axes = report.scenario.faults.active_axes().join(",");
+    let axes: Vec<&str> = (report.scenario.failures.active_axes().iter())
+        .map(|axis| axis.name())
+        .collect();
+    let axes = axes.join(",");
     let mut lines = vec![format!(
         "  {{\"version\": 1, \"demo\": \"{demo}\", \"fixed\": {fixed}, \
          \"algorithm\": \"{algorithm}\", \"invariant\": \"{}\", \"faults\": \"{axes}\", \
@@ -367,7 +376,7 @@ pub fn render_artifact(
          \"entries\": {}}}",
         report.violation.invariant,
         report.final_duration_ms,
-        report.scenario.faults.fingerprint(),
+        report.scenario.failures.fingerprint(),
         report.assignment.len(),
     )];
     for ((node, name, occurrence), value) in &report.assignment {
@@ -1201,18 +1210,22 @@ mod tests {
             "partition+latency+corrupt+crashrec"
         );
         let base = oracle_scenario("tiny").unwrap();
-        assert!(with_fault_axes(base.clone(), &[]).faults.is_empty());
+        assert_eq!(with_fault_axes(base.clone(), &[]).failures, base.failures);
         let all = with_fault_axes(base.clone(), &FaultAxis::ALL);
-        assert!(all.faults.cut_contains(NodeId(0), NodeId(1)));
-        assert_eq!(all.faults.heal_choices().len(), 2, "heal time is symbolic");
-        assert_eq!(all.faults.latency_budget(NodeId(0)), 1);
-        assert_eq!(all.faults.corrupt_budget(NodeId(0)), 1);
-        assert_eq!(all.faults.crash_budget(NodeId(0)), 1);
-        assert_eq!(all.faults.persist_base(), sde_os::layout::PERSIST_BASE);
-        // One axis alone is exactly that axis, under the plan's own name.
+        assert!(all.failures.cut_contains(NodeId(0), NodeId(1)));
+        assert_eq!(
+            all.failures.heal_choices().len(),
+            2,
+            "heal time is symbolic"
+        );
+        assert_eq!(all.failures.budgets(NodeId(0))[3..], [1; 4]);
+        assert_eq!(all.failures.persist_base(), sde_os::layout::PERSIST_BASE);
+        // One axis alone is exactly that axis, and the workload's own
+        // drops stay.
         for axis in FaultAxis::ALL {
             let one = with_fault_axes(base.clone(), &[axis]);
-            assert_eq!(one.faults.active_axes(), vec![axis.name()]);
+            assert_eq!(one.failures.active_axes(), vec![axis.kind()]);
+            assert_eq!(one.failures.budget(NodeId(0), FailureKind::PacketDrop), 1);
         }
     }
 

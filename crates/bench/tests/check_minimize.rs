@@ -13,6 +13,7 @@ use sde_bench::{demo, render_artifact, with_fault_axes, FaultAxis};
 use sde_core::check::{Checker, Violation};
 use sde_core::oracle::Assignment;
 use sde_core::{Algorithm, Engine, MinimizeReport, Minimizer, Scenario};
+use sde_net::FailureKind;
 use sde_trace::{BufferSink, Lineage, TraceSink};
 use std::sync::Arc;
 
@@ -72,7 +73,7 @@ fn token_demo_violates_unique_owner_and_shrinks_by_half() {
     let violation = find_violation(&scenario, 1).expect("seeded token bug must be found");
     assert_eq!(violation.invariant, "unique-token-owner");
     assert!(
-        violation.active_axes.contains(&"crashrec"),
+        violation.active_axes.contains(&FailureKind::CrashRecovery),
         "the bug is triggered by crash-recovery, got axes {:?}",
         violation.active_axes
     );
@@ -94,7 +95,10 @@ fn token_demo_violates_unique_owner_and_shrinks_by_half() {
         "the search must converge, not hit the probe cap"
     );
     // The minimal repro keeps only the crash decision.
-    assert_eq!(report.scenario.faults.active_axes(), vec!["crashrec"]);
+    assert_eq!(
+        report.scenario.failures.active_axes(),
+        vec![FailureKind::CrashRecovery]
+    );
     assert_eq!(report.final_entries, 1);
     assert!(
         report.final_duration_ms < report.initial_duration_ms,

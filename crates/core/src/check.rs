@@ -36,12 +36,12 @@
 //! that repro artifacts are diffed against.
 
 use crate::checkpoint::{fnv1a, Budget};
-use crate::engine::Engine;
+use crate::engine::{Engine, Fault};
 use crate::mapping::Algorithm;
 use crate::oracle::Assignment;
 use crate::scenario::Scenario;
 use crate::state::StateId;
-use sde_net::{FaultPlan, NodeId};
+use sde_net::{FailureKind, NodeId};
 use sde_symbolic::{Expr, ExprRef, SolverResult, Width};
 use sde_vm::{BugKind, BugReport, FuncId, Loc, Preset, Status, VmState};
 use std::collections::{BTreeSet, HashSet};
@@ -146,8 +146,8 @@ pub struct Violation {
     /// [`Engine::with_preset`].
     pub preset: Preset,
     /// Fault axes with a non-zero decision in the witness, in
-    /// [`FaultPlan::AXES`] order.
-    pub active_axes: Vec<&'static str>,
+    /// [`FailureKind::AXES`] order.
+    pub active_axes: Vec<FailureKind>,
     /// Fork lineage from the root state to the violating state (state
     /// ids, root first). Empty unless filled from recorded trace events
     /// via [`Violation::fill_lineage`].
@@ -212,55 +212,30 @@ pub fn sorted_entries(preset: &Preset) -> Vec<(u16, String, u32, u64)> {
 // Fault-axis bookkeeping
 // ---------------------------------------------------------------------------
 
-/// The fault axis a symbolic decision input belongs to, if any (`part`/
-/// `heal` → partition, `lat` → latency, `cor`/`corb` → corrupt, `crash`
-/// → crashrec). Failure-model decisions (`drop`, `dup`, `reboot`) have
-/// no [`FaultPlan`] axis.
-pub fn axis_of_input(name: &str) -> Option<&'static str> {
-    match name {
-        "part" | "heal" => Some("partition"),
-        "lat" => Some("latency"),
-        "cor" | "corb" => Some("corrupt"),
-        "crash" => Some("crashrec"),
-        _ => None,
-    }
+/// The failure kind an engine-minted input belongs to, if any: a
+/// decision's own kind (`heal` is the partition's), and corruption for
+/// the corruption byte `corb`. Program inputs belong to none.
+pub fn axis_of_input(name: &str) -> Option<FailureKind> {
+    Fault::inputs().find_map(|(input, kind)| (input == name).then_some(kind))
 }
 
-/// The decision-input names a fault axis contributes to a witness — the
-/// keys the minimizer drops when it removes the axis.
-///
-/// # Panics
-///
-/// Panics on an unknown axis name, mirroring
-/// [`FaultPlan::without_axis`].
-pub fn axis_input_names(axis: &str) -> &'static [&'static str] {
-    match axis {
-        "partition" => &["part", "heal"],
-        "latency" => &["lat"],
-        "corrupt" => &["cor", "corb"],
-        "crashrec" => &["crash"],
-        other => panic!(
-            "unknown fault axis {other:?} (expected one of {:?})",
-            FaultPlan::AXES
-        ),
-    }
+/// The decision-input names `axis` contributes to a witness — the keys
+/// the minimizer drops when it removes the axis.
+pub fn axis_input_names(axis: FailureKind) -> Vec<&'static str> {
+    (Fault::inputs())
+        .filter_map(|(input, kind)| (kind == axis).then_some(input))
+        .collect()
 }
 
 /// Fault axes with at least one non-zero decision in `preset`, in
-/// [`FaultPlan::AXES`] order.
-pub fn active_axes_of(preset: &Preset) -> Vec<&'static str> {
-    let mut seen: HashSet<&'static str> = HashSet::new();
-    for (_, name, _, value) in preset.iter() {
-        if value != 0 {
-            if let Some(axis) = axis_of_input(name) {
-                seen.insert(axis);
-            }
-        }
-    }
-    FaultPlan::AXES
-        .iter()
-        .copied()
-        .filter(|a| seen.contains(a))
+/// [`FailureKind::AXES`] order.
+pub fn active_axes_of(preset: &Preset) -> Vec<FailureKind> {
+    let seen: HashSet<FailureKind> = (preset.iter())
+        .filter(|&(_, _, _, value)| value != 0)
+        .filter_map(|(_, name, _, _)| axis_of_input(name))
+        .collect();
+    (FailureKind::AXES.into_iter())
+        .filter(|axis| seen.contains(axis))
         .collect()
 }
 

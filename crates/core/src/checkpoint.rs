@@ -216,9 +216,9 @@ pub struct EngineSnapshot {
     pub(crate) sample_every: u64,
     /// Scenario fingerprint: whether histories keep full logs.
     pub(crate) track_history: bool,
-    /// Scenario fingerprint: [`sde_net::FaultPlan::fingerprint`] of the
-    /// fault plan (the plan itself lives in the caller's scenario, like
-    /// programs and failure configs).
+    /// Scenario fingerprint: [`sde_net::FailureConfig::fingerprint`] of
+    /// the failure config (the config itself lives in the caller's
+    /// scenario, like the programs).
     pub(crate) faults_fingerprint: u64,
     /// Symbol table in allocation order.
     pub(crate) symbols: Vec<SymbolEntry>,
@@ -664,14 +664,14 @@ impl<T: Snap> Snap for Vec<T> {
 }
 
 /// The items only: the length is the type's.
-impl<const N: usize> Snap for [u64; N] {
+impl<T: Snap, const N: usize> Snap for [T; N] {
     fn put(&self, out: &mut Out<'_>) {
         out.items(self, false);
     }
 
-    fn get(r: &mut SnapReader<'_>) -> Result<[u64; N], CodecError> {
-        let items: Vec<u64> = (0..N).map(|_| r.varint()).collect::<Result<_, _>>()?;
-        Ok(items.try_into().expect("N items"))
+    fn get(r: &mut SnapReader<'_>) -> Result<[T; N], CodecError> {
+        let items: Vec<T> = (0..N).map(|_| T::get(r)).collect::<Result<_, _>>()?;
+        Ok(items.try_into().unwrap_or_else(|_| unreachable!("N items")))
     }
 }
 
@@ -804,8 +804,7 @@ walk! {
 walk! {
     SdeState { id, node, core, root, shard_root }
     StateCore {
-        vm, history, drop_budget, dup_budget, reboot_budget, part_budget, lat_budget, cor_budget,
-        crash_budget, partition_until
+        vm, history, budgets, partition_until
     }
     Packet { id, src, dest, payload }
     MapperStats { branches_seen, sends_mapped, mapper_forks, virtual_forks }
@@ -1002,8 +1001,8 @@ mod tests {
         assert!(snap.diff(&other).is_empty(), "wall clock is not compared");
         let first = snap.first_difference(&other);
         assert_eq!(first.as_deref(), Some("samples[0].wall_ms: 0 != 1"));
-        other.edit_state(1, |s, _| s.crash_budget += 1);
-        let named = ["states[1].core.crash_budget: 0 != 1".to_string()];
+        other.edit_state(1, |s, _| s.budgets[6] += 1);
+        let named = ["states[1].core.budgets[6]: 0 != 1".to_string()];
         assert_eq!(snap.diff(&other), named);
         assert_eq!(snap.first_difference(&other).as_deref(), Some(&*named[0]));
     }

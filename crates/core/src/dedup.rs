@@ -33,13 +33,13 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// `(drop, dup, reboot, part, lat, cor, crash, partition_until)` —
-/// every failure/fault budget plus the active-partition deadline at
-/// dispatch entry (the order [`crate::state::SdeState::budgets`]
-/// returns). The deadline is part of the key: two states with equal VM
+/// `(budgets, partition_until)` — every failure budget, indexed by
+/// [`FailureKind`](sde_net::FailureKind), plus the active-partition
+/// deadline at dispatch entry ([`crate::state::SdeState::budgets`]).
+/// The deadline is part of the key: two states with equal VM
 /// configurations but different heal times behave differently at the
 /// next cut-crossing delivery.
-pub(crate) type Budgets = (u32, u32, u32, u32, u32, u32, u32, u64);
+pub(crate) type Budgets = ([u32; 7], u64);
 
 /// One engine-level side effect of a recorded dispatch. States touched
 /// by the dispatch (the *family*: the dispatched state plus everything
@@ -80,12 +80,12 @@ pub(crate) enum LogOp {
     /// Variant `state` dropped the delivered packet (failure model).
     PacketDropped { state: usize },
     /// Variant `state` silently lost the delivered packet to an active
-    /// partition cut (fault plan; no fork, no handler). `until` is the
-    /// cut's heal deadline, re-emitted in the replayed trace event.
+    /// partition cut (no fork, no handler). `until` is the cut's heal
+    /// deadline, re-emitted in the replayed trace event.
     PartitionDrop { state: usize, until: u64 },
-    /// Variant `state` took the delayed-delivery branch (fault plan):
-    /// the dispatched packet is re-enqueued to it `delay` ms from the
-    /// dispatch time instead of being processed now.
+    /// Variant `state` took the delayed-delivery branch: the dispatched
+    /// packet is re-enqueued to it `delay` ms from the dispatch time
+    /// instead of being processed now.
     DeferDeliver { state: usize, delay: u64 },
     /// Variant `state` consumed one delivery of the dispatched packet.
     PacketDelivered { state: usize, duplicate: bool },
@@ -160,7 +160,13 @@ pub(crate) fn memo_key(state: &SdeState, now: u64, event: &NodeEvent) -> u64 {
     let mut h = DefaultHasher::new();
     state.node.0.hash(&mut h);
     state.vm.config_digest().hash(&mut h);
-    state.budgets().hash(&mut h);
+    // Each budget through its own `write_u32`: a slice hash would add a
+    // length prefix and move every key.
+    let (budgets, partition_until) = state.budgets();
+    for budget in budgets {
+        budget.hash(&mut h);
+    }
+    partition_until.hash(&mut h);
     now.hash(&mut h);
     match event {
         NodeEvent::Boot => 0u8.hash(&mut h),

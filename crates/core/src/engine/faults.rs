@@ -6,7 +6,7 @@ use super::Engine;
 use crate::mapping::StateStore;
 use crate::state::{SdeState, StateId};
 use crate::stats::BugFound;
-use sde_net::Packet;
+use sde_net::{FailureKind, Packet};
 use sde_symbolic::{BinOp, CastOp, Expr, Value, Width};
 use sde_trace::ForkReason;
 use sde_vm::{BugKind, BugReport, FuncId, Loc};
@@ -87,43 +87,51 @@ impl Fault {
         }
     }
 
-    /// The state's remaining budget for this model (a heal choice has
-    /// none: the partition spent it).
-    fn budget(self, s: &mut SdeState) -> Option<&mut u32> {
+    /// The failure kind whose budget the decision spends (a heal choice
+    /// spends none: the partition did).
+    fn kind(self) -> Option<FailureKind> {
         match self {
-            Fault::Drop => Some(&mut s.drop_budget),
-            Fault::Duplicate => Some(&mut s.dup_budget),
-            Fault::Reboot => Some(&mut s.reboot_budget),
-            Fault::Latency => Some(&mut s.lat_budget),
-            Fault::Corrupt => Some(&mut s.cor_budget),
-            Fault::Crash => Some(&mut s.crash_budget),
-            Fault::Partition => Some(&mut s.part_budget),
+            Fault::Drop => Some(FailureKind::PacketDrop),
+            Fault::Duplicate => Some(FailureKind::PacketDuplicate),
+            Fault::Reboot => Some(FailureKind::NodeReboot),
+            Fault::Latency => Some(FailureKind::Latency),
+            Fault::Corrupt => Some(FailureKind::Corruption),
+            Fault::Crash => Some(FailureKind::CrashRecovery),
+            Fault::Partition => Some(FailureKind::Partition),
             Fault::Heal => None,
         }
+    }
+
+    /// Every input the engine mints, with the failure kind it belongs to:
+    /// each decision's own (a heal choice is the partition's), and the
+    /// corruption byte.
+    pub(crate) fn inputs() -> impl Iterator<Item = (&'static str, FailureKind)> {
+        (Fault::ORDER.into_iter())
+            .filter_map(|fault| Some((fault.input(), fault.kind()?)))
+            .chain([
+                (Fault::Heal.input(), FailureKind::Partition),
+                (CORRUPTION_BYTE, FailureKind::Corruption),
+            ])
     }
 
     /// Whether the model is decided for `packet`'s delivery to `s`: it has
     /// budget left, a partition only on a cut-crossing delivery, and a
     /// corruption only with a first payload word of at least a byte.
     pub(super) fn armed(self, s: &SdeState, crosses_cut: bool, packet: &Packet) -> bool {
-        match self {
-            Fault::Partition => s.part_budget > 0 && crosses_cut,
-            Fault::Latency => s.lat_budget > 0,
-            Fault::Drop => s.drop_budget > 0,
-            Fault::Duplicate => s.dup_budget > 0,
-            Fault::Reboot => s.reboot_budget > 0,
-            Fault::Crash => s.crash_budget > 0,
-            Fault::Corrupt => {
-                s.cor_budget > 0
-                    && packet
-                        .payload
-                        .first()
-                        .is_some_and(|w| w.width().bits() >= 8)
+        let Some(kind) = self.kind() else {
+            return false;
+        };
+        s.budgets[kind as usize] > 0
+            && match self {
+                Fault::Partition => crosses_cut,
+                Fault::Corrupt => (packet.payload.first()).is_some_and(|w| w.width().bits() >= 8),
+                _ => true,
             }
-            Fault::Heal => false,
-        }
     }
 }
+
+/// The input name of a corrupted delivery's flipped byte.
+const CORRUPTION_BYTE: &str = "corb";
 
 /// The corruption model's payload edit: `word` XOR-flipped by an 8-bit
 /// `byte` (zero-extended to the word's width).
@@ -140,8 +148,8 @@ impl Engine {
     pub(super) fn decide_fault(&mut self, state: StateId, fault: Fault) -> Verdict {
         let node = self.store.states[&state].node;
         let occurrence = self.store.states.update(state, |s| {
-            if let Some(budget) = fault.budget(s) {
-                *budget -= 1;
+            if let Some(kind) = fault.kind() {
+                s.budgets[kind as usize] -= 1;
             }
             s.vm.next_input_occurrence(fault.input())
         });
@@ -188,14 +196,20 @@ impl Engine {
         let occurrence = self
             .store
             .states
-            .update(state, |s| s.vm.next_input_occurrence("corb"));
+            .update(state, |s| s.vm.next_input_occurrence(CORRUPTION_BYTE));
         let var = self
             .symbols
-            .fresh_keyed("corb", Width::W8, node.0, occurrence);
+            .fresh_keyed(CORRUPTION_BYTE, Width::W8, node.0, occurrence);
         if self.preset.is_none() {
             return Some(Expr::sym(var).into());
         }
-        let byte = self.preset_input(state, Fault::Corrupt, "corb", occurrence, Width::W8)?;
+        let byte = self.preset_input(
+            state,
+            Fault::Corrupt,
+            CORRUPTION_BYTE,
+            occurrence,
+            Width::W8,
+        )?;
         Some(Value::const_(byte, Width::W8))
     }
 

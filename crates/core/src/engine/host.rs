@@ -41,7 +41,7 @@ pub(super) struct Buffers {
 /// by id; the one a handler is running is out of the host (`take` …
 /// `put`) for the handler's duration.
 pub(super) trait Host {
-    /// The run's programs, topology and fault plan.
+    /// The run's programs, topology and failure config.
     fn scenario(&self) -> &Scenario;
     /// The dispatch's virtual time.
     fn now(&self) -> u64;
@@ -240,7 +240,7 @@ fn deliver<H: Host>(h: &mut H, receiver: StateId, packet: &Packet) {
         let s = h.resident(receiver);
         (s.node, s.partition_until)
     };
-    let crosses_cut = h.scenario().faults.cut_contains(packet.src, node);
+    let crosses_cut = h.scenario().failures.cut_contains(packet.src, node);
     if h.now() < until && crosses_cut {
         // The edge does not exist until the heal deadline: no decision,
         // no handler.
@@ -261,7 +261,7 @@ fn deliver<H: Host>(h: &mut H, receiver: StateId, packet: &Packet) {
             Fault::Latency => {
                 // Delayed, not lost: the packet comes back around later,
                 // reordered against everything else queued.
-                let extra = h.scenario().faults.latency_extra_ms();
+                let extra = h.scenario().failures.latency_extra_ms();
                 note(h, |rec| rec.note_defer_deliver(taker, extra));
                 h.schedule(taker, extra, NodeEvent::Deliver(packet.clone()));
             }
@@ -273,8 +273,8 @@ fn deliver<H: Host>(h: &mut H, receiver: StateId, packet: &Packet) {
             Fault::Duplicate => run_recv(h, taker, packet, 2),
             Fault::Reboot => restart(h, taker, VmState::rebooted),
             Fault::Crash => {
-                let faults = &h.scenario().faults;
-                let (base, size) = (faults.persist_base(), faults.persist_size());
+                let failures = &h.scenario().failures;
+                let (base, size) = (failures.persist_base(), failures.persist_size());
                 restart(h, taker, |vm| vm.crash_rebooted(base, size));
             }
             Fault::Corrupt => {
@@ -307,7 +307,7 @@ fn partition<H: Host>(
     packet: PacketId,
 ) {
     let now = h.now();
-    let heal = h.scenario().faults.heal_choices();
+    let heal = h.scenario().failures.heal_choices();
     let (early, late) = (now + heal[0], heal.get(1).map(|d| now + d));
     let forked = taker != receiver;
     if forked {

@@ -189,16 +189,7 @@ impl Engine {
         for (id, (vm, budgets)) in family.iter().zip(&entry.finals) {
             self.store.states.update(*id, |s| {
                 s.vm = vm.clone();
-                (
-                    s.drop_budget,
-                    s.dup_budget,
-                    s.reboot_budget,
-                    s.part_budget,
-                    s.lat_budget,
-                    s.cor_budget,
-                    s.crash_budget,
-                    s.partition_until,
-                ) = *budgets;
+                (s.budgets, s.partition_until) = *budgets;
             });
         }
         for (variant, report) in &entry.bugs {

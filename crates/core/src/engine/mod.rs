@@ -9,10 +9,9 @@
 //!
 //! The engine owns the states, the virtual-time event queue, the solver
 //! and the symbol table; the pluggable [`StateMapper`] decides packet
-//! receivers and the forking they require. Symbolic failures (packet
-//! drop / duplication / node reboot, and the fault plan's models) are
-//! injected at delivery time as local forks — the network itself is
-//! ideal (paper footnote 2).
+//! receivers and the forking they require. Symbolic failures (the seven
+//! kinds of the scenario's failure config) are injected at delivery time
+//! as local forks — the network itself is ideal (paper footnote 2).
 //!
 //! That step exists once. [`Engine::drive`] is the one run loop, serial
 //! or sharded; the dispatch core (`host`) executes an event against a
@@ -422,7 +421,6 @@ impl Engine {
                 node,
                 vm,
                 &self.scenario.failures,
-                &self.scenario.faults,
                 self.scenario.track_history,
             );
             self.store.states.insert(state);

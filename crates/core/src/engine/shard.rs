@@ -260,8 +260,8 @@ impl ShardSegment<'_> {
 /// the private clones the worker executes them against.
 ///
 /// A job carries only what is this group's own. Everything the whole run
-/// shares — programs, fault plan, topology — the worker reads from the
-/// engine's [`Scenario`], which its thread borrows for the run.
+/// shares — programs, failure config, topology — the worker reads from
+/// the engine's [`Scenario`], which its thread borrows for the run.
 #[derive(Debug)]
 struct ShardJob {
     now: u64,

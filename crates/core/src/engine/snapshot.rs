@@ -30,7 +30,7 @@ impl Engine {
             state_cap: self.scenario.state_cap,
             sample_every: self.scenario.sample_every,
             track_history: self.scenario.track_history,
-            faults_fingerprint: self.scenario.faults.fingerprint(),
+            faults_fingerprint: self.scenario.failures.fingerprint(),
             symbols,
             states,
             queue_next_seq: self.store.events.next_seq(),
@@ -95,7 +95,7 @@ impl Engine {
         if scenario.track_history != snapshot.track_history {
             return Err(SnapshotError::ScenarioMismatch("track_history"));
         }
-        if scenario.faults.fingerprint() != snapshot.faults_fingerprint {
+        if scenario.failures.fingerprint() != snapshot.faults_fingerprint {
             return Err(SnapshotError::ScenarioMismatch("fault_plan"));
         }
         let mut engine = Engine::new(scenario, snapshot.algorithm);

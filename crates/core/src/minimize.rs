@@ -12,10 +12,10 @@
 //! Candidates are tried in a fixed order (spelled out in DESIGN.md §12
 //! so artifacts are reproducible):
 //!
-//! 1. **Fault-axis removal** — for each axis in [`FaultPlan::AXES`]
+//! 1. **Fault-axis removal** — for each axis in [`FailureKind::AXES`]
 //!    order, rebuild the scenario with
-//!    [`FaultPlan::without_axis`] and drop the axis's decision keys
-//!    from the witness.
+//!    [`FailureConfig::without_axis`](sde_net::FailureConfig::without_axis)
+//!    and drop the axis's decision keys from the witness.
 //! 2. **ddmin over witness entries** — classic delta debugging over the
 //!    non-zero decision entries: zeroing an entry restores the benign
 //!    default (packet delivered, no crash, zero latency), so "removing
@@ -36,7 +36,7 @@ use crate::check::{self, axis_input_names, Checker, Violation};
 use crate::mapping::Algorithm;
 use crate::oracle::Assignment;
 use crate::scenario::Scenario;
-use sde_net::FaultPlan;
+use sde_net::FailureKind;
 use sde_trace::TraceEvent;
 
 /// Default cap on candidate replays (each candidate costs one bounded
@@ -65,7 +65,7 @@ pub struct MinimizeReport {
     /// The canonical violation observed by the minimal replay.
     pub violation: Violation,
     /// Fault axes the shrinker removed, in removal order.
-    pub removed_axes: Vec<&'static str>,
+    pub removed_axes: Vec<FailureKind>,
     /// Non-zero witness entries before / after shrinking.
     pub initial_entries: usize,
     /// See [`MinimizeReport::initial_entries`].
@@ -170,18 +170,18 @@ impl Minimizer {
         )?;
         let mut scenario = self.scenario.clone();
         let initial_entries = nonzero_entries(&assignment);
-        let initial_axes = scenario.faults.active_axes().len();
+        let initial_axes = scenario.failures.active_axes().len();
         let initial_duration_ms = scenario.duration_ms;
 
-        // Phase 1: fault-axis removal, FaultPlan::AXES order.
+        // Phase 1: fault-axis removal, FailureKind::AXES order.
         let mut removed_axes = Vec::new();
-        for axis in FaultPlan::AXES {
-            if !scenario.faults.active_axes().contains(&axis) {
+        for axis in FailureKind::AXES {
+            if !scenario.failures.active_axes().contains(&axis) {
                 continue;
             }
             let candidate_scenario = scenario
                 .clone()
-                .with_faults(scenario.faults.clone().without_axis(axis));
+                .with_failures(scenario.failures.clone().without_axis(axis));
             let dropped = axis_input_names(axis);
             let candidate: Assignment = assignment
                 .iter()
@@ -287,7 +287,7 @@ impl Minimizer {
 
         Some(MinimizeReport {
             final_entries: nonzero_entries(&assignment),
-            final_axes: scenario.faults.active_axes().len(),
+            final_axes: scenario.failures.active_axes().len(),
             final_duration_ms: scenario.duration_ms,
             scenario,
             assignment,

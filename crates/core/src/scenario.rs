@@ -1,6 +1,6 @@
 //! Scenario descriptions: everything a run needs besides the algorithm.
 
-use sde_net::{FailureConfig, FaultPlan, NodeId, Topology};
+use sde_net::{FailureConfig, NodeId, Topology};
 use sde_vm::Program;
 use std::sync::Arc;
 
@@ -27,11 +27,8 @@ pub struct Scenario {
     /// One program per node, indexed by node id. Shared: a dispatch or
     /// a shard job takes a pointer copy, never a copy of the program.
     pub programs: Vec<Arc<Program>>,
-    /// Symbolic failure injection.
+    /// Symbolic failure injection, all seven kinds.
     pub failures: FailureConfig,
-    /// Extended fault injection: partitions, symbolic latency, payload
-    /// corruption, crash-recovery.
-    pub faults: FaultPlan,
     /// Virtual duration in milliseconds (paper: 10 000).
     pub duration_ms: u64,
     /// Per-hop delivery latency in virtual milliseconds.
@@ -64,7 +61,6 @@ impl Scenario {
             topology,
             programs: programs.into_iter().map(Arc::new).collect(),
             failures: FailureConfig::new(),
-            faults: FaultPlan::new(),
             duration_ms: 10_000,
             link_latency_ms: 2,
             state_cap: usize::MAX,
@@ -74,27 +70,19 @@ impl Scenario {
     }
 
     /// Sets the symbolic failure configuration.
-    #[must_use]
-    pub fn with_failures(mut self, failures: FailureConfig) -> Scenario {
-        self.failures = failures;
-        self
-    }
-
-    /// Sets the extended fault plan (partitions / latency / corruption /
-    /// crash-recovery).
     ///
     /// # Panics
     ///
-    /// Panics when the plan names a cut edge that is not a link of this
-    /// scenario's topology — such an edge could never partition anything
-    /// and almost certainly indicates a mis-specified plan.
+    /// Panics when the configuration names a cut edge that is not a link
+    /// of this scenario's topology — such an edge could never partition
+    /// anything and almost certainly indicates a mis-specified config.
     #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Scenario {
+    pub fn with_failures(mut self, failures: FailureConfig) -> Scenario {
         assert!(
-            faults.cut_edges_exist_in(&self.topology),
-            "fault plan names a cut edge missing from the topology"
+            failures.cut_edges_exist_in(&self.topology),
+            "failure config names a cut edge missing from the topology"
         );
-        self.faults = faults;
+        self.failures = failures;
         self
     }
 

@@ -1,7 +1,7 @@
 //! Distributed execution states: a VM state plus its network identity.
 
 use crate::history::CommHistory;
-use sde_net::{FailureConfig, FailureKind, FaultPlan, NodeId};
+use sde_net::{FailureConfig, NodeId};
 use sde_vm::{Status, VmState};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -63,20 +63,9 @@ pub struct StateCore {
     pub vm: VmState,
     /// Packets sent/received by this state.
     pub history: CommHistory,
-    /// Remaining symbolic-drop opportunities.
-    pub drop_budget: u32,
-    /// Remaining symbolic-duplication opportunities.
-    pub dup_budget: u32,
-    /// Remaining symbolic-reboot opportunities.
-    pub reboot_budget: u32,
-    /// Remaining symbolic-partition opportunities (fault plan).
-    pub part_budget: u32,
-    /// Remaining symbolic-latency opportunities (fault plan).
-    pub lat_budget: u32,
-    /// Remaining symbolic-corruption opportunities (fault plan).
-    pub cor_budget: u32,
-    /// Remaining symbolic crash-recovery opportunities (fault plan).
-    pub crash_budget: u32,
+    /// Remaining symbolic decisions, indexed by
+    /// [`FailureKind`](sde_net::FailureKind).
+    pub budgets: [u32; 7],
     /// Virtual time (ms) until which this lineage's partition cut is
     /// active; 0 when no partition is active.
     pub partition_until: u64,
@@ -121,38 +110,21 @@ impl SdeState {
         node: NodeId,
         vm: VmState,
         failures: &FailureConfig,
-        faults: &FaultPlan,
         track_history: bool,
     ) -> SdeState {
         let core = StateCore {
             vm,
             history: CommHistory::new(track_history),
-            drop_budget: failures.budget(node, FailureKind::PacketDrop),
-            dup_budget: failures.budget(node, FailureKind::PacketDuplicate),
-            reboot_budget: failures.budget(node, FailureKind::NodeReboot),
-            part_budget: faults.partition_budget(node),
-            lat_budget: faults.latency_budget(node),
-            cor_budget: faults.corrupt_budget(node),
-            crash_budget: faults.crash_budget(node),
+            budgets: failures.budgets(node),
             partition_until: 0,
         };
         SdeState::new(id, node, true, id.0, core)
     }
 
-    /// All failure/fault budgets plus the partition deadline, in the
-    /// fixed order the dedup memo key hashes them:
-    /// `(drop, dup, reboot, part, lat, cor, crash, partition_until)`.
-    pub fn budgets(&self) -> (u32, u32, u32, u32, u32, u32, u32, u64) {
-        (
-            self.drop_budget,
-            self.dup_budget,
-            self.reboot_budget,
-            self.part_budget,
-            self.lat_budget,
-            self.cor_budget,
-            self.crash_budget,
-            self.partition_until,
-        )
+    /// The remaining budgets plus the partition deadline: what the dedup
+    /// memo key hashes and a recorded dispatch restores.
+    pub fn budgets(&self) -> ([u32; 7], u64) {
+        (self.budgets, self.partition_until)
     }
 
     /// An exact copy under a fresh identity.
@@ -187,13 +159,7 @@ impl SdeState {
         let core = StateCore {
             vm,
             history: self.history.clone(),
-            drop_budget: self.drop_budget,
-            dup_budget: self.dup_budget,
-            reboot_budget: self.reboot_budget,
-            part_budget: self.part_budget,
-            lat_budget: self.lat_budget,
-            cor_budget: self.cor_budget,
-            crash_budget: self.crash_budget,
+            budgets: self.budgets,
             partition_until: self.partition_until,
         };
         SdeState::new(id, self.node, false, self.child_shard_root(id), core)
@@ -257,38 +223,16 @@ mod tests {
     #[test]
     fn boot_budgets_come_from_config() {
         let failures = FailureConfig::new().with_drops([NodeId(3)], 2);
-        let s = SdeState::boot(
-            StateId(0),
-            NodeId(3),
-            vm(),
-            &failures,
-            &FaultPlan::new(),
-            false,
-        );
-        assert_eq!(s.drop_budget, 2);
-        assert_eq!(s.dup_budget, 0);
-        let t = SdeState::boot(
-            StateId(1),
-            NodeId(4),
-            vm(),
-            &failures,
-            &FaultPlan::new(),
-            false,
-        );
-        assert_eq!(t.drop_budget, 0);
+        let s = SdeState::boot(StateId(0), NodeId(3), vm(), &failures, false);
+        assert_eq!(s.budgets, [2, 0, 0, 0, 0, 0, 0]);
+        let t = SdeState::boot(StateId(1), NodeId(4), vm(), &failures, false);
+        assert_eq!(t.budgets, [0; 7]);
     }
 
     #[test]
     fn fork_changes_only_identity() {
         let failures = FailureConfig::new();
-        let s = SdeState::boot(
-            StateId(0),
-            NodeId(1),
-            vm(),
-            &failures,
-            &FaultPlan::new(),
-            false,
-        );
+        let s = SdeState::boot(StateId(0), NodeId(1), vm(), &failures, false);
         let t = s.fork_as(StateId(9));
         assert_eq!(t.id, StateId(9));
         assert_eq!(t.node, s.node);
@@ -298,14 +242,7 @@ mod tests {
     #[test]
     fn history_differentiates_duplicates() {
         let failures = FailureConfig::new();
-        let a = SdeState::boot(
-            StateId(0),
-            NodeId(1),
-            vm(),
-            &failures,
-            &FaultPlan::new(),
-            false,
-        );
+        let a = SdeState::boot(StateId(0), NodeId(1), vm(), &failures, false);
         let mut b = a.fork_as(StateId(1));
         assert_eq!(a.config_digest(), b.config_digest());
         b.history.record(HistoryEvent::Sent {
@@ -319,14 +256,7 @@ mod tests {
     fn fork_shares_history_storage() {
         let failures = FailureConfig::new();
         // Tracked: a long log is shared structurally, never copied.
-        let mut s = SdeState::boot(
-            StateId(0),
-            NodeId(1),
-            vm(),
-            &failures,
-            &FaultPlan::new(),
-            true,
-        );
+        let mut s = SdeState::boot(StateId(0), NodeId(1), vm(), &failures, true);
         for i in 0..10_000 {
             s.history.record(HistoryEvent::Sent {
                 id: PacketId(i),
@@ -336,14 +266,7 @@ mod tests {
         let t = s.fork_as(StateId(1));
         assert!(t.history.shares_log_storage(&s.history));
         // Untracked: there is no log at all — the clone is three words.
-        let mut u = SdeState::boot(
-            StateId(2),
-            NodeId(1),
-            vm(),
-            &failures,
-            &FaultPlan::new(),
-            false,
-        );
+        let mut u = SdeState::boot(StateId(2), NodeId(1), vm(), &failures, false);
         for i in 0..10_000 {
             u.history.record(HistoryEvent::Sent {
                 id: PacketId(i),
@@ -359,22 +282,8 @@ mod tests {
     #[test]
     fn same_vm_on_different_nodes_is_not_a_duplicate() {
         let failures = FailureConfig::new();
-        let a = SdeState::boot(
-            StateId(0),
-            NodeId(1),
-            vm(),
-            &failures,
-            &FaultPlan::new(),
-            false,
-        );
-        let b = SdeState::boot(
-            StateId(1),
-            NodeId(2),
-            vm(),
-            &failures,
-            &FaultPlan::new(),
-            false,
-        );
+        let a = SdeState::boot(StateId(0), NodeId(1), vm(), &failures, false);
+        let b = SdeState::boot(StateId(1), NodeId(2), vm(), &failures, false);
         assert_ne!(a.config_digest(), b.config_digest());
     }
 }

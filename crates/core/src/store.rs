@@ -654,7 +654,7 @@ impl StateStore for Store {
 mod tests {
     use super::*;
     use crate::state::StateCore;
-    use sde_net::{FailureConfig, FaultPlan};
+    use sde_net::FailureConfig;
     use sde_vm::{ProgramBuilder, VmState};
 
     fn boot(store: &mut Store, node: u16) -> StateId {
@@ -666,7 +666,6 @@ mod tests {
             NodeId(node),
             VmState::fresh(&pb.build().unwrap()),
             &FailureConfig::new(),
-            &FaultPlan::new(),
             false,
         ));
         id
@@ -868,7 +867,6 @@ mod tests {
                 NodeId(node),
                 vm.clone(),
                 &FailureConfig::new(),
-                &FaultPlan::new(),
                 false,
             )
         };
@@ -930,7 +928,7 @@ mod tests {
                                 id: sde_net::PacketId(op),
                                 peer: NodeId(0),
                             });
-                            s.drop_budget += 1;
+                            s.budgets[0] += 1;
                         });
                         model.insert(id, facts(&table[&id]));
                     }

@@ -13,13 +13,14 @@
 //!   (paper, footnote 1).
 //! * [`EventQueue`] — a deterministic virtual-time priority queue
 //!   (FIFO among simultaneous events).
-//! * [`FailureConfig`] — which nodes inject which symbolic failures
-//!   (packet drop / duplication / node reboot), as in the paper's test
-//!   setup where "nodes on the data path towards the destination and
-//!   their neighbors should symbolically drop one packet".
-//! * [`FaultPlan`] — the extended fault axes: network partitions with
-//!   (symbolic) heal times, symbolic link latency, payload corruption,
-//!   and crash-recovery with a persistent heap window.
+//! * [`FailureConfig`] — which nodes inject which symbolic failures, and
+//!   how often, as in the paper's test setup where "nodes on the data
+//!   path towards the destination and their neighbors should symbolically
+//!   drop one packet". One table holds all seven [`FailureKind`]s: the
+//!   paper's packet drop, duplication and node reboot, plus network
+//!   partitions with (symbolic) heal times, symbolic link latency,
+//!   payload corruption, and crash-recovery with a persistent heap
+//!   window.
 //!
 //! # Examples
 //!
@@ -39,12 +40,10 @@
 
 mod event;
 mod failure;
-mod fault;
 mod packet;
 mod topology;
 
 pub use event::{Event, EventQueue};
 pub use failure::{FailureConfig, FailureKind};
-pub use fault::FaultPlan;
 pub use packet::{Packet, PacketId};
 pub use topology::{NodeId, Topology};

@@ -4,7 +4,7 @@
 //! ([`layout::PERSIST_BASE`]..`+`[`layout::PERSIST_SIZE`]), plus a
 //! volatile mirror of the sequence in ordinary memory.
 //!
-//! Under `FaultPlan::with_crash_recovery` a crashed node keeps
+//! Under `FailureConfig::with_crash_recovery` a crashed node keeps
 //! [`layout::BOOT_COUNT`] and [`layout::PERSIST_SEQ`] across the crash
 //! while [`layout::RECEIVED`] and the volatile [`layout::SEQ`] mirror
 //! reset to zero — exactly the split the persistence invariants assert.

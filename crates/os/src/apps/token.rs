@@ -15,7 +15,7 @@
 //! forgets the persistent cell. Without faults this is invisible — the
 //! volatile flag alone decides behavior, and at most one node believes
 //! it owns the token at any quiescent point. Under
-//! `FaultPlan::with_crash_recovery` the `ACK` flowing back to a previous
+//! `FailureConfig::with_crash_recovery` the `ACK` flowing back to a previous
 //! holder gives the engine a crash decision on it: the crashed branch
 //! reboots, `on_boot` reads the stale [`layout::PERSIST_TOKEN`] and
 //! resurrects ownership — two believers, which the `unique-token-owner`

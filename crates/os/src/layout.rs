@@ -58,7 +58,7 @@ pub const SEEN_BASE: u32 = 64;
 
 /// Base of the persistent storage window: heap cells at
 /// `[PERSIST_BASE, PERSIST_BASE + PERSIST_SIZE)` survive a
-/// crash-with-recovery (`FaultPlan::with_crash_recovery`), modeling a
+/// crash-with-recovery (`FailureConfig::with_crash_recovery`), modeling a
 /// node's small flash/EEPROM region. Placed far above every volatile
 /// field so the two regions can never overlap.
 pub const PERSIST_BASE: u32 = 0x8000;

@@ -330,7 +330,7 @@ pub enum TraceEvent {
         packet: u64,
     },
     /// A packet was silently dropped because it crossed an *active*
-    /// partition cut (fault plan): no handler ran, no fork happened.
+    /// partition cut: no handler ran, no fork happened.
     PartitionDrop {
         /// State in which the partition swallowed the delivery.
         state: u64,

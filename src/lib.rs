@@ -62,7 +62,7 @@ pub mod prelude {
         NodeView, ParallelStats, RunOutcome, RunReport, Scenario, SdeState, SnapshotError, StateId,
         TimeSeries, Violation,
     };
-    pub use sde_net::{FailureConfig, FaultPlan, NodeId, Topology};
+    pub use sde_net::{FailureConfig, NodeId, Topology};
     pub use sde_os::apps::collect::CollectConfig;
     pub use sde_os::apps::flood::FloodConfig;
     pub use sde_os::apps::hello::HelloConfig;

@@ -500,7 +500,6 @@ fn idle_store(k: u16) -> Store {
             NodeId(node),
             vm.clone(),
             &FailureConfig::new(),
-            &FaultPlan::new(),
             false,
         ));
     }
@@ -568,7 +567,7 @@ fn growing_the_state_table_never_moves_a_resident() {
     // Each fork is written once, so it owns a core of its own.
     let fork_own = |store: &mut Store| {
         let child = store.fork(StateId(0));
-        store.states.update(child, |s| s.drop_budget = 1);
+        store.states.update(child, |s| s.budgets[0] = 1);
     };
     while store.states.len() < 1_000 {
         fork_own(&mut store);
@@ -648,7 +647,7 @@ fn the_first_write_to_a_shared_state_allocates_one_core_of_one_chunk() {
     let parent_facts = facts(&store.states[&parent]);
     let (before, held) = (allocations(), retained_bytes());
     store.states.update(child, |s| {
-        s.drop_budget += 1;
+        s.budgets[0] += 1;
         s.history.record(HistoryEvent::Sent {
             id: PacketId(7),
             peer: NodeId(1),
@@ -670,7 +669,7 @@ fn the_first_write_to_a_shared_state_allocates_one_core_of_one_chunk() {
     assert_ne!(facts(&store.states[&child]), parent_facts);
     // The core is the child's own now: the next write copies nothing.
     let before = allocations();
-    store.states.update(child, |s| s.drop_budget += 1);
+    store.states.update(child, |s| s.budgets[0] += 1);
     assert_eq!(allocations() - before, 0);
     assert_eq!(store.states.totals(), store.states.totals_reference());
 }

@@ -505,7 +505,6 @@ pub fn baseline(row: &Row, alg: Algorithm) -> Arc<Baseline> {
     assert!(
         a.topology == b.topology
             && a.failures == b.failures
-            && a.faults == b.faults
             && (a.duration_ms, a.state_cap, a.sample_every)
                 == (b.duration_ms, b.state_cap, b.sample_every),
         "two different scenarios are labelled {}",

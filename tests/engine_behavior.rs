@@ -186,10 +186,7 @@ fn drop_budget_spent_before_checkpoint_stays_spent_after_resume() {
             .count()
     };
     let budgets_by_state = |engine: &Engine| {
-        let mut budgets: Vec<_> = engine
-            .states()
-            .map(|s| (s.id.0, s.drop_budget, s.dup_budget, s.reboot_budget))
-            .collect();
+        let mut budgets: Vec<_> = engine.states().map(|s| (s.id.0, s.budgets)).collect();
         budgets.sort_unstable_by_key(|entry| entry.0);
         budgets
     };
@@ -292,7 +289,7 @@ fn a_delivery_decides_its_faults_in_the_documented_order() {
     let relay = NodeId(1);
     let scenario = line_collect(3, &[1], 2, false);
     let d = scenario.duration_ms;
-    let faults = FaultPlan::new()
+    let failures = FailureConfig::new()
         .with_partition(vec![(relay, NodeId(0)), (relay, NodeId(2))], [d / 4, d / 2])
         .with_latency([relay], 30, 1)
         .with_crash_recovery(
@@ -301,12 +298,11 @@ fn a_delivery_decides_its_faults_in_the_documented_order() {
             sde::os::layout::PERSIST_BASE,
             sde::os::layout::PERSIST_SIZE,
         )
-        .with_corruption([relay], 1);
-    let failures = FailureConfig::new()
+        .with_corruption([relay], 1)
         .with_drops([relay], 1)
         .with_duplicates([relay], 1)
         .with_reboots([relay], 1);
-    let scenario = scenario.with_failures(failures).with_faults(faults);
+    let scenario = scenario.with_failures(failures);
     for alg in Algorithm::ALL {
         let mut engine = Engine::new(scenario.clone(), alg);
         engine.run_in_place();

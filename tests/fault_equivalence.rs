@@ -183,7 +183,8 @@ fn partition_heals_and_never_leaks_deliveries() {
 fn check_latency_trace(k: u16, packets: u16, alg: Algorithm) {
     let label = format!("line{k}-{packets}pkt-latency/{alg}");
     let scenario = with_fault_axes(collect(Topology::line(k), packets), &[FaultAxis::Latency]);
-    let (base_ms, extra_ms) = (scenario.link_latency_ms, scenario.faults.latency_extra_ms());
+    let extra_ms = scenario.failures.latency_extra_ms();
+    let base_ms = scenario.link_latency_ms;
     let mut sent: HashMap<u64, u64> = HashMap::new();
     let mut now = 0u64;
     let mut on_time = 0usize;

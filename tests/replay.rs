@@ -258,12 +258,10 @@ fn duplication_scenarios() -> Vec<(&'static str, Scenario)> {
     let base = line_collect(3, &[], 2, false);
     let relay = [NodeId(1)];
     let dup = FailureConfig::new().with_duplicates(relay, 1);
-    let crash = FaultPlan::new().with_crash_recovery(
-        relay,
-        1,
-        sde::os::layout::PERSIST_BASE,
-        sde::os::layout::PERSIST_SIZE,
-    );
+    let crash = |failures: FailureConfig| {
+        let (base, size) = (sde::os::layout::PERSIST_BASE, sde::os::layout::PERSIST_SIZE);
+        failures.with_crash_recovery(relay, 1, base, size)
+    };
     vec![
         ("duplicate", base.clone().with_failures(dup.clone())),
         (
@@ -271,10 +269,7 @@ fn duplication_scenarios() -> Vec<(&'static str, Scenario)> {
             base.clone()
                 .with_failures(dup.clone().with_reboots(relay, 1)),
         ),
-        (
-            "duplicate+crashrec",
-            base.with_failures(dup).with_faults(crash),
-        ),
+        ("duplicate+crashrec", base.with_failures(crash(dup))),
     ]
 }
 

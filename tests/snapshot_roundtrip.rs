@@ -298,8 +298,8 @@ fn diff_names_the_field_two_snapshots_differ_in() {
             ("shard_root", |s, last, _| {
                 s.edit_state(last, |s, _| s.shard_root += 1)
             }),
-            ("crash_budget", |s, last, _| {
-                s.edit_state(last, |s, _| s.crash_budget += 1)
+            ("core.budgets[6]", |s, last, _| {
+                s.edit_state(last, |s, _| s.budgets[6] += 1)
             }),
             ("payload[0]", |s, _, delivery| {
                 s.edit_queue(|i, _, _, _, event| match event {
