@@ -24,17 +24,19 @@ use crate::stats::BugFound;
 use sde_net::{NodeId, Packet, PacketId};
 use sde_os::handlers;
 use sde_symbolic::{Value, Width};
-use sde_vm::{step, Program, Status, StepResult, Syscall, VmCtx, VmState};
+use sde_vm::{step, FrameBuffer, Program, Status, StepResult, Syscall, VmCtx, VmState};
 use std::sync::Arc;
 
-/// Per-event buffers that outlive the event: `on_recv`'s arguments and
-/// the handler's stack of states still to run. Each is taken for one use
-/// and put back empty, so a dispatch allocates neither once they have
-/// grown.
+/// Per-event buffers that outlive the event: `on_recv`'s arguments, the
+/// handler's stack of states still to run, and the frame the last
+/// finished handler left. Each is taken for one use and put back, so a
+/// dispatch allocates none of them once they have grown — and no state
+/// keeps a frame between its handlers.
 #[derive(Debug, Default)]
 pub(super) struct Buffers {
     recv_args: Vec<Value>,
     running: Vec<SdeState>,
+    frame: FrameBuffer,
 }
 
 /// Where the effects of an executing dispatch go. States are addressed
@@ -133,7 +135,10 @@ fn run_handler<H: Host>(h: &mut H, state: StateId, handler: &str, args: &[Value]
     }
     let node = first.node;
     let program = Arc::clone(h.scenario().program(node));
-    if !first.vm.prepare(&program, handler, args) {
+    if !first
+        .vm
+        .prepare_from(&mut h.buffers().frame, &program, handler, args)
+    {
         h.no_handler(node, handler, args.len());
         return;
     }
@@ -187,8 +192,7 @@ fn run_handler<H: Host>(h: &mut H, state: StateId, handler: &str, args: &[Value]
                     h.schedule(st.id, delay, NodeEvent::Timer(timer));
                 }
                 StepResult::HandlerDone(_) | StepResult::Halted | StepResult::Infeasible => {
-                    h.handler_ended(&mut st);
-                    h.put(st);
+                    end_handler(h, st);
                     break;
                 }
                 StepResult::Bug(report) => {
@@ -197,14 +201,22 @@ fn run_handler<H: Host>(h: &mut H, state: StateId, handler: &str, args: &[Value]
                         state: st.id,
                         report,
                     });
-                    h.handler_ended(&mut st);
-                    h.put(st);
+                    end_handler(h, st);
                     break;
                 }
             }
         }
     }
     h.buffers().running = running;
+}
+
+/// The handler running on `st` ended: the frame it left goes back to the
+/// host's buffer — `st` owns its core here, it just stepped — and `st`
+/// back into the host.
+fn end_handler<H: Host>(h: &mut H, mut st: SdeState) {
+    st.vm.release_frame(&mut h.buffers().frame);
+    h.handler_ended(&mut st);
+    h.put(st);
 }
 
 /// Steps `vm` until a step has an effect for the host — a fork, a

@@ -2,9 +2,13 @@
 
 use super::Engine;
 use crate::stats::{RunReport, Sample};
+use sde_vm::KeyIsHash;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Configuration digests are mixed already: each is its own hash.
+type DigestSet = HashSet<u64, BuildHasherDefault<KeyIsHash>>;
 
 impl Engine {
     pub(super) fn sample(&mut self) {
@@ -63,15 +67,17 @@ impl Engine {
         // Duplicate detection over resident states, scanned in state-id
         // order (the table's own) so "which of an equal pair counts as the
         // duplicate" — and with it the per-node attribution — is
-        // deterministic. The same pass collects every resident state's
-        // configuration digest, in that order, for the digest of the final
-        // state set.
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut seen_terminated: HashSet<u64> = HashSet::new();
+        // deterministic. The same pass streams every resident state's
+        // `(id, configuration digest)`, in that order, into the digest of
+        // the final state set: the bytes `Vec<(u64, u64)>::hash` feeds,
+        // without the vector.
+        let mut seen: DigestSet = HashSet::default();
+        let mut seen_terminated: DigestSet = HashSet::default();
         let mut duplicates = 0usize;
         let mut duplicate_terminated = 0usize;
         let mut by_node: std::collections::BTreeMap<u16, usize> = std::collections::BTreeMap::new();
-        let mut digests: Vec<(u64, u64)> = Vec::with_capacity(self.store.states.len());
+        let mut hasher = DefaultHasher::new();
+        hasher.write_usize(self.store.states.len());
         for s in self.store.states.values() {
             let digest = s.config_digest();
             if !seen.insert(digest) {
@@ -81,11 +87,9 @@ impl Engine {
             if !s.is_live() && !seen_terminated.insert(digest) {
                 duplicate_terminated += 1;
             }
-            digests.push((s.id.0, digest));
+            (s.id.0, digest).hash(&mut hasher);
         }
         let duplicates_by_node: Vec<(u16, usize)> = by_node.into_iter().collect();
-        let mut hasher = DefaultHasher::new();
-        digests.hash(&mut hasher);
         let history_digest = hasher.finish();
         let solver = self.solver.stats();
         let trace = sde_trace::TraceSummary {
@@ -133,6 +137,56 @@ impl Engine {
             series: self.series,
             parallel: self.parallel,
             trace,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mapping::Algorithm;
+    use crate::scenario::Scenario;
+    use sde_net::{FailureConfig, NodeId, Topology};
+    use sde_os::apps::flood::{self, FloodConfig};
+
+    /// The digest of the final state set as [`Engine::into_report`]
+    /// computed it before it streamed the pairs: every resident state's
+    /// `(id, configuration digest)` collected in id order, the vector
+    /// hashed whole.
+    fn history_digest_reference(engine: &Engine) -> u64 {
+        let digests: Vec<(u64, u64)> = (engine.store.states.values())
+            .map(|s| (s.id.0, s.config_digest()))
+            .collect();
+        let mut hasher = DefaultHasher::new();
+        digests.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn the_streamed_history_digest_is_the_hashed_vector() {
+        let topology = Topology::full_mesh(4);
+        let cfg = FloodConfig {
+            initiator: NodeId(0),
+            rounds: 2,
+            interval_ms: 1000,
+        };
+        for algorithm in [Algorithm::Cob, Algorithm::Cow, Algorithm::Sds] {
+            let scenario = Scenario::new(topology.clone(), flood::programs(&topology, &cfg))
+                .with_failures(FailureConfig::new().with_drops(topology.nodes(), 1))
+                .with_duration_ms(4000);
+            let mut engine = Engine::new(scenario, algorithm);
+            engine.run_in_place();
+            let resident = engine.store.states.len();
+            assert!(
+                resident > 4,
+                "{algorithm:?}: the drops fork ({resident} states)"
+            );
+            let reference = history_digest_reference(&engine);
+            assert_eq!(
+                engine.into_report().history_digest,
+                reference,
+                "{algorithm:?}"
+            );
         }
     }
 }

@@ -348,7 +348,7 @@ impl ShardPool {
         let mut st = self.state.lock().expect("pool");
         let workers = st.queues.len() as u64;
         for job in jobs {
-            let home = (job.state.shard_root % workers) as usize;
+            let home = (u64::from(job.state.shard_root) % workers) as usize;
             st.queues[home].push_back(job);
         }
         drop(st);

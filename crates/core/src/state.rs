@@ -30,7 +30,7 @@ impl fmt::Display for StateId {
 /// the paper), the underlying VM state, the communication history, and
 /// the per-state failure budgets.
 ///
-/// A state is a 32-byte handle: its identity inline, its body — a
+/// A state is a 24-byte handle: its identity inline, its body — a
 /// [`StateCore`] — behind an `Arc` shared copy-on-write, as KLEE shares a
 /// forked state's memory. [`SdeState::fork_as`] copies the handle and
 /// shares the parent's core; reading goes through `Deref`, and the first
@@ -46,8 +46,9 @@ pub struct SdeState {
     /// fresh subtree, and deeper forks inherit their parent's. Purely a
     /// scheduling hint for [`Engine::run_sharded`]
     /// (crate::Engine::run_sharded) — it never influences execution
-    /// results.
-    pub shard_root: u64,
+    /// results. It is the id of the subtree's first state: a run mints
+    /// fewer than 2^32 ids ([`Store::allocate_id`](crate::store::Store::allocate_id)).
+    pub shard_root: u32,
     /// The node this state belongs to.
     pub node: NodeId,
     /// `true` for boot-time states — the anchors of the shard lineage.
@@ -71,6 +72,13 @@ pub struct StateCore {
     pub partition_until: u64,
 }
 
+/// `id` as a shard-lineage key. The run's ids are fewer than 2^32; a
+/// shard worker's local fork ids lie above them and truncate, but no
+/// job is made of a worker's fork: the merge mints the real forks.
+fn lineage_key(id: StateId) -> u32 {
+    id.0 as u32
+}
+
 impl Deref for SdeState {
     type Target = StateCore;
 
@@ -92,7 +100,7 @@ impl SdeState {
         id: StateId,
         node: NodeId,
         root: bool,
-        shard_root: u64,
+        shard_root: u32,
         core: StateCore,
     ) -> SdeState {
         SdeState {
@@ -118,7 +126,7 @@ impl SdeState {
             budgets: failures.budgets(node),
             partition_until: 0,
         };
-        SdeState::new(id, node, true, id.0, core)
+        SdeState::new(id, node, true, lineage_key(id), core)
     }
 
     /// The remaining budgets plus the partition deadline: what the dedup
@@ -143,9 +151,9 @@ impl SdeState {
     /// The shard-lineage key a fork child receives: direct children of a
     /// boot state open their own subtree (so the frontier fans out into
     /// more than `|nodes|` shards), deeper forks stay in their parent's.
-    fn child_shard_root(&self, child: StateId) -> u64 {
+    fn child_shard_root(&self, child: StateId) -> u32 {
         if self.root {
-            child.0
+            lineage_key(child)
         } else {
             self.shard_root
         }

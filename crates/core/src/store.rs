@@ -10,7 +10,7 @@
 //! **Ids are indexes.** [`Store::allocate_id`] mints state ids densely
 //! and never reuses one, and no state ever leaves the table for good, so
 //! everything keyed by a state id here is a flat vector indexed by it:
-//! the table holds one 32-byte [`SdeState`] handle per id inline (its
+//! the table holds one 24-byte [`SdeState`] handle per id inline (its
 //! core sits behind an `Arc` and never moves; growth moves handles), the
 //! pending-event index a 4-byte slot per id (naming a pooled list only
 //! while the state has events pending) and
@@ -279,9 +279,11 @@ impl PendingLists {
 /// and `clear` give its list back.
 ///
 /// Invariants (checked by [`IndexedQueue::check_reference`]): every
-/// listed event has exactly one key in `front` or `heap`; a key with no
-/// listed event has its `seq` in `cancelled`; since a popped key is the
-/// global minimum, a live key is always the head of its state's list.
+/// listed event has exactly one key in `front` or `heap`, and `stale`
+/// counts the keys with no listed event. Since the next key in dispatch
+/// order is the global minimum, it is live exactly when it names its
+/// state's list head — a cleared event's `seq` is never listed again —
+/// so a stale key is recognised where it surfaces, by one comparison.
 #[derive(Debug, Default)]
 pub struct IndexedQueue {
     heap: EventQueue<StateId>,
@@ -291,9 +293,9 @@ pub struct IndexedQueue {
     /// the heap's own.
     front: VecDeque<Event<StateId>>,
     pending: PendingLists,
-    /// `seq`s of cleared events whose keys are still queued; skipped (and
-    /// forgotten) when they surface.
-    cancelled: HashSet<u64>,
+    /// Keys of cleared events still queued; each is skipped when it
+    /// surfaces.
+    stale: usize,
 }
 
 impl IndexedQueue {
@@ -316,26 +318,32 @@ impl IndexedQueue {
         seq
     }
 
-    /// Discards cancelled keys until the next key in dispatch order —
-    /// `front`'s head, else the heap's top — is a live one.
-    fn skip_cancelled(&mut self) {
-        while !self.cancelled.is_empty() {
+    /// Discards stale keys until the next key in dispatch order —
+    /// `front`'s head, else the heap's top — is a live one: the head of
+    /// its state's list.
+    fn skip_stale(&mut self) {
+        while self.stale > 0 {
             let Some(key) = self.front.front().or(self.heap.peek()) else {
                 return;
             };
-            let seq = key.seq;
-            if !self.cancelled.remove(&seq) {
+            if self.heads(key) {
                 return;
             }
             if self.front.pop_front().is_none() {
                 self.heap.pop();
             }
+            self.stale -= 1;
         }
+    }
+
+    /// Whether `key` names the head of its state's list.
+    fn heads(&self, key: &Event<StateId>) -> bool {
+        (self.list(key.payload).next()).is_some_and(|p| p.seq == key.seq)
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<Event<(StateId, NodeEvent)>> {
-        self.skip_cancelled();
+        self.skip_stale();
         let key = self.front.pop_front().or_else(|| self.heap.pop())?;
         let state = key.payload;
         let list = (self.pending.get_mut(state)).expect("a live key has a pending list");
@@ -354,7 +362,7 @@ impl IndexedQueue {
 
     /// The time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<u64> {
-        self.skip_cancelled();
+        self.skip_stale();
         self.front.front().or(self.heap.peek()).map(|key| key.time)
     }
 
@@ -362,7 +370,8 @@ impl IndexedQueue {
     /// [`IndexedQueue::peek_time`] — each once, in the order their first
     /// such events will be dispatched; [`IndexedQueue::pending_at`] lists
     /// a state's. The events stay queued; only their keys move from the
-    /// heap to `front`, which the previous batch's commit has emptied.
+    /// heap to `front`, which the previous batch's commit has emptied —
+    /// stale ones too, skipped where they surface.
     ///
     /// One pass over the batch's keys, no search: `time` is the earliest
     /// pending time, so a state's events at `time` head its list, and the
@@ -371,12 +380,10 @@ impl IndexedQueue {
         debug_assert!(self.front.is_empty(), "the previous batch was committed");
         while self.heap.peek().is_some_and(|key| key.time == time) {
             let key = self.heap.pop().expect("peeked key");
-            if self.cancelled.is_empty() || !self.cancelled.remove(&key.seq) {
-                self.front.push_back(key);
-            }
+            self.front.push_back(key);
         }
         (self.front.iter())
-            .filter(|key| (self.list(key.payload).next()).is_some_and(|p| p.seq == key.seq))
+            .filter(|key| self.heads(key))
             .map(|key| key.payload)
             .collect()
     }
@@ -389,9 +396,9 @@ impl IndexedQueue {
             .map(|p| &p.event)
     }
 
-    /// Number of pending events (cancelled keys do not count).
+    /// Number of pending events (stale keys do not count).
     pub fn len(&self) -> usize {
-        self.heap.len() + self.front.len() - self.cancelled.len()
+        self.heap.len() + self.front.len() - self.stale
     }
 
     /// Returns `true` when nothing is pending.
@@ -429,8 +436,7 @@ impl IndexedQueue {
     /// Drops every pending event of `state` (a reboot forgets its timers
     /// and in-flight deliveries).
     pub fn clear(&mut self, state: StateId) {
-        let list = self.pending.close(state);
-        self.cancelled.extend(list.iter().map(|p| p.seq));
+        self.stale += self.pending.close(state).len();
     }
 
     /// The pending events as `(time, seq, state, event)`, sorted by `seq`
@@ -495,51 +501,45 @@ impl IndexedQueue {
         self.pending.owners()
     }
 
-    /// Checks the per-state index against a scan of the queued keys: the
-    /// keys not cancelled, grouped by state and sorted by `(time, seq)`,
-    /// must be exactly the lists.
+    /// Checks the per-state index against a scan of the queued keys:
+    /// every listed event must have its key queued, and the keys left
+    /// over must be as many as `stale` counts.
     ///
     /// # Errors
     ///
     /// Describes the first difference found.
     pub fn check_reference(&self) -> Result<(), String> {
-        let mut scanned: Vec<(StateId, u64, u64)> = Vec::new();
-        let mut stale = 0;
-        for key in self.front.iter().chain(self.heap.iter()) {
-            if self.cancelled.contains(&key.seq) {
-                stale += 1;
-            } else {
-                scanned.push((key.payload, key.time, key.seq));
-            }
-        }
-        if stale != self.cancelled.len() {
-            return Err(format!(
-                "{} cancelled seqs but {stale} cancelled keys queued",
-                self.cancelled.len()
-            ));
-        }
+        let mut scanned: Vec<(StateId, u64, u64)> = (self.front.iter())
+            .chain(self.heap.iter())
+            .map(|key| (key.payload, key.time, key.seq))
+            .collect();
         scanned.sort_unstable();
-        let listed: Vec<(StateId, u64, u64)> = self
+        // Both sorted, and `seq`s are unique: one merge pairs every
+        // listed event with its key.
+        let mut listed = self
             .owners()
             .flat_map(|state| self.list(state).map(move |p| (state, p.time, p.seq)))
-            .collect();
-        if scanned.len() != listed.len() {
+            .peekable();
+        let mut stale = 0;
+        for key in &scanned {
+            if listed.peek() == Some(key) {
+                listed.next();
+            } else {
+                stale += 1;
+            }
+        }
+        if let Some(event) = listed.next() {
             return Err(format!(
-                "{} live keys queued, {} events listed",
-                scanned.len(),
-                listed.len()
+                "listed event (state, time, seq) {event:?} has no queued key"
             ));
         }
-        match scanned
-            .iter()
-            .zip(&listed)
-            .find(|(key, event)| key != event)
-        {
-            Some((key, event)) => Err(format!(
-                "queued key (state, time, seq) {key:?} but listed {event:?}"
-            )),
-            None => Ok(()),
+        if stale != self.stale {
+            return Err(format!(
+                "{} stale keys counted but {stale} queued",
+                self.stale
+            ));
         }
+        Ok(())
     }
 }
 
@@ -602,7 +602,13 @@ impl Default for Store {
 
 impl Store {
     /// Mints the next state id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run has minted 2^32 ids: a state's shard-lineage
+    /// key ([`SdeState::shard_root`]) holds an id in 32 bits.
     pub fn allocate_id(&mut self) -> StateId {
+        assert!(self.next_state < u64::from(u32::MAX), "fewer than 2^32 ids");
         let id = StateId(self.next_state);
         self.next_state += 1;
         self.total_states += 1;

@@ -72,4 +72,4 @@ pub use interp::{run_to_completion, step, HandlerOutcome, StepResult, Syscall, V
 pub use isa::{FuncId, Inst, Loc, Reg};
 pub use preset::{InputRequest, Preset, RequestLog};
 pub use program::{FunctionBuilder, Label, Program, ProgramBuilder, ProgramError};
-pub use state::{HeapPool, Status, VmState};
+pub use state::{FrameBuffer, HeapPool, KeyIsHash, Status, VmState};

@@ -49,12 +49,19 @@ pub(crate) struct Frame {
     /// Register in the *caller's* frame receiving our return value.
     pub ret_dst: Option<Reg>,
     /// Live frames from this one down to the handler's (1 for the
-    /// handler's own); 0 marks the spare a finished handler leaves.
+    /// handler's own); 0 marks the frame a finished handler leaves.
     depth: u16,
     caller: Option<Box<Frame>>,
 }
 
 impl Frame {
+    /// Marks this handler frame as left behind: no longer live, its
+    /// registers cleared (their values dropped) but their box kept.
+    fn leave(&mut self) {
+        self.depth = 0;
+        self.regs.fill(None);
+    }
+
     /// Feeds the frame's configuration to a digest.
     fn hash_into(&self, h: &mut impl Hasher) {
         self.func.hash(h);
@@ -88,11 +95,11 @@ impl std::fmt::Debug for Frame {
 /// The call stack in one pointer: the running frame, linked to its
 /// callers'.
 ///
-/// A state that returned from its handler keeps the handler's frame box
-/// as a spare (depth 0, no registers), so its next [`VmState::prepare`]
-/// allocates no frame; a handler that never calls needs no other. The
-/// spare is capacity, not content: it is not cloned, compared, hashed or
-/// encoded.
+/// A handler's return leaves its frame box behind (depth 0, registers
+/// cleared but kept) until [`VmState::release_frame`] hands it to the
+/// dispatcher's [`FrameBuffer`], or the state's next
+/// [`VmState::prepare`] reuses it. That box is capacity, not content: it
+/// is not cloned, compared, hashed or encoded.
 #[derive(Default)]
 pub(crate) struct Frames(Option<Box<Frame>>);
 
@@ -117,34 +124,64 @@ impl Frames {
     }
 
     /// Calls `func` with `regs`: the new frame runs from its first
-    /// instruction, in the spare's box when there is one.
+    /// instruction, linked to the running one.
     pub(crate) fn push(&mut self, func: FuncId, regs: Box<[Option<Value>]>, ret_dst: Option<Reg>) {
-        let mut frame = Frame {
+        let caller = self.0.take().filter(|f| f.depth > 0);
+        let depth = 1 + caller.as_ref().map_or(0, |c| c.depth);
+        self.0 = Some(Box::new(Frame {
             func,
             pc: 0,
             regs,
             ret_dst,
-            depth: 1,
-            caller: None,
-        };
-        match &mut self.0 {
-            Some(spare) if spare.depth == 0 => **spare = frame,
-            slot => {
-                frame.caller = slot.take();
-                frame.depth += frame.caller.as_ref().map_or(0, |c| c.depth);
-                *slot = Some(Box::new(frame));
-            }
+            depth,
+            caller,
+        }));
+    }
+
+    /// Starts a handler on an empty stack: `func` runs from its first
+    /// instruction with `regs` registers, the first ones holding `args`,
+    /// in the box of the frame a handler left — this state's, else
+    /// `spare` — and in that frame's registers when it has `regs` of them.
+    pub(crate) fn start(
+        &mut self,
+        spare: &mut Option<Box<Frame>>,
+        func: FuncId,
+        regs: usize,
+        args: &[Value],
+    ) {
+        debug_assert!(self.is_empty(), "a handler starts on an empty stack");
+        let mut frame = self.0.take().or_else(|| spare.take()).unwrap_or_else(|| {
+            Box::new(Frame {
+                func,
+                pc: 0,
+                regs: Box::default(),
+                ret_dst: None,
+                depth: 0,
+                caller: None,
+            })
+        });
+        if frame.regs.len() == regs {
+            debug_assert!(
+                frame.regs.iter().all(Option::is_none),
+                "a left frame is cleared"
+            );
+        } else {
+            frame.regs = vec![None; regs].into();
         }
+        for (slot, a) in frame.regs.iter_mut().zip(args) {
+            *slot = Some(a.clone());
+        }
+        (frame.func, frame.pc, frame.ret_dst, frame.depth) = (func, 0, None, 1);
+        self.0 = Some(frame);
     }
 
     /// Pops the running frame, returning the register its caller takes
-    /// the result in. The handler's frame stays behind as the spare.
+    /// the result in. The handler's frame stays behind, cleared.
     pub(crate) fn pop(&mut self) -> Option<Option<Reg>> {
         let top = self.0.as_deref_mut().filter(|f| f.depth > 0)?;
         let ret_dst = top.ret_dst;
         if top.depth == 1 {
-            top.depth = 0;
-            top.regs = Box::default();
+            top.leave();
         } else {
             let caller = top.caller.take();
             self.0 = caller;
@@ -152,7 +189,7 @@ impl Frames {
         Some(ret_dst)
     }
 
-    /// Pops every frame, keeping the handler's as the spare.
+    /// Pops every frame, leaving the handler's behind, cleared.
     pub(crate) fn clear(&mut self) {
         let Some(mut bottom) = self.0.take() else {
             return;
@@ -160,9 +197,13 @@ impl Frames {
         while let Some(caller) = bottom.caller.take() {
             bottom = caller;
         }
-        bottom.depth = 0;
-        bottom.regs = Box::default();
+        bottom.leave();
         self.0 = Some(bottom);
+    }
+
+    /// The frame a finished handler left behind, if the stack holds one.
+    fn take_left(&mut self) -> Option<Box<Frame>> {
+        self.0.take_if(|f| f.depth == 0)
     }
 
     /// The live frames, running frame first.
@@ -185,9 +226,18 @@ impl Frames {
     }
 }
 
+/// The frame box a finished handler left, kept by whoever dispatches
+/// handlers: [`VmState::release_frame`] puts it here when a handler
+/// ends, and [`VmState::prepare_from`] takes it for the next, so a
+/// dispatch allocates no frame, and no register box when the next
+/// handler has as many registers. It keeps one box; an idle state keeps
+/// none.
+#[derive(Debug, Default)]
+pub struct FrameBuffer(Option<Box<Frame>>);
+
 impl Clone for Frames {
-    /// Copies the live frames; the spare stays with its owner, so cloning
-    /// a state between handlers allocates nothing.
+    /// Copies the live frames; a left frame stays with its owner, so
+    /// cloning a state between handlers allocates nothing.
     fn clone(&self) -> Frames {
         Frames(self.top().map(|f| Box::new(f.clone())))
     }
@@ -274,6 +324,18 @@ impl VmState {
     /// handler's parameter count, or when the state is not
     /// [`Status::Idle`].
     pub fn prepare(&mut self, program: &Program, handler: &str, args: &[Value]) -> bool {
+        self.prepare_from(&mut FrameBuffer::default(), program, handler, args)
+    }
+
+    /// [`VmState::prepare`], running the handler in the frame `buffer`
+    /// keeps when this state left none of its own.
+    pub fn prepare_from(
+        &mut self,
+        buffer: &mut FrameBuffer,
+        program: &Program,
+        handler: &str,
+        args: &[Value],
+    ) -> bool {
         if self.status != Status::Idle {
             return false;
         }
@@ -284,15 +346,27 @@ impl VmState {
         if usize::from(func.param_count()) != args.len() {
             return false;
         }
-        let mut regs: Box<[Option<Value>]> = vec![None; usize::from(func.reg_count())].into();
-        for (slot, a) in regs.iter_mut().zip(args) {
-            *slot = Some(a.clone());
-        }
-        // Reuses the spare frame a finished handler left, if any.
         self.frames.clear();
-        self.frames.push(func_id, regs, None);
+        let regs = usize::from(func.reg_count());
+        self.frames.start(&mut buffer.0, func_id, regs, args);
         self.status = Status::Running;
         true
+    }
+
+    /// Hands the frame a finished handler left behind to `buffer`, so
+    /// the state keeps only its content; `buffer` keeps one frame. A
+    /// state whose handler did not return or halt has none to hand.
+    pub fn release_frame(&mut self, buffer: &mut FrameBuffer) {
+        if let Some(frame) = self.frames.take_left() {
+            buffer.0.get_or_insert(frame);
+        }
+    }
+
+    /// Whether this state holds the frame of a finished handler, which
+    /// [`VmState::release_frame`] hands back.
+    #[doc(hidden)]
+    pub fn holds_left_frame(&self) -> bool {
+        self.frames.0.as_ref().is_some_and(|f| f.depth == 0)
     }
 
     /// Returns a copy of this state set up to run the named handler:
@@ -849,10 +923,11 @@ impl HeapPool {
     }
 }
 
-/// The pool's hasher: its keys are heap accumulators, sums of mixed
-/// entry hashes, so a key is its own hash.
-#[derive(Default)]
-struct KeyIsHash(u64);
+/// A hasher for keys that are mixed hashes already — the heap pool's
+/// accumulators (sums of mixed entry hashes), a run's configuration
+/// digests — so a `u64` key is its own hash.
+#[derive(Debug, Default)]
+pub struct KeyIsHash(u64);
 
 impl Hasher for KeyIsHash {
     fn write(&mut self, bytes: &[u8]) {
@@ -1003,9 +1078,13 @@ mod tests {
     }
 
     #[test]
-    fn the_call_stack_keeps_one_spare_frame_and_clones_only_live_ones() {
+    fn a_finished_handler_leaves_its_frame_to_the_buffer_and_clones_copy_live_ones() {
         let mut frames = Frames::default();
-        frames.push(FuncId(0), vec![None; 2].into(), None);
+        frames.push(
+            FuncId(0),
+            vec![Some(Value::const_(7, Width::W8)), None].into(),
+            None,
+        );
         frames.push(FuncId(1), vec![None].into(), Some(Reg(1)));
         assert_eq!(frames.len(), 2);
         assert_eq!(frames.top().map(|f| f.func), Some(FuncId(1)));
@@ -1016,20 +1095,44 @@ mod tests {
         assert_eq!(frames.pop(), Some(Some(Reg(1))));
         assert_eq!(frames.pop(), Some(None));
         assert!(frames.is_empty() && frames.top().is_none() && frames.pop().is_none());
-        assert!(frames.0.is_some(), "the handler's frame stays as the spare");
-        assert!(
-            frames.clone().0.is_none(),
-            "a clone does not copy the spare"
-        );
-        let spare: *const Frame = &**frames.0.as_ref().unwrap();
-        frames.push(FuncId(2), Box::default(), None);
-        assert!(
-            std::ptr::eq(spare, frames.top().unwrap()),
-            "the spare is reused"
-        );
+        let left = frames
+            .0
+            .as_deref()
+            .expect("the handler's frame is left behind");
+        assert_eq!(*left.regs, [None, None], "cleared, its register box kept");
+        assert!(frames.clone().0.is_none(), "a clone does not copy it");
+
+        // The buffer takes it, and the next handler runs in it — in its
+        // registers too, when it has as many.
+        let mut buffer = Some(frames.take_left().expect("left frame"));
+        assert!(frames.0.is_none());
+        let (frame, regs): (*const Frame, *const [Option<Value>]) = {
+            let f = buffer.as_deref().unwrap();
+            (f, &*f.regs)
+        };
+        let arg = Value::const_(3, Width::W8);
+        frames.start(&mut buffer, FuncId(2), 2, std::slice::from_ref(&arg));
+        assert!(buffer.is_none());
+        let top = frames.top().unwrap();
+        assert!(std::ptr::eq(frame, top) && std::ptr::eq(regs, &*top.regs));
+        assert_eq!((top.func, top.pc, frames.len()), (FuncId(2), 0, 1));
+        assert_eq!(*top.regs, [Some(arg), None]);
+
+        // A call below it, then a halt: the handler's frame is left.
         frames.push(FuncId(3), Box::default(), None);
         frames.clear();
-        assert!(frames.is_empty() && frames.0.is_some());
+        assert!(frames.is_empty() && frames.0.as_ref().is_some_and(|f| f.func == FuncId(2)));
+        let mut empty = None;
+        frames.start(&mut empty, FuncId(4), 1, &[]);
+        assert!(
+            std::ptr::eq(frame, frames.top().unwrap()),
+            "its own left frame"
+        );
+        assert_eq!(
+            frames.top().unwrap().regs.len(),
+            1,
+            "a register box of the handler's size"
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@ use sde::symbolic::{BinOp, CastOp, Value};
 use sde::vm::{run_to_completion, step, Status, StepResult, VmCtx};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. `const`
@@ -295,30 +296,83 @@ fn re_storing_what_a_shared_cell_holds_allocates_nothing() {
     assert_eq!(low_byte(&clone, 0), 0x34, "the clone is unchanged");
 }
 
-/// A state that ran a handler keeps its frame buffer until its next
-/// event — one per executed state, for the rest of the run: the
-/// handler's frame box, left behind as a spare (40 bytes here). A `Vec`
-/// of frames' first push would reserve four (160 bytes: 6 MB of the
-/// 57 MB live at `collect7_cow`'s peak, one buffer per executed state).
+// ---- frames: the dispatching engine's, not the states' ----------------------
+//
+// A handler's frame box goes back to the engine when the handler ends,
+// and the next handler the engine dispatches runs in it — in its
+// register box too, when it has as many registers. At the commit before,
+// each state kept its last handler's frame box (40 bytes) as a spare for
+// the rest of the run, one per state that ever ran a handler (35 368 on
+// collect 7×7 under COW), and every dispatch allocated a register box.
+
+/// Registers of node 1's `on_recv`: an odd size for a register box.
+const RECV_REGS: u16 = 29;
+
+/// Every 100 ms node 0 sends node 1 two words; node 1's `on_recv`
+/// computes on registers only, with [`RECV_REGS`] of them.
+fn ping_scenario() -> Scenario {
+    let mut sender = ProgramBuilder::new();
+    sender.function("on_boot", 0, |f| {
+        let delay = f.imm(100, Width::W64);
+        f.set_timer(delay, 1);
+        f.ret(None);
+    });
+    sender.function("on_timer", 1, |f| {
+        let (dest, word) = (f.imm(1, Width::W16), f.imm(7, Width::W16));
+        f.send(dest, &[word]);
+        f.send(dest, &[word]);
+        let delay = f.imm(100, Width::W64);
+        f.set_timer(delay, 1);
+        f.ret(None);
+    });
+    let mut receiver = ProgramBuilder::new();
+    receiver.function("on_boot", 0, |f| f.ret(None));
+    receiver.function("on_recv", 2, |f| {
+        // Two parameter registers, then one more per add.
+        let mut acc = f.param(1);
+        for _ in 2..RECV_REGS {
+            let next = f.reg();
+            f.bin(BinOp::Add, next, acc, acc);
+            acc = next;
+        }
+        f.ret(None);
+    });
+    let programs = vec![sender.build().unwrap(), receiver.build().unwrap()];
+    Scenario::new(Topology::line(2), programs)
+        .with_duration_ms(100_000)
+        .with_sample_every(1_000_000)
+}
+
 #[test]
-fn an_idle_state_keeps_a_frame_buffer_of_one() {
-    let mut pb = ProgramBuilder::new();
-    pb.function("on_boot", 0, |f| f.ret(None));
-    let program = pb.build().unwrap();
-    let solver = Solver::new();
-    let mut symbols = SymbolTable::new();
-    let mut ctx = VmCtx::new(&solver, &mut symbols);
-    let mut state = VmState::fresh(&program);
-    assert!(state.prepare(&program, "on_boot", &[]));
-    step_until(&program, &mut state, &mut ctx, |_| false);
-    assert_eq!(*state.status(), Status::Idle);
-    // Empty memory, path and traces: the buffer is all the state owns.
-    let before = freed_bytes();
-    drop(state);
-    let held = freed_bytes() - before;
+fn the_engine_keeps_the_frame_and_a_warmed_delivery_allocates_none() {
+    let scenario = ping_scenario();
+    let receiver = Arc::clone(&scenario.programs[1]);
+    let on_recv = receiver.function(receiver.function_id("on_recv").unwrap());
+    assert_eq!(on_recv.reg_count(), RECV_REGS);
+    let mut engine = Engine::new(scenario, Algorithm::Cow);
+    // Two boots, then a timer and its two deliveries, over and over:
+    // after 2 + 3k + 2 events the next one is a delivery to node 1 right
+    // after another, so the frame the engine holds has its registers.
+    assert_eq!(
+        engine.run_until(Budget::events(2 + 3 * 8 + 2)),
+        RunOutcome::Paused
+    );
+    let ran = |engine: &Engine| engine.state(StateId(1)).unwrap().vm.instructions_executed();
+    let (before, ran_before) = (allocations(), ran(&engine));
+    assert_eq!(engine.run_until(Budget::events(1)), RunOutcome::Paused);
+    let spent = allocations() - before;
+    assert_eq!(
+        ran(&engine) - ran_before,
+        on_recv.len() as u64,
+        "one on_recv ran"
+    );
+    assert_eq!(
+        spent, 0,
+        "a warmed delivery allocates no frame, no register box, nothing"
+    );
     assert!(
-        (1..=40).contains(&held),
-        "an idle state held {held} bytes of frame buffer"
+        engine.states().all(|s| !s.vm.holds_left_frame()),
+        "no resident state keeps a frame"
     );
 }
 
@@ -559,7 +613,7 @@ fn a_cob_branch_allocates_its_forks_and_one_list() {
     );
 }
 
-/// The table moves 32-byte handles as it grows; a state's core, where
+/// The table moves 24-byte handles as it grows; a state's core, where
 /// its body lives, stays where it was allocated.
 #[test]
 fn growing_the_state_table_never_moves_a_resident() {
@@ -595,12 +649,13 @@ fn growing_the_state_table_never_moves_a_resident() {
 // Every resident state is one `SdeState` handle inline in the table, and
 // the queue keeps one pending-event slot per id ever minted, so these
 // sizes multiply by the state count; a state's core is paid once per
-// distinct body, by the first write to a shared one. Two commits before,
-// `SdeState` was 304 bytes (a 320-byte malloc chunk), `Status` 72 (a
+// distinct body, by the first write to a shared one. Once, `SdeState`
+// was 304 bytes (a 320-byte malloc chunk), `Status` 72 (a
 // `BugReport` inline in every state) and the slot a 32-byte `VecDeque`;
-// boxing `fork_as` of an idle state was one allocation of 304 bytes. At
-// the commit before, every state was a boxed 184-byte `SdeState` (a
-// 192-byte chunk) and every fork one such box.
+// boxing `fork_as` of an idle state was one allocation of 304 bytes.
+// Later every state was a boxed 184-byte `SdeState` (a 192-byte chunk)
+// and every fork one such box, then a 32-byte handle whose `shard_root`
+// was a `u64`.
 
 use sde::core::store::IndexedQueue;
 use sde::core::{HistoryEvent, NodeEvent, StateCore};
@@ -612,8 +667,8 @@ fn the_resident_layout_stays_in_budget() {
     let status = std::mem::size_of::<Status>();
     println!("SdeState {state} B, Status {status} B");
     assert!(
-        state <= 32,
-        "SdeState is {state} bytes (184 before, 304 two commits before)"
+        state <= 24,
+        "SdeState is {state} bytes (32 before, 184 and 304 earlier)"
     );
     assert!(status <= 16, "Status is {status} bytes (72 before)");
 }
@@ -703,6 +758,10 @@ fn retained_per_resident_state(resumed: bool) -> (i64, usize) {
     }
     let kept = retained_bytes() - held;
     let resident = engine.states().count();
+    assert!(
+        engine.states().all(|s| !s.vm.holds_left_frame()),
+        "no resident state keeps a frame"
+    );
     drop(engine);
     (kept / resident as i64, resident)
 }
@@ -711,9 +770,10 @@ fn retained_per_resident_state(resumed: bool) -> (i64, usize) {
 /// caches, the heap pool — over its 3 083 resident states. Measured with
 /// this test at the commit before heaps were pooled: 533 bytes a state
 /// straight and 802 resumed, where every decoded state kept a trie of its
-/// own; 437 and 667 here. A resumed state still costs more than a straight
-/// one: decoded states own their cores and histories, where the straight
-/// run's copies share them.
+/// own; 437 and 666 at the commit before states gave their frames back
+/// and the handle shrank to 24 bytes; 404 and 656 here. A resumed state
+/// still costs more than a straight one: decoded states own their cores
+/// and histories, where the straight run's copies share them.
 #[test]
 fn a_resident_state_retains_bytes_in_budget_straight_and_resumed() {
     let (straight, resident) = retained_per_resident_state(false);
@@ -721,11 +781,11 @@ fn a_resident_state_retains_bytes_in_budget_straight_and_resumed() {
     println!("{resident} resident states: {straight} B each straight, {resumed} B resumed");
     assert_eq!(resident, again, "the resumed engine holds the same states");
     assert!(
-        straight <= 470,
-        "{straight} bytes per resident state straight (533 before heaps were pooled)"
+        straight <= 435,
+        "{straight} bytes per resident state straight (437 before frames went back)"
     );
     assert!(
-        resumed <= 700,
-        "{resumed} bytes per resident state resumed (802 before heaps were pooled)"
+        resumed <= 690,
+        "{resumed} bytes per resident state resumed (666 before frames went back)"
     );
 }

@@ -362,6 +362,44 @@ fn resume_refuses_ids_nothing_in_the_snapshot_backs() {
     }
 }
 
+/// A shard-lineage key wider than the 32 bits a state keeps it in is
+/// refused by the codec, never truncated: the key is the id of a
+/// subtree's first state, and a run mints fewer than 2^32 ids.
+#[test]
+fn a_shard_root_beyond_32_bits_is_malformed() {
+    use sde::core::SnapshotError;
+    use sde::symbolic::CodecError;
+
+    let (_label, scenario) = scenario_from_seed(7);
+    let mut engine = Engine::new(scenario, Algorithm::Cow);
+    engine.run_until(Budget::events(9));
+    let good = engine.snapshot();
+    let last = good.resident_states() - 1;
+    let with_root = |root: u32| {
+        let mut edited = good.clone();
+        edited.edit_state(last, |s, _| s.shard_root = root);
+        edited.to_bytes()
+    };
+    // Apart in one state's key only, two five-byte varints: past the
+    // header, the one differing byte is the varint's first.
+    let (max, below) = (with_root(u32::MAX), with_root(u32::MAX - 1));
+    assert_eq!(max.len(), below.len());
+    let apart: Vec<usize> = (20..max.len()).filter(|&i| max[i] != below[i]).collect();
+    let [at] = apart[..] else {
+        panic!("the keys' varints differ in bytes {apart:?}")
+    };
+    assert_eq!(max[at..at + 5], [0xff, 0xff, 0xff, 0xff, 0x0f]);
+    EngineSnapshot::from_bytes(&max).expect("u32::MAX is a key");
+
+    let mut wider = max;
+    wider[at + 4] = 0x10; // 2^32 + 2^28 − 1
+    patch_digest(&mut wider);
+    match EngineSnapshot::from_bytes(&wider) {
+        Err(SnapshotError::Codec(CodecError::Malformed("u32 out of range"))) => {}
+        other => panic!("a 33-bit shard root decoded to {other:?}"),
+    }
+}
+
 /// Hand-built exact-cache entries no solver writes. The cache is keyed by
 /// canonical form (DESIGN.md §6): an entry that is not its own canonical
 /// form would decode, never hit, and shift the resumed run's trace
