@@ -25,8 +25,8 @@
 //! Chrome `trace_event` twin).
 
 use sde_bench::{
-    or_usage, paper_scenario, report_json, trace_file_for, with_fault_axes, write_bench_json,
-    write_file, Args, Checkpointing, FaultAxis, RunConfig, RunLimits,
+    join_axes, or_usage, paper_scenario, report_json, trace_file_for, with_fault_axes,
+    write_bench_json, write_file, Args, Checkpointing, RunConfig, RunLimits,
 };
 use sde_core::{human_bytes, Algorithm};
 
@@ -78,7 +78,7 @@ fn main() {
     let fault_tag = if faults.is_empty() {
         String::new()
     } else {
-        format!("_faults_{}", FaultAxis::join(&faults))
+        format!("_faults_{}", join_axes(&faults))
     };
 
     let mut json = Vec::new();
@@ -86,7 +86,7 @@ fn main() {
         let scenario = with_fault_axes(paper_scenario(side), &faults);
         println!("== Figure 10, {nodes}-node scenario ({side}x{side}) ==");
         if !faults.is_empty() {
-            println!("fault axes: {}", FaultAxis::join(&faults));
+            println!("fault axes: {}", join_axes(&faults));
         }
         println!(
             "{:<4} | {:>12} | {:>10} | {:>12} | {:>13} | {:>8} | series file",

@@ -42,10 +42,11 @@
 
 use sde_bench::{
     conformance_json, or_usage, oracle_scenario, parse_algorithm, with_fault_axes,
-    write_bench_json, Args, FaultAxis,
+    write_bench_json, Args,
 };
 use sde_core::oracle::{conformance_against, ground_truth, OracleConfig};
 use sde_core::Algorithm;
+use sde_net::FailureKind;
 
 fn main() {
     let args = Args::from_env();
@@ -72,7 +73,7 @@ fn main() {
     // `--faults partition,latency,corrupt,crashrec|all`: one full
     // ground-truth + conformance pass per axis (axis applied alone).
     // `None` marks the faultless base pass run when the flag is absent.
-    let passes: Vec<Option<FaultAxis>> = match or_usage(args.faults()) {
+    let passes: Vec<Option<FailureKind>> = match or_usage(args.faults()) {
         None => vec![None],
         Some(axes) => axes.into_iter().map(Some).collect(),
     };
@@ -81,7 +82,7 @@ fn main() {
     let mut dirty = 0usize;
     for axis in passes {
         let scenario = with_fault_axes(base.clone(), axis.as_slice());
-        let axis_name = axis.map_or("none", FaultAxis::name);
+        let axis_name = axis.map_or("none", FailureKind::name);
         println!(
             "\nconformance oracle — preset {preset:?} ({} nodes), fault axis {axis_name}, \
              enumeration cap {} assignments, testgen cap {} cases{}",

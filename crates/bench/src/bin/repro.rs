@@ -35,12 +35,14 @@
 //! byte-identical for any worker count.
 
 use sde_bench::{
-    demo, or_usage, parse_algorithm, render_artifact, with_fault_axes, write_file, Args, FaultAxis,
+    demo, join_axes, or_usage, parse_algorithm, parse_fault_axes, render_artifact, with_fault_axes,
+    write_file, Args,
 };
 use sde_core::check;
 use sde_core::minimize::Minimizer;
 use sde_core::oracle::Assignment;
 use sde_core::{Engine, Scenario};
+use sde_net::FailureKind;
 use sde_trace::{parse_flat_object, JsonValue};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -63,7 +65,7 @@ fn checkrun(args: &Args) -> ExitCode {
     let fixed = args.flag("fixed");
     let algorithm_name = or_usage(args.get_or("algorithm", "sds"));
     let algorithm = or_usage(parse_algorithm(&algorithm_name));
-    let axes = or_usage(args.faults()).unwrap_or_else(|| FaultAxis::ALL.to_vec());
+    let axes = or_usage(args.faults()).unwrap_or_else(|| FailureKind::AXES.to_vec());
     let workers: Option<usize> = or_usage(args.get("workers"));
     let emit: Option<String> = or_usage(args.get("emit"));
 
@@ -73,7 +75,7 @@ fn checkrun(args: &Args) -> ExitCode {
 
     println!(
         "repro: demo={demo_name} algorithm={algorithm_name} faults={} fixed={fixed} workers={}",
-        FaultAxis::join(&axes),
+        join_axes(&axes),
         workers.unwrap_or(1),
     );
 
@@ -234,7 +236,7 @@ fn replay(path: &Path) -> ExitCode {
     let axes = if faults.is_empty() {
         Vec::new()
     } else {
-        match FaultAxis::parse_list(faults) {
+        match parse_fault_axes(faults) {
             Ok(axes) => axes,
             Err(e) => return fail(&e),
         }

@@ -42,9 +42,9 @@
 //! `<out>/BENCH_table1[_<tag>].json`.
 
 use sde_bench::{
-    grid_side, or_usage, paper_scenario, report_json, symbolic_grid, table_header, testgen_json,
-    trace_file_for, vm_hwm_bytes, with_fault_axes, write_bench_json, Args, Checkpointing,
-    FaultAxis, RunConfig, RunLimits, SolverLayers,
+    grid_side, join_axes, or_usage, paper_scenario, report_json, symbolic_grid, table_header,
+    testgen_json, trace_file_for, vm_hwm_bytes, with_fault_axes, write_bench_json, Args,
+    Checkpointing, RunConfig, RunLimits, SolverLayers,
 };
 use sde_core::complexity::WorstCase;
 use sde_core::{Algorithm, Engine};
@@ -154,7 +154,7 @@ fn main() {
         scenario.node_count()
     );
     if !faults.is_empty() {
-        println!("fault axes: {}", FaultAxis::join(&faults));
+        println!("fault axes: {}", join_axes(&faults));
     }
     println!(
         "state caps (40 GB-limit analogue): COB {cap_cob}, COW/SDS {cap}; \
@@ -218,7 +218,7 @@ fn main() {
             if faults.is_empty() {
                 String::new()
             } else {
-                format!("_faults_{}", FaultAxis::join(&faults))
+                format!("_faults_{}", join_axes(&faults))
             }
         );
         json.push(report_json(&label, &report));

@@ -227,80 +227,38 @@ pub fn workload_checker(source: NodeId, sink: NodeId) -> Checker {
     })
 }
 
-/// One axis of the extended fault model (DESIGN.md §11) — the unit the
-/// bench bins' `--faults` flag, the oracle's per-axis sweep and the fault
-/// suites work in. Declared in [`FailureKind::AXES`] order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAxis {
-    /// Symbolic partition of every link into the sink (node 0), healing
-    /// at one of two symbolic candidate times.
-    Partition,
-    /// Symbolic extra delivery delay on the sink.
-    Latency,
-    /// Symbolic payload-byte corruption on the sink.
-    Corrupt,
-    /// Symbolic crash-with-recovery on the sink (persistent window
-    /// survives, volatile state resets).
-    CrashRec,
+/// Parses a `--faults` value into axes of the extended fault model
+/// (DESIGN.md §11): `all` ([`FailureKind::AXES`]), or a comma-separated
+/// subset of `partition,latency,corrupt,crashrec` (each a
+/// [`FailureKind::name`]).
+///
+/// # Errors
+///
+/// An unknown axis name is an error naming the accepted values — a
+/// typo'd axis must not silently run a faultless experiment.
+pub fn parse_fault_axes(s: &str) -> Result<Vec<FailureKind>, String> {
+    if s == "all" {
+        return Ok(FailureKind::AXES.to_vec());
+    }
+    s.split(',')
+        .map(|name| {
+            let name = name.trim();
+            (FailureKind::AXES.into_iter())
+                .find(|axis| axis.name() == name)
+                .ok_or_else(|| {
+                    format!(
+                        "unknown fault axis {name:?} \
+                         (expected partition|latency|corrupt|crashrec|all)"
+                    )
+                })
+        })
+        .collect()
 }
 
-impl FaultAxis {
-    /// Every axis, in `--faults all` order.
-    pub const ALL: [FaultAxis; 4] = [
-        FaultAxis::Partition,
-        FaultAxis::Latency,
-        FaultAxis::Corrupt,
-        FaultAxis::CrashRec,
-    ];
-
-    /// The failure kind the axis arms.
-    pub fn kind(self) -> FailureKind {
-        FailureKind::AXES[self as usize]
-    }
-
-    /// Stable name for CLI values, labels and filenames: the kind's own
-    /// [`FailureKind::name`].
-    pub fn name(self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Parses a `--faults` value: `all`, or a comma-separated subset of
-    /// `partition,latency,corrupt,crashrec`.
-    ///
-    /// # Errors
-    ///
-    /// An unknown axis name is an error naming the accepted values — a
-    /// typo'd axis must not silently run a faultless experiment.
-    pub fn parse_list(s: &str) -> Result<Vec<FaultAxis>, String> {
-        if s == "all" {
-            return Ok(FaultAxis::ALL.to_vec());
-        }
-        s.split(',')
-            .map(|name| {
-                let name = name.trim();
-                FaultAxis::ALL
-                    .into_iter()
-                    .find(|axis| axis.name() == name)
-                    .ok_or_else(|| {
-                        format!(
-                            "unknown fault axis {name:?} \
-                             (expected partition|latency|corrupt|crashrec|all)"
-                        )
-                    })
-            })
-            .collect()
-    }
-
-    /// Joins axis names for labels: `partition+latency`.
-    pub fn join(axes: &[FaultAxis]) -> String {
-        axes.iter().map(|a| a.name()).collect::<Vec<_>>().join("+")
-    }
-}
-
-impl std::fmt::Display for FaultAxis {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
+/// Joins axis names for labels: `partition+latency`.
+pub fn join_axes(axes: &[FailureKind]) -> String {
+    let names: Vec<&str> = axes.iter().map(|a| a.name()).collect();
+    names.join("+")
 }
 
 /// Applies `axes` of the extended fault model to `scenario`, arming each
@@ -319,7 +277,12 @@ impl std::fmt::Display for FaultAxis {
 /// * **crashrec** lets node 0 crash-and-recover once; the persistent
 ///   window is the `sde-os` flash layout
 ///   ([`sde_os::layout::PERSIST_BASE`]).
-pub fn with_fault_axes(scenario: Scenario, axes: &[FaultAxis]) -> Scenario {
+///
+/// # Panics
+///
+/// On a kind outside [`FailureKind::AXES`]: the workloads arm their own
+/// drops, duplicates and reboots.
+pub fn with_fault_axes(scenario: Scenario, axes: &[FailureKind]) -> Scenario {
     if axes.is_empty() {
         return scenario;
     }
@@ -327,7 +290,7 @@ pub fn with_fault_axes(scenario: Scenario, axes: &[FaultAxis]) -> Scenario {
     let mut failures = scenario.failures.clone();
     for axis in axes {
         failures = match axis {
-            FaultAxis::Partition => {
+            FailureKind::Partition => {
                 let cut: Vec<(NodeId, NodeId)> = scenario
                     .topology
                     .neighbors(sink)
@@ -336,14 +299,15 @@ pub fn with_fault_axes(scenario: Scenario, axes: &[FaultAxis]) -> Scenario {
                 let d = scenario.duration_ms;
                 failures.with_partition(cut, [d / 4, d / 2])
             }
-            FaultAxis::Latency => failures.with_latency([sink], scenario.link_latency_ms * 3, 1),
-            FaultAxis::Corrupt => failures.with_corruption([sink], 1),
-            FaultAxis::CrashRec => failures.with_crash_recovery(
+            FailureKind::Latency => failures.with_latency([sink], scenario.link_latency_ms * 3, 1),
+            FailureKind::Corruption => failures.with_corruption([sink], 1),
+            FailureKind::CrashRecovery => failures.with_crash_recovery(
                 [sink],
                 1,
                 sde_os::layout::PERSIST_BASE,
                 sde_os::layout::PERSIST_SIZE,
             ),
+            other => panic!("{} is not a fault axis", other.name()),
         };
     }
     scenario.with_failures(failures)
@@ -1037,15 +1001,15 @@ impl Args {
             .unwrap_or_default())
     }
 
-    /// `--faults LIST`, parsed by [`FaultAxis::parse_list`]; `None` when
+    /// `--faults LIST`, parsed by [`parse_fault_axes`]; `None` when
     /// absent.
     ///
     /// # Errors
     ///
     /// An unknown axis name.
-    pub fn faults(&self) -> Result<Option<Vec<FaultAxis>>, String> {
+    pub fn faults(&self) -> Result<Option<Vec<FailureKind>>, String> {
         self.get::<String>("faults")?
-            .map(|list| FaultAxis::parse_list(&list))
+            .map(|list| parse_fault_axes(&list))
             .transpose()
     }
 
@@ -1200,18 +1164,18 @@ mod tests {
 
     #[test]
     fn fault_axes_parse_and_apply() {
-        assert_eq!(FaultAxis::parse_list("all"), Ok(FaultAxis::ALL.to_vec()));
+        assert_eq!(parse_fault_axes("all"), Ok(FailureKind::AXES.to_vec()));
         assert_eq!(
-            FaultAxis::parse_list("partition,crashrec"),
-            Ok(vec![FaultAxis::Partition, FaultAxis::CrashRec])
+            parse_fault_axes("partition,crashrec"),
+            Ok(vec![FailureKind::Partition, FailureKind::CrashRecovery])
         );
         assert_eq!(
-            FaultAxis::join(&FaultAxis::ALL),
+            join_axes(&FailureKind::AXES),
             "partition+latency+corrupt+crashrec"
         );
         let base = oracle_scenario("tiny").unwrap();
         assert_eq!(with_fault_axes(base.clone(), &[]).failures, base.failures);
-        let all = with_fault_axes(base.clone(), &FaultAxis::ALL);
+        let all = with_fault_axes(base.clone(), &FailureKind::AXES);
         assert!(all.failures.cut_contains(NodeId(0), NodeId(1)));
         assert_eq!(
             all.failures.heal_choices().len(),
@@ -1222,20 +1186,26 @@ mod tests {
         assert_eq!(all.failures.persist_base(), sde_os::layout::PERSIST_BASE);
         // One axis alone is exactly that axis, and the workload's own
         // drops stay.
-        for axis in FaultAxis::ALL {
+        for axis in FailureKind::AXES {
             let one = with_fault_axes(base.clone(), &[axis]);
-            assert_eq!(one.failures.active_axes(), vec![axis.kind()]);
+            assert_eq!(one.failures.active_axes(), vec![axis]);
             assert_eq!(one.failures.budget(NodeId(0), FailureKind::PacketDrop), 1);
         }
     }
 
     #[test]
     fn fault_axis_typo_is_loud() {
-        let err = FaultAxis::parse_list("partition,latncy").unwrap_err();
-        assert!(err.contains("unknown fault axis \"latncy\""), "{err}");
-        assert!(
-            err.contains("partition|latency|corrupt|crashrec|all"),
-            "{err}"
+        let faults = |value: &str| Args {
+            pairs: vec![("faults".to_string(), value.to_string())],
+            flags: Vec::new(),
+        };
+        assert_eq!(Args::default().faults(), Ok(None));
+        assert_eq!(faults("all").faults(), Ok(Some(FailureKind::AXES.to_vec())));
+        assert_eq!(
+            faults("partition,latncy").faults(),
+            Err("unknown fault axis \"latncy\" \
+                 (expected partition|latency|corrupt|crashrec|all)"
+                .to_string())
         );
     }
 

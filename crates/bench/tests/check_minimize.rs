@@ -9,7 +9,7 @@
 //! * the repaired protocol (`--fixed`) and the `persist` demo are
 //!   violation-free negative controls.
 
-use sde_bench::{demo, render_artifact, with_fault_axes, FaultAxis};
+use sde_bench::{demo, render_artifact, with_fault_axes};
 use sde_core::check::{Checker, Violation};
 use sde_core::oracle::Assignment;
 use sde_core::{Algorithm, Engine, MinimizeReport, Minimizer, Scenario};
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// A demo's scenario under every fault axis, and its invariants.
 fn faulted_demo(name: &str, fixed: bool) -> (Scenario, Checker) {
     let (scenario, checker) = demo(name, fixed).expect("a known demo");
-    (with_fault_axes(scenario, &FaultAxis::ALL), checker)
+    (with_fault_axes(scenario, &FailureKind::AXES), checker)
 }
 
 fn token_scenario(fixed: bool) -> Scenario {

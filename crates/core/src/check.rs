@@ -23,19 +23,16 @@
 //! lineage slice from the root to the violating state (when the caller
 //! recorded trace events).
 //!
-//! Checks run at quiescence ([`Checker::check`]) or additionally at
-//! configurable virtual-time barriers ([`Checker::check_with_barriers`]),
-//! which drives the engine with one-event [`Budget`]s and evaluates the
-//! invariants whenever the clock crosses a barrier.
+//! Checks run at quiescence ([`Checker::check`]).
 //!
 //! [`stabilize`] turns a solver model into a *replay-stable* witness: it
 //! re-runs the scenario through the strict, request-recording
-//! [`Preset`](sde_vm::Preset) path, pinning every input the replay
+//! [`Preset`] path, pinning every input the replay
 //! requests, until a non-forking concrete run reproduces the violation.
 //! The replayed violation defines the canonical [`Violation::digest`]
 //! that repro artifacts are diffed against.
 
-use crate::checkpoint::{fnv1a, Budget};
+use crate::checkpoint::fnv1a;
 use crate::engine::{Engine, Fault};
 use crate::mapping::Algorithm;
 use crate::oracle::Assignment;
@@ -44,7 +41,7 @@ use crate::state::StateId;
 use sde_net::{FailureKind, NodeId};
 use sde_symbolic::{Expr, ExprRef, SolverResult, Width};
 use sde_vm::{BugKind, BugReport, FuncId, Loc, Preset, Status, VmState};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -355,38 +352,6 @@ impl Checker {
         violations
     }
 
-    /// Drives a booted engine to completion, evaluating the invariants
-    /// whenever virtual time first reaches each barrier (ascending
-    /// milliseconds) and once more at quiescence. Violations are
-    /// deduplicated by digest across evaluation points.
-    pub fn check_with_barriers(&self, engine: &mut Engine, barriers_ms: &[u64]) -> Vec<Violation> {
-        let mut barriers: Vec<u64> = barriers_ms.to_vec();
-        barriers.sort_unstable();
-        let mut violations: Vec<Violation> = Vec::new();
-        let mut digests: HashSet<u64> = HashSet::new();
-        let mut next = 0;
-        loop {
-            let outcome = engine.run_until(Budget::events(1));
-            while next < barriers.len() && engine.now() >= barriers[next] {
-                for v in self.check(engine) {
-                    if digests.insert(v.digest()) {
-                        violations.push(v);
-                    }
-                }
-                next += 1;
-            }
-            if outcome.is_complete() {
-                break;
-            }
-        }
-        for v in self.check(engine) {
-            if digests.insert(v.digest()) {
-                violations.push(v);
-            }
-        }
-        violations
-    }
-
     /// Solves `cond` under the members' combined path condition; `Sat`
     /// means the invariant is violated on a reachable input.
     fn solve_violation(
@@ -499,7 +464,7 @@ fn replay(
 /// decisions, later occurrences). The loop replays, pins each first
 /// missing input to 0 (the benign default), and repeats until the
 /// replay is complete *and* still violates the invariant — or gives up
-/// after [`MAX_STABILIZE_ROUNDS`] rounds / when the violation
+/// after `MAX_STABILIZE_ROUNDS` (64) rounds / when the violation
 /// evaporates under the completed assignment.
 ///
 /// On success returns the canonical violation as observed by the
@@ -546,16 +511,4 @@ pub fn stabilize_assignment(
         }
     }
     None
-}
-
-/// Symbol ids appearing in any member's path condition — handy for
-/// domain-shrink diagnostics.
-pub fn witness_vars(engine: &Engine, members: &[StateId]) -> BTreeSet<sde_symbolic::SymId> {
-    let mut vars = BTreeSet::new();
-    for id in members {
-        if let Some(s) = engine.state(*id) {
-            s.vm.path_condition().collect_vars(&mut vars);
-        }
-    }
-    vars
 }

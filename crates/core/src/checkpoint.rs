@@ -66,8 +66,7 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 4;
 /// use sde_core::Budget;
 ///
 /// let b = Budget::events(10);
-/// assert_eq!((b.max_events, b.max_instructions), (Some(10), None));
-/// assert_eq!(Budget::instructions(7).max_instructions, Some(7));
+/// assert_eq!((b.max_events, b.max_live_states), (Some(10), None));
 /// assert_eq!(Budget::live_states(5).max_live_states, Some(5));
 /// assert_eq!(Budget::unlimited(), Budget::default());
 /// ```
@@ -75,8 +74,6 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 4;
 pub struct Budget {
     /// Pause after dispatching this many events (this call).
     pub max_events: Option<u64>,
-    /// Pause once this many VM instructions executed (this call).
-    pub max_instructions: Option<u64>,
     /// Pause once the live-state count reaches this bound.
     pub max_live_states: Option<usize>,
 }
@@ -91,14 +88,6 @@ impl Budget {
     pub fn events(n: u64) -> Budget {
         Budget {
             max_events: Some(n),
-            ..Budget::default()
-        }
-    }
-
-    /// Bound on executed VM instructions.
-    pub fn instructions(n: u64) -> Budget {
-        Budget {
-            max_instructions: Some(n),
             ..Budget::default()
         }
     }
@@ -248,8 +237,8 @@ pub struct EngineSnapshot {
     pub(crate) total_states: usize,
     /// Next state id to allocate.
     pub(crate) next_state: u64,
-    /// Fork counts indexed by [`sde_trace::ForkReason::ALL`].
-    pub(crate) forks: [u64; 10],
+    /// Fork counts indexed by [`sde_trace::ForkReason`].
+    pub(crate) forks: [u64; sde_trace::ForkReason::ALL.len()],
     /// The time series collected so far.
     pub(crate) samples: Vec<Sample>,
     /// Bugs found so far.
@@ -267,6 +256,22 @@ pub struct EngineSnapshot {
     pub(crate) sharded: bool,
     /// Ids of states that entered handler execution, sorted ascending.
     pub(crate) executed: Vec<u64>,
+}
+
+/// The editable parts of an [`EngineSnapshot`]
+/// ([`EngineSnapshot::parts_mut`]).
+#[doc(hidden)]
+pub struct SnapshotParts<'a> {
+    /// Pending events `(time, seq, state, event)`, sorted by seq.
+    pub queue: &'a mut Vec<(u64, u64, StateId, NodeEvent)>,
+    /// Resident state records, sorted by id.
+    pub states: &'a mut Vec<SdeState>,
+    /// The next state id to mint.
+    pub next_state: &'a mut u64,
+    /// Ids of states that entered a handler, sorted ascending.
+    pub executed: &'a mut Vec<u64>,
+    /// Mapper bookkeeping.
+    pub mapper: &'a mut MapperSnapshot,
 }
 
 impl EngineSnapshot {
@@ -310,46 +315,18 @@ impl EngineSnapshot {
         self.aborted
     }
 
-    /// Test hook: rewrites the key and the event of each queued entry in
-    /// place, so hostile-snapshot tests can hand-build queues no run
-    /// writes and check that [`Engine::resume`](crate::Engine::resume)
-    /// refuses them.
+    /// Test hook: the snapshot's editable parts, so hostile-snapshot
+    /// tests can hand-build what no run writes and check that
+    /// [`Engine::resume`](crate::Engine::resume) refuses it.
     #[doc(hidden)]
-    pub fn edit_queue(
-        &mut self,
-        mut edit: impl FnMut(usize, &mut u64, &mut u64, &mut StateId, &mut NodeEvent),
-    ) {
-        for (i, (time, seq, state, event)) in self.queue.iter_mut().enumerate() {
-            edit(i, time, seq, state, event);
+    pub fn parts_mut(&mut self) -> SnapshotParts<'_> {
+        SnapshotParts {
+            queue: &mut self.queue,
+            states: &mut self.states,
+            next_state: &mut self.next_state,
+            executed: &mut self.executed,
+            mapper: &mut self.mapper,
         }
-    }
-
-    /// Test hook: drops the `index`-th resident state record, leaving
-    /// queue and mapper as they were.
-    #[doc(hidden)]
-    pub fn remove_state(&mut self, index: usize) {
-        self.states.remove(index);
-    }
-
-    /// Test hook: hands the `index`-th resident state record and the
-    /// state allocator (the next id to mint) to `edit`, leaving queue and
-    /// mapper as they were.
-    #[doc(hidden)]
-    pub fn edit_state(&mut self, index: usize, edit: impl FnOnce(&mut SdeState, &mut u64)) {
-        edit(&mut self.states[index], &mut self.next_state);
-    }
-
-    /// Test hook: lists `id` among the states that entered a handler.
-    #[doc(hidden)]
-    pub fn push_executed(&mut self, id: u64) {
-        self.executed.push(id);
-    }
-
-    /// Test hook: hands the mapper bookkeeping to `edit`, so
-    /// hostile-snapshot tests can make it disagree with the state records.
-    #[doc(hidden)]
-    pub fn edit_mapper(&mut self, edit: impl FnOnce(&mut MapperSnapshot)) {
-        edit(&mut self.mapper);
     }
 
     /// Test hook: the first [`EngineSnapshot::diff`] line, with the
@@ -812,9 +789,7 @@ walk! {
     BugFound { node, state, report }
     DedupStats { candidates, confirmed, collisions, pruned_states, saved_instructions }
     TraceSummary {
-        boots, dispatch_boot, dispatch_timer, dispatch_deliver, forks_branch, forks_mapping,
-        forks_drop, forks_duplicate, forks_reboot, forks_latency, forks_corrupt, forks_crash,
-        forks_partition, forks_heal, packets_sent, packets_delivered, packets_dropped,
+        boots, dispatches, forks, packets_sent, packets_delivered, packets_dropped,
         solver_queries, solver_exact_hits, solver_group_hits, solver_reuse_hits,
         solver_ucore_hits, bugs_found, shrink_steps, boot_wall_us, run_wall_us
     }
@@ -1001,7 +976,7 @@ mod tests {
         assert!(snap.diff(&other).is_empty(), "wall clock is not compared");
         let first = snap.first_difference(&other);
         assert_eq!(first.as_deref(), Some("samples[0].wall_ms: 0 != 1"));
-        other.edit_state(1, |s, _| s.budgets[6] += 1);
+        other.states[1].budgets[6] += 1;
         let named = ["states[1].core.budgets[6]: 0 != 1".to_string()];
         assert_eq!(snap.diff(&other), named);
         assert_eq!(snap.first_difference(&other).as_deref(), Some(&*named[0]));

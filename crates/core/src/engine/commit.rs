@@ -193,12 +193,12 @@ impl Engine {
             return;
         };
         let node = state.node;
-        let (dispatch_kind, count) = match kind {
-            NodeEvent::Boot => (DispatchKind::Boot, &mut self.trace.dispatch_boot),
-            NodeEvent::Timer(_) => (DispatchKind::Timer, &mut self.trace.dispatch_timer),
-            NodeEvent::Deliver(_) => (DispatchKind::Deliver, &mut self.trace.dispatch_deliver),
+        let dispatch_kind = match kind {
+            NodeEvent::Boot => DispatchKind::Boot,
+            NodeEvent::Timer(_) => DispatchKind::Timer,
+            NodeEvent::Deliver(_) => DispatchKind::Deliver,
         };
-        *count += 1;
+        self.trace.dispatches[dispatch_kind as usize] += 1;
         if self.traced {
             self.sink.record(TraceEvent::Dispatch {
                 state: state_id.0,

@@ -3,7 +3,6 @@
 
 use super::host::Host;
 use super::Engine;
-use crate::mapping::StateStore;
 use crate::state::{SdeState, StateId};
 use crate::stats::BugFound;
 use sde_net::{FailureKind, Packet};
@@ -260,9 +259,7 @@ impl Engine {
     /// the fault, mapper forks after it to the mapping) and registers the
     /// branch with the mapper.
     pub(super) fn fork_fault(&mut self, parent: StateId, fault: Fault) -> StateId {
-        self.store.fork_reason = fault.reason();
-        let child = self.store.fork(parent);
-        self.store.fork_reason = ForkReason::Mapping;
+        let child = self.store.fork_for(parent, fault.reason());
         let node = self.store.states[&parent].node;
         self.map_branch(parent, child, node);
         child

@@ -172,11 +172,6 @@ impl Engine {
     /// Ignored under a replay preset ([`Engine::with_preset`]): a strict
     /// replay follows a single concrete dscenario and must execute every
     /// step itself.
-    pub fn set_dedup(&mut self, enabled: bool) {
-        self.dedup = enabled;
-    }
-
-    /// Builder-style [`Engine::set_dedup`].
     #[must_use]
     pub fn with_dedup(mut self, enabled: bool) -> Engine {
         self.dedup = enabled;
@@ -254,10 +249,9 @@ impl Engine {
             self.sample();
         }
         let events_start = self.events_processed;
-        let instr_start = self.instructions;
 
         let outcome = loop {
-            if self.budget_exhausted(budget, events_start, instr_start) {
+            if self.budget_exhausted(budget, events_start) {
                 break RunOutcome::Paused;
             }
             if self.store.total_states > self.scenario.state_cap {
@@ -316,17 +310,12 @@ impl Engine {
         outcome
     }
 
-    /// `true` once any axis of `budget` is spent. Event and instruction
-    /// axes are relative to the start of the current
-    /// [`Engine::run_until`] call; the live-state axis is absolute.
-    fn budget_exhausted(&self, budget: Budget, events_start: u64, instr_start: u64) -> bool {
+    /// `true` once any axis of `budget` is spent. The event axis is
+    /// relative to the start of the current [`Engine::run_until`] call;
+    /// the live-state axis is absolute.
+    fn budget_exhausted(&self, budget: Budget, events_start: u64) -> bool {
         if let Some(n) = budget.max_events {
             if self.events_processed - events_start >= n {
-                return true;
-            }
-        }
-        if let Some(n) = budget.max_instructions {
-            if self.instructions - instr_start >= n {
                 return true;
             }
         }

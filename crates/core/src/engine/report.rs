@@ -93,16 +93,7 @@ impl Engine {
         let history_digest = hasher.finish();
         let solver = self.solver.stats();
         let trace = sde_trace::TraceSummary {
-            forks_branch: self.store.forks[0],
-            forks_mapping: self.store.forks[1],
-            forks_drop: self.store.forks[2],
-            forks_duplicate: self.store.forks[3],
-            forks_reboot: self.store.forks[4],
-            forks_latency: self.store.forks[5],
-            forks_corrupt: self.store.forks[6],
-            forks_crash: self.store.forks[7],
-            forks_partition: self.store.forks[8],
-            forks_heal: self.store.forks[9],
+            forks: self.store.forks,
             packets_sent: self.packets_sent,
             solver_queries: solver.queries,
             solver_exact_hits: solver.cache_hits,

@@ -40,7 +40,7 @@ impl Engine {
     /// worker *authoritatively* executes the groups of its subtrees —
     /// VM stepping, solver queries against a worker-local cache, forks —
     /// through the engine's own dispatch core, recording each dispatch's
-    /// effects as the dedup layer does ([`MemoEntry`]). The merge thread
+    /// effects as the dedup layer does (a `MemoEntry`). The merge thread
     /// then replays the event queue in serial order, *applying* each
     /// recorded entry (after an exact congruence check) instead of
     /// re-executing it, so state ids, packet ids, histories and the report
@@ -115,8 +115,12 @@ impl Engine {
                 let solver = self.solver.fresh_like();
                 scope.spawn(move || {
                     let served = panic::catch_unwind(AssertUnwindSafe(|| {
+                        // One frame, register vector and stack per worker,
+                        // reused by every job it runs.
+                        let mut buffers = Buffers::default();
                         while let Some(job) = pool.take(w) {
-                            let outcome = run_shard_group(job, scenario, &solver, keys);
+                            let outcome =
+                                run_shard_group(job, scenario, &solver, keys, &mut buffers);
                             if done_tx.send(Ok(outcome)).is_err() {
                                 break;
                             }
@@ -403,6 +407,7 @@ fn run_shard_group(
     scenario: &Scenario,
     solver: &Solver,
     keys: &ClaimedKeys,
+    buffers: &mut Buffers,
 ) -> ShardOutcome {
     let started = Instant::now();
     let root = job.state.id;
@@ -421,7 +426,7 @@ fn run_shard_group(
         sent: false,
         capped: false,
         poisoned: false,
-        buffers: Buffers::default(),
+        buffers,
         out: ShardOutcome::default(),
     };
     while let Some((sid, ev)) = worker.queue.pop_front() {
@@ -466,7 +471,7 @@ struct ShardWorker<'a> {
     /// decision would mint a symbolic input, or the handler is missing
     /// (the merge thread then panics itself).
     poisoned: bool,
-    buffers: Buffers,
+    buffers: &'a mut Buffers,
     /// The job's recordings and counters, for the batch barrier.
     out: ShardOutcome,
 }
@@ -562,7 +567,7 @@ impl Host for ShardWorker<'_> {
     }
 
     fn buffers(&mut self) -> &mut Buffers {
-        &mut self.buffers
+        self.buffers
     }
 
     fn ctx(&mut self, node: NodeId) -> VmCtx<'_> {

@@ -59,9 +59,9 @@ impl Engine {
     /// Reconstructs a paused engine from `snapshot` so that driving it
     /// (`run_until`, `run`, `run_until_sharded`) continues exactly where
     /// the snapshotted run stopped: same state ids, same event order,
-    /// same [`RunReport::equivalence_key`] and — with a sink re-attached
-    /// via [`Engine::with_trace_sink`] — the same trace events as the
-    /// uninterrupted run.
+    /// same [`RunReport::equivalence_key`](crate::RunReport::equivalence_key)
+    /// and — with a sink re-attached via [`Engine::with_trace_sink`] — the
+    /// same trace events as the uninterrupted run.
     ///
     /// `scenario` must be the scenario of the original run; snapshots
     /// carry programs and failure configs by *reference to the caller*

@@ -61,6 +61,8 @@ pub mod testgen;
 
 pub use bignum::BigUint;
 pub use check::{Checker, NodeView, Violation};
+#[doc(hidden)]
+pub use checkpoint::SnapshotParts;
 pub use checkpoint::{Budget, EngineSnapshot, RunOutcome, SnapshotError, SNAPSHOT_VERSION};
 pub use engine::{run, Engine, NodeEvent};
 pub use history::{CommHistory, HistoryEvent};

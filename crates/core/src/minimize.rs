@@ -39,9 +39,9 @@ use crate::scenario::Scenario;
 use sde_net::FailureKind;
 use sde_trace::TraceEvent;
 
-/// Default cap on candidate replays (each candidate costs one bounded
+/// Cap on candidate replays (each candidate costs one bounded
 /// stabilization loop of concrete, non-forking runs).
-const DEFAULT_MAX_PROBES: usize = 4096;
+const MAX_PROBES: u64 = 4096;
 
 /// ddmin-based witness shrinker for one invariant violation.
 pub struct Minimizer {
@@ -49,8 +49,6 @@ pub struct Minimizer {
     algorithm: Algorithm,
     checker: Checker,
     invariant: String,
-    max_probes: usize,
-    shrink_horizon: bool,
 }
 
 /// Outcome of [`Minimizer::minimize`]: the minimal failing repro plus
@@ -80,7 +78,7 @@ pub struct MinimizeReport {
     pub final_duration_ms: u64,
     /// Candidate replays tried (kept + rejected).
     pub shrink_steps: u64,
-    /// `true` when [`Minimizer::with_max_probes`] stopped the search
+    /// `true` when the cap of 4096 candidate replays stopped the search
     /// before it converged — the repro is valid but may not be
     /// 1-minimal.
     pub truncated: bool,
@@ -129,24 +127,7 @@ impl Minimizer {
             algorithm,
             checker,
             invariant: invariant.to_string(),
-            max_probes: DEFAULT_MAX_PROBES,
-            shrink_horizon: true,
         }
-    }
-
-    /// Caps the number of candidate replays.
-    #[must_use]
-    pub fn with_max_probes(mut self, n: usize) -> Minimizer {
-        self.max_probes = n;
-        self
-    }
-
-    /// Disables phase 4 (horizon truncation) — useful when the artifact
-    /// must keep the original scenario duration.
-    #[must_use]
-    pub fn with_horizon_shrinking(mut self, on: bool) -> Minimizer {
-        self.shrink_horizon = on;
-        self
     }
 
     /// Shrinks `seed` (a stabilization-ready witness, e.g.
@@ -270,18 +251,15 @@ impl Minimizer {
         }
 
         // Phase 4: truncate the event horizon.
-        if self.shrink_horizon {
-            while scenario.duration_ms >= 2 {
-                let candidate_scenario =
-                    scenario.clone().with_duration_ms(scenario.duration_ms / 2);
-                match shrink.probe("horizon", &candidate_scenario, &assignment) {
-                    Some((a, v)) => {
-                        scenario = candidate_scenario;
-                        assignment = a;
-                        violation = v;
-                    }
-                    None => break,
+        while scenario.duration_ms >= 2 {
+            let candidate_scenario = scenario.clone().with_duration_ms(scenario.duration_ms / 2);
+            match shrink.probe("horizon", &candidate_scenario, &assignment) {
+                Some((a, v)) => {
+                    scenario = candidate_scenario;
+                    assignment = a;
+                    violation = v;
                 }
+                None => break,
             }
         }
 
@@ -323,7 +301,7 @@ impl Shrink<'_> {
         scenario: &Scenario,
         candidate: &Assignment,
     ) -> Option<(Assignment, Violation)> {
-        if self.steps >= self.minimizer.max_probes as u64 {
+        if self.steps >= MAX_PROBES {
             self.truncated = true;
             return None;
         }

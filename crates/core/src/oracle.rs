@@ -10,7 +10,7 @@
 //!    cross-product of concrete input assignments (per-node
 //!    drop/dup/reboot decisions, bounded header fields) *adaptively*:
 //!    replay a partial assignment through the non-forking
-//!    [`Preset`](sde_vm::Preset) path with request recording on, find
+//!    [`Preset`] path with request recording on, find
 //!    the first input the execution asks for that is not pinned yet, and
 //!    branch on it across its whole domain. Because the engine is
 //!    deterministic and an execution only depends on the inputs it has
@@ -29,7 +29,7 @@
 //!    collapses its whole domain into one outcome, exactly matching what
 //!    one symbolic path represents.
 //! 3. **Differencing.** [`conformance`] explodes the symbolic run's
-//!    dscenario set (§IV-C, via [`testgen`](crate::testgen)), replays
+//!    dscenario set (§IV-C, via [`testgen`]), replays
 //!    every generated test case, and diffs the replayed outcome multiset
 //!    against the ground truth: **missing** outcomes (in truth, not
 //!    produced by any dscenario — unsoundness), **phantom** outcomes
@@ -145,7 +145,7 @@ pub struct OracleConfig {
     /// [`ConformanceReport::testgen_truncated`]).
     pub max_cases: usize,
     /// Run the *symbolic* engines with online duplicate-dispatch pruning
-    /// ([`Engine::set_dedup`], DESIGN.md §10). The concrete replay
+    /// ([`Engine::with_dedup`], DESIGN.md §10). The concrete replay
     /// engines always run with memoization inert — a preset forces it
     /// off — so the ground truth and the per-case replays are identical
     /// either way; this knob checks that the symbolic side still

@@ -44,8 +44,8 @@ pub struct SdeState {
     /// The subtree this state belongs to for sharded exploration: boot
     /// states own themselves, each direct child of a boot state starts a
     /// fresh subtree, and deeper forks inherit their parent's. Purely a
-    /// scheduling hint for [`Engine::run_sharded`]
-    /// (crate::Engine::run_sharded) — it never influences execution
+    /// scheduling hint for [`Engine::run_sharded`](crate::Engine::run_sharded)
+    /// — it never influences execution
     /// results. It is the id of the subtree's first state: a run mints
     /// fewer than 2^32 ids ([`Store::allocate_id`](crate::store::Store::allocate_id)).
     pub shard_root: u32,

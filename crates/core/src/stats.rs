@@ -286,14 +286,15 @@ pub struct RunReport {
     /// Bugs found (deduplicated by kind/location).
     pub bugs: Vec<BugFound>,
     /// Order-independent digest of the final state set (every resident
-    /// state's configuration digest, combined in [`StateId`]
-    /// (crate::state::StateId) order). Two runs that explored the same
+    /// state's configuration digest, combined in
+    /// [`StateId`](crate::state::StateId) order). Two runs that explored the same
     /// state space report the same digest.
     pub history_digest: u64,
     /// The Fig. 10 curves.
     pub series: TimeSeries,
-    /// Present when the run used [`Engine::run_sharded`]
-    /// (crate::Engine::run_sharded); `None` for sequential runs.
+    /// Present when the run used
+    /// [`Engine::run_sharded`](crate::Engine::run_sharded); `None` for
+    /// sequential runs.
     pub parallel: Option<ParallelStats>,
     /// Always-on trace counters: forks by reason, dispatches by kind,
     /// packet fates and a snapshot of the solver layer hits. Collected
@@ -330,9 +331,9 @@ impl RunReport {
     /// than the uninterrupted run while producing the same results).
     /// Everything else — state counts, events, packets, instruction
     /// counts, per-sample series rows, bug provenance, the final-state
-    /// digest — must be bit-identical between [`run`]
-    /// (crate::run) and [`Engine::run_sharded`]
-    /// (crate::Engine::run_sharded) at any worker count.
+    /// digest — must be bit-identical between [`run`](crate::run) and
+    /// [`Engine::run_sharded`](crate::Engine::run_sharded) at any worker
+    /// count.
     pub fn equivalence_key(&self) -> String {
         use std::fmt::Write as _;
         let mut key = String::new();

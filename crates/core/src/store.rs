@@ -14,7 +14,7 @@
 //! core sits behind an `Arc` and never moves; growth moves handles), the
 //! pending-event index a 4-byte slot per id (naming a pooled list only
 //! while the state has events pending) and
-//! [`IdSet`] one bit per id. A lookup is an index, never a hash. Ids may
+//! `IdSet` one bit per id. A lookup is an index, never a hash. Ids may
 //! have gaps in memory (tests insert `StateId(100)`); a snapshot may not
 //! claim one — [`Engine::resume`](crate::Engine::resume) bounds every id
 //! by what the snapshot itself holds before any of these vectors grows.
@@ -556,32 +556,12 @@ pub struct Store {
     /// unless a recorder was attached); `traced` caches `enabled()`.
     pub(crate) sink: Arc<dyn sde_trace::TraceSink>,
     pub(crate) traced: bool,
-    /// Attribution for the next [`StateStore::fork`] call. Mapper-driven
-    /// forks are the default; a fault decision sets its own reason around
-    /// the engine's `fork_fault` store fork.
-    pub(crate) fork_reason: sde_trace::ForkReason,
-    /// Fork counts indexed by [`sde_trace::ForkReason::ALL`] — always on,
+    /// Fork counts indexed by [`sde_trace::ForkReason`] — always on,
     /// they feed [`sde_trace::TraceSummary`].
-    pub(crate) forks: [u64; 10],
+    pub(crate) forks: [u64; sde_trace::ForkReason::ALL.len()],
     /// Children forked since the engine last cleared it; drained into
     /// `MapBranch`/`MapSend` decision events (populated only when traced).
     pub(crate) fork_scratch: Vec<u64>,
-}
-
-fn reason_index(reason: sde_trace::ForkReason) -> usize {
-    use sde_trace::ForkReason::*;
-    match reason {
-        Branch => 0,
-        Mapping => 1,
-        Drop => 2,
-        Duplicate => 3,
-        Reboot => 4,
-        Latency => 5,
-        Corrupt => 6,
-        Crash => 7,
-        Partition => 8,
-        Heal => 9,
-    }
 }
 
 impl Default for Store {
@@ -593,8 +573,7 @@ impl Default for Store {
             total_states: 0,
             sink: Arc::new(sde_trace::NoopSink),
             traced: false,
-            fork_reason: sde_trace::ForkReason::Mapping,
-            forks: [0; 10],
+            forks: [0; sde_trace::ForkReason::ALL.len()],
             fork_scratch: Vec::new(),
         }
     }
@@ -623,7 +602,7 @@ impl Store {
         node: NodeId,
         reason: sde_trace::ForkReason,
     ) {
-        self.forks[reason_index(reason)] += 1;
+        self.forks[reason as usize] += 1;
         if self.traced {
             self.fork_scratch.push(child.0);
             self.sink.record(sde_trace::TraceEvent::Fork {
@@ -634,10 +613,10 @@ impl Store {
             });
         }
     }
-}
 
-impl StateStore for Store {
-    fn fork(&mut self, original: StateId) -> StateId {
+    /// Forks `original` into a fresh resident state with a copy of its
+    /// pending events, counting the fork under `reason`.
+    pub(crate) fn fork_for(&mut self, original: StateId, reason: sde_trace::ForkReason) -> StateId {
         let id = self.allocate_id();
         let copy = self
             .states
@@ -647,8 +626,14 @@ impl StateStore for Store {
         let node = copy.node;
         self.states.insert(copy);
         self.events.duplicate(original, id);
-        self.note_fork(original, id, node, self.fork_reason);
+        self.note_fork(original, id, node, reason);
         id
+    }
+}
+
+impl StateStore for Store {
+    fn fork(&mut self, original: StateId) -> StateId {
+        self.fork_for(original, sde_trace::ForkReason::Mapping)
     }
 
     fn node_of(&self, state: StateId) -> NodeId {

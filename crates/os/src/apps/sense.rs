@@ -78,8 +78,9 @@ pub struct SenseConfig {
 
 impl SenseConfig {
     /// The default configuration for a `width × height` grid: corner to
-    /// corner like [`CollectConfig::paper_grid`]
-    /// (crate::apps::collect::CollectConfig::paper_grid), but with fewer
+    /// corner like
+    /// [`CollectConfig::paper_grid`](crate::apps::collect::CollectConfig::paper_grid),
+    /// but with fewer
     /// packets (classification forks multiply per hop) and byte-sized
     /// readings in the generated test cases.
     pub fn paper_grid(width: u16, height: u16) -> SenseConfig {

@@ -303,16 +303,6 @@ impl Solver {
         }
     }
 
-    /// Clears the exact and counterexample caches (counters are kept).
-    pub fn clear_cache(&self) {
-        for shard in &self.cache {
-            shard.lock().expect("cache shard").clear();
-        }
-        for shard in &self.cex {
-            shard.lock().expect("cex shard").clear();
-        }
-    }
-
     /// Enables or disables the exact query cache (for ablation
     /// measurements). Disabling also clears it.
     pub fn set_caching(&self, enabled: bool) {
@@ -1468,7 +1458,8 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.queries, 2);
         assert_eq!(stats.cache_hits, 1);
-        s.clear_cache();
+        // A disabled cache is cleared and answers nothing.
+        s.set_caching(false);
         assert!(s.is_sat(&pc));
         assert_eq!(s.stats().cache_hits, 1);
     }

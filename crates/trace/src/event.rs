@@ -5,34 +5,35 @@
 //! Events carry only plain integers (state ids, node ids, packet ids) so
 //! the recording crate stays a dependency-free leaf of the workspace.
 
-/// Why a state fork happened.
+/// Why a state fork happened. The discriminant is the reason's slot in
+/// [`ForkReason::ALL`] and in every fork counter indexed by reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ForkReason {
     /// The VM branched on a symbolic condition inside a handler.
-    Branch,
+    Branch = 0,
     /// A state mapper forked a peer / bystander to keep dscenarios
     /// consistent (COB on branch; COW/SDS on conflicting transmission).
-    Mapping,
+    Mapping = 1,
     /// Failure model: symbolic packet drop decided at delivery.
-    Drop,
+    Drop = 2,
     /// Failure model: symbolic packet duplication decided at delivery.
-    Duplicate,
+    Duplicate = 3,
     /// Failure model: symbolic node reboot decided at delivery.
-    Reboot,
+    Reboot = 4,
     /// Fault plan: symbolic extra delivery latency decided at
     /// transmission.
-    Latency,
+    Latency = 5,
     /// Fault plan: symbolic payload corruption decided at delivery.
-    Corrupt,
+    Corrupt = 6,
     /// Fault plan: symbolic crash-with-recovery decided at delivery
     /// (persistent window survives).
-    Crash,
+    Crash = 7,
     /// Fault plan: symbolic partition activation decided at the first
     /// cut-crossing delivery.
-    Partition,
+    Partition = 8,
     /// Fault plan: symbolic choice between candidate partition heal
     /// times (nested under a partition fork).
-    Heal,
+    Heal = 9,
 }
 
 impl ForkReason {
@@ -84,15 +85,17 @@ impl ForkReason {
     ];
 }
 
-/// What kind of event the engine popped from the virtual-time queue.
+/// What kind of event the engine popped from the virtual-time queue. The
+/// discriminant is the kind's slot in [`DispatchKind::ALL`] and in every
+/// dispatch counter indexed by kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DispatchKind {
     /// Initial node boot.
-    Boot,
+    Boot = 0,
     /// Timer expiry.
-    Timer,
+    Timer = 1,
     /// Packet delivery.
-    Deliver,
+    Deliver = 2,
 }
 
 impl DispatchKind {
@@ -114,6 +117,13 @@ impl DispatchKind {
             _ => return None,
         })
     }
+
+    /// All kinds, in encoding order.
+    pub const ALL: [DispatchKind; 3] = [
+        DispatchKind::Boot,
+        DispatchKind::Timer,
+        DispatchKind::Deliver,
+    ];
 }
 
 /// Which layer of the solver stack answered a *whole query*.

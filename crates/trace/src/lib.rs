@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn summary_key_excludes_solver_and_walls() {
         let mut s = TraceSummary {
-            forks_branch: 3,
+            forks: [3, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             packets_sent: 9,
             ..TraceSummary::default()
         };
@@ -344,5 +344,39 @@ mod tests {
         s.run_wall_us = 1_000_000;
         assert_eq!(s.deterministic_key(), key);
         assert!(s.render().contains("queries=100"));
+    }
+
+    #[test]
+    fn counter_enums_index_their_own_slots() {
+        for (i, reason) in ForkReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason as usize, i, "{reason:?}");
+        }
+        for (i, kind) in DispatchKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn summary_counters_render_by_name() {
+        let s = TraceSummary {
+            forks: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+            dispatches: [11, 12, 13],
+            packets_sent: 14,
+            packets_delivered: 15,
+            packets_dropped: 16,
+            bugs_found: 17,
+            ..TraceSummary::default()
+        };
+        assert_eq!(
+            s.deterministic_key(),
+            "forks branch=1 mapping=2 drop=3 duplicate=4 reboot=5 latency=6 corrupt=7 \
+             crash=8 partition=9 heal=10 packets sent=14 delivered=15 dropped=16 \
+             dispatch boot=11 timer=12 deliver=13 bugs=17"
+        );
+        assert!(s.render().contains(
+            "dispatch: boot=11 timer=12 deliver=13\n\
+             forks: branch=1 mapping=2 drop=3 duplicate=4 reboot=5 latency=6 corrupt=7 \
+             crash=8 partition=9 heal=10 (total 55)\n"
+        ));
     }
 }

@@ -102,11 +102,6 @@ impl Lineage {
         &self.roots
     }
 
-    /// Parent and fork reason of `state`, if it was forked.
-    pub fn parent_of(&self, state: u64) -> Option<(u64, ForkReason)> {
-        self.parent.get(&state).copied()
-    }
-
     /// Every state id the trace mentions anywhere.
     pub fn states(&self) -> &BTreeSet<u64> {
         &self.mentioned

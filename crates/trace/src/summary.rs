@@ -7,37 +7,17 @@
 //! traced or not — reports per-phase durations, fork counts by reason and
 //! the solver layer histogram.
 
+use crate::event::{DispatchKind, ForkReason};
+
 /// Counter digest of one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Initial states booted.
     pub boots: u64,
-    /// Dispatched boot events.
-    pub dispatch_boot: u64,
-    /// Dispatched timer events.
-    pub dispatch_timer: u64,
-    /// Dispatched delivery events.
-    pub dispatch_deliver: u64,
-    /// Forks caused by symbolic branches inside handlers.
-    pub forks_branch: u64,
-    /// Forks performed by the state mapper (COB peers, COW/SDS bystanders).
-    pub forks_mapping: u64,
-    /// Forks from the symbolic packet-drop failure model.
-    pub forks_drop: u64,
-    /// Forks from the symbolic packet-duplication failure model.
-    pub forks_duplicate: u64,
-    /// Forks from the symbolic node-reboot failure model.
-    pub forks_reboot: u64,
-    /// Forks from the symbolic link-latency fault model.
-    pub forks_latency: u64,
-    /// Forks from the symbolic payload-corruption fault model.
-    pub forks_corrupt: u64,
-    /// Forks from the symbolic crash-recovery fault model.
-    pub forks_crash: u64,
-    /// Forks from the symbolic partition fault model.
-    pub forks_partition: u64,
-    /// Forks from the symbolic partition-heal-time choice.
-    pub forks_heal: u64,
+    /// Dispatched events, indexed by [`DispatchKind`].
+    pub dispatches: [u64; DispatchKind::ALL.len()],
+    /// Forks, indexed by [`ForkReason`].
+    pub forks: [u64; ForkReason::ALL.len()],
     /// Packets sent (transmissions mapped).
     pub packets_sent: u64,
     /// Packet deliveries handed to a receiver handler (duplicate copies
@@ -70,19 +50,30 @@ pub struct TraceSummary {
     pub run_wall_us: u64,
 }
 
+/// `name=count` pairs, space-separated.
+fn labelled(names: impl Iterator<Item = &'static str>, counts: &[u64]) -> String {
+    let pairs: Vec<String> = names.zip(counts).map(|(n, c)| format!("{n}={c}")).collect();
+    pairs.join(" ")
+}
+
 impl TraceSummary {
     /// Total forks across all reasons.
     pub fn forks_total(&self) -> u64 {
-        self.forks_branch
-            + self.forks_mapping
-            + self.forks_drop
-            + self.forks_duplicate
-            + self.forks_reboot
-            + self.forks_latency
-            + self.forks_corrupt
-            + self.forks_crash
-            + self.forks_partition
-            + self.forks_heal
+        self.forks.iter().sum()
+    }
+
+    fn fork_counts(&self) -> String {
+        labelled(
+            ForkReason::ALL.into_iter().map(ForkReason::as_str),
+            &self.forks,
+        )
+    }
+
+    fn dispatch_counts(&self) -> String {
+        labelled(
+            DispatchKind::ALL.into_iter().map(DispatchKind::as_str),
+            &self.dispatches,
+        )
     }
 
     /// The deterministic slice of the summary, for equivalence keys:
@@ -91,26 +82,12 @@ impl TraceSummary {
     /// runs, whose workers answer part of the queries).
     pub fn deterministic_key(&self) -> String {
         format!(
-            "forks branch={} mapping={} drop={} duplicate={} reboot={} \
-             latency={} corrupt={} crash={} partition={} heal={} \
-             packets sent={} delivered={} dropped={} \
-             dispatch boot={} timer={} deliver={} bugs={}",
-            self.forks_branch,
-            self.forks_mapping,
-            self.forks_drop,
-            self.forks_duplicate,
-            self.forks_reboot,
-            self.forks_latency,
-            self.forks_corrupt,
-            self.forks_crash,
-            self.forks_partition,
-            self.forks_heal,
+            "forks {} packets sent={} delivered={} dropped={} dispatch {} bugs={}",
+            self.fork_counts(),
             self.packets_sent,
             self.packets_delivered,
             self.packets_dropped,
-            self.dispatch_boot,
-            self.dispatch_timer,
-            self.dispatch_deliver,
+            self.dispatch_counts(),
             self.bugs_found,
         )
     }
@@ -119,27 +96,15 @@ impl TraceSummary {
     pub fn render(&self) -> String {
         format!(
             "phases: boot {:.1}ms, run {:.1}ms\n\
-             dispatch: boot={} timer={} deliver={}\n\
-             forks: branch={} mapping={} drop={} duplicate={} reboot={} \
-             latency={} corrupt={} crash={} partition={} heal={} (total {})\n\
+             dispatch: {}\n\
+             forks: {} (total {})\n\
              packets: sent={} delivered={} dropped={}\n\
              bugs: found={} (shrink steps {})\n\
              solver: queries={} exact={} group={} reuse={}",
             self.boot_wall_us as f64 / 1000.0,
             self.run_wall_us as f64 / 1000.0,
-            self.dispatch_boot,
-            self.dispatch_timer,
-            self.dispatch_deliver,
-            self.forks_branch,
-            self.forks_mapping,
-            self.forks_drop,
-            self.forks_duplicate,
-            self.forks_reboot,
-            self.forks_latency,
-            self.forks_corrupt,
-            self.forks_crash,
-            self.forks_partition,
-            self.forks_heal,
+            self.dispatch_counts(),
+            self.fork_counts(),
             self.forks_total(),
             self.packets_sent,
             self.packets_delivered,

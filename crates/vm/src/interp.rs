@@ -292,7 +292,7 @@ pub fn step(program: &Program, state: &mut VmState, ctx: &mut VmCtx<'_>) -> Step
                     format!("arity mismatch calling {}", callee.name())
                 );
             }
-            let mut regs: Box<[Option<Value>]> = vec![None; usize::from(callee.reg_count())].into();
+            let mut regs = vec![None; usize::from(callee.reg_count())];
             for (slot, a) in regs.iter_mut().zip(args) {
                 *slot = Some(reg!(*a));
             }

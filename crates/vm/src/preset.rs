@@ -112,8 +112,8 @@ impl Preset {
     /// variables.
     ///
     /// Replay keys are not guaranteed unique within one symbolic run:
-    /// sibling states of the same lineage mint distinct [`SymId`]s
-    /// (sde_symbolic::SymId) that share `(node, name, occurrence)`. A
+    /// sibling states of the same lineage mint distinct
+    /// [`SymId`](sde_symbolic::SymId)s that share `(node, name, occurrence)`. A
     /// model drawn from one dscenario constrains only one sibling per
     /// key, but an artificially merged model may collide; the iteration
     /// below is in ascending `SymId` order ([`Model::iter`] walks a

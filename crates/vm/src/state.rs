@@ -44,8 +44,9 @@ impl Status {
 pub(crate) struct Frame {
     pub func: FuncId,
     pub pc: u32,
-    /// Sized once, from the function's register count.
-    pub regs: Box<[Option<Value>]>,
+    /// One slot per register of the function. A handler frame's vector
+    /// keeps the capacity of the largest handler it ran.
+    pub regs: Vec<Option<Value>>,
     /// Register in the *caller's* frame receiving our return value.
     pub ret_dst: Option<Reg>,
     /// Live frames from this one down to the handler's (1 for the
@@ -56,10 +57,10 @@ pub(crate) struct Frame {
 
 impl Frame {
     /// Marks this handler frame as left behind: no longer live, its
-    /// registers cleared (their values dropped) but their box kept.
+    /// registers dropped but their capacity kept.
     fn leave(&mut self) {
         self.depth = 0;
-        self.regs.fill(None);
+        self.regs.clear();
     }
 
     /// Feeds the frame's configuration to a digest.
@@ -125,7 +126,7 @@ impl Frames {
 
     /// Calls `func` with `regs`: the new frame runs from its first
     /// instruction, linked to the running one.
-    pub(crate) fn push(&mut self, func: FuncId, regs: Box<[Option<Value>]>, ret_dst: Option<Reg>) {
+    pub(crate) fn push(&mut self, func: FuncId, regs: Vec<Option<Value>>, ret_dst: Option<Reg>) {
         let caller = self.0.take().filter(|f| f.depth > 0);
         let depth = 1 + caller.as_ref().map_or(0, |c| c.depth);
         self.0 = Some(Box::new(Frame {
@@ -140,8 +141,8 @@ impl Frames {
 
     /// Starts a handler on an empty stack: `func` runs from its first
     /// instruction with `regs` registers, the first ones holding `args`,
-    /// in the box of the frame a handler left — this state's, else
-    /// `spare` — and in that frame's registers when it has `regs` of them.
+    /// in the box and the register vector of the frame a handler left —
+    /// this state's, else `spare`.
     pub(crate) fn start(
         &mut self,
         spare: &mut Option<Box<Frame>>,
@@ -154,20 +155,14 @@ impl Frames {
             Box::new(Frame {
                 func,
                 pc: 0,
-                regs: Box::default(),
+                regs: Vec::new(),
                 ret_dst: None,
                 depth: 0,
                 caller: None,
             })
         });
-        if frame.regs.len() == regs {
-            debug_assert!(
-                frame.regs.iter().all(Option::is_none),
-                "a left frame is cleared"
-            );
-        } else {
-            frame.regs = vec![None; regs].into();
-        }
+        frame.regs.clear();
+        frame.regs.resize(regs, None);
         for (slot, a) in frame.regs.iter_mut().zip(args) {
             *slot = Some(a.clone());
         }
@@ -229,9 +224,8 @@ impl Frames {
 /// The frame box a finished handler left, kept by whoever dispatches
 /// handlers: [`VmState::release_frame`] puts it here when a handler
 /// ends, and [`VmState::prepare_from`] takes it for the next, so a
-/// dispatch allocates no frame, and no register box when the next
-/// handler has as many registers. It keeps one box; an idle state keeps
-/// none.
+/// dispatch allocates no frame, and no registers once the box has held
+/// the largest handler's. It keeps one box; an idle state keeps none.
 #[derive(Debug, Default)]
 pub struct FrameBuffer(Option<Box<Frame>>);
 
@@ -555,7 +549,7 @@ impl VmState {
     ///
     /// The heap and path-condition components are read from accumulators
     /// maintained incrementally at every mutation
-    /// ([`VmState::heap_store`] / [`VmState::path_push`]), so this is
+    /// (`VmState::heap_store` / `VmState::path_push`), so this is
     /// O(frames) — and frames are empty between handlers, where the
     /// engine's duplicate detection runs. The from-scratch rescan lives
     /// in [`VmState::config_digest_reference`]; the two agree on every
@@ -779,7 +773,6 @@ impl VmState {
             for _ in 0..nregs {
                 regs.push(if r.bool()? { Some(r.value()?) } else { None });
             }
-            let regs = regs.into_boxed_slice();
             let ret_dst = if r.bool()? {
                 Some(Reg(r.ranged("return register")?))
             } else {
@@ -1036,8 +1029,8 @@ mod tests {
         s.instret = 42;
         s.input_counts = s.input_counts.insert("x".to_string(), 1);
         s.frames
-            .push(FuncId(0), vec![Some(x.clone().into()), None].into(), None);
-        s.frames.push(FuncId(1), vec![None].into(), Some(Reg(3)));
+            .push(FuncId(0), vec![Some(x.clone().into()), None], None);
+        s.frames.push(FuncId(1), vec![None], Some(Reg(3)));
         s.frames.top_mut().unwrap().pc = 1;
         s.status = Status::Bugged(Box::new(BugReport {
             kind: BugKind::OutOfBounds { addr: 0x1_0000 },
@@ -1082,10 +1075,10 @@ mod tests {
         let mut frames = Frames::default();
         frames.push(
             FuncId(0),
-            vec![Some(Value::const_(7, Width::W8)), None].into(),
+            vec![Some(Value::const_(7, Width::W8)), None],
             None,
         );
-        frames.push(FuncId(1), vec![None].into(), Some(Reg(1)));
+        frames.push(FuncId(1), vec![None], Some(Reg(1)));
         assert_eq!(frames.len(), 2);
         assert_eq!(frames.top().map(|f| f.func), Some(FuncId(1)));
         assert_eq!(frames.clone().iter().count(), 2);
@@ -1099,27 +1092,30 @@ mod tests {
             .0
             .as_deref()
             .expect("the handler's frame is left behind");
-        assert_eq!(*left.regs, [None, None], "cleared, its register box kept");
+        assert!(
+            left.regs.is_empty() && left.regs.capacity() >= 2,
+            "cleared, its register capacity kept"
+        );
         assert!(frames.clone().0.is_none(), "a clone does not copy it");
 
-        // The buffer takes it, and the next handler runs in it — in its
-        // registers too, when it has as many.
+        // The buffer takes it, and the next handler runs in it and in its
+        // registers.
         let mut buffer = Some(frames.take_left().expect("left frame"));
         assert!(frames.0.is_none());
-        let (frame, regs): (*const Frame, *const [Option<Value>]) = {
+        let (frame, regs): (*const Frame, *const Option<Value>) = {
             let f = buffer.as_deref().unwrap();
-            (f, &*f.regs)
+            (f, f.regs.as_ptr())
         };
         let arg = Value::const_(3, Width::W8);
         frames.start(&mut buffer, FuncId(2), 2, std::slice::from_ref(&arg));
         assert!(buffer.is_none());
         let top = frames.top().unwrap();
-        assert!(std::ptr::eq(frame, top) && std::ptr::eq(regs, &*top.regs));
+        assert!(std::ptr::eq(frame, top) && std::ptr::eq(regs, top.regs.as_ptr()));
         assert_eq!((top.func, top.pc, frames.len()), (FuncId(2), 0, 1));
         assert_eq!(*top.regs, [Some(arg), None]);
 
         // A call below it, then a halt: the handler's frame is left.
-        frames.push(FuncId(3), Box::default(), None);
+        frames.push(FuncId(3), Vec::new(), None);
         frames.clear();
         assert!(frames.is_empty() && frames.0.as_ref().is_some_and(|f| f.func == FuncId(2)));
         let mut empty = None;
@@ -1131,7 +1127,11 @@ mod tests {
         assert_eq!(
             frames.top().unwrap().regs.len(),
             1,
-            "a register box of the handler's size"
+            "as many registers as the handler has"
+        );
+        assert!(
+            std::ptr::eq(regs, frames.top().unwrap().regs.as_ptr()),
+            "in the same register vector"
         );
     }
 
@@ -1140,7 +1140,7 @@ mod tests {
         let p = empty_program();
         let mut s = VmState::fresh(&p);
         for _ in 0..=MAX_CALL_DEPTH {
-            s.frames.push(FuncId(0), Box::default(), None);
+            s.frames.push(FuncId(0), Vec::new(), None);
         }
         let mut w = SnapWriter::new();
         s.write_snapshot(&mut w);

@@ -18,8 +18,9 @@ mod common;
 
 use common::matrix::{check, Column, Row, SERIAL};
 use common::{failure_model, grid_collect, line_collect, mesh_flood, ring_hello, FAILURE_MODELS};
+use sde::net::FailureKind;
 use sde::prelude::*;
-use sde_bench::{with_fault_axes, FaultAxis};
+use sde_bench::with_fault_axes;
 
 /// Events per slice: small enough that slices end mid-burst (between a
 /// fork and the dispatch of its copied events), odd so they drift against
@@ -47,7 +48,7 @@ fn rows() -> Vec<Row> {
                 base.clone().with_failures(failures),
             ));
         }
-        let all_axes = with_fault_axes(base, &FaultAxis::ALL);
+        let all_axes = with_fault_axes(base, &FailureKind::AXES);
         rows.push(Row::new(format!("{topo}-all-axes"), all_axes));
     }
     rows

@@ -299,11 +299,14 @@ fn re_storing_what_a_shared_cell_holds_allocates_nothing() {
 // ---- frames: the dispatching engine's, not the states' ----------------------
 //
 // A handler's frame box goes back to the engine when the handler ends,
-// and the next handler the engine dispatches runs in it — in its
-// register box too, when it has as many registers. At the commit before,
-// each state kept its last handler's frame box (40 bytes) as a spare for
-// the rest of the run, one per state that ever ran a handler (35 368 on
-// collect 7×7 under COW), and every dispatch allocated a register box.
+// and the next handler the engine dispatches runs in it and in its
+// register vector, which keeps the largest handler's capacity. Two
+// commits before, each state kept its last handler's frame box (40 bytes)
+// as a spare for the rest of the run, one per state that ever ran a
+// handler (35 368 on collect 7×7 under COW), and every dispatch allocated
+// a register box; one commit before, a dispatch still allocated one when
+// the handler before it had another register count (a delivery after a
+// timer).
 
 /// Registers of node 1's `on_recv`: an odd size for a register box.
 const RECV_REGS: u16 = 29;
@@ -351,25 +354,28 @@ fn the_engine_keeps_the_frame_and_a_warmed_delivery_allocates_none() {
     assert_eq!(on_recv.reg_count(), RECV_REGS);
     let mut engine = Engine::new(scenario, Algorithm::Cow);
     // Two boots, then a timer and its two deliveries, over and over:
-    // after 2 + 3k + 2 events the next one is a delivery to node 1 right
-    // after another, so the frame the engine holds has its registers.
+    // after 2 + 3k + 1 events the next one is a delivery to node 1 right
+    // after node 0's timer, whose handler has fewer registers; after
+    // 2 + 3k + 2 it is a delivery right after another.
     assert_eq!(
-        engine.run_until(Budget::events(2 + 3 * 8 + 2)),
+        engine.run_until(Budget::events(2 + 3 * 8 + 1)),
         RunOutcome::Paused
     );
     let ran = |engine: &Engine| engine.state(StateId(1)).unwrap().vm.instructions_executed();
-    let (before, ran_before) = (allocations(), ran(&engine));
-    assert_eq!(engine.run_until(Budget::events(1)), RunOutcome::Paused);
-    let spent = allocations() - before;
-    assert_eq!(
-        ran(&engine) - ran_before,
-        on_recv.len() as u64,
-        "one on_recv ran"
-    );
-    assert_eq!(
-        spent, 0,
-        "a warmed delivery allocates no frame, no register box, nothing"
-    );
+    for after in ["a timer", "a delivery"] {
+        let (before, ran_before) = (allocations(), ran(&engine));
+        assert_eq!(engine.run_until(Budget::events(1)), RunOutcome::Paused);
+        let spent = allocations() - before;
+        assert_eq!(
+            ran(&engine) - ran_before,
+            on_recv.len() as u64,
+            "one on_recv ran after {after}"
+        );
+        assert_eq!(
+            spent, 0,
+            "a warmed delivery after {after} allocates no frame, no registers, nothing"
+        );
+    }
     assert!(
         engine.states().all(|s| !s.vm.holds_left_frame()),
         "no resident state keeps a frame"

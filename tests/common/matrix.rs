@@ -27,6 +27,7 @@ use super::{collect, failure_model, grid_collect, line_collect, ring_hello};
 use sde::prelude::*;
 use sde::trace::to_jsonl;
 use sde::vm::Preset;
+use sde_bench::SolverLayers;
 use sde_core::DedupStats;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{self, AssertUnwindSafe};
@@ -65,16 +66,6 @@ impl Row {
     }
 }
 
-/// The bench bins' `--layers`: which solver cache layers may answer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Layers {
-    Full,
-    /// Whole-query exact matching only.
-    Exact,
-    /// Every cache layer disabled.
-    Off,
-}
-
 /// How a cell's run is driven to completion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Drive {
@@ -99,7 +90,7 @@ pub enum Drive {
 pub struct Column {
     /// `None` is the serial engine, `Some(w)` `run_until_sharded(w, ..)`.
     pub workers: Option<usize>,
-    pub layers: Layers,
+    pub layers: SolverLayers,
     pub dedup: bool,
     pub traced: bool,
     pub drive: Drive,
@@ -111,7 +102,7 @@ pub struct Column {
 /// which as a column is the repeat run.
 pub const SERIAL: Column = Column {
     workers: None,
-    layers: Layers::Full,
+    layers: SolverLayers::Full,
     dedup: false,
     traced: false,
     drive: Drive::Straight,
@@ -125,7 +116,7 @@ impl Column {
         col
     }
 
-    pub const fn layers(mut self, layers: Layers) -> Column {
+    pub const fn layers(mut self, layers: SolverLayers) -> Column {
         self.layers = layers;
         self
     }
@@ -296,14 +287,7 @@ fn execute(label: &str, row: &Row, alg: Algorithm, col: &Column, want_canonical:
     };
 
     let mut engine = attach(row.engine(alg).with_dedup(col.dedup));
-    match col.layers {
-        Layers::Full => {}
-        Layers::Exact => engine.solver().set_group_caching(false),
-        Layers::Off => engine.solver().set_caching(false),
-    }
-    if col.layers != Layers::Full {
-        engine.solver().set_cex_caching(false);
-    }
+    col.layers.apply(engine.solver());
     let mut pauses = 0;
     match col.drive {
         Drive::Straight => {
@@ -402,7 +386,7 @@ fn side_checks(label: &str, row: &Row, col: &Column, cell: &Cell) {
         dedup.confirmed + dedup.collisions,
         "{label}"
     );
-    if col.layers == Layers::Off {
+    if col.layers == SolverLayers::Off {
         let s = &report.solver;
         let cached = s.cache_hits + s.group_cache_hits + s.model_reuse_hits;
         assert_eq!(cached, 0, "{label}: --layers off answered from a cache");

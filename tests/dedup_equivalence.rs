@@ -1,6 +1,6 @@
 //! The dedup columns of the strategy matrix (`tests/common/matrix.rs`),
 //! for online duplicate-dispatch pruning (DESIGN.md §10): a run with
-//! `Engine::set_dedup(true)` must explore exactly what the plain run
+//! `Engine::with_dedup(true)` must explore exactly what the plain run
 //! explores — same per-node path sets, dscenario fingerprints, bugs and
 //! state / event / packet counts — serially, sharded and resumed from
 //! snapshots, while *executing* no more states or instructions. The

@@ -232,11 +232,8 @@ fn drop_budget_spent_before_checkpoint_stays_spent_after_resume() {
 
 /// The earliest time an event is pending at, read through a snapshot.
 fn earliest_pending(engine: &Engine) -> Option<u64> {
-    let mut earliest: Option<u64> = None;
-    engine.snapshot().edit_queue(|_, time, _, _, _| {
-        earliest = Some(earliest.map_or(*time, |e| e.min(*time)));
-    });
-    earliest
+    let queue = engine.snapshot().parts_mut().queue.clone();
+    queue.iter().map(|(time, ..)| *time).min()
 }
 
 /// Pause granularity (DESIGN.md §8): the serial loop checks its budget

@@ -20,19 +20,20 @@ mod common;
 use common::collect;
 use common::matrix::{check, trace_events, Column, Row, SERIAL};
 use proptest::prelude::*;
+use sde::net::FailureKind;
 use sde::prelude::*;
-use sde_bench::{with_fault_axes, FaultAxis};
+use sde_bench::with_fault_axes;
 use std::collections::HashMap;
 
 /// One packet under one fault axis.
-fn fault_row(name: &str, topology: Topology, axis: FaultAxis) -> Row {
+fn fault_row(name: &str, topology: Topology, axis: FailureKind) -> Row {
     let scenario = with_fault_axes(collect(topology, 1), &[axis]);
-    Row::new(format!("{name}-{axis}"), scenario)
+    Row::new(format!("{name}-{}", axis.name()), scenario)
 }
 
 /// Every fault axis alone on `topology`.
 fn axis_rows(name: &str, topology: Topology) -> Vec<Row> {
-    let rows = FaultAxis::ALL.map(|axis| fault_row(name, topology.clone(), axis));
+    let rows = FailureKind::AXES.map(|axis| fault_row(name, topology.clone(), axis));
     rows.to_vec()
 }
 
@@ -83,7 +84,7 @@ fn interrupted_parallel_dedup_fault_runs_match_straight_runs() {
 #[test]
 fn resume_under_a_different_fault_plan_is_refused() {
     let base = collect(Topology::line(3), 1);
-    let scenario = with_fault_axes(base.clone(), &[FaultAxis::Partition]);
+    let scenario = with_fault_axes(base.clone(), &[FailureKind::Partition]);
     let mut engine = Engine::new(scenario.clone(), Algorithm::Sds);
     let outcome = engine.run_until(Budget::events(3));
     assert_eq!(outcome, RunOutcome::Paused, "run too small to pause");
@@ -91,7 +92,7 @@ fn resume_under_a_different_fault_plan_is_refused() {
 
     // Same workload, different fault plan: the stored budgets and
     // partition deadlines would silently change meaning.
-    let other = with_fault_axes(base.clone(), &[FaultAxis::Latency]);
+    let other = with_fault_axes(base.clone(), &[FailureKind::Latency]);
     match Engine::resume(other, &snap) {
         Err(SnapshotError::ScenarioMismatch(what)) => assert_eq!(what, "fault_plan"),
         other => panic!("expected a fault_plan mismatch, got {other:?}"),
@@ -116,7 +117,10 @@ fn resume_under_a_different_fault_plan_is_refused() {
 /// node *after* its deadline (healing restores reachability).
 fn check_partition_trace(k: u16, packets: u16, alg: Algorithm, expect_heal: bool) {
     let label = format!("line{k}-{packets}pkt-partition/{alg}");
-    let scenario = with_fault_axes(collect(Topology::line(k), packets), &[FaultAxis::Partition]);
+    let scenario = with_fault_axes(
+        collect(Topology::line(k), packets),
+        &[FailureKind::Partition],
+    );
     // `partition_until` is inherited on fork, so propagate each state's
     // deadline to its descendants as the (serially ordered) trace grows.
     let mut until: HashMap<u64, u64> = HashMap::new();
@@ -182,7 +186,7 @@ fn partition_heals_and_never_leaks_deliveries() {
 /// nothing in between, nothing later.
 fn check_latency_trace(k: u16, packets: u16, alg: Algorithm) {
     let label = format!("line{k}-{packets}pkt-latency/{alg}");
-    let scenario = with_fault_axes(collect(Topology::line(k), packets), &[FaultAxis::Latency]);
+    let scenario = with_fault_axes(collect(Topology::line(k), packets), &[FailureKind::Latency]);
     let extra_ms = scenario.failures.latency_extra_ms();
     let base_ms = scenario.link_latency_ms;
     let mut sent: HashMap<u64, u64> = HashMap::new();
@@ -255,7 +259,7 @@ fn persistent_window_survives_crash_while_volatile_resets() {
     let base = Scenario::new(topology, programs)
         .with_duration_ms(1000)
         .with_history_tracking(true);
-    let scenario = with_fault_axes(base, &[FaultAxis::CrashRec]);
+    let scenario = with_fault_axes(base, &[FailureKind::CrashRecovery]);
 
     for alg in Algorithm::ALL {
         let mut engine = Engine::new(scenario.clone(), alg);
@@ -323,7 +327,7 @@ proptest! {
             true => (format!("ring{k}"), Topology::ring(k)),
             false => (format!("line{k}"), Topology::line(k)),
         };
-        let row = fault_row(&name, topology, FaultAxis::ALL[axis_idx]);
+        let row = fault_row(&name, topology, FailureKind::AXES[axis_idx]);
         check(&[row], &Algorithm::ALL, &[Column::sharded(workers)]);
     }
 

@@ -20,8 +20,9 @@ mod common;
 
 use common::{grid_collect, line_collect, mesh_flood, ring_hello};
 use sde::core::oracle::{conformance_against, ground_truth, GroundTruth, OracleConfig};
+use sde::net::FailureKind;
 use sde::prelude::*;
-use sde_bench::{with_fault_axes, FaultAxis};
+use sde_bench::with_fault_axes;
 
 /// Shared check: compute the ground truth once, then demand every
 /// algorithm's dscenario set matches it exactly and exhaustively.
@@ -186,13 +187,13 @@ fn grid_base() -> Scenario {
 /// One fault axis, layered alone on two topologies, under all three
 /// algorithms: a divergence here is attributable to a single fault
 /// mechanism on a single topology.
-fn check_fault_axis(axis: FaultAxis) {
+fn check_fault_axis(axis: FailureKind) {
     for (name, base) in [
         ("line3", line_with_failures(3, 1, FailureConfig::new())),
         ("grid2x2", grid_base()),
     ] {
         let scenario = with_fault_axes(base, &[axis]);
-        let label = format!("{name}-{axis}");
+        let label = format!("{name}-{}", axis.name());
         let truth = assert_all_algorithms_conform(&label, &scenario, &OracleConfig::default());
         assert!(
             truth.outcomes.len() >= 2,
@@ -204,22 +205,22 @@ fn check_fault_axis(axis: FaultAxis) {
 
 #[test]
 fn partition_axis_conforms() {
-    check_fault_axis(FaultAxis::Partition);
+    check_fault_axis(FailureKind::Partition);
 }
 
 #[test]
 fn latency_axis_conforms() {
-    check_fault_axis(FaultAxis::Latency);
+    check_fault_axis(FailureKind::Latency);
 }
 
 #[test]
 fn corruption_axis_conforms() {
-    check_fault_axis(FaultAxis::Corrupt);
+    check_fault_axis(FailureKind::Corruption);
 }
 
 #[test]
 fn crash_recovery_axis_conforms() {
-    check_fault_axis(FaultAxis::CrashRec);
+    check_fault_axis(FailureKind::CrashRecovery);
 }
 
 #[test]
@@ -238,7 +239,7 @@ fn crash_recovery_persist_workload_conforms() {
     let base = Scenario::new(topology, programs)
         .with_duration_ms(1000)
         .with_history_tracking(true);
-    let scenario = with_fault_axes(base, &[FaultAxis::CrashRec]);
+    let scenario = with_fault_axes(base, &[FailureKind::CrashRecovery]);
     let truth = assert_all_algorithms_conform(
         "line2-persist-crashrec",
         &scenario,
@@ -259,7 +260,7 @@ fn truncated_fault_sweeps_are_flagged_not_silent() {
     // verdict must never look like a full one.
     let scenario = with_fault_axes(
         line_with_failures(2, 1, FailureConfig::new()),
-        &[FaultAxis::Corrupt],
+        &[FailureKind::Corruption],
     );
     let cfg = OracleConfig {
         domains: sde::core::oracle::Domains::new().with_max_domain(16),

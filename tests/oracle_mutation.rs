@@ -19,8 +19,9 @@ use common::line_collect;
 use sde::core::oracle::{
     conformance_against, ground_truth, Domains, GroundTruth, Mutation, OracleConfig,
 };
+use sde::net::FailureKind;
 use sde::prelude::*;
-use sde_bench::{with_fault_axes, FaultAxis};
+use sde_bench::with_fault_axes;
 use std::collections::BTreeSet;
 
 fn scenario() -> Scenario {
@@ -131,20 +132,20 @@ fn every_fault_axis_changes_the_canonical_outcome_set() {
     let baseline = outcome_set(&ground_truth(&base, &cfg));
     assert!(!baseline.is_empty());
     let mut per_axis = Vec::new();
-    for axis in FaultAxis::ALL {
+    for axis in FailureKind::AXES {
         let faulted = with_fault_axes(base.clone(), &[axis]);
         let truth = ground_truth(&faulted, &cfg);
         let outcomes = outcome_set(&truth);
         assert_ne!(
             outcomes,
             baseline,
-            "{axis}: the axis must change the canonical outcome set \
+            "{axis:?}: the axis must change the canonical outcome set \
              ({} outcomes either way)",
             baseline.len()
         );
         assert!(
             outcomes.len() > baseline.len(),
-            "{axis}: a new symbolic choice must widen the outcome set, \
+            "{axis:?}: a new symbolic choice must widen the outcome set, \
              got {} vs baseline {}",
             outcomes.len(),
             baseline.len()
@@ -157,7 +158,7 @@ fn every_fault_axis_changes_the_canonical_outcome_set() {
         for j in i + 1..per_axis.len() {
             assert_ne!(
                 per_axis[i].1, per_axis[j].1,
-                "{} and {} produced identical outcome sets",
+                "{:?} and {:?} produced identical outcome sets",
                 per_axis[i].0, per_axis[j].0
             );
         }
@@ -170,13 +171,13 @@ fn mutants_stay_killed_under_every_fault_axis() {
     // each axis active, suppressing a dscenario is still caught.
     let base = scenario();
     let cfg = axis_cfg();
-    for axis in FaultAxis::ALL {
+    for axis in FailureKind::AXES {
         let faulted = with_fault_axes(base.clone(), &[axis]);
         let truth = ground_truth(&faulted, &cfg);
         let clean = conformance_against(&truth, &faulted, Algorithm::Sds, None, &cfg);
         assert!(
             clean.is_clean(),
-            "{axis}: unmutated control arm must stay clean: {}",
+            "{axis:?}: unmutated control arm must stay clean: {}",
             clean.summary()
         );
         let report = conformance_against(
@@ -188,7 +189,7 @@ fn mutants_stay_killed_under_every_fault_axis() {
         );
         assert!(
             !report.is_clean(),
-            "{axis}: dropping a dscenario went unnoticed under the axis: {}",
+            "{axis:?}: dropping a dscenario went unnoticed under the axis: {}",
             report.summary()
         );
     }

@@ -11,12 +11,13 @@
 mod common;
 
 use common::matrix::{check, failure_row, failure_rows, preset_rows, sense_line4};
-use common::matrix::{Column, Layers, WORKERS};
+use common::matrix::{Column, WORKERS};
 use sde::prelude::*;
+use sde_bench::SolverLayers;
 
 /// Both cut-down solver configurations at every worker count.
 fn layered() -> Vec<Column> {
-    let layers = [Layers::Exact, Layers::Off];
+    let layers = [SolverLayers::ExactOnly, SolverLayers::Off];
     let columns = layers.map(|l| WORKERS.map(|w| Column::sharded(w).layers(l)));
     columns.concat()
 }
@@ -41,7 +42,7 @@ fn reboots_are_bit_identical_across_worker_counts() {
 /// from a cache.
 #[test]
 fn sense_workload_is_bit_identical_across_worker_counts() {
-    let columns = WORKERS.map(|w| Column::sharded(w).layers(Layers::Off));
+    let columns = WORKERS.map(|w| Column::sharded(w).layers(SolverLayers::Off));
     check(&[sense_line4()], &Algorithm::ALL, &columns);
 }
 
@@ -49,7 +50,7 @@ fn sense_workload_is_bit_identical_across_worker_counts() {
 /// runs the two solver-bound groups on two threads.
 #[test]
 fn sense_workload_is_bit_identical_with_exact_matching_only() {
-    let columns = WORKERS.map(|w| Column::sharded(w).layers(Layers::Exact));
+    let columns = WORKERS.map(|w| Column::sharded(w).layers(SolverLayers::ExactOnly));
     check(&[sense_line4()], &Algorithm::ALL, &columns);
 }
 
@@ -58,6 +59,6 @@ fn sense_workload_is_bit_identical_with_exact_matching_only() {
 #[test]
 fn preset_replays_match_under_parallel_execution() {
     let rows = preset_rows(&failure_row("line4", Topology::line(4), "drop"), 4, 2);
-    let column = Column::sharded(4).layers(Layers::Off).sliced(5, None);
+    let column = Column::sharded(4).layers(SolverLayers::Off).sliced(5, None);
     check(&rows, &[Algorithm::Sds], &[column]);
 }

@@ -11,10 +11,12 @@
 
 mod common;
 
+use sde::net::FailureKind;
 use sde::os::apps::sense;
 use sde::prelude::*;
 use sde::symbolic::SnapWriter;
-use sde_bench::{with_fault_axes, FaultAxis};
+use sde::trace::ForkReason;
+use sde_bench::with_fault_axes;
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
@@ -66,10 +68,13 @@ fn sense_3x3_cob_key() {
 fn line3_cow_corrupt_key() {
     let scenario = with_fault_axes(
         common::line_collect(3, &[1], 2, false),
-        &[FaultAxis::Corrupt],
+        &[FailureKind::Corruption],
     );
     let report = Engine::new(scenario, Algorithm::Cow).run();
-    assert!(report.trace.forks_corrupt > 0, "the axis was exercised");
+    assert!(
+        report.trace.forks[ForkReason::Corrupt as usize] > 0,
+        "the axis was exercised"
+    );
     assert_key("line-3 COW corrupt", &report, 0x3675_244a_8aae_86df);
 }
 

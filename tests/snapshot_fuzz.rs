@@ -209,7 +209,9 @@ fn resume_refuses_queues_it_cannot_index() {
     ];
     for (what, edit, expected) in cases {
         let mut hostile = good.clone();
-        hostile.edit_queue(edit);
+        for (i, (time, seq, state, event)) in hostile.parts_mut().queue.iter_mut().enumerate() {
+            edit(i, time, seq, state, event);
+        }
         // Through the wire form, as a hostile file would arrive.
         let decoded = EngineSnapshot::from_bytes(&hostile.to_bytes())
             .unwrap_or_else(|e| panic!("{what}: the codec has no reason to refuse it: {e}"));
@@ -241,13 +243,13 @@ fn resume_refuses_a_store_and_mapper_that_disagree() {
         Engine::resume(scenario.clone(), &good).expect("the unmutated snapshot resumes");
 
         let mut dropped = good.clone();
-        dropped.remove_state(good.resident_states() - 1);
+        dropped.parts_mut().states.pop();
         let mut retargeted = good.clone();
-        retargeted.edit_mapper(|mapper| match mapper {
+        match retargeted.parts_mut().mapper {
             MapperSnapshot::Cob { groups, .. } => groups[0].1[0].1 = UNALLOCATED,
             MapperSnapshot::Cow { dstates, .. } => dstates[0].1[0].1[0] = UNALLOCATED,
             MapperSnapshot::Sds { vstates, .. } => vstates[0].1 = UNALLOCATED,
-        });
+        }
         for (what, hostile) in [
             ("a state record dropped", dropped),
             ("a mapper entry retargeted to an unallocated id", retargeted),
@@ -298,14 +300,13 @@ fn resume_refuses_ids_nothing_in_the_snapshot_backs() {
 
             let last = good.resident_states() - 1;
             let mut moved = good.clone();
-            moved.edit_state(last, |s, next_state| {
-                s.id = StateId(unbacked(states));
-                *next_state = unbacked(states) + 1;
-            });
+            let parts = moved.parts_mut();
+            parts.states[last].id = StateId(unbacked(states));
+            *parts.next_state = unbacked(states) + 1;
             let mut record_only = good.clone();
-            record_only.edit_state(last, |s, _| s.id = StateId(unbacked(states)));
+            record_only.parts_mut().states[last].id = StateId(unbacked(states));
             let mut regrouped = good.clone();
-            regrouped.edit_mapper(|mapper| match mapper {
+            match regrouped.parts_mut().mapper {
                 MapperSnapshot::Cob {
                     groups, next_group, ..
                 } => {
@@ -326,9 +327,9 @@ fn resume_refuses_ids_nothing_in_the_snapshot_backs() {
                     *groups.last_mut().unwrap() = unbacked(*next_group);
                     *next_group = unbacked(*next_group) + 1;
                 }
-            });
+            }
             let mut executed = good.clone();
-            executed.push_executed(unbacked(states));
+            executed.parts_mut().executed.push(unbacked(states));
 
             type Refusal = fn(&SnapshotError) -> bool;
             let mapper_state: Refusal = |e| matches!(e, SnapshotError::MapperState(_));
@@ -377,7 +378,7 @@ fn a_shard_root_beyond_32_bits_is_malformed() {
     let last = good.resident_states() - 1;
     let with_root = |root: u32| {
         let mut edited = good.clone();
-        edited.edit_state(last, |s, _| s.shard_root = root);
+        edited.parts_mut().states[last].shard_root = root;
         edited.to_bytes()
     };
     // Apart in one state's key only, two five-byte varints: past the

@@ -149,7 +149,7 @@ fn corrupted_digest_is_a_typed_error() {
 /// every fault axis, dedup on.
 fn fault_line() -> Scenario {
     let scenario = common::collect(Topology::line(4), 1);
-    sde_bench::with_fault_axes(scenario, &sde_bench::FaultAxis::ALL)
+    sde_bench::with_fault_axes(scenario, &sde::net::FailureKind::AXES)
 }
 
 /// The fixtures' paused run: `fault_line` under `alg`, dedup on, paused
@@ -273,13 +273,8 @@ fn diff_names_the_field_two_snapshots_differ_in() {
         // The first pause with a delivery queued.
         let mut engine = Engine::new(fault_line(), alg);
         let queued = |snap: &mut EngineSnapshot| {
-            let mut delivery = None;
-            snap.edit_queue(|i, _, _, _, event| {
-                if matches!(event, NodeEvent::Deliver(_)) && delivery.is_none() {
-                    delivery = Some(i);
-                }
-            });
-            delivery
+            (snap.parts_mut().queue.iter())
+                .position(|(.., event)| matches!(event, NodeEvent::Deliver(_)))
         };
         let (good, delivery) = loop {
             assert_eq!(engine.run_until(Budget::events(1)), RunOutcome::Paused);
@@ -293,23 +288,21 @@ fn diff_names_the_field_two_snapshots_differ_in() {
         type Edit = fn(&mut EngineSnapshot, usize, usize);
         let edits: [(&str, Edit); 4] = [
             ("partition_until", |s, last, _| {
-                s.edit_state(last, |s, _| s.partition_until += 1)
+                s.parts_mut().states[last].partition_until += 1
             }),
             ("shard_root", |s, last, _| {
-                s.edit_state(last, |s, _| s.shard_root += 1)
+                s.parts_mut().states[last].shard_root += 1
             }),
             ("core.budgets[6]", |s, last, _| {
-                s.edit_state(last, |s, _| s.budgets[6] += 1)
+                s.parts_mut().states[last].budgets[6] += 1
             }),
             ("payload[0]", |s, _, delivery| {
-                s.edit_queue(|i, _, _, _, event| match event {
-                    NodeEvent::Deliver(packet) if i == delivery => {
-                        let word = &mut packet.payload[0];
-                        let value = word.as_const().expect("a concrete word") ^ 1;
-                        *word = Value::const_(value, word.width());
-                    }
-                    _ => {}
-                })
+                let NodeEvent::Deliver(packet) = &mut s.parts_mut().queue[delivery].3 else {
+                    unreachable!("a queued delivery")
+                };
+                let word = &mut packet.payload[0];
+                let value = word.as_const().expect("a concrete word") ^ 1;
+                *word = Value::const_(value, word.width());
             }),
         ];
         for (field, edit) in edits {
@@ -332,7 +325,7 @@ fn diff_matches_values_of_different_shape_by_path() {
     let n = cob.resident_states();
     assert!(n >= 2, "states to drop");
     let mut fewer = cob.clone();
-    fewer.remove_state(n - 1);
+    fewer.parts_mut().states.pop();
     for (lines, missing) in [(cob.diff(&fewer), " != -"), (fewer.diff(&cob), ": - != ")] {
         assert!(lines[0].starts_with("states.len: "), "{lines:?}");
         let item = format!("states[{}].", n - 1);

@@ -21,7 +21,7 @@ use std::sync::Arc;
 #[derive(Debug, Default, PartialEq, Eq)]
 struct Recount {
     boots: u64,
-    dispatch: [u64; 3], // boot, timer, deliver
+    dispatch: [u64; DispatchKind::ALL.len()],
     forks: [u64; ForkReason::ALL.len()],
     sends: u64,
     delivers: u64,
@@ -38,16 +38,8 @@ fn recount(events: &[TraceEvent]) -> Recount {
     for ev in events {
         match ev {
             TraceEvent::Boot { .. } => c.boots += 1,
-            TraceEvent::Dispatch { kind, .. } => {
-                c.dispatch[match kind {
-                    DispatchKind::Boot => 0,
-                    DispatchKind::Timer => 1,
-                    DispatchKind::Deliver => 2,
-                }] += 1;
-            }
-            TraceEvent::Fork { reason, .. } => {
-                c.forks[ForkReason::ALL.iter().position(|r| r == reason).unwrap()] += 1;
-            }
+            TraceEvent::Dispatch { kind, .. } => c.dispatch[*kind as usize] += 1,
+            TraceEvent::Fork { reason, .. } => c.forks[*reason as usize] += 1,
             TraceEvent::Send { .. } => c.sends += 1,
             TraceEvent::Deliver { .. } => c.delivers += 1,
             TraceEvent::Drop { .. } => c.drops += 1,
@@ -96,27 +88,15 @@ fn check(label: &str, scenario: &Scenario, alg: Algorithm) -> Recount {
 
     // Engine-side counters.
     assert_eq!(c.boots, t.boots, "{ctx}: boots");
-    assert_eq!(c.dispatch[0], t.dispatch_boot, "{ctx}: boot dispatches");
-    assert_eq!(c.dispatch[1], t.dispatch_timer, "{ctx}: timer dispatches");
     assert_eq!(
-        c.dispatch[2], t.dispatch_deliver,
-        "{ctx}: deliver dispatches"
+        c.dispatch,
+        t.dispatches,
+        "{ctx}: dispatches by kind {:?}",
+        DispatchKind::ALL
     );
-    let forks = [
-        t.forks_branch,
-        t.forks_mapping,
-        t.forks_drop,
-        t.forks_duplicate,
-        t.forks_reboot,
-        t.forks_latency,
-        t.forks_corrupt,
-        t.forks_crash,
-        t.forks_partition,
-        t.forks_heal,
-    ];
     assert_eq!(
         c.forks,
-        forks,
+        t.forks,
         "{ctx}: forks by reason {:?}",
         ForkReason::ALL
     );
@@ -171,14 +151,15 @@ fn trace_counters_equal_report_counters() {
 /// and a partition-swallowed delivery, occurs at least once.
 #[test]
 fn fault_plan_forks_equal_report_counters() {
-    use sde_bench::{with_fault_axes, FaultAxis};
+    use sde::net::FailureKind;
+    use sde_bench::with_fault_axes;
     let rows = [
         ("collect line4", common::collect(Topology::line(4), 2)),
         ("sense grid3", sde_bench::symbolic_grid(3)),
     ];
     let mut total = Recount::default();
     for (label, scenario) in rows {
-        let scenario = with_fault_axes(scenario, &FaultAxis::ALL);
+        let scenario = with_fault_axes(scenario, &FailureKind::AXES);
         for alg in Algorithm::ALL {
             let c = check(label, &scenario, alg);
             for (sum, n) in total.forks.iter_mut().zip(c.forks) {
@@ -195,8 +176,10 @@ fn fault_plan_forks_equal_report_counters() {
         ForkReason::Partition,
         ForkReason::Heal,
     ] {
-        let i = ForkReason::ALL.iter().position(|r| *r == reason).unwrap();
-        assert!(total.forks[i] > 0, "no {reason:?} fork: {total:?}");
+        assert!(
+            total.forks[reason as usize] > 0,
+            "no {reason:?} fork: {total:?}"
+        );
     }
     assert!(total.partition_drops > 0, "no partition drop: {total:?}");
     assert!(total.queries > 0, "no solver query: {total:?}");
