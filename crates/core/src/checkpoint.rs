@@ -45,7 +45,7 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"SDESNAP1";
 
 /// Current snapshot format version; bumped on any codec change
 /// (DESIGN.md §8 lists what each version added).
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Size of the fixed file header (magic + version + digest + prelude
 /// length).
@@ -237,13 +237,11 @@ pub struct EngineSnapshot {
     pub(crate) total_states: usize,
     /// Next state id to allocate.
     pub(crate) next_state: u64,
-    /// Fork counts indexed by [`sde_trace::ForkReason`].
-    pub(crate) forks: [u64; sde_trace::ForkReason::ALL.len()],
     /// The time series collected so far.
     pub(crate) samples: Vec<Sample>,
     /// Bugs found so far.
     pub(crate) bugs: Vec<BugFound>,
-    /// The always-on trace counter digest.
+    /// The always-on trace counter digest, fork counts included.
     pub(crate) trace: TraceSummary,
     /// Whether duplicate-dispatch pruning was enabled (DESIGN.md §10).
     /// The memo index itself is not serialized — a resumed dedup run
@@ -251,9 +249,6 @@ pub struct EngineSnapshot {
     pub(crate) dedup: bool,
     /// Dedup counters accumulated before the pause.
     pub(crate) dedup_stats: DedupStats,
-    /// Whether any segment of the run used sharded parallel execution
-    /// ([`crate::Engine::run_until_sharded`]); provenance only.
-    pub(crate) sharded: bool,
     /// Ids of states that entered handler execution, sorted ascending.
     pub(crate) executed: Vec<u64>,
 }
@@ -773,8 +768,8 @@ walk! {
         algorithm, node_count, duration_ms, link_latency_ms, state_cap, sample_every,
         track_history, faults_fingerprint, symbols;
         states, queue_next_seq, queue, mapper, solver, now, next_packet, events_processed,
-        packets_sent, instructions, aborted, total_states, next_state, forks, samples, bugs,
-        trace, dedup, dedup_stats, sharded, executed
+        packets_sent, instructions, aborted, total_states, next_state, samples, bugs, trace,
+        dedup, dedup_stats, executed
     }
 }
 
@@ -789,9 +784,7 @@ walk! {
     BugFound { node, state, report }
     DedupStats { candidates, confirmed, collisions, pruned_states, saved_instructions }
     TraceSummary {
-        boots, dispatches, forks, packets_sent, packets_delivered, packets_dropped,
-        solver_queries, solver_exact_hits, solver_group_hits, solver_reuse_hits,
-        solver_ucore_hits, bugs_found, shrink_steps, boot_wall_us, run_wall_us
+        boots, dispatches, forks, packets_delivered, packets_dropped, boot_wall_us, run_wall_us
     }
 }
 

@@ -109,9 +109,6 @@ pub struct Engine {
     /// [`ParallelStats`] when the segment ends.
     shard_applied: u64,
     shard_fallback: u64,
-    /// Whether any segment of this run used [`Engine::run_until_sharded`]
-    /// (provenance; carried by snapshots).
-    sharded: bool,
     /// Per-event buffers of the dispatch core.
     buffers: Buffers,
     /// One heap storage per memory image of the resident states
@@ -153,7 +150,6 @@ impl Engine {
             shard_entries: None,
             shard_applied: 0,
             shard_fallback: 0,
-            sharded: false,
             buffers: Buffers::default(),
             heap_pool: HeapPool::new(),
         }

@@ -94,12 +94,6 @@ impl Engine {
         let solver = self.solver.stats();
         let trace = sde_trace::TraceSummary {
             forks: self.store.forks,
-            packets_sent: self.packets_sent,
-            solver_queries: solver.queries,
-            solver_exact_hits: solver.cache_hits,
-            solver_group_hits: solver.group_cache_hits,
-            solver_reuse_hits: solver.model_reuse_hits,
-            bugs_found: self.bugs.len() as u64,
             ..self.trace
         };
         RunReport {

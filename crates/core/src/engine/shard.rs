@@ -80,7 +80,6 @@ impl Engine {
     /// — checkpoint/resume composes with sharding (DESIGN.md §8).
     pub fn run_until_sharded(&mut self, workers: usize, budget: Budget) -> RunOutcome {
         let workers = workers.max(1);
-        self.sharded = true;
         let pool = ShardPool::new(workers);
         let keys = ClaimedKeys::default();
         let (done_tx, done) = mpsc::channel::<thread::Result<ShardOutcome>>();

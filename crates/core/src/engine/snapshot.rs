@@ -6,6 +6,7 @@ use crate::checkpoint::{EngineSnapshot, SnapshotError};
 use crate::scenario::Scenario;
 use crate::state::{SdeState, StateId};
 use crate::store::{IdSet, IndexedQueue};
+use sde_trace::TraceSummary;
 
 impl Engine {
     /// Captures the engine's complete configuration as an
@@ -45,13 +46,14 @@ impl Engine {
             aborted: self.aborted,
             total_states: self.store.total_states,
             next_state: self.store.next_state,
-            forks: self.store.forks,
             samples: self.series.samples().to_vec(),
             bugs: self.bugs.clone(),
-            trace: self.trace,
+            trace: TraceSummary {
+                forks: self.store.forks,
+                ..self.trace
+            },
             dedup: self.dedup,
             dedup_stats: self.dedup_stats,
-            sharded: self.sharded,
             executed: self.executed.iter().map(|s| s.0).collect(),
         }
     }
@@ -180,7 +182,7 @@ impl Engine {
         }
         engine.store.next_state = snapshot.next_state;
         engine.store.total_states = snapshot.total_states;
-        engine.store.forks = snapshot.forks;
+        engine.store.forks = snapshot.trace.forks;
         // Rebuild the queue and its per-state index silently (no QueuePush
         // trace events): these pushes already happened — and were already
         // traced — in the original run. An event of a state that is not
@@ -210,7 +212,6 @@ impl Engine {
         engine.trace = snapshot.trace;
         engine.dedup = snapshot.dedup;
         engine.dedup_stats = snapshot.dedup_stats;
-        engine.sharded = snapshot.sharded;
         for id in &snapshot.executed {
             if *id >= snapshot.next_state {
                 return Err(SnapshotError::Codec(sde_symbolic::CodecError::Malformed(

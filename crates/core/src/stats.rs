@@ -296,9 +296,9 @@ pub struct RunReport {
     /// [`Engine::run_sharded`](crate::Engine::run_sharded); `None` for
     /// sequential runs.
     pub parallel: Option<ParallelStats>,
-    /// Always-on trace counters: forks by reason, dispatches by kind,
-    /// packet fates and a snapshot of the solver layer hits. Collected
-    /// whether or not a [`sde_trace::TraceSink`] is attached.
+    /// Always-on trace counters: forks by reason, dispatches by kind and
+    /// packet fates. Collected whether or not a [`sde_trace::TraceSink`]
+    /// is attached.
     pub trace: sde_trace::TraceSummary,
 }
 
@@ -377,8 +377,9 @@ impl RunReport {
                 s.virtual_ms, s.live_states, s.total_states, s.bytes, s.groups
             );
         }
-        // Solver layer hits and wall times are excluded by construction.
-        let _ = writeln!(key, "trace: {}", self.trace.deterministic_key());
+        // Wall times are excluded by construction.
+        let trace = self.trace.deterministic_key(self.packets, self.bugs.len());
+        let _ = writeln!(key, "trace: {trace}");
         key
     }
 }

@@ -342,16 +342,18 @@ impl FailureConfig {
         self.arm(kind, [], 0)
     }
 
-    /// Order-independent FNV-style fingerprint of the extended axes, for
-    /// snapshot compatibility checks: a checkpoint resumed under a
-    /// different configuration would silently change the meaning of
-    /// every stored budget.
+    /// Order-independent FNV-style fingerprint of the extended axes. A
+    /// snapshot stores it and resume checks it (a checkpoint resumed
+    /// under a different configuration would silently change the meaning
+    /// of every stored budget); a `repro` artifact stores it as
+    /// `fault_fingerprint`, and `repro --replay` refuses a mismatch.
     ///
     /// It folds the cut set, the heal choices, then latency, corruption
     /// and crash-recovery (nodes, delay, budget), then the persistence
-    /// window. Drop, duplicate and reboot stay out: the value is stored
-    /// in every snapshot of version 7, and folding them in would reject
-    /// those snapshots' drop-bearing runs on resume.
+    /// window. Drop, duplicate and reboot stay out: folding them in would
+    /// move the `fault_fingerprint` of every drop-bearing artifact already
+    /// written, and `--replay` would refuse it. After boot their budgets
+    /// ride in each state's `budgets`, which a snapshot stores whole.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut fold = |v: u64| {

@@ -899,11 +899,6 @@ impl Solver {
 /// uninterrupted one would. The snapshot therefore keeps per-shard
 /// layout, bucket insertion order and counterexample FIFO order — not
 /// just the logical cache contents.
-///
-/// The wire format still carries the slots of the retired UNSAT-core
-/// cache: its hit counter, written as 0, and one core list per shard,
-/// written empty. [`SolverSnapshot::read_from`] validates both and drops
-/// them, so snapshots written while cores were cached still resume.
 #[derive(Debug, Clone)]
 pub struct SolverSnapshot {
     stats: SolverStats,
@@ -953,7 +948,6 @@ impl SolverSnapshot {
             s.cache_hits,
             s.group_cache_hits,
             s.model_reuse_hits,
-            0, // the retired UNSAT-core hit counter
             s.sat,
             s.unsat,
             s.unknown,
@@ -1000,11 +994,6 @@ impl SolverSnapshot {
                 w.model(model);
             }
         }
-        // The retired UNSAT-core cache: every shard empty.
-        w.varint(CACHE_SHARDS as u64);
-        for _ in 0..CACHE_SHARDS {
-            w.varint(0);
-        }
     }
 
     /// Deserializes a snapshot written by [`SolverSnapshot::write_into`].
@@ -1014,24 +1003,18 @@ impl SolverSnapshot {
     /// Returns [`CodecError`] on truncated or malformed input (including
     /// a shard count that does not match this build's shard layout, and
     /// an exact-cache entry that is not its own canonical form or sits
-    /// under a key other than that form's). A retired UNSAT-core section
-    /// is checked the same way before it is dropped.
+    /// under a key other than that form's).
     pub fn read_from(r: &mut SnapReader<'_>) -> Result<SolverSnapshot, CodecError> {
-        let mut counters = [0u64; 9];
-        for c in &mut counters {
-            *c = r.varint()?;
-        }
-        // `counters[4]`, the retired UNSAT-core hit counter, is dropped.
         let stats = SolverStats {
-            queries: counters[0],
-            cache_hits: counters[1],
-            group_cache_hits: counters[2],
-            model_reuse_hits: counters[3],
+            queries: r.varint()?,
+            cache_hits: r.varint()?,
+            group_cache_hits: r.varint()?,
+            model_reuse_hits: r.varint()?,
             ucore_hits: 0,
-            sat: counters[5],
-            unsat: counters[6],
-            unknown: counters[7],
-            nodes_visited: counters[8],
+            sat: r.varint()?,
+            unsat: r.varint()?,
+            unknown: r.varint()?,
+            nodes_visited: r.varint()?,
         };
         let caching = r.bool()?;
         let group_caching = r.bool()?;
@@ -1090,17 +1073,6 @@ impl SolverSnapshot {
                 shard.push((VarSet::from_sorted_entries(entries), r.model()?));
             }
             cex_models.push(shard);
-        }
-        // The retired UNSAT-core cache, read and dropped.
-        if r.checked_len("cex core shard count")? != CACHE_SHARDS {
-            return Err(CodecError::Malformed("cex core shard count"));
-        }
-        for _ in 0..CACHE_SHARDS {
-            for _ in 0..r.checked_len("cex core count")? {
-                for _ in 0..r.checked_len("cex core constraint count")? {
-                    r.expr()?;
-                }
-            }
         }
         Ok(SolverSnapshot {
             stats,

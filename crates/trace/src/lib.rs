@@ -333,17 +333,15 @@ mod tests {
     }
 
     #[test]
-    fn summary_key_excludes_solver_and_walls() {
+    fn summary_key_excludes_walls() {
         let mut s = TraceSummary {
             forks: [3, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-            packets_sent: 9,
             ..TraceSummary::default()
         };
-        let key = s.deterministic_key();
-        s.solver_queries = 100;
+        let key = s.deterministic_key(9, 0);
         s.run_wall_us = 1_000_000;
-        assert_eq!(s.deterministic_key(), key);
-        assert!(s.render().contains("queries=100"));
+        assert_eq!(s.deterministic_key(9, 0), key);
+        assert!(s.render().contains("run 1000.0ms"));
     }
 
     #[test]
@@ -361,14 +359,12 @@ mod tests {
         let s = TraceSummary {
             forks: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
             dispatches: [11, 12, 13],
-            packets_sent: 14,
             packets_delivered: 15,
             packets_dropped: 16,
-            bugs_found: 17,
             ..TraceSummary::default()
         };
         assert_eq!(
-            s.deterministic_key(),
+            s.deterministic_key(14, 17),
             "forks branch=1 mapping=2 drop=3 duplicate=4 reboot=5 latency=6 corrupt=7 \
              crash=8 partition=9 heal=10 packets sent=14 delivered=15 dropped=16 \
              dispatch boot=11 timer=12 deliver=13 bugs=17"

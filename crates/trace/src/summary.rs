@@ -2,10 +2,11 @@
 //!
 //! [`TraceSummary`] is built from plain counters the engine keeps whether
 //! or not a recording sink is attached (they are just integer increments,
-//! inside the <2% no-op overhead budget), plus a snapshot of the solver's
-//! per-layer hit counters. It rides inside `RunReport` so every run —
-//! traced or not — reports per-phase durations, fork counts by reason and
-//! the solver layer histogram.
+//! inside the <2% no-op overhead budget). It rides inside `RunReport` so
+//! every run — traced or not — reports per-phase durations, dispatches by
+//! kind, fork counts by reason and packet fates. What the report holds
+//! elsewhere (packets sent, bugs, the solver's counters) it does not
+//! repeat.
 
 use crate::event::{DispatchKind, ForkReason};
 
@@ -18,32 +19,11 @@ pub struct TraceSummary {
     pub dispatches: [u64; DispatchKind::ALL.len()],
     /// Forks, indexed by [`ForkReason`].
     pub forks: [u64; ForkReason::ALL.len()],
-    /// Packets sent (transmissions mapped).
-    pub packets_sent: u64,
     /// Packet deliveries handed to a receiver handler (duplicate copies
     /// included).
     pub packets_delivered: u64,
     /// Packet drops observed (failure-model drop branches).
     pub packets_dropped: u64,
-    /// Solver queries issued by the engine's own solver (a sharded run's
-    /// worker-local solvers are not counted).
-    pub solver_queries: u64,
-    /// Whole queries answered by the exact cache.
-    pub solver_exact_hits: u64,
-    /// Independence groups answered by the per-group exact cache.
-    pub solver_group_hits: u64,
-    /// Independence groups answered by counterexample-model reuse.
-    pub solver_reuse_hits: u64,
-    /// Always 0: the solver no longer reuses UNSAT cores. Kept only as a
-    /// slot of the engine snapshot's wire format; it goes with the next
-    /// `SNAPSHOT_VERSION` bump.
-    pub solver_ucore_hits: u64,
-    /// Bug reports recorded by the run (VM safety checks, strict-replay
-    /// unkeyed inputs, invariant violations).
-    pub bugs_found: u64,
-    /// Candidate evaluations performed by the counterexample minimizer
-    /// (zero for plain engine runs; set by `sde-core::minimize`).
-    pub shrink_steps: u64,
     /// Wall-clock of the boot phase, microseconds.
     pub boot_wall_us: u64,
     /// Wall-clock of the event loop, microseconds.
@@ -77,18 +57,16 @@ impl TraceSummary {
     }
 
     /// The deterministic slice of the summary, for equivalence keys:
-    /// fork counts by reason plus packet counters. Wall-clock and solver
-    /// layer hits are excluded (they differ between serial and sharded
-    /// runs, whose workers answer part of the queries).
-    pub fn deterministic_key(&self) -> String {
+    /// fork counts by reason, packet and dispatch counters, with the
+    /// report's `packets_sent` and `bugs` count spliced in. Wall-clock is
+    /// excluded.
+    pub fn deterministic_key(&self, packets_sent: u64, bugs: usize) -> String {
         format!(
-            "forks {} packets sent={} delivered={} dropped={} dispatch {} bugs={}",
+            "forks {} packets sent={packets_sent} delivered={} dropped={} dispatch {} bugs={bugs}",
             self.fork_counts(),
-            self.packets_sent,
             self.packets_delivered,
             self.packets_dropped,
             self.dispatch_counts(),
-            self.bugs_found,
         )
     }
 
@@ -98,23 +76,14 @@ impl TraceSummary {
             "phases: boot {:.1}ms, run {:.1}ms\n\
              dispatch: {}\n\
              forks: {} (total {})\n\
-             packets: sent={} delivered={} dropped={}\n\
-             bugs: found={} (shrink steps {})\n\
-             solver: queries={} exact={} group={} reuse={}",
+             packets: delivered={} dropped={}",
             self.boot_wall_us as f64 / 1000.0,
             self.run_wall_us as f64 / 1000.0,
             self.dispatch_counts(),
             self.fork_counts(),
             self.forks_total(),
-            self.packets_sent,
             self.packets_delivered,
             self.packets_dropped,
-            self.bugs_found,
-            self.shrink_steps,
-            self.solver_queries,
-            self.solver_exact_hits,
-            self.solver_group_hits,
-            self.solver_reuse_hits,
         )
     }
 }

@@ -83,6 +83,17 @@ fn main() {
         }
     }
 
-    // 4. The summary rides on every report, sink or no sink.
+    // 4. The summary rides on every report, sink or no sink. Packets
+    // sent, bugs and the solver's layer counts are the report's own.
     println!("\n{}", report.trace.render());
+    let s = &report.solver;
+    println!(
+        "report: packets sent={} bugs found={}\nsolver: queries={} exact={} group={} reuse={}",
+        report.packets,
+        report.bugs.len(),
+        s.queries,
+        s.cache_hits,
+        s.group_cache_hits,
+        s.model_reuse_hits
+    );
 }

@@ -161,50 +161,6 @@ fn paused_fault_line(alg: Algorithm) -> Engine {
     engine
 }
 
-/// Snapshots written by the commit before the snapshot walk became one
-/// field list per type (b22af04, `SNAPSHOT_VERSION` 6), one per
-/// algorithm: `tests/data/parent_{cob,cow,sds}.snap`, 1–3 KB each. A
-/// throwaway `tests/write_fixtures.rs` added to that tree wrote them with
-/// `std::fs::write(path, paused_fault_line(alg).snapshot().to_bytes())`,
-/// this file's `paused_fault_line` copied in
-/// (`cargo test --release --test write_fixtures`, from the repo root).
-///
-/// What they hold: partition deadlines, every fault budget, symbols,
-/// logged histories, executed marks, dedup counters (COB only), queued
-/// deliveries with payloads (COW, SDS). What stays empty: `bugs`, the
-/// `sharded` flag, every solver cache (the line never queries), and, in
-/// COB's, the deliveries (only timers are pending).
-///
-/// Each must decode and re-encode byte for byte, equal what this commit's
-/// run writes at the same pause in every field but the wall clock, and
-/// resume to the straight run's key. A resumed dedup run starts with a
-/// cold memo index (DESIGN.md §10), so it re-executes what the straight
-/// run would replay there and mints fresh symbols; each pause sits where
-/// no such replay is pending, which `states_executed` confirms.
-#[test]
-fn parent_written_snapshots_reencode_and_resume() {
-    for alg in Algorithm::ALL {
-        let path = format!("tests/data/parent_{}.snap", alg.name().to_lowercase());
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert!(bytes.len() < 64 << 10, "{path} is not small");
-        let snap = EngineSnapshot::from_bytes(&bytes).unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert!(snap.to_bytes() == bytes, "{path}: not a fixed point");
-        assert_eq!(
-            snap.diff(&paused_fault_line(alg).snapshot()),
-            Vec::<String>::new()
-        );
-
-        let straight = Engine::new(fault_line(), alg).with_dedup(true).run();
-        let resumed = Engine::resume(fault_line(), &snap).expect("resumes").run();
-        assert_eq!(
-            resumed.equivalence_key(),
-            straight.equivalence_key(),
-            "{path}"
-        );
-        assert_eq!(resumed.states_executed, straight.states_executed, "{path}");
-    }
-}
-
 /// The solver-bound fixtures' paused run: the 3×3 sense grid under `alg`,
 /// paused after 40 events.
 fn paused_sense(alg: Algorithm) -> Engine {
@@ -213,49 +169,118 @@ fn paused_sense(alg: Algorithm) -> Engine {
     engine
 }
 
-/// Snapshots written by the last commit that cached UNSAT cores (98eed2e,
-/// `SNAPSHOT_VERSION` 6), one per algorithm:
-/// `tests/data/parent_sense_{cob,cow,sds}.snap`, 4.9–7.4 KB each, written
-/// as the fixtures above were, with this file's `paused_sense` copied in.
-/// Every one holds a non-empty core list in some counterexample shard,
-/// beside exact-cache entries and cached models.
-///
-/// Each must decode and re-encode strictly shorter, because the cores are
-/// read and dropped; then equal this commit's run at the same pause in
-/// every field but the wall clock, and resume to the straight run's key
-/// and search-node count.
+/// Snapshots written by the last version-6 commits, one per algorithm:
+/// `tests/data/parent_{cob,cow,sds}.snap` (`paused_fault_line`, written
+/// at b22af04) and `tests/data/parent_sense_{cob,cow,sds}.snap`
+/// (`paused_sense`, written at 98eed2e, UNSAT cores and all). Version 7
+/// dropped the solver's retired UNSAT-core slots, the summary's copies of
+/// report values, the second fork array and the `sharded` flag, so the
+/// header alone refuses each, loudly.
 #[test]
-fn parent_sense_snapshots_drop_their_cores_and_resume() {
-    for alg in Algorithm::ALL {
-        let path = format!("tests/data/parent_sense_{}.snap", alg.name().to_lowercase());
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let snap = EngineSnapshot::from_bytes(&bytes).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let reencoded = snap.to_bytes();
-        assert!(
-            reencoded.len() < bytes.len(),
-            "{path}: {} bytes re-encode to {}, so no core was dropped",
-            bytes.len(),
-            reencoded.len()
-        );
-        assert_eq!(
-            snap.diff(&paused_sense(alg).snapshot()),
-            Vec::<String>::new(),
-            "{path}"
-        );
+fn version_6_snapshots_are_refused() {
+    for prefix in ["parent", "parent_sense"] {
+        for alg in Algorithm::ALL {
+            let path = format!("tests/data/{prefix}_{}.snap", alg.name().to_lowercase());
+            let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            let err = EngineSnapshot::from_bytes(&bytes).unwrap_err();
+            assert_eq!(err, SnapshotError::UnsupportedVersion(6), "{path}");
+            let message = "unsupported snapshot version 6 (expected 7)";
+            assert_eq!(err.to_string(), message, "{path}");
+        }
+    }
+}
 
+/// Snapshots written at the commit that introduced version 7, for later
+/// codec changes to check as parent-written. A throwaway
+/// `tests/write_fixtures.rs` added to that tree wrote each with
+/// `std::fs::write(path, engine.snapshot().to_bytes())`, `engine` being
+/// this file's `paused_fault_line(alg)` (`tests/data/v7_{cob,cow,sds}.snap`)
+/// or `paused_sense(alg)` (`tests/data/v7_sense_{cob,cow,sds}.snap`),
+/// both copied in (`cargo test --release --test write_fixtures`, from the
+/// repo root).
+///
+/// The fault-line ones hold partition deadlines, every fault budget,
+/// symbols, logged histories, executed marks, dedup counters (COB only)
+/// and queued deliveries with payloads (COW, SDS); their solver caches
+/// are empty (the line never queries). The sense ones hold exact-cache
+/// entries and cached models.
+///
+/// Each must be small, decode and re-encode byte for byte, equal
+/// `paused` — this commit's run at the same pause — in every field but
+/// the wall clock, and resume under `scenario` to the `straight` run's
+/// key, executed states and search nodes. A resumed dedup run starts with
+/// a cold memo index (DESIGN.md §10), so it re-executes what the straight
+/// run would replay there and mints fresh symbols; each fault-line pause
+/// sits where no such replay is pending, which `states_executed`
+/// confirms.
+fn check_v7_fixture(path: &str, paused: Engine, scenario: Scenario, straight: RunReport) {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert!(bytes.len() < 64 << 10, "{path} is not small");
+    let snap = EngineSnapshot::from_bytes(&bytes).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert!(snap.to_bytes() == bytes, "{path}: not a fixed point");
+    let lines = snap.diff(&paused.snapshot());
+    assert_eq!(lines, Vec::<String>::new(), "{path}");
+
+    let resumed = Engine::resume(scenario, &snap).expect("resumes").run();
+    let key = resumed.equivalence_key();
+    assert_eq!(key, straight.equivalence_key(), "{path}");
+    assert_eq!(resumed.states_executed, straight.states_executed, "{path}");
+    let nodes = resumed.solver.nodes_visited;
+    assert_eq!(nodes, straight.solver.nodes_visited, "{path}");
+}
+
+#[test]
+fn v7_fault_line_snapshots_reencode_and_resume() {
+    for alg in Algorithm::ALL {
+        let path = format!("tests/data/v7_{}.snap", alg.name().to_lowercase());
+        let straight = Engine::new(fault_line(), alg).with_dedup(true).run();
+        check_v7_fixture(&path, paused_fault_line(alg), fault_line(), straight);
+    }
+}
+
+#[test]
+fn v7_sense_snapshots_reencode_and_resume() {
+    for alg in Algorithm::ALL {
+        let path = format!("tests/data/v7_sense_{}.snap", alg.name().to_lowercase());
         let straight = Engine::new(sde_bench::symbolic_grid(3), alg).run();
-        let resumed = Engine::resume(sde_bench::symbolic_grid(3), &snap)
-            .expect("resumes")
-            .run();
-        assert_eq!(
-            resumed.equivalence_key(),
-            straight.equivalence_key(),
-            "{path}"
-        );
-        assert_eq!(
-            resumed.solver.nodes_visited, straight.solver.nodes_visited,
-            "{path}"
-        );
+        let scenario = sde_bench::symbolic_grid(3);
+        check_v7_fixture(&path, paused_sense(alg), scenario, straight);
+    }
+}
+
+/// A snapshot holds each counter once, and holds the run's: the fork
+/// counts sit in `trace.forks` alone and read what the report counts,
+/// and no slot repeats a report value (`trace.solver_*`,
+/// `trace.packets_sent`, `trace.bugs_found`), is never set
+/// (`shrink_steps`), is never read (`sharded`) or belongs to the retired
+/// UNSAT-core layer (`ucore`).
+#[test]
+fn snapshot_counters_are_the_runs_and_held_once() {
+    let engine = paused_sense(Algorithm::Cob);
+    let json = engine.snapshot().to_debug_json();
+    let leaves: Vec<(&str, &str)> = (json.lines())
+        .filter_map(|l| l.trim().strip_prefix('"')?.split_once("\": "))
+        .map(|(path, value)| (path, value.trim_end_matches(',')))
+        .collect();
+    let mapping = engine.into_report().trace.forks[1];
+    assert!(mapping > 0, "the pause comes after mapping forks");
+    let forks: Vec<_> = (leaves.iter())
+        .filter(|(path, _)| path.ends_with("forks[1]"))
+        .collect();
+    assert_eq!(forks, [&("trace.forks[1]", &*mapping.to_string())]);
+    for name in [
+        "sharded",
+        "shrink_steps",
+        "ucore",
+        "trace.solver_",
+        "trace.packets_sent",
+        "trace.bugs_found",
+    ] {
+        let named: Vec<_> = leaves
+            .iter()
+            .filter(|(path, _)| path.contains(name))
+            .collect();
+        assert!(named.is_empty(), "{name}: {named:?}");
     }
 }
 

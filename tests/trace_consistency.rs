@@ -121,7 +121,6 @@ fn check(label: &str, scenario: &Scenario, alg: Algorithm) -> Recount {
     // matching the cache counters exactly; no group is answered by the
     // retired UNSAT-core layer.
     assert_eq!(c.queries, s.queries, "{ctx}: query count");
-    assert_eq!(c.queries, t.solver_queries, "{ctx}: summary query count");
     assert_eq!(
         c.query_layers[1], s.cache_hits,
         "{ctx}: exact-layer queries"
