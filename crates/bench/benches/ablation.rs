@@ -40,20 +40,12 @@ fn bench_solver_cache(c: &mut Criterion) {
         .map(|_| Expr::sym(t.fresh("probe", Width::BOOL)))
         .collect();
     // One config per layer of the incremental stack (DESIGN.md §6):
-    // everything on, counterexample cache off, whole-query exact matching
-    // only, and fully uncached.
+    // everything on, whole-query exact matching only, and fully uncached.
     type Setup = fn(&Solver);
-    let configs: [(&str, Setup); 4] = [
+    let configs: [(&str, Setup); 3] = [
         ("full", |_| {}),
-        ("no_cex", |s| s.set_cex_caching(false)),
-        ("exact_only", |s| {
-            s.set_group_caching(false);
-            s.set_cex_caching(false);
-        }),
-        ("off", |s| {
-            s.set_caching(false);
-            s.set_cex_caching(false);
-        }),
+        ("exact_only", |s| s.set_group_caching(false)),
+        ("off", |s| s.set_caching(false)),
     ];
     for (name, setup) in configs {
         group.bench_with_input(BenchmarkId::from_parameter(name), &setup, |b, setup| {

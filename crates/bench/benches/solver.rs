@@ -89,8 +89,7 @@ fn bench_layer_stack(c: &mut Criterion) {
     // §6): a stream of *related* queries — each one re-uses seven of
     // eight independent constraint groups and perturbs the eighth — so
     // whole-query exact matching never hits (every query key differs)
-    // while per-group caching and counterexample reuse answer almost
-    // everything incrementally.
+    // while per-group caching answers almost everything incrementally.
     let mut group = c.benchmark_group("solver/layers");
     let mut t = SymbolTable::new();
     let vars: Vec<ExprRef> = (0..8)
@@ -112,14 +111,8 @@ fn bench_layer_stack(c: &mut Criterion) {
     type Setup = fn(&Solver);
     let configs: [(&str, Setup); 3] = [
         ("full_stack", |_| {}),
-        ("exact_match_only", |s| {
-            s.set_group_caching(false);
-            s.set_cex_caching(false);
-        }),
-        ("uncached", |s| {
-            s.set_caching(false);
-            s.set_cex_caching(false);
-        }),
+        ("exact_match_only", |s| s.set_group_caching(false)),
+        ("uncached", |s| s.set_caching(false)),
     ];
     for (name, setup) in configs {
         group.bench_function(name, |b| {

@@ -89,7 +89,7 @@ fn main() {
         let _ = writeln!(
             report,
             "{} seq: wall={:.1?} states={} events={} queries={} hits={} \
-             group={} reuse={} search_nodes={}",
+             group={} search_nodes={}",
             alg.name(),
             seq.wall,
             seq.total_states,
@@ -97,7 +97,6 @@ fn main() {
             seq.solver.queries,
             seq.solver.cache_hits,
             seq.solver.group_cache_hits,
-            seq.solver.model_reuse_hits,
             seq.solver.nodes_visited,
         );
         for workers in [1usize, 2, 4, 8] {
@@ -131,13 +130,12 @@ fn main() {
             let _ = writeln!(
                 report,
                 "{} w={workers}: wall={:.1?} speedup={speedup:.2}x queries={} hits={} \
-                 group={} reuse={} | {}",
+                 group={} | {}",
                 alg.name(),
                 par.wall,
                 par.solver.queries,
                 par.solver.cache_hits,
                 par.solver.group_cache_hits,
-                par.solver.model_reuse_hits,
                 p.summary(),
             );
             // Where the merge thread's wall went, and what a batch hands

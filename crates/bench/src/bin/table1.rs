@@ -196,8 +196,8 @@ fn main() {
         }
         let s = &report.solver;
         println!(
-            "     | solver: queries={} exact={} group={} reuse={} nodes={}",
-            s.queries, s.cache_hits, s.group_cache_hits, s.model_reuse_hits, s.nodes_visited
+            "     | solver: queries={} exact={} group={} nodes={}",
+            s.queries, s.cache_hits, s.group_cache_hits, s.nodes_visited
         );
         if let Some(p) = &report.parallel {
             println!("     | {}", p.summary());

@@ -391,12 +391,12 @@ impl Default for RunLimits {
 /// enables — the on/off axis of the cache-ablation sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverLayers {
-    /// Per-group exact caching plus the counterexample cache (default).
+    /// Per-group exact caching (default).
     #[default]
     Full,
     /// Whole-query exact matching only: independence-partitioned group
-    /// caching and counterexample reuse both disabled. This is the
-    /// pre-incremental baseline the acceptance criteria compare against.
+    /// caching disabled. This is the pre-incremental baseline the
+    /// acceptance criteria compare against.
     ExactOnly,
     /// Every cache layer disabled; each query is solved from scratch.
     Off,
@@ -432,14 +432,8 @@ impl SolverLayers {
     pub fn apply(self, solver: &Solver) {
         match self {
             SolverLayers::Full => {}
-            SolverLayers::ExactOnly => {
-                solver.set_group_caching(false);
-                solver.set_cex_caching(false);
-            }
-            SolverLayers::Off => {
-                solver.set_caching(false);
-                solver.set_cex_caching(false);
-            }
+            SolverLayers::ExactOnly => solver.set_group_caching(false),
+            SolverLayers::Off => solver.set_caching(false),
         }
     }
 }
@@ -735,7 +729,6 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
             "      \"queries\": {},\n",
             "      \"cache_hits\": {},\n",
             "      \"group_cache_hits\": {},\n",
-            "      \"model_reuse_hits\": {},\n",
             "      \"sat\": {},\n",
             "      \"unsat\": {},\n",
             "      \"unknown\": {},\n",
@@ -763,7 +756,6 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
         s.queries,
         s.cache_hits,
         s.group_cache_hits,
-        s.model_reuse_hits,
         s.sat,
         s.unsat,
         s.unknown,
@@ -1096,7 +1088,6 @@ mod tests {
             "\"wall_ms\"",
             "\"packets\"",
             "\"group_cache_hits\"",
-            "\"model_reuse_hits\"",
         ] {
             assert!(obj.contains(key), "missing {key} in {obj}");
         }
@@ -1145,11 +1136,9 @@ mod tests {
             assert_eq!(full.equivalence_key(), exact.equivalence_key());
             assert_eq!(full.equivalence_key(), off.equivalence_key());
             assert!(full.solver.group_cache_hits > 0, "{:?}", full.solver);
-            assert!(full.solver.model_reuse_hits > 0, "{:?}", full.solver);
             assert_eq!(exact.solver.group_cache_hits, 0, "{:?}", exact.solver);
             assert_eq!(off.solver.cache_hits, 0, "{:?}", off.solver);
             assert_eq!(off.solver.group_cache_hits, 0, "{:?}", off.solver);
-            assert_eq!(off.solver.model_reuse_hits, 0, "{:?}", off.solver);
             if algorithm == Algorithm::Cob {
                 // The exact cache keys modulo symbol renaming: one
                 // parity-guard sweep (65 537 nodes) per route hop — 262 908

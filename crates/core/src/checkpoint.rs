@@ -45,7 +45,7 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"SDESNAP1";
 
 /// Current snapshot format version; bumped on any codec change
 /// (DESIGN.md §8 lists what each version added).
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Size of the fixed file header (magic + version + digest + prelude
 /// length).
@@ -223,19 +223,15 @@ pub struct EngineSnapshot {
     pub(crate) solver: SolverSnapshot,
     /// Current virtual time.
     pub(crate) now: u64,
-    /// Next packet id to mint.
-    pub(crate) next_packet: u64,
     /// Events dispatched so far.
     pub(crate) events_processed: u64,
-    /// Packets transmitted so far.
+    /// Packets transmitted so far; also the next packet id to mint.
     pub(crate) packets_sent: u64,
     /// VM instructions executed so far.
     pub(crate) instructions: u64,
     /// Whether the state cap was hit.
     pub(crate) aborted: bool,
-    /// States ever created.
-    pub(crate) total_states: usize,
-    /// Next state id to allocate.
+    /// Next state id to allocate; also the number of states ever created.
     pub(crate) next_state: u64,
     /// The time series collected so far.
     pub(crate) samples: Vec<Sample>,
@@ -287,7 +283,7 @@ impl EngineSnapshot {
 
     /// Execution states ever created.
     pub fn total_states(&self) -> usize {
-        self.total_states
+        self.next_state as usize
     }
 
     /// Execution states resident in the snapshot.
@@ -767,9 +763,8 @@ walk! {
     @segments EngineSnapshot {
         algorithm, node_count, duration_ms, link_latency_ms, state_cap, sample_every,
         track_history, faults_fingerprint, symbols;
-        states, queue_next_seq, queue, mapper, solver, now, next_packet, events_processed,
-        packets_sent, instructions, aborted, total_states, next_state, samples, bugs, trace,
-        dedup, dedup_stats, executed
+        states, queue_next_seq, queue, mapper, solver, now, events_processed, packets_sent,
+        instructions, aborted, next_state, samples, bugs, trace, dedup, dedup_stats, executed
     }
 }
 

@@ -147,7 +147,7 @@ impl Host for Engine {
     }
 
     fn delivered(&mut self, state: StateId, node: NodeId, packet: PacketId, duplicate: bool) {
-        self.trace.packets_delivered += 1;
+        self.store.trace.packets_delivered += 1;
         if self.traced {
             self.sink.record(TraceEvent::Deliver {
                 state: state.0,
@@ -159,7 +159,7 @@ impl Host for Engine {
     }
 
     fn dropped(&mut self, state: StateId, node: NodeId, packet: PacketId) {
-        self.trace.packets_dropped += 1;
+        self.store.trace.packets_dropped += 1;
         if self.traced {
             self.sink.record(TraceEvent::Drop {
                 state: state.0,
@@ -170,7 +170,7 @@ impl Host for Engine {
     }
 
     fn partition_dropped(&mut self, state: StateId, node: NodeId, packet: PacketId, until: u64) {
-        self.trace.packets_dropped += 1;
+        self.store.trace.packets_dropped += 1;
         if self.traced {
             self.sink.record(TraceEvent::PartitionDrop {
                 state: state.0,
@@ -198,7 +198,7 @@ impl Engine {
             NodeEvent::Timer(_) => DispatchKind::Timer,
             NodeEvent::Deliver(_) => DispatchKind::Deliver,
         };
-        self.trace.dispatches[dispatch_kind as usize] += 1;
+        self.store.trace.dispatches[dispatch_kind as usize] += 1;
         if self.traced {
             self.sink.record(TraceEvent::Dispatch {
                 state: state_id.0,
@@ -245,8 +245,7 @@ impl Engine {
         node: NodeId,
         dest: NodeId,
     ) -> (PacketId, Vec<StateId>) {
-        let id = PacketId(self.next_packet);
-        self.next_packet += 1;
+        let id = PacketId(self.packets_sent);
         self.packets_sent += 1;
         if self.traced {
             self.sink.record(TraceEvent::Send {

@@ -71,8 +71,8 @@ pub struct Engine {
     symbols: SymbolTable,
     store: Store,
     now: u64,
-    next_packet: u64,
     events_processed: u64,
+    /// Packets transmitted so far; also the id of the next one.
     packets_sent: u64,
     instructions: u64,
     bugs: Vec<BugFound>,
@@ -85,8 +85,6 @@ pub struct Engine {
     /// `enabled()` so untraced sites pay one branch.
     sink: Arc<dyn sde_trace::TraceSink>,
     traced: bool,
-    /// Always-on counter digest surfaced through [`RunReport::trace`].
-    trace: sde_trace::TraceSummary,
     /// Online duplicate-dispatch pruning (DESIGN.md §10). Off by
     /// default; forced off under a replay preset.
     dedup: bool,
@@ -129,7 +127,6 @@ impl Engine {
             symbols: SymbolTable::new(),
             store: Store::default(),
             now: 0,
-            next_packet: 0,
             events_processed: 0,
             packets_sent: 0,
             instructions: 0,
@@ -141,7 +138,6 @@ impl Engine {
             parallel: None,
             sink: Arc::new(sde_trace::NoopSink),
             traced: false,
-            trace: sde_trace::TraceSummary::default(),
             dedup: false,
             dedup_index: DigestIndex::default(),
             recorder: None,
@@ -241,7 +237,7 @@ impl Engine {
         self.started = Instant::now();
         if self.store.next_state == 0 {
             self.boot();
-            self.trace.boot_wall_us = self.started.elapsed().as_micros() as u64;
+            self.store.trace.boot_wall_us = self.started.elapsed().as_micros() as u64;
             self.sample();
         }
         let events_start = self.events_processed;
@@ -250,7 +246,7 @@ impl Engine {
             if self.budget_exhausted(budget, events_start) {
                 break RunOutcome::Paused;
             }
-            if self.store.total_states > self.scenario.state_cap {
+            if self.store.total_states() > self.scenario.state_cap {
                 self.aborted = true;
                 break RunOutcome::Complete;
             }
@@ -280,7 +276,7 @@ impl Engine {
                 if shards.is_none() {
                     break false;
                 }
-                if self.store.total_states > self.scenario.state_cap {
+                if self.store.total_states() > self.scenario.state_cap {
                     break true;
                 }
                 if self.store.events.peek_time() != Some(time) {
@@ -302,7 +298,7 @@ impl Engine {
         if outcome.is_complete() {
             self.sample();
         }
-        self.trace.run_wall_us += self.started.elapsed().as_micros() as u64;
+        self.store.trace.run_wall_us += self.started.elapsed().as_micros() as u64;
         outcome
     }
 
@@ -410,7 +406,7 @@ impl Engine {
             );
             self.store.states.insert(state);
             registry.push((id, node));
-            self.trace.boots += 1;
+            self.store.trace.boots += 1;
             if self.traced {
                 self.sink.record(sde_trace::TraceEvent::Boot {
                     state: id.0,

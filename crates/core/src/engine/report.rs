@@ -18,7 +18,7 @@ impl Engine {
             wall_ms: self.started.elapsed().as_millis() as u64,
             virtual_ms: self.now,
             live_states: live,
-            total_states: self.store.total_states,
+            total_states: self.store.total_states(),
             bytes,
             groups: self.mapper.group_count(),
         });
@@ -92,15 +92,11 @@ impl Engine {
         let duplicates_by_node: Vec<(u16, usize)> = by_node.into_iter().collect();
         let history_digest = hasher.finish();
         let solver = self.solver.stats();
-        let trace = sde_trace::TraceSummary {
-            forks: self.store.forks,
-            ..self.trace
-        };
         RunReport {
             algorithm: self.mapper.name(),
             wall: self.started.elapsed(),
             virtual_ms: self.now,
-            total_states: self.store.total_states,
+            total_states: self.store.total_states(),
             live_states: live,
             final_bytes,
             peak_bytes: self.series.peak_bytes().max(final_bytes),
@@ -121,7 +117,7 @@ impl Engine {
             history_digest,
             series: self.series,
             parallel: self.parallel,
-            trace,
+            trace: self.store.trace,
         }
     }
 }

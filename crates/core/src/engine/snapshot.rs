@@ -6,7 +6,6 @@ use crate::checkpoint::{EngineSnapshot, SnapshotError};
 use crate::scenario::Scenario;
 use crate::state::{SdeState, StateId};
 use crate::store::{IdSet, IndexedQueue};
-use sde_trace::TraceSummary;
 
 impl Engine {
     /// Captures the engine's complete configuration as an
@@ -39,19 +38,14 @@ impl Engine {
             mapper: self.mapper.export_snapshot(),
             solver: self.solver.export_state(),
             now: self.now,
-            next_packet: self.next_packet,
             events_processed: self.events_processed,
             packets_sent: self.packets_sent,
             instructions: self.instructions,
             aborted: self.aborted,
-            total_states: self.store.total_states,
             next_state: self.store.next_state,
             samples: self.series.samples().to_vec(),
             bugs: self.bugs.clone(),
-            trace: TraceSummary {
-                forks: self.store.forks,
-                ..self.trace
-            },
+            trace: self.store.trace,
             dedup: self.dedup,
             dedup_stats: self.dedup_stats,
             executed: self.executed.iter().map(|s| s.0).collect(),
@@ -181,8 +175,7 @@ impl Engine {
             )));
         }
         engine.store.next_state = snapshot.next_state;
-        engine.store.total_states = snapshot.total_states;
-        engine.store.forks = snapshot.trace.forks;
+        engine.store.trace = snapshot.trace;
         // Rebuild the queue and its per-state index silently (no QueuePush
         // trace events): these pushes already happened — and were already
         // traced — in the original run. An event of a state that is not
@@ -200,7 +193,6 @@ impl Engine {
         engine.store.events = IndexedQueue::import(snapshot.queue_next_seq, &snapshot.queue)
             .map_err(|why| SnapshotError::Codec(sde_symbolic::CodecError::Malformed(why)))?;
         engine.now = snapshot.now;
-        engine.next_packet = snapshot.next_packet;
         engine.events_processed = snapshot.events_processed;
         engine.packets_sent = snapshot.packets_sent;
         engine.instructions = snapshot.instructions;
@@ -209,7 +201,6 @@ impl Engine {
         for sample in &snapshot.samples {
             engine.series.push(*sample);
         }
-        engine.trace = snapshot.trace;
         engine.dedup = snapshot.dedup;
         engine.dedup_stats = snapshot.dedup_stats;
         for id in &snapshot.executed {

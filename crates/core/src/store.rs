@@ -550,15 +550,17 @@ pub struct Store {
     pub states: StateTable,
     /// Their pending events.
     pub events: IndexedQueue,
+    /// The next state id to mint; every id below it was minted once, so
+    /// it is also the number of states the run ever created.
     pub(crate) next_state: u64,
-    pub(crate) total_states: usize,
     /// Trace sink shared with the engine ([`NoopSink`](sde_trace::NoopSink)
     /// unless a recorder was attached); `traced` caches `enabled()`.
     pub(crate) sink: Arc<dyn sde_trace::TraceSink>,
     pub(crate) traced: bool,
-    /// Fork counts indexed by [`sde_trace::ForkReason`] — always on,
-    /// they feed [`sde_trace::TraceSummary`].
-    pub(crate) forks: [u64; sde_trace::ForkReason::ALL.len()],
+    /// The run's always-on counter digest, surfaced through
+    /// [`RunReport::trace`](crate::RunReport::trace): [`Store::note_fork`]
+    /// counts its forks, the engine the rest.
+    pub(crate) trace: sde_trace::TraceSummary,
     /// Children forked since the engine last cleared it; drained into
     /// `MapBranch`/`MapSend` decision events (populated only when traced).
     pub(crate) fork_scratch: Vec<u64>,
@@ -570,10 +572,9 @@ impl Default for Store {
             states: StateTable::default(),
             events: IndexedQueue::default(),
             next_state: 0,
-            total_states: 0,
             sink: Arc::new(sde_trace::NoopSink),
             traced: false,
-            forks: [0; sde_trace::ForkReason::ALL.len()],
+            trace: sde_trace::TraceSummary::default(),
             fork_scratch: Vec::new(),
         }
     }
@@ -590,8 +591,12 @@ impl Store {
         assert!(self.next_state < u64::from(u32::MAX), "fewer than 2^32 ids");
         let id = StateId(self.next_state);
         self.next_state += 1;
-        self.total_states += 1;
         id
+    }
+
+    /// States the run ever created.
+    pub(crate) fn total_states(&self) -> usize {
+        self.next_state as usize
     }
 
     /// Count (and, when traced, record) one fork edge.
@@ -602,7 +607,7 @@ impl Store {
         node: NodeId,
         reason: sde_trace::ForkReason,
     ) {
-        self.forks[reason as usize] += 1;
+        self.trace.forks[reason as usize] += 1;
         if self.traced {
             self.fork_scratch.push(child.0);
             self.sink.record(sde_trace::TraceEvent::Fork {

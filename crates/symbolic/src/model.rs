@@ -1,7 +1,6 @@
 //! Concrete variable assignments (solver models / test cases).
 
 use crate::table::SymId;
-use crate::vars::VarSet;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -70,21 +69,6 @@ impl Model {
             self.values.insert(k, v);
         }
     }
-
-    /// The sub-model over exactly the variables in `vars`.
-    ///
-    /// The counterexample cache uses this to keep a reused model from
-    /// leaking assignments for variables outside the query group it is
-    /// answering (see `solver.rs`).
-    #[must_use]
-    pub fn restrict(&self, vars: &VarSet) -> Model {
-        Model {
-            values: vars
-                .ids()
-                .filter_map(|v| self.value_of(v).map(|x| (v, x)))
-                .collect(),
-        }
-    }
 }
 
 impl fmt::Display for Model {
@@ -133,23 +117,6 @@ mod tests {
         assert_eq!(a.value_of(SymId(0)), Some(1));
         assert_eq!(a.value_of(SymId(1)), Some(20));
         assert_eq!(a.value_of(SymId(2)), Some(30));
-    }
-
-    #[test]
-    fn restrict_keeps_only_requested_vars() {
-        use crate::Width;
-        let m: Model = [(SymId(0), 1), (SymId(1), 2), (SymId(2), 3)]
-            .into_iter()
-            .collect();
-        let vars = VarSet::singleton(SymId(0), Width::W8)
-            .union(&VarSet::singleton(SymId(2), Width::W8))
-            .union(&VarSet::singleton(SymId(9), Width::W8));
-        let r = m.restrict(&vars);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.value_of(SymId(0)), Some(1));
-        assert_eq!(r.value_of(SymId(1)), None);
-        assert_eq!(r.value_of(SymId(2)), Some(3));
-        assert_eq!(r.value_of(SymId(9)), None, "unassigned vars stay out");
     }
 
     #[test]

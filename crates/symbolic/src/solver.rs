@@ -9,7 +9,7 @@
 //!    variables (union–find over the memoized [`Expr::vars`] sets, no DAG
 //!    walks and no hashing); each group is solved separately and models
 //!    are merged. A branch condition usually touches one or two variables,
-//!    so this is the main cost saver — and it is what makes the caches
+//!    so this is the main cost saver — and it is what makes the cache
 //!    below effective, because group-sized keys recur far more often than
 //!    whole path conditions do.
 //! 3. **Exact caching** — each group is put in *canonical form* (`canon.rs`:
@@ -22,42 +22,25 @@
 //!    answers each constraint *shape* once. With
 //!    [`Solver::set_group_caching`]`(false)` the same scheme is applied at
 //!    whole-query granularity (the query as one group).
-//! 4. **Model reuse** (the counterexample cache) — satisfying models from
-//!    earlier group solves answer *related* (not identical) groups: a
-//!    cached model that evaluates every group constraint to true proves
-//!    SAT. This layer stays keyed by real [`SymId`]s — a model over
-//!    `{w, x}` must still answer a later group over `{x}`. See
-//!    "Determinism" below for when it is consulted.
-//! 5. **Interval refinement** — per-variable unsigned bounds are tightened
+//! 4. **Interval refinement** — per-variable unsigned bounds are tightened
 //!    from comparison constraints, shrinking enumeration domains; an
 //!    emptied interval proves the group UNSAT.
-//! 6. **Backtracking enumeration** — variables ordered by domain size;
+//! 5. **Backtracking enumeration** — variables ordered by domain size;
 //!    candidate values are tried likely-first (bounds, 0, 1) and partial
 //!    evaluation prunes violated constraints early. A node budget caps the
 //!    search; exhaustion yields [`SolverResult::Unknown`].
 //!
-//! Layers 5–6 run on the canonical form too, which gives the invariant the
+//! Layers 4–5 run on the canonical form too, which gives the invariant the
 //! bit-identity contract rests on: **the answer for a group is a pure
 //! function of its canonical form** — verdict, translated model and node
-//! count are the same on a cache hit, on a miss and with caching off.
-//!
-//! # Determinism
-//!
-//! Queries come in two grades. *Verdict-grade* queries ([`Solver::check`],
-//! [`Solver::may_be_true`], [`Solver::must_be_true`], [`Solver::is_sat`])
-//! only need a correct SAT/UNSAT answer, so they may be answered by any
-//! cache layer. *Witness-grade* queries ([`Solver::model`],
-//! [`Solver::check_constraints`]) return models that become externally
-//! visible test cases and bug witnesses, which must not depend on cache
-//! fill order; they therefore skip layer 4 (a reused model is whichever
-//! related model happened to be cached first). The exact cache stores
-//! only solver-computed answers — never reused models — so every entry is
-//! the pure function above of its key, whatever the query order.
+//! count are the same on a cache hit, on a miss and with caching off. Every
+//! query is answered that one way, so a model — whether it decides a branch
+//! or becomes a test case or bug witness — never depends on query order or
+//! cache contents.
 //!
 //! Each cache layer is individually switchable for ablation measurements:
-//! [`Solver::set_caching`] (exact cache master switch),
-//! [`Solver::set_group_caching`] (per-group vs whole-query granularity),
-//! and [`Solver::set_cex_caching`] (model reuse).
+//! [`Solver::set_caching`] (exact cache master switch) and
+//! [`Solver::set_group_caching`] (per-group vs whole-query granularity).
 //!
 //! [`Expr::vars`]: crate::Expr::vars
 
@@ -70,7 +53,7 @@ use crate::snapshot::{CodecError, SnapReader, SnapWriter};
 use crate::table::SymId;
 use crate::vars::VarSet;
 use crate::width::Width;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
@@ -119,13 +102,13 @@ pub struct SolverStats {
     /// Total queries received (including cache hits).
     pub queries: u64,
     /// Queries answered *entirely* from the exact cache (every independent
-    /// group examined was a cache hit; no solving or counterexample
-    /// reasoning was needed).
+    /// group examined was a cache hit; no solving was needed).
     pub cache_hits: u64,
     /// Independent constraint groups answered from the exact group cache.
     pub group_cache_hits: u64,
-    /// Groups answered SAT by re-evaluating a cached model from a related
-    /// earlier query (counterexample cache, verdict-grade queries only).
+    /// Always 0: the solver no longer reuses models of related queries.
+    /// Kept only because the standalone benchmark package reads it; it
+    /// goes with that benchmark's `solver.reuse_hits` metric.
     pub model_reuse_hits: u64,
     /// Always 0: the solver no longer reuses UNSAT cores. Kept only
     /// because the standalone benchmark package reads it; it goes with
@@ -169,26 +152,12 @@ fn shard_of(key: u64) -> usize {
     key as usize % CACHE_SHARDS
 }
 
-/// Per-shard capacity of the counterexample cache; FIFO eviction. The
-/// cap bounds probe cost: a lookup scans at most `shards(vars) × cap`
-/// models.
-const CEX_CAP: usize = 64;
-
-/// One shard of the counterexample cache: satisfying models from earlier
-/// group solves, with the var-set of the group they solved, newest probed
-/// first. A model is inserted into the shard of every variable in its
-/// var-set, and a query probes the shards of its own variables — any
-/// related model must share a variable with the query, so no probe can
-/// miss an applicable one.
-type CexShard = VecDeque<(VarSet, Model)>;
-
 /// Lock-free work counters (see [`SolverStats`] for the snapshot form).
 #[derive(Debug, Default)]
 struct StatCells {
     queries: AtomicU64,
     cache_hits: AtomicU64,
     group_cache_hits: AtomicU64,
-    model_reuse_hits: AtomicU64,
     sat: AtomicU64,
     unsat: AtomicU64,
     unknown: AtomicU64,
@@ -240,10 +209,8 @@ pub struct Solver {
     budget: SolverBudget,
     stats: StatCells,
     cache: Vec<Mutex<HashMap<u64, CacheBucket>>>,
-    cex: Vec<Mutex<CexShard>>,
     caching: AtomicBool,
     group_caching: AtomicBool,
-    cex_caching: AtomicBool,
 }
 
 impl Default for Solver {
@@ -252,10 +219,8 @@ impl Default for Solver {
             budget: SolverBudget::default(),
             stats: StatCells::default(),
             cache: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            cex: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
             caching: AtomicBool::new(true),
             group_caching: AtomicBool::new(true),
-            cex_caching: AtomicBool::new(true),
         }
     }
 }
@@ -274,7 +239,7 @@ impl Solver {
         }
     }
 
-    /// A solver configured like this one — same budget, same three
+    /// A solver configured like this one — same budget, same two
     /// ablation toggles — with empty caches and zeroed counters. A sharded
     /// run gives one to each worker, so an ablation set on the engine's
     /// solver holds on every thread.
@@ -283,7 +248,6 @@ impl Solver {
             budget: self.budget,
             caching: AtomicBool::new(self.caching.load(Relaxed)),
             group_caching: AtomicBool::new(self.group_caching.load(Relaxed)),
-            cex_caching: AtomicBool::new(self.cex_caching.load(Relaxed)),
             ..Self::default()
         }
     }
@@ -294,7 +258,7 @@ impl Solver {
             queries: self.stats.queries.load(Relaxed),
             cache_hits: self.stats.cache_hits.load(Relaxed),
             group_cache_hits: self.stats.group_cache_hits.load(Relaxed),
-            model_reuse_hits: self.stats.model_reuse_hits.load(Relaxed),
+            model_reuse_hits: 0,
             ucore_hits: 0,
             sat: self.stats.sat.load(Relaxed),
             unsat: self.stats.unsat.load(Relaxed),
@@ -325,28 +289,16 @@ impl Solver {
         self.group_caching.store(enabled, Relaxed);
     }
 
-    /// Enables or disables the counterexample cache (model reuse).
-    /// Disabling also clears it.
-    pub fn set_cex_caching(&self, enabled: bool) {
-        self.cex_caching.store(enabled, Relaxed);
-        if !enabled {
-            for shard in &self.cex {
-                shard.lock().expect("cex shard").clear();
-            }
-        }
-    }
-
     fn shard(&self, key: u64) -> &Mutex<HashMap<u64, CacheBucket>> {
         &self.cache[shard_of(key)]
     }
 
     /// Exports the solver's entire mutable state — counters, ablation
-    /// toggles, the exact cache and the counterexample cache — as a
-    /// [`SolverSnapshot`].
+    /// toggles and the exact cache — as a [`SolverSnapshot`].
     ///
-    /// Shard contents are captured verbatim (bucket and FIFO order
-    /// preserved) with shard key lists sorted, so exporting the same
-    /// state twice yields identical snapshots.
+    /// Shard contents are captured verbatim (bucket order preserved) with
+    /// shard key lists sorted, so exporting the same state twice yields
+    /// identical snapshots.
     pub fn export_state(&self) -> SolverSnapshot {
         let exact = self
             .cache
@@ -373,16 +325,11 @@ impl Solver {
                 entries
             })
             .collect();
-        let cex_models = (self.cex.iter())
-            .map(|shard| shard.lock().expect("cex shard").iter().cloned().collect())
-            .collect();
         SolverSnapshot {
             stats: self.stats(),
             caching: self.caching.load(Relaxed),
             group_caching: self.group_caching.load(Relaxed),
-            cex_caching: self.cex_caching.load(Relaxed),
             exact,
-            cex_models,
         }
     }
 
@@ -390,9 +337,8 @@ impl Solver {
     /// all current counters, toggles and cache contents.
     ///
     /// After an import, cache lookups behave exactly as they did on the
-    /// exporting solver: entry order within buckets and counterexample
-    /// FIFOs is preserved, so query answers (and their trace-layer
-    /// attribution) replay identically.
+    /// exporting solver: entry order within buckets is preserved, so query
+    /// answers (and their trace-layer attribution) replay identically.
     pub fn import_state(&self, snap: &SolverSnapshot) {
         let s = &snap.stats;
         self.stats.queries.store(s.queries, Relaxed);
@@ -400,16 +346,12 @@ impl Solver {
         self.stats
             .group_cache_hits
             .store(s.group_cache_hits, Relaxed);
-        self.stats
-            .model_reuse_hits
-            .store(s.model_reuse_hits, Relaxed);
         self.stats.sat.store(s.sat, Relaxed);
         self.stats.unsat.store(s.unsat, Relaxed);
         self.stats.unknown.store(s.unknown, Relaxed);
         self.stats.nodes_visited.store(s.nodes_visited, Relaxed);
         self.caching.store(snap.caching, Relaxed);
         self.group_caching.store(snap.group_caching, Relaxed);
-        self.cex_caching.store(snap.cex_caching, Relaxed);
         debug_assert_eq!(self.cache.len(), snap.exact.len(), "cache shard count");
         for (shard, entries) in self.cache.iter().zip(&snap.exact) {
             let mut shard = shard.lock().expect("cache shard");
@@ -428,9 +370,6 @@ impl Solver {
                 shard.insert(*key, restored);
             }
         }
-        for (shard, models) in self.cex.iter().zip(&snap.cex_models) {
-            *shard.lock().expect("cex shard") = models.iter().cloned().collect();
-        }
     }
 
     /// Decides satisfiability of a path condition.
@@ -442,20 +381,16 @@ impl Solver {
             return SolverResult::Unsat;
         }
         let constraints: Vec<ExprRef> = pc.iter().cloned().collect();
-        self.solve_query(&constraints, false)
+        self.solve_query(&constraints)
     }
 
     /// Decides satisfiability of an explicit constraint list (conjunction).
-    ///
-    /// This is a *witness-grade* query (see the module docs): any returned
-    /// model is independent of counterexample-cache contents, so callers
-    /// may surface it as a test case.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) when a constraint is not of width 1.
     pub fn check_constraints(&self, constraints: &[ExprRef]) -> SolverResult {
-        self.solve_query(constraints, true)
+        self.solve_query(constraints)
     }
 
     /// Returns `true` when `pc ∧ cond` may be satisfiable.
@@ -488,9 +423,6 @@ impl Solver {
 
     /// Returns a witness model of `pc`, or `None` when unsatisfiable or
     /// unknown.
-    ///
-    /// Witness-grade: the model does not depend on counterexample-cache
-    /// contents (module docs).
     pub fn model(&self, pc: &PathCondition) -> Option<Model> {
         if pc.is_trivially_false() {
             self.stats.queries.fetch_add(1, Relaxed);
@@ -499,7 +431,7 @@ impl Solver {
             return None;
         }
         let constraints: Vec<ExprRef> = pc.iter().cloned().collect();
-        match self.solve_query(&constraints, true) {
+        match self.solve_query(&constraints) {
             SolverResult::Sat(m) => Some(m),
             _ => None,
         }
@@ -514,13 +446,13 @@ impl Solver {
     /// recorded with the answering layer, the verdict, the independence
     /// group count and the wall-clock duration; untraced runs pay one
     /// thread-local check.
-    fn solve_query(&self, constraints: &[ExprRef], witness: bool) -> SolverResult {
+    fn solve_query(&self, constraints: &[ExprRef]) -> SolverResult {
         let trace = sde_trace::thread_sink();
         let Some(sink) = trace else {
-            return self.solve_query_traced(constraints, witness, None).0;
+            return self.solve_query_traced(constraints, None).0;
         };
         let start = std::time::Instant::now();
-        let (result, layer, groups) = self.solve_query_traced(constraints, witness, Some(&*sink));
+        let (result, layer, groups) = self.solve_query_traced(constraints, Some(&*sink));
         let verdict = match &result {
             SolverResult::Sat(_) => sde_trace::Verdict::Sat,
             SolverResult::Unsat => sde_trace::Verdict::Unsat,
@@ -541,7 +473,6 @@ impl Solver {
     fn solve_query_traced(
         &self,
         constraints: &[ExprRef],
-        witness: bool,
         trace: Option<&dyn sde_trace::TraceSink>,
     ) -> (SolverResult, sde_trace::QueryLayer, u64) {
         use sde_trace::QueryLayer;
@@ -567,7 +498,6 @@ impl Solver {
 
         let caching = self.caching.load(Relaxed);
         let group_caching = caching && self.group_caching.load(Relaxed);
-        let cex = self.cex_caching.load(Relaxed);
 
         // Whole-query granularity (ablation fallback): the query is looked
         // up, and later stored, as one group.
@@ -600,8 +530,7 @@ impl Solver {
         let mut all_groups_cached = true;
         let mut outcome = None;
         for group in &groups {
-            let (result, from_exact) =
-                self.solve_one_group(group, group_caching, cex, witness, trace);
+            let (result, from_exact) = self.solve_one_group(group, group_caching, trace);
             all_groups_cached &= from_exact;
             match result {
                 SolverResult::Sat(m) => combined.extend(&m),
@@ -656,14 +585,12 @@ impl Solver {
         };
     }
 
-    /// Layers 3–6 for one independent group. Returns the verdict and
+    /// Layers 3–5 for one independent group. Returns the verdict and
     /// whether it came from the exact group cache.
     fn solve_one_group(
         &self,
         group: &Group,
         group_caching: bool,
-        cex: bool,
-        witness: bool,
         trace: Option<&dyn sde_trace::TraceSink>,
     ) -> (SolverResult, bool) {
         use sde_trace::{GroupLayer, TraceEvent};
@@ -681,19 +608,9 @@ impl Solver {
                 return (result, true);
             }
         }
-
-        // Layer 4: model reuse, over the real constraints; verdict-grade
-        // queries only (module docs: Determinism).
-        if cex && !witness {
-            if let Some(m) = self.reuse_model(group) {
-                self.stats.model_reuse_hits.fetch_add(1, Relaxed);
-                group_hit(GroupLayer::Reuse);
-                return (SolverResult::Sat(m), false);
-            }
-        }
         group_hit(GroupLayer::Solve);
 
-        // Layers 5–6: solve for real — on terms built from the canonical
+        // Layers 4–5: solve for real — on terms built from the canonical
         // form alone, whether or not the answer will be cached, so that it
         // is a function of the form and nothing else.
         let (result, entry) = match self.solve_group(&canon::decode(&group.form)) {
@@ -704,15 +621,8 @@ impl Solver {
             SolverResult::Unsat => (SolverResult::Unsat, Some(CacheEntry::Unsat)),
             SolverResult::Unknown => (SolverResult::Unknown, None),
         };
-
-        // The exact cache stores only solver-computed answers (never
-        // counterexample-derived ones), keeping its contents independent of
-        // query order.
         if let (true, Some(entry)) = (group_caching, entry) {
             self.exact_store(group, entry);
-        }
-        if let (true, SolverResult::Sat(m)) = (cex, &result) {
-            self.cex_store_model(&group.vars, m);
         }
         (result, false)
     }
@@ -738,42 +648,6 @@ impl Solver {
         // were solving; keep the bucket duplicate-free.
         if !bucket.iter().any(|(form, _)| *form == group.form) {
             bucket.push((group.form.clone(), entry));
-        }
-    }
-
-    // ----- counterexample cache -------------------------------------------
-
-    /// Tries to satisfy the group by re-evaluating cached models of
-    /// variable-related groups (KLEE's counterexample-cache "superset
-    /// model still works" trick). Returns the model restricted to the
-    /// group's variables, so unrelated assignments cannot leak.
-    fn reuse_model(&self, group: &Group) -> Option<Model> {
-        for s in cex_shards_of(&group.vars) {
-            let shard = self.cex[s].lock().expect("cex shard");
-            for (vars, model) in shard.iter().rev() {
-                if !vars.intersects(&group.vars) {
-                    continue;
-                }
-                let restricted = model.restrict(&group.vars);
-                if group
-                    .constraints
-                    .iter()
-                    .all(|c| c.eval(&restricted) == Some(1))
-                {
-                    return Some(restricted);
-                }
-            }
-        }
-        None
-    }
-
-    fn cex_store_model(&self, vars: &VarSet, model: &Model) {
-        for s in cex_shards_of(vars) {
-            let mut shard = self.cex[s].lock().expect("cex shard");
-            shard.push_back((vars.clone(), model.clone()));
-            while shard.len() > CEX_CAP {
-                shard.pop_front();
-            }
         }
     }
 
@@ -897,20 +771,16 @@ impl Solver {
 /// resumed run attributes every query to the cache layer that answered
 /// it, so a resumed solver must hit and miss exactly where an
 /// uninterrupted one would. The snapshot therefore keeps per-shard
-/// layout, bucket insertion order and counterexample FIFO order — not
-/// just the logical cache contents.
+/// layout and bucket insertion order — not just the logical cache
+/// contents.
 #[derive(Debug, Clone)]
 pub struct SolverSnapshot {
     stats: SolverStats,
     caching: bool,
     group_caching: bool,
-    cex_caching: bool,
     /// Per cache shard, sorted by key: the exact cache's buckets, each
     /// entry `(canonical form, Some(model over ranks) | None=UNSAT)`.
     exact: Vec<ExportedShard>,
-    /// Per counterexample shard, FIFO front-to-back: cached models with
-    /// the var-set of the group they solved.
-    cex_models: Vec<Vec<(VarSet, Model)>>,
 }
 
 impl SolverSnapshot {
@@ -919,10 +789,9 @@ impl SolverSnapshot {
         self.stats
     }
 
-    /// The exported ablation toggles `(caching, group_caching,
-    /// cex_caching)`.
-    pub fn toggles(&self) -> (bool, bool, bool) {
-        (self.caching, self.group_caching, self.cex_caching)
+    /// The exported ablation toggles `(caching, group_caching)`.
+    pub fn toggles(&self) -> (bool, bool) {
+        (self.caching, self.group_caching)
     }
 
     /// Total entries in the exact cache across all shards.
@@ -934,12 +803,6 @@ impl SolverSnapshot {
             .sum()
     }
 
-    /// Total cached models across all counterexample shards —
-    /// shard-level duplicates included, exactly as stored.
-    pub fn cex_entries(&self) -> usize {
-        self.cex_models.iter().map(Vec::len).sum()
-    }
-
     /// Serializes the snapshot into `w`.
     pub fn write_into(&self, w: &mut SnapWriter) {
         let s = &self.stats;
@@ -947,7 +810,6 @@ impl SolverSnapshot {
             s.queries,
             s.cache_hits,
             s.group_cache_hits,
-            s.model_reuse_hits,
             s.sat,
             s.unsat,
             s.unknown,
@@ -957,7 +819,6 @@ impl SolverSnapshot {
         }
         w.bool(self.caching);
         w.bool(self.group_caching);
-        w.bool(self.cex_caching);
         w.varint(self.exact.len() as u64);
         for shard in &self.exact {
             w.varint(shard.len() as u64);
@@ -982,18 +843,6 @@ impl SolverSnapshot {
                 }
             }
         }
-        w.varint(self.cex_models.len() as u64);
-        for shard in &self.cex_models {
-            w.varint(shard.len() as u64);
-            for (vars, model) in shard {
-                w.varint(vars.len() as u64);
-                for (id, width) in vars.iter() {
-                    w.varint(u64::from(id.index()));
-                    w.width(width);
-                }
-                w.model(model);
-            }
-        }
     }
 
     /// Deserializes a snapshot written by [`SolverSnapshot::write_into`].
@@ -1009,7 +858,7 @@ impl SolverSnapshot {
             queries: r.varint()?,
             cache_hits: r.varint()?,
             group_cache_hits: r.varint()?,
-            model_reuse_hits: r.varint()?,
+            model_reuse_hits: 0,
             ucore_hits: 0,
             sat: r.varint()?,
             unsat: r.varint()?,
@@ -1018,7 +867,6 @@ impl SolverSnapshot {
         };
         let caching = r.bool()?;
         let group_caching = r.bool()?;
-        let cex_caching = r.bool()?;
         let shards = r.checked_len("exact cache shard count")?;
         if shards != CACHE_SHARDS {
             return Err(CodecError::Malformed("exact cache shard count"));
@@ -1052,35 +900,11 @@ impl SolverSnapshot {
             }
             exact.push(shard);
         }
-        let model_shards = r.checked_len("cex model shard count")?;
-        if model_shards != CACHE_SHARDS {
-            return Err(CodecError::Malformed("cex model shard count"));
-        }
-        let mut cex_models = Vec::with_capacity(model_shards);
-        for _ in 0..model_shards {
-            let n = r.checked_len("cex model count")?;
-            let mut shard = Vec::with_capacity(n);
-            for _ in 0..n {
-                let vars = r.checked_len("cex var-set size")?;
-                let mut entries = Vec::with_capacity(vars);
-                for _ in 0..vars {
-                    let id = SymId(r.ranged("cex var id")?);
-                    entries.push((id, r.width()?));
-                }
-                if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
-                    return Err(CodecError::Malformed("cex var-set order"));
-                }
-                shard.push((VarSet::from_sorted_entries(entries), r.model()?));
-            }
-            cex_models.push(shard);
-        }
         Ok(SolverSnapshot {
             stats,
             caching,
             group_caching,
-            cex_caching,
             exact,
-            cex_models,
         })
     }
 }
@@ -1266,16 +1090,6 @@ fn partition(work: Vec<ExprRef>) -> Vec<Group> {
         .into_iter()
         .map(|(constraints, vars)| Group::new(constraints, vars))
         .collect()
-}
-
-/// The shard indices a var-set maps to in the counterexample cache
-/// (deduplicated via a bitmask — `CACHE_SHARDS` is 16, so a `u16` covers
-/// every shard).
-fn cex_shards_of(vars: &VarSet) -> impl Iterator<Item = usize> {
-    let mask: u16 = vars
-        .ids()
-        .fold(0, |m, v| m | 1 << (v.index() as usize % CACHE_SHARDS));
-    (0..CACHE_SHARDS).filter(move |s| mask & (1 << s) != 0)
 }
 
 #[cfg(test)]
@@ -1466,51 +1280,12 @@ mod tests {
     }
 
     #[test]
-    fn cached_model_answers_related_query() {
-        let mut t = SymbolTable::new();
-        let x = Expr::sym(t.fresh("x", Width::W8));
-        let s = Solver::new();
-        // Solving x > 3 ∧ x < 10 caches a model with 3 < x < 10 …
-        let pc = PathCondition::new()
-            .with(Expr::ugt(x.clone(), c8(3)))
-            .with(Expr::ult(x.clone(), c8(10)));
-        assert!(s.is_sat(&pc));
-        assert_eq!(s.stats().model_reuse_hits, 0);
-        // … which also satisfies the looser x < 10 (a different group, so
-        // the exact cache misses but the counterexample cache answers).
-        assert!(s.is_sat(&PathCondition::new().with(Expr::ult(x.clone(), c8(10)))));
-        let stats = s.stats();
-        assert_eq!(stats.model_reuse_hits, 1);
-        assert_eq!(stats.group_cache_hits, 0);
-        assert_eq!(stats.cache_hits, 0);
-    }
-
-    #[test]
-    fn witness_queries_bypass_model_reuse() {
-        let mut t = SymbolTable::new();
-        let x = Expr::sym(t.fresh("x", Width::W8));
-        let s = Solver::new();
-        // Warm the counterexample cache with a model of x > 3 ∧ x < 10.
-        let pc = PathCondition::new()
-            .with(Expr::ugt(x.clone(), c8(3)))
-            .with(Expr::ult(x.clone(), c8(10)));
-        assert!(s.is_sat(&pc));
-        // A witness-grade query over the related x < 10 must solve fresh:
-        // its model may become an externally visible test case and must
-        // not depend on what happened to be cached.
-        let result = s.check_constraints(&[Expr::ult(x, c8(10))]);
-        assert!(result.is_sat());
-        assert_eq!(s.stats().model_reuse_hits, 0);
-    }
-
-    #[test]
     fn ablation_toggles_disable_each_layer() {
         let mut t = SymbolTable::new();
         let x = Expr::sym(t.fresh("x", Width::W8));
         let pc = PathCondition::new()
             .with(Expr::ugt(x.clone(), c8(3)))
             .with(Expr::ult(x.clone(), c8(10)));
-        let related = PathCondition::new().with(Expr::ult(x.clone(), c8(10)));
 
         // Whole-query granularity: repeats hit, but group stats stay zero.
         let s = Solver::new();
@@ -1521,27 +1296,16 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.group_cache_hits, 0);
 
-        // Counterexample layer off: related queries solve fresh.
-        let s = Solver::new();
-        s.set_cex_caching(false);
-        assert!(s.is_sat(&pc));
-        assert!(s.is_sat(&related));
-        let stats = s.stats();
-        assert_eq!(stats.model_reuse_hits, 0);
-
         // Everything off: no layer answers anything.
         let s = Solver::new();
         s.set_caching(false);
-        s.set_cex_caching(false);
         assert!(s.is_sat(&pc));
         assert!(s.is_sat(&pc));
-        assert!(s.is_sat(&related));
         let stats = s.stats();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.group_cache_hits, 0);
-        assert_eq!(stats.model_reuse_hits, 0);
-        assert_eq!(stats.queries, 3);
-        assert_eq!(stats.sat, 3);
+        assert_eq!(stats.queries, 2);
+        assert_eq!(stats.sat, 2);
     }
 
     #[test]
@@ -1554,27 +1318,20 @@ mod tests {
         let budget = SolverBudget { max_nodes: 77_777 };
         // The three ablation settings the bench bins' `--layers` applies:
         // full, exact-only and off.
-        for toggles in [
-            (true, true, true),
-            (true, false, false),
-            (false, true, false),
-        ] {
-            let (caching, group_caching, cex_caching) = toggles;
+        for toggles in [(true, true), (true, false), (false, true)] {
+            let (caching, group_caching) = toggles;
             let s = Solver::with_budget(budget);
             s.set_caching(caching);
             s.set_group_caching(group_caching);
-            s.set_cex_caching(cex_caching);
             assert!(s.is_sat(&pc));
             let warmed = s.export_state();
             assert_eq!(warmed.exact_entries() > 0, caching, "{toggles:?}");
-            assert_eq!(warmed.cex_entries() > 0, cex_caching, "{toggles:?}");
 
             let copy = s.fresh_like();
             assert_eq!(copy.budget, budget);
             let snap = copy.export_state();
             assert_eq!(snap.toggles(), toggles);
             assert_eq!(snap.exact_entries(), 0, "{toggles:?}");
-            assert_eq!(snap.cex_entries(), 0, "{toggles:?}");
             assert_eq!(copy.stats(), SolverStats::default());
         }
     }

@@ -57,16 +57,6 @@ impl VarSet {
         }
     }
 
-    /// Rebuilds a set from entries that are already sorted by id and
-    /// duplicate-free (snapshot decode of sets exported via
-    /// [`VarSet::iter`], which yields exactly that order).
-    pub(crate) fn from_sorted_entries(entries: Vec<(SymId, Width)>) -> VarSet {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        VarSet {
-            entries: Arc::from(entries),
-        }
-    }
-
     /// Set union. Reuses `self`'s or `other`'s allocation when the result
     /// is equal to it (one side empty or a subset of the other).
     #[must_use]
@@ -147,25 +137,9 @@ impl VarSet {
         self.entries.iter().map(|(v, _)| *v)
     }
 
-    /// The smallest variable id, if any — used as the counterexample
-    /// cache's index key.
+    /// The smallest variable id, if any.
     pub fn min_var(&self) -> Option<SymId> {
         self.entries.first().map(|(v, _)| *v)
-    }
-
-    /// Returns `true` when the two sets share a variable (sorted merge
-    /// scan, no allocation).
-    pub fn intersects(&self, other: &VarSet) -> bool {
-        let (a, b) = (&self.entries, &other.entries);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
     }
 }
 
@@ -203,14 +177,6 @@ mod tests {
         let e = VarSet::empty();
         assert!(Arc::ptr_eq(&a.union(&e).entries, &a.entries));
         assert!(Arc::ptr_eq(&e.union(&a).entries, &a.entries));
-    }
-
-    #[test]
-    fn intersection() {
-        let a = vs(&[1, 3, 5]);
-        assert!(a.intersects(&vs(&[2, 3])));
-        assert!(!a.intersects(&vs(&[2, 4])));
-        assert!(!a.intersects(&VarSet::empty()));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Differential tests for the incremental solver stack (DESIGN.md §6):
 //! every cache layer must be answer-preserving. A seeded sweep of random
-//! constraint sets is solved by five solvers — all layers on, each layer
-//! off, all layers off — and the verdicts must agree query for query,
-//! with every returned model actually satisfying its query. Wherever no
-//! counterexample-derived answer is involved the *models* must agree too,
-//! and re-asking a query under fresh symbols must be a pure cache hit:
-//! the exact cache keys modulo order-preserving symbol renaming, and the
-//! answer for a group is a pure function of its canonical form.
+//! constraint sets is solved by four solvers — all layers on, group
+//! caching off, the whole-query cache alone, all layers off — and they
+//! must agree query for query, model for model, with every returned
+//! model actually satisfying its query. Re-asking a query under fresh
+//! symbols must be a pure cache hit: the exact cache keys modulo
+//! order-preserving symbol renaming, and the answer for a group is a
+//! pure function of its canonical form.
 
 use sde_symbolic::{
     Expr, ExprRef, Model, PathCondition, Solver, SolverResult, SymVar, SymbolTable, Width,
@@ -105,10 +105,11 @@ fn assert_model_satisfies(pc: &PathCondition, r: &SolverResult, label: &str, rou
     }
 }
 
-/// The core differential property: four solvers with different cache
-/// layers enabled answer an identical stream of random queries; whenever
-/// the cache-free baseline decides a query, every cached configuration
-/// must reach the same verdict, and every model must satisfy its query.
+/// The core differential property: solvers with different cache layers
+/// enabled answer an identical stream of random queries; whenever the
+/// cache-free baseline decides a query, every cached configuration must
+/// return the same answer — verdict and model — and every model must
+/// satisfy its query.
 /// (A cache layer *may* decide a query the baseline abandons as Unknown —
 /// that is the documented budget caveat — but with the default budget and
 /// these domains no query goes Unknown.)
@@ -124,24 +125,10 @@ fn cache_layers_preserve_verdicts() {
     let all_on = Solver::new();
     let no_group = Solver::new();
     no_group.set_group_caching(false);
-    let no_cex = Solver::new();
-    no_cex.set_cex_caching(false);
-    // Whole-query granularity without the counterexample layer: like
-    // `no_cex`, everything it answers is solver-computed.
-    let whole_only = Solver::new();
-    whole_only.set_group_caching(false);
-    whole_only.set_cex_caching(false);
     let all_off = Solver::new();
     all_off.set_caching(false);
-    all_off.set_cex_caching(false);
-    // (label, solver, whether every answer it gives is solver-computed —
-    // no counterexample-derived models in play).
-    let configs: [(&str, &Solver, bool); 4] = [
-        ("all-layers-on", &all_on, false),
-        ("group-caching-off", &no_group, false),
-        ("cex-caching-off", &no_cex, true),
-        ("whole-query-exact-only", &whole_only, true),
-    ];
+    let configs: [(&str, &Solver); 2] =
+        [("all-layers-on", &all_on), ("group-caching-off", &no_group)];
     let mut multi_variable_rounds = 0;
 
     for round in 0..400 {
@@ -150,7 +137,6 @@ fn cache_layers_preserve_verdicts() {
         let constraints: Vec<ExprRef> = picks.iter().map(|&i| pool[i].clone()).collect();
         let pc = conjunction(&pool, &picks);
 
-        // Verdict-grade baseline and comparisons (exercises model reuse).
         let baseline = all_off.check(&pc);
         assert_ne!(
             verdict(&baseline),
@@ -158,7 +144,7 @@ fn cache_layers_preserve_verdicts() {
             "round {round}: baseline unexpectedly exhausted its budget on {pc}"
         );
         assert_model_satisfies(&pc, &baseline, "baseline", round);
-        for (label, solver, solver_computed) in configs {
+        for (label, solver) in configs {
             let got = solver.check(&pc);
             assert_eq!(
                 verdict(&got),
@@ -166,13 +152,12 @@ fn cache_layers_preserve_verdicts() {
                 "round {round}: {label} disagrees with the cache-free baseline on {pc}"
             );
             assert_model_satisfies(&pc, &got, label, round);
-            // Then hits, misses and caching off agree model for model.
-            if solver_computed {
-                assert_eq!(
-                    got, baseline,
-                    "round {round}: {label} model differs on {pc}"
-                );
-            }
+            // One answer per query: hits, misses and caching off agree
+            // model for model.
+            assert_eq!(
+                got, baseline,
+                "round {round}: {label} model differs on {pc}"
+            );
         }
 
         // Renaming is invisible: the same query over four fresh symbols,
@@ -183,9 +168,9 @@ fn cache_layers_preserve_verdicts() {
             .map(|i| table.fresh(&format!("f{round}_{i}"), Width::W8))
             .collect();
         let pc_fresh = conjunction(&pool_over(&mut Rng(SEED), &fresh), &picks);
-        let before = no_cex.stats();
-        let again = no_cex.check(&pc_fresh);
-        let after = no_cex.stats();
+        let before = all_on.stats();
+        let again = all_on.check(&pc_fresh);
+        let after = all_on.stats();
         assert_eq!(
             again,
             renamed(&baseline, &vars, &fresh),
@@ -211,22 +196,20 @@ fn cache_layers_preserve_verdicts() {
         mirrored.reverse();
         let pc_mirrored = conjunction(&pool_over(&mut Rng(SEED), &mirrored), &picks);
         assert_eq!(
-            no_cex.check(&pc_mirrored),
+            all_on.check(&pc_mirrored),
             all_off.check(&pc_mirrored),
             "round {round}: stale hit on the mirrored form of {pc}"
         );
         multi_variable_rounds += usize::from(constraints.iter().any(|c| c.vars().len() > 1));
 
-        // Witness-grade spot checks on the raw (unsimplified) constraint
-        // list: the full stack must agree with a cache-free witness solve.
+        // Spot checks on the raw (unsimplified) constraint list: the full
+        // stack must agree with a cache-free solve model for model.
         if round % 7 == 0 {
             let witness_baseline = all_off.check_constraints(&constraints);
             let witness_full = all_on.check_constraints(&constraints);
-            // Witness-grade queries skip model reuse, so even the full
-            // stack agrees with the cache-free solve model for model.
             assert_eq!(
                 witness_full, witness_baseline,
-                "round {round}: witness-grade answer diverged on {constraints:?}"
+                "round {round}: raw-list answer diverged on {constraints:?}"
             );
             assert_eq!(all_on.model(&pc), all_off.model(&pc), "round {round}: {pc}");
             if let SolverResult::Sat(m) = &witness_full {
@@ -246,10 +229,6 @@ fn cache_layers_preserve_verdicts() {
     let stats = all_on.stats();
     assert!(stats.cache_hits > 0, "no whole-query cache hits: {stats:?}");
     assert!(stats.group_cache_hits > 0, "no group cache hits: {stats:?}");
-    assert!(
-        stats.model_reuse_hits > 0,
-        "no counterexample model reuse: {stats:?}"
-    );
     let legacy = no_group.stats();
     assert!(
         legacy.cache_hits > 0 && legacy.group_cache_hits == 0,
@@ -261,48 +240,7 @@ fn cache_layers_preserve_verdicts() {
     );
     let uncached = all_off.stats();
     assert!(
-        uncached.cache_hits == 0
-            && uncached.group_cache_hits == 0
-            && uncached.model_reuse_hits == 0,
+        uncached.cache_hits == 0 && uncached.group_cache_hits == 0,
         "the baseline must answer everything from scratch: {uncached:?}"
     );
-}
-
-/// Focused check of the counterexample model path: a model cached for a
-/// *tighter* query answers a *looser* related one, and the reused model
-/// provably satisfies the new query (restricted to its variables).
-#[test]
-fn reused_models_satisfy_the_new_query() {
-    let mut table = SymbolTable::new();
-    let xv = table.fresh("x", Width::W8);
-    let x = Expr::sym(xv.clone());
-    let s = Solver::new();
-
-    let tight = PathCondition::new()
-        .with(Expr::ugt(x.clone(), Expr::const_(40, Width::W8)))
-        .with(Expr::ult(x.clone(), Expr::const_(43, Width::W8)));
-    let SolverResult::Sat(first) = s.check(&tight) else {
-        panic!("41 < x < 43 is satisfiable");
-    };
-    assert_eq!(tight.eval(&first), Some(true));
-
-    let loose = PathCondition::new().with(Expr::ugt(x.clone(), Expr::const_(40, Width::W8)));
-    let SolverResult::Sat(reused) = s.check(&loose) else {
-        panic!("x > 40 is satisfiable");
-    };
-    assert_eq!(
-        s.stats().model_reuse_hits,
-        1,
-        "loose query must reuse the cached model"
-    );
-    assert_eq!(
-        loose.eval(&reused),
-        Some(true),
-        "reused model must satisfy the query"
-    );
-    // The reused model is the cached one restricted to the query's
-    // variables — no assignments for foreign variables leak through.
-    let yv = table.fresh("y", Width::W8);
-    assert_eq!(reused.value_of(yv.id()), None);
-    assert_eq!(reused.value_of(xv.id()), first.value_of(xv.id()));
 }

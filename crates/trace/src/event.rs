@@ -135,8 +135,8 @@ pub enum QueryLayer {
     /// Answered entirely from the exact cache (whole-query hit, or every
     /// independence group hit its per-group cache line).
     Exact,
-    /// At least one independence group needed layers below the exact
-    /// cache (model reuse or a full solve).
+    /// At least one independence group needed a full solve below the
+    /// exact cache.
     Solve,
 }
 
@@ -166,7 +166,10 @@ impl QueryLayer {
 pub enum GroupLayer {
     /// Per-group exact cache hit.
     Exact,
-    /// Counterexample cache: a cached model satisfied the group.
+    /// Never emitted: the solver no longer reuses models of related
+    /// queries. Kept so that traces recorded while it did still parse,
+    /// and because the standalone benchmark package matches on it; it
+    /// goes with that benchmark's `solver.reuse_hits` metric.
     Reuse,
     /// Never emitted: the solver no longer reuses UNSAT cores. Kept so
     /// that traces recorded while it did still parse, and because the

@@ -88,12 +88,11 @@ fn main() {
     println!("\n{}", report.trace.render());
     let s = &report.solver;
     println!(
-        "report: packets sent={} bugs found={}\nsolver: queries={} exact={} group={} reuse={}",
+        "report: packets sent={} bugs found={}\nsolver: queries={} exact={} group={}",
         report.packets,
         report.bugs.len(),
         s.queries,
         s.cache_hits,
-        s.group_cache_hits,
-        s.model_reuse_hits
+        s.group_cache_hits
     );
 }

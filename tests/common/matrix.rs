@@ -388,7 +388,7 @@ fn side_checks(label: &str, row: &Row, col: &Column, cell: &Cell) {
     );
     if col.layers == SolverLayers::Off {
         let s = &report.solver;
-        let cached = s.cache_hits + s.group_cache_hits + s.model_reuse_hits;
+        let cached = s.cache_hits + s.group_cache_hits;
         assert_eq!(cached, 0, "{label}: --layers off answered from a cache");
     }
     match col.drive {

@@ -169,33 +169,32 @@ fn paused_sense(alg: Algorithm) -> Engine {
     engine
 }
 
-/// Snapshots written by the last version-6 commits, one per algorithm:
-/// `tests/data/parent_{cob,cow,sds}.snap` (`paused_fault_line`, written
-/// at b22af04) and `tests/data/parent_sense_{cob,cow,sds}.snap`
-/// (`paused_sense`, written at 98eed2e, UNSAT cores and all). Version 7
-/// dropped the solver's retired UNSAT-core slots, the summary's copies of
-/// report values, the second fork array and the `sharded` flag, so the
-/// header alone refuses each, loudly.
+/// Snapshots written at the commit that introduced version 7:
+/// `tests/data/v7_{cob,cow,sds}.snap` (`paused_fault_line`) and
+/// `tests/data/v7_sense_{cob,cow,sds}.snap` (`paused_sense`). Version 8
+/// dropped model reuse's toggle, counter and cached models, and the
+/// second copies of the packet and state counters, so the header alone
+/// refuses each, loudly.
 #[test]
-fn version_6_snapshots_are_refused() {
-    for prefix in ["parent", "parent_sense"] {
+fn version_7_snapshots_are_refused() {
+    for prefix in ["v7", "v7_sense"] {
         for alg in Algorithm::ALL {
             let path = format!("tests/data/{prefix}_{}.snap", alg.name().to_lowercase());
             let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
             let err = EngineSnapshot::from_bytes(&bytes).unwrap_err();
-            assert_eq!(err, SnapshotError::UnsupportedVersion(6), "{path}");
-            let message = "unsupported snapshot version 6 (expected 7)";
+            assert_eq!(err, SnapshotError::UnsupportedVersion(7), "{path}");
+            let message = "unsupported snapshot version 7 (expected 8)";
             assert_eq!(err.to_string(), message, "{path}");
         }
     }
 }
 
-/// Snapshots written at the commit that introduced version 7, for later
+/// Snapshots written at the commit that introduced version 8, for later
 /// codec changes to check as parent-written. A throwaway
 /// `tests/write_fixtures.rs` added to that tree wrote each with
 /// `std::fs::write(path, engine.snapshot().to_bytes())`, `engine` being
-/// this file's `paused_fault_line(alg)` (`tests/data/v7_{cob,cow,sds}.snap`)
-/// or `paused_sense(alg)` (`tests/data/v7_sense_{cob,cow,sds}.snap`),
+/// this file's `paused_fault_line(alg)` (`tests/data/v8_{cob,cow,sds}.snap`)
+/// or `paused_sense(alg)` (`tests/data/v8_sense_{cob,cow,sds}.snap`),
 /// both copied in (`cargo test --release --test write_fixtures`, from the
 /// repo root).
 ///
@@ -203,7 +202,7 @@ fn version_6_snapshots_are_refused() {
 /// symbols, logged histories, executed marks, dedup counters (COB only)
 /// and queued deliveries with payloads (COW, SDS); their solver caches
 /// are empty (the line never queries). The sense ones hold exact-cache
-/// entries and cached models.
+/// entries.
 ///
 /// Each must be small, decode and re-encode byte for byte, equal
 /// `paused` — this commit's run at the same pause — in every field but
@@ -213,7 +212,7 @@ fn version_6_snapshots_are_refused() {
 /// run would replay there and mints fresh symbols; each fault-line pause
 /// sits where no such replay is pending, which `states_executed`
 /// confirms.
-fn check_v7_fixture(path: &str, paused: Engine, scenario: Scenario, straight: RunReport) {
+fn check_v8_fixture(path: &str, paused: Engine, scenario: Scenario, straight: RunReport) {
     let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("{path}: {e}"));
     assert!(bytes.len() < 64 << 10, "{path} is not small");
     let snap = EngineSnapshot::from_bytes(&bytes).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -230,30 +229,31 @@ fn check_v7_fixture(path: &str, paused: Engine, scenario: Scenario, straight: Ru
 }
 
 #[test]
-fn v7_fault_line_snapshots_reencode_and_resume() {
+fn v8_fault_line_snapshots_reencode_and_resume() {
     for alg in Algorithm::ALL {
-        let path = format!("tests/data/v7_{}.snap", alg.name().to_lowercase());
+        let path = format!("tests/data/v8_{}.snap", alg.name().to_lowercase());
         let straight = Engine::new(fault_line(), alg).with_dedup(true).run();
-        check_v7_fixture(&path, paused_fault_line(alg), fault_line(), straight);
+        check_v8_fixture(&path, paused_fault_line(alg), fault_line(), straight);
     }
 }
 
 #[test]
-fn v7_sense_snapshots_reencode_and_resume() {
+fn v8_sense_snapshots_reencode_and_resume() {
     for alg in Algorithm::ALL {
-        let path = format!("tests/data/v7_sense_{}.snap", alg.name().to_lowercase());
+        let path = format!("tests/data/v8_sense_{}.snap", alg.name().to_lowercase());
         let straight = Engine::new(sde_bench::symbolic_grid(3), alg).run();
         let scenario = sde_bench::symbolic_grid(3);
-        check_v7_fixture(&path, paused_sense(alg), scenario, straight);
+        check_v8_fixture(&path, paused_sense(alg), scenario, straight);
     }
 }
 
 /// A snapshot holds each counter once, and holds the run's: the fork
 /// counts sit in `trace.forks` alone and read what the report counts,
-/// and no slot repeats a report value (`trace.solver_*`,
-/// `trace.packets_sent`, `trace.bugs_found`), is never set
-/// (`shrink_steps`), is never read (`sharded`) or belongs to the retired
-/// UNSAT-core layer (`ucore`).
+/// the packet and state counters sit in `packets_sent` and `next_state`
+/// alone and read the report's `packets` and `total_states`, and no slot
+/// repeats a report value (`trace.solver_*`, `trace.packets_sent`,
+/// `trace.bugs_found`), is never set (`shrink_steps`), is never read
+/// (`sharded`) or belongs to the retired UNSAT-core layer (`ucore`).
 #[test]
 fn snapshot_counters_are_the_runs_and_held_once() {
     let engine = paused_sense(Algorithm::Cob);
@@ -262,12 +262,21 @@ fn snapshot_counters_are_the_runs_and_held_once() {
         .filter_map(|l| l.trim().strip_prefix('"')?.split_once("\": "))
         .map(|(path, value)| (path, value.trim_end_matches(',')))
         .collect();
-    let mapping = engine.into_report().trace.forks[1];
+    let report = engine.into_report();
+    let mapping = report.trace.forks[1];
     assert!(mapping > 0, "the pause comes after mapping forks");
     let forks: Vec<_> = (leaves.iter())
         .filter(|(path, _)| path.ends_with("forks[1]"))
         .collect();
     assert_eq!(forks, [&("trace.forks[1]", &*mapping.to_string())]);
+    let top = |name: &str| -> Vec<_> { leaves.iter().filter(|(path, _)| *path == name).collect() };
+    assert_eq!(
+        top("packets_sent"),
+        [&("packets_sent", &*report.packets.to_string())]
+    );
+    let states = report.total_states.to_string();
+    assert_eq!(top("next_state"), [&("next_state", &*states)]);
+    assert!(top("next_packet").is_empty() && top("total_states").is_empty());
     for name in [
         "sharded",
         "shrink_steps",

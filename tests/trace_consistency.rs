@@ -119,14 +119,14 @@ fn check(label: &str, scenario: &Scenario, alg: Algorithm) -> Recount {
 
     // Solver layers: one Query event per solver query, layer split
     // matching the cache counters exactly; no group is answered by the
-    // retired UNSAT-core layer.
+    // retired model-reuse or UNSAT-core layers.
     assert_eq!(c.queries, s.queries, "{ctx}: query count");
     assert_eq!(
         c.query_layers[1], s.cache_hits,
         "{ctx}: exact-layer queries"
     );
     assert_eq!(c.group_layers[0], s.group_cache_hits, "{ctx}: group hits");
-    assert_eq!(c.group_layers[1], s.model_reuse_hits, "{ctx}: reuse hits");
+    assert_eq!(c.group_layers[1], 0, "{ctx}: reuse groups");
     assert_eq!(c.group_layers[2], 0, "{ctx}: ucore groups");
     assert_eq!(c.verdicts[0], s.sat, "{ctx}: sat verdicts");
     assert_eq!(c.verdicts[1], s.unsat, "{ctx}: unsat verdicts");
