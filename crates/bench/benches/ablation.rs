@@ -39,19 +39,12 @@ fn bench_solver_cache(c: &mut Criterion) {
     let probes: Vec<_> = (0..8)
         .map(|_| Expr::sym(t.fresh("probe", Width::BOOL)))
         .collect();
-    // One config per layer of the incremental stack (DESIGN.md §6):
-    // everything on, whole-query exact matching only, and fully uncached.
-    type Setup = fn(&Solver);
-    let configs: [(&str, Setup); 3] = [
-        ("full", |_| {}),
-        ("exact_only", |s| s.set_group_caching(false)),
-        ("off", |s| s.set_caching(false)),
-    ];
-    for (name, setup) in configs {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &setup, |b, setup| {
+    // The incremental stack (DESIGN.md §6) on, and fully uncached.
+    for (name, caching) in [("full", true), ("off", false)] {
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
                 let solver = Solver::new();
-                setup(&solver);
+                solver.set_caching(caching);
                 let mut sat = 0u32;
                 for _ in 0..16 {
                     for p in &probes {

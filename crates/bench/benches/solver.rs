@@ -88,8 +88,8 @@ fn bench_layer_stack(c: &mut Criterion) {
     // The acceptance bench for the incremental solver stack (DESIGN.md
     // §6): a stream of *related* queries — each one re-uses seven of
     // eight independent constraint groups and perturbs the eighth — so
-    // whole-query exact matching never hits (every query key differs)
-    // while per-group caching answers almost everything incrementally.
+    // no query repeats while per-group caching answers almost everything
+    // incrementally.
     let mut group = c.benchmark_group("solver/layers");
     let mut t = SymbolTable::new();
     let vars: Vec<ExprRef> = (0..8)
@@ -108,17 +108,11 @@ fn bench_layer_stack(c: &mut Criterion) {
                 .with(Expr::ugt(x.clone(), Expr::const_(1 + j % 64, Width::W8)))
         })
         .collect();
-    type Setup = fn(&Solver);
-    let configs: [(&str, Setup); 3] = [
-        ("full_stack", |_| {}),
-        ("exact_match_only", |s| s.set_group_caching(false)),
-        ("uncached", |s| s.set_caching(false)),
-    ];
-    for (name, setup) in configs {
+    for (name, caching) in [("full_stack", true), ("uncached", false)] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let solver = Solver::new();
-                setup(&solver);
+                solver.set_caching(caching);
                 let mut sat = 0u32;
                 for q in &queries {
                     if solver.check(q).is_sat() {

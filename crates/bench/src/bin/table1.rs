@@ -23,7 +23,7 @@
 //! cargo run -p sde-bench --release --bin table1 -- --preset tiny # CI smoke (3×3)
 //! cargo run -p sde-bench --release --bin table1 -- --preset tiny --faults all
 //! cargo run -p sde-bench --release --bin table1 -- --faults partition,crashrec
-//! cargo run -p sde-bench --release --bin table1 -- --layers exact --tag layers_exact
+//! cargo run -p sde-bench --release --bin table1 -- --layers off --tag layers_off
 //! cargo run -p sde-bench --release --bin table1 -- --preset tiny --trace out.jsonl
 //! cargo run -p sde-bench --release --bin table1 -- --preset tiny --testgen 64
 //! cargo run -p sde-bench --release --bin table1 -- --preset tiny --check  # invariants (§12)
@@ -63,15 +63,13 @@ table1 — Table I rows (wall, states, RAM) for COB, COW and SDS
   --workers N          run through the sharded engine with N workers
                        (DESIGN.md §13; reports unchanged)
   --dedup              online duplicate-dispatch pruning (DESIGN.md §10)
-  --layers full|exact|off
-                       solver stack (DESIGN.md §6). `full` is the engine.
-                       `exact` (whole-query matching only) and `off` (no
-                       caching) are ablation points: every solve runs on
-                       terms rebuilt from the query's canonical form, hit
-                       or miss, which costs 1.4–1.7× a query against the
-                       plain solve they stood for before (criterion
-                       `solver/layers`, EXPERIMENTS.md) — for measuring
-                       the layers, not for running experiments
+  --layers full|off     solver stack (DESIGN.md §6). `full` is the engine.
+                       `off` (no caching) is the ablation point: every
+                       solve runs on terms rebuilt from the group's
+                       canonical form, which costs 1.1–1.5× a query
+                       against the plain solve it stood for before
+                       (criterion `solver/layers`, EXPERIMENTS.md) — for
+                       measuring the cache, not for running experiments
   --faults LIST        partition,latency,corrupt,crashrec or all (§11)
   --trace PATH         JSONL + Chrome trace per algorithm
   --testgen N          generate up to N test cases per algorithm
@@ -109,7 +107,7 @@ fn main() {
     // `--dedup`: online duplicate-dispatch pruning (DESIGN.md §10) —
     // same states, bugs and test cases, fewer states *executed*.
     let dedup = args.flag("dedup");
-    // `--layers full|exact|off`: the incremental-solver-stack ablation
+    // `--layers full|off`: the incremental-solver-stack ablation
     // axis (DESIGN.md §6); `--tag` suffixes the JSON filename so sweeps
     // with different layer settings land in distinct files.
     let layers = or_usage(

@@ -394,11 +394,7 @@ pub enum SolverLayers {
     /// Per-group exact caching (default).
     #[default]
     Full,
-    /// Whole-query exact matching only: independence-partitioned group
-    /// caching disabled. This is the pre-incremental baseline the
-    /// acceptance criteria compare against.
-    ExactOnly,
-    /// Every cache layer disabled; each query is solved from scratch.
+    /// The exact cache disabled; each query is solved from scratch.
     Off,
 }
 
@@ -407,15 +403,12 @@ impl SolverLayers {
     ///
     /// # Errors
     ///
-    /// Anything but `full`, `exact`, or `off` is an error naming the three.
+    /// Anything but `full` or `off` is an error naming the two.
     pub fn parse(s: &str) -> Result<SolverLayers, String> {
         match s {
             "full" => Ok(SolverLayers::Full),
-            "exact" => Ok(SolverLayers::ExactOnly),
             "off" => Ok(SolverLayers::Off),
-            other => Err(format!(
-                "invalid --layers {other:?} (expected full, exact, or off)"
-            )),
+            other => Err(format!("invalid --layers {other:?} (expected full or off)")),
         }
     }
 
@@ -423,17 +416,14 @@ impl SolverLayers {
     pub fn name(self) -> &'static str {
         match self {
             SolverLayers::Full => "full",
-            SolverLayers::ExactOnly => "exact",
             SolverLayers::Off => "off",
         }
     }
 
-    /// Applies this configuration to a solver's ablation toggles.
+    /// Applies this configuration to a solver's caching switch.
     pub fn apply(self, solver: &Solver) {
-        match self {
-            SolverLayers::Full => {}
-            SolverLayers::ExactOnly => solver.set_group_caching(false),
-            SolverLayers::Off => solver.set_caching(false),
+        if self == SolverLayers::Off {
+            solver.set_caching(false);
         }
     }
 }
@@ -1130,13 +1120,10 @@ mod tests {
                 run(&s, algorithm, &config)
             };
             let full = with_layers(SolverLayers::Full);
-            let exact = with_layers(SolverLayers::ExactOnly);
             let off = with_layers(SolverLayers::Off);
             // Cache layers may only change solver counters, never the run.
-            assert_eq!(full.equivalence_key(), exact.equivalence_key());
             assert_eq!(full.equivalence_key(), off.equivalence_key());
             assert!(full.solver.group_cache_hits > 0, "{:?}", full.solver);
-            assert_eq!(exact.solver.group_cache_hits, 0, "{:?}", exact.solver);
             assert_eq!(off.solver.cache_hits, 0, "{:?}", off.solver);
             assert_eq!(off.solver.group_cache_hits, 0, "{:?}", off.solver);
             if algorithm == Algorithm::Cob {

@@ -45,7 +45,7 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"SDESNAP1";
 
 /// Current snapshot format version; bumped on any codec change
 /// (DESIGN.md §8 lists what each version added).
-pub const SNAPSHOT_VERSION: u32 = 8;
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Size of the fixed file header (magic + version + digest + prelude
 /// length).

@@ -334,7 +334,8 @@ impl Engine {
         self.store.states.get(&id)
     }
 
-    /// The engine's solver (shared query cache).
+    /// The engine's solver: the serial run's query cache. Each shard
+    /// worker has its own ([`Solver::fresh_like`]).
     pub fn solver(&self) -> &Solver {
         &self.solver
     }

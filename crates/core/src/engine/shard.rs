@@ -110,7 +110,7 @@ impl Engine {
                 // contention-free, and the merge thread still sees
                 // deterministic witness models because the exact solver
                 // derives them from the query alone. The budget and the
-                // ablation toggles are the engine solver's.
+                // caching switch are the engine solver's.
                 let solver = self.solver.fresh_like();
                 scope.spawn(move || {
                     let served = panic::catch_unwind(AssertUnwindSafe(|| {

@@ -101,24 +101,23 @@ pub(crate) fn encode(e: &Expr, ranks: &VarSet, out: &mut Vec<u64>) {
     }
 }
 
-/// Puts `constraints` in canonical order — the lexicographic order of
-/// their encodings, a total order, so arrival order cannot leak into the
-/// form — and returns the group's form: the encodings, concatenated.
-pub(crate) fn order(constraints: &mut Vec<ExprRef>, ranks: &VarSet) -> Vec<u64> {
+/// The group's form: the encodings of `constraints` in canonical order —
+/// their lexicographic order, a total order, so arrival order cannot leak
+/// into the form — concatenated.
+pub(crate) fn order(constraints: &[ExprRef], ranks: &VarSet) -> Vec<u64> {
     let mut words = Vec::new();
-    let mut spans: Vec<(std::ops::Range<usize>, ExprRef)> = constraints
-        .drain(..)
+    let mut spans: Vec<std::ops::Range<usize>> = constraints
+        .iter()
         .map(|c| {
             let start = words.len();
-            encode(&c, ranks, &mut words);
-            (start..words.len(), c)
+            encode(c, ranks, &mut words);
+            start..words.len()
         })
         .collect();
-    spans.sort_by(|(a, _), (b, _)| words[a.clone()].cmp(&words[b.clone()]));
+    spans.sort_by(|a, b| words[a.clone()].cmp(&words[b.clone()]));
     let mut form = Vec::with_capacity(words.len());
-    for (span, c) in spans {
+    for span in spans {
         form.extend_from_slice(&words[span]);
-        constraints.push(c);
     }
     form
 }
@@ -226,19 +225,6 @@ pub(crate) fn model_from_ranks(model: &Model, ranks: &VarSet) -> Model {
         .collect()
 }
 
-/// The inverse of [`model_from_ranks`]: a model over the group's real
-/// variables, re-keyed by rank. Assignments to foreign variables are
-/// dropped.
-pub(crate) fn model_to_ranks(model: &Model, ranks: &VarSet) -> Model {
-    model
-        .iter()
-        .filter_map(|(id, value)| {
-            let rank = u32::try_from(ranks.rank_of(id)?).ok()?;
-            Some((SymId(rank), value))
-        })
-        .collect()
-}
-
 /// Validates a decoded exact-cache entry and returns its form. The entry
 /// must be its own canonical form: symbols anonymous with ids the dense
 /// ranks `0..k`, constraints in canonical order, and a model (if any)
@@ -276,8 +262,7 @@ mod tests {
     use crate::SymbolTable;
 
     fn form_of(constraints: &[ExprRef]) -> Vec<u64> {
-        let mut ordered = constraints.to_vec();
-        order(&mut ordered, &vars_of(constraints))
+        order(constraints, &vars_of(constraints))
     }
 
     /// `lo + 3 < hi` over two symbols minted in the given order.
@@ -350,17 +335,12 @@ mod tests {
     }
 
     #[test]
-    fn models_translate_both_ways() {
+    fn models_translate_from_ranks() {
         let ranks =
             VarSet::singleton(SymId(4), Width::W8).union(&VarSet::singleton(SymId(9), Width::W8));
-        let real: Model = [(SymId(4), 1), (SymId(9), 2), (SymId(11), 3)]
-            .into_iter()
-            .collect();
-        let by_rank = model_to_ranks(&real, &ranks);
-        let expected: Model = [(SymId(0), 1), (SymId(1), 2)].into_iter().collect();
-        assert_eq!(by_rank, expected, "foreign variables are dropped");
-        let back: Model = [(SymId(4), 1), (SymId(9), 2)].into_iter().collect();
-        assert_eq!(model_from_ranks(&by_rank, &ranks), back);
+        let by_rank: Model = [(SymId(0), 1), (SymId(1), 2)].into_iter().collect();
+        let real: Model = [(SymId(4), 1), (SymId(9), 2)].into_iter().collect();
+        assert_eq!(model_from_ranks(&by_rank, &ranks), real);
     }
 
     #[test]

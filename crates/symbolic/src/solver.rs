@@ -19,9 +19,7 @@
 //!    through the rank table. Sibling states share every group of
 //!    their common path-condition prefix, and forked copies of a sender
 //!    ask the same shapes under freshly minted symbols, so the solver
-//!    answers each constraint *shape* once. With
-//!    [`Solver::set_group_caching`]`(false)` the same scheme is applied at
-//!    whole-query granularity (the query as one group).
+//!    answers each constraint *shape* once.
 //! 4. **Interval refinement** — per-variable unsigned bounds are tightened
 //!    from comparison constraints, shrinking enumeration domains; an
 //!    emptied interval proves the group UNSAT.
@@ -38,9 +36,13 @@
 //! or becomes a test case or bug witness — never depends on query order or
 //! cache contents.
 //!
-//! Each cache layer is individually switchable for ablation measurements:
-//! [`Solver::set_caching`] (exact cache master switch) and
-//! [`Solver::set_group_caching`] (per-group vs whole-query granularity).
+//! [`Solver::set_caching`]`(false)` switches the exact cache off: every
+//! group is then solved from scratch, which is the reference the
+//! differential tests compare the cached solver against.
+//!
+//! A solver has one owner. It is `Send` but not `Sync`: a sharded run
+//! gives each worker its own ([`Solver::fresh_like`]), so the cache and
+//! counters live in plain cells, with no lock or atomic.
 //!
 //! [`Expr::vars`]: crate::Expr::vars
 
@@ -53,9 +55,8 @@ use crate::snapshot::{CodecError, SnapReader, SnapWriter};
 use crate::table::SymId;
 use crate::vars::VarSet;
 use crate::width::Width;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
 
 /// Resource limits for a single satisfiability query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,49 +140,25 @@ type CacheBucket = Vec<(Vec<u64>, CacheEntry)>;
 /// [`CacheEntry`]).
 type ExportedEntry = (Vec<u64>, Option<Model>);
 
-/// One exported exact-cache shard: `(key, bucket)` pairs sorted by key.
-type ExportedShard = Vec<(u64, Vec<ExportedEntry>)>;
+/// The exported exact cache: `(key, bucket)` pairs in ascending key order.
+type ExportedCache = Vec<(u64, Vec<ExportedEntry>)>;
 
-/// Number of independently-locked cache shards. Sharding keeps lock
-/// contention negligible when several threads query one solver
-/// concurrently ([`Solver`] is `Sync`).
-const CACHE_SHARDS: usize = 16;
-
-/// The exact-cache shard a key lives in.
-fn shard_of(key: u64) -> usize {
-    key as usize % CACHE_SHARDS
-}
-
-/// Lock-free work counters (see [`SolverStats`] for the snapshot form).
-#[derive(Debug, Default)]
-struct StatCells {
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
-    group_cache_hits: AtomicU64,
-    sat: AtomicU64,
-    unsat: AtomicU64,
-    unknown: AtomicU64,
-    nodes_visited: AtomicU64,
-}
-
-/// One independent constraint group: its (real) constraints in canonical
-/// order, the union of their memoized var-sets — which, being id-sorted,
-/// is the rank table of the canonical form — the form itself, and the
-/// exact-cache key derived from it.
+/// One independent constraint group: the union of its constraints'
+/// memoized var-sets — which, being id-sorted, is the rank table of the
+/// canonical form — the form itself, and the exact-cache key derived
+/// from it.
 #[derive(Debug)]
 struct Group {
-    constraints: Vec<ExprRef>,
     vars: VarSet,
     form: Vec<u64>,
     key: u64,
 }
 
 impl Group {
-    fn new(mut constraints: Vec<ExprRef>, vars: VarSet) -> Group {
-        let form = canon::order(&mut constraints, &vars);
+    fn new(constraints: &[ExprRef], vars: VarSet) -> Group {
+        let form = canon::order(constraints, &vars);
         Group {
             key: canon::key(&form),
-            constraints,
             vars,
             form,
         }
@@ -207,20 +184,18 @@ impl Group {
 #[derive(Debug)]
 pub struct Solver {
     budget: SolverBudget,
-    stats: StatCells,
-    cache: Vec<Mutex<HashMap<u64, CacheBucket>>>,
-    caching: AtomicBool,
-    group_caching: AtomicBool,
+    stats: Cell<SolverStats>,
+    cache: RefCell<HashMap<u64, CacheBucket>>,
+    caching: Cell<bool>,
 }
 
 impl Default for Solver {
     fn default() -> Self {
         Solver {
             budget: SolverBudget::default(),
-            stats: StatCells::default(),
-            cache: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            caching: AtomicBool::new(true),
-            group_caching: AtomicBool::new(true),
+            stats: Cell::default(),
+            cache: RefCell::default(),
+            caching: Cell::new(true),
         }
     }
 }
@@ -239,124 +214,85 @@ impl Solver {
         }
     }
 
-    /// A solver configured like this one — same budget, same two
-    /// ablation toggles — with empty caches and zeroed counters. A sharded
-    /// run gives one to each worker, so an ablation set on the engine's
+    /// A solver configured like this one — same budget, caching on or off
+    /// alike — with an empty cache and zeroed counters. A sharded run
+    /// gives one to each worker, so `set_caching(false)` on the engine's
     /// solver holds on every thread.
     pub fn fresh_like(&self) -> Self {
         Solver {
             budget: self.budget,
-            caching: AtomicBool::new(self.caching.load(Relaxed)),
-            group_caching: AtomicBool::new(self.group_caching.load(Relaxed)),
+            caching: self.caching.clone(),
             ..Self::default()
         }
     }
 
     /// A snapshot of the work counters.
     pub fn stats(&self) -> SolverStats {
-        SolverStats {
-            queries: self.stats.queries.load(Relaxed),
-            cache_hits: self.stats.cache_hits.load(Relaxed),
-            group_cache_hits: self.stats.group_cache_hits.load(Relaxed),
-            model_reuse_hits: 0,
-            ucore_hits: 0,
-            sat: self.stats.sat.load(Relaxed),
-            unsat: self.stats.unsat.load(Relaxed),
-            unknown: self.stats.unknown.load(Relaxed),
-            nodes_visited: self.stats.nodes_visited.load(Relaxed),
-        }
+        self.stats.get()
     }
 
     /// Enables or disables the exact query cache (for ablation
     /// measurements). Disabling also clears it.
     pub fn set_caching(&self, enabled: bool) {
-        self.caching.store(enabled, Relaxed);
+        self.caching.set(enabled);
         if !enabled {
-            for shard in &self.cache {
-                shard.lock().expect("cache shard").clear();
-            }
+            self.cache.borrow_mut().clear();
         }
     }
 
-    /// Chooses the exact cache's granularity: per independent group
-    /// (default) or whole-query (the pre-incremental behavior, kept as an
-    /// ablation point). No effect while caching is disabled entirely.
-    ///
-    /// Both granularities key on canonical forms — whole-query treats the
-    /// query as one group — so the cache stays consistent across switches
-    /// and no clear is needed.
-    pub fn set_group_caching(&self, enabled: bool) {
-        self.group_caching.store(enabled, Relaxed);
+    /// Adds to the work counters.
+    fn count(&self, add: impl FnOnce(&mut SolverStats)) {
+        let mut stats = self.stats.get();
+        add(&mut stats);
+        self.stats.set(stats);
     }
 
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, CacheBucket>> {
-        &self.cache[shard_of(key)]
-    }
-
-    /// Exports the solver's entire mutable state — counters, ablation
-    /// toggles and the exact cache — as a [`SolverSnapshot`].
+    /// Exports the solver's entire mutable state — counters, the caching
+    /// switch and the exact cache — as a [`SolverSnapshot`].
     ///
-    /// Shard contents are captured verbatim (bucket order preserved) with
-    /// shard key lists sorted, so exporting the same state twice yields
+    /// Buckets are captured verbatim (entry order preserved) under keys
+    /// in ascending order, so exporting the same state twice yields
     /// identical snapshots.
     pub fn export_state(&self) -> SolverSnapshot {
-        let exact = self
+        let mut exact: ExportedCache = self
             .cache
+            .borrow()
             .iter()
-            .map(|shard| {
-                let shard = shard.lock().expect("cache shard");
-                let mut entries: ExportedShard = shard
+            .map(|(key, bucket)| {
+                let bucket = bucket
                     .iter()
-                    .map(|(key, bucket)| {
-                        let bucket = bucket
-                            .iter()
-                            .map(|(set, entry)| {
-                                let model = match entry {
-                                    CacheEntry::Sat(m) => Some(m.clone()),
-                                    CacheEntry::Unsat => None,
-                                };
-                                (set.clone(), model)
-                            })
-                            .collect();
-                        (*key, bucket)
+                    .map(|(set, entry)| {
+                        let model = match entry {
+                            CacheEntry::Sat(m) => Some(m.clone()),
+                            CacheEntry::Unsat => None,
+                        };
+                        (set.clone(), model)
                     })
                     .collect();
-                entries.sort_by_key(|(key, _)| *key);
-                entries
+                (*key, bucket)
             })
             .collect();
+        exact.sort_unstable_by_key(|(key, _)| *key);
         SolverSnapshot {
             stats: self.stats(),
-            caching: self.caching.load(Relaxed),
-            group_caching: self.group_caching.load(Relaxed),
+            caching: self.caching.get(),
             exact,
         }
     }
 
     /// Restores state exported by [`Solver::export_state`], replacing
-    /// all current counters, toggles and cache contents.
+    /// all current counters, the caching switch and the cache contents.
     ///
     /// After an import, cache lookups behave exactly as they did on the
     /// exporting solver: entry order within buckets is preserved, so query
     /// answers (and their trace-layer attribution) replay identically.
     pub fn import_state(&self, snap: &SolverSnapshot) {
-        let s = &snap.stats;
-        self.stats.queries.store(s.queries, Relaxed);
-        self.stats.cache_hits.store(s.cache_hits, Relaxed);
-        self.stats
-            .group_cache_hits
-            .store(s.group_cache_hits, Relaxed);
-        self.stats.sat.store(s.sat, Relaxed);
-        self.stats.unsat.store(s.unsat, Relaxed);
-        self.stats.unknown.store(s.unknown, Relaxed);
-        self.stats.nodes_visited.store(s.nodes_visited, Relaxed);
-        self.caching.store(snap.caching, Relaxed);
-        self.group_caching.store(snap.group_caching, Relaxed);
-        debug_assert_eq!(self.cache.len(), snap.exact.len(), "cache shard count");
-        for (shard, entries) in self.cache.iter().zip(&snap.exact) {
-            let mut shard = shard.lock().expect("cache shard");
-            shard.clear();
-            for (key, bucket) in entries {
+        self.stats.set(snap.stats);
+        self.caching.set(snap.caching);
+        *self.cache.borrow_mut() = snap
+            .exact
+            .iter()
+            .map(|(key, bucket)| {
                 let restored: CacheBucket = bucket
                     .iter()
                     .map(|(set, model)| {
@@ -367,16 +303,18 @@ impl Solver {
                         (set.clone(), entry)
                     })
                     .collect();
-                shard.insert(*key, restored);
-            }
-        }
+                (*key, restored)
+            })
+            .collect();
     }
 
     /// Decides satisfiability of a path condition.
     pub fn check(&self, pc: &PathCondition) -> SolverResult {
         if pc.is_trivially_false() {
-            self.stats.queries.fetch_add(1, Relaxed);
-            self.stats.unsat.fetch_add(1, Relaxed);
+            self.count(|s| {
+                s.queries += 1;
+                s.unsat += 1;
+            });
             record_fold_unsat();
             return SolverResult::Unsat;
         }
@@ -425,8 +363,10 @@ impl Solver {
     /// unknown.
     pub fn model(&self, pc: &PathCondition) -> Option<Model> {
         if pc.is_trivially_false() {
-            self.stats.queries.fetch_add(1, Relaxed);
-            self.stats.unsat.fetch_add(1, Relaxed);
+            self.count(|s| {
+                s.queries += 1;
+                s.unsat += 1;
+            });
             record_fold_unsat();
             return None;
         }
@@ -476,7 +416,7 @@ impl Solver {
         trace: Option<&dyn sde_trace::TraceSink>,
     ) -> (SolverResult, sde_trace::QueryLayer, u64) {
         use sde_trace::QueryLayer;
-        self.stats.queries.fetch_add(1, Relaxed);
+        self.count(|s| s.queries += 1);
 
         // Layer 1: fold out concrete constraints; bail on a false one.
         let mut work: Vec<ExprRef> = Vec::with_capacity(constraints.len());
@@ -486,42 +426,17 @@ impl Solver {
                 if c.eval(&Model::new()) == Some(1) {
                     continue;
                 }
-                self.stats.unsat.fetch_add(1, Relaxed);
+                self.count(|s| s.unsat += 1);
                 return (SolverResult::Unsat, QueryLayer::Fold, 0);
             }
             work.push(c.clone());
         }
         if work.is_empty() {
-            self.stats.sat.fetch_add(1, Relaxed);
+            self.count(|s| s.sat += 1);
             return (SolverResult::Sat(Model::new()), QueryLayer::Fold, 0);
         }
 
-        let caching = self.caching.load(Relaxed);
-        let group_caching = caching && self.group_caching.load(Relaxed);
-
-        // Whole-query granularity (ablation fallback): the query is looked
-        // up, and later stored, as one group.
-        let whole = (caching && !group_caching).then(|| {
-            let vars = canon::vars_of(&work);
-            Group::new(std::mem::take(&mut work), vars)
-        });
-        if let Some(whole) = &whole {
-            if let Some(result) = self.exact_lookup(whole) {
-                self.stats.cache_hits.fetch_add(1, Relaxed);
-                self.tally(&result);
-                // Group counts must stay deterministic in traces even on
-                // this pre-partition hit path, so partition when traced.
-                let n = if trace.is_some() {
-                    partition(whole.constraints.clone()).len() as u64
-                } else {
-                    0
-                };
-                return (result, QueryLayer::Exact, n);
-            }
-            // Partition the canonical order, so that which group is
-            // examined first is a function of the form being stored.
-            work = whole.constraints.clone();
-        }
+        let caching = self.caching.get();
 
         // Layer 2: partition, then solve each group through the remaining
         // layers independently.
@@ -530,7 +445,7 @@ impl Solver {
         let mut all_groups_cached = true;
         let mut outcome = None;
         for group in &groups {
-            let (result, from_exact) = self.solve_one_group(group, group_caching, trace);
+            let (result, from_exact) = self.solve_one_group(group, caching, trace);
             all_groups_cached &= from_exact;
             match result {
                 SolverResult::Sat(m) => combined.extend(&m),
@@ -551,25 +466,12 @@ impl Solver {
         // without any solving — here, every group examined hit the exact
         // group cache (an early UNSAT group counts; later groups were not
         // needed).
-        if group_caching && all_groups_cached {
-            self.stats.cache_hits.fetch_add(1, Relaxed);
-        }
-
-        if let Some(whole) = &whole {
-            let entry = match &result {
-                SolverResult::Sat(m) => {
-                    Some(CacheEntry::Sat(canon::model_to_ranks(m, &whole.vars)))
-                }
-                SolverResult::Unsat => Some(CacheEntry::Unsat),
-                SolverResult::Unknown => None,
-            };
-            if let Some(entry) = entry {
-                self.exact_store(whole, entry);
-            }
+        if caching && all_groups_cached {
+            self.count(|s| s.cache_hits += 1);
         }
 
         self.tally(&result);
-        let layer = if group_caching && all_groups_cached {
+        let layer = if caching && all_groups_cached {
             QueryLayer::Exact
         } else {
             QueryLayer::Solve
@@ -578,11 +480,11 @@ impl Solver {
     }
 
     fn tally(&self, result: &SolverResult) {
-        match result {
-            SolverResult::Sat(_) => self.stats.sat.fetch_add(1, Relaxed),
-            SolverResult::Unsat => self.stats.unsat.fetch_add(1, Relaxed),
-            SolverResult::Unknown => self.stats.unknown.fetch_add(1, Relaxed),
-        };
+        self.count(|s| match result {
+            SolverResult::Sat(_) => s.sat += 1,
+            SolverResult::Unsat => s.unsat += 1,
+            SolverResult::Unknown => s.unknown += 1,
+        });
     }
 
     /// Layers 3–5 for one independent group. Returns the verdict and
@@ -590,7 +492,7 @@ impl Solver {
     fn solve_one_group(
         &self,
         group: &Group,
-        group_caching: bool,
+        caching: bool,
         trace: Option<&dyn sde_trace::TraceSink>,
     ) -> (SolverResult, bool) {
         use sde_trace::{GroupLayer, TraceEvent};
@@ -601,9 +503,9 @@ impl Solver {
         };
 
         // Layer 3: exact group cache, keyed modulo symbol renaming.
-        if group_caching {
+        if caching {
             if let Some(result) = self.exact_lookup(group) {
-                self.stats.group_cache_hits.fetch_add(1, Relaxed);
+                self.count(|s| s.group_cache_hits += 1);
                 group_hit(GroupLayer::Exact);
                 return (result, true);
             }
@@ -621,7 +523,7 @@ impl Solver {
             SolverResult::Unsat => (SolverResult::Unsat, Some(CacheEntry::Unsat)),
             SolverResult::Unknown => (SolverResult::Unknown, None),
         };
-        if let (true, Some(entry)) = (group_caching, entry) {
+        if let (true, Some(entry)) = (caching, entry) {
             self.exact_store(group, entry);
         }
         (result, false)
@@ -630,8 +532,8 @@ impl Solver {
     /// The cached answer for `group`'s canonical form, its model
     /// translated back through the rank table.
     fn exact_lookup(&self, group: &Group) -> Option<SolverResult> {
-        let shard = self.shard(group.key).lock().expect("cache shard");
-        let (_, entry) = shard
+        let cache = self.cache.borrow();
+        let (_, entry) = cache
             .get(&group.key)?
             .iter()
             .find(|(form, _)| *form == group.form)?;
@@ -641,14 +543,16 @@ impl Solver {
         })
     }
 
+    /// Stores the answer for `group`'s canonical form. Only a miss on
+    /// that form leads here, so the bucket cannot hold it yet.
     fn exact_store(&self, group: &Group, entry: CacheEntry) {
-        let mut shard = self.shard(group.key).lock().expect("cache shard");
-        let bucket = shard.entry(group.key).or_default();
-        // A concurrent solver may have answered the same query while we
-        // were solving; keep the bucket duplicate-free.
-        if !bucket.iter().any(|(form, _)| *form == group.form) {
-            bucket.push((group.form.clone(), entry));
-        }
+        let mut cache = self.cache.borrow_mut();
+        let bucket = cache.entry(group.key).or_default();
+        debug_assert!(
+            bucket.iter().all(|(form, _)| *form != group.form),
+            "stored twice"
+        );
+        bucket.push((group.form.clone(), entry));
     }
 
     // ----- ground solving -------------------------------------------------
@@ -688,7 +592,7 @@ impl Solver {
         let mut model = Model::new();
         let mut nodes = 0u64;
         let verdict = self.dfs(constraints, &order, 0, &env, &mut model, &mut nodes);
-        self.stats.nodes_visited.fetch_add(nodes, Relaxed);
+        self.count(|s| s.nodes_visited += nodes);
         match verdict {
             Verdict::Sat => SolverResult::Sat(model),
             Verdict::Unsat => SolverResult::Unsat,
@@ -770,17 +674,15 @@ impl Solver {
 /// Checkpoint/resume needs the caches bit-for-bit: the trace stream of a
 /// resumed run attributes every query to the cache layer that answered
 /// it, so a resumed solver must hit and miss exactly where an
-/// uninterrupted one would. The snapshot therefore keeps per-shard
-/// layout and bucket insertion order — not just the logical cache
-/// contents.
+/// uninterrupted one would. The snapshot therefore keeps bucket
+/// insertion order — not just the logical cache contents.
 #[derive(Debug, Clone)]
 pub struct SolverSnapshot {
     stats: SolverStats,
     caching: bool,
-    group_caching: bool,
-    /// Per cache shard, sorted by key: the exact cache's buckets, each
-    /// entry `(canonical form, Some(model over ranks) | None=UNSAT)`.
-    exact: Vec<ExportedShard>,
+    /// The exact cache's buckets in ascending key order, each entry
+    /// `(canonical form, Some(model over ranks) | None=UNSAT)`.
+    exact: ExportedCache,
 }
 
 impl SolverSnapshot {
@@ -789,18 +691,14 @@ impl SolverSnapshot {
         self.stats
     }
 
-    /// The exported ablation toggles `(caching, group_caching)`.
-    pub fn toggles(&self) -> (bool, bool) {
-        (self.caching, self.group_caching)
+    /// Whether the exported solver had its exact cache switched on.
+    pub fn caching(&self) -> bool {
+        self.caching
     }
 
-    /// Total entries in the exact cache across all shards.
+    /// Total entries in the exact cache.
     pub fn exact_entries(&self) -> usize {
-        self.exact
-            .iter()
-            .flatten()
-            .map(|(_, bucket)| bucket.len())
-            .sum()
+        self.exact.iter().map(|(_, bucket)| bucket.len()).sum()
     }
 
     /// Serializes the snapshot into `w`.
@@ -818,28 +716,24 @@ impl SolverSnapshot {
             w.varint(v);
         }
         w.bool(self.caching);
-        w.bool(self.group_caching);
         w.varint(self.exact.len() as u64);
-        for shard in &self.exact {
-            w.varint(shard.len() as u64);
-            for (key, bucket) in shard {
-                w.varint(*key);
-                w.varint(bucket.len() as u64);
-                for (form, model) in bucket {
-                    // On the wire a form is the terms it denotes, through
-                    // the shared expression codec.
-                    let set = canon::decode(form);
-                    w.varint(set.len() as u64);
-                    for c in &set {
-                        w.expr(c);
+        for (key, bucket) in &self.exact {
+            w.varint(*key);
+            w.varint(bucket.len() as u64);
+            for (form, model) in bucket {
+                // On the wire a form is the terms it denotes, through the
+                // shared expression codec.
+                let set = canon::decode(form);
+                w.varint(set.len() as u64);
+                for c in &set {
+                    w.expr(c);
+                }
+                match model {
+                    Some(m) => {
+                        w.u8(1);
+                        w.model(m);
                     }
-                    match model {
-                        Some(m) => {
-                            w.u8(1);
-                            w.model(m);
-                        }
-                        None => w.u8(0),
-                    }
+                    None => w.u8(0),
                 }
             }
         }
@@ -850,9 +744,9 @@ impl SolverSnapshot {
     /// # Errors
     ///
     /// Returns [`CodecError`] on truncated or malformed input (including
-    /// a shard count that does not match this build's shard layout, and
-    /// an exact-cache entry that is not its own canonical form or sits
-    /// under a key other than that form's).
+    /// a key that does not ascend strictly from the one before, so each
+    /// cache has one encoding, and an exact-cache entry that is not its
+    /// own canonical form or sits under a key other than that form's).
     pub fn read_from(r: &mut SnapReader<'_>) -> Result<SolverSnapshot, CodecError> {
         let stats = SolverStats {
             queries: r.varint()?,
@@ -866,44 +760,37 @@ impl SolverSnapshot {
             nodes_visited: r.varint()?,
         };
         let caching = r.bool()?;
-        let group_caching = r.bool()?;
-        let shards = r.checked_len("exact cache shard count")?;
-        if shards != CACHE_SHARDS {
-            return Err(CodecError::Malformed("exact cache shard count"));
-        }
-        let mut exact = Vec::with_capacity(shards);
-        for index in 0..shards {
-            let keys = r.checked_len("exact cache key count")?;
-            let mut shard = Vec::with_capacity(keys);
-            for _ in 0..keys {
-                let key = r.varint()?;
-                let entries = r.checked_len("exact cache bucket size")?;
-                let mut bucket = Vec::with_capacity(entries);
-                for _ in 0..entries {
-                    let n = r.checked_len("exact cache set size")?;
-                    let mut set = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        set.push(r.expr()?);
-                    }
-                    let model = match r.u8()? {
-                        0 => None,
-                        1 => Some(r.model()?),
-                        _ => return Err(CodecError::Malformed("cache entry tag")),
-                    };
-                    let form = canon::check_entry(&set, model.as_ref())?;
-                    if canon::key(&form) != key || shard_of(key) != index {
-                        return Err(CodecError::Malformed("exact cache entry key"));
-                    }
-                    bucket.push((form, model));
-                }
-                shard.push((key, bucket));
+        let keys = r.checked_len("exact cache key count")?;
+        let mut exact: ExportedCache = Vec::with_capacity(keys);
+        for _ in 0..keys {
+            let key = r.varint()?;
+            if exact.last().is_some_and(|(last, _)| *last >= key) {
+                return Err(CodecError::Malformed("exact cache key order"));
             }
-            exact.push(shard);
+            let entries = r.checked_len("exact cache bucket size")?;
+            let mut bucket = Vec::with_capacity(entries);
+            for _ in 0..entries {
+                let n = r.checked_len("exact cache set size")?;
+                let mut set = Vec::with_capacity(n);
+                for _ in 0..n {
+                    set.push(r.expr()?);
+                }
+                let model = match r.u8()? {
+                    0 => None,
+                    1 => Some(r.model()?),
+                    _ => return Err(CodecError::Malformed("cache entry tag")),
+                };
+                let form = canon::check_entry(&set, model.as_ref())?;
+                if canon::key(&form) != key {
+                    return Err(CodecError::Malformed("exact cache entry key"));
+                }
+                bucket.push((form, model));
+            }
+            exact.push((key, bucket));
         }
         Ok(SolverSnapshot {
             stats,
             caching,
-            group_caching,
             exact,
         })
     }
@@ -1088,7 +975,7 @@ fn partition(work: Vec<ExprRef>) -> Vec<Group> {
     }
     members
         .into_iter()
-        .map(|(constraints, vars)| Group::new(constraints, vars))
+        .map(|(constraints, vars)| Group::new(&constraints, vars))
         .collect()
 }
 
@@ -1287,16 +1174,7 @@ mod tests {
             .with(Expr::ugt(x.clone(), c8(3)))
             .with(Expr::ult(x.clone(), c8(10)));
 
-        // Whole-query granularity: repeats hit, but group stats stay zero.
-        let s = Solver::new();
-        s.set_group_caching(false);
-        assert!(s.is_sat(&pc));
-        assert!(s.is_sat(&pc));
-        let stats = s.stats();
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.group_cache_hits, 0);
-
-        // Everything off: no layer answers anything.
+        // Caching off: no layer answers anything.
         let s = Solver::new();
         s.set_caching(false);
         assert!(s.is_sat(&pc));
@@ -1316,54 +1194,30 @@ mod tests {
             .with(Expr::ugt(x.clone(), c8(3)))
             .with(Expr::ult(x, c8(10)));
         let budget = SolverBudget { max_nodes: 77_777 };
-        // The three ablation settings the bench bins' `--layers` applies:
-        // full, exact-only and off.
-        for toggles in [(true, true), (true, false), (false, true)] {
-            let (caching, group_caching) = toggles;
+        // The two settings the bench bins' `--layers` applies: full and
+        // off.
+        for caching in [true, false] {
             let s = Solver::with_budget(budget);
             s.set_caching(caching);
-            s.set_group_caching(group_caching);
             assert!(s.is_sat(&pc));
             let warmed = s.export_state();
-            assert_eq!(warmed.exact_entries() > 0, caching, "{toggles:?}");
+            assert_eq!(warmed.exact_entries() > 0, caching);
 
             let copy = s.fresh_like();
             assert_eq!(copy.budget, budget);
             let snap = copy.export_state();
-            assert_eq!(snap.toggles(), toggles);
-            assert_eq!(snap.exact_entries(), 0, "{toggles:?}");
+            assert_eq!(snap.caching(), caching);
+            assert_eq!(snap.exact_entries(), 0, "caching {caching}");
             assert_eq!(copy.stats(), SolverStats::default());
         }
     }
 
-    #[test]
-    fn solver_is_shareable_across_threads() {
-        fn assert_sync_send<T: Sync + Send>() {}
-        assert_sync_send::<Solver>();
-
-        // Concurrent queries against one shared solver: all agree, and the
-        // counters account for every query.
-        let mut t = SymbolTable::new();
-        let vars: Vec<_> = (0..4)
-            .map(|i| t.fresh(&format!("v{i}"), Width::W8))
-            .collect();
-        let s = Solver::new();
-        std::thread::scope(|scope| {
-            for v in &vars {
-                let s = &s;
-                scope.spawn(move || {
-                    let pc = PathCondition::new().with(Expr::eq(Expr::sym(v.clone()), c8(7)));
-                    for _ in 0..8 {
-                        assert!(s.is_sat(&pc));
-                    }
-                });
-            }
-        });
-        let stats = s.stats();
-        assert_eq!(stats.queries, 32);
-        assert_eq!(stats.sat, 32);
-        assert!(stats.cache_hits >= 28, "{} hits", stats.cache_hits);
-    }
+    // A sharded run moves each worker's own solver onto its thread
+    // (`Solver::fresh_like`); no thread shares one.
+    const _: () = {
+        const fn assert_send<T: Send>() {}
+        assert_send::<Solver>();
+    };
 
     #[test]
     fn budget_exhaustion_reports_unknown() {

@@ -1,9 +1,8 @@
 //! Differential tests for the incremental solver stack (DESIGN.md §6):
-//! every cache layer must be answer-preserving. A seeded sweep of random
-//! constraint sets is solved by four solvers — all layers on, group
-//! caching off, the whole-query cache alone, all layers off — and they
-//! must agree query for query, model for model, with every returned
-//! model actually satisfying its query. Re-asking a query under fresh
+//! the exact cache must be answer-preserving. A seeded sweep of random
+//! constraint sets is solved by two solvers — caching on and caching
+//! off — and they must agree query for query, model for model, with
+//! every returned model actually satisfying its query. Re-asking a query under fresh
 //! symbols must be a pure cache hit: the exact cache keys modulo
 //! order-preserving symbol renaming, and the answer for a group is a
 //! pure function of its canonical form.
@@ -105,11 +104,10 @@ fn assert_model_satisfies(pc: &PathCondition, r: &SolverResult, label: &str, rou
     }
 }
 
-/// The core differential property: solvers with different cache layers
-/// enabled answer an identical stream of random queries; whenever the
-/// cache-free baseline decides a query, every cached configuration must
-/// return the same answer — verdict and model — and every model must
-/// satisfy its query.
+/// The core differential property: a caching and a cache-free solver
+/// answer an identical stream of random queries; whenever the cache-free
+/// baseline decides a query, the caching one must return the same
+/// answer — verdict and model — and every model must satisfy its query.
 /// (A cache layer *may* decide a query the baseline abandons as Unknown —
 /// that is the documented budget caveat — but with the default budget and
 /// these domains no query goes Unknown.)
@@ -123,12 +121,8 @@ fn cache_layers_preserve_verdicts() {
     let pool = pool_over(&mut rng, &vars);
 
     let all_on = Solver::new();
-    let no_group = Solver::new();
-    no_group.set_group_caching(false);
     let all_off = Solver::new();
     all_off.set_caching(false);
-    let configs: [(&str, &Solver); 2] =
-        [("all-layers-on", &all_on), ("group-caching-off", &no_group)];
     let mut multi_variable_rounds = 0;
 
     for round in 0..400 {
@@ -144,21 +138,16 @@ fn cache_layers_preserve_verdicts() {
             "round {round}: baseline unexpectedly exhausted its budget on {pc}"
         );
         assert_model_satisfies(&pc, &baseline, "baseline", round);
-        for (label, solver) in configs {
-            let got = solver.check(&pc);
-            assert_eq!(
-                verdict(&got),
-                verdict(&baseline),
-                "round {round}: {label} disagrees with the cache-free baseline on {pc}"
-            );
-            assert_model_satisfies(&pc, &got, label, round);
-            // One answer per query: hits, misses and caching off agree
-            // model for model.
-            assert_eq!(
-                got, baseline,
-                "round {round}: {label} model differs on {pc}"
-            );
-        }
+        let got = all_on.check(&pc);
+        assert_eq!(
+            verdict(&got),
+            verdict(&baseline),
+            "round {round}: the cache disagrees with the cache-free baseline on {pc}"
+        );
+        assert_model_satisfies(&pc, &got, "all-layers-on", round);
+        // One answer per query: hits, misses and caching off agree model
+        // for model.
+        assert_eq!(got, baseline, "round {round}: cached model differs on {pc}");
 
         // Renaming is invisible: the same query over four fresh symbols,
         // minted in the same order, is answered entirely by the exact
@@ -229,11 +218,6 @@ fn cache_layers_preserve_verdicts() {
     let stats = all_on.stats();
     assert!(stats.cache_hits > 0, "no whole-query cache hits: {stats:?}");
     assert!(stats.group_cache_hits > 0, "no group cache hits: {stats:?}");
-    let legacy = no_group.stats();
-    assert!(
-        legacy.cache_hits > 0 && legacy.group_cache_hits == 0,
-        "whole-query fallback must hit without group entries: {legacy:?}"
-    );
     assert!(
         multi_variable_rounds > 100,
         "too few multi-variable groups to tell rank order from reversal: {multi_variable_rounds}"

@@ -1,11 +1,10 @@
-//! The `--layers` columns of the strategy matrix (`tests/common/matrix.rs`):
-//! with the bench bins' `--layers exact` and `--layers off` applied to the
-//! engine's solver, a sharded run must still be bit-identical to the
-//! serial run with the full solver stack, at every worker count, for every
-//! algorithm, topology and failure model. Each shard worker gets a solver
-//! configured like the engine's (`Solver::fresh_like`), so these cells run
-//! the uncached solving paths on every thread; under `--layers off` no
-//! answer may come from a cache. Solver layers may only change solver
+//! The `--layers` column of the strategy matrix (`tests/common/matrix.rs`):
+//! with the bench bins' `--layers off` applied to the engine's solver, a
+//! sharded run must still be bit-identical to the serial run with the full
+//! solver stack, at every worker count, for every algorithm, topology and
+//! failure model. Each shard worker gets a solver configured like the
+//! engine's (`Solver::fresh_like`), so these cells run the uncached
+//! solving path on every thread, and no answer may come from a cache. Solver layers may only change solver
 //! counters, which `RunReport::equivalence_key` deliberately excludes.
 
 mod common;
@@ -15,11 +14,11 @@ use common::matrix::{Column, WORKERS};
 use sde::prelude::*;
 use sde_bench::SolverLayers;
 
-/// Both cut-down solver configurations at every worker count.
+/// The uncached solver at every worker count.
 fn layered() -> Vec<Column> {
-    let layers = [SolverLayers::ExactOnly, SolverLayers::Off];
-    let columns = layers.map(|l| WORKERS.map(|w| Column::sharded(w).layers(l)));
-    columns.concat()
+    WORKERS
+        .map(|w| Column::sharded(w).layers(SolverLayers::Off))
+        .into()
 }
 
 #[test]
@@ -43,14 +42,6 @@ fn reboots_are_bit_identical_across_worker_counts() {
 #[test]
 fn sense_workload_is_bit_identical_across_worker_counts() {
     let columns = WORKERS.map(|w| Column::sharded(w).layers(SolverLayers::Off));
-    check(&[sense_line4()], &Algorithm::ALL, &columns);
-}
-
-/// The sense row's `--layers exact` group: a test of its own, so cargo
-/// runs the two solver-bound groups on two threads.
-#[test]
-fn sense_workload_is_bit_identical_with_exact_matching_only() {
-    let columns = WORKERS.map(|w| Column::sharded(w).layers(SolverLayers::ExactOnly));
     check(&[sense_line4()], &Algorithm::ALL, &columns);
 }
 

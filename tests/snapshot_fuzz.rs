@@ -405,42 +405,71 @@ fn a_shard_root_beyond_32_bits_is_malformed() {
 /// canonical form (DESIGN.md §6): an entry that is not its own canonical
 /// form would decode, never hit, and shift the resumed run's trace
 /// attribution without a word — or, with a model outside its rank table,
-/// index past the group's variables on a hit. `SolverSnapshot::read_from`
-/// refuses each, naming what is wrong.
+/// index past the group's variables on a hit. Keys ascend strictly, so
+/// each cache has one encoding. `SolverSnapshot::read_from` refuses each
+/// departure, naming what is wrong.
 #[test]
 fn solver_snapshot_refuses_exact_entries_outside_their_canonical_form() {
     use sde::symbolic::{
         CodecError, ExprRef, SnapReader, SnapWriter, SolverSnapshot, SymVar, SymbolTable,
     };
 
-    /// A solver snapshot whose only content is one exact-cache entry,
-    /// under key 0 in shard 0.
-    fn snapshot_with_entry(set: &[ExprRef], model: Option<&Model>) -> Vec<u8> {
-        const SHARDS: u64 = 16;
+    /// One exact-cache entry on the wire: its key, its constraints and
+    /// its model (`None` for UNSAT).
+    type Entry = (u64, Vec<ExprRef>, Option<Model>);
+
+    /// A solver snapshot whose only content is `entries`, one bucket of
+    /// one entry each, in the order given.
+    fn snapshot_with(entries: &[Entry]) -> Vec<u8> {
         let mut w = SnapWriter::new();
         (0..7).for_each(|_| w.varint(0)); // counters
-        (0..2).for_each(|_| w.bool(true)); // toggles
-        w.varint(SHARDS);
-        w.varint(1); // shard 0: one key …
-        w.varint(0); // … key 0 …
-        w.varint(1); // … one entry
-        w.varint(set.len() as u64);
-        set.iter().for_each(|c| w.expr(c));
-        match model {
-            Some(m) => {
-                w.u8(1);
-                w.model(m);
+        w.bool(true); // caching
+        w.varint(entries.len() as u64);
+        for (key, set, model) in entries {
+            w.varint(*key);
+            w.varint(1); // one entry in the bucket
+            w.varint(set.len() as u64);
+            set.iter().for_each(|c| w.expr(c));
+            match model {
+                Some(m) => {
+                    w.u8(1);
+                    w.model(m);
+                }
+                None => w.u8(0),
             }
-            None => w.u8(0),
         }
-        (1..SHARDS).for_each(|_| w.varint(0));
         w.finish()
+    }
+    /// The entries of a solver's own export, read back off the wire.
+    fn entries_of(solver: &Solver) -> Vec<Entry> {
+        let mut w = SnapWriter::new();
+        solver.export_state().write_into(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).expect("pool decodes");
+        for _ in 0..7 {
+            r.varint().expect("counter");
+        }
+        r.bool().expect("caching");
+        let keys = r.varint().expect("key count");
+        (0..keys)
+            .map(|_| {
+                let key = r.varint().expect("key");
+                assert_eq!(r.varint(), Ok(1), "one entry per bucket");
+                let n = r.varint().expect("set size");
+                let set = (0..n).map(|_| r.expr().expect("constraint")).collect();
+                let model = (r.u8() == Ok(1)).then(|| r.model().expect("model"));
+                (key, set, model)
+            })
+            .collect()
     }
     let decode = |bytes: &[u8]| {
         let mut r = SnapReader::new(bytes).expect("pool decodes");
         SolverSnapshot::read_from(&mut r).map(|s| s.exact_entries())
     };
     let refused = |why| Err(CodecError::Malformed(why));
+    let one = |set: &[ExprRef], model: Option<&Model>| {
+        snapshot_with(&[(0, set.to_vec(), model.cloned())])
+    };
 
     // The anonymous symbols of a canonical form are what a fresh table
     // mints for the empty name: ids 0, 1, … with no replay key.
@@ -449,24 +478,28 @@ fn solver_snapshot_refuses_exact_entries_outside_their_canonical_form() {
     let [r0, r1] = [0, 1].map(|i| Expr::sym(ranks[i].clone()));
     let c8 = |v| Expr::const_(v, Width::W8);
 
-    // Control: a solver's own export decodes, entry and all.
+    // Control: a solver's own export decodes, entries and all, and so
+    // does its hand-built twin.
     let solver = Solver::new();
     let mut table = SymbolTable::new();
     table.fresh("pad", Width::W8);
     let x = Expr::sym(table.fresh_keyed("x", Width::W8, 3, 1));
     assert!(solver.is_sat(&PathCondition::new().with(Expr::eq(x.clone(), c8(7)))));
+    assert!(solver.is_sat(&PathCondition::new().with(Expr::ult(x.clone(), c8(9)))));
     let mut w = SnapWriter::new();
     solver.export_state().write_into(&mut w);
-    assert_eq!(decode(&w.finish()), Ok(1));
+    assert_eq!(decode(&w.finish()), Ok(2));
+    let entries = entries_of(&solver);
+    assert_eq!(decode(&snapshot_with(&entries)), Ok(2));
 
     // 1. Symbol ids that are not the dense ranks 0..k: a real, named
     //    symbol (what a v5 cache held), and a gap (rank 1 without rank 0).
     assert_eq!(
-        decode(&snapshot_with_entry(&[Expr::eq(x, c8(7))], None)),
+        decode(&one(&[Expr::eq(x, c8(7))], None)),
         refused("exact cache entry symbols")
     );
     assert_eq!(
-        decode(&snapshot_with_entry(&[Expr::eq(r1.clone(), c8(7))], None)),
+        decode(&one(&[Expr::eq(r1.clone(), c8(7))], None)),
         refused("exact cache entry symbols")
     );
 
@@ -475,8 +508,8 @@ fn solver_snapshot_refuses_exact_entries_outside_their_canonical_form() {
     //    the key check (key 0 is not its key).
     let (a, b) = (Expr::ult(r0.clone(), r1), Expr::ne(r0.clone(), c8(9)));
     let orders = [
-        decode(&snapshot_with_entry(&[a.clone(), b.clone()], None)),
-        decode(&snapshot_with_entry(&[b, a], None)),
+        decode(&one(&[a.clone(), b.clone()], None)),
+        decode(&one(&[b, a], None)),
     ];
     assert!(
         orders.contains(&refused("exact cache entry order"))
@@ -487,7 +520,18 @@ fn solver_snapshot_refuses_exact_entries_outside_their_canonical_form() {
     // 3. A model assigning an id ≥ k (here k = 1).
     let stray: Model = [(ranks[1].id(), 3)].into_iter().collect();
     assert_eq!(
-        decode(&snapshot_with_entry(&[Expr::ne(r0, c8(9))], Some(&stray))),
+        decode(&one(&[Expr::ne(r0, c8(9))], Some(&stray))),
         refused("exact cache entry model")
     );
+
+    // 4. Well-formed entries under keys that do not ascend strictly: the
+    //    export's two in descending order, and its first one twice.
+    let descending: Vec<Entry> = entries.iter().rev().cloned().collect();
+    let repeated = vec![entries[0].clone(), entries[0].clone()];
+    for keys in [descending, repeated] {
+        assert_eq!(
+            decode(&snapshot_with(&keys)),
+            refused("exact cache key order")
+        );
+    }
 }

@@ -169,32 +169,32 @@ fn paused_sense(alg: Algorithm) -> Engine {
     engine
 }
 
-/// Snapshots written at the commit that introduced version 7:
-/// `tests/data/v7_{cob,cow,sds}.snap` (`paused_fault_line`) and
-/// `tests/data/v7_sense_{cob,cow,sds}.snap` (`paused_sense`). Version 8
-/// dropped model reuse's toggle, counter and cached models, and the
-/// second copies of the packet and state counters, so the header alone
-/// refuses each, loudly.
+/// Snapshots written at the commit that introduced version 8:
+/// `tests/data/v8_{cob,cow,sds}.snap` (`paused_fault_line`) and
+/// `tests/data/v8_sense_{cob,cow,sds}.snap` (`paused_sense`). Version 9
+/// stores the solver cache as one key-ordered list instead of 16
+/// per-shard lists and drops the whole-query caching toggle, so the
+/// header alone refuses each, loudly.
 #[test]
-fn version_7_snapshots_are_refused() {
-    for prefix in ["v7", "v7_sense"] {
+fn version_8_snapshots_are_refused() {
+    for prefix in ["v8", "v8_sense"] {
         for alg in Algorithm::ALL {
             let path = format!("tests/data/{prefix}_{}.snap", alg.name().to_lowercase());
             let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
             let err = EngineSnapshot::from_bytes(&bytes).unwrap_err();
-            assert_eq!(err, SnapshotError::UnsupportedVersion(7), "{path}");
-            let message = "unsupported snapshot version 7 (expected 8)";
+            assert_eq!(err, SnapshotError::UnsupportedVersion(8), "{path}");
+            let message = "unsupported snapshot version 8 (expected 9)";
             assert_eq!(err.to_string(), message, "{path}");
         }
     }
 }
 
-/// Snapshots written at the commit that introduced version 8, for later
+/// Snapshots written at the commit that introduced version 9, for later
 /// codec changes to check as parent-written. A throwaway
 /// `tests/write_fixtures.rs` added to that tree wrote each with
 /// `std::fs::write(path, engine.snapshot().to_bytes())`, `engine` being
-/// this file's `paused_fault_line(alg)` (`tests/data/v8_{cob,cow,sds}.snap`)
-/// or `paused_sense(alg)` (`tests/data/v8_sense_{cob,cow,sds}.snap`),
+/// this file's `paused_fault_line(alg)` (`tests/data/v9_{cob,cow,sds}.snap`)
+/// or `paused_sense(alg)` (`tests/data/v9_sense_{cob,cow,sds}.snap`),
 /// both copied in (`cargo test --release --test write_fixtures`, from the
 /// repo root).
 ///
@@ -212,7 +212,7 @@ fn version_7_snapshots_are_refused() {
 /// run would replay there and mints fresh symbols; each fault-line pause
 /// sits where no such replay is pending, which `states_executed`
 /// confirms.
-fn check_v8_fixture(path: &str, paused: Engine, scenario: Scenario, straight: RunReport) {
+fn check_v9_fixture(path: &str, paused: Engine, scenario: Scenario, straight: RunReport) {
     let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("{path}: {e}"));
     assert!(bytes.len() < 64 << 10, "{path} is not small");
     let snap = EngineSnapshot::from_bytes(&bytes).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -229,21 +229,21 @@ fn check_v8_fixture(path: &str, paused: Engine, scenario: Scenario, straight: Ru
 }
 
 #[test]
-fn v8_fault_line_snapshots_reencode_and_resume() {
+fn v9_fault_line_snapshots_reencode_and_resume() {
     for alg in Algorithm::ALL {
-        let path = format!("tests/data/v8_{}.snap", alg.name().to_lowercase());
+        let path = format!("tests/data/v9_{}.snap", alg.name().to_lowercase());
         let straight = Engine::new(fault_line(), alg).with_dedup(true).run();
-        check_v8_fixture(&path, paused_fault_line(alg), fault_line(), straight);
+        check_v9_fixture(&path, paused_fault_line(alg), fault_line(), straight);
     }
 }
 
 #[test]
-fn v8_sense_snapshots_reencode_and_resume() {
+fn v9_sense_snapshots_reencode_and_resume() {
     for alg in Algorithm::ALL {
-        let path = format!("tests/data/v8_sense_{}.snap", alg.name().to_lowercase());
+        let path = format!("tests/data/v9_sense_{}.snap", alg.name().to_lowercase());
         let straight = Engine::new(sde_bench::symbolic_grid(3), alg).run();
         let scenario = sde_bench::symbolic_grid(3);
-        check_v8_fixture(&path, paused_sense(alg), scenario, straight);
+        check_v9_fixture(&path, paused_sense(alg), scenario, straight);
     }
 }
 
