@@ -79,7 +79,7 @@ fn checkrun(args: &Args) -> ExitCode {
         workers.unwrap_or(1),
     );
 
-    let sink = std::sync::Arc::new(sde_trace::BufferSink::new());
+    let sink = std::sync::Arc::new(sde_trace::RingSink::new(usize::MAX));
     let mut engine = Engine::new(scenario.clone(), algorithm)
         .with_trace_sink(sink.clone() as std::sync::Arc<dyn sde_trace::TraceSink>);
     match workers {
@@ -96,7 +96,7 @@ fn checkrun(args: &Args) -> ExitCode {
     drop(engine);
 
     let mut violations = violations;
-    if let Ok(lineage) = sde_trace::Lineage::from_events(sink.drain().iter()) {
+    if let Ok(lineage) = sde_trace::Lineage::from_events(sink.take().iter().map(|te| &te.ev)) {
         for v in &mut violations {
             v.fill_lineage(&lineage);
         }

@@ -14,7 +14,7 @@ use sde_core::check::{Checker, Violation};
 use sde_core::oracle::Assignment;
 use sde_core::{Algorithm, Engine, MinimizeReport, Minimizer, Scenario};
 use sde_net::FailureKind;
-use sde_trace::{BufferSink, Lineage, TraceSink};
+use sde_trace::{Lineage, RingSink, TraceSink};
 use std::sync::Arc;
 
 /// A demo's scenario under every fault axis, and its invariants.
@@ -34,7 +34,7 @@ fn token_checker() -> Checker {
 /// Explores the token demo with `workers` and returns the first
 /// violation, lineage filled — the repro bin's selection rule.
 fn find_violation(scenario: &Scenario, workers: usize) -> Option<Violation> {
-    let sink = Arc::new(BufferSink::new());
+    let sink = Arc::new(RingSink::new(usize::MAX));
     let mut engine = Engine::new(scenario.clone(), Algorithm::Sds)
         .with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
     if workers > 1 {
@@ -43,7 +43,10 @@ fn find_violation(scenario: &Scenario, workers: usize) -> Option<Violation> {
         engine.run_in_place();
     }
     let mut violation = token_checker().check(&engine).into_iter().next()?;
-    let lineage = Lineage::from_events(sink.drain().iter()).expect("trace must be well-formed");
+    assert_eq!(sink.dropped(), 0, "an unbounded recorder drops nothing");
+    let events = sink.take();
+    let lineage =
+        Lineage::from_events(events.iter().map(|te| &te.ev)).expect("trace must be well-formed");
     violation.fill_lineage(&lineage);
     Some(violation)
 }

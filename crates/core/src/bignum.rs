@@ -170,16 +170,6 @@ impl BigUint {
             _ => None,
         }
     }
-
-    /// Approximate value as `f64` (`inf` when enormous) — used for
-    /// plotting the §III-E bounds.
-    pub fn to_f64(&self) -> f64 {
-        let mut v = 0.0f64;
-        for &l in self.limbs.iter().rev() {
-            v = v * 1.8446744073709552e19 + l as f64;
-        }
-        v
-    }
 }
 
 impl From<u64> for BigUint {
@@ -312,12 +302,5 @@ mod tests {
     #[should_panic(expected = "underflow")]
     fn sub_underflow_panics() {
         let _ = BigUint::one().sub(&BigUint::from(2u64));
-    }
-
-    #[test]
-    fn to_f64_is_close() {
-        let v = BigUint::from(2u64).pow(70);
-        let expected = 2f64.powi(70);
-        assert!((v.to_f64() - expected).abs() / expected < 1e-12);
     }
 }

@@ -93,13 +93,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the per-hop latency.
-    #[must_use]
-    pub fn with_link_latency_ms(mut self, ms: u64) -> Scenario {
-        self.link_latency_ms = ms;
-        self
-    }
-
     /// Sets the abort cap on total created states.
     #[must_use]
     pub fn with_state_cap(mut self, cap: usize) -> Scenario {
@@ -149,12 +142,10 @@ mod tests {
         let programs = vec![noop_program(), noop_program(), noop_program()];
         let s = Scenario::new(t, programs)
             .with_duration_ms(5000)
-            .with_link_latency_ms(7)
             .with_state_cap(100)
             .with_history_tracking(true)
             .with_sample_every(0);
         assert_eq!(s.duration_ms, 5000);
-        assert_eq!(s.link_latency_ms, 7);
         assert_eq!(s.state_cap, 100);
         assert!(s.track_history);
         assert_eq!(s.sample_every, 1, "clamped to at least 1");

@@ -48,15 +48,6 @@ impl TimeSeries {
         self.samples.iter().map(|s| s.bytes).max().unwrap_or(0)
     }
 
-    /// The peak state count across the run.
-    pub fn peak_states(&self) -> usize {
-        self.samples
-            .iter()
-            .map(|s| s.total_states)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Writes the series as CSV (`wall_ms,virtual_ms,live,total,bytes,groups`).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("wall_ms,virtual_ms,live_states,total_states,bytes,groups\n");
@@ -433,7 +424,6 @@ mod tests {
             groups: 2,
         });
         assert_eq!(ts.peak_bytes(), 900);
-        assert_eq!(ts.peak_states(), 11);
         let csv = ts.to_csv();
         assert_eq!(csv.lines().count(), 4);
         assert!(csv.starts_with("wall_ms,"));

@@ -46,26 +46,6 @@ pub struct TestCase {
     pub model: Model,
 }
 
-impl TestCase {
-    /// Renders the test case as a human-readable report, one line per
-    /// pinned input, grouped by node — the artifact a developer would
-    /// check into a regression suite.
-    pub fn to_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!("test case #{}\n", self.id);
-        for node in &self.nodes {
-            let _ = writeln!(out, "  {} (state {}):", node.node, node.state);
-            if node.inputs.is_empty() {
-                let _ = writeln!(out, "    (no constrained inputs)");
-            }
-            for (name, value) in &node.inputs {
-                let _ = writeln!(out, "    {name} = {value}");
-            }
-        }
-        out
-    }
-}
-
 /// The outcome of a generation run.
 #[derive(Debug, Clone, Default)]
 pub struct TestGenReport {
@@ -247,16 +227,6 @@ mod tests {
             }
             assert_eq!(regions.len(), 4, "{alg}: all four regions covered");
         }
-    }
-
-    #[test]
-    fn report_rendering() {
-        let engine = fig1_engine(Algorithm::Cob);
-        let report = generate(&engine, 1);
-        let text = report.cases[0].to_report();
-        assert!(text.starts_with("test case #0"));
-        assert!(text.contains("n0 (state "));
-        assert!(text.contains("x = "));
     }
 
     #[test]

@@ -38,11 +38,6 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Total expression nodes in the payload (memory accounting).
-    pub fn payload_nodes(&self) -> usize {
-        self.payload.iter().map(|e| e.node_count()).sum()
-    }
-
     /// Returns `true` when every payload word is concrete.
     pub fn is_concrete(&self) -> bool {
         self.payload.iter().all(|e| e.is_concrete())
@@ -77,6 +72,5 @@ mod tests {
             ..p.clone()
         };
         assert!(!q.is_concrete());
-        assert_eq!(q.payload_nodes(), 1);
     }
 }

@@ -49,8 +49,6 @@ impl From<u16> for NodeId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     adjacency: Vec<BTreeSet<u16>>,
-    /// For `grid` topologies, the width (used by display helpers).
-    grid_width: Option<u16>,
 }
 
 impl Topology {
@@ -63,7 +61,6 @@ impl Topology {
         assert!(k > 0, "a topology needs at least one node");
         Topology {
             adjacency: vec![BTreeSet::new(); usize::from(k)],
-            grid_width: None,
         }
     }
 
@@ -96,7 +93,6 @@ impl Topology {
         assert!(width > 0 && height > 0, "grid dimensions must be positive");
         let k = width.checked_mul(height).expect("grid too large");
         let mut t = Topology::disconnected(k);
-        t.grid_width = Some(width);
         for y in 0..height {
             for x in 0..width {
                 let id = y * width + x;
@@ -119,19 +115,6 @@ impl Topology {
             for b in (a + 1)..k {
                 t.add_link(NodeId(a), NodeId(b));
             }
-        }
-        t
-    }
-
-    /// A topology over `k` nodes from an explicit edge list.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an edge references a node `>= k` or is a self-loop.
-    pub fn from_edges(k: u16, edges: &[(u16, u16)]) -> Topology {
-        let mut t = Topology::disconnected(k);
-        for &(a, b) in edges {
-            t.add_link(NodeId(a), NodeId(b));
         }
         t
     }
@@ -232,48 +215,6 @@ impl Topology {
     pub fn distance(&self, src: NodeId, dst: NodeId) -> Option<usize> {
         self.route(src, dst).map(|r| r.len() - 1)
     }
-
-    /// For grid topologies, the `(x, y)` coordinate of a node.
-    pub fn grid_coords(&self, node: NodeId) -> Option<(u16, u16)> {
-        let w = self.grid_width?;
-        Some((node.0 % w, node.0 / w))
-    }
-
-    /// Renders the topology in Graphviz DOT format (undirected), with
-    /// grid coordinates as layout hints when available.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sde_net::Topology;
-    ///
-    /// let dot = Topology::line(3).to_dot();
-    /// assert!(dot.starts_with("graph topology {"));
-    /// assert!(dot.contains("n0 -- n1"));
-    /// ```
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("graph topology {\n");
-        for node in self.nodes() {
-            match self.grid_coords(node) {
-                Some((x, y)) => {
-                    let _ = writeln!(out, "  {node} [pos=\"{x},{y}!\"];");
-                }
-                None => {
-                    let _ = writeln!(out, "  {node};");
-                }
-            }
-        }
-        for a in self.nodes() {
-            for b in self.neighbors(a) {
-                if a < b {
-                    let _ = writeln!(out, "  {a} -- {b};");
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +251,6 @@ mod tests {
         assert_eq!(t.degree(NodeId(1)), 3);
         assert!(t.are_neighbors(NodeId(0), NodeId(5)));
         assert!(!t.are_neighbors(NodeId(4), NodeId(5))); // row wrap is not a link
-        assert_eq!(t.grid_coords(NodeId(7)), Some((2, 1)));
     }
 
     #[test]
@@ -353,7 +293,8 @@ mod tests {
 
     #[test]
     fn unreachable_route_is_none() {
-        let t = Topology::from_edges(4, &[(0, 1)]);
+        let mut t = Topology::disconnected(4);
+        t.add_link(NodeId(0), NodeId(1));
         assert_eq!(t.route(NodeId(0), NodeId(3)), None);
         assert_eq!(t.next_hop(NodeId(0), NodeId(3)), None);
         assert_eq!(t.next_hop(NodeId(0), NodeId(0)), None);
@@ -371,19 +312,5 @@ mod tests {
         let t = Topology::grid(3, 2);
         let ids: Vec<u16> = t.nodes().map(|n| n.0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn dot_export_lists_each_edge_once() {
-        let t = Topology::grid(2, 2);
-        let dot = t.to_dot();
-        assert_eq!(dot.matches(" -- ").count(), 4);
-        assert!(dot.contains("n0 [pos=\"0,0!\"]"));
-        assert!(dot.contains("n3 [pos=\"1,1!\"]"));
-        assert!(dot.ends_with("}\n"));
-        // Non-grid topologies omit the layout hints.
-        let ring = Topology::ring(3).to_dot();
-        assert!(ring.contains("  n0;\n"));
-        assert_eq!(ring.matches(" -- ").count(), 3);
     }
 }

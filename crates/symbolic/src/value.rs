@@ -156,15 +156,6 @@ impl Value {
         }
     }
 
-    /// Number of expression nodes (see [`Expr::node_count`]); 1 for a
-    /// constant.
-    pub fn node_count(&self) -> usize {
-        match &self.0 {
-            Repr::Const { .. } => 1,
-            Repr::Term(e) => e.node_count(),
-        }
-    }
-
     /// `self op rhs`; comparison operators yield width 1.
     ///
     /// # Panics
@@ -495,6 +486,5 @@ mod tests {
         assert_ne!(Value::const_(1, Width::W8), Value::const_(1, Width::W16));
         assert_eq!(v.to_string(), "7:i8");
         assert!(v.is_concrete());
-        assert_eq!(v.node_count(), 1);
     }
 }

@@ -53,23 +53,6 @@ impl ForkReason {
         }
     }
 
-    /// Inverse of [`ForkReason::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "branch" => ForkReason::Branch,
-            "mapping" => ForkReason::Mapping,
-            "drop" => ForkReason::Drop,
-            "duplicate" => ForkReason::Duplicate,
-            "reboot" => ForkReason::Reboot,
-            "latency" => ForkReason::Latency,
-            "corrupt" => ForkReason::Corrupt,
-            "crash" => ForkReason::Crash,
-            "partition" => ForkReason::Partition,
-            "heal" => ForkReason::Heal,
-            _ => return None,
-        })
-    }
-
     /// All reasons, in encoding order.
     pub const ALL: [ForkReason; 10] = [
         ForkReason::Branch,
@@ -108,16 +91,6 @@ impl DispatchKind {
         }
     }
 
-    /// Inverse of [`DispatchKind::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "boot" => DispatchKind::Boot,
-            "timer" => DispatchKind::Timer,
-            "deliver" => DispatchKind::Deliver,
-            _ => return None,
-        })
-    }
-
     /// All kinds, in encoding order.
     pub const ALL: [DispatchKind; 3] = [
         DispatchKind::Boot,
@@ -150,15 +123,8 @@ impl QueryLayer {
         }
     }
 
-    /// Inverse of [`QueryLayer::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "fold" => QueryLayer::Fold,
-            "exact" => QueryLayer::Exact,
-            "solve" => QueryLayer::Solve,
-            _ => return None,
-        })
-    }
+    /// All layers, in encoding order.
+    pub const ALL: [QueryLayer; 3] = [QueryLayer::Fold, QueryLayer::Exact, QueryLayer::Solve];
 }
 
 /// Which layer answered one independence *group* of a query.
@@ -191,16 +157,13 @@ impl GroupLayer {
         }
     }
 
-    /// Inverse of [`GroupLayer::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "exact" => GroupLayer::Exact,
-            "reuse" => GroupLayer::Reuse,
-            "ucore" => GroupLayer::Ucore,
-            "solve" => GroupLayer::Solve,
-            _ => return None,
-        })
-    }
+    /// All layers, in encoding order.
+    pub const ALL: [GroupLayer; 4] = [
+        GroupLayer::Exact,
+        GroupLayer::Reuse,
+        GroupLayer::Ucore,
+        GroupLayer::Solve,
+    ];
 }
 
 /// Solver verdict for a query.
@@ -224,20 +187,29 @@ impl Verdict {
         }
     }
 
-    /// Inverse of [`Verdict::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "sat" => Verdict::Sat,
-            "unsat" => Verdict::Unsat,
-            "unknown" => Verdict::Unknown,
-            _ => return None,
-        })
-    }
+    /// All verdicts, in encoding order.
+    pub const ALL: [Verdict; 3] = [Verdict::Sat, Verdict::Unsat, Verdict::Unknown];
 }
+
+/// Each label's name is written once, in `as_str`: `parse` is its inverse,
+/// found by searching `ALL`.
+macro_rules! parse_by_name {
+    ($($ty:ident),*) => {$(
+        impl $ty {
+            #[doc = concat!("Inverse of [`", stringify!($ty), "::as_str`].")]
+            pub fn parse(s: &str) -> Option<Self> {
+                Self::ALL.into_iter().find(|label| label.as_str() == s)
+            }
+        }
+    )*};
+}
+
+parse_by_name!(ForkReason, DispatchKind, QueryLayer, GroupLayer, Verdict);
 
 /// One structured trace event.
 ///
-/// Field order here is the key order of the JSONL encoding; the
+/// Field order here is the key order of the JSONL encoding, which
+/// `export.rs` declares once as a field list per variant; the
 /// `tests/docs_consistency.rs` lint keeps the variant list in sync with
 /// DESIGN.md §7.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -416,49 +388,6 @@ pub enum TraceEvent {
         /// became the new current witness.
         kept: bool,
     },
-}
-
-impl TraceEvent {
-    /// The variant name (also the `"ev"` tag of the JSONL encoding).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Boot { .. } => "Boot",
-            TraceEvent::QueuePush { .. } => "QueuePush",
-            TraceEvent::Dispatch { .. } => "Dispatch",
-            TraceEvent::Fork { .. } => "Fork",
-            TraceEvent::MapBranch { .. } => "MapBranch",
-            TraceEvent::MapSend { .. } => "MapSend",
-            TraceEvent::Send { .. } => "Send",
-            TraceEvent::Deliver { .. } => "Deliver",
-            TraceEvent::Drop { .. } => "Drop",
-            TraceEvent::PartitionDrop { .. } => "PartitionDrop",
-            TraceEvent::Query { .. } => "Query",
-            TraceEvent::QueryGroup { .. } => "QueryGroup",
-            TraceEvent::StatePruned { .. } => "StatePruned",
-            TraceEvent::BugFound { .. } => "BugFound",
-            TraceEvent::ShrinkStep { .. } => "ShrinkStep",
-        }
-    }
-
-    /// Every variant name, in declaration order (used by the DESIGN.md
-    /// sync lint and the schema validator).
-    pub const VARIANTS: [&'static str; 15] = [
-        "Boot",
-        "QueuePush",
-        "Dispatch",
-        "Fork",
-        "MapBranch",
-        "MapSend",
-        "Send",
-        "Deliver",
-        "Drop",
-        "PartitionDrop",
-        "Query",
-        "QueryGroup",
-        "StatePruned",
-        "BugFound",
-        "ShrinkStep",
-    ];
 }
 
 /// A recorded event plus its capture timestamp (microseconds since the

@@ -17,163 +17,179 @@ use crate::event::{
 };
 use crate::json::{parse_flat_object, JsonObj, JsonValue};
 
-/// Encode one event as a flat JSON object. `ts_us` is included when
-/// given and `deterministic` is false.
-pub fn event_to_json(ev: &TraceEvent, ts_us: Option<u64>, deterministic: bool) -> String {
-    let mut o = JsonObj::new();
-    o.str("ev", ev.name());
-    if let (Some(ts), false) = (ts_us, deterministic) {
-        o.int("ts_us", ts);
+type Fields = BTreeMap<String, JsonValue>;
+
+/// One value kind of the JSONL schema: how a field of this type is written
+/// into a line and read back out of one.
+trait Field: Sized {
+    fn put(&self, key: &str, o: &mut JsonObj);
+    fn get(map: &Fields, key: &str) -> Result<Self, String>;
+}
+
+/// `map[key]` as `kind`, or an error naming the key.
+fn lookup<'m, T>(
+    map: &'m Fields,
+    key: &str,
+    kind: &str,
+    as_kind: impl FnOnce(&'m JsonValue) -> Option<T>,
+) -> Result<T, String> {
+    map.get(key)
+        .and_then(as_kind)
+        .ok_or_else(|| format!("missing/invalid {kind} field `{key}`"))
+}
+
+impl Field for u64 {
+    fn put(&self, key: &str, o: &mut JsonObj) {
+        o.int(key, *self);
     }
-    match ev {
-        TraceEvent::Boot { state, node } => {
-            o.int("state", *state).int("node", u64::from(*node));
-        }
-        TraceEvent::QueuePush { time, seq } => {
-            o.int("time", *time).int("seq", *seq);
-        }
-        TraceEvent::Dispatch {
-            state,
-            node,
-            kind,
-            time,
-        } => {
-            o.int("state", *state)
-                .int("node", u64::from(*node))
-                .str("kind", kind.as_str())
-                .int("time", *time);
-        }
-        TraceEvent::Fork {
-            parent,
-            child,
-            node,
-            reason,
-        } => {
-            o.int("parent", *parent)
-                .int("child", *child)
-                .int("node", u64::from(*node))
-                .str("reason", reason.as_str());
-        }
-        TraceEvent::MapBranch {
-            parent,
-            child,
-            node,
-            forked,
-        } => {
-            o.int("parent", *parent)
-                .int("child", *child)
-                .int("node", u64::from(*node))
-                .arr("forked", forked);
-        }
-        TraceEvent::MapSend {
-            state,
-            node,
-            dest,
-            packet,
-            targets,
-            forked,
-            groups,
-        } => {
-            o.int("state", *state)
-                .int("node", u64::from(*node))
-                .int("dest", u64::from(*dest))
-                .int("packet", *packet)
-                .arr("targets", targets)
-                .arr("forked", forked)
-                .int("groups", *groups);
-        }
-        TraceEvent::Send {
-            state,
-            node,
-            dest,
-            packet,
-        } => {
-            o.int("state", *state)
-                .int("node", u64::from(*node))
-                .int("dest", u64::from(*dest))
-                .int("packet", *packet);
-        }
-        TraceEvent::Deliver {
-            state,
-            node,
-            packet,
-            duplicate,
-        } => {
-            o.int("state", *state)
-                .int("node", u64::from(*node))
-                .int("packet", *packet)
-                .bool("duplicate", *duplicate);
-        }
-        TraceEvent::Drop {
-            state,
-            node,
-            packet,
-        } => {
-            o.int("state", *state)
-                .int("node", u64::from(*node))
-                .int("packet", *packet);
-        }
-        TraceEvent::PartitionDrop {
-            state,
-            node,
-            packet,
-            until,
-        } => {
-            o.int("state", *state)
-                .int("node", u64::from(*node))
-                .int("packet", *packet)
-                .int("until", *until);
-        }
-        TraceEvent::Query {
-            layer,
-            verdict,
-            groups,
-            dur_us,
-        } => {
-            o.str("layer", layer.as_str())
-                .str("verdict", verdict.as_str())
-                .int("groups", *groups);
-            if !deterministic {
-                o.int("dur_us", *dur_us);
+
+    fn get(map: &Fields, key: &str) -> Result<u64, String> {
+        lookup(map, key, "int", JsonValue::as_int)
+    }
+}
+
+/// A node id: an int that must fit in 16 bits.
+impl Field for u16 {
+    fn put(&self, key: &str, o: &mut JsonObj) {
+        o.int(key, u64::from(*self));
+    }
+
+    fn get(map: &Fields, key: &str) -> Result<u16, String> {
+        u16::try_from(u64::get(map, key)?).map_err(|_| format!("field `{key}` exceeds u16"))
+    }
+}
+
+impl Field for bool {
+    fn put(&self, key: &str, o: &mut JsonObj) {
+        o.bool(key, *self);
+    }
+
+    fn get(map: &Fields, key: &str) -> Result<bool, String> {
+        lookup(map, key, "bool", JsonValue::as_bool)
+    }
+}
+
+impl Field for String {
+    fn put(&self, key: &str, o: &mut JsonObj) {
+        o.str(key, self);
+    }
+
+    fn get(map: &Fields, key: &str) -> Result<String, String> {
+        lookup(map, key, "string", JsonValue::as_str).map(str::to_string)
+    }
+}
+
+impl Field for Vec<u64> {
+    fn put(&self, key: &str, o: &mut JsonObj) {
+        o.arr(key, self);
+    }
+
+    fn get(map: &Fields, key: &str) -> Result<Vec<u64>, String> {
+        lookup(map, key, "array", JsonValue::as_arr).map(<[u64]>::to_vec)
+    }
+}
+
+/// Label enums travel as their `as_str` name.
+macro_rules! label_fields {
+    ($($ty:ident),*) => {$(
+        impl Field for $ty {
+            fn put(&self, key: &str, o: &mut JsonObj) {
+                o.str(key, self.as_str());
+            }
+
+            fn get(map: &Fields, key: &str) -> Result<$ty, String> {
+                let name = lookup(map, key, "string", JsonValue::as_str)?;
+                $ty::parse(name).ok_or_else(|| format!("unknown {key} `{name}`"))
             }
         }
-        TraceEvent::QueryGroup { layer } => {
-            o.str("layer", layer.as_str());
-        }
-        TraceEvent::StatePruned {
-            state,
-            node,
-            survivor,
-            time,
-        } => {
-            o.int("state", *state)
-                .int("node", u64::from(*node))
-                .int("survivor", *survivor)
-                .int("time", *time);
-        }
-        TraceEvent::BugFound {
-            state,
-            node,
-            time,
-            kind,
-        } => {
-            o.int("state", *state)
-                .int("node", u64::from(*node))
-                .int("time", *time)
-                .str("kind", kind);
-        }
-        TraceEvent::ShrinkStep {
-            step,
-            axis,
-            entries,
-            kept,
-        } => {
-            o.int("step", *step)
-                .str("axis", axis)
-                .int("entries", *entries)
-                .bool("kept", *kept);
-        }
+    )*};
+}
+
+label_fields!(ForkReason, DispatchKind, QueryLayer, GroupLayer, Verdict);
+
+/// A wall-clock field: absent from a deterministic export, so a reader
+/// takes a missing one as 0.
+fn get_wall(map: &Fields, key: &str) -> Result<u64, String> {
+    if map.contains_key(key) {
+        u64::get(map, key)
+    } else {
+        Ok(0)
     }
+}
+
+/// Implements the JSONL schema from its one field list, in key order:
+/// [`TraceEvent::name`] and [`TraceEvent::VARIANTS`] from the variant
+/// names, `put_fields` by destructuring each variant exhaustively (so a
+/// field missing from the list fails to compile) and `get_event` by
+/// reading the same keys back into a variant literal. A field after `;`
+/// is wall-clock: a deterministic export omits it.
+macro_rules! schema {
+    ($($v:ident { $($f:ident),* $(; $wall:ident)? })*) => {
+        impl TraceEvent {
+            /// The variant name (also the `"ev"` tag of the JSONL encoding).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$v { .. } => stringify!($v),)*
+                }
+            }
+
+            /// Every variant name, in declaration order.
+            pub const VARIANTS: [&'static str; <[&str]>::len(&[$(stringify!($v)),*])] =
+                [$(stringify!($v)),*];
+        }
+
+        /// Writes `ev`'s fields (not its tag) into `o`, in key order.
+        fn put_fields(ev: &TraceEvent, o: &mut JsonObj, deterministic: bool) {
+            match ev {
+                $(TraceEvent::$v { $($f,)* $($wall)? } => {
+                    $(Field::put($f, stringify!($f), o);)*
+                    $(if !deterministic {
+                        Field::put($wall, stringify!($wall), o);
+                    })?
+                })*
+            }
+        }
+
+        /// Reads the fields of the variant tagged `tag` out of `map`.
+        fn get_event(tag: &str, map: &Fields) -> Result<TraceEvent, String> {
+            $(if tag == stringify!($v) {
+                return Ok(TraceEvent::$v {
+                    $($f: Field::get(map, stringify!($f))?,)*
+                    $($wall: get_wall(map, stringify!($wall))?)?
+                });
+            })*
+            Err(format!("unknown event tag `{tag}`"))
+        }
+    };
+}
+
+schema! {
+    Boot { state, node }
+    QueuePush { time, seq }
+    Dispatch { state, node, kind, time }
+    Fork { parent, child, node, reason }
+    MapBranch { parent, child, node, forked }
+    MapSend { state, node, dest, packet, targets, forked, groups }
+    Send { state, node, dest, packet }
+    Deliver { state, node, packet, duplicate }
+    Drop { state, node, packet }
+    PartitionDrop { state, node, packet, until }
+    Query { layer, verdict, groups; dur_us }
+    QueryGroup { layer }
+    StatePruned { state, node, survivor, time }
+    BugFound { state, node, time, kind }
+    ShrinkStep { step, axis, entries, kept }
+}
+
+/// Encode one event as a flat JSON object; deterministic mode omits the
+/// wall-clock fields.
+fn event_to_json(te: &TimedEvent, deterministic: bool) -> String {
+    let mut o = JsonObj::new();
+    o.str("ev", te.ev.name());
+    if !deterministic {
+        o.int("ts_us", te.ts_us);
+    }
+    put_fields(&te.ev, &mut o, deterministic);
     o.finish()
 }
 
@@ -182,7 +198,7 @@ pub fn event_to_json(ev: &TraceEvent, ts_us: Option<u64>, deterministic: bool) -
 pub fn to_jsonl(events: &[TimedEvent], deterministic: bool) -> String {
     let mut out = String::new();
     for te in events {
-        out.push_str(&event_to_json(&te.ev, Some(te.ts_us), deterministic));
+        out.push_str(&event_to_json(te, deterministic));
         out.push('\n');
     }
     out
@@ -197,141 +213,12 @@ pub fn write_jsonl(
     std::fs::write(path, to_jsonl(events, deterministic))
 }
 
-fn get_int(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, String> {
-    map.get(key)
-        .and_then(JsonValue::as_int)
-        .ok_or_else(|| format!("missing/invalid int field `{key}`"))
-}
-
-fn get_node(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u16, String> {
-    u16::try_from(get_int(map, key)?).map_err(|_| format!("field `{key}` exceeds u16"))
-}
-
-fn get_str<'m>(map: &'m BTreeMap<String, JsonValue>, key: &str) -> Result<&'m str, String> {
-    map.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing/invalid string field `{key}`"))
-}
-
-fn get_arr(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<Vec<u64>, String> {
-    Ok(map
-        .get(key)
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("missing/invalid array field `{key}`"))?
-        .to_vec())
-}
-
 /// Parse one JSONL line back into an event (plus its timestamp, 0 when
 /// the line came from a deterministic export).
-pub fn event_from_json(line: &str) -> Result<TimedEvent, String> {
+fn event_from_json(line: &str) -> Result<TimedEvent, String> {
     let map = parse_flat_object(line)?;
-    let ts_us = match map.get("ts_us") {
-        Some(v) => v.as_int().ok_or("invalid ts_us")?,
-        None => 0,
-    };
-    let tag = get_str(&map, "ev")?;
-    let ev = match tag {
-        "Boot" => TraceEvent::Boot {
-            state: get_int(&map, "state")?,
-            node: get_node(&map, "node")?,
-        },
-        "QueuePush" => TraceEvent::QueuePush {
-            time: get_int(&map, "time")?,
-            seq: get_int(&map, "seq")?,
-        },
-        "Dispatch" => TraceEvent::Dispatch {
-            state: get_int(&map, "state")?,
-            node: get_node(&map, "node")?,
-            kind: DispatchKind::parse(get_str(&map, "kind")?)
-                .ok_or_else(|| format!("bad dispatch kind in {line:?}"))?,
-            time: get_int(&map, "time")?,
-        },
-        "Fork" => TraceEvent::Fork {
-            parent: get_int(&map, "parent")?,
-            child: get_int(&map, "child")?,
-            node: get_node(&map, "node")?,
-            reason: ForkReason::parse(get_str(&map, "reason")?)
-                .ok_or_else(|| format!("bad fork reason in {line:?}"))?,
-        },
-        "MapBranch" => TraceEvent::MapBranch {
-            parent: get_int(&map, "parent")?,
-            child: get_int(&map, "child")?,
-            node: get_node(&map, "node")?,
-            forked: get_arr(&map, "forked")?,
-        },
-        "MapSend" => TraceEvent::MapSend {
-            state: get_int(&map, "state")?,
-            node: get_node(&map, "node")?,
-            dest: get_node(&map, "dest")?,
-            packet: get_int(&map, "packet")?,
-            targets: get_arr(&map, "targets")?,
-            forked: get_arr(&map, "forked")?,
-            groups: get_int(&map, "groups")?,
-        },
-        "Send" => TraceEvent::Send {
-            state: get_int(&map, "state")?,
-            node: get_node(&map, "node")?,
-            dest: get_node(&map, "dest")?,
-            packet: get_int(&map, "packet")?,
-        },
-        "Deliver" => TraceEvent::Deliver {
-            state: get_int(&map, "state")?,
-            node: get_node(&map, "node")?,
-            packet: get_int(&map, "packet")?,
-            duplicate: map
-                .get("duplicate")
-                .and_then(JsonValue::as_bool)
-                .ok_or("missing/invalid bool field `duplicate`")?,
-        },
-        "Drop" => TraceEvent::Drop {
-            state: get_int(&map, "state")?,
-            node: get_node(&map, "node")?,
-            packet: get_int(&map, "packet")?,
-        },
-        "PartitionDrop" => TraceEvent::PartitionDrop {
-            state: get_int(&map, "state")?,
-            node: get_node(&map, "node")?,
-            packet: get_int(&map, "packet")?,
-            until: get_int(&map, "until")?,
-        },
-        "Query" => TraceEvent::Query {
-            layer: QueryLayer::parse(get_str(&map, "layer")?)
-                .ok_or_else(|| format!("bad query layer in {line:?}"))?,
-            verdict: Verdict::parse(get_str(&map, "verdict")?)
-                .ok_or_else(|| format!("bad verdict in {line:?}"))?,
-            groups: get_int(&map, "groups")?,
-            dur_us: match map.get("dur_us") {
-                Some(v) => v.as_int().ok_or("invalid dur_us")?,
-                None => 0,
-            },
-        },
-        "QueryGroup" => TraceEvent::QueryGroup {
-            layer: GroupLayer::parse(get_str(&map, "layer")?)
-                .ok_or_else(|| format!("bad group layer in {line:?}"))?,
-        },
-        "StatePruned" => TraceEvent::StatePruned {
-            state: get_int(&map, "state")?,
-            node: get_node(&map, "node")?,
-            survivor: get_int(&map, "survivor")?,
-            time: get_int(&map, "time")?,
-        },
-        "BugFound" => TraceEvent::BugFound {
-            state: get_int(&map, "state")?,
-            node: get_node(&map, "node")?,
-            time: get_int(&map, "time")?,
-            kind: get_str(&map, "kind")?.to_string(),
-        },
-        "ShrinkStep" => TraceEvent::ShrinkStep {
-            step: get_int(&map, "step")?,
-            axis: get_str(&map, "axis")?.to_string(),
-            entries: get_int(&map, "entries")?,
-            kept: map
-                .get("kept")
-                .and_then(JsonValue::as_bool)
-                .ok_or("missing/invalid bool field `kept`")?,
-        },
-        other => return Err(format!("unknown event tag `{other}`")),
-    };
+    let ts_us = get_wall(&map, "ts_us")?;
+    let ev = get_event(&String::get(&map, "ev")?, &map)?;
     Ok(TimedEvent { ts_us, ev })
 }
 
@@ -354,19 +241,17 @@ pub fn read_jsonl(path: &std::path::Path) -> Result<Vec<TimedEvent>, String> {
     parse_jsonl(&text)
 }
 
+/// The full-mode JSONL fields minus the tag: every field becomes an arg.
 fn chrome_args(ev: &TraceEvent) -> String {
-    // Reuse the JSONL encoding minus the tag: every field becomes an arg.
-    let line = event_to_json(ev, None, false);
-    // `{"ev":"Name",rest` → `{rest` (or `{}` when the tag is the only field).
-    line.split_once(',')
-        .map(|(_, rest)| format!("{{{rest}"))
-        .unwrap_or_else(|| "{}".to_string())
+    let mut o = JsonObj::new();
+    put_fields(ev, &mut o, false);
+    o.finish()
 }
 
 /// Render an event stream in Chrome `trace_event` JSON (object form with
 /// a `traceEvents` array). Queries become complete (`"X"`) slices placed
 /// at `ts - dur`; all other events are instants.
-pub fn to_chrome_trace(events: &[TimedEvent]) -> String {
+fn to_chrome_trace(events: &[TimedEvent]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     for (i, te) in events.iter().enumerate() {
         if i > 0 {
@@ -396,4 +281,190 @@ pub fn to_chrome_trace(events: &[TimedEvent]) -> String {
 /// Write an event stream to `path` in Chrome `trace_event` format.
 pub fn write_chrome_trace(path: &std::path::Path, events: &[TimedEvent]) -> std::io::Result<()> {
     std::fs::write(path, to_chrome_trace(events))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::sample_events;
+
+    /// The wire format of the first sample event of each variant, full
+    /// then deterministic. A round trip alone cannot catch a key renamed
+    /// on both sides; these literal lines can.
+    const GOLDEN: [(&str, &str); 15] = [
+        (
+            r#"{"ev":"Boot","ts_us":0,"state":1,"node":0}"#,
+            r#"{"ev":"Boot","state":1,"node":0}"#,
+        ),
+        (
+            r#"{"ev":"QueuePush","ts_us":20,"time":0,"seq":1}"#,
+            r#"{"ev":"QueuePush","time":0,"seq":1}"#,
+        ),
+        (
+            r#"{"ev":"Dispatch","ts_us":30,"state":1,"node":0,"kind":"boot","time":0}"#,
+            r#"{"ev":"Dispatch","state":1,"node":0,"kind":"boot","time":0}"#,
+        ),
+        (
+            r#"{"ev":"Fork","ts_us":40,"parent":1,"child":3,"node":0,"reason":"branch"}"#,
+            r#"{"ev":"Fork","parent":1,"child":3,"node":0,"reason":"branch"}"#,
+        ),
+        (
+            r#"{"ev":"MapBranch","ts_us":50,"parent":1,"child":3,"node":0,"forked":[4,5]}"#,
+            r#"{"ev":"MapBranch","parent":1,"child":3,"node":0,"forked":[4,5]}"#,
+        ),
+        (
+            r#"{"ev":"Send","ts_us":80,"state":1,"node":0,"dest":1,"packet":1}"#,
+            r#"{"ev":"Send","state":1,"node":0,"dest":1,"packet":1}"#,
+        ),
+        (
+            r#"{"ev":"MapSend","ts_us":90,"state":1,"node":0,"dest":1,"packet":1,"targets":[2],"forked":[],"groups":3}"#,
+            r#"{"ev":"MapSend","state":1,"node":0,"dest":1,"packet":1,"targets":[2],"forked":[],"groups":3}"#,
+        ),
+        (
+            r#"{"ev":"Deliver","ts_us":100,"state":2,"node":1,"packet":1,"duplicate":false}"#,
+            r#"{"ev":"Deliver","state":2,"node":1,"packet":1,"duplicate":false}"#,
+        ),
+        (
+            r#"{"ev":"Drop","ts_us":110,"state":4,"node":1,"packet":1}"#,
+            r#"{"ev":"Drop","state":4,"node":1,"packet":1}"#,
+        ),
+        (
+            r#"{"ev":"PartitionDrop","ts_us":120,"state":5,"node":1,"packet":2,"until":750}"#,
+            r#"{"ev":"PartitionDrop","state":5,"node":1,"packet":2,"until":750}"#,
+        ),
+        (
+            r#"{"ev":"Query","ts_us":130,"layer":"solve","verdict":"sat","groups":2,"dur_us":37}"#,
+            r#"{"ev":"Query","layer":"solve","verdict":"sat","groups":2}"#,
+        ),
+        (
+            r#"{"ev":"QueryGroup","ts_us":140,"layer":"exact"}"#,
+            r#"{"ev":"QueryGroup","layer":"exact"}"#,
+        ),
+        (
+            r#"{"ev":"StatePruned","ts_us":150,"state":3,"node":0,"survivor":1,"time":5}"#,
+            r#"{"ev":"StatePruned","state":3,"node":0,"survivor":1,"time":5}"#,
+        ),
+        (
+            r#"{"ev":"BugFound","ts_us":160,"state":4,"node":1,"time":7,"kind":"invariant violated"}"#,
+            r#"{"ev":"BugFound","state":4,"node":1,"time":7,"kind":"invariant violated"}"#,
+        ),
+        (
+            r#"{"ev":"ShrinkStep","ts_us":170,"step":0,"axis":"axis","entries":6,"kept":true}"#,
+            r#"{"ev":"ShrinkStep","step":0,"axis":"axis","entries":6,"kept":true}"#,
+        ),
+    ];
+
+    /// The first sample event of each variant, in sample order.
+    fn one_per_variant() -> Vec<TimedEvent> {
+        let mut seen = std::collections::BTreeSet::new();
+        sample_events()
+            .into_iter()
+            .filter(|te| seen.insert(te.ev.name()))
+            .collect()
+    }
+
+    #[test]
+    fn golden_lines_pin_the_wire_format() {
+        let events = one_per_variant();
+        assert_eq!(events.len(), GOLDEN.len());
+        for (te, (full, deterministic)) in events.iter().zip(GOLDEN) {
+            assert_eq!(event_to_json(te, false), full);
+            assert_eq!(event_to_json(te, true), deterministic);
+            assert_eq!(&event_from_json(full).unwrap(), te);
+        }
+    }
+
+    #[test]
+    fn the_sample_covers_every_variant() {
+        let mut names: Vec<&str> = one_per_variant().iter().map(|te| te.ev.name()).collect();
+        let mut variants = TraceEvent::VARIANTS.to_vec();
+        names.sort_unstable();
+        variants.sort_unstable();
+        assert_eq!(names, variants);
+    }
+
+    /// The sample plus one event per value of every label enum.
+    fn every_label() -> Vec<TimedEvent> {
+        let mut evs: Vec<TraceEvent> = sample_events().into_iter().map(|te| te.ev).collect();
+        evs.extend(ForkReason::ALL.map(|reason| TraceEvent::Fork {
+            parent: 1,
+            child: 2,
+            node: 3,
+            reason,
+        }));
+        evs.extend(DispatchKind::ALL.map(|kind| TraceEvent::Dispatch {
+            state: 1,
+            node: u16::MAX,
+            kind,
+            time: u64::MAX,
+        }));
+        for layer in QueryLayer::ALL {
+            evs.extend(Verdict::ALL.map(|verdict| TraceEvent::Query {
+                layer,
+                verdict,
+                groups: 0,
+                dur_us: 9,
+            }));
+        }
+        evs.extend(GroupLayer::ALL.map(|layer| TraceEvent::QueryGroup { layer }));
+        evs.into_iter()
+            .enumerate()
+            .map(|(i, ev)| TimedEvent {
+                ts_us: i as u64 * 3,
+                ev,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn jsonl_round_trips_every_variant_and_label_in_full_mode() {
+        let events = every_label();
+        let text = to_jsonl(&events, false);
+        let parsed = parse_jsonl(&text).unwrap();
+        assert_eq!(parsed, events);
+        assert_eq!(to_jsonl(&parsed, false), text);
+    }
+
+    #[test]
+    fn deterministic_mode_omits_wall_clock_fields() {
+        let events = every_label();
+        let text = to_jsonl(&events, true);
+        assert!(!text.contains("ts_us"));
+        assert!(!text.contains("dur_us"));
+        let parsed = parse_jsonl(&text).unwrap();
+        assert_eq!(parsed.len(), events.len());
+        for (p, e) in parsed.iter().zip(&events) {
+            assert_eq!(p.ts_us, 0);
+            match (&p.ev, &e.ev) {
+                (TraceEvent::Query { dur_us, .. }, _) => assert_eq!(*dur_us, 0),
+                (a, b) => assert_eq!(a, b),
+            }
+        }
+    }
+
+    #[test]
+    fn bad_values_are_errors() {
+        for line in [
+            r#"{"ev":"Boot","state":1,"node":65536}"#,
+            r#"{"ev":"Boot","state":1}"#,
+            r#"{"ev":"Fork","parent":1,"child":2,"node":0,"reason":"fluke"}"#,
+            r#"{"ev":"Query","layer":"solve","verdict":"sat","groups":2,"dur_us":"x"}"#,
+            r#"{"ev":"Nope"}"#,
+        ] {
+            assert!(event_from_json(line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn chrome_export_contains_all_events() {
+        let events = sample_events();
+        let chrome = to_chrome_trace(&events);
+        assert!(chrome.starts_with('{') && chrome.trim_end().ends_with('}'));
+        for ev in &events {
+            assert!(chrome.contains(&format!("\"name\":\"{}\"", ev.ev.name())));
+        }
+        // The query slice is a complete event with its duration.
+        assert!(chrome.contains("\"ph\":\"X\""));
+        assert!(chrome.contains("\"dur\":37"));
+    }
 }

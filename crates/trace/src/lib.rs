@@ -21,8 +21,8 @@
 //!   by the engine ([`install`]).
 //!
 //! Exporters: JSONL ([`to_jsonl`]/[`parse_jsonl`], round-trips exactly in
-//! full mode) and Chrome `trace_event` ([`to_chrome_trace`], loadable in
-//! `chrome://tracing` / Perfetto). [`Lineage`] reconstructs any state's
+//! full mode) and Chrome `trace_event` ([`write_chrome_trace`], loadable
+//! in `chrome://tracing` / Perfetto). [`Lineage`] reconstructs any state's
 //! fork ancestry from an event stream.
 
 #![forbid(unsafe_code)]
@@ -38,13 +38,10 @@ mod summary;
 pub use event::{
     DispatchKind, ForkReason, GroupLayer, QueryLayer, TimedEvent, TraceEvent, Verdict,
 };
-pub use export::{
-    event_from_json, event_to_json, parse_jsonl, read_jsonl, to_chrome_trace, to_jsonl,
-    write_chrome_trace, write_jsonl,
-};
+pub use export::{parse_jsonl, read_jsonl, to_jsonl, write_chrome_trace, write_jsonl};
 pub use json::{parse_flat_object, JsonObj, JsonValue};
 pub use lineage::{Lineage, LineageStep};
-pub use sink::{BufferSink, NoopSink, RingSink, TraceSink, DEFAULT_RING_CAPACITY};
+pub use sink::{NoopSink, RingSink, TraceSink, DEFAULT_RING_CAPACITY};
 pub use summary::TraceSummary;
 
 use std::cell::RefCell;
@@ -55,15 +52,9 @@ thread_local! {
 }
 
 /// Install `sink` as this thread's active sink, returning the previous
-/// one. Pass `None` to uninstall. Prefer [`install`], which restores the
-/// previous sink automatically.
-pub fn set_thread_sink(sink: Option<Arc<dyn TraceSink>>) -> Option<Arc<dyn TraceSink>> {
+/// one. Pass `None` to uninstall.
+fn set_thread_sink(sink: Option<Arc<dyn TraceSink>>) -> Option<Arc<dyn TraceSink>> {
     THREAD_SINK.with(|s| std::mem::replace(&mut *s.borrow_mut(), sink))
-}
-
-/// Whether this thread has an enabled sink installed.
-pub fn thread_sink_enabled() -> bool {
-    THREAD_SINK.with(|s| s.borrow().as_ref().is_some_and(|s| s.enabled()))
 }
 
 /// This thread's active sink, if one is installed and enabled.
@@ -109,7 +100,9 @@ pub fn install(sink: Arc<dyn TraceSink>) -> SinkGuard {
 mod tests {
     use super::*;
 
-    fn sample_events() -> Vec<TimedEvent> {
+    /// One run's worth of events: every variant at least once, forming a
+    /// valid fork forest.
+    pub(crate) fn sample_events() -> Vec<TimedEvent> {
         let evs = vec![
             TraceEvent::Boot { state: 1, node: 0 },
             TraceEvent::Boot { state: 2, node: 1 },
@@ -170,6 +163,12 @@ mod tests {
                 node: 1,
                 packet: 1,
             },
+            TraceEvent::PartitionDrop {
+                state: 5,
+                node: 1,
+                packet: 2,
+                until: 750,
+            },
             TraceEvent::Query {
                 layer: QueryLayer::Solve,
                 verdict: Verdict::Sat,
@@ -178,6 +177,12 @@ mod tests {
             },
             TraceEvent::QueryGroup {
                 layer: GroupLayer::Exact,
+            },
+            TraceEvent::StatePruned {
+                state: 3,
+                node: 0,
+                survivor: 1,
+                time: 5,
             },
             TraceEvent::BugFound {
                 state: 4,
@@ -202,45 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_exactly_in_full_mode() {
-        let events = sample_events();
-        let text = to_jsonl(&events, false);
-        let parsed = parse_jsonl(&text).unwrap();
-        assert_eq!(parsed, events);
-        assert_eq!(to_jsonl(&parsed, false), text);
-    }
-
-    #[test]
-    fn deterministic_mode_omits_wall_clock_fields() {
-        let events = sample_events();
-        let text = to_jsonl(&events, true);
-        assert!(!text.contains("ts_us"));
-        assert!(!text.contains("dur_us"));
-        let parsed = parse_jsonl(&text).unwrap();
-        assert_eq!(parsed.len(), events.len());
-        for (p, e) in parsed.iter().zip(&events) {
-            assert_eq!(p.ts_us, 0);
-            match (&p.ev, &e.ev) {
-                (TraceEvent::Query { dur_us, .. }, _) => assert_eq!(*dur_us, 0),
-                (a, b) => assert_eq!(a, b),
-            }
-        }
-    }
-
-    #[test]
-    fn chrome_export_contains_all_events() {
-        let events = sample_events();
-        let chrome = to_chrome_trace(&events);
-        assert!(chrome.starts_with('{') && chrome.trim_end().ends_with('}'));
-        for ev in &events {
-            assert!(chrome.contains(&format!("\"name\":\"{}\"", ev.ev.name())));
-        }
-        // The query slice is a complete event with its duration.
-        assert!(chrome.contains("\"ph\":\"X\""));
-        assert!(chrome.contains("\"dur\":37"));
-    }
-
-    #[test]
     fn ring_sink_bounds_and_counts_evictions() {
         let ring = RingSink::new(4);
         for i in 0..10 {
@@ -257,6 +223,17 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn unbounded_ring_sink_drops_nothing() {
+        let ring = RingSink::new(usize::MAX);
+        for i in 0..1000 {
+            ring.record(TraceEvent::QueuePush { time: i, seq: i });
+        }
+        assert_eq!(ring.dropped(), 0);
+        assert_eq!(ring.take().len(), 1000);
+        assert!(ring.is_empty());
     }
 
     #[test]
@@ -310,14 +287,14 @@ mod tests {
 
     #[test]
     fn thread_sink_guard_installs_and_restores() {
-        assert!(!thread_sink_enabled());
+        assert!(thread_sink().is_none());
         let ring = Arc::new(RingSink::new(16));
         {
             let _guard = install(ring.clone());
-            assert!(thread_sink_enabled());
+            assert!(thread_sink().is_some());
             record(|| TraceEvent::QueuePush { time: 7, seq: 7 });
         }
-        assert!(!thread_sink_enabled());
+        assert!(thread_sink().is_none());
         record(|| unreachable!("no sink installed"));
         let events = ring.events();
         assert_eq!(events.len(), 1);
@@ -328,7 +305,7 @@ mod tests {
     fn noop_sink_is_disabled() {
         let noop = Arc::new(NoopSink);
         let _guard = install(noop);
-        assert!(!thread_sink_enabled());
+        assert!(thread_sink().is_none());
         record(|| unreachable!("disabled sink must not construct events"));
     }
 

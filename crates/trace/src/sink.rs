@@ -3,10 +3,9 @@
 //! [`TraceSink`] is the recording interface the engine, solver and network
 //! layer talk to. The default [`NoopSink`] reports itself disabled so every
 //! instrumentation site reduces to one predictable branch (<2% overhead on
-//! the tiny bench preset). [`RingSink`] is the bounded in-memory recorder
-//! behind `--trace`; [`BufferSink`] keeps every event of one run, unbounded,
-//! for callers that read the whole stream back (repro artifacts, lineage
-//! checks).
+//! the tiny bench preset). [`RingSink`] is the one in-memory recorder:
+//! bounded behind `--trace`, and with `usize::MAX` capacity for callers
+//! that read a whole run back (repro artifacts, lineage checks).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -47,7 +46,8 @@ struct RingInner {
 }
 
 /// Bounded in-memory recorder. Events past the capacity evict the oldest
-/// (the eviction count is reported so truncation is never silent).
+/// (the eviction count is reported so truncation is never silent); at
+/// `usize::MAX` capacity it keeps every event.
 #[derive(Debug)]
 pub struct RingSink {
     start: Instant,
@@ -110,30 +110,5 @@ impl TraceSink for RingSink {
             inner.dropped += 1;
         }
         inner.events.push_back(TimedEvent { ts_us, ev });
-    }
-}
-
-/// Unbounded event buffer without timestamps: records everything, drops
-/// nothing, and hands the stream back with [`BufferSink::drain`].
-#[derive(Debug, Default)]
-pub struct BufferSink {
-    inner: Mutex<Vec<TraceEvent>>,
-}
-
-impl BufferSink {
-    /// A fresh empty buffer.
-    pub fn new() -> Self {
-        BufferSink::default()
-    }
-
-    /// Take the buffered events, leaving the buffer empty.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.inner.lock().unwrap())
-    }
-}
-
-impl TraceSink for BufferSink {
-    fn record(&self, ev: TraceEvent) {
-        self.inner.lock().unwrap().push(ev);
     }
 }

@@ -60,7 +60,6 @@
 #![warn(missing_docs)]
 
 mod bug;
-mod disasm;
 mod interp;
 mod isa;
 mod preset;

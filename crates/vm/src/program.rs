@@ -92,11 +92,6 @@ impl Program {
             .enumerate()
             .map(|(i, f)| (FuncId(i as u32), f))
     }
-
-    /// Total instruction count across all functions.
-    pub fn inst_count(&self) -> usize {
-        self.functions.iter().map(Function::len).sum()
-    }
 }
 
 /// Errors detected when assembling a program.
@@ -528,7 +523,6 @@ mod tests {
         assert_eq!(func.param_count(), 2);
         assert_eq!(func.reg_count(), 3);
         assert_eq!(func.len(), 2);
-        assert_eq!(p.inst_count(), 2);
     }
 
     #[test]
