@@ -265,7 +265,15 @@ fn replay(path: &Path) -> ExitCode {
         ) else {
             return fail("malformed witness entry");
         };
-        assignment.insert((node as u16, name.to_string(), occurrence as u32), value);
+        let Ok(node) = u16::try_from(node) else {
+            return fail(&format!("witness entry \"node\": {node} is not a node id"));
+        };
+        let Ok(occurrence) = u32::try_from(occurrence) else {
+            return fail(&format!(
+                "witness entry \"occurrence\": {occurrence} is out of range"
+            ));
+        };
+        assignment.insert((node, name.to_string(), occurrence), value);
     }
     if assignment.len() != int("entries").unwrap_or(0) as usize {
         return fail("witness entry count does not match the header");

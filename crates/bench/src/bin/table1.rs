@@ -65,11 +65,10 @@ table1 — Table I rows (wall, states, RAM) for COB, COW and SDS
   --dedup              online duplicate-dispatch pruning (DESIGN.md §10)
   --layers full|off     solver stack (DESIGN.md §6). `full` is the engine.
                        `off` (no caching) is the ablation point: every
-                       solve runs on terms rebuilt from the group's
-                       canonical form, which costs 1.1–1.5× a query
-                       against the plain solve it stood for before
-                       (criterion `solver/layers`, EXPERIMENTS.md) — for
-                       measuring the cache, not for running experiments
+                       group is searched every time, 49–64× the search
+                       nodes of `full` under `--preset tiny --scenario
+                       sense` (EXPERIMENTS.md) — for measuring the
+                       cache, not for running experiments
   --faults LIST        partition,latency,corrupt,crashrec or all (§11)
   --trace PATH         JSONL + Chrome trace per algorithm
   --testgen N          generate up to N test cases per algorithm

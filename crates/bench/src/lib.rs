@@ -7,7 +7,6 @@
 //! * sharded-engine worker sweep — `--bin parallel_sweep`
 //! * conformance oracle and invariant repros — `--bin oracle`, `--bin repro`
 //! * snapshot and trace tools — `--bin snapshot`, `--bin lineage`
-//! * microbenchmarks & ablations — `cargo bench -p sde-bench`
 //!
 //! `table1`, `fig10` and `parallel_sweep` run every scenario through one
 //! function, [`RunConfig::run`]; the flags the bins share are [`Args`]

@@ -1,6 +1,7 @@
 //! A typo'd flag value is a usage error: the bins print which values they
 //! accept and exit 2 ("could not run"), never a panic's 101, and never a
-//! silent fall-back to a default experiment.
+//! silent fall-back to a default experiment. The same holds for a value
+//! read from a file the bin is handed, such as a repro artifact.
 
 use std::process::Command;
 
@@ -30,7 +31,7 @@ fn table1_help_names_the_flags_and_what_the_ablation_layers_cost() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("--layers full|off"), "{stdout}");
-    assert!(stdout.contains("1.1–1.5×"), "{stdout}");
+    assert!(stdout.contains("49–64× the search"), "{stdout}");
     assert!(
         !stdout.contains("Table I —"),
         "ran the experiment: {stdout}"
@@ -188,4 +189,28 @@ fn junk_numbers_and_algorithms_are_usage_errors_in_every_bin() {
         assert_bin_usage(exe, args, says);
     }
     let _ = std::fs::remove_file(truncated);
+}
+
+/// A witness entry whose value does not fit its field is rejected by
+/// name: `repro --replay` exits 2, where a cast would replay node 65 536
+/// as node 0 and report the original bug reproduced.
+#[test]
+fn replay_rejects_a_witness_node_out_of_range() {
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let artifact = std::env::temp_dir().join(format!(
+        "sde-cli-usage-{}-token.repro.json",
+        std::process::id()
+    ));
+    let path = artifact.to_str().expect("utf-8 temp path");
+    let out = Command::new(exe)
+        .args(["--demo", "token", "--faults", "all", "--emit", path])
+        .output()
+        .expect("bin runs");
+    assert_eq!(out.status.code(), Some(1), "the seeded token bug is found");
+    let text = std::fs::read_to_string(&artifact).expect("artifact written");
+    let doctored = text.replacen("{\"node\": 0,", "{\"node\": 65536,", 1);
+    assert_ne!(doctored, text, "no node-0 witness entry: {text}");
+    std::fs::write(&artifact, doctored).expect("temp dir is writable");
+    assert_bin_usage(exe, &["--replay", path], "witness entry \"node\"");
+    let _ = std::fs::remove_file(&artifact);
 }

@@ -334,9 +334,9 @@ impl Iterator for CartesianScenarios {
 /// A minimal in-memory [`StateStore`]: node assignments and fork
 /// genealogy only, no VM states.
 ///
-/// Lets the mapping algorithms run standalone — unit tests and
-/// microbenchmarks exercise mapping decisions without paying for program
-/// execution.
+/// Lets the mapping algorithms run standalone — unit tests and the
+/// benchmark's mapping drivers exercise mapping decisions without paying
+/// for program execution.
 ///
 /// # Examples
 ///

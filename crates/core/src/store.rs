@@ -323,10 +323,10 @@ impl IndexedQueue {
     /// its state's list.
     fn skip_stale(&mut self) {
         while self.stale > 0 {
-            let Some(key) = self.front.front().or(self.heap.peek()) else {
+            let Some((seq, state)) = self.next_key() else {
                 return;
             };
-            if self.heads(key) {
+            if self.heads(state, seq) {
                 return;
             }
             if self.front.pop_front().is_none() {
@@ -336,9 +336,18 @@ impl IndexedQueue {
         }
     }
 
-    /// Whether `key` names the head of its state's list.
-    fn heads(&self, key: &Event<StateId>) -> bool {
-        (self.list(key.payload).next()).is_some_and(|p| p.seq == key.seq)
+    /// `(seq, state)` of the next key in dispatch order: `front`'s head,
+    /// else the heap's top.
+    fn next_key(&self) -> Option<(u64, StateId)> {
+        match self.front.front() {
+            Some(key) => Some((key.seq, key.payload)),
+            None => self.heap.peek().map(|key| (key.seq, *key.payload)),
+        }
+    }
+
+    /// Whether the key `seq` of `state` names the head of its list.
+    fn heads(&self, state: StateId, seq: u64) -> bool {
+        (self.list(state).next()).is_some_and(|p| p.seq == seq)
     }
 
     /// Removes and returns the earliest pending event.
@@ -363,7 +372,10 @@ impl IndexedQueue {
     /// The time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<u64> {
         self.skip_stale();
-        self.front.front().or(self.heap.peek()).map(|key| key.time)
+        match self.front.front() {
+            Some(key) => Some(key.time),
+            None => self.heap.peek_time(),
+        }
     }
 
     /// The states with an event pending at `time` — which must be
@@ -378,12 +390,12 @@ impl IndexedQueue {
     /// key that names the list's head is the state's first in the batch.
     pub fn batch(&mut self, time: u64) -> Vec<StateId> {
         debug_assert!(self.front.is_empty(), "the previous batch was committed");
-        while self.heap.peek().is_some_and(|key| key.time == time) {
+        while self.heap.peek_time() == Some(time) {
             let key = self.heap.pop().expect("peeked key");
             self.front.push_back(key);
         }
         (self.front.iter())
-            .filter(|key| self.heads(key))
+            .filter(|key| self.heads(key.payload, key.seq))
             .map(|key| key.payload)
             .collect()
     }
@@ -510,8 +522,12 @@ impl IndexedQueue {
     /// Describes the first difference found.
     pub fn check_reference(&self) -> Result<(), String> {
         let mut scanned: Vec<(StateId, u64, u64)> = (self.front.iter())
-            .chain(self.heap.iter())
             .map(|key| (key.payload, key.time, key.seq))
+            .chain(
+                self.heap
+                    .iter()
+                    .map(|key| (*key.payload, key.time, key.seq)),
+            )
             .collect();
         scanned.sort_unstable();
         // Both sorted, and `seq`s are unique: one merge pairs every

@@ -27,7 +27,9 @@ pub struct Event<T> {
 /// `seq`, because every push takes a larger `seq` than any queued event.
 /// Pop takes the front of the first bucket. Neither compares events; a
 /// run has far fewer distinct pending times than pending events, and only
-/// the time lookup depends on how many there are.
+/// the time lookup depends on how many there are. A bucket holds
+/// `(seq, payload)`: its key is the time, so an entry does not repeat it,
+/// and [`EventQueue::pop`] puts the [`Event`] back together.
 ///
 /// # Examples
 ///
@@ -45,8 +47,8 @@ pub struct Event<T> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// Pending events by time; no bucket is empty.
-    buckets: BTreeMap<u64, VecDeque<Event<T>>>,
+    /// Pending `(seq, payload)`s by time; no bucket is empty.
+    buckets: BTreeMap<u64, VecDeque<(u64, T)>>,
     len: usize,
     next_seq: u64,
 }
@@ -80,9 +82,9 @@ impl<T: std::fmt::Debug> EventQueue<T> {
         debug_assert!(events.iter().all(|e| e.seq < next_seq));
         events.sort_unstable_by_key(|e| (e.time, e.seq));
         let len = events.len();
-        let mut buckets: BTreeMap<u64, VecDeque<Event<T>>> = BTreeMap::new();
-        for event in events {
-            buckets.entry(event.time).or_default().push_back(event);
+        let mut buckets: BTreeMap<u64, VecDeque<(u64, T)>> = BTreeMap::new();
+        for Event { time, seq, payload } in events {
+            buckets.entry(time).or_default().push_back((seq, payload));
         }
         EventQueue {
             buckets,
@@ -100,8 +102,10 @@ impl<T: std::fmt::Debug> EventQueue<T> {
     pub fn push(&mut self, time: u64, payload: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let event = Event { time, seq, payload };
-        self.buckets.entry(time).or_default().push_back(event);
+        self.buckets
+            .entry(time)
+            .or_default()
+            .push_back((seq, payload));
         self.len += 1;
         sde_trace::record(|| sde_trace::TraceEvent::QueuePush { time, seq });
         seq
@@ -110,17 +114,24 @@ impl<T: std::fmt::Debug> EventQueue<T> {
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event<T>> {
         let mut first = self.buckets.first_entry()?;
-        let event = first.get_mut().pop_front().expect("no bucket is empty");
+        let time = *first.key();
+        let (seq, payload) = first.get_mut().pop_front().expect("no bucket is empty");
         if first.get().is_empty() {
             first.remove();
         }
         self.len -= 1;
-        Some(event)
+        Some(Event { time, seq, payload })
     }
 
-    /// The earliest event without removing it.
-    pub fn peek(&self) -> Option<&Event<T>> {
-        self.buckets.values().next().and_then(VecDeque::front)
+    /// The earliest event without removing it, its payload borrowed.
+    pub fn peek(&self) -> Option<Event<&T>> {
+        let (&time, bucket) = self.buckets.first_key_value()?;
+        let (seq, payload) = bucket.front().expect("no bucket is empty");
+        Some(Event {
+            time,
+            seq: *seq,
+            payload,
+        })
     }
 
     /// The time of the earliest event without removing it.
@@ -138,9 +149,15 @@ impl<T: std::fmt::Debug> EventQueue<T> {
         self.len == 0
     }
 
-    /// Iterates over pending events in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = &Event<T>> {
-        self.buckets.values().flatten()
+    /// Iterates over pending events in arbitrary order, payloads borrowed.
+    pub fn iter(&self) -> impl Iterator<Item = Event<&T>> {
+        self.buckets.iter().flat_map(|(&time, bucket)| {
+            bucket.iter().map(move |(seq, payload)| Event {
+                time,
+                seq: *seq,
+                payload,
+            })
+        })
     }
 }
 
@@ -184,7 +201,14 @@ mod tests {
         q.push(10, 'b');
         q.push(5, 'a');
         q.push(10, 'c');
-        let events: Vec<Event<char>> = q.iter().cloned().collect();
+        let events: Vec<Event<char>> = q
+            .iter()
+            .map(|e| Event {
+                time: e.time,
+                seq: e.seq,
+                payload: *e.payload,
+            })
+            .collect();
         let mut q2 = EventQueue::from_parts(q.next_seq(), events);
         assert_eq!(q2.next_seq(), 3);
         assert_eq!(q2.push(1, 'd'), 3, "push continues the sequence");

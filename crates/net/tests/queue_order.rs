@@ -17,7 +17,7 @@ const OPS: u64 = 20_000;
 
 /// `(time, seq, payload)` of every queued event, sorted.
 fn contents(queue: &EventQueue<u64>) -> Vec<(u64, u64, u64)> {
-    let mut all: Vec<_> = queue.iter().map(|e| (e.time, e.seq, e.payload)).collect();
+    let mut all: Vec<_> = queue.iter().map(|e| (e.time, e.seq, *e.payload)).collect();
     all.sort_unstable();
     all
 }
@@ -63,7 +63,7 @@ fn run_case(case: u64) {
             }
             16 | 17 => {
                 let head = model.peek().map(|Reverse(e)| *e);
-                let peeked = queue.peek().map(|e| (e.time, e.seq, e.payload));
+                let peeked = queue.peek().map(|e| (e.time, e.seq, *e.payload));
                 assert_eq!(peeked, head, "case {case} op {op}");
                 assert_eq!(queue.peek_time(), head.map(|e| e.0), "case {case} op {op}");
             }
@@ -75,7 +75,14 @@ fn run_case(case: u64) {
             _ => {
                 if rng.below(50) == 0 {
                     // A snapshot round trip: export in any order, rebuild.
-                    let mut export: Vec<Event<u64>> = queue.iter().cloned().collect();
+                    let mut export: Vec<Event<u64>> = queue
+                        .iter()
+                        .map(|e| Event {
+                            time: e.time,
+                            seq: e.seq,
+                            payload: *e.payload,
+                        })
+                        .collect();
                     for i in (1..export.len()).rev() {
                         export.swap(i, rng.below(i as u64 + 1) as usize);
                     }

@@ -567,8 +567,9 @@ impl VmState {
 
     /// [`VmState::config_digest`] recomputed by rescanning the full heap
     /// and path condition instead of reading the incremental accumulators.
-    /// Kept as the ground truth for digest-coherence tests and as the
-    /// baseline of the `digest/` criterion benchmark.
+    /// The ground truth the digest-coherence tests compare the incremental
+    /// accumulators against: a bug in an accumulator update shows as a
+    /// mismatch here, not as a silently missed duplicate.
     pub fn config_digest_reference(&self) -> u64 {
         let mut h = DefaultHasher::new();
         heap_digest(&self.heap).hash(&mut h);

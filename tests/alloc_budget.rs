@@ -83,7 +83,9 @@ fn retained_bytes() -> i64 {
     ALLOCATED_BYTES.with(Cell::get) as i64 - freed_bytes() as i64
 }
 
-/// The concrete counting loop of `crates/bench/benches/vm.rs`.
+/// A concrete counting loop of `iterations` rounds: no symbolic value, no
+/// fork, only register arithmetic and branches — the interpreter's steady
+/// state, whose allocations must not grow with the instruction count.
 fn loop_program(iterations: u64) -> Program {
     let mut pb = ProgramBuilder::new();
     pb.function("main", 0, move |f| {

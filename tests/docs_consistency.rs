@@ -3,7 +3,8 @@
 //! Keeps README/DESIGN/EXPERIMENTS/docs honest as the workspace evolves:
 //! every `cargo run --example`/`--bin` they mention must exist, every test
 //! suite they (or CI, or the verify skill) name must exist, and every
-//! recorded `bench_out/` file they cite must be in the tree.
+//! recorded `bench_out/` file and every source path they cite must be in
+//! the tree.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -117,12 +118,7 @@ fn every_cited_bench_out_file_exists() {
         "docs/ALGORITHMS.md",
     ] {
         let text = read(doc);
-        let mut rest = text.as_str();
-        while let Some(pos) = rest.find("`bench_out/") {
-            let tail = &rest[pos + 1..];
-            let end = tail.find('`').unwrap_or(tail.len());
-            let path = &tail[..end];
-            rest = &tail[(end + 1).min(tail.len())..];
+        for path in backticked(&text, "bench_out/") {
             if path.contains(['<', '{', '[']) {
                 continue;
             }
@@ -134,6 +130,53 @@ fn every_cited_bench_out_file_exists() {
         }
     }
     assert!(cited >= 3, "suspiciously few bench_out citations: {cited}");
+}
+
+/// The backticked spans of `text` that start with `prefix`.
+fn backticked<'a>(text: &'a str, prefix: &str) -> Vec<&'a str> {
+    let needle = format!("`{prefix}");
+    let mut spans = Vec::new();
+    let mut rest = text;
+    while let Some(pos) = rest.find(&needle) {
+        let tail = &rest[pos + 1..];
+        let end = tail.find('`').unwrap_or(tail.len());
+        spans.push(&tail[..end]);
+        rest = &tail[(end + 1).min(tail.len())..];
+    }
+    spans
+}
+
+/// Every source path a document cites in backticks — one that starts
+/// with `crates/`, `tests/`, `src/`, `examples/` or `.github/` — exists
+/// as written: a file that moves or goes cannot stay cited at its old
+/// place. A `:line` suffix is dropped; a placeholder, alternation, glob or
+/// elision (`<`, `{`, `[`, `*`, `…`) names a family of files and is
+/// skipped.
+#[test]
+fn every_cited_source_path_exists() {
+    let mut cited = 0;
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "docs/ALGORITHMS.md",
+    ] {
+        let text = read(doc);
+        for prefix in ["crates/", "tests/", "src/", "examples/", ".github/"] {
+            for span in backticked(&text, prefix) {
+                if span.contains(['<', '{', '[', '*', '…']) {
+                    continue;
+                }
+                let path = span.split_once(':').map_or(span, |(path, _)| path);
+                cited += 1;
+                assert!(
+                    repo_root().join(path).exists(),
+                    "{doc} cites `{span}`, which is not in the tree"
+                );
+            }
+        }
+    }
+    assert!(cited >= 50, "suspiciously few source citations: {cited}");
 }
 
 #[test]
