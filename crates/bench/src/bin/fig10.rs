@@ -44,9 +44,10 @@ fn side_for(nodes: u16) -> Result<u16, String> {
 
 fn main() {
     let args = Args::from_env();
+    let all = args.flag("all");
     let sizes: Vec<u16> = if let Some(n) = or_usage(args.get::<u16>("nodes")) {
         vec![n]
-    } else if args.flag("all") {
+    } else if all {
         vec![25, 49, 100]
     } else {
         vec![25, 49]
@@ -75,6 +76,7 @@ fn main() {
     // `--faults partition,latency,corrupt,crashrec|all`: layer the
     // extended fault model (DESIGN.md §11) on top of the workload.
     let faults = or_usage(args.faults()).unwrap_or_default();
+    args.finish();
     let fault_tag = if faults.is_empty() {
         String::new()
     } else {

@@ -9,7 +9,7 @@
 //! cargo run -p sde-bench --bin lineage -- --trace out_sds.jsonl --check
 //! ```
 //!
-//! `--check` is the CI validator: it exits non-zero unless the file
+//! `--check` is the validator: it exits non-zero unless the file
 //! parses line-by-line against the event schema, the lineage forms a
 //! valid forest (every mentioned state reachable from a root, children
 //! allocated after parents, no state with two parents), and the trace is
@@ -21,7 +21,10 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args = sde_bench::Args::from_env();
     let state = sde_bench::or_usage(args.get::<u64>("state"));
-    let Some(path) = sde_bench::or_usage(args.trace()) else {
+    let check = args.flag("check");
+    let trace = sde_bench::or_usage(args.trace());
+    args.finish();
+    let Some(path) = trace else {
         eprintln!("usage: lineage --trace FILE [--state N] [--check]");
         return ExitCode::FAILURE;
     };
@@ -44,8 +47,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    if args.flag("check") {
-        // CI mode: the trace must describe an actual exploration, not an
+    if check {
+        // Check mode: the trace must describe an actual exploration, not an
         // empty file that vacuously satisfies the invariants.
         if lineage.fork_count() == 0 {
             eprintln!("{}: trace records no forks", path.display());

@@ -77,6 +77,7 @@ fn main() {
         None => vec![None],
         Some(axes) => axes.into_iter().map(Some).collect(),
     };
+    args.finish();
 
     let mut json = Vec::new();
     let mut dirty = 0usize;

@@ -23,7 +23,7 @@
 //!
 //! Every point also writes its canonical equivalence key to
 //! `<out>/sweep_<alg>_{seq,wN}.key` — wall times and solver counters
-//! excluded — so CI can `cmp` the files across the sweep.
+//! excluded — so the files of two sweeps or two builds can be `cmp`ed.
 
 use sde_bench::{
     grid_side, or_usage, symbolic_grid, trace_file_for, write_file, Args, Checkpointing, RunConfig,
@@ -58,6 +58,7 @@ fn main() {
     // sharded engine pauses only at the serial-merge barrier between
     // batches, so its snapshots are valid sequential pause points too.
     let checkpoint = or_usage(Checkpointing::from_args(&args, "sweep"));
+    args.finish();
 
     let mut report = String::new();
     let _ = writeln!(

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo run -p sde-bench --release --bin repro -- \
-//!     --demo token --faults all --check --emit bench_out/token.repro.json
+//!     --demo token --faults all --emit bench_out/token.repro.json
 //! ```
 //!
 //! Exits **1** when a violation was found (the artifact carries the
@@ -51,6 +51,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args = Args::from_env();
     if let Some(path) = or_usage(args.get::<String>("replay")) {
+        args.finish();
         return replay(Path::new(&path));
     }
     checkrun(&args)
@@ -68,6 +69,7 @@ fn checkrun(args: &Args) -> ExitCode {
     let axes = or_usage(args.faults()).unwrap_or_else(|| FailureKind::AXES.to_vec());
     let workers: Option<usize> = or_usage(args.get("workers"));
     let emit: Option<String> = or_usage(args.get("emit"));
+    args.finish();
 
     let (base, checker) = or_usage(demo(&demo_name, fixed));
     let base_duration_ms = base.duration_ms;

@@ -28,6 +28,8 @@ fn main() -> ExitCode {
     let inspect: Option<PathBuf> = or_usage(args.get("inspect"));
     let validate: Option<PathBuf> = or_usage(args.get("validate"));
     let diff: Option<PathBuf> = or_usage(args.get("diff"));
+    let with: Option<PathBuf> = or_usage(args.get("with"));
+    args.finish();
 
     match (inspect, validate, diff) {
         (Some(path), None, None) => match load_snapshot(&path) {
@@ -83,7 +85,7 @@ fn main() -> ExitCode {
             }
         }
         (None, None, Some(a)) => {
-            let Some(b) = or_usage(args.get::<PathBuf>("with")) else {
+            let Some(b) = with else {
                 eprintln!("error: --diff needs --with <FILE>");
                 return ExitCode::FAILURE;
             };

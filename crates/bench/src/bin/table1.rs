@@ -20,7 +20,7 @@
 //! cargo run -p sde-bench --release --bin table1 -- --complexity
 //! cargo run -p sde-bench --release --bin table1 -- --workers 4   # sharded engine (§13)
 //! cargo run -p sde-bench --release --bin table1 -- --dedup       # duplicate pruning (§10)
-//! cargo run -p sde-bench --release --bin table1 -- --preset tiny # CI smoke (3×3)
+//! cargo run -p sde-bench --release --bin table1 -- --preset tiny # 3×3 smoke run
 //! cargo run -p sde-bench --release --bin table1 -- --preset tiny --faults all
 //! cargo run -p sde-bench --release --bin table1 -- --faults partition,crashrec
 //! cargo run -p sde-bench --release --bin table1 -- --layers off --tag layers_off
@@ -85,7 +85,7 @@ fn main() {
         print!("{USAGE}");
         return;
     }
-    // `--preset tiny`: a seconds-scale 3×3 run for CI smoke tests — same
+    // `--preset tiny`: a seconds-scale 3×3 run for smoke tests — same
     // code path, same JSON schema, much smaller caps.
     let tiny = match or_usage(args.get::<String>("preset")).as_deref() {
         None => false,
@@ -146,6 +146,10 @@ fn main() {
         ))),
     };
     let scenario = with_fault_axes(scenario, &faults);
+    let testgen = or_usage(args.get::<usize>("testgen"));
+    let check = args.flag("check");
+    let complexity = args.flag("complexity");
+    args.finish();
     println!(
         "Table I — {}-node scenario ({side}x{side} grid), {workload} workload",
         scenario.node_count()
@@ -234,7 +238,7 @@ fn main() {
     // per algorithm (fresh engine on the same scenario) and record the
     // yield — with the truncation flag spelled out in both renderings,
     // so a capped generation pass can never pass for a complete one.
-    if let Some(limit) = or_usage(args.get::<usize>("testgen")) {
+    if let Some(limit) = testgen {
         println!("\ntest-case generation (--testgen {limit}):");
         for alg in Algorithm::ALL {
             let tg = sde_core::testgen::generate(&explored(alg), limit);
@@ -261,9 +265,9 @@ fn main() {
     // `--check`: re-run each algorithm with the workload's invariants
     // (DESIGN.md §12) and report violations. The collect/sense
     // invariants hold, so any violation is an engine bug; the process
-    // exits nonzero to make that failure impossible to miss in CI.
+    // exits nonzero to make that failure impossible to miss.
     let mut check_violations = 0usize;
-    if args.flag("check") {
+    if check {
         let source = sde_net::NodeId(side * side - 1);
         let sink = sde_net::NodeId(0);
         println!("\ninvariant check (--check, sink-within-source):");
@@ -336,7 +340,7 @@ fn main() {
         sds.duplicate_states
     );
 
-    if args.flag("complexity") {
+    if complexity {
         let k = u32::from(side) * u32::from(side);
         let model = WorstCase::new(k);
         println!("\n§III-E worst-case bound for k = {k}:");

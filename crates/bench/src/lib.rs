@@ -29,6 +29,7 @@ use sde_os::apps::token::{self, TokenConfig};
 use sde_os::layout;
 use sde_symbolic::{Expr, ExprRef, Solver, Width};
 use sde_trace::{RingSink, TimedEvent, TraceSink};
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -431,7 +432,7 @@ impl SolverLayers {
 /// `--checkpoint-every N` (snapshot every N dispatched events),
 /// `--snapshot-dir D` (where `<bin>_<label>.snap` files land),
 /// `--resume PATH` (a snapshot file, or a directory holding per-label
-/// snapshots), `--stop-after S` (exit after S snapshots — the CI
+/// snapshots), `--stop-after S` (exit after S snapshots — the
 /// "interrupted run" stand-in for a kill).
 #[derive(Debug, Clone)]
 pub struct Checkpointing {
@@ -905,6 +906,10 @@ pub fn write_bench_json(path: &Path, objects: &[String]) -> std::io::Result<()> 
 pub struct Args {
     pairs: Vec<(String, String)>,
     flags: Vec<String>,
+    positionals: Vec<String>,
+    /// Every `(key, takes a value)` a getter asked for, present or not:
+    /// what [`Args::finish`] accepts.
+    read: RefCell<Vec<(String, bool)>>,
 }
 
 impl Args {
@@ -913,17 +918,46 @@ impl Args {
         let mut args = Args::default();
         let mut iter = std::env::args().skip(1).peekable();
         while let Some(a) = iter.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                match iter.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        args.pairs
-                            .push((key.to_string(), iter.next().expect("peeked")));
-                    }
-                    _ => args.flags.push(key.to_string()),
+            let Some(key) = a.strip_prefix("--") else {
+                args.positionals.push(a);
+                continue;
+            };
+            match iter.peek() {
+                Some(v) if !v.starts_with("--") => {
+                    args.pairs
+                        .push((key.to_string(), iter.next().expect("peeked")));
                 }
+                _ => args.flags.push(key.to_string()),
             }
         }
         args
+    }
+
+    fn mark(&self, key: &str, value: bool) {
+        self.read.borrow_mut().push((key.to_string(), value));
+    }
+
+    /// Exits 2 naming every argument no getter read: a misspelled flag
+    /// (`--dedupe`), a flag without the value it takes (or with one it
+    /// does not), a stray word. Each bin calls it once it has read all
+    /// its flags, before it runs anything — an ignored flag would run the
+    /// default experiment and exit 0.
+    pub fn finish(&self) {
+        let read = self.read.borrow();
+        let unread = |key: &String, value: bool| !read.contains(&(key.clone(), value));
+        let pairs = self.pairs.iter().filter(|(k, _)| unread(k, true));
+        let flags = self.flags.iter().filter(|k| unread(k, false));
+        let stray: Vec<String> = pairs
+            .map(|(k, v)| format!("--{k} {v}"))
+            .chain(flags.map(|k| format!("--{k}")))
+            .chain(self.positionals.iter().map(|p| format!("{p:?}")))
+            .collect();
+        if !stray.is_empty() {
+            or_usage::<()>(Err(format!(
+                "unexpected argument(s): {} (misspelled, missing a value, or not a flag of this bin)",
+                stray.join(", ")
+            )));
+        }
     }
 
     /// The value of `--key`, parsed. `Ok(None)` when the flag is absent.
@@ -935,6 +969,7 @@ impl Args {
     /// launch the wrong (possibly much heavier) experiment. Bins pass the
     /// result through [`or_usage`].
     pub fn get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.mark(key, true);
         self.pairs
             .iter()
             .rev()
@@ -957,6 +992,7 @@ impl Args {
 
     /// Whether the bare flag `--key` was passed.
     pub fn flag(&self, key: &str) -> bool {
+        self.mark(key, false);
         self.flags.iter().any(|f| f == key)
     }
 
@@ -1105,9 +1141,10 @@ mod tests {
 
     #[test]
     fn layer_toggles_are_answer_preserving_and_observable() {
-        // SDS on the 2×2 sense grid; COB on the 3×3 one, where every fork
-        // copies the source and each copy mints its own reading.
+        // COW and SDS on the 2×2 sense grid; COB on the 3×3 one, where
+        // every fork copies the source and each copy mints its own reading.
         for (s, algorithm) in [
+            (symbolic_grid(2), Algorithm::Cow),
             (symbolic_grid(2), Algorithm::Sds),
             (symbolic_grid(3), Algorithm::Cob),
         ] {
@@ -1122,6 +1159,7 @@ mod tests {
             let off = with_layers(SolverLayers::Off);
             // Cache layers may only change solver counters, never the run.
             assert_eq!(full.equivalence_key(), off.equivalence_key());
+            assert!(full.solver.cache_hits > 0, "{:?}", full.solver);
             assert!(full.solver.group_cache_hits > 0, "{:?}", full.solver);
             assert_eq!(off.solver.cache_hits, 0, "{:?}", off.solver);
             assert_eq!(off.solver.group_cache_hits, 0, "{:?}", off.solver);
@@ -1172,7 +1210,7 @@ mod tests {
     fn fault_axis_typo_is_loud() {
         let faults = |value: &str| Args {
             pairs: vec![("faults".to_string(), value.to_string())],
-            flags: Vec::new(),
+            ..Args::default()
         };
         assert_eq!(Args::default().faults(), Ok(None));
         assert_eq!(faults("all").faults(), Ok(Some(FailureKind::AXES.to_vec())));
