@@ -3,7 +3,8 @@
 //! change that moves one has changed what the run explores, whatever its
 //! wall time says. Wall time and RSS are not pinned.
 
-use sde::os::apps::flood;
+mod common;
+
 use sde::prelude::*;
 use sde_bench::{paper_scenario, symbolic_grid};
 
@@ -49,15 +50,7 @@ fn collect7_cow_modelled_bytes_and_states() {
 /// the solver sees no query.
 #[test]
 fn flood10_sds_never_reaches_the_solver() {
-    let topology = Topology::full_mesh(10);
-    let cfg = FloodConfig {
-        initiator: NodeId(0),
-        rounds: 2,
-        interval_ms: 1000,
-    };
-    let scenario = Scenario::new(topology.clone(), flood::programs(&topology, &cfg))
-        .with_failures(FailureConfig::new().with_drops(topology.nodes(), 1))
-        .with_duration_ms(4_000);
+    let scenario = common::mesh_flood(10, 2).with_history_tracking(false);
     let r = run(scenario, Algorithm::Sds);
     assert_eq!((r.instructions, r.events), (2_253_295, 140_126));
     assert_eq!(r.solver.queries, 0);
