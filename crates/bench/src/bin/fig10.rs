@@ -14,7 +14,7 @@
 //! cargo run -p sde-bench --release --bin fig10                   # 25 + 49 nodes
 //! cargo run -p sde-bench --release --bin fig10 -- --nodes 100    # one size
 //! cargo run -p sde-bench --release --bin fig10 -- --all          # 25 + 49 + 100
-//! cargo run -p sde-bench --release --bin fig10 -- --workers 4    # sharded engine (§13)
+//! cargo run -p sde-bench --release --bin fig10 -- --workers 4    # sharded engine (§5)
 //! cargo run -p sde-bench --release --bin fig10 -- --dedup        # duplicate pruning (§10)
 //! cargo run -p sde-bench --release --bin fig10 -- --nodes 25 --trace f.jsonl
 //! cargo run -p sde-bench --release --bin fig10 -- --nodes 25 --faults all
@@ -57,7 +57,7 @@ fn main() {
     let cap: usize = or_usage(args.get("cap")).unwrap_or(1_000_000);
     let out_dir = or_usage(args.out_dir());
     let mut run = RunConfig {
-        // `--workers N`: run through the sharded engine (DESIGN.md §13).
+        // `--workers N`: run through the sharded engine (DESIGN.md §5).
         // The CSV series are bit-identical per RunReport::equivalence_key
         // (wall_ms excepted); the extra summary line shows what the
         // workers did.

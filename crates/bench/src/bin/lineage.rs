@@ -14,6 +14,10 @@
 //! valid forest (every mentioned state reachable from a root, children
 //! allocated after parents, no state with two parents), and the trace is
 //! non-empty (at least one root and one fork).
+//!
+//! Exit codes: 0 ok; 1 a finding (the trace does not parse, its lineage
+//! is invalid or empty, or `--state N` is not in it); 2 a usage error
+//! (no `--trace`, an unknown flag).
 
 use sde_trace::{read_jsonl, ForkReason, Lineage, TraceEvent};
 use std::process::ExitCode;
@@ -26,7 +30,7 @@ fn main() -> ExitCode {
     args.finish();
     let Some(path) = trace else {
         eprintln!("usage: lineage --trace FILE [--state N] [--check]");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let events = match read_jsonl(&path) {
         Ok(events) => events,

@@ -1,6 +1,6 @@
 //! Worker-count sweep for the sharded engine on the solver-bound
 //! `sense` workload (`sde_bench::symbolic_grid`): sequential baseline,
-//! then `Engine::run_sharded` (DESIGN.md §13) at 1/2/4/8 workers,
+//! then `Engine::run_sharded` (DESIGN.md §5) at 1/2/4/8 workers,
 //! asserting bit-identity against the baseline at every point and
 //! recording wall time, solver counters, and per-phase `ParallelStats` to
 //! `bench_out/`. Workers execute disjoint frontier subtrees

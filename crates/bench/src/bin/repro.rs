@@ -31,7 +31,7 @@
 //! fingerprint, fault axes, durations, bug digest) followed by one
 //! object per witness entry. `--workers N` runs the exploration phase
 //! through the sharded engine — traced, so it offloads nothing (DESIGN.md
-//! §13) — and minimization replays are serial, so artifacts are
+//! §5) — and minimization replays are serial, so artifacts are
 //! byte-identical for any worker count.
 
 use sde_bench::{

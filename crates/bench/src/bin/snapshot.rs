@@ -17,6 +17,10 @@
 //!   field the two snapshots differ in, every field but the three
 //!   wall-clock ones (`EngineSnapshot::diff`); exits 0 only when there is
 //!   none.
+//!
+//! Exit codes: 0 ok; 1 a finding (the snapshots differ, or a file does
+//! not decode or re-encode); 2 a usage error (no mode, two modes,
+//! `--diff` without `--with`, an unknown flag).
 
 use sde_bench::{load_snapshot, or_usage, Args};
 use sde_core::EngineSnapshot;
@@ -87,7 +91,7 @@ fn main() -> ExitCode {
         (None, None, Some(a)) => {
             let Some(b) = with else {
                 eprintln!("error: --diff needs --with <FILE>");
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             };
             let (sa, sb) = match (load_snapshot(&a), load_snapshot(&b)) {
                 (Ok(sa), Ok(sb)) => (sa, sb),
@@ -114,7 +118,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!("usage: snapshot --inspect FILE | --validate FILE | --diff FILE --with FILE");
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
     }
 }

@@ -18,7 +18,7 @@
 //! cargo run -p sde-bench --release --bin table1 -- --side 7  # smaller grid
 //! cargo run -p sde-bench --release --bin table1 -- --cap 500000
 //! cargo run -p sde-bench --release --bin table1 -- --complexity
-//! cargo run -p sde-bench --release --bin table1 -- --workers 4   # sharded engine (§13)
+//! cargo run -p sde-bench --release --bin table1 -- --workers 4   # sharded engine (§5)
 //! cargo run -p sde-bench --release --bin table1 -- --dedup       # duplicate pruning (§10)
 //! cargo run -p sde-bench --release --bin table1 -- --preset tiny # 3×3 smoke run
 //! cargo run -p sde-bench --release --bin table1 -- --preset tiny --faults all
@@ -61,7 +61,7 @@ table1 — Table I rows (wall, states, RAM) for COB, COW and SDS
   --cap N, --cap-cob N state caps: COW/SDS (default 1000000), COB (120000)
   --sample-every N     statistics sample period in events (default 512)
   --workers N          run through the sharded engine with N workers
-                       (DESIGN.md §13; reports unchanged)
+                       (DESIGN.md §5; reports unchanged)
   --dedup              online duplicate-dispatch pruning (DESIGN.md §10)
   --layers full|off     solver stack (DESIGN.md §6). `full` is the engine.
                        `off` (no caching) is the ablation point: every
@@ -114,7 +114,7 @@ fn main() {
             .and_then(|l| SolverLayers::parse(&l)),
     );
     let mut run = RunConfig {
-        // `--workers N`: run through the sharded engine (DESIGN.md §13);
+        // `--workers N`: run through the sharded engine (DESIGN.md §5);
         // reports stay bit-identical.
         workers: or_usage(args.get("workers")),
         layers,

@@ -519,7 +519,7 @@ pub struct RunConfig {
     /// State cap and sampling period applied to the scenario.
     pub limits: RunLimits,
     /// `Some(w)` drives the sharded engine with `w` workers (DESIGN.md
-    /// §13; the report is bit-identical, plus
+    /// §5; the report is bit-identical, plus
     /// [`RunReport::parallel`](sde_core::RunReport::parallel) counters);
     /// `None` runs serially.
     pub workers: Option<usize>,

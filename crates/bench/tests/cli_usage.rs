@@ -89,8 +89,10 @@ fn unknown_flags_are_usage_errors_in_every_bin() {
 /// `--algorithm`) is a usage error in every bin that takes one, and so is
 /// every other value a bin cannot run: a grid side or node count no grid
 /// has, a trace asked of a checkpointed run, a snapshot that does not
-/// decode, an unknown preset or demo. `snapshot` takes only paths, which
-/// always parse.
+/// decode, an unknown preset or demo, a missing mode or required flag.
+/// `snapshot` takes only paths, which always parse; its usage errors are a
+/// missing mode and `--diff` without `--with`. Exit 1 stays the code of a
+/// finding (snapshots that differ, a bad trace).
 #[test]
 fn junk_numbers_and_algorithms_are_usage_errors_in_every_bin() {
     let side = "invalid value \"banana\" for --side";
@@ -142,6 +144,13 @@ fn junk_numbers_and_algorithms_are_usage_errors_in_every_bin() {
             "lineage",
             vec!["--trace", "/dev/null", "--state", "banana"],
             "for --state",
+        ),
+        ("lineage", vec!["--check"], "usage: lineage --trace FILE"),
+        ("snapshot", vec![], "usage: snapshot --inspect FILE"),
+        (
+            "snapshot",
+            vec!["--diff", "a.snap"],
+            "--diff needs --with <FILE>",
         ),
     ] {
         assert_bin_usage(bin, &args, says);

@@ -44,7 +44,7 @@ use std::sync::Arc;
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"SDESNAP1";
 
 /// Current snapshot format version; bumped on any codec change
-/// (DESIGN.md §8 lists what each version added).
+/// (DESIGN.md §8 has the format; CHANGES.md what each version changed).
 pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Size of the fixed file header (magic + version + digest + prelude

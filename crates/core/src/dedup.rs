@@ -5,9 +5,9 @@
 //! *duplicate* states — configurations whose "heap, stack, program
 //! counter, path constraints, and communication history" coincide. The
 //! engine cannot soundly *terminate* a duplicate (its pending events and
-//! future incoming traffic may diverge from the survivor's — see the
-//! probe data in DESIGN.md §10), but it can prune the duplicate's
-//! *execution*: a dispatch of a configuration the engine has already
+//! future incoming traffic may diverge from the survivor's — DESIGN.md
+//! §10, "Memoized replay, not termination"), but it can prune the
+//! duplicate's *execution*: a dispatch of a configuration the engine has already
 //! stepped — same node, same VM configuration, same failure budgets,
 //! same event payload, same virtual time — performs, deterministically,
 //! the same instruction sequence, the same solver queries and the same

@@ -141,7 +141,9 @@ impl Host for Engine {
 
     /// A state's memory image is fixed until its next event, so this is
     /// where it is pooled (DESIGN.md §2, "Heap cells"). The core is the
-    /// state's own here: running the handler wrote it.
+    /// state's own here: running the handler wrote it. A dedup replay or
+    /// a shard merge installs recorded final states instead, which are
+    /// not offered: a merge's finals already share their heaps.
     fn handler_ended(&mut self, state: &mut SdeState) {
         self.heap_pool.intern(&mut state.vm);
     }
@@ -185,7 +187,7 @@ impl Host for Engine {
 impl Engine {
     /// Dispatches the event `kind` popped for `state_id`, resolving it in
     /// tier order: a confirmed dedup replay (DESIGN.md §10), a confirmed
-    /// shard recording of the batch being committed (§13), or execution
+    /// shard recording of the batch being committed (§5), or execution
     /// through the dispatch core — recorded when dedup is on.
     pub(super) fn dispatch(&mut self, state_id: StateId, kind: NodeEvent) {
         // Terminated or mid-handler states silently drop events.

@@ -1,6 +1,6 @@
 //! Recorded dispatches on the commit side: dedup's memo index
 //! (DESIGN.md §10) and the shard recordings of the batch being committed
-//! (§13), both applied through [`Engine::apply_entry`].
+//! (§5), both applied through [`Engine::apply_entry`].
 
 use super::host::Host;
 use super::{Engine, NodeEvent};

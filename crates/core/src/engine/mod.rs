@@ -187,7 +187,7 @@ impl Engine {
     /// engine in the crate graph — reach it too.
     ///
     /// A traced sharded run offloads nothing to its workers (DESIGN.md
-    /// §13), so its trace is the serial run's, byte for byte, at any
+    /// §5), so its trace is the serial run's, byte for byte, at any
     /// worker count.
     #[must_use]
     pub fn with_trace_sink(mut self, sink: Arc<dyn sde_trace::TraceSink>) -> Engine {

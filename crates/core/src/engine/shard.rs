@@ -1,4 +1,4 @@
-//! Sharded frontier exploration (DESIGN.md §13): the worker pool, the
+//! Sharded frontier exploration (DESIGN.md §5): the worker pool, the
 //! hand-off and barrier of each batch, and the record host a worker runs
 //! the dispatch core on.
 
@@ -35,7 +35,7 @@ impl Engine {
     }
 
     /// Like [`Engine::run_in_place`] but with true parallel execution
-    /// (DESIGN.md §13): the frontier is partitioned into disjoint
+    /// (DESIGN.md §5): the frontier is partitioned into disjoint
     /// subtrees by root-fork lineage ([`SdeState::shard_root`]) and each
     /// worker *authoritatively* executes the groups of its subtrees —
     /// VM stepping, solver queries against a worker-local cache, forks —

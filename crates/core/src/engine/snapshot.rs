@@ -1,5 +1,29 @@
 //! Checkpoints (DESIGN.md §8): an engine as an [`EngineSnapshot`] at an
 //! event boundary, and an engine again from one.
+//!
+//! **No table is sized from an id a snapshot merely claims.** State,
+//! group and virtual-state ids index flat vectors, so [`Engine::resume`]
+//! and the mappers' imports bound every id read from a file — by
+//! something the file spends bytes on — before the vector it indexes
+//! grows. The premise is what every run writes: the mapper names exactly
+//! the states `0..next_state` and the groups `0..next_group`, and every
+//! state is resident. The bounds, and what each one guards:
+//!
+//! | where | what is refused | before what grows |
+//! |---|---|---|
+//! | `Cob` / `Cow::import_snapshot` | group ids that are not exactly `0..next_group` | `groups` / `dstates` |
+//! | `Cob` / `Cow::import_snapshot` | a state id at or above the number of member entries listed (no state may be listed twice) | `group_of` |
+//! | `Sds::import_snapshot` | vstate ids not exactly `0..next_v`, dstate ids not exactly `0..next_group`, a vstate's dstate `>= next_group`, more dstates × nodes than vstates listed | `rows`, `columns`, `slots` |
+//! | `Sds::import_snapshot` | an owner id at or above the number of vstates listed; owners not exactly `0..` their count | `slot_of` |
+//! | all three imports | a list not strictly ascending by `(node, id)`, a group without members, a COW node entry without states | — (`check_invariants` runs last) |
+//! | [`Engine::resume`] | `next_state` above the number of states `MapperSnapshot::members()` names | the state table (a record's id must be `< next_state`) |
+//! | [`Engine::resume`] | an `executed` id `>= next_state` | the `executed` bitset |
+//! | [`Engine::resume`] | a queued event of a non-resident state | the pending-event index |
+//!
+//! None of those functions calls `try_reserve`, so a sizing that slipped
+//! through would panic or abort in
+//! `tests/snapshot_fuzz.rs::resume_refuses_ids_nothing_in_the_snapshot_backs`,
+//! not return `Err`.
 
 use super::Engine;
 use crate::checkpoint::{EngineSnapshot, SnapshotError};

@@ -62,7 +62,7 @@ impl TimeSeries {
 }
 
 /// Counters describing one [`Engine::run_sharded`](crate::Engine::run_sharded)
-/// execution (DESIGN.md §13): how much work the shard workers did, what
+/// execution (DESIGN.md §5): how much work the shard workers did, what
 /// the merge thread applied, and where the merge thread spent its time,
 /// phase by phase.
 ///

@@ -287,11 +287,13 @@ impl PendingLists {
 #[derive(Debug, Default)]
 pub struct IndexedQueue {
     heap: EventQueue<StateId>,
-    /// Keys of the current virtual-time batch, already popped off `heap`
-    /// by [`IndexedQueue::batch`]; consumed before the heap. Every later
-    /// push carries a larger `seq` and no earlier time, so the order is
-    /// the heap's own.
-    front: VecDeque<Event<StateId>>,
+    /// Keys of the current virtual-time batch as `(seq, state)`, already
+    /// popped off `heap` by [`IndexedQueue::batch`]; consumed before the
+    /// heap. Every later push carries a larger `seq` and no earlier time,
+    /// so the order is the heap's own.
+    front: VecDeque<(u64, StateId)>,
+    /// The one virtual time of every key in `front`.
+    front_time: u64,
     pending: PendingLists,
     /// Keys of cleared events still queued; each is skipped when it
     /// surfaces.
@@ -340,7 +342,7 @@ impl IndexedQueue {
     /// else the heap's top.
     fn next_key(&self) -> Option<(u64, StateId)> {
         match self.front.front() {
-            Some(key) => Some((key.seq, key.payload)),
+            Some(&key) => Some(key),
             None => self.heap.peek().map(|key| (key.seq, *key.payload)),
         }
     }
@@ -353,7 +355,14 @@ impl IndexedQueue {
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<Event<(StateId, NodeEvent)>> {
         self.skip_stale();
-        let key = self.front.pop_front().or_else(|| self.heap.pop())?;
+        let key = match self.front.pop_front() {
+            Some((seq, state)) => Event {
+                time: self.front_time,
+                seq,
+                payload: state,
+            },
+            None => self.heap.pop()?,
+        };
         let state = key.payload;
         let list = (self.pending.get_mut(state)).expect("a live key has a pending list");
         // The popped key is the global minimum, hence its state's head.
@@ -372,9 +381,10 @@ impl IndexedQueue {
     /// The time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<u64> {
         self.skip_stale();
-        match self.front.front() {
-            Some(key) => Some(key.time),
-            None => self.heap.peek_time(),
+        if self.front.is_empty() {
+            self.heap.peek_time()
+        } else {
+            Some(self.front_time)
         }
     }
 
@@ -390,13 +400,14 @@ impl IndexedQueue {
     /// key that names the list's head is the state's first in the batch.
     pub fn batch(&mut self, time: u64) -> Vec<StateId> {
         debug_assert!(self.front.is_empty(), "the previous batch was committed");
+        self.front_time = time;
         while self.heap.peek_time() == Some(time) {
             let key = self.heap.pop().expect("peeked key");
-            self.front.push_back(key);
+            self.front.push_back((key.seq, key.payload));
         }
         (self.front.iter())
-            .filter(|key| self.heads(key.payload, key.seq))
-            .map(|key| key.payload)
+            .filter(|&&(seq, state)| self.heads(state, seq))
+            .map(|&(_, state)| state)
             .collect()
     }
 
@@ -522,7 +533,7 @@ impl IndexedQueue {
     /// Describes the first difference found.
     pub fn check_reference(&self) -> Result<(), String> {
         let mut scanned: Vec<(StateId, u64, u64)> = (self.front.iter())
-            .map(|key| (key.payload, key.time, key.seq))
+            .map(|&(seq, state)| (state, self.front_time, seq))
             .chain(
                 self.heap
                     .iter()

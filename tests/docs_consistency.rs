@@ -346,3 +346,70 @@ fn no_core_source_file_is_over_1500_lines() {
         assert!(lines <= 1500, "{} has {lines} lines", file.display());
     }
 }
+
+/// DESIGN.md and EXPERIMENTS.md describe the current system once: each
+/// stays at most 800 lines, and history (what a layer measured before a
+/// change) belongs in CHANGES.md.
+#[test]
+fn design_and_experiments_are_at_most_800_lines() {
+    for doc in ["DESIGN.md", "EXPERIMENTS.md"] {
+        let lines = read(doc).lines().count();
+        assert!(lines <= 800, "{doc} has {lines} lines (at most 800)");
+    }
+}
+
+/// DESIGN.md says what the system is, not which change made it so: it
+/// cites no `PR <n>` (CHANGES.md is the history, PR by PR).
+#[test]
+fn design_cites_no_pull_request_numbers() {
+    let design = read("DESIGN.md");
+    for (number, line) in design.lines().enumerate() {
+        let mut rest = line;
+        while let Some(pos) = rest.find("PR ") {
+            let tail = &rest[pos + 3..];
+            assert!(
+                !tail.starts_with(|c: char| c.is_ascii_digit()),
+                "DESIGN.md:{}: cites a PR number: {line}",
+                number + 1
+            );
+            rest = tail;
+        }
+    }
+}
+
+/// The numbered top-level sections of DESIGN.md as `(number, heading,
+/// body)`.
+fn design_sections(design: &str) -> Vec<(u32, &str, &str)> {
+    let mut sections = Vec::new();
+    for chunk in design.split("\n## ").skip(1) {
+        let (heading, body) = chunk.split_once('\n').unwrap_or((chunk, ""));
+        if let Some(number) = heading.split('.').next().and_then(|n| n.parse().ok()) {
+            sections.push((number, heading, body));
+        }
+    }
+    sections
+}
+
+/// Every DESIGN.md section from §2 (the workspace) to the last mechanism
+/// section — the one before "Dependencies" — names the module that owns
+/// it, as a backticked `crates/…` path; `every_cited_source_path_exists`
+/// then checks that the path is in the tree.
+#[test]
+fn every_mechanism_section_cites_a_crate_path() {
+    let design = read("DESIGN.md");
+    let sections = design_sections(&design);
+    let last = sections
+        .iter()
+        .find(|(_, heading, _)| heading.contains("Dependencies"))
+        .map(|(number, _, _)| number - 1)
+        .expect("DESIGN.md has a Dependencies section");
+    assert!(last >= 10, "suspiciously few mechanism sections: {last}");
+    for (number, heading, body) in &sections {
+        if (2..=last).contains(number) {
+            assert!(
+                !backticked(body, "crates/").is_empty(),
+                "DESIGN.md §{heading} cites no `crates/…` path"
+            );
+        }
+    }
+}

@@ -1,4 +1,4 @@
-//! The shard worker as the dispatch core's record host (DESIGN.md §13):
+//! The shard worker as the dispatch core's record host (DESIGN.md §5):
 //! it follows a state's same-time chain as the engine's queue would, so
 //! the merge thread applies what the worker recorded and executes
 //! nothing itself.
