@@ -143,7 +143,7 @@ fn main() {
         println!();
     }
     let json_path = out_dir.join("BENCH_fig10.json");
-    write_bench_json(&json_path, &json).expect("write BENCH_fig10 json");
+    write_bench_json(&json_path, json).expect("write BENCH_fig10 json");
     println!("recorded: {}", json_path.display());
     println!("plot: x = wall_ms (log), y = total_states (log) → panels (a)(c)(e)");
     println!("      x = wall_ms (log), y = bytes (log)        → panels (b)(d)(f)");

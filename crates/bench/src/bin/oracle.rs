@@ -145,7 +145,7 @@ fn main() {
     }
 
     let json_path = out_dir.join(format!("BENCH_oracle{tag}.json"));
-    write_bench_json(&json_path, &json).expect("write BENCH_oracle json");
+    write_bench_json(&json_path, json).expect("write BENCH_oracle json");
     println!("\nrecorded: {}", json_path.display());
 
     if dirty > 0 {

@@ -43,8 +43,7 @@ use sde_core::minimize::Minimizer;
 use sde_core::oracle::Assignment;
 use sde_core::{Engine, Scenario};
 use sde_net::FailureKind;
-use sde_trace::{parse_flat_object, JsonValue};
-use std::collections::BTreeMap;
+use sde_trace::json;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -179,128 +178,93 @@ fn checkrun(args: &Args) -> ExitCode {
 // replay mode
 // ---------------------------------------------------------------------------
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("repro: REPLAY FAILED — {msg}");
-    ExitCode::from(2)
-}
-
-fn parse_hex(map: &BTreeMap<String, JsonValue>, key: &str) -> Option<u64> {
-    let s = map.get(key)?.as_str()?;
-    u64::from_str_radix(s.trim_start_matches("0x"), 16).ok()
-}
-
 fn replay(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("{}: {e}", path.display())),
+    match replay_artifact(path) {
+        Ok(Some(line)) => println!("repro: {line}"),
+        Ok(None) => println!("repro: empty artifact — nothing to replay"),
+        Err(msg) => {
+            eprintln!("repro: REPLAY FAILED — {msg}");
+            return ExitCode::from(2);
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// Replays the artifact at `path`: `Some` of the verdict line when it
+/// reproduces the recorded violation with the same digest, `None` when
+/// it is empty, and what went wrong otherwise.
+fn replay_artifact(path: &Path) -> Result<Option<String>, String> {
+    let at_path = |e: String| format!("{}: {e}", path.display());
+    let text = std::fs::read_to_string(path).map_err(|e| at_path(e.to_string()))?;
+    // The artifact is one JSON array: a header, then the witness entries.
+    let artifact = json::parse(&text).map_err(at_path)?;
+    let items = (artifact.as_arr()).ok_or_else(|| at_path("not a JSON array".into()))?;
+    let Some((header, entries)) = items.split_first() else {
+        return Ok(None);
     };
-    // The artifact is a JSON array of flat objects, one per line.
-    let objects: Vec<BTreeMap<String, JsonValue>> = match text
-        .lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with('{'))
-        .map(|l| parse_flat_object(l.trim_end_matches(',')))
-        .collect()
-    {
-        Ok(o) => o,
-        Err(e) => return fail(&format!("{}: {e}", path.display())),
+    let missing = |key: &str| format!("artifact header is missing {key}");
+    let field = |key: &str| header[key].as_str().ok_or_else(|| missing(key));
+    let int = |key: &str| header[key].as_int().ok_or_else(|| missing(key));
+    let hex = |key: &str| {
+        let digits = field(key)?.strip_prefix("0x").unwrap_or_default();
+        u64::from_str_radix(digits, 16).map_err(|_| missing(key))
     };
-    let Some(header) = objects.first() else {
-        println!("repro: empty artifact — nothing to replay");
-        return ExitCode::SUCCESS;
-    };
-    let field = |key: &str| header.get(key).and_then(JsonValue::as_str);
-    let int = |key: &str| header.get(key).and_then(JsonValue::as_int);
-    let (Some(demo_name), Some(algorithm_name), Some(invariant)) =
-        (field("demo"), field("algorithm"), field("invariant"))
-    else {
-        return fail("artifact header is missing demo/algorithm/invariant");
-    };
-    let fixed = header
-        .get("fixed")
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(false);
-    let (Some(base_duration_ms), Some(duration_ms)) = (int("base_duration_ms"), int("duration_ms"))
-    else {
-        return fail("artifact header is missing durations");
-    };
-    let (Some(expected_fingerprint), Some(expected_digest)) = (
-        parse_hex(header, "fault_fingerprint"),
-        parse_hex(header, "bug_digest"),
-    ) else {
-        return fail("artifact header is missing fingerprint/digest");
-    };
+    let (demo_name, invariant) = (field("demo")?, field("invariant")?);
+    let fixed = header["fixed"].as_bool().unwrap_or(false);
+    let (expected_fingerprint, expected_digest) = (hex("fault_fingerprint")?, hex("bug_digest")?);
 
     // Rebuild the exact minimized scenario: faults are sized from the
     // *base* duration (the plan predates horizon truncation), the run
     // length is the truncated one.
-    let faults = field("faults").unwrap_or("");
-    let axes = if faults.is_empty() {
-        Vec::new()
-    } else {
-        match parse_fault_axes(faults) {
-            Ok(axes) => axes,
-            Err(e) => return fail(&e),
-        }
+    let faults = header["faults"].as_str().unwrap_or_default();
+    let axes = match faults.is_empty() {
+        true => Vec::new(),
+        false => parse_fault_axes(faults)?,
     };
-    let (base, checker) = match demo(demo_name, fixed) {
-        Ok(found) => found,
-        Err(e) => return fail(&format!("artifact header: {e}")),
-    };
-    let scenario: Scenario = with_fault_axes(base.with_duration_ms(base_duration_ms), &axes)
-        .with_duration_ms(duration_ms);
-    if scenario.failures.fingerprint() != expected_fingerprint {
-        return fail(&format!(
+    let (base, checker) = demo(demo_name, fixed).map_err(|e| format!("artifact header: {e}"))?;
+    let scenario: Scenario =
+        with_fault_axes(base.with_duration_ms(int("base_duration_ms")?), &axes)
+            .with_duration_ms(int("duration_ms")?);
+    let fingerprint = scenario.failures.fingerprint();
+    if fingerprint != expected_fingerprint {
+        return Err(format!(
             "fault fingerprint mismatch: artifact {expected_fingerprint:#018x}, \
-             rebuilt {:#018x}",
-            scenario.failures.fingerprint()
+             rebuilt {fingerprint:#018x}"
         ));
     }
 
     let mut assignment = Assignment::new();
-    for obj in &objects[1..] {
-        let (Some(node), Some(name), Some(occurrence), Some(value)) = (
-            obj.get("node").and_then(JsonValue::as_int),
-            obj.get("name").and_then(JsonValue::as_str),
-            obj.get("occurrence").and_then(JsonValue::as_int),
-            obj.get("value").and_then(JsonValue::as_int),
-        ) else {
-            return fail("malformed witness entry");
-        };
-        let Ok(node) = u16::try_from(node) else {
-            return fail(&format!("witness entry \"node\": {node} is not a node id"));
-        };
-        let Ok(occurrence) = u32::try_from(occurrence) else {
-            return fail(&format!(
-                "witness entry \"occurrence\": {occurrence} is out of range"
-            ));
-        };
+    for entry in entries {
+        let malformed = "malformed witness entry";
+        let int = |key: &str| entry[key].as_int().ok_or(malformed);
+        let (node, occurrence, value) = (int("node")?, int("occurrence")?, int("value")?);
+        let name = entry["name"].as_str().ok_or(malformed)?;
+        let node = u16::try_from(node)
+            .map_err(|_| format!("witness entry \"node\": {node} is not a node id"))?;
+        let occurrence = u32::try_from(occurrence)
+            .map_err(|_| format!("witness entry \"occurrence\": {occurrence} is out of range"))?;
         assignment.insert((node, name.to_string(), occurrence), value);
     }
-    if assignment.len() != int("entries").unwrap_or(0) as usize {
-        return fail("witness entry count does not match the header");
+    if assignment.len() as u64 != int("entries")? {
+        return Err("witness entry count does not match the header".into());
     }
 
-    let algorithm = match parse_algorithm(algorithm_name) {
-        Ok(algorithm) => algorithm,
-        Err(why) => return fail(&format!("artifact header: {why}")),
-    };
-    match check::replay_violates(&scenario, algorithm, &checker, invariant, &assignment) {
-        Some(violation) => {
-            let digest = violation.digest();
-            if digest == expected_digest {
-                println!(
-                    "repro: REPLAY OK — {invariant} violated again, digest {digest:#018x} matches"
-                );
-                ExitCode::SUCCESS
-            } else {
-                fail(&format!(
-                    "digest mismatch: artifact {expected_digest:#018x}, replay {digest:#018x}"
-                ))
-            }
-        }
-        None => fail(&format!(
+    let algorithm =
+        parse_algorithm(field("algorithm")?).map_err(|e| format!("artifact header: {e}"))?;
+    let Some(violation) =
+        check::replay_violates(&scenario, algorithm, &checker, invariant, &assignment)
+    else {
+        return Err(format!(
             "strict replay did not violate {invariant:?} (witness incomplete or stale artifact)"
-        )),
+        ));
+    };
+    let digest = violation.digest();
+    if digest != expected_digest {
+        return Err(format!(
+            "digest mismatch: artifact {expected_digest:#018x}, replay {digest:#018x}"
+        ));
     }
+    Ok(Some(format!(
+        "REPLAY OK — {invariant} violated again, digest {digest:#018x} matches"
+    )))
 }

@@ -294,7 +294,7 @@ fn main() {
     }
 
     let json_path = out_dir.join(format!("BENCH_table1{tag}.json"));
-    write_bench_json(&json_path, &json).expect("write BENCH_table1 json");
+    write_bench_json(&json_path, json).expect("write BENCH_table1 json");
     println!("\nrecorded: {}", json_path.display());
 
     if interrupted > 0 {

@@ -28,7 +28,7 @@ use sde_os::apps::sense::{self, SenseConfig};
 use sde_os::apps::token::{self, TokenConfig};
 use sde_os::layout;
 use sde_symbolic::{Expr, ExprRef, Solver, Width};
-use sde_trace::{RingSink, TimedEvent, TraceSink};
+use sde_trace::{Json, RingSink, TimedEvent, TraceSink};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -328,28 +328,31 @@ pub fn render_artifact(
     report: &MinimizeReport,
     digest: u64,
 ) -> String {
-    let axes: Vec<&str> = (report.scenario.failures.active_axes().iter())
-        .map(|axis| axis.name())
-        .collect();
-    let axes = axes.join(",");
-    let mut lines = vec![format!(
-        "  {{\"version\": 1, \"demo\": \"{demo}\", \"fixed\": {fixed}, \
-         \"algorithm\": \"{algorithm}\", \"invariant\": \"{}\", \"faults\": \"{axes}\", \
-         \"base_duration_ms\": {base_duration_ms}, \"duration_ms\": {}, \
-         \"fault_fingerprint\": \"{:#018x}\", \"bug_digest\": \"{digest:#018x}\", \
-         \"entries\": {}}}",
-        report.violation.invariant,
-        report.final_duration_ms,
-        report.scenario.failures.fingerprint(),
-        report.assignment.len(),
-    )];
+    let failures = &report.scenario.failures;
+    let axes: Vec<&str> = (failures.active_axes().iter()).map(|a| a.name()).collect();
+    let header = Json::obj([
+        ("version", 1u64.into()),
+        ("demo", demo.into()),
+        ("fixed", fixed.into()),
+        ("algorithm", algorithm.into()),
+        ("invariant", report.violation.invariant.as_str().into()),
+        ("faults", axes.join(",").into()),
+        ("base_duration_ms", base_duration_ms.into()),
+        ("duration_ms", report.final_duration_ms.into()),
+        ("fault_fingerprint", Json::hex(failures.fingerprint())),
+        ("bug_digest", Json::hex(digest)),
+        ("entries", report.assignment.len().into()),
+    ]);
+    let mut items = vec![header];
     for ((node, name, occurrence), value) in &report.assignment {
-        lines.push(format!(
-            "  {{\"node\": {node}, \"name\": \"{name}\", \
-             \"occurrence\": {occurrence}, \"value\": {value}}}"
-        ));
+        items.push(Json::obj([
+            ("node", (*node).into()),
+            ("name", name.as_str().into()),
+            ("occurrence", (*occurrence).into()),
+            ("value", (*value).into()),
+        ]));
     }
-    format!("[\n{}\n]\n", lines.join(",\n"))
+    Json::Arr(items).to_pretty()
 }
 
 /// Writes `contents` to `path`, creating its parent directories first.
@@ -681,224 +684,101 @@ pub fn table_header() -> String {
     )
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// `(name, value)` members of a JSON object, one per field of `$s` named,
+/// each keyed by its field name.
+macro_rules! members {
+    ($s:expr; $($field:ident),*) => {
+        [$((stringify!($field), Json::from($s.$field))),*]
+    };
 }
 
 /// Serializes one run report as a JSON object — the machine-readable
-/// record behind `BENCH_table1.json` / `BENCH_fig10.json`. Hand-rolled:
-/// the workspace is dependency-free, and the schema is flat enough that a
-/// serializer would buy nothing.
-///
-/// `history_digest` is emitted as a hex *string*: u64 digests routinely
-/// exceed JSON's 2^53 exact-integer range.
-pub fn report_json(label: &str, report: &RunReport) -> String {
-    let s = &report.solver;
-    let mut out = format!(
-        concat!(
-            "  {{\n",
-            "    \"label\": \"{}\",\n",
-            "    \"algorithm\": \"{}\",\n",
-            "    \"wall_ms\": {:.3},\n",
-            "    \"virtual_ms\": {},\n",
-            "    \"total_states\": {},\n",
-            "    \"live_states\": {},\n",
-            "    \"final_bytes\": {},\n",
-            "    \"peak_bytes\": {},\n",
-            "    \"mapper_bytes\": {},\n",
-            "    \"instructions\": {},\n",
-            "    \"events\": {},\n",
-            "    \"packets\": {},\n",
-            "    \"aborted\": {},\n",
-            "    \"groups\": {},\n",
-            "    \"duplicate_states\": {},\n",
-            "    \"duplicate_terminated\": {},\n",
-            "    \"states_executed\": {},\n",
-            "    \"history_digest\": \"{:#018x}\",\n",
-            "    \"solver\": {{\n",
-            "      \"queries\": {},\n",
-            "      \"cache_hits\": {},\n",
-            "      \"group_cache_hits\": {},\n",
-            "      \"sat\": {},\n",
-            "      \"unsat\": {},\n",
-            "      \"unknown\": {},\n",
-            "      \"nodes_visited\": {}\n",
-            "    }}",
-        ),
-        json_escape(label),
-        json_escape(report.algorithm),
-        report.wall.as_secs_f64() * 1000.0,
-        report.virtual_ms,
-        report.total_states,
-        report.live_states,
-        report.final_bytes,
-        report.peak_bytes,
-        report.mapper_bytes,
-        report.instructions,
-        report.events,
-        report.packets,
-        report.aborted,
-        report.groups,
-        report.duplicate_states,
-        report.duplicate_terminated,
-        report.states_executed,
-        report.history_digest,
-        s.queries,
-        s.cache_hits,
-        s.group_cache_hits,
-        s.sat,
-        s.unsat,
-        s.unknown,
-        s.nodes_visited,
-    );
+/// record behind `BENCH_table1.json` / `BENCH_fig10.json`.
+/// `history_digest` is a hex string ([`Json::hex`]).
+pub fn report_json(label: &str, report: &RunReport) -> Json {
+    let wall_ms = Json::Num(format!("{:.3}", report.wall.as_secs_f64() * 1000.0));
+    let mut row = vec![
+        ("label", label.into()),
+        ("algorithm", report.algorithm.into()),
+        ("wall_ms", wall_ms),
+    ];
+    let counts = members!(report; virtual_ms, total_states, live_states, final_bytes,
+        peak_bytes, mapper_bytes, instructions, events, packets, aborted, groups,
+        duplicate_states, duplicate_terminated, states_executed);
+    row.extend(counts);
+    row.push(("history_digest", Json::hex(report.history_digest)));
+    let solver = members!(report.solver; queries, cache_hits, group_cache_hits, sat, unsat,
+        unknown, nodes_visited);
+    row.push(("solver", Json::obj(solver)));
     // The dedup block is emitted only when the detector did anything —
     // all-zero stats mean dedup was off (or preset-gated) and the block
     // would be noise.
     let d = &report.dedup;
     if *d != sde_core::DedupStats::default() {
-        out.push_str(&format!(
-            concat!(
-                ",\n    \"dedup\": {{\n",
-                "      \"candidates\": {},\n",
-                "      \"confirmed\": {},\n",
-                "      \"collisions\": {},\n",
-                "      \"pruned_states\": {},\n",
-                "      \"saved_instructions\": {}\n",
-                "    }}",
-            ),
-            d.candidates, d.confirmed, d.collisions, d.pruned_states, d.saved_instructions,
-        ));
+        let dedup = members!(d; candidates, confirmed, collisions, pruned_states,
+            saved_instructions);
+        row.push(("dedup", Json::obj(dedup)));
     }
     if let Some(p) = &report.parallel {
-        out.push_str(&format!(
-            concat!(
-                ",\n    \"parallel\": {{\n",
-                "      \"workers\": {},\n",
-                "      \"batches\": {},\n",
-                "      \"offloaded_batches\": {},\n",
-                "      \"jobs\": {},\n",
-                "      \"worker_events\": {},\n",
-                "      \"worker_instructions\": {},\n",
-                "      \"worker_aborts\": {},\n",
-                "      \"shard_recorded\": {},\n",
-                "      \"shard_applied\": {},\n",
-                "      \"shard_fallback\": {},\n",
-                "      \"shard_skips\": {},\n",
-                "      \"shard_tainted\": {},\n",
-                "      \"utilization\": {:.4}\n",
-                "    }}",
-            ),
-            p.workers,
-            p.batches,
-            p.offloaded_batches,
-            p.jobs,
-            p.worker_events,
-            p.worker_instructions,
-            p.worker_aborts,
-            p.shard_recorded,
-            p.shard_applied,
-            p.shard_fallback,
-            p.shard_skips,
-            p.shard_tainted,
-            p.utilization(),
-        ));
+        let counts = members!(p; workers, batches, offloaded_batches, jobs, worker_events,
+            worker_instructions, worker_aborts, shard_recorded, shard_applied, shard_fallback,
+            shard_skips, shard_tainted);
+        let utilization = ("utilization", Json::Num(format!("{:.4}", p.utilization())));
+        let parallel = Json::obj(counts.into_iter().chain([utilization]));
+        row.push(("parallel", parallel));
     }
-    out.push_str("\n  }");
-    out
-}
-
-fn json_string_array(items: &[String]) -> String {
-    let rendered: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
-    format!("[{}]", rendered.join(", "))
+    Json::obj(row)
 }
 
 /// Serializes one [`ConformanceReport`] as a JSON object for
 /// `BENCH_oracle.json`. Every truncation flag the oracle tracks is a
 /// first-class field — a truncated verdict must be machine-detectable,
 /// not buried in a prose summary.
-pub fn conformance_json(label: &str, report: &ConformanceReport) -> String {
-    format!(
-        concat!(
-            "  {{\n",
-            "    \"label\": \"{}\",\n",
-            "    \"algorithm\": \"{}\",\n",
-            "    \"clean\": {},\n",
-            "    \"exhaustive\": {},\n",
-            "    \"truth_outcomes\": {},\n",
-            "    \"truth_assignments\": {},\n",
-            "    \"truth_infeasible\": {},\n",
-            "    \"truth_replays\": {},\n",
-            "    \"truth_truncated\": {},\n",
-            "    \"domain_truncated\": {},\n",
-            "    \"input_space\": {},\n",
-            "    \"cases\": {},\n",
-            "    \"dscenarios_seen\": {},\n",
-            "    \"unsolvable\": {},\n",
-            "    \"testgen_truncated\": {},\n",
-            "    \"matched\": {},\n",
-            "    \"missing_count\": {},\n",
-            "    \"phantom_count\": {},\n",
-            "    \"duplicates\": {},\n",
-            "    \"missing\": {},\n",
-            "    \"phantom\": {}\n",
-            "  }}",
-        ),
-        json_escape(label),
-        json_escape(report.algorithm),
-        report.is_clean(),
-        report.exhaustive(),
-        report.truth_outcomes,
-        report.truth_assignments,
-        report.truth_infeasible,
-        report.truth_replays,
-        report.truth_truncated,
-        json_string_array(&report.domain_truncated),
-        report.input_space,
-        report.cases,
-        report.dscenarios_seen,
-        report.unsolvable,
-        report.testgen_truncated,
-        report.matched,
-        report.missing.len(),
-        report.phantom.len(),
-        report.duplicates,
-        json_string_array(&report.missing),
-        json_string_array(&report.phantom),
-    )
+pub fn conformance_json(label: &str, report: &ConformanceReport) -> Json {
+    let r = report;
+    let mut row = vec![
+        ("label", label.into()),
+        ("algorithm", r.algorithm.into()),
+        ("clean", r.is_clean().into()),
+        ("exhaustive", r.exhaustive().into()),
+    ];
+    let truth = members!(r; truth_outcomes, truth_assignments, truth_infeasible, truth_replays,
+        truth_truncated);
+    row.extend(truth);
+    row.push(("domain_truncated", r.domain_truncated.clone().into()));
+    let cases = members!(r; input_space, cases, dscenarios_seen, unsolvable, testgen_truncated,
+        matched);
+    row.extend(cases);
+    row.extend([
+        ("missing_count", r.missing.len().into()),
+        ("phantom_count", r.phantom.len().into()),
+        ("duplicates", r.duplicates.into()),
+        ("missing", r.missing.clone().into()),
+        ("phantom", r.phantom.clone().into()),
+    ]);
+    Json::obj(row)
 }
 
 /// Serializes one [`TestGenReport`] as a JSON object — the `--testgen`
 /// companion record in `BENCH_table1.json`. `truncated` is the point:
 /// a capped generation pass must say so in the machine-readable output.
-pub fn testgen_json(label: &str, report: &TestGenReport) -> String {
-    format!(
-        concat!(
-            "  {{\n",
-            "    \"label\": \"{}\",\n",
-            "    \"cases\": {},\n",
-            "    \"dscenarios_seen\": {},\n",
-            "    \"unsolvable\": {},\n",
-            "    \"truncated\": {}\n",
-            "  }}",
-        ),
-        json_escape(label),
-        report.cases.len(),
-        report.dscenarios_seen,
-        report.unsolvable,
-        report.truncated,
-    )
+pub fn testgen_json(label: &str, report: &TestGenReport) -> Json {
+    Json::obj([
+        ("label", label.into()),
+        ("cases", report.cases.len().into()),
+        ("dscenarios_seen", report.dscenarios_seen.into()),
+        ("unsolvable", report.unsolvable.into()),
+        ("truncated", report.truncated.into()),
+    ])
 }
 
-/// Writes pre-rendered [`report_json`] objects as a JSON array to `path`.
+/// Writes [`report_json`]-style rows as a pretty JSON array to `path`.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from writing the file.
-pub fn write_bench_json(path: &Path, objects: &[String]) -> std::io::Result<()> {
-    write_file(path, format!("[\n{}\n]\n", objects.join(",\n")))
+pub fn write_bench_json(path: &Path, rows: Vec<Json>) -> std::io::Result<()> {
+    write_file(path, Json::Arr(rows).to_pretty())
 }
 
 /// Parses `--key value`-style arguments (tiny, dependency-free).
@@ -1105,37 +985,20 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_well_formed() {
+    fn bench_json_reads_back_as_written() {
         let r = run(&paper_scenario(3), Algorithm::Sds, &limited(10_000, 64));
-        let obj = report_json("sds_full", &r);
-        for key in [
-            "\"label\"",
-            "\"wall_ms\"",
-            "\"packets\"",
-            "\"group_cache_hits\"",
-        ] {
-            assert!(obj.contains(key), "missing {key} in {obj}");
-        }
+        let row = report_json("sds_full", &r);
+        assert_eq!(row["label"].as_str(), Some("sds_full"));
+        assert_eq!(row["packets"].as_int(), Some(r.packets));
+        assert!(row["solver"]["group_cache_hits"].as_int().is_some());
+        assert!(row["wall_ms"] != Json::Null);
         let dir = std::env::temp_dir().join("sde-bench-json-test");
         let path = dir.join("BENCH_test.json");
-        write_bench_json(&path, &[obj.clone(), obj]).unwrap();
+        write_bench_json(&path, vec![row.clone(), row.clone()]).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("[\n"));
-        assert!(content.trim_end().ends_with(']'));
-        // Braces must balance and never go negative — the cheap
-        // well-formedness proxy short of carrying a JSON parser.
-        let mut depth = 0i64;
-        for c in content.chars() {
-            match c {
-                '{' | '[' => depth += 1,
-                '}' | ']' => {
-                    depth -= 1;
-                    assert!(depth >= 0, "unbalanced brackets in {content}");
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(depth, 0, "unbalanced brackets in {content}");
+        assert!(content.starts_with("[\n  {\n    \"label\": \"sds_full\",\n"));
+        let rows = sde_trace::json::parse(&content).unwrap();
+        assert_eq!(rows, Json::Arr(vec![row.clone(), row]));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1244,9 +1107,9 @@ mod tests {
         let truth = ground_truth(&scenario, &cfg);
         let clean = conformance_against(&truth, &scenario, Algorithm::Sds, None, &cfg);
         let obj = conformance_json("tiny_sds", &clean);
-        assert!(obj.contains("\"truth_truncated\": false"), "{obj}");
-        assert!(obj.contains("\"testgen_truncated\": false"), "{obj}");
-        assert!(obj.contains("\"clean\": true"), "{obj}");
+        assert_eq!(obj["truth_truncated"], Json::Bool(false), "{obj}");
+        assert_eq!(obj["testgen_truncated"], Json::Bool(false), "{obj}");
+        assert_eq!(obj["clean"], Json::Bool(true), "{obj}");
 
         // A capped enumeration must be loud in both renderings.
         let tight = OracleConfig {
@@ -1256,8 +1119,8 @@ mod tests {
         let capped_truth = ground_truth(&scenario, &tight);
         let capped = conformance_against(&capped_truth, &scenario, Algorithm::Sds, None, &tight);
         let obj = conformance_json("tiny_capped", &capped);
-        assert!(obj.contains("\"truth_truncated\": true"), "{obj}");
-        assert!(obj.contains("\"exhaustive\": false"), "{obj}");
+        assert_eq!(obj["truth_truncated"], Json::Bool(true), "{obj}");
+        assert_eq!(obj["exhaustive"], Json::Bool(false), "{obj}");
         assert!(
             capped.summary().contains("TRUNCATED"),
             "{}",
@@ -1274,12 +1137,12 @@ mod tests {
         let full = testgen::generate(&engine, 4096);
         assert!(!full.truncated);
         let obj = testgen_json("line3_sds", &full);
-        assert!(obj.contains("\"truncated\": false"), "{obj}");
+        assert_eq!(obj["truncated"], Json::Bool(false), "{obj}");
 
         let capped = testgen::generate(&engine, 1);
         assert!(capped.truncated, "a 1-case cap must truncate line3");
         let obj = testgen_json("line3_capped", &capped);
-        assert!(obj.contains("\"truncated\": true"), "{obj}");
+        assert_eq!(obj["truncated"], Json::Bool(true), "{obj}");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 
 mod common;
 
-use common::{run, scratch, Json};
+use common::{read_json, run, scratch};
+use sde_trace::Json;
 use std::collections::BTreeSet;
 
 /// Runs `oracle --preset preset` with `flags`, checks every row's
@@ -18,24 +19,27 @@ fn conforming(preset: &str, flags: &[&str]) -> BTreeSet<String> {
     ]
     .concat();
     run("oracle", &args, 0);
-    let rows = Json::read(&dir.join("BENCH_oracle.json"));
+    let rows = read_json(&dir.join("BENCH_oracle.json"));
     let _ = std::fs::remove_dir_all(dir);
     let mut labels = BTreeSet::new();
-    for r in rows.arr() {
-        let label = r.at("label").str();
+    for r in rows.as_arr().expect("an array of rows") {
+        let label = r["label"].as_str().expect("a label");
         let flags = [
             "clean",
             "exhaustive",
             "truth_truncated",
             "testgen_truncated",
         ];
-        let verdict = flags.map(|f| *r.at(f) == Json::Bool(true));
+        let verdict = flags.map(|f| r[f] == Json::Bool(true));
         assert_eq!(verdict, [true, true, false, false], "{label}");
-        let diverged = ["missing_count", "phantom_count"].map(|f| r.at(f).u64());
-        assert_eq!(diverged, [0, 0], "{label}");
-        assert_eq!(r.at("matched"), r.at("truth_outcomes"), "{label}");
-        assert!(r.at("matched").u64() > 0, "{label}");
-        let algorithm = r.at("algorithm").str().to_lowercase();
+        let diverged = ["missing_count", "phantom_count"].map(|f| r[f].as_int());
+        assert_eq!(diverged, [Some(0), Some(0)], "{label}");
+        assert_eq!(r["matched"], r["truth_outcomes"], "{label}");
+        assert!(r["matched"].as_int() > Some(0), "{label}");
+        let algorithm = r["algorithm"]
+            .as_str()
+            .expect("an algorithm")
+            .to_lowercase();
         assert!(label.ends_with(&format!("_{algorithm}")), "{label}");
         labels.insert(label.to_string());
     }

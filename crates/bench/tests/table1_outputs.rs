@@ -5,11 +5,11 @@
 
 mod common;
 
-use common::{run, scratch, Json};
+use common::{read_json, run, scratch};
 use sde_bench::{paper_scenario, RunConfig};
 use sde_core::Algorithm;
 use sde_net::{FailureConfig, NodeId};
-use sde_trace::{read_jsonl, TimedEvent, TraceEvent};
+use sde_trace::{json, read_jsonl, Json, TimedEvent, TraceEvent};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -21,14 +21,19 @@ fn table1(dir: &Path, tag: &str, flags: &[&str]) -> Json {
     let out = dir.to_str().expect("utf-8 temp path");
     let args = [&["--preset", "tiny", "--out", out, "--tag", tag], flags].concat();
     run("table1", &args, 0);
-    Json::read(&dir.join(format!("BENCH_table1_{tag}.json")))
+    read_json(&dir.join(format!("BENCH_table1_{tag}.json")))
+}
+
+/// The rows of a BENCH record.
+fn rows_of(record: &Json) -> &[Json] {
+    record.as_arr().expect("a BENCH record is an array of rows")
 }
 
 /// The Chrome twin is JSON, and `lineage --check` accepts the trace:
 /// every line an event of the schema (a JSON object with an `ev` tag),
 /// the lineage a forest.
 fn check_trace(path: &Path) {
-    Json::read(&path.with_extension("chrome.json"));
+    read_json(&path.with_extension("chrome.json"));
     let path = path.to_str().expect("utf-8 temp path");
     run("lineage", &["--trace", path, "--check"], 0);
 }
@@ -54,10 +59,13 @@ fn tiny_preset_rows_traces_and_invariants() {
     // `--check` exits 1 on any violation of the workload's invariants.
     let trace = dir.join("t.jsonl").display().to_string();
     let rows = table1(&dir, "plain", &["--check", "--trace", &trace]);
-    let algorithms: Vec<&str> = rows.arr().iter().map(|r| r.at("algorithm").str()).collect();
-    assert_eq!(algorithms, ["COB", "COW", "SDS"]);
-    for row in table1(&dir, "dedup", &["--dedup"]).arr() {
-        row.at("dedup");
+    let algorithms: Vec<_> = rows_of(&rows)
+        .iter()
+        .map(|r| r["algorithm"].as_str())
+        .collect();
+    assert_eq!(algorithms, ["COB", "COW", "SDS"].map(Some));
+    for row in rows_of(&table1(&dir, "dedup", &["--dedup"])) {
+        assert!(row["dedup"] != Json::Null, "{row}");
     }
     for alg in ALGS {
         check_trace(&dir.join(format!("t_{alg}.jsonl")));
@@ -76,9 +84,9 @@ fn faulted_dedup_run_traces_every_armed_fault() {
         "f",
         &["--faults", "all", "--dedup", "--trace", &trace],
     );
-    assert_eq!(rows.arr().len(), 3);
-    for row in rows.arr() {
-        let label = row.at("label").str();
+    assert_eq!(rows_of(&rows).len(), 3);
+    for row in rows_of(&rows) {
+        let label = row["label"].as_str().expect("a label");
         assert!(
             label.contains("_faults_partition+latency+corrupt+crashrec"),
             "{label}"
@@ -136,7 +144,7 @@ fn interrupted_run_resumes_to_the_straight_rows() {
     for f in ALGS.map(snap) {
         run("snapshot", &["--validate", &f], 0);
         let (inspect, _) = run("snapshot", &["--inspect", &f], 0);
-        Json::parse(&inspect).unwrap_or_else(|e| panic!("{f}: {e}"));
+        json::parse(&inspect).unwrap_or_else(|e| panic!("{f}: {e}"));
         run("snapshot", &["--diff", &f, "--with", &f], 0);
     }
     let (cob, cow) = (snap("cob"), snap("cow"));
@@ -145,10 +153,12 @@ fn interrupted_run_resumes_to_the_straight_rows() {
     let resumed = table1(&dir, "resumed", &["--resume", &snaps]);
     let fields = "algorithm virtual_ms total_states live_states final_bytes peak_bytes \
                   instructions events packets aborted groups duplicate_states history_digest";
-    assert_eq!((straight.arr().len(), resumed.arr().len()), (3, 3));
-    for (s, r) in straight.arr().iter().zip(resumed.arr()) {
+    let (straight, resumed) = (rows_of(&straight), rows_of(&resumed));
+    assert_eq!((straight.len(), resumed.len()), (3, 3));
+    for (s, r) in straight.iter().zip(resumed) {
         for field in fields.split_whitespace() {
-            assert_eq!(s.at(field), r.at(field), "{field}");
+            assert!(s[field] != Json::Null, "{field}");
+            assert_eq!(s[field], r[field], "{field}");
         }
     }
     let _ = std::fs::remove_dir_all(dir);

@@ -40,7 +40,7 @@ use crate::scenario::Scenario;
 use crate::state::StateId;
 use sde_net::{FailureKind, NodeId};
 use sde_symbolic::{Expr, ExprRef, SolverResult, Width};
-use sde_vm::{BugKind, BugReport, FuncId, Loc, Preset, Status, VmState};
+use sde_vm::{BugKind, BugReport, FuncId, InputRequest, Loc, Preset, Status, VmState};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -434,13 +434,14 @@ pub fn replay_violates(
 }
 
 /// One strict, recording replay; returns the finished engine and the
-/// replay key of the first input the run requested that `assignment`
-/// does not pin (`None` = complete witness).
-fn replay(
+/// first input the run requested that `assignment` does not pin (`None`
+/// = complete witness). The oracle's ground truth branches on that
+/// request; the witness stabilizer pins it.
+pub(crate) fn replay(
     scenario: &Scenario,
     algorithm: Algorithm,
     assignment: &Assignment,
-) -> (Engine, Option<(u16, String, u32)>) {
+) -> (Engine, Option<InputRequest>) {
     let mut preset = Preset::new();
     for ((node, name, occurrence), value) in assignment {
         preset.insert(*node, name, *occurrence, *value);
@@ -453,7 +454,7 @@ fn replay(
         .lock()
         .expect("request log poisoned")
         .first_miss()
-        .map(sde_vm::InputRequest::replay_key);
+        .cloned();
     (engine, first_miss)
 }
 
@@ -498,8 +499,8 @@ pub fn stabilize_assignment(
     for _ in 0..MAX_STABILIZE_ROUNDS {
         let (engine, first_miss) = replay(scenario, algorithm, &assignment);
         match first_miss {
-            Some(key) => {
-                assignment.insert(key, 0); // pin to the benign default
+            Some(miss) => {
+                assignment.insert(miss.replay_key(), 0); // pin to the benign default
             }
             None => {
                 let violation = checker

@@ -34,7 +34,7 @@ use crate::state::{SdeState, StateCore, StateId};
 use crate::stats::{BugFound, DedupStats, Sample};
 use sde_net::{NodeId, Packet, PacketId};
 use sde_symbolic::{CodecError, SnapReader, SnapWriter, SolverSnapshot, Value, Width};
-use sde_trace::TraceSummary;
+use sde_trace::{Json, TraceSummary};
 use sde_vm::{BugReport, VmState};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -387,11 +387,9 @@ impl EngineSnapshot {
         let (mut pw, mut mw) = (SnapWriter::new(), SnapWriter::new());
         let (mut pre, mut main) = (Out::new(&mut pw, true), Out::new(&mut mw, true));
         self.walk(&mut pre, &mut main);
-        let mut json = main.leaves;
-        let head = format!("{{\n  \"version\": {SNAPSHOT_VERSION},\n{}", pre.leaves);
-        json.insert_str(0, &head);
-        json.truncate(json.len() - 2); // the last line's `,\n`
-        json + "\n}\n"
+        let mut leaves = vec![("version".to_string(), SNAPSHOT_VERSION.into())];
+        leaves.extend(pre.leaves.into_iter().chain(main.leaves));
+        Json::Obj(leaves).to_pretty()
     }
 
     /// Every field path at which `self` and `other` differ, one `path:
@@ -451,7 +449,7 @@ impl Diff {
     }
 
     /// `a` and `b` differ, in value or in shape, or one is absent: the
-    /// lines of their debug views that differ, matched by path.
+    /// leaves of their debug walks whose values differ, matched by path.
     fn apart<T: Snap>(&mut self, a: Option<&T>, b: Option<&T>) {
         let view = |v: Option<&T>| {
             let mut w = SnapWriter::new();
@@ -461,32 +459,35 @@ impl Diff {
             out.leaves
         };
         let (mine, theirs) = (view(a), view(b));
-        let left: HashMap<&str, &str> = pairs(&mine).collect();
-        let right: HashMap<&str, &str> = pairs(&theirs).collect();
-        let only_theirs = pairs(&theirs).filter(|(path, _)| !left.contains_key(path));
-        for (path, _) in pairs(&mine).chain(only_theirs) {
-            let l = left.get(path).unwrap_or(&"-");
-            let r = right.get(path).unwrap_or(&"-");
+        let left: HashMap<&str, &Json> = mine.iter().map(|(p, v)| (p.as_str(), v)).collect();
+        let right: HashMap<&str, &Json> = theirs.iter().map(|(p, v)| (p.as_str(), v)).collect();
+        let only_theirs = theirs
+            .iter()
+            .filter(|(path, _)| !left.contains_key(path.as_str()));
+        for (path, _) in mine.iter().chain(only_theirs) {
+            let (l, r) = (left.get(path.as_str()), right.get(path.as_str()));
             let clock = WALL_CLOCK.contains(&path.rsplit('.').next().unwrap_or(path));
             if l != r && (self.wall_clock || !clock) {
-                self.lines.push(format!("{path}: {l} != {r}"));
+                let show = |v: Option<&&Json>| v.map_or("-".to_string(), |v| v.to_string());
+                self.lines
+                    .push(format!("{path}: {} != {}", show(l), show(r)));
             }
         }
     }
 }
 
 /// Where a walk goes: onto the wire, and in a debug walk also into
-/// `leaves`, one `  "path": JSON,` line per scalar.
+/// `leaves`, one `(path, value)` per scalar.
 struct Out<'w> {
     w: &'w mut SnapWriter,
     debug: bool,
-    leaves: String,
+    leaves: Vec<(String, Json)>,
     path: String,
 }
 
 impl<'w> Out<'w> {
     fn new(w: &'w mut SnapWriter, debug: bool) -> Out<'w> {
-        let (leaves, path) = (String::new(), String::new());
+        let (leaves, path) = (Vec::new(), String::new());
         Out {
             w,
             debug,
@@ -496,21 +497,21 @@ impl<'w> Out<'w> {
     }
 
     /// The JSON of the scalar just written, in a debug walk.
-    fn leaf(&mut self, json: impl FnOnce() -> String) {
+    fn leaf(&mut self, json: impl FnOnce() -> Json) {
         if self.debug {
             let path = self.path.trim_start_matches('.');
-            let _ = writeln!(self.leaves, "  \"{path}\": {},", json());
+            self.leaves.push((path.to_string(), json()));
         }
     }
 
     /// A scalar: `write` onto the wire, `json` in a debug walk.
-    fn scalar(&mut self, write: impl FnOnce(&mut SnapWriter), json: impl FnOnce() -> String) {
+    fn scalar(&mut self, write: impl FnOnce(&mut SnapWriter), json: impl FnOnce() -> Json) {
         write(self.w);
         self.leaf(json);
     }
 
     fn varint(&mut self, v: u64) {
-        self.scalar(|w| w.varint(v), || v.to_string());
+        self.scalar(|w| w.varint(v), || v.into());
     }
 
     /// A value with a codec of its own: its bytes; in a debug walk, the
@@ -521,8 +522,8 @@ impl<'w> Out<'w> {
             let mut w = SnapWriter::new();
             write(&mut w);
             let bytes = w.finish();
-            let fnv = fnv1a(&bytes);
-            format!("{{\"bytes\": {}, \"fnv\": \"{fnv:#018x}\"}}", bytes.len())
+            let fnv = Json::hex(fnv1a(&bytes));
+            Json::obj([("bytes", bytes.len().into()), ("fnv", fnv)])
         });
     }
 
@@ -544,7 +545,7 @@ impl<'w> Out<'w> {
     /// The tag of an enum variant; `kind` in a debug walk.
     fn variant(&mut self, kind: &'static str, tag: u8) {
         self.w.u8(tag);
-        self.under(format_args!(".kind"), |out| out.leaf(|| json_str(kind)));
+        self.under(format_args!(".kind"), |out| out.leaf(|| kind.into()));
     }
 
     /// A sequence, preceded by its length (`len`) when `counted`.
@@ -586,15 +587,15 @@ leaf! {
     u32: |v, out| out.varint(u64::from(*v)), |r| r.ranged("u32 out of range");
     u16: |v, out| out.varint(u64::from(*v)), |r| r.ranged("u16 out of range");
     usize: |v, out| out.varint(*v as u64), |r| r.ranged("usize out of range");
-    bool: |v, out| out.scalar(|w| w.bool(*v), || v.to_string()), |r| r.bool();
-    String: |v, out| out.scalar(|w| w.str(v), || json_str(v)), |r| r.str();
-    Width: |v, out| out.scalar(|w| w.width(*v), || v.bits().to_string()), |r| r.width();
+    bool: |v, out| out.scalar(|w| w.bool(*v), || (*v).into()), |r| r.bool();
+    String: |v, out| out.scalar(|w| w.str(v), || v.as_str().into()), |r| r.str();
+    Width: |v, out| out.scalar(|w| w.width(*v), || v.bits().into()), |r| r.width();
     StateId: |v, out| v.0.put(out), |r| Ok(StateId(Snap::get(r)?));
     NodeId: |v, out| v.0.put(out), |r| Ok(NodeId(Snap::get(r)?));
     PacketId: |v, out| v.0.put(out), |r| Ok(PacketId(Snap::get(r)?));
     // A term through the expression pool; a constant shows `[value, width]`.
     Value: |v, out| match v.as_const() {
-        Some(c) => out.scalar(|w| w.value(v), || format!("[{c}, {}]", v.width().bits())),
+        Some(c) => out.scalar(|w| w.value(v), || vec![c, v.width().bits().into()].into()),
         None => out.codec(|w| w.value(v)),
     }, |r| r.value();
     VmState: |v, out| out.codec(|w| v.write_snapshot(w)), |r| VmState::read_snapshot(r);
@@ -649,7 +650,7 @@ impl<T: Snap> Snap for Option<T> {
         out.w.bool(self.is_some());
         match self {
             Some(value) => value.put(out),
-            None => out.leaf(|| "null".to_string()),
+            None => out.leaf(|| Json::Null),
         }
     }
 
@@ -857,27 +858,6 @@ impl Snap for NodeEvent {
 /// `TraceSummary::{boot,run}_wall_us`, the only wall-clock readings.
 const WALL_CLOCK: [&str; 3] = ["wall_ms", "boot_wall_us", "run_wall_us"];
 
-/// The `(path, JSON)` pairs of a debug walk's `leaves`: a path has no
-/// `"` and a JSON literal no newline.
-fn pairs(leaves: &str) -> impl Iterator<Item = (&str, &str)> {
-    let pair = |l| str::strip_suffix(str::strip_prefix(l, "  \"")?, ',')?.split_once("\": ");
-    leaves.lines().filter_map(pair)
-}
-
-/// `s` as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::from('"');
-    for c in s.chars() {
-        if c.is_ascii_control() || c == '"' || c == '\\' {
-            let _ = write!(out, "\\u{:04x}", u32::from(c));
-        } else {
-            out.push(c);
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// FNV-1a over a byte slice — the snapshot content digest.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -956,7 +936,6 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        assert_eq!(json_str("a\"b\\c\nd"), r#""a\u0022b\u005cc\u000ad""#);
 
         let mut other = snap.clone();
         other.trace.run_wall_us += 1;

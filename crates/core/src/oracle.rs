@@ -43,6 +43,7 @@
 //! decision ([`Mutation`]); the oracle must flag the divergence (see
 //! `tests/oracle_mutation.rs`).
 
+use crate::check;
 use crate::engine::Engine;
 use crate::mapping::{Algorithm, Delivery, MapperSnapshot, MapperStats, StateMapper, StateStore};
 use crate::scenario::Scenario;
@@ -56,16 +57,6 @@ use std::fmt;
 /// A (partial or complete) concrete assignment of symbolic inputs,
 /// keyed by the run-independent replay key `(node, name, occurrence)`.
 pub type Assignment = BTreeMap<(u16, String, u32), u64>;
-
-/// Converts an assignment into a strict, request-recording replay
-/// [`Preset`].
-fn preset_of(assignment: &Assignment) -> Preset {
-    let mut p = Preset::new();
-    for ((node, name, occ), value) in assignment {
-        p.insert(*node, name, *occ, *value);
-    }
-    p.with_strict().recording()
-}
 
 // ---------------------------------------------------------------------------
 // input domains
@@ -333,15 +324,7 @@ pub fn ground_truth(scenario: &Scenario, cfg: &OracleConfig) -> GroundTruth {
             break;
         }
         truth.replays += 1;
-        let preset = preset_of(&partial);
-        let log_handle = preset.log().expect("recording preset has a log");
-        let mut engine = Engine::new(scenario.clone(), Algorithm::Cob).with_preset(preset);
-        engine.run_in_place();
-        let first_miss = log_handle
-            .lock()
-            .expect("request log poisoned")
-            .first_miss()
-            .cloned();
+        let (engine, first_miss) = check::replay(scenario, Algorithm::Cob, &partial);
         match first_miss {
             Some(miss) => {
                 // Branch on the first input the execution requested that

@@ -6,112 +6,71 @@
 //!   *deterministic* mode omits wall-clock fields (`ts_us`, `dur_us`) so
 //!   identical executions produce byte-identical files at any worker
 //!   count; the *full* mode keeps them and round-trips exactly.
-//! * **Chrome `trace_event`** — loadable in `chrome://tracing` / Perfetto.
-//!   Solver queries become duration (`"X"`) slices; everything else is an
-//!   instant event.
+//! * **Chrome `trace_event`** (array form) — loadable in
+//!   `chrome://tracing` / Perfetto. Solver queries become duration (`"X"`)
+//!   slices; everything else is an instant event.
 
 use std::collections::BTreeMap;
 
 use crate::event::{
     DispatchKind, ForkReason, GroupLayer, QueryLayer, TimedEvent, TraceEvent, Verdict,
 };
-use crate::json::{parse_flat_object, JsonObj, JsonValue};
+use crate::json::{self, parse_flat_object, Json};
 
-type Fields = BTreeMap<String, JsonValue>;
+type Fields = BTreeMap<String, Json>;
 
 /// One value kind of the JSONL schema: how a field of this type is written
 /// into a line and read back out of one.
 trait Field: Sized {
-    fn put(&self, key: &str, o: &mut JsonObj);
-    fn get(map: &Fields, key: &str) -> Result<Self, String>;
+    fn to_json(&self) -> Json;
+    fn from_json(value: &Json) -> Option<Self>;
 }
 
-/// `map[key]` as `kind`, or an error naming the key.
-fn lookup<'m, T>(
-    map: &'m Fields,
-    key: &str,
-    kind: &str,
-    as_kind: impl FnOnce(&'m JsonValue) -> Option<T>,
-) -> Result<T, String> {
-    map.get(key)
-        .and_then(as_kind)
-        .ok_or_else(|| format!("missing/invalid {kind} field `{key}`"))
-}
-
-impl Field for u64 {
-    fn put(&self, key: &str, o: &mut JsonObj) {
-        o.int(key, *self);
-    }
-
-    fn get(map: &Fields, key: &str) -> Result<u64, String> {
-        lookup(map, key, "int", JsonValue::as_int)
-    }
-}
-
-/// A node id: an int that must fit in 16 bits.
-impl Field for u16 {
-    fn put(&self, key: &str, o: &mut JsonObj) {
-        o.int(key, u64::from(*self));
-    }
-
-    fn get(map: &Fields, key: &str) -> Result<u16, String> {
-        u16::try_from(u64::get(map, key)?).map_err(|_| format!("field `{key}` exceeds u16"))
-    }
-}
-
-impl Field for bool {
-    fn put(&self, key: &str, o: &mut JsonObj) {
-        o.bool(key, *self);
-    }
-
-    fn get(map: &Fields, key: &str) -> Result<bool, String> {
-        lookup(map, key, "bool", JsonValue::as_bool)
-    }
-}
-
-impl Field for String {
-    fn put(&self, key: &str, o: &mut JsonObj) {
-        o.str(key, self);
-    }
-
-    fn get(map: &Fields, key: &str) -> Result<String, String> {
-        lookup(map, key, "string", JsonValue::as_str).map(str::to_string)
-    }
-}
-
-impl Field for Vec<u64> {
-    fn put(&self, key: &str, o: &mut JsonObj) {
-        o.arr(key, self);
-    }
-
-    fn get(map: &Fields, key: &str) -> Result<Vec<u64>, String> {
-        lookup(map, key, "array", JsonValue::as_arr).map(<[u64]>::to_vec)
-    }
-}
-
-/// Label enums travel as their `as_str` name.
-macro_rules! label_fields {
-    ($($ty:ident),*) => {$(
+/// Implements [`Field`] for each type: `|v| put` writes `v`, `|j| get`
+/// reads it back out of `j`.
+macro_rules! fields {
+    ($($ty:ty: |$v:ident| $put:expr, |$j:ident| $get:expr;)*) => {$(
         impl Field for $ty {
-            fn put(&self, key: &str, o: &mut JsonObj) {
-                o.str(key, self.as_str());
+            fn to_json(&self) -> Json {
+                let $v = self;
+                $put
             }
 
-            fn get(map: &Fields, key: &str) -> Result<$ty, String> {
-                let name = lookup(map, key, "string", JsonValue::as_str)?;
-                $ty::parse(name).ok_or_else(|| format!("unknown {key} `{name}`"))
+            fn from_json($j: &Json) -> Option<$ty> {
+                $get
             }
         }
     )*};
 }
 
-label_fields!(ForkReason, DispatchKind, QueryLayer, GroupLayer, Verdict);
+fields! {
+    u64: |v| (*v).into(), |j| j.as_int();
+    // A node id: an int that must fit in 16 bits.
+    u16: |v| (*v).into(), |j| j.as_int()?.try_into().ok();
+    bool: |v| (*v).into(), |j| j.as_bool();
+    String: |v| v.as_str().into(), |j| j.as_str().map(str::to_string);
+    Vec<u64>: |v| v.clone().into(), |j| j.as_arr()?.iter().map(Json::as_int).collect();
+    // Label enums travel as their `as_str` name.
+    ForkReason: |v| v.as_str().into(), |j| ForkReason::parse(j.as_str()?);
+    DispatchKind: |v| v.as_str().into(), |j| DispatchKind::parse(j.as_str()?);
+    QueryLayer: |v| v.as_str().into(), |j| QueryLayer::parse(j.as_str()?);
+    GroupLayer: |v| v.as_str().into(), |j| GroupLayer::parse(j.as_str()?);
+    Verdict: |v| v.as_str().into(), |j| Verdict::parse(j.as_str()?);
+}
+
+/// `map[key]` as a `T`, or an error naming the key.
+fn get<T: Field>(map: &Fields, key: &str) -> Result<T, String> {
+    let value = map
+        .get(key)
+        .ok_or_else(|| format!("missing field `{key}`"))?;
+    T::from_json(value).ok_or_else(|| format!("invalid field `{key}`: {value}"))
+}
 
 /// A wall-clock field: absent from a deterministic export, so a reader
 /// takes a missing one as 0.
 fn get_wall(map: &Fields, key: &str) -> Result<u64, String> {
     if map.contains_key(key) {
-        u64::get(map, key)
+        get(map, key)
     } else {
         Ok(0)
     }
@@ -138,13 +97,13 @@ macro_rules! schema {
                 [$(stringify!($v)),*];
         }
 
-        /// Writes `ev`'s fields (not its tag) into `o`, in key order.
-        fn put_fields(ev: &TraceEvent, o: &mut JsonObj, deterministic: bool) {
+        /// Appends `ev`'s fields (not its tag) to `o`, in key order.
+        fn put_fields(ev: &TraceEvent, o: &mut Vec<(String, Json)>, deterministic: bool) {
             match ev {
                 $(TraceEvent::$v { $($f,)* $($wall)? } => {
-                    $(Field::put($f, stringify!($f), o);)*
+                    $(o.push((stringify!($f).to_string(), Field::to_json($f)));)*
                     $(if !deterministic {
-                        Field::put($wall, stringify!($wall), o);
+                        o.push((stringify!($wall).to_string(), Field::to_json($wall)));
                     })?
                 })*
             }
@@ -154,7 +113,7 @@ macro_rules! schema {
         fn get_event(tag: &str, map: &Fields) -> Result<TraceEvent, String> {
             $(if tag == stringify!($v) {
                 return Ok(TraceEvent::$v {
-                    $($f: Field::get(map, stringify!($f))?,)*
+                    $($f: get(map, stringify!($f))?,)*
                     $($wall: get_wall(map, stringify!($wall))?)?
                 });
             })*
@@ -184,13 +143,12 @@ schema! {
 /// Encode one event as a flat JSON object; deterministic mode omits the
 /// wall-clock fields.
 fn event_to_json(te: &TimedEvent, deterministic: bool) -> String {
-    let mut o = JsonObj::new();
-    o.str("ev", te.ev.name());
+    let mut o = vec![("ev".to_string(), te.ev.name().into())];
     if !deterministic {
-        o.int("ts_us", te.ts_us);
+        o.push(("ts_us".to_string(), te.ts_us.into()));
     }
     put_fields(&te.ev, &mut o, deterministic);
-    o.finish()
+    Json::Obj(o).to_compact()
 }
 
 /// Render an event stream as JSONL text (one event per line, trailing
@@ -218,7 +176,7 @@ pub fn write_jsonl(
 fn event_from_json(line: &str) -> Result<TimedEvent, String> {
     let map = parse_flat_object(line)?;
     let ts_us = get_wall(&map, "ts_us")?;
-    let ev = get_event(&String::get(&map, "ev")?, &map)?;
+    let ev = get_event(&get::<String>(&map, "ev")?, &map)?;
     Ok(TimedEvent { ts_us, ev })
 }
 
@@ -241,41 +199,35 @@ pub fn read_jsonl(path: &std::path::Path) -> Result<Vec<TimedEvent>, String> {
     parse_jsonl(&text)
 }
 
-/// The full-mode JSONL fields minus the tag: every field becomes an arg.
-fn chrome_args(ev: &TraceEvent) -> String {
-    let mut o = JsonObj::new();
-    put_fields(ev, &mut o, false);
-    o.finish()
-}
-
-/// Render an event stream in Chrome `trace_event` JSON (object form with
-/// a `traceEvents` array). Queries become complete (`"X"`) slices placed
-/// at `ts - dur`; all other events are instants.
+/// Render an event stream in Chrome `trace_event` JSON (the array form:
+/// one object per event, written as it is built), every field of the
+/// full-mode JSONL line but the tag as an arg. Queries become complete
+/// (`"X"`) slices placed at `ts - dur`; all other events are instants.
 fn to_chrome_trace(events: &[TimedEvent]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, te) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let name = te.ev.name();
-        let args = chrome_args(&te.ev);
+    let slice = |te: &TimedEvent| {
+        let mut args = Vec::new();
+        put_fields(&te.ev, &mut args, false);
+        let mut o = vec![("name", te.ev.name().into())];
         match te.ev {
-            TraceEvent::Query { dur_us, .. } => {
-                let start = te.ts_us.saturating_sub(dur_us);
-                out.push_str(&format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{start},\"dur\":{dur_us},\"pid\":1,\"tid\":1,\"args\":{args}}}"
-                ));
-            }
-            _ => {
-                out.push_str(&format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":1,\"tid\":1,\"args\":{args}}}",
-                    ts = te.ts_us
-                ));
-            }
+            TraceEvent::Query { dur_us, .. } => o.extend([
+                ("ph", "X".into()),
+                ("ts", te.ts_us.saturating_sub(dur_us).into()),
+                ("dur", dur_us.into()),
+            ]),
+            _ => o.extend([
+                ("ph", "i".into()),
+                ("s", "t".into()),
+                ("ts", te.ts_us.into()),
+            ]),
         }
-    }
-    out.push_str("\n]}\n");
-    out
+        o.extend([
+            ("pid", 1u64.into()),
+            ("tid", 1u64.into()),
+            ("args", Json::Obj(args)),
+        ]);
+        Json::obj(o)
+    };
+    json::compact_array(events.iter().map(slice)) + "\n"
 }
 
 /// Write an event stream to `path` in Chrome `trace_event` format.
@@ -459,7 +411,8 @@ mod tests {
     fn chrome_export_contains_all_events() {
         let events = sample_events();
         let chrome = to_chrome_trace(&events);
-        assert!(chrome.starts_with('{') && chrome.trim_end().ends_with('}'));
+        let parsed = json::parse(&chrome).expect("the Chrome twin is JSON");
+        assert_eq!(parsed.as_arr().map(<[Json]>::len), Some(events.len()));
         for ev in &events {
             assert!(chrome.contains(&format!("\"name\":\"{}\"", ev.ev.name())));
         }

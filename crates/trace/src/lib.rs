@@ -23,14 +23,15 @@
 //! Exporters: JSONL ([`to_jsonl`]/[`parse_jsonl`], round-trips exactly in
 //! full mode) and Chrome `trace_event` ([`write_chrome_trace`], loadable
 //! in `chrome://tracing` / Perfetto). [`Lineage`] reconstructs any state's
-//! fork ancestry from an event stream.
+//! fork ancestry from an event stream. Both exporters, and every other
+//! JSON text the workspace writes or reads, go through [`json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;
 mod export;
-mod json;
+pub mod json;
 mod lineage;
 mod sink;
 mod summary;
@@ -39,7 +40,7 @@ pub use event::{
     DispatchKind, ForkReason, GroupLayer, QueryLayer, TimedEvent, TraceEvent, Verdict,
 };
 pub use export::{parse_jsonl, read_jsonl, to_jsonl, write_chrome_trace, write_jsonl};
-pub use json::{parse_flat_object, JsonObj, JsonValue};
+pub use json::{parse_flat_object, Json};
 pub use lineage::{Lineage, LineageStep};
 pub use sink::{NoopSink, RingSink, TraceSink, DEFAULT_RING_CAPACITY};
 pub use summary::TraceSummary;

@@ -347,6 +347,27 @@ fn no_core_source_file_is_over_1500_lines() {
     }
 }
 
+/// JSON is written in one module: no source file under `crates/*/src`
+/// but the codec, `crates/trace/src/json.rs`, spells a JSON object into a
+/// format string (`{{\"`). Everything else builds a `sde_trace::Json`.
+#[test]
+fn json_is_written_in_one_module() {
+    let crates = repo_root().join("crates");
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).expect("crates/ lists") {
+        let src = entry.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    let codec = crates.join("trace/src/json.rs");
+    assert!(files.contains(&codec), "no JSON codec at {codec:?}");
+    let by_hand: Vec<_> = (files.iter().filter(|f| **f != codec))
+        .filter(|f| std::fs::read_to_string(f).is_ok_and(|text| text.contains(r#"{{\""#)))
+        .collect();
+    assert!(by_hand.is_empty(), "JSON written by hand in {by_hand:?}");
+}
+
 /// DESIGN.md and EXPERIMENTS.md describe the current system once: each
 /// stays at most 800 lines, and history (what a layer measured before a
 /// change) belongs in CHANGES.md.
